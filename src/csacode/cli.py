@@ -2,7 +2,8 @@
 emit plot-ready CSVs, and drive the invariant suites.
 
 Exit codes: 0 success, 2 configuration/usage error, 3 decode failure,
-4 I/O error, 1 failed verification suite.
+4 I/O error (unreadable config, malformed matrix file, unwritable output),
+1 failed verification suite.
 """
 
 from __future__ import annotations
@@ -86,18 +87,14 @@ def _build_map(spec: dict) -> ncsa.NLinearMap:
 def cmd_run(args) -> int:
     try:
         cfg = _load_config(args.config)
-    except OSError as exc:
-        return _fail(args, "io", str(exc), EXIT_IO)
     except json.JSONDecodeError as exc:
         return _fail(args, "validation", f"config is not valid JSON: {exc}", EXIT_CONFIG)
     try:
         result = _run_config(cfg, args)
-    except (ParameterError, KeyError, TypeError) as exc:
-        return _fail(args, "validation", str(exc), EXIT_CONFIG)
     except (DecodingFailureError, InsufficientAnswersError) as exc:
         return _fail(args, "decode-failure", str(exc), EXIT_DECODE)
-    except OSError as exc:
-        return _fail(args, "io", str(exc), EXIT_IO)
+    except (ValueError, KeyError, TypeError) as exc:  # ParameterError included
+        return _fail(args, "validation", str(exc), EXIT_CONFIG)
     out = args.output or cfg.get("output")
     text = json.dumps(result, indent=2, sort_keys=True)
     if out:
@@ -128,8 +125,11 @@ def _run_config(cfg: dict, args) -> dict:
         lam, kap, mu = cfg["dims"]
         batch = int(cfg.get("batch", 1))
         if cfg.get("input_a"):
-            qa, batch_a = matfile.read_matrices(cfg["input_a"])
-            qb, batch_b = matfile.read_matrices(cfg["input_b"])
+            try:
+                qa, batch_a = matfile.read_matrices(cfg["input_a"])
+                qb, batch_b = matfile.read_matrices(cfg["input_b"])
+            except ValueError as exc:  # a malformed file is an I/O error
+                raise OSError(f"malformed matrix file: {exc}") from exc
             if qa != q or qb != q:
                 raise ParameterError("matrix file modulus differs from config")
         else:
@@ -153,9 +153,11 @@ def _run_config(cfg: dict, args) -> dict:
         digest = _digest(products)
     elif scheme in ("ncsa", "lcc"):
         omega = _build_map(cfg["map"])
+        ell = int(p.get("ell", 1))
+        if scheme == "lcc" and ell != 1:
+            raise ParameterError(f"lcc runs N-CSA with ell = 1 and kc = L, got ell = {ell}")
         params = ncsa.ncsa_params(
-            field, omega.arity,
-            int(p.get("ell", 1)), int(p["kc"]), servers,
+            field, omega.arity, ell, int(p["kc"]), servers,
             x_secure=int(p.get("X", 0)), byzantine=int(p.get("B", 0)),
             noise_seed=int(seeds.get("noise", 0)),
         )
@@ -385,7 +387,7 @@ def _suite_gcsa_oracle(field: PrimeField) -> bool:
         for s in range(params.servers):
             sa = gcsa.gcsa_encode_a(field, aa, params, s)
             sb = gcsa.gcsa_encode_b(field, bb, params, s)
-            answers.append((s, gcsa.gcsa_answer(field, sa, sb)))
+            answers.append((s, csa.csa_answer(field, sa, sb)))
         rng2 = np.random.default_rng(18)
         subsets = list(itertools.combinations(range(params.servers), r))
         for subset in [subsets[int(i)] for i in
@@ -497,17 +499,22 @@ def cmd_verify(args) -> int:
 # ---- entry point ----
 
 
+def _modulus(text: str) -> int:
+    try:
+        return PrimeField(int(text)).q
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from exc
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="csacode",
         description="coded distributed batch computation over GF(q)",
     )
-    parser.add_argument("--field-modulus", type=int, default=DEFAULT_MODULUS,
+    parser.add_argument("--field-modulus", type=_modulus, default=DEFAULT_MODULUS,
                         help="prime modulus (default %(default)s)")
     parser.add_argument("--seed", type=int, default=0,
                         help="fallback data seed for run")
-    parser.add_argument("--threads", type=int, default=1,
-                        help="worker parallelism hint; outputs do not depend on it")
     parser.add_argument("--output", help="output file (meaning depends on command)")
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -562,7 +569,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except OSError as exc:  # e.g. an unwritable --output
+        return _fail(args, "io", str(exc), EXIT_IO)
 
 
 if __name__ == "__main__":

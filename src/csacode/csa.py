@@ -17,7 +17,9 @@ import numpy as np
 
 from .errors import InsufficientAnswersError, ParameterError
 from .ffield import PrimeField
-from .structmat import CVSpec, cv_matrix, solve_batch
+# perfbench/tracer.py traces csa.cv_matrix, so the name stays importable here.
+from .structmat import (CVSpec, cv_matrix, matrix_rank,  # noqa: F401
+                        scaled_cv_matrix, solve_batch)
 
 
 @dataclass(frozen=True)
@@ -36,33 +38,31 @@ class CSAParams:
         """f_{l,k} with 0-based group and slot indices."""
         return self.poles[l * self.kc + k]
 
+    @property
+    def arity(self) -> int:
+        """CSA is N-CSA with N = 2: the matrix product is a bilinear map."""
+        return 2
+
+    @property
+    def threshold(self) -> int:
+        return csa_threshold(self.ell, self.kc)
+
 
 def csa_threshold(ell: int, kc: int) -> int:
     return (ell + 1) * kc - 1
 
 
-def default_points(field: PrimeField, batch: int, servers: int) -> tuple[tuple, tuple]:
-    """Canonical point assignment: poles 1..L, samples L+1..L+S (mod q)."""
-    poles = tuple(x % field.q for x in range(1, batch + 1))
-    samples = tuple((batch + s) % field.q for s in range(1, servers + 1))
-    return poles, samples
+def cauchy_points(field: PrimeField, batch: int, servers: int, poles, samples,
+                  systematic: bool) -> tuple[tuple, tuple]:
+    """Poles and samples of a Cauchy code, reduced mod q and validated.
 
-
-def csa_params(field: PrimeField, ell: int, kc: int, servers: int,
-               poles=None, samples=None, systematic: bool = False) -> CSAParams:
-    """Validated parameter bundle; default points follow the canonical layout."""
-    if min(ell, kc, servers) < 1:
-        raise ParameterError("ell, kc and server count must be positive")
-    batch = ell * kc
-    r = csa_threshold(ell, kc)
-    if r > servers:
-        raise ParameterError(f"R <= S violated: threshold {r} exceeds {servers} servers")
-    if systematic and servers < batch:
-        raise ParameterError("systematic layout needs S >= L")
-    if poles is None or samples is None:
-        dp, ds = default_points(field, batch, servers)
-        poles = dp if poles is None else poles
-        samples = ds if samples is None else samples
+    A missing side takes the canonical layout: poles 1..L, samples
+    L+1..L+S (mod q).
+    """
+    if poles is None:
+        poles = range(1, batch + 1)
+    if samples is None:
+        samples = range(batch + 1, batch + servers + 1)
     poles = tuple(x % field.q for x in poles)
     samples = tuple(x % field.q for x in samples)
     if len(poles) != batch or len(samples) != servers:
@@ -72,8 +72,20 @@ def csa_params(field: PrimeField, ell: int, kc: int, servers: int,
     used = poles + (samples[batch:] if systematic else samples)
     if len(set(used)) != len(used):
         raise ParameterError("evaluation points must be pairwise distinct")
-    if not systematic and batch > field.q - servers:
-        raise ParameterError("L <= q - S violated: field too small for S + L points")
+    return poles, samples
+
+
+def csa_params(field: PrimeField, ell: int, kc: int, servers: int,
+               poles=None, samples=None, systematic: bool = False) -> CSAParams:
+    """Validated parameter bundle; default points follow the canonical layout."""
+    if min(ell, kc, servers) < 1:
+        raise ParameterError("ell, kc and server count must be positive")
+    r = csa_threshold(ell, kc)
+    if r > servers:
+        raise ParameterError(f"R <= S violated: threshold {r} exceeds {servers} servers")
+    if systematic and servers < ell * kc:
+        raise ParameterError("systematic layout needs S >= L")
+    poles, samples = cauchy_points(field, ell * kc, servers, poles, samples, systematic)
     return CSAParams(ell, kc, servers, poles, samples)
 
 
@@ -140,24 +152,16 @@ def csa_answer(field: PrimeField, share_a, share_b, counter=None) -> np.ndarray:
     return acc
 
 
-def _decode_matrix(field: PrimeField, params: CSAParams, alphas) -> np.ndarray:
-    r = len(alphas)
-    mat = cv_matrix(field, CVSpec(params.poles, tuple(alphas)))
-    consts = scaling_constants(field, params)
-    for j, c in enumerate(consts):
-        mat[:, j] = mat[:, j] * c % field.q
-    return mat
-
-
 def csa_decode(field: PrimeField, answers, params: CSAParams) -> list[np.ndarray]:
-    """Recover the L products from any R = (ell+1)kc - 1 answers.
+    """Recover the L results from any R answers of a CSA code, or of an
+    N-CSA code without X-security or Byzantine servers.
 
     ``answers`` is an iterable of (server_index, Y) pairs, 0-based indices.
     """
-    r = csa_threshold(params.ell, params.kc)
-    answers = _take_answers(answers, r, params.servers)
-    alphas = [params.samples[s] for s, _ in answers]
-    mat = _decode_matrix(field, params, alphas)
+    answers = _take_answers(answers, params.threshold, params.servers)
+    alphas = tuple(params.samples[s] for s, _ in answers)
+    mat = scaled_cv_matrix(field, CVSpec(params.poles, alphas),
+                           scaling_constants(field, params, params.arity - 1))
     stacked = np.stack([y.reshape(-1) for _, y in answers])
     sol = solve_batch(field, mat, stacked)
     shape = answers[0][1].shape
@@ -197,46 +201,34 @@ def systematic_answer(field: PrimeField, share, counter=None) -> np.ndarray:
     return csa_answer(field, sa, sb, counter)
 
 
-def systematic_decode(field: PrimeField, answers, params: CSAParams) -> list[np.ndarray]:
-    """Decode mixed raw/coded answers; raw products are read off and their
-    Cauchy contributions eliminated before the reduced solve."""
+def systematic_decode(field: PrimeField, answers, params) -> list[np.ndarray]:
+    """Decode mixed raw/coded answers of a CSA or N-CSA systematic layout.
+
+    Raw results are read off and their Cauchy contributions, scaled by
+    c_{l,k}^(N-1), eliminated from the coded answers; the reduced system
+    keeps the Cauchy columns of the unknown results plus the full
+    Vandermonde tail, R - L = (kc-1)(N-1) columns wide.
+    """
     batch = params.batch_size
-    r = batch + params.kc - 1  # same value as the non-systematic threshold
-    answers = _take_answers(answers, r, params.servers)
+    answers = _take_answers(answers, params.threshold, params.servers)
     known = {s: y for s, y in answers if s < batch}
     coded = [(s, y) for s, y in answers if s >= batch]
     if len(known) == batch:
         return [known[i] for i in range(batch)]
-    consts = scaling_constants(field, params)
+    consts = scaling_constants(field, params, params.arity - 1)
     unknown = [i for i in range(batch) if i not in known]
-    alphas = [params.samples[s] for s, _ in coded]
-    rp = len(coded)
-    shape = answers[0][1].shape
-    # Reduced system: Cauchy columns of the unknown products plus the full
-    # Vandermonde tail; known products are subtracted from the answers.
-    mat = np.zeros((rp, rp), dtype=np.int64)
-    rhs = np.zeros((rp, shape[0] * shape[1]), dtype=np.int64)
-    for i, (s, y) in enumerate(coded):
-        alpha = params.samples[s]
-        y = y.reshape(-1).copy()
-        for idx, prod in known.items():
-            w = consts[idx] * field.inv(field.sub(params.poles[idx], alpha)) % field.q
-            y = (y - w * prod.reshape(-1)) % field.q
-        rhs[i] = y
-        for j, idx in enumerate(unknown):
-            mat[i, j] = consts[idx] * field.inv(field.sub(params.poles[idx], alpha)) % field.q
-        p = 1
-        for j in range(params.kc - 1):
-            mat[i, len(unknown) + j] = p
-            p = p * alpha % field.q
+    alphas = tuple(params.samples[s] for s, _ in coded)
+    spec = CVSpec(tuple(params.poles[i] for i in unknown), alphas)
+    mat = scaled_cv_matrix(field, spec, [consts[i] for i in unknown])
+    rhs = np.stack([y.reshape(-1) for _, y in coded])
+    for idx, val in known.items():
+        w = [consts[idx] * field.inv(field.sub(params.poles[idx], alpha)) % field.q
+             for alpha in alphas]
+        rhs = (rhs - np.outer(w, val.reshape(-1))) % field.q
     sol = solve_batch(field, mat, rhs)
-    out = []
-    for i in range(batch):
-        if i in known:
-            out.append(known[i])
-        else:
-            out.append(sol[unknown.index(i)].reshape(shape))
-    return out
+    shape = answers[0][1].shape
+    return [known[i] if i in known else sol[unknown.index(i)].reshape(shape)
+            for i in range(batch)]
 
 
 # ---- interference structure ----
@@ -267,29 +259,6 @@ def cross_term_matrix(field: PrimeField, params: CSAParams) -> np.ndarray:
     return np.array(cols, dtype=np.int64).T
 
 
-def matrix_rank(field: PrimeField, mat: np.ndarray) -> int:
-    """Rank over GF(q) by row reduction."""
-    m = mat.copy() % field.q
-    rows, cols = m.shape
-    rank = 0
-    for c in range(cols):
-        piv = rank
-        while piv < rows and m[piv, c] == 0:
-            piv += 1
-        if piv == rows:
-            continue
-        if piv != rank:
-            m[[rank, piv]] = m[[piv, rank]]
-        m[rank] = m[rank] * field.inv(int(m[rank, c])) % field.q
-        below = m[rank + 1 :, c]
-        if below.size and below.any():
-            m[rank + 1 :] = (m[rank + 1 :] - np.outer(below, m[rank])) % field.q
-        rank += 1
-        if rank == rows:
-            break
-    return rank
-
-
 def interference_rank(field: PrimeField, params: CSAParams) -> int:
     """Dimension spanned by all cross-term coefficient vectors."""
     return matrix_rank(field, cross_term_matrix(field, params))
@@ -298,16 +267,16 @@ def interference_rank(field: PrimeField, params: CSAParams) -> int:
 # ---- shared helpers ----
 
 
-def _check_batch(batch, params: CSAParams):
+def _check_batch(batch, params):
     if len(batch) != params.batch_size:
         raise ParameterError(
-            f"batch of {len(batch)} matrices does not match L = {params.batch_size}"
+            f"batch of {len(batch)} entries does not match L = {params.batch_size}"
         )
-    shapes = {m.shape for m in batch}
-    if len(shapes) != 1:
-        raise ParameterError("batch matrices must share one shape")
-    if any(not np.issubdtype(m.dtype, np.integer) for m in batch):
-        raise ParameterError("batch matrices must hold integer residues")
+    arrays = [np.asarray(x) for x in batch]
+    if len({x.shape for x in arrays}) != 1:
+        raise ParameterError("batch entries must share one shape")
+    if any(not np.issubdtype(x.dtype, np.integer) for x in arrays):
+        raise ParameterError("batch entries must hold integer residues")
 
 
 def _take_answers(answers, r: int, servers: int):

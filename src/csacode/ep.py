@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import InsufficientAnswersError, ParameterError
 from .ffield import PrimeField
-from .structmat import solve_batch
+from .structmat import CVSpec, cv_matrix, solve_batch
 
 
 @dataclass(frozen=True)
@@ -73,6 +73,8 @@ def desired_coeff_index(params: EPParams, mi: int, ni: int) -> int:
 
 
 def ep_encode_a(field: PrimeField, a: np.ndarray, params: EPParams, alpha: int) -> np.ndarray:
+    """A polynomial sum_{mi,pi} A_{mi,pi} alpha^(pi + p*mi) at one point; GCSA
+    evaluates it at the shifted point f_{l,k} - alpha."""
     grid = split_blocks(a, params.m, params.p)
     acc = np.zeros_like(grid[0][0])
     for mi in range(params.m):
@@ -83,6 +85,7 @@ def ep_encode_a(field: PrimeField, a: np.ndarray, params: EPParams, alpha: int) 
 
 
 def ep_encode_b(field: PrimeField, b: np.ndarray, params: EPParams, alpha: int) -> np.ndarray:
+    """B polynomial sum_{pi,ni} B_{pi,ni} alpha^(p-1-pi + p*m*ni) at one point."""
     grid = split_blocks(b, params.p, params.n)
     acc = np.zeros_like(grid[0][0])
     for pi in range(params.p):
@@ -136,15 +139,8 @@ def ep_decode(field: PrimeField, answers, params: EPParams) -> np.ndarray:
     if len(answers) < r:
         raise InsufficientAnswersError(f"need {r} answers, got {len(answers)}")
     answers = answers[:r]
-    alphas = [a % field.q for a, _ in answers]
-    if len(set(alphas)) != len(alphas):
-        raise ParameterError("duplicate evaluation points in answers")
-    vand = np.zeros((r, r), dtype=np.int64)
-    for i, alpha in enumerate(alphas):
-        p = 1
-        for j in range(r):
-            vand[i, j] = p
-            p = p * alpha % field.q
+    # a Cauchy-Vandermonde matrix without poles is the plain Vandermonde
+    vand = cv_matrix(field, CVSpec((), tuple(a % field.q for a, _ in answers)))
     stacked = np.stack([y.reshape(-1) for _, y in answers])  # R x (block size)
     coeffs = solve_batch(field, vand, stacked)
     bh, bw = answers[0][1].shape

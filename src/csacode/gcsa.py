@@ -1,12 +1,13 @@
 """Generalized cross-subspace alignment codes: block partitioning inside batch coding.
 
-Every constituent matrix pair additionally gets the entangled-polynomial
-block layout, written in the shifted variable (f_{l,k} - alpha).  The group
-prefactor is raised to the power R' = pmn, so a server's answer expands into
-pole powers 1/(f - alpha)^R' .. 1/(f - alpha) carrying Toeplitz-mixed block
-coefficients, plus a shared Vandermonde tail.  Decoding solves the confluent
-Cauchy-Vandermonde system and reassembles products with the block extraction
-rule of the inner code.
+Every constituent matrix pair is first encoded with the entangled-polynomial
+partition encoders of ``ep``, evaluated at the shifted point
+(f_{l,k} - alpha).  The group prefactor is raised to the power R' = pmn, so a
+server's answer expands into pole powers 1/(f - alpha)^R' .. 1/(f - alpha)
+carrying Toeplitz-mixed block coefficients, plus a shared Vandermonde tail.
+Points, batch checks and the server answer (``csa.csa_answer``) are the CSA
+ones.  Decoding solves the confluent Cauchy-Vandermonde system and
+reassembles products with the block extraction rule of the inner code.
 """
 
 from __future__ import annotations
@@ -15,10 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .csa import _check_batch as _check_sized_batch  # same contract
-from .csa import _take_answers, default_points
-from .ep import (EPParams, a_exponent, assemble_blocks, b_exponent,
-                 desired_coeff_index, split_blocks)
+from .csa import _check_batch, _take_answers, cauchy_points
+from .ep import EPParams, assemble_blocks, desired_coeff_index, ep_encode_a, ep_encode_b
 from .errors import ParameterError
 from .ffield import PrimeField, poly_mul
 from .structmat import CVSpec, confluent_cv_matrix, lt_toeplitz, solve_batch
@@ -80,20 +79,7 @@ def gcsa_params(field: PrimeField, ell: int, kc: int, p: int, m: int, n: int,
     r = gcsa_threshold(ell, kc, p, m, n)
     if r > servers:
         raise ParameterError(f"R <= S violated: threshold {r} exceeds {servers} servers")
-    batch = ell * kc
-    if poles is None or samples is None:
-        dp, ds = default_points(field, batch, servers)
-        poles = dp if poles is None else poles
-        samples = ds if samples is None else samples
-    poles = tuple(x % field.q for x in poles)
-    samples = tuple(x % field.q for x in samples)
-    if len(poles) != batch or len(samples) != servers:
-        raise ParameterError("need ell*kc poles and one sample per server")
-    pts = poles + samples
-    if len(set(pts)) != len(pts):
-        raise ParameterError("evaluation points must be pairwise distinct")
-    if batch > field.q - servers:
-        raise ParameterError("L <= q - S violated: field too small for S + L points")
+    poles, samples = cauchy_points(field, ell * kc, servers, poles, samples, False)
     return GCSAParams(ell, kc, p, m, n, servers, poles, samples)
 
 
@@ -112,31 +98,10 @@ def psi_coeffs(field: PrimeField, params: GCSAParams, l: int, k: int) -> list[in
     return poly + [0] * (want - len(poly))
 
 
-def _inner_a(field: PrimeField, a: np.ndarray, params: GCSAParams, point: int) -> np.ndarray:
-    """EP-style A polynomial evaluated at the shifted point f_{l,k} - alpha."""
-    grid = split_blocks(a, params.m, params.p)
-    acc = np.zeros_like(grid[0][0])
-    for mi in range(params.m):
-        for pi in range(params.p):
-            w = field.pow(point, a_exponent(params.ep, mi, pi))
-            acc = (acc + w * grid[mi][pi]) % field.q
-    return acc
-
-
-def _inner_b(field: PrimeField, b: np.ndarray, params: GCSAParams, point: int) -> np.ndarray:
-    grid = split_blocks(b, params.p, params.n)
-    acc = np.zeros_like(grid[0][0])
-    for pi in range(params.p):
-        for ni in range(params.n):
-            w = field.pow(point, b_exponent(params.ep, pi, ni))
-            acc = (acc + w * grid[pi][ni]) % field.q
-    return acc
-
-
 def gcsa_encode_a(field: PrimeField, batch_a, params: GCSAParams, s: int) -> list[np.ndarray]:
     """A-side share: per group, sum over slots of the inner polynomial times
     the cleared-denominator weight prod_{k' != k}(f_{l,k'} - alpha)^R'."""
-    _check_sized_batch(batch_a, params)
+    _check_batch(batch_a, params)
     alpha = params.samples[s]
     rp = params.inner_order
     shares = []
@@ -147,8 +112,8 @@ def gcsa_encode_a(field: PrimeField, batch_a, params: GCSAParams, s: int) -> lis
             for k2 in range(params.kc):
                 if k2 != k:
                     w = w * field.pow(field.sub(params.pole(l, k2), alpha), rp) % field.q
-            term = w * _inner_a(field, batch_a[l * params.kc + k], params,
-                                field.sub(params.pole(l, k), alpha)) % field.q
+            term = w * ep_encode_a(field, batch_a[l * params.kc + k], params.ep,
+                                   field.sub(params.pole(l, k), alpha)) % field.q
             acc = term if acc is None else (acc + term) % field.q
         shares.append(acc)
     return shares
@@ -156,7 +121,7 @@ def gcsa_encode_a(field: PrimeField, batch_a, params: GCSAParams, s: int) -> lis
 
 def gcsa_encode_b(field: PrimeField, batch_b, params: GCSAParams, s: int) -> list[np.ndarray]:
     """B-side share: Cauchy-power combination of the inner B polynomials."""
-    _check_sized_batch(batch_b, params)
+    _check_batch(batch_b, params)
     alpha = params.samples[s]
     rp = params.inner_order
     shares = []
@@ -164,25 +129,11 @@ def gcsa_encode_b(field: PrimeField, batch_b, params: GCSAParams, s: int) -> lis
         acc = None
         for k in range(params.kc):
             w = field.inv(field.pow(field.sub(params.pole(l, k), alpha), rp))
-            term = w * _inner_b(field, batch_b[l * params.kc + k], params,
-                                field.sub(params.pole(l, k), alpha)) % field.q
+            term = w * ep_encode_b(field, batch_b[l * params.kc + k], params.ep,
+                                   field.sub(params.pole(l, k), alpha)) % field.q
             acc = term if acc is None else (acc + term) % field.q
         shares.append(acc)
     return shares
-
-
-def gcsa_answer(field: PrimeField, share_a, share_b, counter=None) -> np.ndarray:
-    if len(share_a) != len(share_b):
-        raise ParameterError("share group counts differ")
-    acc = None
-    for a, b in zip(share_a, share_b):
-        if a.shape[1] != b.shape[0]:
-            raise ParameterError("share shapes are not conformable")
-        if counter is not None:
-            counter.mults += a.shape[0] * a.shape[1] * b.shape[1]
-        prod = field.matmul(a, b)
-        acc = prod if acc is None else (acc + prod) % field.q
-    return acc
 
 
 def gcsa_decode(field: PrimeField, answers, params: GCSAParams) -> list[np.ndarray]:

@@ -207,12 +207,10 @@ def run_cdbmm(field: PrimeField, scheme: str, setup, batch_a, batch_b,
             sa, sb = shares[s]
             y = np.stack([ep.ep_answer(field, a, b, counter)
                           for a, b in zip(sa, sb)])
-        elif scheme == "csa":
-            y = csa.csa_answer(field, shares[s][0], shares[s][1], counter)
         elif scheme == "csa-systematic":
             y = csa.systematic_answer(field, shares[s], counter)
-        else:
-            y = gcsa.gcsa_answer(field, shares[s][0], shares[s][1], counter)
+        else:  # csa, and gcsa, whose server work is the CSA answer
+            y = csa.csa_answer(field, shares[s][0], shares[s][1], counter)
         server_mults = max(server_mults, counter.mults)
         answers.append((s, y))
 
@@ -338,7 +336,7 @@ def run_nlinear(field: PrimeField, params: ncsa.NCSAParams, job, batches,
         evals, found = ncsa.xsb_decode(field, answers, params)
         flagged = tuple(found)
     elif systematic:
-        evals = ncsa.ncsa_systematic_decode(field, answers, params)
+        evals = csa.systematic_decode(field, answers, params)
     else:
         evals = ncsa.ncsa_decode(field, answers, params)
 

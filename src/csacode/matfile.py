@@ -28,7 +28,8 @@ def write_matrices(path, q: int, matrices) -> None:
 
 
 def read_matrices(path):
-    """Returns (q, [matrices]) with int64 entries reduced mod q."""
+    """Returns (q, [matrices]) with int64 entries; every stored residue must
+    already lie in [0, q)."""
     with open(path, "rb") as fh:
         head = fh.read(_HEADER.size)
         if len(head) != _HEADER.size:
@@ -40,6 +41,9 @@ def read_matrices(path):
     want = count * rows * cols * 8
     if len(body) != want:
         raise ValueError(f"matrix file body has {len(body)} bytes, expected {want}")
-    flat = np.frombuffer(body, dtype="<u8").astype(np.int64) % q
+    flat = np.frombuffer(body, dtype="<u8")
+    if flat.size and int(flat.max()) >= q:
+        raise ValueError(f"matrix file holds a residue outside [0, {q})")
+    flat = flat.astype(np.int64)
     return q, [flat[i * rows * cols : (i + 1) * rows * cols].reshape(rows, cols)
                for i in range(count)]

@@ -1,11 +1,15 @@
 """Batch computation of N-linear maps and degree-N polynomial evaluations.
 
-Generalizes the bilinear batch scheme: every variable batch is Cauchy-coded
-per group, servers evaluate the map on coded variables and return the
-prefactor-normalized group sum, and the decoder solves a Cauchy-Vandermonde
-system whose tail absorbs the (kc-1)(N-1) interference dimensions.  Includes
-the Lagrange-interpolation baseline, uniform-noise shares that keep any X
-servers ignorant of the data, and error correction against B forged answers.
+Generalizes the bilinear batch scheme (CSA is the case N = 2): every variable
+batch is Cauchy-coded per group with the CSA A-side encoder
+``csa.csa_encode_a``, servers evaluate the map on coded variables and return
+the prefactor-normalized group sum, and the decoder solves the scaled
+Cauchy-Vandermonde system of ``structmat`` (Cauchy columns scaled by
+c_{l,k}^(N-1)), whose tail absorbs the (kc-1)(N-1) interference dimensions.
+Points, batch checks, the plain decoder and the systematic decoder are the
+CSA ones.  Adds the Lagrange-interpolation baseline, uniform-noise shares
+that keep any X servers ignorant of the data, and error correction against B
+forged answers.
 """
 
 from __future__ import annotations
@@ -17,10 +21,12 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .csa import _take_answers, default_points
+from .csa import (_check_batch, _take_answers, cauchy_points, csa_decode,
+                  csa_encode_a, scaling_constants)
 from .errors import DecodingFailureError, InsufficientAnswersError, ParameterError
 from .ffield import PrimeField
-from .structmat import rs_error_correct, solve_batch
+from .structmat import (CVSpec, _row_reduce, rs_error_correct, scaled_cv_matrix,
+                        solve_batch)
 
 # ---- N-linear maps ----
 
@@ -104,23 +110,8 @@ def determinant_map(size: int) -> NLinearMap:
 
     def det(field, *cols):
         m = np.stack(cols, axis=1).astype(np.int64) % field.q
-        sign = 1
-        out = 1
-        for c in range(size):
-            piv = c
-            while piv < size and m[piv, c] == 0:
-                piv += 1
-            if piv == size:
-                return np.array([0], dtype=np.int64)
-            if piv != c:
-                m[[c, piv]] = m[[piv, c]]
-                sign = -sign
-            out = out * int(m[c, c]) % field.q
-            inv = field.inv(int(m[c, c]))
-            below = m[c + 1 :, c]
-            if below.size and below.any():
-                m[c + 1 :] = (m[c + 1 :] - np.outer(below * inv % field.q, m[c])) % field.q
-        return np.array([out * sign % field.q], dtype=np.int64)
+        pivots, out = _row_reduce(field, m, size)
+        return np.array([out if len(pivots) == size else 0], dtype=np.int64)
 
     return NLinearMap(
         arity=size,
@@ -164,6 +155,16 @@ def lcc_threshold(arity: int, batch: int) -> int:
     return arity * (batch - 1) + 1
 
 
+def _lagrange_weight(field: PrimeField, nodes, i: int, x: int) -> int:
+    """The i-th Lagrange basis polynomial of ``nodes`` evaluated at x."""
+    w = 1
+    for j, node in enumerate(nodes):
+        if j != i:
+            w = w * field.sub(x, node) % field.q
+            w = w * field.inv(field.sub(nodes[i], node)) % field.q
+    return w
+
+
 def lcc_encode(field: PrimeField, batch, betas, alpha: int) -> np.ndarray:
     """Evaluate the Lagrange interpolant through (beta_l, x_l) at alpha."""
     betas = [b % field.q for b in betas]
@@ -172,12 +173,7 @@ def lcc_encode(field: PrimeField, batch, betas, alpha: int) -> np.ndarray:
         raise ParameterError("anchor points must be pairwise distinct")
     acc = np.zeros_like(batch[0])
     for l, x in enumerate(batch):
-        w = 1
-        for l2, b in enumerate(betas):
-            if l2 != l:
-                w = w * field.sub(alpha, b) % field.q
-                w = w * field.inv(field.sub(betas[l], b)) % field.q
-        acc = (acc + w * x) % field.q
+        acc = (acc + _lagrange_weight(field, betas, l, alpha) * x) % field.q
     return acc
 
 
@@ -195,14 +191,7 @@ def lcc_decode(field: PrimeField, answers, betas, arity: int) -> list[np.ndarray
         raise ParameterError("duplicate evaluation points in answers")
     out = []
     for beta in betas:
-        weights = []
-        for i, ai in enumerate(alphas):
-            w = 1
-            for j, aj in enumerate(alphas):
-                if j != i:
-                    w = w * field.sub(beta, aj) % field.q
-                    w = w * field.inv(field.sub(ai, aj)) % field.q
-            weights.append(w)
+        weights = [_lagrange_weight(field, alphas, i, beta) for i in range(r)]
         acc = np.zeros_like(answers[0][1])
         for w, (_, y) in zip(weights, answers):
             acc = (acc + w * y) % field.q
@@ -258,44 +247,12 @@ def ncsa_params(field: PrimeField, arity: int, ell: int, kc: int, servers: int,
     r = xsb_threshold(arity, ell, kc, x_secure, byzantine)
     if r > servers:
         raise ParameterError(f"R <= S violated: threshold {r} exceeds {servers} servers")
-    batch = ell * kc
-    if poles is None or samples is None:
-        dp, ds = default_points(field, batch, servers)
-        poles = dp if poles is None else poles
-        samples = ds if samples is None else samples
-    poles = tuple(x % field.q for x in poles)
-    samples = tuple(x % field.q for x in samples)
-    if len(poles) != batch or len(samples) != servers:
-        raise ParameterError("need ell*kc poles and one sample per server")
-    used = poles + (samples[batch:] if systematic else samples)
-    if len(set(used)) != len(used):
-        raise ParameterError("evaluation points must be pairwise distinct")
+    poles, samples = cauchy_points(field, ell * kc, servers, poles, samples, systematic)
     return NCSAParams(arity, ell, kc, servers, x_secure, byzantine,
                       poles, samples, noise_seed)
 
 
 # ---- encoding ----
-
-
-def ncsa_encode(field: PrimeField, batch, params: NCSAParams, s: int) -> list[np.ndarray]:
-    """Plain (non-secure) share of one variable batch for server s.
-
-    Division-free form: group component l is
-    sum_k prod_{k' != k}(f_{l,k'} - alpha_s) x_{l,k}.
-    """
-    _check_batch(batch, params)
-    alpha = params.samples[s]
-    shares = []
-    for l in range(params.ell):
-        acc = np.zeros_like(batch[0])
-        for k in range(params.kc):
-            w = 1
-            for k2 in range(params.kc):
-                if k2 != k:
-                    w = w * field.sub(params.pole(l, k2), alpha) % field.q
-            acc = (acc + w * batch[l * params.kc + k]) % field.q
-        shares.append(acc)
-    return shares
 
 
 def noise_element(field: PrimeField, seed: int, var: int, l: int, k: int,
@@ -332,11 +289,10 @@ def xs_encode(field: PrimeField, batch, params: NCSAParams, var: int, s: int,
     server, forming the MDS-coded mask.  ``noise`` may override the seeded
     values: a mapping (l, k, x) -> array (1-based x).
     """
+    base = csa_encode_a(field, batch, params, s)
     if params.x_secure < 1:
-        return ncsa_encode(field, batch, params, s)
-    _check_batch(batch, params)
+        return base
     alpha = params.samples[s]
-    base = ncsa_encode(field, batch, params, s)
     shares = []
     for l in range(params.ell):
         delta = 1
@@ -434,44 +390,12 @@ def poly_batch_eval_answer(field: PrimeField, shares_by_var, spec: PolynomialSpe
 # ---- decoding ----
 
 
-def _decode_matrix(field: PrimeField, params: NCSAParams, alphas, width: int) -> np.ndarray:
-    """CV matrix on the given samples with tail width ``width - L`` and the
-    Cauchy columns scaled by prod_{k' != k}(f_{l,k'} - f_{l,k})^{N-1}."""
-    mat = np.zeros((len(alphas), width), dtype=np.int64)
-    batch = params.batch_size
-    consts = []
-    for l in range(params.ell):
-        for k in range(params.kc):
-            c = 1
-            for k2 in range(params.kc):
-                if k2 != k:
-                    c = c * field.sub(params.pole(l, k2), params.pole(l, k)) % field.q
-            consts.append(field.pow(c, params.arity - 1))
-    for i, alpha in enumerate(alphas):
-        for j in range(batch):
-            mat[i, j] = consts[j] * field.inv(field.sub(params.poles[j], alpha)) % field.q
-        p = 1
-        for j in range(width - batch):
-            mat[i, batch + j] = p
-            p = p * alpha % field.q
-    return mat
-
-
 def ncsa_decode(field: PrimeField, answers, params: NCSAParams) -> list[np.ndarray]:
     """Recover the L evaluations from R = kc(N + ell - 1) - N + 1 answers
-    (straggler-only setting)."""
+    (straggler-only setting): the CSA decoder with c_{l,k}^(N-1) scaling."""
     if params.x_secure or params.byzantine:
         raise ParameterError("use xsb_decode when X or B is nonzero")
-    r = params.threshold
-    answers = _take_answers(answers, r, params.servers)
-    alphas = [params.samples[s] for s, _ in answers]
-    if len(set(alphas)) != len(alphas):
-        raise ParameterError("duplicate evaluation points")
-    mat = _decode_matrix(field, params, alphas, r)
-    stacked = np.stack([y.reshape(-1) for _, y in answers])
-    sol = solve_batch(field, mat, stacked)
-    shape = answers[0][1].shape
-    return [sol[j].reshape(shape) for j in range(params.batch_size)]
+    return csa_decode(field, answers, params)
 
 
 def xsb_decode(field: PrimeField, answers, params: NCSAParams):
@@ -487,8 +411,6 @@ def xsb_decode(field: PrimeField, answers, params: NCSAParams):
     b = params.byzantine
     answers = _take_answers(answers, r, params.servers)
     alphas = [params.samples[s] for s, _ in answers]
-    if len(set(alphas)) != len(alphas):
-        raise ParameterError("duplicate evaluation points")
     width = r - 2 * b
     flagged_rows: set[int] = set()
     if b > 0:
@@ -507,7 +429,8 @@ def xsb_decode(field: PrimeField, answers, params: NCSAParams):
         if len(flagged_rows) > b:
             raise DecodingFailureError("corruptions exceed the Byzantine budget")
     clean = [i for i in range(r) if i not in flagged_rows][:width]
-    mat = _decode_matrix(field, params, [alphas[i] for i in clean], width)
+    mat = scaled_cv_matrix(field, CVSpec(params.poles, tuple(alphas[i] for i in clean)),
+                           scaling_constants(field, params, params.arity - 1))
     stacked = np.stack([answers[i][1].reshape(-1) for i in clean])
     sol = solve_batch(field, mat, stacked)
     shape = answers[0][1].shape
@@ -534,7 +457,7 @@ def ncsa_systematic_encode(field: PrimeField, batches, params: NCSAParams) -> li
         if s < params.batch_size:
             shares.append(("raw", tuple(batch[s] for batch in batches)))
         else:
-            shares.append(("coded", tuple(ncsa_encode(field, batch, params, s)
+            shares.append(("coded", tuple(csa_encode_a(field, batch, params, s)
                                           for batch in batches)))
     return shares
 
@@ -545,62 +468,3 @@ def ncsa_systematic_answer(field: PrimeField, share, omega: NLinearMap,
     if kind == "raw":
         return omega(field, *payload)
     return ncsa_answer(field, list(payload), omega, params, s)
-
-
-def ncsa_systematic_decode(field: PrimeField, answers, params: NCSAParams) -> list[np.ndarray]:
-    """Read raw evaluations off directly, eliminate them from the coded
-    answers, and solve the reduced system for the rest."""
-    batch = params.batch_size
-    r = params.threshold
-    answers = _take_answers(answers, r, params.servers)
-    known = {s: y for s, y in answers if s < batch}
-    coded = [(s, y) for s, y in answers if s >= batch]
-    if len(known) == batch:
-        return [known[i] for i in range(batch)]
-    consts = []
-    for l in range(params.ell):
-        for k in range(params.kc):
-            c = 1
-            for k2 in range(params.kc):
-                if k2 != k:
-                    c = c * field.sub(params.pole(l, k2), params.pole(l, k)) % field.q
-            consts.append(field.pow(c, params.arity - 1))
-    unknown = [i for i in range(batch) if i not in known]
-    rp = len(coded)
-    shape = answers[0][1].shape
-    size = int(np.prod(shape))
-    mat = np.zeros((rp, rp), dtype=np.int64)
-    rhs = np.zeros((rp, size), dtype=np.int64)
-    for i, (s, y) in enumerate(coded):
-        alpha = params.samples[s]
-        yv = y.reshape(-1).copy()
-        for idx, val in known.items():
-            w = consts[idx] * field.inv(field.sub(params.poles[idx], alpha)) % field.q
-            yv = (yv - w * val.reshape(-1)) % field.q
-        rhs[i] = yv
-        for j, idx in enumerate(unknown):
-            mat[i, j] = consts[idx] * field.inv(field.sub(params.poles[idx], alpha)) % field.q
-        p = 1
-        for j in range(rp - len(unknown)):
-            mat[i, len(unknown) + j] = p
-            p = p * alpha % field.q
-    sol = solve_batch(field, mat, rhs)
-    out = []
-    for i in range(batch):
-        if i in known:
-            out.append(known[i])
-        else:
-            out.append(sol[unknown.index(i)].reshape(shape))
-    return out
-
-
-def _check_batch(batch, params: NCSAParams):
-    if len(batch) != params.batch_size:
-        raise ParameterError(
-            f"batch of {len(batch)} variables does not match L = {params.batch_size}"
-        )
-    shapes = {np.asarray(x).shape for x in batch}
-    if len(shapes) != 1:
-        raise ParameterError("variable batch must share one shape")
-    if any(not np.issubdtype(np.asarray(x).dtype, np.integer) for x in batch):
-        raise ParameterError("variable batch must hold integer residues")

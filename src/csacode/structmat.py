@@ -1,11 +1,12 @@
 """Structured matrices behind every decoder, and exact solvers for them.
 
 Builds Cauchy-Vandermonde matrices (left block of Cauchy entries
-``1/(f_j - a_i)``, right block of Vandermonde powers), their confluent
-generalization with pole multiplicities, and lower triangular Toeplitz
-matrices.  Systems are solved by dense Gaussian elimination over GF(q) with
-first-nonzero pivoting; a Berlekamp-Welch decoder handles the Byzantine
-setting.
+``1/(f_j - a_i)``, right block of Vandermonde powers), the scaled form every
+Cauchy code decodes with, their confluent generalization with pole
+multiplicities, and lower triangular Toeplitz matrices.  One exact row
+reduction over GF(q) with first-nonzero pivoting serves every solver here
+(square batch solves, rectangular systems, rank) and the determinant map of
+``ncsa``; a Berlekamp-Welch decoder handles the Byzantine setting.
 """
 
 from __future__ import annotations
@@ -91,37 +92,69 @@ def lt_toeplitz(field: PrimeField, column) -> np.ndarray:
     return m
 
 
+def scaled_cv_matrix(field: PrimeField, spec: CVSpec, scales) -> np.ndarray:
+    """``cv_matrix(spec)`` with the Cauchy column of pole j multiplied by
+    ``scales[j]``: the decode matrix of every Cauchy code (CSA, N-CSA, and
+    their systematic and X-secure forms)."""
+    mat = cv_matrix(field, spec)
+    cauchy = mat[:, : len(spec.poles)]
+    cauchy[:] = cauchy * np.array(scales, dtype=np.int64) % field.q
+    return mat
+
+
+def _row_reduce(field: PrimeField, aug: np.ndarray, cols: int):
+    """Bring ``aug`` in place to reduced row echelon form on its first ``cols``
+    columns, the one exact elimination behind every solver here.
+
+    Pivoting is first-nonzero; each pivot costs one scaled pivot row and one
+    rank-1 update of every other row, and a column without a pivot is
+    skipped.  Returns the pivot columns and the product of the pivots before
+    scaling, negated once per row swap: the determinant when the leading
+    block is square and every column has a pivot.
+    """
+    q = field.q
+    rows = aug.shape[0]
+    pivots = []
+    det = 1
+    for c in range(cols):
+        r = len(pivots)
+        piv = r
+        while piv < rows and aug[piv, c] == 0:
+            piv += 1
+        if piv == rows:
+            continue
+        if piv != r:
+            aug[[r, piv]] = aug[[piv, r]]
+            det = -det
+        pivot = int(aug[r, c])
+        det = det * pivot % q
+        aug[r] = aug[r] * field.inv(pivot) % q
+        others = aug[:, c].copy()
+        others[r] = 0
+        aug -= np.outer(others, aug[r])
+        aug %= q
+        pivots.append(c)
+        if len(pivots) == rows:
+            break
+    return pivots, det
+
+
 def solve_batch(field: PrimeField, mat: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     """Solve ``mat @ x = rhs`` exactly over GF(q) for every rhs column.
 
-    One forward elimination is shared across the whole batch.  Pivoting is
-    first-nonzero in each column; a column with no pivot raises
-    SingularMatrixError carrying the column index.
+    One elimination is shared across the whole batch.  A column with no
+    pivot raises SingularMatrixError carrying the column index.
     """
     global solve_calls
     solve_calls += 1
-    q = field.q
     n = mat.shape[0]
     if mat.shape[0] != mat.shape[1]:
         raise ParameterError("solve_batch requires a square matrix")
-    rhs2d = rhs.reshape(n, -1)
-    aug = np.concatenate([mat % q, rhs2d % q], axis=1).astype(np.int64)
-    for col in range(n):
-        piv = col
-        while piv < n and aug[piv, col] == 0:
-            piv += 1
-        if piv == n:
-            raise SingularMatrixError(col)
-        if piv != col:
-            aug[[col, piv]] = aug[[piv, col]]
-        aug[col] = aug[col] * field.inv(int(aug[col, col])) % q
-        below = aug[col + 1 :, col]
-        if below.size and below.any():
-            aug[col + 1 :] = (aug[col + 1 :] - np.outer(below, aug[col])) % q
-    for col in range(n - 1, 0, -1):
-        above = aug[:col, col]
-        if above.any():
-            aug[:col] = (aug[:col] - np.outer(above, aug[col])) % q
+    aug = np.concatenate([mat % field.q, rhs.reshape(n, -1) % field.q],
+                         axis=1).astype(np.int64)
+    pivots, _ = _row_reduce(field, aug, n)
+    if len(pivots) < n:
+        raise SingularMatrixError(min(set(range(n)) - set(pivots)))
     return aug[:, n:].reshape(rhs.shape)
 
 
@@ -132,35 +165,22 @@ def solve_any(field: PrimeField, mat: np.ndarray, rhs: np.ndarray):
     whose linear system is underdetermined when fewer errors occurred than
     budgeted.
     """
-    q = field.q
     rows, cols = mat.shape
-    aug = np.concatenate([mat % q, rhs.reshape(rows, 1) % q], axis=1).astype(np.int64)
-    pivots = []
-    r = 0
-    for c in range(cols):
-        piv = r
-        while piv < rows and aug[piv, c] == 0:
-            piv += 1
-        if piv == rows:
-            continue
-        if piv != r:
-            aug[[r, piv]] = aug[[piv, r]]
-        aug[r] = aug[r] * field.inv(int(aug[r, c])) % q
-        others = aug[:, c].copy()
-        others[r] = 0
-        aug = (aug - np.outer(others, aug[r])) % q
-        pivots.append(c)
-        r += 1
-        if r == rows:
-            break
+    aug = np.concatenate([mat % field.q, rhs.reshape(rows, 1) % field.q],
+                         axis=1).astype(np.int64)
+    pivots, _ = _row_reduce(field, aug, cols)
     # Rows of the form 0 = nonzero mean the system is inconsistent.
-    for i in range(r, rows):
-        if aug[i, cols] != 0:
-            return None
+    if aug[len(pivots) :, cols].any():
+        return None
     x = np.zeros(cols, dtype=np.int64)
-    for i, c in enumerate(pivots):
-        x[c] = aug[i, cols]
+    x[pivots] = aug[: len(pivots), cols]
     return x
+
+
+def matrix_rank(field: PrimeField, mat: np.ndarray) -> int:
+    """Rank over GF(q) by row reduction."""
+    m = np.asarray(mat, dtype=np.int64) % field.q
+    return len(_row_reduce(field, m, m.shape[1])[0])
 
 
 def rs_error_correct(field: PrimeField, samples, values, degree_bound: int,

@@ -101,7 +101,7 @@ def test_02_decode_oracle_equivalence():
         for s in range(params.servers):
             sa = gcsa.gcsa_encode_a(FIELD, aa, params, s)
             sb = gcsa.gcsa_encode_b(FIELD, bb, params, s)
-            answers.append((s, gcsa.gcsa_answer(FIELD, sa, sb)))
+            answers.append((s, csa.csa_answer(FIELD, sa, sb)))
         for subset in itertools.combinations(range(params.servers), r):
             got = gcsa.gcsa_decode(FIELD, [answers[s] for s in subset], params)
             assert all(np.array_equal(g, t) for g, t in zip(got, truth))
@@ -113,7 +113,7 @@ def test_02_decode_oracle_equivalence():
     truth = harness.direct_evaluations(FIELD, omega, batches)
     answers = []
     for s in range(7):
-        shares = [ncsa.ncsa_encode(FIELD, b, params, s) for b in batches]
+        shares = [csa.csa_encode_a(FIELD, b, params, s) for b in batches]
         answers.append((s, ncsa.ncsa_answer(FIELD, shares, omega, params, s)))
     for subset in itertools.combinations(range(7), 4):
         got = ncsa.ncsa_decode(FIELD, [answers[s] for s in subset], params)
@@ -182,7 +182,7 @@ def test_05_reduction_identities():
         cb = csa.csa_encode_b(FIELD, bb, params_c, s)
         assert all(np.array_equal(x, y) for x, y in zip(ga, ca))
         assert all(np.array_equal(x, y) for x, y in zip(gb, cb))
-        assert np.array_equal(gcsa.gcsa_answer(FIELD, ga, gb),
+        assert np.array_equal(csa.csa_answer(FIELD, ga, gb),
                               csa.csa_answer(FIELD, ca, cb))
 
     params = gcsa.gcsa_params(FIELD, 1, 1, 2, 2, 2, 12)
@@ -192,7 +192,7 @@ def test_05_reduction_identities():
     rp = params.inner_order
     for s in range(12):
         z = FIELD.sub(params.poles[0], params.samples[s])
-        gy = gcsa.gcsa_answer(FIELD, gcsa.gcsa_encode_a(FIELD, [a], params, s),
+        gy = csa.csa_answer(FIELD, gcsa.gcsa_encode_a(FIELD, [a], params, s),
                               gcsa.gcsa_encode_b(FIELD, [b], params, s))
         ey = ep.ep_answer(FIELD, ep.ep_encode_a(FIELD, a, epp, z),
                           ep.ep_encode_b(FIELD, b, epp, z))

@@ -7,6 +7,7 @@ import pytest
 
 from csacode import cli, matfile
 from csacode.ffield import PrimeField
+from csacode.ncsa import lcc_threshold
 
 DATA = Path(__file__).parent / "data"
 
@@ -65,6 +66,57 @@ def test_run_byzantine_within_budget(capsys):
 
 def test_run_missing_config_is_io_error(capsys):
     code, out = run_cli(capsys, "run", "/nonexistent/config.json")
+    assert code == cli.EXIT_IO
+    assert json.loads(out)["error"]["category"] == "io"
+
+
+def test_run_lcc_has_the_lagrange_threshold(capsys, tmp_path):
+    cfg = {
+        "scheme": "lcc", "servers": 9, "params": {"kc": 4},
+        "map": {"type": "matmul", "dims": [2, 2, 2]},
+        "seeds": {"data": 1, "straggler": 2}, "stragglers": {"count": 8},
+    }
+    path = tmp_path / "lcc.json"
+    path.write_text(json.dumps(cfg))
+    code, out = run_cli(capsys, "run", str(path))
+    assert code == 0
+    assert json.loads(out)["threshold"] == lcc_threshold(2, 4) == 7
+    cfg["params"] = {"ell": 2, "kc": 2}  # L = 4 again, but not the LCC layout
+    path.write_text(json.dumps(cfg))
+    code, out = run_cli(capsys, "run", str(path))
+    assert code == cli.EXIT_CONFIG
+    assert json.loads(out)["error"]["category"] == "validation"
+
+
+@pytest.mark.parametrize("modulus", [65536, 2**31 + 11])
+def test_run_rejects_bad_field_modulus(capsys, tmp_path, modulus):
+    cfg = json.loads((DATA / "csa_demo.json").read_text())
+    cfg["field_modulus"] = modulus  # not prime; prime but not below 2**31
+    path = tmp_path / "bad_q.json"
+    path.write_text(json.dumps(cfg))
+    code, out = run_cli(capsys, "run", str(path))
+    assert code == cli.EXIT_CONFIG
+    assert json.loads(out)["error"]["category"] == "validation"
+
+
+def test_run_unwritable_output_is_io_error(capsys, tmp_path):
+    target = tmp_path / "missing-dir" / "result.json"
+    code, out = run_cli(capsys, "--output", str(target), "run",
+                        str(DATA / "csa_demo.json"))
+    assert code == cli.EXIT_IO
+    assert json.loads(out)["error"]["category"] == "io"
+
+
+def test_run_malformed_matrix_file_is_io_error(capsys, tmp_path):
+    (tmp_path / "a.mat").write_bytes(b"\x00" * 48)  # bad magic
+    cfg = {
+        "scheme": "csa", "servers": 5, "params": {"ell": 1, "kc": 2},
+        "dims": [2, 2, 2], "batch": 2,
+        "input_a": str(tmp_path / "a.mat"), "input_b": str(tmp_path / "a.mat"),
+    }
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    code, out = run_cli(capsys, "run", str(path))
     assert code == cli.EXIT_IO
     assert json.loads(out)["error"]["category"] == "io"
 

@@ -7,7 +7,7 @@ import pytest
 from csacode import csa, ep, harness
 from csacode.errors import ParameterError
 from csacode.ffield import PrimeField, poly_eval
-from csacode.gcsa import (gcsa_answer, gcsa_decode, gcsa_encode_a,
+from csacode.gcsa import (gcsa_decode, gcsa_encode_a,
                           gcsa_encode_b, gcsa_params, gcsa_threshold,
                           grid_naive_threshold, naive_combo_threshold,
                           psi_coeffs)
@@ -20,7 +20,7 @@ def build_answers(field, params, aa, bb):
     for s in range(params.servers):
         sa = gcsa_encode_a(field, aa, params, s)
         sb = gcsa_encode_b(field, bb, params, s)
-        answers.append((s, gcsa_answer(field, sa, sb)))
+        answers.append((s, csa.csa_answer(field, sa, sb)))
     return answers
 
 
@@ -128,7 +128,7 @@ def test_answer_matches_rational_expansion():
     bb = [FIELD.rand_matrix(rng, 4, 4) for _ in range(2)]
     for s in (2, 9):
         alpha = params.samples[s]
-        y = gcsa_answer(FIELD, gcsa_encode_a(FIELD, aa, params, s),
+        y = csa.csa_answer(FIELD, gcsa_encode_a(FIELD, aa, params, s),
                         gcsa_encode_b(FIELD, bb, params, s))
         acc = np.zeros_like(y)
         rp = params.inner_order
@@ -162,7 +162,7 @@ def test_reduction_to_csa_byte_equal():
         cb = csa.csa_encode_b(FIELD, bb, params_c, s)
         assert all(np.array_equal(x, y) for x, y in zip(ga, ca))
         assert all(np.array_equal(x, y) for x, y in zip(gb, cb))
-        y = gcsa_answer(FIELD, ga, gb)
+        y = csa.csa_answer(FIELD, ga, gb)
         assert np.array_equal(y, csa.csa_answer(FIELD, ca, cb))
         answers.append((s, y))
     got_g = gcsa_decode(FIELD, answers[:5], params_g)
@@ -186,7 +186,7 @@ def test_reduction_to_ep_at_shifted_points():
         assert np.array_equal(ga, ep.ep_encode_a(FIELD, a, epp, z))
         assert np.array_equal(FIELD.pow(z, rp) * gb % FIELD.q,
                               ep.ep_encode_b(FIELD, b, epp, z))
-        gy = gcsa_answer(FIELD, [ga], [gb])
+        gy = csa.csa_answer(FIELD, [ga], [gb])
         ey = ep.ep_answer(FIELD, ep.ep_encode_a(FIELD, a, epp, z),
                           ep.ep_encode_b(FIELD, b, epp, z))
         assert np.array_equal(FIELD.pow(z, rp) * gy % FIELD.q, ey)

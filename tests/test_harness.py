@@ -1,6 +1,10 @@
 import dataclasses
 import itertools
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -202,3 +206,17 @@ def test_systematic_through_harness():
             harness.StragglerModel(responsive=responsive))
         assert all(np.array_equal(p, t) for p, t in zip(products, truth))
         assert report.measured == report.theory
+
+
+def test_benchmark_tracer_still_installs():
+    # perfbench's traced run rebinds every layer's public functions, including
+    # names other layers import by value, and refuses to start when one is
+    # missing; a refactor that drops such a name must fail here, not in the
+    # benchmark.  install() only rebinds: it records no span, writes no file.
+    root = Path(__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(root / "perfbench"), str(root / "src")]))
+    done = subprocess.run(
+        [sys.executable, "-c", "import tracer; tracer.Tracer().install()"],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr

@@ -47,3 +47,11 @@ def test_mismatched_shapes_rejected(tmp_path):
         write_matrices(tmp_path / "x.mat", 7,
                        [np.zeros((2, 2), dtype=np.int64),
                         np.zeros((2, 3), dtype=np.int64)])
+
+
+def test_residue_at_or_above_q_rejected(tmp_path):
+    path = tmp_path / "wide.mat"
+    for residue in (7, 2**63, 2**64 - 1):  # q itself, and values past int64
+        write_matrices(path, 7, [np.array([[1, residue]], dtype=np.uint64)])
+        with pytest.raises(ValueError):
+            read_matrices(path)

@@ -11,8 +11,8 @@ from csacode.ncsa import (PolynomialSpec, PolyTerm,
                           check_multilinear, determinant_map,
                           elementwise_product_map, lcc_decode, lcc_encode,
                           lcc_threshold, matmul_map, matrix_chain_map,
-                          ncsa_answer, ncsa_decode, ncsa_encode, ncsa_params,
-                          ncsa_systematic_answer, ncsa_systematic_decode,
+                          ncsa_answer, ncsa_decode, ncsa_params,
+                          ncsa_systematic_answer,
                           ncsa_systematic_encode, ncsa_threshold,
                           poly_batch_eval_answer, xs_encode, xsb_decode,
                           xsb_threshold)
@@ -32,16 +32,17 @@ def test_builtin_maps_are_multilinear():
 def test_determinant_map_against_cofactor_expansion():
     rng = np.random.default_rng(1)
     omega = determinant_map(3)
-    for _ in range(20):
-        m = FIELD.rand_matrix(rng, 3, 3)
-        cols = [m[:, j] for j in range(3)]
-        got = int(omega(FIELD, *cols)[0])
-        det = (
-            int(m[0, 0]) * (int(m[1, 1]) * int(m[2, 2]) - int(m[1, 2]) * int(m[2, 1]))
-            - int(m[0, 1]) * (int(m[1, 0]) * int(m[2, 2]) - int(m[1, 2]) * int(m[2, 0]))
-            + int(m[0, 2]) * (int(m[1, 0]) * int(m[2, 1]) - int(m[1, 1]) * int(m[2, 0]))
-        ) % FIELD.q
-        assert got == det
+    for field in (PrimeField(13), FIELD, PrimeField(2147483629)):
+        for _ in range(20):
+            m = field.rand_matrix(rng, 3, 3)
+            cols = [m[:, j] for j in range(3)]
+            got = int(omega(field, *cols)[0])
+            det = (
+                int(m[0, 0]) * (int(m[1, 1]) * int(m[2, 2]) - int(m[1, 2]) * int(m[2, 1]))
+                - int(m[0, 1]) * (int(m[1, 0]) * int(m[2, 2]) - int(m[1, 2]) * int(m[2, 0]))
+                + int(m[0, 2]) * (int(m[1, 0]) * int(m[2, 1]) - int(m[1, 1]) * int(m[2, 0]))
+            ) % field.q
+            assert got == det
 
 
 # ---- LCC baseline ----
@@ -136,7 +137,7 @@ def test_encode_single_slot_is_plain():
     params = ncsa_params(FIELD, 2, 2, 1, 6)
     batch = [FIELD.rand_matrix(rng, 2, 2) for _ in range(2)]
     for s in range(6):
-        shares = ncsa_encode(FIELD, batch, params, s)
+        shares = csa.csa_encode_a(FIELD, batch, params, s)
         assert all(np.array_equal(sh, x) for sh, x in zip(shares, batch))
 
 
@@ -152,8 +153,8 @@ def test_bilinear_answers_coincide_with_matrix_batch_scheme():
     bb = [FIELD.rand_matrix(rng, 2, 2) for _ in range(4)]
     n_answers, c_answers = [], []
     for s in range(8):
-        shares = [ncsa_encode(FIELD, aa, nparams, s),
-                  ncsa_encode(FIELD, bb, nparams, s)]
+        shares = [csa.csa_encode_a(FIELD, aa, nparams, s),
+                  csa.csa_encode_a(FIELD, bb, nparams, s)]
         yn = ncsa_answer(FIELD, shares, omega, nparams, s)
         yc = csa.csa_answer(FIELD, csa.csa_encode_a(FIELD, aa, cparams, s),
                             csa.csa_encode_b(FIELD, bb, cparams, s))
@@ -172,7 +173,7 @@ def test_encode_matches_csa_a_side():
     batch = [FIELD.rand_matrix(rng, 2, 2) for _ in range(4)]
     for s in range(8):
         assert all(np.array_equal(x, y)
-                   for x, y in zip(ncsa_encode(FIELD, batch, params, s),
+                   for x, y in zip(csa.csa_encode_a(FIELD, batch, params, s),
                                    csa.csa_encode_a(FIELD, batch, cparams, s)))
 
 
@@ -182,7 +183,7 @@ def test_answer_matches_rational_expansion():
     omega = matrix_chain_map((2, 2, 2, 2))
     batches = [[FIELD.rand_matrix(rng, 2, 2) for _ in range(2)] for _ in range(3)]
     for s in range(6):
-        shares = [ncsa_encode(FIELD, b, params, s) for b in batches]
+        shares = [csa.csa_encode_a(FIELD, b, params, s) for b in batches]
         y = ncsa_answer(FIELD, shares, omega, params, s)
         alpha = params.samples[s]
         acc = np.zeros_like(y)
@@ -207,7 +208,7 @@ def test_trilinear_decode_all_subsets():
     truth = harness.direct_evaluations(FIELD, omega, batches)
     answers = []
     for s in range(7):
-        shares = [ncsa_encode(FIELD, b, params, s) for b in batches]
+        shares = [csa.csa_encode_a(FIELD, b, params, s) for b in batches]
         answers.append((s, ncsa_answer(FIELD, shares, omega, params, s)))
     for subset in itertools.combinations(range(7), 4):
         got = ncsa_decode(FIELD, [answers[s] for s in subset], params)
@@ -228,7 +229,8 @@ def test_lcc_and_ncsa_agree_at_ell_one():
     ncsa_answers = []
     lcc_answers = []
     for s in range(servers):
-        shares = [ncsa_encode(FIELD, aa, params, s), ncsa_encode(FIELD, bb, params, s)]
+        shares = [csa.csa_encode_a(FIELD, aa, params, s),
+                  csa.csa_encode_a(FIELD, bb, params, s)]
         ncsa_answers.append((s, ncsa_answer(FIELD, shares, omega, params, s)))
         alpha = params.samples[s]
         ea = lcc_encode(FIELD, aa, betas, alpha)
@@ -250,8 +252,8 @@ def test_polynomial_spec_single_term_equals_plain_answer():
     aa = [FIELD.rand_matrix(rng, 2, 2) for _ in range(2)]
     bb = [FIELD.rand_matrix(rng, 2, 2) for _ in range(2)]
     for s in range(5):
-        shares = {0: ncsa_encode(FIELD, aa, params, s),
-                  1: ncsa_encode(FIELD, bb, params, s)}
+        shares = {0: csa.csa_encode_a(FIELD, aa, params, s),
+                  1: csa.csa_encode_a(FIELD, bb, params, s)}
         y1 = poly_batch_eval_answer(FIELD, shares, spec, params, s)
         y2 = ncsa_answer(FIELD, [shares[0], shares[1]], omega, params, s)
         assert np.array_equal(y1, y2)
@@ -269,9 +271,9 @@ def test_polynomial_with_constant_slot():
     ones = [np.ones((2, 2), dtype=np.int64) for _ in range(2)]
     answers = []
     for s in range(6):
-        shares = {0: ncsa_encode(FIELD, aa, params, s),
-                  1: ncsa_encode(FIELD, bb, params, s),
-                  None: ncsa_encode(FIELD, ones, params, s)}
+        shares = {0: csa.csa_encode_a(FIELD, aa, params, s),
+                  1: csa.csa_encode_a(FIELD, bb, params, s),
+                  None: csa.csa_encode_a(FIELD, ones, params, s)}
         answers.append((s, poly_batch_eval_answer(FIELD, shares, spec, params, s)))
     got = ncsa_decode(FIELD, answers, params)
     for l in range(2):
@@ -289,8 +291,8 @@ def test_polynomial_matmul_matches_cdbmm_result():
     bb = [FIELD.rand_matrix(rng, 2, 2) for _ in range(2)]
     answers = []
     for s in range(5):
-        shares = {0: ncsa_encode(FIELD, aa, params, s),
-                  1: ncsa_encode(FIELD, bb, params, s)}
+        shares = {0: csa.csa_encode_a(FIELD, aa, params, s),
+                  1: csa.csa_encode_a(FIELD, bb, params, s)}
         answers.append((s, poly_batch_eval_answer(FIELD, shares, spec, params, s)))
     got = ncsa_decode(FIELD, answers, params)
     shares = [(csa.csa_encode_a(FIELD, aa, cparams, s),
@@ -323,7 +325,7 @@ def test_xs_noise_constant_across_servers():
     rng = np.random.default_rng(15)
     params = ncsa_params(FIELD, 2, 1, 2, 6, x_secure=1, noise_seed=99)
     batch = [FIELD.rand_matrix(rng, 2, 2) for _ in range(2)]
-    base = [ncsa_encode(FIELD, batch, params, s) for s in range(6)]
+    base = [csa.csa_encode_a(FIELD, batch, params, s) for s in range(6)]
     secure = [xs_encode(FIELD, batch, params, 0, s) for s in range(6)]
     # X = 1: the noise polynomial is a constant per group, so the masked part
     # is delta_s times one fixed matrix
@@ -495,10 +497,11 @@ def test_systematic_layout_parity():
                for s in range(5)]
     plain = []
     for s in range(5):
-        sh = [ncsa_encode(FIELD, aa, params, s), ncsa_encode(FIELD, bb, params, s)]
+        sh = [csa.csa_encode_a(FIELD, aa, params, s),
+              csa.csa_encode_a(FIELD, bb, params, s)]
         plain.append((s, ncsa_answer(FIELD, sh, omega, params, s)))
     for subset in itertools.combinations(range(5), 3):
-        got = ncsa_systematic_decode(FIELD, [answers[s] for s in subset], params)
+        got = csa.systematic_decode(FIELD, [answers[s] for s in subset], params)
         assert all(np.array_equal(g, t) for g, t in zip(got, truth))
         via_plain = ncsa_decode(FIELD, [plain[s] for s in subset], params)
         assert all(np.array_equal(g, v) for g, v in zip(got, via_plain))

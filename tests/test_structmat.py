@@ -3,13 +3,16 @@ import itertools
 import numpy as np
 import pytest
 
-from csacode.csa import matrix_rank
 from csacode.errors import DecodingFailureError, ParameterError, SingularMatrixError
 from csacode.ffield import PrimeField, poly_eval
 from csacode.structmat import (CVSpec, confluent_cv_matrix, cv_matrix,
-                               lt_toeplitz, rs_error_correct, solve_batch)
+                               lt_toeplitz, matrix_rank, rs_error_correct,
+                               solve_any, solve_batch)
 
 FIELD = PrimeField(65537)
+# The shared row reduction is checked at a small, the default and a near-2^31
+# modulus, where the rank-1 updates come closest to int64 overflow.
+FIELDS = (PrimeField(13), FIELD, PrimeField(2147483629))
 
 
 def random_spec(rng, field, num_poles, num_samples, order=1):
@@ -25,17 +28,19 @@ def test_cv_single_cauchy_entry():
 
 
 def test_cv_small_invertible():
-    m = cv_matrix(FIELD, CVSpec((1, 2), (3, 4, 5)))
-    assert matrix_rank(FIELD, m) == 3
+    for field in FIELDS:
+        m = cv_matrix(field, CVSpec((1, 2), (3, 4, 5)))
+        assert matrix_rank(field, m) == 3
 
 
 def test_cv_random_nonsingular_100_seeds():
-    for seed in range(100):
-        rng = np.random.default_rng(seed)
-        L = int(rng.integers(1, 5))
-        R = int(rng.integers(L, 9))
-        spec = random_spec(rng, FIELD, L, R)
-        assert matrix_rank(FIELD, cv_matrix(FIELD, spec)) == R
+    for field in FIELDS:
+        for seed in range(100):
+            rng = np.random.default_rng(seed)
+            L = int(rng.integers(1, 5))
+            R = int(rng.integers(L, 9))
+            spec = random_spec(rng, field, L, R)
+            assert matrix_rank(field, cv_matrix(field, spec)) == R
 
 
 def test_confluent_order_one_matches_cv():
@@ -82,10 +87,11 @@ def test_lt_toeplitz_examples():
 
 def test_lt_toeplitz_invertible_iff_first_nonzero():
     rng = np.random.default_rng(13)
-    for _ in range(30):
-        c = [int(x) for x in rng.integers(0, FIELD.q, size=5)]
-        m = lt_toeplitz(FIELD, c)
-        assert (matrix_rank(FIELD, m) == 5) == (c[0] != 0)
+    for field in FIELDS:
+        for _ in range(30):
+            c = [int(x) for x in rng.integers(0, field.q, size=5)]
+            m = lt_toeplitz(field, c)
+            assert (matrix_rank(field, m) == 5) == (c[0] != 0)
 
 
 def test_solve_batch_identity():
@@ -102,21 +108,35 @@ def test_solve_batch_hand_check():
 
 def test_solve_batch_multiply_back():
     rng = np.random.default_rng(17)
-    for _ in range(25):
-        n = int(rng.integers(1, 13))
-        m = FIELD.rand_matrix(rng, n, n)
-        while matrix_rank(FIELD, m) < n:
-            m = FIELD.rand_matrix(rng, n, n)
-        rhs = FIELD.rand_matrix(rng, n, 4)
-        x = solve_batch(FIELD, m, rhs)
-        assert np.array_equal(FIELD.matmul(m, x), rhs)
+    for field in FIELDS:
+        for _ in range(25):
+            n = int(rng.integers(1, 13))
+            m = field.rand_matrix(rng, n, n)
+            while matrix_rank(field, m) < n:
+                m = field.rand_matrix(rng, n, n)
+            rhs = field.rand_matrix(rng, n, 4)
+            x = solve_batch(field, m, rhs)
+            assert np.array_equal(field.matmul(m, x), rhs)
+            # a nonsingular system has one solution, whichever solver finds it
+            assert np.array_equal(solve_any(field, m, rhs[:, 0]), x[:, 0])
+        # a wide consistent system: free variables are zero, the rest solve it
+        m = field.rand_matrix(rng, 3, 5)
+        m[2] = (m[0] + m[1]) % field.q
+        rhs = field.matmul(m, field.rand_matrix(rng, 5, 1))
+        x = solve_any(field, m, rhs)
+        assert np.array_equal(field.matmul(m, x.reshape(5, 1)), rhs)
+        assert np.count_nonzero(x) <= matrix_rank(field, m)
+        rhs[2] = (rhs[2] + 1) % field.q  # breaks row 2 = row 0 + row 1
+        assert solve_any(field, m, rhs) is None
 
 
 def test_solve_batch_singular_reports_pivot():
     m = np.array([[1, 2, 3], [2, 4, 6], [0, 0, 1]], dtype=np.int64)
-    with pytest.raises(SingularMatrixError) as err:
-        solve_batch(FIELD, m, np.zeros((3, 1), dtype=np.int64))
-    assert err.value.pivot == 1
+    for field in FIELDS:
+        with pytest.raises(SingularMatrixError) as err:
+            solve_batch(field, m, np.zeros((3, 1), dtype=np.int64))
+        assert err.value.pivot == 1
+        assert matrix_rank(field, m) == 2
 
 
 def test_rs_no_errors_passthrough():
