@@ -11,6 +11,7 @@ giving recovery threshold (ell + 1) * kc - 1.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -102,39 +103,66 @@ def scaling_constants(field: PrimeField, params: CSAParams, power: int = 1) -> l
     return out
 
 
-def csa_encode_a(field: PrimeField, batch_a, params: CSAParams, s: int) -> list[np.ndarray]:
-    """A-side share for server s: ell matrices, one per group.
+def csa_encode_a(field: PrimeField, batch_a, params: CSAParams, servers) -> list:
+    """A-side shares: ell matrices per server, one per group.
 
     Uses the expanded polynomial form prod_{k' != k}(f_{l,k'} - alpha), so no
-    inversions are needed on the A side.
+    inversions are needed on the A side.  ``servers`` is one server index,
+    which returns that server's ell shares, or a sequence of indices, which
+    returns one such list per server, all from one generator product.
     """
     _check_batch(batch_a, params)
-    alpha = params.samples[s]
-    shares = []
-    for l in range(params.ell):
-        acc = np.zeros_like(batch_a[0])
-        for k in range(params.kc):
-            w = 1
-            for k2 in range(params.kc):
-                if k2 != k:
-                    w = w * field.sub(params.pole(l, k2), alpha) % field.q
-            acc = (acc + w * batch_a[l * params.kc + k]) % field.q
-        shares.append(acc)
-    return shares
+    weights = []
+    for s in _server_list(servers):
+        alpha = params.samples[s]
+        row = []
+        for l in range(params.ell):
+            for k in range(params.kc):
+                w = 1
+                for k2 in range(params.kc):
+                    if k2 != k:
+                        w = w * field.sub(params.pole(l, k2), alpha) % field.q
+                row.append(w)
+        weights.append(row)
+    return _generator_encode(field, batch_a, params, servers, weights)
 
 
-def csa_encode_b(field: PrimeField, batch_b, params: CSAParams, s: int) -> list[np.ndarray]:
-    """B-side share for server s: bare Cauchy combination with explicit inverses."""
+def csa_encode_b(field: PrimeField, batch_b, params: CSAParams, servers) -> list:
+    """B-side shares: bare Cauchy combinations with weights 1/(f_{l,k} - alpha),
+    the inverses of all listed servers from one batched inversion.
+    ``servers`` is one index or a sequence, as for ``csa_encode_a``."""
     _check_batch(batch_b, params)
-    alpha = params.samples[s]
-    inv = field.batch_inv([field.sub(f, alpha) for f in params.poles])
-    shares = []
-    for l in range(params.ell):
-        acc = np.zeros_like(batch_b[0])
-        for k in range(params.kc):
-            acc = (acc + inv[l * params.kc + k] * batch_b[l * params.kc + k]) % field.q
-        shares.append(acc)
-    return shares
+    listed = _server_list(servers)
+    batch = params.batch_size
+    inv = field.batch_inv([field.sub(f, params.samples[s])
+                           for s in listed for f in params.poles])
+    weights = [inv[i * batch : (i + 1) * batch] for i in range(len(listed))]
+    return _generator_encode(field, batch_b, params, servers, weights)
+
+
+def _server_list(servers) -> list[int]:
+    """One server index becomes a one-element list, so both forms share a path."""
+    return [servers] if isinstance(servers, numbers.Integral) else list(servers)
+
+
+def _generator_encode(field: PrimeField, batch, params, servers, weights) -> list:
+    """Shares of the listed servers from one generator product.
+
+    ``weights`` holds one length-L row per listed server.  Generator row
+    (server i, group l) keeps row i's weights on group l's kc slots, so the
+    (servers * ell x L) generator times the batch stacked as (L x block)
+    yields every share at once.
+    """
+    ell, kc = params.ell, params.kc
+    gen = np.zeros((len(weights) * ell, ell * kc), dtype=np.int64)
+    for i, row in enumerate(weights):
+        for l in range(ell):
+            gen[i * ell + l, l * kc : (l + 1) * kc] = row[l * kc : (l + 1) * kc]
+    shape = np.shape(batch[0])
+    coded = field.matmul(gen, field.residues(batch).reshape(len(batch), -1))
+    shares = [[coded[i * ell + l].reshape(shape) for l in range(ell)]
+              for i in range(len(weights))]
+    return shares[0] if isinstance(servers, numbers.Integral) else shares
 
 
 def csa_answer(field: PrimeField, share_a, share_b, counter=None) -> np.ndarray:
@@ -178,16 +206,12 @@ def systematic_encode(field: PrimeField, batch_a, batch_b, params: CSAParams) ->
     _check_batch(batch_b, params)
     if params.servers < params.batch_size:
         raise ParameterError("systematic layout needs S >= L")
-    shares = []
-    for s in range(params.servers):
-        if s < params.batch_size:
-            shares.append(("raw", batch_a[s], batch_b[s]))
-        else:
-            shares.append(
-                ("coded", csa_encode_a(field, batch_a, params, s),
-                 csa_encode_b(field, batch_b, params, s))
-            )
-    return shares
+    batch = params.batch_size
+    coded = range(batch, params.servers)
+    return ([("raw", batch_a[s], batch_b[s]) for s in range(batch)]
+            + [("coded", sa, sb) for sa, sb in zip(
+                csa_encode_a(field, batch_a, params, coded),
+                csa_encode_b(field, batch_b, params, coded))])
 
 
 def systematic_answer(field: PrimeField, share, counter=None) -> np.ndarray:
@@ -275,7 +299,7 @@ def _check_batch(batch, params):
     arrays = [np.asarray(x) for x in batch]
     if len({x.shape for x in arrays}) != 1:
         raise ParameterError("batch entries must share one shape")
-    if any(not np.issubdtype(x.dtype, np.integer) for x in arrays):
+    if any(x.dtype.kind not in "iu" for x in arrays):
         raise ParameterError("batch entries must hold integer residues")
 
 

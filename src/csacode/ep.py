@@ -51,7 +51,8 @@ def split_blocks(mat: np.ndarray, rows: int, cols: int) -> list[list[np.ndarray]
 
 
 def assemble_blocks(grid: list[list[np.ndarray]]) -> np.ndarray:
-    return np.block(grid)
+    # same array as np.block, whose generic depth checks took 6x as long here
+    return np.concatenate([np.concatenate(row, axis=1) for row in grid])
 
 
 def a_exponent(params: EPParams, mi: int, pi: int) -> int:

@@ -4,6 +4,30 @@ Field elements are canonical least nonnegative residues (plain Python ints);
 matrices and vectors of field elements are numpy ``int64`` arrays.  The
 modulus travels with a :class:`PrimeField` instance, never global state, so
 several fields can coexist in one process.
+
+``PrimeField.matmul`` picks one of three exact paths by shape and q:
+
+- **int64**: numpy's integer ``@`` (no BLAS) for products of fewer than
+  ``FLOAT_MIN_MACS`` multiply-adds.  Exact while ``inner * (q-1)^2 < 2^62``;
+  longer inner dimensions accumulate in chunks (one term per chunk near
+  q = 2^31).
+- **float64**: OpenBLAS ``dgemm`` on the residues, cast to int64 and reduced
+  mod q.  Exact while ``inner * (q-1)^2 < 2^53``: every partial sum is then
+  an integer below 2^53, which float64 holds exactly in whatever order BLAS
+  adds.  Longer inner dimensions are chunked (2^21 - 1 terms at q = 65537).
+- **16-bit limbs**: above q of about 2^26.5 not one term fits, so ``b`` is
+  split into limbs ``[b_lo; b_hi]`` and ``a`` becomes ``[a | a * 2^16 mod q]``,
+  which recombines the limbs mod q inside the product itself.  That doubles
+  the inner terms but bounds each by ``(q-1)(2^16-1)``, so one ``dgemm`` is
+  exact over 64 terms (32 inner indices) at q = 2147483629.  Smaller q take
+  this form too wherever it needs fewer chunks than plain residues.
+
+Crossover, q = 65537, square products, ``_matmul_int64`` vs
+``_matmul_float`` (best of 25 timeit repeats, OpenBLAS 0.3.31 with one
+thread, numpy 2.4, 2-core x86-64 VM): 2.3 vs 5.7 us at 8^3, 5.1 vs 6.5 us at
+16^3, 7.0 vs 7.3 us at 18^3, 8.0 vs 7.4 us at 20^3, 13.9 vs 10.1 us at
+24^3, 142 vs 23 us at 64^3 and 7.8 vs 0.79 ms at 192^3; hence
+``FLOAT_MIN_MACS = 20**3``.
 """
 
 from __future__ import annotations
@@ -13,6 +37,17 @@ from dataclasses import dataclass
 import numpy as np
 
 DEFAULT_MODULUS = 65537
+
+# Fewest multiply-adds for which a float64 BLAS product beats numpy's int64
+# matmul; the measurement behind it is in the module docstring.
+FLOAT_MIN_MACS = 20**3
+# float64 represents every integer below 2^53 exactly.
+_FLOAT_EXACT = 2**53
+_LIMB_BITS = 16
+# Output columns per float64 block: 4096 keeps a 28-row block (the CSA
+# encode of 14 servers) under 1 MB and ran that encode 2.7x faster than
+# one whole-width product.
+_COLUMN_BLOCK = 4096
 
 
 def is_prime(n: int) -> bool:
@@ -72,17 +107,12 @@ class PrimeField:
         return a * b % self.q
 
     def inv(self, a: int) -> int:
-        """Multiplicative inverse via the extended Euclidean algorithm."""
+        """Multiplicative inverse (the extended Euclidean algorithm inside
+        Python's three-argument ``pow``)."""
         a %= self.q
         if a == 0:
             raise ZeroDivisionError("inverse of zero in GF(q)")
-        r0, r1 = self.q, a
-        t0, t1 = 0, 1
-        while r1:
-            k = r0 // r1
-            r0, r1 = r1, r0 - k * r1
-            t0, t1 = t1, t0 - k * t1
-        return t0 % self.q
+        return pow(a, -1, self.q)
 
     def div(self, a: int, b: int) -> int:
         return a * self.inv(b) % self.q
@@ -108,19 +138,43 @@ class PrimeField:
 
     # ---- numpy matrix helpers ----
 
-    def array(self, data) -> np.ndarray:
-        return np.asarray(data, dtype=np.int64) % self.q
+    def residues(self, x) -> np.ndarray:
+        """``x`` as int64 residues, reduced only if an entry lies outside
+        [0, q): the exact kernels assume residues, and most inputs already
+        are."""
+        x = np.asarray(x, dtype=np.int64)
+        # as uint64 a negative entry is at least 2^63, so one max finds both
+        if x.size and x.view(np.uint64).max() >= self.q:
+            x = x % self.q
+        return x
 
     def zeros(self, *shape) -> np.ndarray:
         return np.zeros(shape, dtype=np.int64)
 
     def matmul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """Exact matrix product mod q.
+        """Exact matrix product mod q of residue arrays.
 
-        int64 accumulation is safe while ``inner * (q-1)^2 < 2^62``; longer
-        inner dimensions are accumulated in chunks (a single product always
-        fits thanks to the q < 2^31 bound).
+        ``a`` may carry leading batch axes and ``b`` may be a vector, as with
+        numpy's ``@``; the result has shape ``a.shape[:-1] + b.shape[1:]``.
+        Products below ``FLOAT_MIN_MACS`` multiply-adds take the int64 path,
+        the rest the float64 path, split into 16-bit limbs where (q-1)^2
+        alone exceeds what float64 sums exactly (see the module docstring
+        for each path's exactness bound).  Every path returns the same
+        residues whatever order BLAS sums in.
         """
+        if b.ndim > 2 or a.ndim < 1 or a.shape[-1] != b.shape[0]:
+            raise ValueError(f"matmul shapes {a.shape} and {b.shape} do not conform")
+        cols = b.shape[1] if b.ndim == 2 else 1
+        if a.size * cols < FLOAT_MIN_MACS:
+            return self._matmul_int64(a, b)
+        inner = b.shape[0]
+        out = self._matmul_float(a.reshape(-1, inner), b.reshape(inner, cols))
+        return out.reshape(a.shape[:-1] + b.shape[1:])
+
+    def _matmul_int64(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """int64 accumulation is safe while ``inner * (q-1)^2 < 2^62``; longer
+        inner dimensions are accumulated in chunks (a single product always
+        fits thanks to the q < 2^31 bound)."""
         inner = a.shape[-1]
         bound = (self.q - 1) ** 2
         if inner * bound < 2**62:
@@ -131,11 +185,62 @@ class PrimeField:
             acc = (acc + a[..., lo : lo + step] @ b[lo : lo + step, ...]) % self.q
         return acc
 
+    def _matmul_float(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """float64 BLAS product of 2-D residue arrays, one ``dgemm`` per
+        chunk of inner terms, each chunk short enough that its float64 sums
+        stay below 2^53 and so are exact integers.  Output columns go in
+        blocks of ``_COLUMN_BLOCK``, so each float64 partial product is
+        cast and reduced while it is still in cache."""
+        q = self.q
+        x, y, chunk = self._float_terms(a, b)
+        out = np.empty((a.shape[0], b.shape[1]), dtype=np.int64)
+        for col in range(0, out.shape[1], _COLUMN_BLOCK):
+            cols = slice(col, col + _COLUMN_BLOCK)
+            block = out[:, cols]
+            for lo in range(0, x.shape[1], chunk):
+                part = x[:, lo : lo + chunk] @ y[lo : lo + chunk, cols]
+                if lo == 0:
+                    np.copyto(block, part, casting="unsafe")
+                else:  # below 2^53 + q: no int64 overflow
+                    block += part.astype(np.int64)
+                _reduce(block, q)
+        return out
+
+    def _float_terms(self, a: np.ndarray, b: np.ndarray):
+        """float64 operands ``x``, ``y`` with ``x @ y == a @ b (mod q)`` and the
+        most inner terms one exact chunk may hold.
+
+        Plain residues give terms up to (q-1)^2.  With 16-bit limbs ``b``
+        becomes ``[b_lo; b_hi]`` and ``a`` becomes ``[a | a * 2^16 mod q]``:
+        twice the terms, but each at most (q-1)(2^16-1), so a chunk can be
+        nonempty up to q = 2^31.  The form needing fewer chunks wins, the
+        plain one on a tie.
+        """
+        q, inner = self.q, a.shape[1]
+        plain = (_FLOAT_EXACT - 1) // (q - 1) ** 2
+        split = (_FLOAT_EXACT - 1) // ((q - 1) * (2**_LIMB_BITS - 1))
+        if plain and -(-inner // plain) <= -(-2 * inner // split):
+            return a.astype(np.float64), b.astype(np.float64), plain
+        shifted = _reduce(a << _LIMB_BITS, q)
+        x = np.concatenate([a, shifted], axis=1).astype(np.float64)
+        y = np.concatenate([b & (2**_LIMB_BITS - 1), b >> _LIMB_BITS]).astype(np.float64)
+        return x, y, split
+
     def scale(self, c: int, a: np.ndarray) -> np.ndarray:
         return (c % self.q) * a % self.q
 
     def rand_matrix(self, rng: np.random.Generator, rows: int, cols: int) -> np.ndarray:
         return rng.integers(0, self.q, size=(rows, cols), dtype=np.int64)
+
+
+def _reduce(x: np.ndarray, q: int) -> np.ndarray:
+    """``x %= q`` for an int64 array, in place.  numpy vectorises integer
+    floor division by a scalar but not the remainder, so this form is about
+    1.8x faster from 1,024 entries up and no slower below."""
+    quot = x // q
+    quot *= q
+    x -= quot
+    return x
 
 
 # ---- polynomials: coefficient lists, ascending degree, no trailing zeros ----

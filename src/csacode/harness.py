@@ -150,8 +150,8 @@ def run_cdbmm(field: PrimeField, scheme: str, setup, batch_a, batch_b,
         raise ParameterError(f"unknown CDBMM scheme {scheme!r}")
     if byzantine is not None:
         raise ParameterError("the CDBMM decoders assume honest answers (B = 0)")
-    batch_a = [np.asarray(a, dtype=np.int64) % field.q for a in batch_a]
-    batch_b = [np.asarray(b, dtype=np.int64) % field.q for b in batch_b]
+    batch_a = _residue_batch(field, batch_a, matrices=True)
+    batch_b = _residue_batch(field, batch_b, matrices=True)
     if len(batch_a) != len(batch_b):
         raise ParameterError("A and B batches must have equal length")
     lam, kap = batch_a[0].shape
@@ -190,14 +190,16 @@ def run_cdbmm(field: PrimeField, scheme: str, setup, batch_a, batch_b,
                 uploaded_b += sum(x.size for x in share[2])
         shares = sys_shares
     else:
-        encode_a = csa.csa_encode_a if scheme == "csa" else gcsa.gcsa_encode_a
-        encode_b = csa.csa_encode_b if scheme == "csa" else gcsa.gcsa_encode_b
-        for s in range(servers):
-            sa = encode_a(field, batch_a, setup, s)
-            sb = encode_b(field, batch_b, setup, s)
+        if scheme == "csa":
+            shares = list(zip(csa.csa_encode_a(field, batch_a, setup, range(servers)),
+                              csa.csa_encode_b(field, batch_b, setup, range(servers))))
+        else:
+            shares = [(gcsa.gcsa_encode_a(field, batch_a, setup, s),
+                       gcsa.gcsa_encode_b(field, batch_b, setup, s))
+                      for s in range(servers)]
+        for sa, sb in shares:
             uploaded_a += sum(x.size for x in sa)
             uploaded_b += sum(x.size for x in sb)
-            shares.append((sa, sb))
 
     answers = []
     server_mults = 0
@@ -268,8 +270,7 @@ def run_nlinear(field: PrimeField, params: ncsa.NCSAParams, job, batches,
             f"expected {want_batches}")
     if systematic and (params.x_secure or params.byzantine):
         raise ParameterError("systematic layout cannot be combined with X-security")
-    batches = [[np.asarray(x, dtype=np.int64) % field.q for x in batch]
-               for batch in batches]
+    batches = [_residue_batch(field, batch) for batch in batches]
     servers = params.servers
     responsive = straggler.pick(servers)
     theory = theoretical_costs("ncsa", params)
@@ -361,6 +362,25 @@ def run_nlinear(field: PrimeField, params: ncsa.NCSAParams, job, batches,
         flagged_servers=flagged,
     )
     return evals, report
+
+
+def _residue_batch(field: PrimeField, batch, matrices: bool = False) -> list[np.ndarray]:
+    """One input batch as int64 residues mod q, checked before any cast: a
+    cast truncates 1.5 to 1, and wraps uint64 entries at or above 2^63."""
+    try:
+        arrays = [np.asarray(x) for x in batch]
+    except ValueError as exc:  # a ragged nested list
+        raise ParameterError(f"batch entries must be rectangular arrays: {exc}") from None
+    if not arrays:
+        raise ParameterError("batch is empty")
+    if any(x.dtype.kind not in "iu" for x in arrays):
+        raise ParameterError("batch entries must hold integers")
+    if len({x.shape for x in arrays}) != 1:
+        raise ParameterError("batch entries must share one shape")
+    if matrices and arrays[0].ndim != 2:
+        raise ParameterError("batch entries must be matrices")
+    return [field.residues(x % np.uint64(field.q) if x.dtype == np.uint64 else x)
+            for x in arrays]
 
 
 def _const_shape(spec: ncsa.PolynomialSpec):

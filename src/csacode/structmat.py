@@ -58,27 +58,30 @@ def confluent_cv_matrix(field: PrimeField, spec: CVSpec) -> np.ndarray:
     """R x R confluent Cauchy-Vandermonde matrix.
 
     For each pole f the columns run 1/(f-a)^order down to 1/(f-a), followed
-    by the Vandermonde tail 1, a, ..., a^(R - order*L - 1).
+    by the Vandermonde tail 1, a, ..., a^(R - order*L - 1).  Every 1/(f-a)
+    comes from one batched inversion.
     """
+    q = field.q
     R = len(spec.samples)
     L = len(spec.poles)
     r1 = spec.order
-    m = np.zeros((R, R), dtype=np.int64)
+    diffs = [field.sub(f, a) for a in spec.samples for f in spec.poles]
+    invs = field.batch_inv(diffs)
+    rows = []
     for i, a in enumerate(spec.samples):
-        col = 0
-        for f in spec.poles:
-            c = field.inv(field.sub(f, a))
-            p = field.pow(c, r1)
-            for j in range(r1):
-                m[i, col + j] = p
+        row = []
+        for d, c in zip(diffs[i * L : (i + 1) * L], invs[i * L : (i + 1) * L]):
+            p = pow(c, r1, q)
+            for _ in range(r1):
+                row.append(p)
                 # step down one multiplicity: (f-a)^-(r1-j) -> (f-a)^-(r1-j-1)
-                p = p * field.sub(f, a) % field.q
-            col += r1
+                p = p * d % q
         p = 1
-        for j in range(R - r1 * L):
-            m[i, col + j] = p
-            p = p * a % field.q
-    return m
+        for _ in range(R - r1 * L):
+            row.append(p)
+            p = p * a % q
+        rows.append(row)
+    return np.array(rows, dtype=np.int64).reshape(R, R)
 
 
 def lt_toeplitz(field: PrimeField, column) -> np.ndarray:
@@ -131,7 +134,7 @@ def _row_reduce(field: PrimeField, aug: np.ndarray, cols: int):
         aug[r] = aug[r] * field.inv(pivot) % q
         others = aug[:, c].copy()
         others[r] = 0
-        aug -= np.outer(others, aug[r])
+        aug -= others[:, None] * aug[r]
         aug %= q
         pivots.append(c)
         if len(pivots) == rows:
@@ -142,20 +145,24 @@ def _row_reduce(field: PrimeField, aug: np.ndarray, cols: int):
 def solve_batch(field: PrimeField, mat: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     """Solve ``mat @ x = rhs`` exactly over GF(q) for every rhs column.
 
-    One elimination is shared across the whole batch.  A column with no
-    pivot raises SingularMatrixError carrying the column index.
+    Row-reduces the R x 2R block ``[mat | I]`` to get the inverse, then
+    returns one ``field.matmul(inverse, rhs)``, so the elimination never
+    touches the (possibly very wide) right-hand side.  Pivots depend only on
+    ``mat``'s columns: a column with no pivot raises SingularMatrixError
+    carrying the column index.
     """
     global solve_calls
     solve_calls += 1
     n = mat.shape[0]
     if mat.shape[0] != mat.shape[1]:
         raise ParameterError("solve_batch requires a square matrix")
-    aug = np.concatenate([mat % field.q, rhs.reshape(n, -1) % field.q],
-                         axis=1).astype(np.int64)
+    aug = np.concatenate([np.asarray(mat, dtype=np.int64) % field.q,
+                          np.eye(n, dtype=np.int64)], axis=1)
     pivots, _ = _row_reduce(field, aug, n)
     if len(pivots) < n:
         raise SingularMatrixError(min(set(range(n)) - set(pivots)))
-    return aug[:, n:].reshape(rhs.shape)
+    sol = field.matmul(aug[:, n:], field.residues(rhs.reshape(n, -1)))
+    return sol.reshape(rhs.shape)
 
 
 def solve_any(field: PrimeField, mat: np.ndarray, rhs: np.ndarray):

@@ -193,6 +193,26 @@ def test_decode_order_independent():
     assert all(np.array_equal(g, t) for g, t in zip(got, truth))
 
 
+def test_server_sequence_encodes_like_single_servers():
+    rng = np.random.default_rng(31)
+    for field in (PrimeField(13), FIELD, PrimeField(2147483629)):
+        params = csa_params(field, 2, 2, 7)
+        aa = [field.rand_matrix(rng, 3, 20) for _ in range(4)]
+        bb = [field.rand_matrix(rng, 20, 2) for _ in range(4)]
+        for encode, batch in ((csa_encode_a, aa), (csa_encode_b, bb)):
+            together = encode(field, batch, params, range(7))
+            assert len(together) == 7
+            for s in (0, 3, 6):
+                alone = encode(field, batch, params, s)
+                assert len(alone) == len(together[s]) == 2
+                assert all(np.array_equal(x, y) for x, y in zip(alone, together[s]))
+            # entries outside [0, q) encode like their residues
+            shifted = encode(field, [x - field.q for x in batch], params, [4, 2])
+            for got, s in zip(shifted, (4, 2)):
+                assert all(np.array_equal(x, y) for x, y in zip(got, together[s]))
+        assert encode(field, bb, params, []) == []
+
+
 def test_float_batch_rejected():
     params = csa_params(FIELD, 1, 2, 5)
     floats = [np.ones((2, 2)) * 0.5, np.ones((2, 2))]

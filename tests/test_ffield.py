@@ -1,8 +1,36 @@
 import numpy as np
 import pytest
 
-from csacode.ffield import (PrimeField, lagrange_interpolate, poly_divmod,
-                            poly_eval, poly_mul, poly_trim)
+from csacode.ffield import (FLOAT_MIN_MACS, PrimeField, lagrange_interpolate,
+                            poly_divmod, poly_eval, poly_mul, poly_trim)
+
+Q31 = 2147483629
+MODULI = (13, 65537, Q31)
+
+
+def reference_matmul(a, b, q):
+    """Schoolbook product in Python integers (object arrays): shares no code
+    with any path of ``PrimeField.matmul``."""
+    return (np.asarray(a, dtype=object) @ np.asarray(b, dtype=object)) % q
+
+
+def worst_case(q, shape_a, shape_b):
+    """Operands of all q-1 but for a first inner index of 1, so each product
+    entry is the largest inner sum plus one, odd: float64 rounds an odd sum
+    above 2^53.  (q-1)^2 = 1 mod q, so every entry is inner mod q."""
+    a = np.full(shape_a, q - 1, dtype=np.int64)
+    b = np.full(shape_b, q - 1, dtype=np.int64)
+    a[..., 0] = 1
+    b[0] = 1
+    return a, b
+
+
+def assert_matmul_exact(field, a, b):
+    got = field.matmul(a, b)
+    want = reference_matmul(a, b, field.q)
+    assert got.dtype == np.int64
+    assert got.shape == want.shape
+    assert np.array_equal(got, want.astype(np.int64))
 
 
 def test_inv_small_examples():
@@ -66,6 +94,102 @@ def test_matmul_exact_near_modulus_bound():
     want = np.array([[sum(int(a[i, k]) * int(b[k, j]) for k in range(5)) % field.q
                       for j in range(2)] for i in range(3)])
     assert np.array_equal(field.matmul(a, b), want)
+
+
+def test_matmul_against_python_ints_both_sides_of_crossover():
+    shapes = [(4, 4, 4), (8, 8, 8), (15, 15, 15), (16, 16, 16), (17, 17, 17),
+              (32, 32, 32), (1, 64, 64), (64, 64, 1), (28, 8, 256), (11, 11, 512)]
+    macs = [m * n * p for m, n, p in shapes]
+    assert min(macs) < FLOAT_MIN_MACS <= max(macs)
+    rng = np.random.default_rng(6)
+    for q in MODULI:
+        field = PrimeField(q)
+        for m, n, p in shapes:
+            assert_matmul_exact(field, field.rand_matrix(rng, m, n),
+                                field.rand_matrix(rng, n, p))
+
+
+def test_matmul_inner_sizes_straddle_every_chunk_boundary():
+    # Near q = 2^31 the float64 path splits b into 16-bit limbs: 2 terms per
+    # inner index, each at most (q-1)(2^16-1), and one exact dgemm sums at
+    # most 64 of them (below 2^53), so chunks end at inner 32, 64, 96, 128.
+    assert (2**53 - 1) // ((Q31 - 1) * (2**16 - 1)) == 64
+    rng = np.random.default_rng(7)
+    for q in MODULI:
+        field = PrimeField(q)
+        for n in (31, 32, 33, 63, 64, 65, 129):
+            assert_matmul_exact(field, field.rand_matrix(rng, 6, n),
+                                field.rand_matrix(rng, n, 40))
+            worst_a, worst_b = worst_case(q, (6, n), (n, 40))
+            assert_matmul_exact(field, worst_a, worst_b)
+            assert (field.matmul(worst_a, worst_b) == n % q).all()
+            # the largest odd limb terms, (q-2) * (2^16-1): b = 0x7ffeffff
+            b_value = min(q - 1, 2**31 - 2**16 - 1)
+            odd_a = np.full((6, n), q - 2, dtype=np.int64)
+            odd_b = np.full((n, 40), b_value, dtype=np.int64)
+            assert (field.matmul(odd_a, odd_b) == n * (q - 2) * b_value % q).all()
+
+
+def test_matmul_wide_output_spans_column_blocks():
+    # 8193 output columns run as several column blocks, each over 3 inner
+    # chunks at q near 2^31
+    for q in MODULI:
+        a, b = worst_case(q, (2, 65), (65, 8193))
+        assert (PrimeField(q).matmul(a, b) == 65 % q).all()
+    field = PrimeField(Q31)
+    rng = np.random.default_rng(10)
+    assert_matmul_exact(field, field.rand_matrix(rng, 2, 65),
+                        field.rand_matrix(rng, 65, 8193))
+
+
+def test_matmul_plain_float_chunk_boundary_at_65537():
+    # at q = 65537 one exact dgemm holds 2^21 - 1 terms; vectors keep it cheap
+    field = PrimeField(65537)
+    for n in (2**21 - 1, 2**21, 2**21 + 1):
+        a, b = worst_case(field.q, (1, n), (n, 1))
+        assert field.matmul(a, b).tolist() == [[n % field.q]]
+
+
+def test_matmul_vector_and_batched_operands():
+    rng = np.random.default_rng(8)
+    for q in MODULI:
+        field = PrimeField(q)
+        for n in (5, 64):
+            a3 = rng.integers(0, q, size=(3, 7, n), dtype=np.int64)
+            assert_matmul_exact(field, a3, field.rand_matrix(rng, n, 9))
+            assert_matmul_exact(field, a3, rng.integers(0, q, size=n, dtype=np.int64))
+            assert_matmul_exact(field, field.rand_matrix(rng, 40, n),
+                                rng.integers(0, q, size=n, dtype=np.int64))
+    with pytest.raises(ValueError):
+        PrimeField(13).matmul(np.ones((2, 3), dtype=np.int64),
+                              np.ones((2, 3), dtype=np.int64))
+
+
+def test_large_modulus_takes_int64_and_limb_paths(monkeypatch):
+    field = PrimeField(Q31)
+    taken = []
+    for name in ("_matmul_int64", "_matmul_float"):
+        kernel = getattr(PrimeField, name)
+        monkeypatch.setattr(PrimeField, name,
+                            lambda self, a, b, kernel=kernel, name=name:
+                            taken.append(name) or kernel(self, a, b))
+    rng = np.random.default_rng(9)
+    small = (field.rand_matrix(rng, 3, 5), field.rand_matrix(rng, 5, 2))
+    large = (field.rand_matrix(rng, 64, 64), field.rand_matrix(rng, 64, 64))
+    for a, b in (small, large):
+        assert_matmul_exact(field, a, b)
+    assert taken == ["_matmul_int64", "_matmul_float"]
+    # at q near 2^31 the float64 path runs on 16-bit limbs of b: 2 terms per index
+    x, y, _ = field._float_terms(*large)
+    assert x.shape == (64, 128) and y.shape == (128, 64)
+    assert y.max() < 2**16
+
+
+def test_residues_reduces_only_out_of_range_inputs():
+    field = PrimeField(13)
+    x = np.array([[0, 12], [5, 7]], dtype=np.int64)
+    assert field.residues(x) is x
+    assert field.residues([[-1, 13], [26, 40]]).tolist() == [[12, 0], [0, 1]]
 
 
 def test_modulus_bound_enforced():

@@ -1,8 +1,11 @@
 import dataclasses
+import importlib.util
 import itertools
+import json
 import os
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -220,3 +223,108 @@ def test_benchmark_tracer_still_installs():
         [sys.executable, "-c", "import tracer; tracer.Tracer().install()"],
         env=env, capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
+
+
+def _matrices(value, shape=(2, 2), dtype=np.int64, count=2):
+    return [np.full(shape, value, dtype=dtype) for _ in range(count)]
+
+
+@pytest.mark.parametrize("scheme, batch_a, why", [
+    ("csa", _matrices(1.5, dtype=np.float64), "integers"),
+    ("csa", [], "empty"),
+    ("csa", [np.ones(2, dtype=np.int64)] * 2, "matrices"),
+    ("csa", [[[1, 2], [3]], [[1, 2], [3, 4]]], "rectangular"),
+    ("csa", _matrices(True, dtype=bool), "integers"),
+    ("ep", [np.ones((4, 4), dtype=np.int64), np.ones((2, 2), dtype=np.int64)], "one shape"),
+])
+def test_run_cdbmm_rejects_malformed_batches(scheme, batch_a, why):
+    # checked before the cast to int64, which would truncate 1.5 to 1
+    setup = (csa.csa_params(FIELD, 1, 2, 5) if scheme == "csa"
+             else harness.ep_setup(FIELD, 1, 2, 2, 6))
+    batch_b = _matrices(1, shape=(4, 4) if scheme == "ep" else (2, 2))
+    with pytest.raises(ParameterError, match=why):
+        harness.run_cdbmm(FIELD, scheme, setup, batch_a, batch_b,
+                          harness.StragglerModel(count=setup.servers))
+
+
+def test_run_nlinear_rejects_non_integer_batches():
+    params = ncsa.ncsa_params(FIELD, 2, 1, 2, 5)
+    floats = _matrices(1.5, dtype=np.float64)
+    with pytest.raises(ParameterError, match="integers"):
+        harness.run_nlinear(FIELD, params, ncsa.matmul_map(2, 2, 2),
+                            [floats, _matrices(1)], harness.StragglerModel(count=5))
+    with pytest.raises(ParameterError, match="empty"):
+        harness.run_nlinear(FIELD, params, ncsa.matmul_map(2, 2, 2),
+                            [[], []], harness.StragglerModel(count=5))
+
+
+def test_run_cdbmm_reduces_uint64_without_wrapping():
+    # 2^64 - 2 is q - 1 mod 65537; a cast to int64 first would read -2
+    params = csa.csa_params(FIELD, 1, 2, 5)
+    big = _matrices(2**64 - 2, dtype=np.uint64)
+    products, _ = harness.run_cdbmm(FIELD, "csa", params, big, _matrices(1),
+                                     harness.StragglerModel(count=5))
+    want = 2 * (FIELD.q - 1) % FIELD.q
+    assert all((p == want).all() for p in products)
+
+
+THREADED_RUN = """
+import hashlib, json
+import numpy as np
+from csacode import csa, harness
+from csacode.ffield import PrimeField
+
+def digest(arrays):
+    return hashlib.sha256(b"".join(np.ascontiguousarray(x).tobytes()
+                                   for x in arrays)).hexdigest()
+
+out = {}
+for q, n in ((65537, 192), (2147483629, 64)):
+    field = PrimeField(q)
+    rng = np.random.default_rng(q)
+    out[q] = digest([field.matmul(field.rand_matrix(rng, n, n),
+                                  field.rand_matrix(rng, n, n))])
+field = PrimeField(65537)
+rng = np.random.default_rng(1)
+params = csa.csa_params(field, 2, 4, 14)
+aa = [field.rand_matrix(rng, 192, 192) for _ in range(8)]
+bb = [field.rand_matrix(rng, 192, 192) for _ in range(8)]
+products, _ = harness.run_cdbmm(field, "csa", params, aa, bb,
+                                harness.StragglerModel(responsive=tuple(range(2, 14))))
+out["round"] = digest(products)
+out["oracle"] = digest(harness.direct_products(field, aa, bb))
+print(json.dumps(out))
+"""
+
+
+def test_blas_thread_count_does_not_change_results():
+    # Exactness may not depend on the order BLAS sums in: one and two
+    # OpenBLAS threads give identical bytes, for the 16-bit-limb path too.
+    root = Path(__file__).resolve().parent.parent
+    digests = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   PYTHONPATH=str(root / "src"))
+        done = subprocess.run([sys.executable, "-c", THREADED_RUN], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        digests.append(done.stdout)
+    assert digests[0] == digests[1]
+    single = json.loads(digests[0])
+    assert single["round"] == single["oracle"]
+
+
+def test_benchmark_gate_smoke(monkeypatch):
+    # One operation of every benchmark workload, in process: a kernel or
+    # encode change that breaks the gate fails here, not in the benchmark.
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, workloads)
+    spec.loader.exec_module(workloads)
+    for workload in workloads.WORKLOADS.values():
+        rounds = workloads.build(workload)
+        inputs = workloads.draw_op(rounds, 1, 0)
+        workloads.self_test(rounds, inputs)
+        outcomes = workloads.run_op(rounds, inputs, time.perf_counter)
+        assert [o.problems for o in outcomes] == [[] for _ in outcomes], workload.name

@@ -133,10 +133,27 @@ def test_solve_batch_multiply_back():
 def test_solve_batch_singular_reports_pivot():
     m = np.array([[1, 2, 3], [2, 4, 6], [0, 0, 1]], dtype=np.int64)
     for field in FIELDS:
-        with pytest.raises(SingularMatrixError) as err:
-            solve_batch(field, m, np.zeros((3, 1), dtype=np.int64))
-        assert err.value.pivot == 1
+        for width in (1, 12_000):  # pivots depend on m alone, not on the rhs
+            with pytest.raises(SingularMatrixError) as err:
+                solve_batch(field, m, np.zeros((3, width), dtype=np.int64))
+            assert err.value.pivot == 1
         assert matrix_rank(field, m) == 2
+
+
+def test_solve_batch_wide_rhs_against_python_ints():
+    # the inverse-times-rhs product runs on the float64 kernel here, so the
+    # solution is checked by multiplying back in Python integers
+    rng = np.random.default_rng(23)
+    for field in FIELDS:
+        mat = cv_matrix(field, CVSpec((1, 2, 3), tuple(range(4, 12))))
+        rhs = field.rand_matrix(rng, 8, 10_241)
+        rhs[:, -1] = field.q - 1
+        x = solve_batch(field, mat, rhs)
+        assert x.dtype == np.int64 and x.shape == rhs.shape
+        back = (mat.astype(object) @ x.astype(object)) % field.q
+        assert np.array_equal(back.astype(np.int64), rhs)
+        # unreduced right-hand sides solve to the same residues
+        assert np.array_equal(solve_batch(field, mat, rhs - field.q), x)
 
 
 def test_rs_no_errors_passthrough():
