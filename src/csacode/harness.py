@@ -271,6 +271,14 @@ def run_nlinear(field: PrimeField, params: ncsa.NCSAParams, job, batches,
     if systematic and (params.x_secure or params.byzantine):
         raise ParameterError("systematic layout cannot be combined with X-security")
     batches = [_residue_batch(field, batch) for batch in batches]
+    uses = ([(slot, t.omega.var_shapes[i]) for t in job.terms
+             for i, slot in enumerate(t.slots)] if is_spec
+            else enumerate(job.var_shapes))
+    for v, shape in uses:
+        if v is not None and batches[v][0].shape != tuple(shape):
+            raise ParameterError(
+                f"variable {v} has entries of shape {batches[v][0].shape}, "
+                f"the map expects {tuple(shape)}")
     servers = params.servers
     responsive = straggler.pick(servers)
     theory = theoretical_costs("ncsa", params)
@@ -301,13 +309,18 @@ def run_nlinear(field: PrimeField, params: ncsa.NCSAParams, job, batches,
                     uploaded[v] += sum(x.size for x in item)
         per_server_shares = sys_shares
     else:
-        for s in range(servers):
-            row = []
-            for v, batch in enumerate(batches):
-                sh = ncsa.xs_encode(field, batch, params, v, s)
-                uploaded[v] += sum(x.size for x in sh)
-                row.append(sh)
-            per_server_shares.append(row)
+        by_var = [ncsa.xs_encode(field, batch, params, v, range(servers))
+                  for v, batch in enumerate(batches)]
+        for v, shares in enumerate(by_var):
+            uploaded[v] = sum(x.size for sh in shares for x in sh)
+        per_server_shares = [list(row) for row in zip(*by_var)]
+
+    const_shares = {}
+    if is_spec and not systematic and any(
+            slot is None for t in job.terms for slot in t.slots):
+        ones = [np.ones(_const_shape(job), dtype=np.int64)] * params.batch_size
+        const_shares = dict(zip(responsive, ncsa.xs_encode(
+            field, ones, params, len(batches), responsive)))
 
     answers = []
     server_mults = 0
@@ -318,11 +331,8 @@ def run_nlinear(field: PrimeField, params: ncsa.NCSAParams, job, batches,
                                             params, s)
         elif is_spec:
             shares_by_var = {v: per_server_shares[s][v] for v in range(len(batches))}
-            if any(slot is None for t in job.terms for slot in t.slots):
-                shape = _const_shape(job)
-                ones = [np.ones(shape, dtype=np.int64) for _ in range(params.batch_size)]
-                shares_by_var[None] = ncsa.xs_encode(field, ones, params,
-                                                     len(batches), s)
+            if const_shares:
+                shares_by_var[None] = const_shares[s]
             y = ncsa.poly_batch_eval_answer(field, shares_by_var, job, params, s)
         else:
             y = ncsa.ncsa_answer(field, per_server_shares[s], job, params, s,

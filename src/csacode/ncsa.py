@@ -15,14 +15,15 @@ forged answers.
 from __future__ import annotations
 
 import hashlib
+import numbers
 import struct
 from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
 
-from .csa import (_check_batch, _take_answers, cauchy_points, csa_decode,
-                  csa_encode_a, scaling_constants)
+from .csa import (_check_batch, _server_list, _take_answers, cauchy_points,
+                  csa_decode, csa_encode_a, scaling_constants)
 from .errors import DecodingFailureError, InsufficientAnswersError, ParameterError
 from .ffield import PrimeField
 from .structmat import (CVSpec, _row_reduce, rs_error_correct, scaled_cv_matrix,
@@ -155,14 +156,23 @@ def lcc_threshold(arity: int, batch: int) -> int:
     return arity * (batch - 1) + 1
 
 
-def _lagrange_weight(field: PrimeField, nodes, i: int, x: int) -> int:
-    """The i-th Lagrange basis polynomial of ``nodes`` evaluated at x."""
-    w = 1
-    for j, node in enumerate(nodes):
-        if j != i:
-            w = w * field.sub(x, node) % field.q
-            w = w * field.inv(field.sub(nodes[i], node)) % field.q
-    return w
+def _lagrange_matrix(field: PrimeField, nodes, points) -> np.ndarray:
+    """(points x nodes) values of the Lagrange basis of ``nodes``: entry (j, i)
+    is the i-th basis polynomial at points[j], so the matrix maps values at
+    the nodes to values of their interpolant at the points.  The
+    denominators take one batched inversion."""
+    q = field.q
+
+    def numerator(x: int, i: int) -> int:  # prod_{j != i} (x - nodes[j])
+        w = 1
+        for j, node in enumerate(nodes):
+            if j != i:
+                w = w * field.sub(x, node) % q
+        return w
+
+    inv = field.batch_inv([numerator(a, i) for i, a in enumerate(nodes)])
+    rows = [[numerator(x, i) * c % q for i, c in enumerate(inv)] for x in points]
+    return np.array(rows, dtype=np.int64).reshape(len(points), len(nodes))
 
 
 def lcc_encode(field: PrimeField, batch, betas, alpha: int) -> np.ndarray:
@@ -171,9 +181,10 @@ def lcc_encode(field: PrimeField, batch, betas, alpha: int) -> np.ndarray:
     alpha %= field.q
     if len(set(betas)) != len(betas):
         raise ParameterError("anchor points must be pairwise distinct")
+    weights = _lagrange_matrix(field, betas, [alpha])[0]
     acc = np.zeros_like(batch[0])
-    for l, x in enumerate(batch):
-        acc = (acc + _lagrange_weight(field, betas, l, alpha) * x) % field.q
+    for w, x in zip(weights, batch):
+        acc = (acc + int(w) * x) % field.q
     return acc
 
 
@@ -190,11 +201,10 @@ def lcc_decode(field: PrimeField, answers, betas, arity: int) -> list[np.ndarray
     if len(set(alphas)) != len(alphas):
         raise ParameterError("duplicate evaluation points in answers")
     out = []
-    for beta in betas:
-        weights = [_lagrange_weight(field, alphas, i, beta) for i in range(r)]
+    for weights in _lagrange_matrix(field, alphas, betas):
         acc = np.zeros_like(answers[0][1])
         for w, (_, y) in zip(weights, answers):
-            acc = (acc + w * y) % field.q
+            acc = (acc + int(w) * y) % field.q
         out.append(acc)
     return out
 
@@ -276,40 +286,75 @@ def noise_element(field: PrimeField, seed: int, var: int, l: int, k: int,
 
 def noise_block(field: PrimeField, seed: int, var: int, l: int, k: int, x: int,
                 shape) -> np.ndarray:
-    flat = [noise_element(field, seed, var, l, k, x, i)
-            for i in range(int(np.prod(shape)))]
-    return np.array(flat, dtype=np.int64).reshape(shape)
+    """``noise_element`` for every flat index of ``shape``, byte for byte.
 
-
-def xs_encode(field: PrimeField, batch, params: NCSAParams, var: int, s: int,
-              noise=None) -> list[np.ndarray]:
-    """Secure share: data Cauchy terms plus uniform noise along powers of alpha.
-
-    The noise realization is fixed per (var, l, k, x) and reused for every
-    server, forming the MDS-coded mask.  ``noise`` may override the seeded
-    values: a mapping (l, k, x) -> array (1-based x).
+    SHA-256 is a stream, so the packed key prefix (seed, var, l, k, x) is
+    hashed once and each entry continues a copy of it with (idx, 0).  The
+    entry is that digest's first word mod q unless the word falls in the
+    rejected tail; those entries (probability below 2^-33 for q < 2^31)
+    take ``noise_element``'s full rejection loop.
     """
-    base = csa_encode_a(field, batch, params, s)
+    q = field.q
+    limit = (2**64 // q) * q
+    prefix = hashlib.sha256(struct.pack("<5q", seed, var, l, k, x))
+    pack = struct.Struct("<2q").pack
+    digests = []
+    for idx in range(int(np.prod(shape))):
+        h = prefix.copy()
+        h.update(pack(idx, 0))
+        digests.append(h.digest())
+    words = np.frombuffer(b"".join(digests), dtype="<u8")[::4]
+    flat = (words % np.uint64(q)).astype(np.int64)
+    for idx in np.flatnonzero(words >= np.uint64(limit)):
+        flat[idx] = noise_element(field, seed, var, l, k, x, int(idx))
+    return flat.reshape(shape)
+
+
+def xs_encode(field: PrimeField, batch, params: NCSAParams, var: int, servers,
+              noise=None) -> list:
+    """Secure shares: data Cauchy terms plus uniform noise along powers of alpha.
+
+    The noise realization z_{l,k,x} is fixed per (var, l, k, x) and shared
+    by every server, forming the MDS-coded mask: server s adds
+    Delta_s(l) * alpha_s^(x-1) * z_{l,k,x} to its group-l share, where
+    Delta_s(l) = prod_k (f_{l,k} - alpha_s).  ``servers`` is one server
+    index, which returns that server's ell shares, or a sequence of indices,
+    which returns one such list per server.  Either way the data part is one
+    ``csa_encode_a`` generator product, each noise block is drawn once, and
+    the masks of all listed servers come from one product per group: the
+    (servers x kc*X) mask coefficients times the stacked noise blocks.
+    ``noise`` may override the seeded values: a mapping (l, k, x) -> array
+    (1-based x).
+    """
+    base = csa_encode_a(field, batch, params, servers)
     if params.x_secure < 1:
         return base
-    alpha = params.samples[s]
-    shares = []
+    single = isinstance(servers, numbers.Integral)
+    shares = [base] if single else base
+    alphas = [params.samples[s] for s in _server_list(servers)]
+    keys = [(k, x) for x in range(1, params.x_secure + 1) for k in range(params.kc)]
+    shape = np.shape(batch[0])
     for l in range(params.ell):
-        delta = 1
-        for k in range(params.kc):
-            delta = delta * field.sub(params.pole(l, k), alpha) % field.q
-        acc = base[l]
-        for x in range(1, params.x_secure + 1):
-            power = field.pow(alpha, x - 1)
-            for k in range(params.kc):
-                if noise is not None:
-                    z = noise[(l, k, x)]
-                else:
-                    z = noise_block(field, params.noise_seed, var, l, k, x,
-                                    batch[0].shape)
-                acc = (acc + delta * power % field.q * z) % field.q
-        shares.append(acc)
-    return shares
+        blocks = [noise[(l, k, x)] if noise is not None else
+                  noise_block(field, params.noise_seed, var, l, k, x, shape)
+                  for k, x in keys]
+        coeffs = np.zeros((len(alphas), len(keys)), dtype=np.int64)
+        for i, alpha in enumerate(alphas):
+            delta = _group_delta(field, params, l, alpha)
+            coeffs[i] = [delta * field.pow(alpha, x - 1) % field.q for _, x in keys]
+        masks = field.matmul(coeffs,
+                             field.residues(np.stack(blocks)).reshape(len(keys), -1))
+        for share, mask in zip(shares, masks):
+            share[l] = (share[l] + mask.reshape(shape)) % field.q
+    return shares[0] if single else shares
+
+
+def _group_delta(field: PrimeField, params: NCSAParams, l: int, alpha: int) -> int:
+    """Delta(l) = prod_k (f_{l,k} - alpha), group l's pole product at alpha."""
+    d = 1
+    for k in range(params.kc):
+        d = d * field.sub(params.pole(l, k), alpha) % field.q
+    return d
 
 
 # ---- answering ----
@@ -326,11 +371,8 @@ def ncsa_answer(field: PrimeField, shares, omega: NLinearMap, params: NCSAParams
     alpha = params.samples[s]
     acc = None
     for l in range(params.ell):
-        d = 1
-        for k in range(params.kc):
-            d = d * field.sub(params.pole(l, k), alpha) % field.q
         term = omega(field, *[sh[l] for sh in shares])
-        term = field.inv(d) * term % field.q
+        term = field.inv(_group_delta(field, params, l, alpha)) * term % field.q
         if counter is not None and omega.mults is not None:
             counter.mults += omega.mults + int(np.prod(omega.out_shape))
         acc = term if acc is None else (acc + term) % field.q
@@ -403,9 +445,28 @@ def xsb_decode(field: PrimeField, answers, params: NCSAParams):
 
     Three stages: scale each answer by the full pole product at its sample
     (turning clean answers into evaluations of one polynomial of degree
-    < R - 2B), locate errors entry-wise with the Reed-Solomon decoder,
-    then drop flagged servers and solve the reduced Cauchy-Vandermonde
-    system.  Returns (evaluations, flagged server indices).
+    < width = R - 2B per entry), locate the forged answers, then drop the
+    flagged servers and solve the reduced Cauchy-Vandermonde system.
+    Returns (evaluations, flagged server indices).
+
+    The clean answers form one interleaved Reed-Solomon codeword whose
+    entries share their error positions (Bleichenbacher, Kiayias and Yung,
+    ICALP 2003), so the locator runs once: ``rs_error_correct`` on a fixed
+    seeded projection of the entries gives a row set E, and one batched
+    product checks that every row outside E lies on a polynomial of degree
+    < width in every entry.  If the locator fails or the check does, the
+    per-entry Berlekamp-Welch loop decides, result or exception.
+
+    The fast path returns what that loop would.  The locator flags at most
+    B rows, so the rows outside E number at least width + B.  Once they lie
+    on a polynomial P_c of degree < width in every entry c, each entry has
+    at most B rows off P_c, and P_c is its only codeword within distance B
+    (two such codewords would agree on width rows).  So the loop decodes
+    entry c to P_c and flags the rows of E where entry c is off P_c.  The
+    locator decoded the projection to sum_c w_c P_c by the same uniqueness,
+    so every row of E is off that sum and hence off some P_c.  The loop
+    therefore flags exactly E, whether or not the forgers stayed within
+    the budget, and decodes from the same clean rows.
     """
     r = params.threshold
     b = params.byzantine
@@ -422,12 +483,16 @@ def xsb_decode(field: PrimeField, answers, params: NCSAParams):
             weights.append(w)
         stacked = np.stack([y.reshape(-1) for _, y in answers])
         scaled = stacked * np.array(weights, dtype=np.int64)[:, None] % field.q
-        for col in range(scaled.shape[1]):
-            _, positions = rs_error_correct(field, alphas, scaled[:, col].tolist(),
-                                            degree_bound=width, max_errors=b)
-            flagged_rows.update(positions)
-        if len(flagged_rows) > b:
-            raise DecodingFailureError("corruptions exceed the Byzantine budget")
+        located = _locate_rows(field, alphas, scaled, width, b)
+        if located is not None:
+            flagged_rows = located
+        else:  # the per-entry loop decides, result or exception
+            for col in range(scaled.shape[1]):
+                _, positions = rs_error_correct(field, alphas, scaled[:, col].tolist(),
+                                                degree_bound=width, max_errors=b)
+                flagged_rows.update(positions)
+            if len(flagged_rows) > b:
+                raise DecodingFailureError("corruptions exceed the Byzantine budget")
     clean = [i for i in range(r) if i not in flagged_rows][:width]
     mat = scaled_cv_matrix(field, CVSpec(params.poles, tuple(alphas[i] for i in clean)),
                            scaling_constants(field, params, params.arity - 1))
@@ -436,6 +501,33 @@ def xsb_decode(field: PrimeField, answers, params: NCSAParams):
     shape = answers[0][1].shape
     evals = [sol[j].reshape(shape) for j in range(params.batch_size)]
     return evals, sorted(answers[i][0] for i in flagged_rows)
+
+
+def _projection_weights(field: PrimeField, cols: int) -> np.ndarray:
+    """The fixed seeded weights in [1, q) that project ``cols`` answer
+    entries onto the one column ``xsb_decode`` locates forgers in."""
+    return np.random.default_rng(20031).integers(1, field.q, size=cols,
+                                                 dtype=np.int64)
+
+
+def _locate_rows(field: PrimeField, alphas, scaled: np.ndarray, width: int,
+                 b: int) -> Optional[set[int]]:
+    """The rows of ``scaled`` off a degree < width codeword in every column,
+    found with one Reed-Solomon decode of a projected column, or None when
+    that decode fails or some column disagrees with its result."""
+    column = field.matmul(scaled, _projection_weights(field, scaled.shape[1]))
+    try:
+        _, positions = rs_error_correct(field, alphas, column.tolist(),
+                                        degree_bound=width, max_errors=b)
+    except DecodingFailureError:
+        return None
+    clean = [i for i in range(len(alphas)) if i not in positions]
+    nodes, rest = clean[:width], clean[width:]
+    lagrange = _lagrange_matrix(field, [alphas[i] for i in nodes],
+                                [alphas[i] for i in rest])
+    if not np.array_equal(field.matmul(lagrange, scaled[nodes]), scaled[rest]):
+        return None
+    return set(positions)
 
 
 # ---- systematic layout ----
@@ -452,14 +544,11 @@ def ncsa_systematic_encode(field: PrimeField, batches, params: NCSAParams) -> li
         raise ParameterError("systematic layout needs S >= L")
     for batch in batches:
         _check_batch(batch, params)
-    shares = []
-    for s in range(params.servers):
-        if s < params.batch_size:
-            shares.append(("raw", tuple(batch[s] for batch in batches)))
-        else:
-            shares.append(("coded", tuple(csa_encode_a(field, batch, params, s)
-                                          for batch in batches)))
-    return shares
+    batch_size = params.batch_size
+    coded = [csa_encode_a(field, batch, params, range(batch_size, params.servers))
+             for batch in batches]
+    return ([("raw", tuple(batch[s] for batch in batches)) for s in range(batch_size)]
+            + [("coded", tuple(per_server)) for per_server in zip(*coded)])
 
 
 def ncsa_systematic_answer(field: PrimeField, share, omega: NLinearMap,

@@ -258,6 +258,31 @@ def test_run_nlinear_rejects_non_integer_batches():
                             [[], []], harness.StragglerModel(count=5))
 
 
+def test_run_nlinear_checks_entry_shapes():
+    rng = np.random.default_rng(31)
+    params = ncsa.ncsa_params(FIELD, 2, 1, 2, 5)
+    omega = ncsa.matmul_map(2, 2, 2)
+    strag = harness.StragglerModel(count=5)
+    good = [FIELD.rand_matrix(rng, 2, 2) for _ in range(2)]
+    # 3x3 entries once ran and returned 3x3 results; 2x3 raised a bare ValueError
+    for rows, cols in ((3, 3), (2, 3)):
+        bad = [FIELD.rand_matrix(rng, rows, cols) for _ in range(2)]
+        with pytest.raises(ParameterError, match="shape"):
+            harness.run_nlinear(FIELD, params, omega, [bad, bad], strag)
+        with pytest.raises(ParameterError, match="variable 1"):
+            harness.run_nlinear(FIELD, params, omega, [good, bad], strag)
+    # a spec checks each variable against every slot that uses it
+    wide = ncsa.matmul_map(2, 2, 3)
+    spec = ncsa.PolynomialSpec(2, (ncsa.PolyTerm(1, omega, (0, 1)),
+                                   ncsa.PolyTerm(1, wide, (None, 1))))
+    with pytest.raises(ParameterError, match="variable 1"):
+        harness.run_nlinear(FIELD, params, spec, [good, good], strag)
+    spec = ncsa.PolynomialSpec(2, (ncsa.PolyTerm(1, omega, (0, 1)),
+                                   ncsa.PolyTerm(3, omega, (None, 1))))
+    evals, _ = harness.run_nlinear(FIELD, params, spec, [good, good], strag)
+    assert len(evals) == 2 and evals[0].shape == (2, 2)
+
+
 def test_run_cdbmm_reduces_uint64_without_wrapping():
     # 2^64 - 2 is q - 1 mod 65537; a cast to int64 first would read -2
     params = csa.csa_params(FIELD, 1, 2, 5)

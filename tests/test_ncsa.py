@@ -1,10 +1,13 @@
+import hashlib
 import itertools
+import struct
+import types
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from csacode import csa, harness
+from csacode import csa, harness, ncsa
 from csacode.errors import DecodingFailureError, ParameterError
 from csacode.ffield import PrimeField
 from csacode.ncsa import (PolynomialSpec, PolyTerm,
@@ -14,8 +17,10 @@ from csacode.ncsa import (PolynomialSpec, PolyTerm,
                           ncsa_answer, ncsa_decode, ncsa_params,
                           ncsa_systematic_answer,
                           ncsa_systematic_encode, ncsa_threshold,
-                          poly_batch_eval_answer, xs_encode, xsb_decode,
-                          xsb_threshold)
+                          noise_block, noise_element, poly_batch_eval_answer,
+                          xs_encode, xsb_decode, xsb_threshold)
+from csacode.structmat import (CVSpec, rs_error_correct, scaled_cv_matrix,
+                               solve_batch)
 
 FIELD = PrimeField(65537)
 
@@ -361,6 +366,64 @@ def test_xs_exhaustive_uniformity_tiny_field():
             assert distributions[(0, n, s)] == distributions[(7, n, s)]
 
 
+@pytest.mark.parametrize("q", [13, 65537, 2147483629])
+def test_noise_block_matches_noise_element(q):
+    field = PrimeField(q)
+    for key, shape in [((0, 0, 0, 0, 1), (1, 1)), ((7, 1, 1, 0, 2), (3, 4)),
+                       ((99, 3, 0, 2, 1), (5,)), ((-4, 0, 2, 1, 3), (2, 3, 2))]:
+        block = noise_block(field, *key, shape)
+        assert block.shape == shape and block.dtype == np.int64
+        assert block.reshape(-1).tolist() == [noise_element(field, *key, i)
+                                              for i in range(block.size)]
+
+
+def test_noise_block_rejection_tail_matches_noise_element():
+    # Below 2^31 a first word is rejected with probability under 2^-33.  A
+    # stand-in modulus just above 2^62 (the noise functions read only .q)
+    # rejects about one word in four, so the block takes the full loop.
+    field = types.SimpleNamespace(q=2**62 + 1)
+    key = (5, 1, 0, 1, 2)
+    limit = (2**64 // field.q) * field.q
+    first = [struct.unpack_from("<Q", hashlib.sha256(
+        struct.pack("<7q", *key, i, 0)).digest())[0] for i in range(64)]
+    assert any(w >= limit for w in first)
+    block = noise_block(field, *key, (8, 8))
+    assert block.reshape(-1).tolist() == [noise_element(field, *key, i)
+                                          for i in range(64)]
+
+
+@pytest.mark.parametrize("x_secure", [1, 2])
+@pytest.mark.parametrize("ell", [1, 2])
+def test_xs_encode_sequence_matches_single_servers(x_secure, ell):
+    rng = np.random.default_rng(10 * x_secure + ell)
+    params = ncsa_params(FIELD, 2, ell, 2, 12, x_secure=x_secure, noise_seed=41)
+    batch = [FIELD.rand_matrix(rng, 3, 2) for _ in range(params.batch_size)]
+    noise = {(l, k, x): FIELD.rand_matrix(rng, 3, 2) for l in range(ell)
+             for k in range(2) for x in range(1, x_secure + 1)}
+    servers = [4, 0, 11, 7]
+    for kwargs in ({}, {"noise": noise}):
+        together = xs_encode(FIELD, batch, params, 1, servers, **kwargs)
+        assert len(together) == len(servers)
+        for s, shares in zip(servers, together):
+            alone = xs_encode(FIELD, batch, params, 1, s, **kwargs)
+            assert len(shares) == len(alone) == ell
+            for a, b in zip(shares, alone):
+                assert a.dtype == b.dtype == np.int64 and a.shape == b.shape
+                assert a.tobytes() == b.tobytes()
+    # the explicit masks, in Python ints: data share + sum Delta alpha^(x-1) z
+    for s, shares in zip(servers, xs_encode(FIELD, batch, params, 1, servers,
+                                            noise=noise)):
+        alpha = params.samples[s]
+        data = csa.csa_encode_a(FIELD, batch, params, s)
+        for l in range(ell):
+            delta = (params.pole(l, 0) - alpha) * (params.pole(l, 1) - alpha)
+            want = data[l].astype(object)
+            for (nl, _, x), z in noise.items():
+                if nl == l:
+                    want = want + delta * alpha ** (x - 1) * z.astype(object)
+            assert np.array_equal(shares[l], (want % FIELD.q).astype(np.int64))
+
+
 def test_xs_decode_without_byzantine():
     rng = np.random.default_rng(16)
     params = ncsa_params(FIELD, 2, 1, 2, 8, x_secure=1, noise_seed=7)
@@ -483,6 +546,180 @@ def test_xsb_over_budget_detected():
     tampered = [(s, (y + 1 + s) % FIELD.q if s < 2 else y) for s, y in answers]
     with pytest.raises(DecodingFailureError):
         xsb_decode(FIELD, tampered, params)
+
+
+# ---- interleaved error location ----
+
+
+def _xsb_round(field, params, seed):
+    """Honest answers of every server to an X-secure matmul batch, and the
+    true evaluations."""
+    rng = np.random.default_rng(seed)
+    omega = matmul_map(2, 2, 3)
+    batches = [[field.rand_matrix(rng, *shape) for _ in range(params.batch_size)]
+               for shape in omega.var_shapes]
+    shares = [xs_encode(field, batch, params, v, range(params.servers))
+              for v, batch in enumerate(batches)]
+    answers = [(s, ncsa_answer(field, [sh[s] for sh in shares], omega, params, s))
+               for s in range(params.servers)]
+    return answers, harness.direct_evaluations(field, omega, batches)
+
+
+def _per_entry_decode(field, answers, params):
+    """The reference decoder: Berlekamp-Welch on every answer entry, the
+    union of the flagged rows, then the reduced solve on the clean ones."""
+    r, b = params.threshold, params.byzantine
+    answers = list(answers)[:r]
+    alphas = [params.samples[s] for s, _ in answers]
+    scale = []
+    for alpha in alphas:
+        w = 1
+        for f in params.poles:
+            w = w * (f - alpha) % field.q
+        scale.append(w)
+    scaled = [[int(v) * w % field.q for v in y.reshape(-1)]
+              for (_, y), w in zip(answers, scale)]
+    flagged = set()
+    for col in range(len(scaled[0])):
+        _, rows = rs_error_correct(field, alphas, [row[col] for row in scaled],
+                                   degree_bound=r - 2 * b, max_errors=b)
+        flagged.update(rows)
+    if len(flagged) > b:
+        raise DecodingFailureError("over budget")
+    clean = [i for i in range(r) if i not in flagged][: r - 2 * b]
+    mat = scaled_cv_matrix(field, CVSpec(params.poles, tuple(alphas[i] for i in clean)),
+                           csa.scaling_constants(field, params, params.arity - 1))
+    sol = solve_batch(field, mat, np.stack([answers[i][1].reshape(-1) for i in clean]))
+    shape = answers[0][1].shape
+    return ([sol[j].reshape(shape) for j in range(params.batch_size)],
+            sorted(answers[i][0] for i in flagged))
+
+
+def _outcome(decode, *args):
+    try:
+        evals, flagged = decode(*args)
+    except DecodingFailureError:
+        return "DecodingFailureError"
+    return [e.tobytes() for e in evals], flagged
+
+
+@pytest.fixture
+def locator_calls(monkeypatch):
+    """Calls of ncsa's rs_error_correct: one on the fast path, one plus one
+    per answer entry when the per-entry loop decides."""
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return rs_error_correct(*args, **kwargs)
+
+    monkeypatch.setattr(ncsa, "rs_error_correct", counted)
+    return calls
+
+
+def _forge(answers, server, entries, offsets, q):
+    out = []
+    for s, y in answers:
+        if s == server:
+            y = y.copy()
+            flat = y.reshape(-1)
+            for e, d in zip(entries, offsets):
+                flat[e] = (flat[e] + d) % q
+        out.append((s, y))
+    return out
+
+
+def test_xsb_locator_one_forged_entry(locator_calls):
+    params = ncsa_params(FIELD, 2, 1, 2, 10, x_secure=1, byzantine=1, noise_seed=3)
+    answers, truth = _xsb_round(FIELD, params, 40)
+    used = [answers[s] for s in (1, 2, 3, 5, 6, 8, 9)]
+    tampered = _forge(used, 3, [4], [1], FIELD.q)
+    evals, flagged = xsb_decode(FIELD, tampered, params)
+    assert len(locator_calls) == 1
+    assert flagged == [3]
+    assert all(np.array_equal(e, t) for e, t in zip(evals, truth))
+    assert _outcome(xsb_decode, FIELD, tampered, params) == \
+        _outcome(_per_entry_decode, FIELD, tampered, params)
+
+
+def test_xsb_locator_one_forged_entry_on_each_of_two_servers(locator_calls):
+    params = ncsa_params(FIELD, 2, 1, 2, 12, x_secure=1, byzantine=2, noise_seed=4)
+    answers, truth = _xsb_round(FIELD, params, 41)
+    used = [answers[s] for s in range(1, 10)]
+    tampered = _forge(_forge(used, 2, [0], [5], FIELD.q), 6, [5], [65536], FIELD.q)
+    evals, flagged = xsb_decode(FIELD, tampered, params)
+    assert len(locator_calls) == 1
+    assert flagged == [2, 6]
+    assert all(np.array_equal(e, t) for e, t in zip(evals, truth))
+    assert _outcome(xsb_decode, FIELD, tampered, params) == \
+        _outcome(_per_entry_decode, FIELD, tampered, params)
+
+
+def test_xsb_forgery_cancelling_under_the_projection_takes_the_fallback(
+        locator_calls):
+    params = ncsa_params(FIELD, 2, 1, 2, 10, x_secure=1, byzantine=1, noise_seed=5)
+    answers, truth = _xsb_round(FIELD, params, 42)
+    used = answers[:7]
+    entries = used[0][1].size
+    w = ncsa._projection_weights(FIELD, entries)
+    # offsets d with w . d = 0: the projected column shows no error at all
+    tampered = _forge(used, 4, [1, 3], [int(w[3]), FIELD.q - int(w[1])], FIELD.q)
+    assert (int(w[1]) * int(w[3]) - int(w[3]) * int(w[1])) % FIELD.q == 0
+    evals, flagged = xsb_decode(FIELD, tampered, params)
+    assert len(locator_calls) == 1 + entries
+    assert flagged == [4]
+    assert all(np.array_equal(e, t) for e, t in zip(evals, truth))
+    assert _outcome(xsb_decode, FIELD, tampered, params) == \
+        _outcome(_per_entry_decode, FIELD, tampered, params)
+
+
+def test_xsb_locator_over_budget_still_raises(locator_calls):
+    params = ncsa_params(FIELD, 2, 1, 2, 10, x_secure=1, byzantine=1, noise_seed=6)
+    answers, _ = _xsb_round(FIELD, params, 43)
+    tampered = _forge(_forge(answers[:7], 0, [0], [9], FIELD.q), 5, [2, 3],
+                      [1, 2], FIELD.q)
+    with pytest.raises(DecodingFailureError):
+        xsb_decode(FIELD, tampered, params)
+    assert len(locator_calls) > 1
+    with pytest.raises(DecodingFailureError):
+        _per_entry_decode(FIELD, tampered, params)
+
+
+@pytest.mark.parametrize("q", [13, 65537, 2147483629])
+def test_xsb_locator_matches_per_entry_decoding_sweep(q, monkeypatch):
+    field = PrimeField(q)
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return rs_error_correct(*args, **kwargs)
+
+    monkeypatch.setattr(ncsa, "rs_error_correct", counted)
+    rng = np.random.default_rng(q)
+    paths = {"fast": 0, "fallback": 0}
+    # (ell, kc, X, B, S): every layout fits the 13 points of GF(13)
+    layouts = [(1, 1, 1, 1, 8), (1, 2, 1, 1, 9), (1, 1, 1, 2, 9), (2, 1, 2, 1, 10)]
+    for trial in range(40):
+        ell, kc, x, b, servers = layouts[trial % len(layouts)]
+        params = ncsa_params(field, 2, ell, kc, servers, x_secure=x, byzantine=b,
+                             noise_seed=trial)
+        answers, truth = _xsb_round(field, params, int(rng.integers(2**31)))
+        picked = sorted(rng.choice(servers, size=params.threshold, replace=False))
+        used = [answers[s] for s in picked]
+        size = used[0][1].size
+        forgers = rng.choice(picked, size=int(rng.integers(0, b + 2)), replace=False)
+        for s in forgers:
+            entries = rng.choice(size, size=int(rng.integers(1, size + 1)),
+                                 replace=False)
+            used = _forge(used, s, entries, rng.integers(1, q, size=len(entries)), q)
+        del calls[:]
+        got = _outcome(xsb_decode, field, used, params)
+        paths["fast" if len(calls) == 1 else "fallback"] += 1
+        assert got == _outcome(_per_entry_decode, field, used, params)
+        if len(forgers) <= b:
+            assert got[1] == sorted(int(s) for s in forgers)
+            assert got[0] == [t.tobytes() for t in truth]
+    assert paths["fast"] and paths["fallback"]
 
 
 def test_systematic_layout_parity():
