@@ -112,19 +112,8 @@ def csa_encode_a(field: PrimeField, batch_a, params: CSAParams, servers) -> list
     returns one such list per server, all from one generator product.
     """
     _check_batch(batch_a, params)
-    weights = []
-    for s in _server_list(servers):
-        alpha = params.samples[s]
-        row = []
-        for l in range(params.ell):
-            for k in range(params.kc):
-                w = 1
-                for k2 in range(params.kc):
-                    if k2 != k:
-                        w = w * field.sub(params.pole(l, k2), alpha) % field.q
-                row.append(w)
-        weights.append(row)
-    return _generator_encode(field, batch_a, params, servers, weights)
+    weights = _cauchy_weights(field, params, _server_list(servers), "a")
+    return _shares(_generator_encode(field, batch_a, weights), servers)
 
 
 def csa_encode_b(field: PrimeField, batch_b, params: CSAParams, servers) -> list:
@@ -132,12 +121,8 @@ def csa_encode_b(field: PrimeField, batch_b, params: CSAParams, servers) -> list
     the inverses of all listed servers from one batched inversion.
     ``servers`` is one index or a sequence, as for ``csa_encode_a``."""
     _check_batch(batch_b, params)
-    listed = _server_list(servers)
-    batch = params.batch_size
-    inv = field.batch_inv([field.sub(f, params.samples[s])
-                           for s in listed for f in params.poles])
-    weights = [inv[i * batch : (i + 1) * batch] for i in range(len(listed))]
-    return _generator_encode(field, batch_b, params, servers, weights)
+    weights = _cauchy_weights(field, params, _server_list(servers), "b")
+    return _shares(_generator_encode(field, batch_b, weights), servers)
 
 
 def _server_list(servers) -> list[int]:
@@ -145,24 +130,85 @@ def _server_list(servers) -> list[int]:
     return [servers] if isinstance(servers, numbers.Integral) else list(servers)
 
 
-def _generator_encode(field: PrimeField, batch, params, servers, weights) -> list:
-    """Shares of the listed servers from one generator product.
-
-    ``weights`` holds one length-L row per listed server.  Generator row
-    (server i, group l) keeps row i's weights on group l's kc slots, so the
-    (servers * ell x L) generator times the batch stacked as (L x block)
-    yields every share at once.
-    """
-    ell, kc = params.ell, params.kc
-    gen = np.zeros((len(weights) * ell, ell * kc), dtype=np.int64)
-    for i, row in enumerate(weights):
-        for l in range(ell):
-            gen[i * ell + l, l * kc : (l + 1) * kc] = row[l * kc : (l + 1) * kc]
-    shape = np.shape(batch[0])
-    coded = field.matmul(gen, field.residues(batch).reshape(len(batch), -1))
-    shares = [[coded[i * ell + l].reshape(shape) for l in range(ell)]
-              for i in range(len(weights))]
+def _shares(coded: np.ndarray, servers) -> list:
+    """The share lists of ``_generator_encode``'s output, one per listed
+    server, or the one list when ``servers`` is a single index."""
+    count, ell = coded.shape[:2]
+    flat = list(coded.reshape((count * ell,) + coded.shape[2:]))
+    shares = [flat[i * ell : (i + 1) * ell] for i in range(count)]
     return shares[0] if isinstance(servers, numbers.Integral) else shares
+
+
+def _cauchy_weights(field: PrimeField, params, listed, side: str, order: int = 1,
+                    exps=(0,)) -> np.ndarray:
+    """Generator weights of the listed servers, shape (servers, ell, kc * len(exps)).
+
+    With d = f_{l,k} - alpha_s, entry (s, l, k * len(exps) + j) is
+    d^exps[j] times prod_{k' != k} d_{k'}^order on the A side (the cleared
+    denominators), or times 1/d^order on the B side, every inverse from one
+    ``batch_inv``.  CSA uses order 1 and the single exponent 0; GCSA puts its
+    inner partition code's exponents on every slot.
+    """
+    q = field.q
+    alphas = np.array([params.samples[s] for s in listed], dtype=np.int64)
+    poles = np.array(params.poles, dtype=np.int64).reshape(params.ell, params.kc)
+    d = (poles - alphas[:, None, None]) % q
+    powers = [np.ones_like(d), d]
+    while len(powers) <= max(order, *exps):
+        powers.append(powers[-1] * d % q)
+    if side == "a":  # row k of the last two axes holds every slot but k
+        others = np.where(np.eye(params.kc, dtype=bool), 1, powers[order][..., None, :])
+        pref = others[..., 0]
+        for k in range(1, params.kc):
+            pref = pref * others[..., k] % q
+    else:
+        pref = np.array(field.batch_inv(powers[order].ravel().tolist()),
+                        dtype=np.int64).reshape(d.shape)
+    weights = pref[..., None] * np.stack([powers[e] for e in exps], axis=-1) % q
+    return weights.reshape(len(alphas), params.ell, params.kc * len(exps))
+
+
+def _generator_encode(field: PrimeField, batch, weights: np.ndarray,
+                      grid=(1, 1)) -> np.ndarray:
+    """Shares from one generator product, as a (servers, ell, bh, bw) array.
+
+    Every batch entry is split into a ``grid`` of rows x cols equal blocks
+    (bh x bw), and the L entries form ell groups of kc.  ``weights`` has
+    shape (servers, ell, kc * blocks): generator row (s, l) carries
+    ``weights[s, l]`` on group l's columns (entry, block) and zeros
+    elsewhere, so the (servers * ell x L * blocks) generator times the
+    blocks stacked as (L * blocks x bh * bw) yields every share at once.
+    A 2-D ``weights`` (servers, blocks) is one row used for every entry
+    alone (kc = 1, ell = L); the blocks then stack as (blocks x L * bh * bw)
+    and the generator needs no zeros.  On the 1 x 1 grid an entry may have
+    any shape, which each share keeps.
+    """
+    try:
+        arr = np.asarray(batch)
+    except ValueError:  # entries of different shapes
+        raise ParameterError("batch entries must share one shape") from None
+    rows, cols = grid
+    if arr.dtype.kind not in "iu" or (arr.ndim != 3 and grid != (1, 1)):
+        raise ParameterError("batch entries must be integer matrices of one shape")
+    entries, entry_shape = arr.shape[0], arr.shape[1:]
+    h, w = entry_shape if arr.ndim == 3 else (1, int(np.prod(entry_shape)))
+    if h % rows or w % cols:
+        raise ParameterError(
+            f"matrices of shape {(h, w)} are not divisible into {rows}x{cols} blocks")
+    bh, bw = h // rows, w // cols
+    servers, width = weights.shape[0], weights.shape[-1]
+    kc = width // (rows * cols)
+    ell = entries // kc
+    blocks = field.residues(arr).reshape(ell, kc, rows, bh, cols, bw)
+    if weights.ndim == 2:
+        stacked = blocks.transpose(1, 2, 4, 0, 3, 5).reshape(width, -1)
+        coded = field.matmul(weights, stacked)
+    else:
+        gen = np.zeros((servers, ell, ell, width), dtype=np.int64)
+        gen[:, np.arange(ell), np.arange(ell)] = weights
+        stacked = blocks.transpose(0, 1, 2, 4, 3, 5).reshape(entries * rows * cols, -1)
+        coded = field.matmul(gen.reshape(servers * ell, ell * width), stacked)
+    return coded.reshape((servers, ell) + ((bh, bw) if grid != (1, 1) else entry_shape))
 
 
 def csa_answer(field: PrimeField, share_a, share_b, counter=None) -> np.ndarray:

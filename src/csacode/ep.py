@@ -5,14 +5,23 @@ p x n grid (B side).  The coded uploads are block-weighted powers of a single
 evaluation point; the answer polynomial has degree pmn + p - 2, so any
 R = pmn + p - 1 answers determine all its coefficients through a Vandermonde
 solve, and the mn desired block sums sit at known coefficient positions.
+
+Encoding is one generator product per side: the S x mp (or S x pn) table of
+alpha_s^e, one row per server and one column per block in row-major grid
+order, times the blocks of every batch entry stacked as (blocks x entries *
+block size), so every server's share of every entry comes out at once
+(``csa._generator_encode``).  Decoding stacks a whole batch of answers as
+right-hand-side columns of one Vandermonde solve.
 """
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
+from .csa import _generator_encode, _server_list, _shares
 from .errors import InsufficientAnswersError, ParameterError
 from .ffield import PrimeField
 from .structmat import CVSpec, cv_matrix, solve_batch
@@ -50,11 +59,6 @@ def split_blocks(mat: np.ndarray, rows: int, cols: int) -> list[list[np.ndarray]
     ]
 
 
-def assemble_blocks(grid: list[list[np.ndarray]]) -> np.ndarray:
-    # same array as np.block, whose generic depth checks took 6x as long here
-    return np.concatenate([np.concatenate(row, axis=1) for row in grid])
-
-
 def a_exponent(params: EPParams, mi: int, pi: int) -> int:
     """Power of the evaluation point carried by A block (mi, pi), 0-based."""
     return pi + params.p * mi
@@ -73,27 +77,42 @@ def desired_coeff_index(params: EPParams, mi: int, ni: int) -> int:
     return (params.p - 1) + params.p * mi + params.p * params.m * ni
 
 
-def ep_encode_a(field: PrimeField, a: np.ndarray, params: EPParams, alpha: int) -> np.ndarray:
-    """A polynomial sum_{mi,pi} A_{mi,pi} alpha^(pi + p*mi) at one point; GCSA
-    evaluates it at the shifted point f_{l,k} - alpha."""
-    grid = split_blocks(a, params.m, params.p)
-    acc = np.zeros_like(grid[0][0])
-    for mi in range(params.m):
-        for pi in range(params.p):
-            w = field.pow(alpha, a_exponent(params, mi, pi))
-            acc = (acc + w * grid[mi][pi]) % field.q
-    return acc
+def _a_exponents(params: EPParams) -> list[int]:
+    """Powers of the A blocks in row-major order of the m x p grid."""
+    return [a_exponent(params, mi, pi) for mi in range(params.m) for pi in range(params.p)]
 
 
-def ep_encode_b(field: PrimeField, b: np.ndarray, params: EPParams, alpha: int) -> np.ndarray:
-    """B polynomial sum_{pi,ni} B_{pi,ni} alpha^(p-1-pi + p*m*ni) at one point."""
-    grid = split_blocks(b, params.p, params.n)
-    acc = np.zeros_like(grid[0][0])
-    for pi in range(params.p):
-        for ni in range(params.n):
-            w = field.pow(alpha, b_exponent(params, pi, ni))
-            acc = (acc + w * grid[pi][ni]) % field.q
-    return acc
+def _b_exponents(params: EPParams) -> list[int]:
+    """Powers of the B blocks in row-major order of the p x n grid."""
+    return [b_exponent(params, pi, ni) for pi in range(params.p) for ni in range(params.n)]
+
+
+def ep_encode_a(field: PrimeField, a, params: EPParams, alpha):
+    """A polynomial sum_{mi,pi} A_{mi,pi} alpha^(pi + p*mi); GCSA's generator
+    evaluates the same polynomial at the shifted point f_{l,k} - alpha.
+
+    With one matrix and one point, returns that share.  With a batch of
+    matrices and a sequence of points, returns one list of shares (one per
+    batch entry) per point, all from one generator product.
+    """
+    return _encode(field, a, (params.m, params.p), _a_exponents(params), alpha)
+
+
+def ep_encode_b(field: PrimeField, b, params: EPParams, alpha):
+    """B polynomial sum_{pi,ni} B_{pi,ni} alpha^(p-1-pi + p*m*ni); one matrix
+    and one point, or a batch and a sequence of points, as ``ep_encode_a``."""
+    return _encode(field, b, (params.p, params.n), _b_exponents(params), alpha)
+
+
+def _encode(field: PrimeField, mats, grid, exps, alpha):
+    """The (points x blocks) generator of alpha^e times the blocks of every
+    entry; one matrix and one point give the one share."""
+    points = _server_list(alpha)
+    gen = np.array([[pow(x, e, field.q) for e in exps] for x in points],
+                   dtype=np.int64).reshape(len(points), len(exps))
+    if isinstance(alpha, numbers.Integral):
+        return _generator_encode(field, [mats], gen, grid)[0, 0]
+    return _shares(_generator_encode(field, mats, gen, grid), alpha)
 
 
 def ep_answer(field: PrimeField, coded_a: np.ndarray, coded_b: np.ndarray,
@@ -128,12 +147,14 @@ def answer_coefficients(field: PrimeField, a: np.ndarray, b: np.ndarray,
     return coeffs
 
 
-def ep_decode(field: PrimeField, answers, params: EPParams) -> np.ndarray:
+def ep_decode(field: PrimeField, answers, params: EPParams):
     """Recover the full product from R = pmn + p - 1 answers.
 
-    ``answers`` is an iterable of (alpha, Y) pairs; the coefficient matrices
-    are interpolated entry-wise with one Vandermonde solve, then the desired
-    block grid is reassembled.
+    ``answers`` is an iterable of (alpha, Y) pairs.  Y is one answer matrix,
+    which returns the one product, or a stack of them (one per batch entry),
+    which returns the list of products; either way the coefficient matrices
+    are interpolated entry-wise with one Vandermonde solve, then each
+    product's desired block grid is reassembled.
     """
     r = ep_threshold(params)
     answers = list(answers)
@@ -142,14 +163,19 @@ def ep_decode(field: PrimeField, answers, params: EPParams) -> np.ndarray:
     answers = answers[:r]
     # a Cauchy-Vandermonde matrix without poles is the plain Vandermonde
     vand = cv_matrix(field, CVSpec((), tuple(a % field.q for a, _ in answers)))
-    stacked = np.stack([y.reshape(-1) for _, y in answers])  # R x (block size)
-    coeffs = solve_batch(field, vand, stacked)
-    bh, bw = answers[0][1].shape
-    grid = [
-        [
-            coeffs[desired_coeff_index(params, mi, ni)].reshape(bh, bw)
-            for ni in range(params.n)
-        ]
-        for mi in range(params.m)
-    ]
-    return assemble_blocks(grid)
+    stacked = np.stack([y for _, y in answers])  # R x (entries x) block
+    coeffs = solve_batch(field, vand, stacked.reshape(r, -1)).reshape(stacked.shape)
+    if stacked.ndim == 3:
+        return _extract_products(params, coeffs[:, None])[0]
+    return _extract_products(params, coeffs)
+
+
+def _extract_products(params: EPParams, coeffs: np.ndarray) -> np.ndarray:
+    """Products from interpolated coefficients of shape (R', entries, bh, bw):
+    output block (mi, ni) of every entry is the coefficient at
+    ``desired_coeff_index``; returns (entries, m * bh, n * bw)."""
+    m, n = params.m, params.n
+    _, entries, bh, bw = coeffs.shape
+    idx = [desired_coeff_index(params, mi, ni) for mi in range(m) for ni in range(n)]
+    grid = coeffs[idx].reshape(m, n, entries, bh, bw)
+    return grid.transpose(2, 0, 3, 1, 4).reshape(entries, m * bh, n * bw)

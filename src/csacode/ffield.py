@@ -8,9 +8,10 @@ several fields can coexist in one process.
 ``PrimeField.matmul`` picks one of three exact paths by shape and q:
 
 - **int64**: numpy's integer ``@`` (no BLAS) for products of fewer than
-  ``FLOAT_MIN_MACS`` multiply-adds.  Exact while ``inner * (q-1)^2 < 2^62``;
-  longer inner dimensions accumulate in chunks (one term per chunk near
-  q = 2^31).
+  ``FLOAT_MIN_MACS`` multiply-adds that need at most ``INT64_MAX_CHUNKS``
+  chunks.  Exact while ``inner * (q-1)^2 < 2^62``; longer inner dimensions
+  accumulate in chunks, one numpy call each (one term per chunk near
+  q = 2^31, two near 2^30).
 - **float64**: OpenBLAS ``dgemm`` on the residues, cast to int64 and reduced
   mod q.  Exact while ``inner * (q-1)^2 < 2^53``: every partial sum is then
   an integer below 2^53, which float64 holds exactly in whatever order BLAS
@@ -28,11 +29,24 @@ thread, numpy 2.4, 2-core x86-64 VM): 2.3 vs 5.7 us at 8^3, 5.1 vs 6.5 us at
 16^3, 7.0 vs 7.3 us at 18^3, 8.0 vs 7.4 us at 20^3, 13.9 vs 10.1 us at
 24^3, 142 vs 23 us at 64^3 and 7.8 vs 0.79 ms at 192^3; hence
 ``FLOAT_MIN_MACS = 20**3``.
+
+Crossover for small products at large q, where int64 chunks, the same two
+kernels (best of 7 timeit repeats of 200 calls, same machine and
+libraries).  At q = 2147483629 (one term per chunk): 20 vs 22 us at 4^3 (4
+chunks), 24 vs 22 us for (3x5)@(5x2) (5), 30 vs 23 us at 6^3 (6), 40 vs
+24 us at 8^3 (8), 106 vs 27 us at 16^3 and 723 vs 90 us for (11x256)@(256,)
+(256).  At q = 1073741789 (two terms per chunk): 12.5 vs 13.7 us at 8^3 (4
+chunks), 15.6 vs 13.3 us for (2x12)@(12x2) (6) and 36 vs 16 us at 16^3 (8).
+A chunk costs about 5 us and the limb path about 22 us, so int64 wins up
+to 4 chunks and ties at 5; hence ``INT64_MAX_CHUNKS = 5``.  Below about
+q = 2^25 no product under ``FLOAT_MIN_MACS`` needs six chunks, so there the
+limit never applies.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -41,6 +55,9 @@ DEFAULT_MODULUS = 65537
 # Fewest multiply-adds for which a float64 BLAS product beats numpy's int64
 # matmul; the measurement behind it is in the module docstring.
 FLOAT_MIN_MACS = 20**3
+# Most int64 chunks a product below FLOAT_MIN_MACS may take before the float
+# path is faster; measured near q = 2^31 in the module docstring.
+INT64_MAX_CHUNKS = 5
 # float64 represents every integer below 2^53 exactly.
 _FLOAT_EXACT = 2**53
 _LIMB_BITS = 16
@@ -156,8 +173,9 @@ class PrimeField:
 
         ``a`` may carry leading batch axes and ``b`` may be a vector, as with
         numpy's ``@``; the result has shape ``a.shape[:-1] + b.shape[1:]``.
-        Products below ``FLOAT_MIN_MACS`` multiply-adds take the int64 path,
-        the rest the float64 path, split into 16-bit limbs where (q-1)^2
+        Products below ``FLOAT_MIN_MACS`` multiply-adds take the int64 path
+        unless it would need more than ``INT64_MAX_CHUNKS`` chunks; the rest
+        take the float64 path, split into 16-bit limbs where (q-1)^2
         alone exceeds what float64 sums exactly (see the module docstring
         for each path's exactness bound).  Every path returns the same
         residues whatever order BLAS sums in.
@@ -165,9 +183,9 @@ class PrimeField:
         if b.ndim > 2 or a.ndim < 1 or a.shape[-1] != b.shape[0]:
             raise ValueError(f"matmul shapes {a.shape} and {b.shape} do not conform")
         cols = b.shape[1] if b.ndim == 2 else 1
-        if a.size * cols < FLOAT_MIN_MACS:
-            return self._matmul_int64(a, b)
         inner = b.shape[0]
+        if a.size * cols < FLOAT_MIN_MACS and inner <= self._int64_max_inner:
+            return self._matmul_int64(a, b)
         out = self._matmul_float(a.reshape(-1, inner), b.reshape(inner, cols))
         return out.reshape(a.shape[:-1] + b.shape[1:])
 
@@ -176,14 +194,25 @@ class PrimeField:
         inner dimensions are accumulated in chunks (a single product always
         fits thanks to the q < 2^31 bound)."""
         inner = a.shape[-1]
-        bound = (self.q - 1) ** 2
-        if inner * bound < 2**62:
+        if inner * (self.q - 1) ** 2 < 2**62:
             return (a @ b) % self.q
-        step = max(1, 2**61 // bound)
+        step = self._int64_chunk
         acc = np.zeros(a.shape[:-1] + b.shape[1:], dtype=np.int64)
         for lo in range(0, inner, step):
             acc = (acc + a[..., lo : lo + step] @ b[lo : lo + step, ...]) % self.q
         return acc
+
+    @cached_property
+    def _int64_chunk(self) -> int:
+        """Inner terms per chunk when int64 must chunk: ``2^61 // (q-1)^2``,
+        at least one, so a running sum plus one chunk stays below 2^63."""
+        return max(1, 2**61 // (self.q - 1) ** 2)
+
+    @cached_property
+    def _int64_max_inner(self) -> int:
+        """Longest inner dimension the int64 path takes: one chunk while
+        ``inner * (q-1)^2 < 2^62``, else at most ``INT64_MAX_CHUNKS`` chunks."""
+        return max((2**62 - 1) // (self.q - 1) ** 2, INT64_MAX_CHUNKS * self._int64_chunk)
 
     def _matmul_float(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """float64 BLAS product of 2-D residue arrays, one ``dgemm`` per

@@ -1,12 +1,20 @@
 """Generalized cross-subspace alignment codes: block partitioning inside batch coding.
 
 Every constituent matrix pair is first encoded with the entangled-polynomial
-partition encoders of ``ep``, evaluated at the shifted point
-(f_{l,k} - alpha).  The group prefactor is raised to the power R' = pmn, so a
-server's answer expands into pole powers 1/(f - alpha)^R' .. 1/(f - alpha)
-carrying Toeplitz-mixed block coefficients, plus a shared Vandermonde tail.
-Points, batch checks and the server answer (``csa.csa_answer``) are the CSA
-ones.  Decoding solves the confluent Cauchy-Vandermonde system and
+partition code of ``ep``, evaluated at the shifted point (f_{l,k} - alpha).
+The group prefactor is raised to the power R' = pmn, so a server's answer
+expands into pole powers 1/(f - alpha)^R' .. 1/(f - alpha) carrying
+Toeplitz-mixed block coefficients, plus a shared Vandermonde tail.  Points,
+batch checks and the server answer (``csa.csa_answer``) are the CSA ones.
+
+Both nestings fold into one linear code, so each side encodes every listed
+server with one product of a group-block-diagonal (S * ell x L * blocks)
+generator and the blocks of all entries stacked as (L * blocks x block
+size).  Entry (s, l; k, block) is w_{l,k}(alpha_s) * (f_{l,k} - alpha_s)^e,
+e the block's EP exponent, w the cleared-denominator weight
+prod_{k' != k}(f_{l,k'} - alpha_s)^R' on the A side and
+1/(f_{l,k} - alpha_s)^R' on the B side (all inverses from one
+``batch_inv``).  Decoding solves the confluent Cauchy-Vandermonde system and
 reassembles products with the block extraction rule of the inner code.
 """
 
@@ -16,8 +24,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .csa import _check_batch, _take_answers, cauchy_points
-from .ep import EPParams, assemble_blocks, desired_coeff_index, ep_encode_a, ep_encode_b
+from .csa import (_cauchy_weights, _check_batch, _generator_encode, _server_list,
+                  _shares, _take_answers, cauchy_points)
+from .ep import EPParams, _a_exponents, _b_exponents, _extract_products
 from .errors import ParameterError
 from .ffield import PrimeField, poly_mul
 from .structmat import CVSpec, confluent_cv_matrix, lt_toeplitz, solve_batch
@@ -98,42 +107,27 @@ def psi_coeffs(field: PrimeField, params: GCSAParams, l: int, k: int) -> list[in
     return poly + [0] * (want - len(poly))
 
 
-def gcsa_encode_a(field: PrimeField, batch_a, params: GCSAParams, s: int) -> list[np.ndarray]:
-    """A-side share: per group, sum over slots of the inner polynomial times
-    the cleared-denominator weight prod_{k' != k}(f_{l,k'} - alpha)^R'."""
+def gcsa_encode_a(field: PrimeField, batch_a, params: GCSAParams, servers) -> list:
+    """A-side shares: per group, sum over slots of the inner polynomial at
+    f_{l,k} - alpha times the cleared-denominator weight
+    prod_{k' != k}(f_{l,k'} - alpha)^R'.  ``servers`` is one server index
+    (that server's ell shares) or a sequence (one list per server), as for
+    ``csa.csa_encode_a``."""
     _check_batch(batch_a, params)
-    alpha = params.samples[s]
-    rp = params.inner_order
-    shares = []
-    for l in range(params.ell):
-        acc = None
-        for k in range(params.kc):
-            w = 1
-            for k2 in range(params.kc):
-                if k2 != k:
-                    w = w * field.pow(field.sub(params.pole(l, k2), alpha), rp) % field.q
-            term = w * ep_encode_a(field, batch_a[l * params.kc + k], params.ep,
-                                   field.sub(params.pole(l, k), alpha)) % field.q
-            acc = term if acc is None else (acc + term) % field.q
-        shares.append(acc)
-    return shares
+    weights = _cauchy_weights(field, params, _server_list(servers), "a",
+                              params.inner_order, _a_exponents(params.ep))
+    return _shares(_generator_encode(field, batch_a, weights, (params.m, params.p)),
+                   servers)
 
 
-def gcsa_encode_b(field: PrimeField, batch_b, params: GCSAParams, s: int) -> list[np.ndarray]:
-    """B-side share: Cauchy-power combination of the inner B polynomials."""
+def gcsa_encode_b(field: PrimeField, batch_b, params: GCSAParams, servers) -> list:
+    """B-side shares: the inner B polynomials at f_{l,k} - alpha, weighted by
+    1/(f_{l,k} - alpha)^R'; one index or a sequence, as ``gcsa_encode_a``."""
     _check_batch(batch_b, params)
-    alpha = params.samples[s]
-    rp = params.inner_order
-    shares = []
-    for l in range(params.ell):
-        acc = None
-        for k in range(params.kc):
-            w = field.inv(field.pow(field.sub(params.pole(l, k), alpha), rp))
-            term = w * ep_encode_b(field, batch_b[l * params.kc + k], params.ep,
-                                   field.sub(params.pole(l, k), alpha)) % field.q
-            acc = term if acc is None else (acc + term) % field.q
-        shares.append(acc)
-    return shares
+    weights = _cauchy_weights(field, params, _server_list(servers), "b",
+                              params.inner_order, _b_exponents(params.ep))
+    return _shares(_generator_encode(field, batch_b, weights, (params.p, params.n)),
+                   servers)
 
 
 def gcsa_decode(field: PrimeField, answers, params: GCSAParams) -> list[np.ndarray]:
@@ -161,15 +155,6 @@ def gcsa_decode(field: PrimeField, answers, params: GCSAParams) -> list[np.ndarr
     stacked = np.stack([y.reshape(-1) for _, y in answers])
     sol = solve_batch(field, mat, stacked)
     bh, bw = answers[0][1].shape
-    out = []
-    for g in range(params.batch_size):
-        rows = sol[g * rp : (g + 1) * rp]
-        grid = [
-            [
-                rows[desired_coeff_index(params.ep, mi, ni)].reshape(bh, bw)
-                for ni in range(params.n)
-            ]
-            for mi in range(params.m)
-        ]
-        out.append(assemble_blocks(grid))
-    return out
+    coeffs = sol[: params.batch_size * rp].reshape(params.batch_size, rp, bh, bw)
+    coeffs = coeffs.transpose(1, 0, 2, 3)
+    return list(_extract_products(params.ep, coeffs))

@@ -169,34 +169,26 @@ def run_cdbmm(field: PrimeField, scheme: str, setup, batch_a, batch_b,
 
     uploaded_a = 0
     uploaded_b = 0
-    shares = []
-    if scheme == "ep":
-        for s in range(servers):
-            sa = [ep.ep_encode_a(field, a, setup.params, setup.samples[s])
-                  for a in batch_a]
-            sb = [ep.ep_encode_b(field, b, setup.params, setup.samples[s])
-                  for b in batch_b]
-            uploaded_a += sum(x.size for x in sa)
-            uploaded_b += sum(x.size for x in sb)
-            shares.append((sa, sb))
-    elif scheme == "csa-systematic":
-        sys_shares = csa.systematic_encode(field, batch_a, batch_b, setup)
-        for share in sys_shares:
+    if scheme == "csa-systematic":
+        shares = csa.systematic_encode(field, batch_a, batch_b, setup)
+        for share in shares:
             if share[0] == "raw":
                 uploaded_a += share[1].size
                 uploaded_b += share[2].size
             else:
                 uploaded_a += sum(x.size for x in share[1])
                 uploaded_b += sum(x.size for x in share[2])
-        shares = sys_shares
     else:
-        if scheme == "csa":
-            shares = list(zip(csa.csa_encode_a(field, batch_a, setup, range(servers)),
-                              csa.csa_encode_b(field, batch_b, setup, range(servers))))
+        if scheme == "ep":  # one call per side: every server and batch entry
+            shares_a = ep.ep_encode_a(field, batch_a, setup.params, setup.samples)
+            shares_b = ep.ep_encode_b(field, batch_b, setup.params, setup.samples)
+        elif scheme == "csa":
+            shares_a = csa.csa_encode_a(field, batch_a, setup, range(servers))
+            shares_b = csa.csa_encode_b(field, batch_b, setup, range(servers))
         else:
-            shares = [(gcsa.gcsa_encode_a(field, batch_a, setup, s),
-                       gcsa.gcsa_encode_b(field, batch_b, setup, s))
-                      for s in range(servers)]
+            shares_a = gcsa.gcsa_encode_a(field, batch_a, setup, range(servers))
+            shares_b = gcsa.gcsa_encode_b(field, batch_b, setup, range(servers))
+        shares = list(zip(shares_a, shares_b))
         for sa, sb in shares:
             uploaded_a += sum(x.size for x in sa)
             uploaded_b += sum(x.size for x in sb)
@@ -218,11 +210,9 @@ def run_cdbmm(field: PrimeField, scheme: str, setup, batch_a, batch_b,
 
     r = theory.threshold
     used = answers[:r]  # the decoders consume exactly the first R answers
-    if scheme == "ep":
-        products = []
-        for l in range(batch):
-            per_element = [(setup.samples[s], y[l]) for s, y in used]
-            products.append(ep.ep_decode(field, per_element, setup.params))
+    if scheme == "ep":  # the whole batch as right-hand sides of one solve
+        products = list(ep.ep_decode(field, [(setup.samples[s], y) for s, y in used],
+                                     setup.params))
     elif scheme == "csa":
         products = csa.csa_decode(field, answers, setup)
     elif scheme == "csa-systematic":

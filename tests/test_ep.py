@@ -3,10 +3,10 @@ import itertools
 import numpy as np
 import pytest
 
-from csacode import harness
-from csacode.ep import (EPParams, answer_coefficients, assemble_blocks,
-                        desired_coeff_index, ep_answer, ep_decode, ep_encode_a,
-                        ep_encode_b, ep_threshold, split_blocks)
+from csacode import harness, structmat
+from csacode.ep import (EPParams, answer_coefficients, desired_coeff_index,
+                        ep_answer, ep_decode, ep_encode_a, ep_encode_b,
+                        ep_threshold, split_blocks)
 from csacode.errors import InsufficientAnswersError, ParameterError
 from csacode.ffield import PrimeField
 
@@ -141,10 +141,10 @@ def test_interference_top_terms_structure():
     # zero out the last A column blocks and first B row blocks
     ga = split_blocks(a.copy(), 2, 3)
     gb = split_blocks(b.copy(), 3, 2)
-    a2 = assemble_blocks([[blk if pi < 2 else np.zeros_like(blk) for pi, blk in enumerate(row)]
-                          for row in ga])
-    b2 = assemble_blocks([[blk if pi > 0 else np.zeros_like(blk) for blk in row]
-                          for pi, row in enumerate(gb)])
+    a2 = np.block([[blk if pi < 2 else np.zeros_like(blk) for pi, blk in enumerate(row)]
+                   for row in ga])
+    b2 = np.block([[blk if pi > 0 else np.zeros_like(blk) for blk in row]
+                   for pi, row in enumerate(gb)])
     coeffs = answer_coefficients(FIELD, a2, b2, params)
     top = coeffs[params.p * params.m * params.n:]
     assert len(top) == params.p - 1
@@ -211,3 +211,77 @@ def test_cost_row():
     from fractions import Fraction
     assert report.theory.uploads == (Fraction(12, 4), Fraction(12, 4))
     assert report.theory.download == Fraction(9, 4)
+
+
+def poly_share(q, mat, rows, cols, exps, x):
+    """Python-int evaluation of sum_j x^exps[j] * block_j, the blocks of
+    ``mat`` on a rows x cols grid taken in row-major order."""
+    mat = [[int(v) for v in row] for row in mat]
+    bh, bw = len(mat) // rows, len(mat[0]) // cols
+    out = [[0] * bw for _ in range(bh)]
+    for j, e in enumerate(exps):
+        r, c = divmod(j, cols)
+        w = pow(x, e, q)
+        for i in range(bh):
+            for k in range(bw):
+                out[i][k] = (out[i][k] + w * mat[r * bh + i][c * bw + k]) % q
+    return out
+
+
+@pytest.mark.parametrize("q", [13, 65537, 2147483629])
+@pytest.mark.parametrize("p, m, n", [(1, 1, 1), (2, 3, 1), (2, 2, 2)])
+def test_all_point_encode_equals_per_point_and_polynomial(q, p, m, n):
+    field = PrimeField(q)
+    params = EPParams(p, m, n)
+    rng = np.random.default_rng(q % 1000 + 10 * p + m)
+    batch_a = [field.rand_matrix(rng, 2 * m, 3 * p) for _ in range(3)]
+    batch_b = [field.rand_matrix(rng, 3 * p, 2 * n) for _ in range(3)]
+    points = list(range(1, min(q, 12)))
+    # A block (mi, pi) carries pi + p*mi, B block (pi, ni) carries p-1-pi + p*m*ni
+    exps_a = [pi + p * mi for mi in range(m) for pi in range(p)]
+    exps_b = [p - 1 - pi + p * m * ni for pi in range(p) for ni in range(n)]
+    for encode, batch, grid, exps in ((ep_encode_a, batch_a, (m, p), exps_a),
+                                      (ep_encode_b, batch_b, (p, n), exps_b)):
+        shares = encode(field, batch, params, points)
+        assert len(shares) == len(points)
+        for x, per_point in zip(points, shares):
+            assert len(per_point) == len(batch)
+            for mat, share in zip(batch, per_point):
+                single = encode(field, mat, params, x)
+                assert share.dtype == single.dtype == np.int64
+                assert share.tobytes() == single.tobytes()
+                assert share.tolist() == poly_share(q, mat, *grid, exps, x)
+
+
+def test_all_point_encode_rejects_bad_batches():
+    params = EPParams(2, 3, 1)
+    good = [np.ones((3, 2), dtype=np.int64)] * 2
+    with pytest.raises(ParameterError):  # 4 rows do not split into m = 3
+        ep_encode_a(FIELD, [np.ones((4, 2), dtype=np.int64)] * 2, params, [1, 2])
+    with pytest.raises(ParameterError):
+        ep_encode_a(FIELD, [np.full((3, 2), 1.5)] * 2, params, [1, 2])
+    with pytest.raises(ParameterError):
+        ep_encode_b(FIELD, [np.ones((2, 2), dtype=np.int64), np.ones((4, 2), dtype=np.int64)],
+                    params, [1, 2])
+    with pytest.raises(ParameterError):  # one matrix needs one point
+        ep_encode_a(FIELD, good[0], params, [1, 2])
+    assert len(ep_encode_a(FIELD, good, params, [1, 2, 3])) == 3
+
+
+def test_decode_whole_batch_in_one_solve():
+    rng = np.random.default_rng(11)
+    params = EPParams(2, 2, 1)
+    setup = harness.ep_setup(FIELD, 2, 2, 1, 7)
+    batch_a = [FIELD.rand_matrix(rng, 4, 4) for _ in range(3)]
+    batch_b = [FIELD.rand_matrix(rng, 4, 2) for _ in range(3)]
+    shares = zip(ep_encode_a(FIELD, batch_a, params, setup.samples),
+                 ep_encode_b(FIELD, batch_b, params, setup.samples))
+    answers = [(x, np.stack([ep_answer(FIELD, a, b) for a, b in zip(sa, sb)]))
+               for x, (sa, sb) in zip(setup.samples, shares)]
+    before = structmat.solve_calls
+    got = ep_decode(FIELD, answers[1:], params)
+    assert structmat.solve_calls == before + 1
+    for l, (a, b) in enumerate(zip(batch_a, batch_b)):
+        assert np.array_equal(got[l], FIELD.matmul(a, b))
+        one = ep_decode(FIELD, [(x, y[l]) for x, y in answers[1:]], params)
+        assert one.tobytes() == got[l].tobytes()

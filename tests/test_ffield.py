@@ -185,6 +185,31 @@ def test_large_modulus_takes_int64_and_limb_paths(monkeypatch):
     assert y.max() < 2**16
 
 
+@pytest.mark.parametrize("q, rows, inner, cols, kernel", [
+    (Q31, 4, 4, 4, "_matmul_int64"),      # 4 int64 chunks of one term
+    (Q31, 3, 5, 2, "_matmul_int64"),      # 5 chunks: still int64
+    (Q31, 6, 6, 6, "_matmul_float"),      # 6 chunks: the limb path
+    (Q31, 11, 256, None, "_matmul_float"),
+    (1073741789, 8, 8, 8, "_matmul_int64"),    # two terms per chunk: 4 chunks
+    (1073741789, 2, 12, 2, "_matmul_float"),   # 6 chunks
+    (65537, 11, 256, None, "_matmul_int64"),   # one chunk holds it all
+])
+def test_small_products_route_by_int64_chunk_count(monkeypatch, q, rows, inner, cols, kernel):
+    field = PrimeField(q)
+    taken = []
+    for name in ("_matmul_int64", "_matmul_float"):
+        fn = getattr(PrimeField, name)
+        monkeypatch.setattr(PrimeField, name,
+                            lambda self, a, b, fn=fn, name=name:
+                            taken.append(name) or fn(self, a, b))
+    rng = np.random.default_rng(q % 97 + inner)
+    a = field.rand_matrix(rng, rows, inner)
+    b = field.rand_matrix(rng, inner, cols or 1)
+    b = b if cols else b[:, 0]
+    assert_matmul_exact(field, a, b)
+    assert taken == [kernel]
+
+
 def test_residues_reduces_only_out_of_range_inputs():
     field = PrimeField(13)
     x = np.array([[0, 12], [5, 7]], dtype=np.int64)

@@ -248,3 +248,80 @@ def test_cost_counters():
     assert report.theory.uploads == (Fraction(26, 8), Fraction(26, 8))
     assert report.theory.download == Fraction(r, 8)
     assert report.measured == report.theory
+
+
+def poly_shares(q, params, batch, side, alpha):
+    """Python-int evaluation of one server's ell shares: per group, the sum
+    over slots of the inner EP polynomial at z = f_{l,k} - alpha, weighted by
+    prod_{k' != k}(f_{l,k'} - alpha)^R' (A side) or z^-R' (B side)."""
+    p, m, n, rp = params.p, params.m, params.n, params.inner_order
+    if side == "a":
+        rows, cols = m, p
+        exps = [pi + p * mi for mi in range(m) for pi in range(p)]
+    else:
+        rows, cols = p, n
+        exps = [p - 1 - pi + p * m * ni for pi in range(p) for ni in range(n)]
+    out = []
+    for l in range(params.ell):
+        acc = None
+        for k in range(params.kc):
+            z = (params.pole(l, k) - alpha) % q
+            if side == "a":
+                w = 1
+                for k2 in range(params.kc):
+                    if k2 != k:
+                        w = w * pow(params.pole(l, k2) - alpha, rp, q) % q
+            else:
+                w = pow(pow(z, rp, q), -1, q)
+            mat = [[int(v) for v in row] for row in batch[l * params.kc + k]]
+            bh, bw = len(mat) // rows, len(mat[0]) // cols
+            if acc is None:
+                acc = [[0] * bw for _ in range(bh)]
+            for j, e in enumerate(exps):
+                r, c = divmod(j, cols)
+                coef = w * pow(z, e, q) % q
+                for i in range(bh):
+                    for t in range(bw):
+                        acc[i][t] = (acc[i][t] + coef * mat[r * bh + i][c * bw + t]) % q
+        out.append(acc)
+    return out
+
+
+@pytest.mark.parametrize("q", [13, 65537, 2147483629])
+@pytest.mark.parametrize("ell, kc, p, m, n", [
+    (1, 1, 2, 3, 1),  # kc = 1 with a non-square partition
+    (2, 1, 2, 1, 1),  # kc = 1, two groups
+    (2, 2, 1, 1, 1),  # p = m = n = 1: the CSA code
+    (1, 2, 1, 2, 1),
+])
+def test_all_server_encode_equals_per_server_and_polynomial(q, ell, kc, p, m, n):
+    field = PrimeField(q)
+    servers = gcsa_threshold(ell, kc, p, m, n) + 1
+    params = gcsa_params(field, ell, kc, p, m, n, servers)
+    rng = np.random.default_rng(q % 1000 + ell + 3 * kc + 5 * m)
+    batch_a = [field.rand_matrix(rng, 2 * m, 2 * p) for _ in range(ell * kc)]
+    batch_b = [field.rand_matrix(rng, 2 * p, 3 * n) for _ in range(ell * kc)]
+    for encode, batch, side in ((gcsa_encode_a, batch_a, "a"),
+                                (gcsa_encode_b, batch_b, "b")):
+        shares = encode(field, batch, params, range(servers))
+        assert len(shares) == servers
+        for s, per_server in enumerate(shares):
+            single = encode(field, batch, params, s)
+            assert len(per_server) == len(single) == ell
+            for x, y in zip(per_server, single):
+                assert x.dtype == y.dtype == np.int64
+                assert x.tobytes() == y.tobytes()
+            want = poly_shares(q, params, batch, side, params.samples[s])
+            assert [x.tolist() for x in per_server] == want
+
+
+def test_all_server_encode_rejects_bad_batches():
+    params = gcsa_params(FIELD, 1, 2, 2, 3, 1, 20)
+    with pytest.raises(ParameterError):  # 4 rows do not split into m = 3
+        gcsa_encode_a(FIELD, [np.ones((4, 2), dtype=np.int64)] * 2, params, range(20))
+    with pytest.raises(ParameterError):
+        gcsa_encode_a(FIELD, [np.full((3, 2), 1.5)] * 2, params, range(20))
+    with pytest.raises(ParameterError):  # 3 rows do not split into p = 2
+        gcsa_encode_b(FIELD, [np.ones((3, 2), dtype=np.int64)] * 2, params, [0, 1])
+    with pytest.raises(ParameterError):
+        gcsa_encode_b(FIELD, [np.ones((2, 2), dtype=bool)] * 2, params, [0, 1])

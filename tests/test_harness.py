@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from csacode import csa, gcsa, harness, ncsa
+from csacode import csa, ep, gcsa, harness, ncsa, structmat
 from csacode.errors import InsufficientAnswersError, ParameterError
 from csacode.ffield import PrimeField
 
@@ -353,3 +353,57 @@ def test_benchmark_gate_smoke(monkeypatch):
         workloads.self_test(rounds, inputs)
         outcomes = workloads.run_op(rounds, inputs, time.perf_counter)
         assert [o.problems for o in outcomes] == [[] for _ in outcomes], workload.name
+
+
+@pytest.mark.parametrize("q", [13, 65537, 2147483629])
+def test_ep_and_gcsa_rounds_match_direct_products(q):
+    field = PrimeField(q)
+    rng = np.random.default_rng(q % 1000)
+    ep_setup = harness.ep_setup(field, 2, 3, 1, 10)
+    gcsa_setup = gcsa.gcsa_params(field, 1, 2, 1, 2, 1, 8)
+    for scheme, setup, batch, (rows, inner, cols) in (
+            ("ep", ep_setup, 3, (6, 4, 2)), ("gcsa", gcsa_setup, 2, (4, 3, 2))):
+        for seed in range(3):
+            aa = [field.rand_matrix(rng, rows, inner) for _ in range(batch)]
+            bb = [field.rand_matrix(rng, inner, cols) for _ in range(batch)]
+            r = harness.theoretical_costs(scheme, setup).threshold
+            products, report = harness.run_cdbmm(
+                field, scheme, setup, aa, bb,
+                harness.StragglerModel(count=r + seed % 2, seed=seed))
+            truth = harness.direct_products(field, aa, bb)
+            assert all(np.array_equal(p, t) for p, t in zip(products, truth))
+            assert report.measured == report.theory
+
+
+def test_ep_round_decodes_with_one_solve():
+    rng = np.random.default_rng(12)
+    setup = harness.ep_setup(FIELD, 2, 2, 2, 12)
+    aa = [FIELD.rand_matrix(rng, 4, 4) for _ in range(4)]
+    bb = [FIELD.rand_matrix(rng, 4, 4) for _ in range(4)]
+    before = structmat.solve_calls
+    harness.run_cdbmm(FIELD, "ep", setup, aa, bb, harness.StragglerModel(count=10, seed=1))
+    assert structmat.solve_calls == before + 1
+
+
+def test_rounds_call_the_encoders_the_benchmark_times(monkeypatch):
+    # perfbench times ep.encode and gcsa.encode through these four public
+    # functions; a round that routed around them would read 0 ms there.
+    calls = dict.fromkeys(("ep_encode_a", "ep_encode_b", "gcsa_encode_a", "gcsa_encode_b"), 0)
+    for name in calls:
+        module = gcsa if name.startswith("gcsa") else ep
+        fn = getattr(module, name)
+
+        def counted(*args, fn=fn, name=name):
+            calls[name] += 1
+            return fn(*args)
+
+        monkeypatch.setattr(module, name, counted)
+    rng = np.random.default_rng(13)
+    aa = [FIELD.rand_matrix(rng, 4, 4) for _ in range(2)]
+    bb = [FIELD.rand_matrix(rng, 4, 4) for _ in range(2)]
+    harness.run_cdbmm(FIELD, "ep", harness.ep_setup(FIELD, 2, 2, 2, 10), aa, bb,
+                      harness.StragglerModel(count=9, seed=0))
+    assert calls == {"ep_encode_a": 1, "ep_encode_b": 1, "gcsa_encode_a": 0, "gcsa_encode_b": 0}
+    harness.run_cdbmm(FIELD, "gcsa", gcsa.gcsa_params(FIELD, 1, 2, 2, 2, 2, 26), aa, bb,
+                      harness.StragglerModel(count=25, seed=0))
+    assert calls == {"ep_encode_a": 1, "ep_encode_b": 1, "gcsa_encode_a": 1, "gcsa_encode_b": 1}
