@@ -1,8 +1,9 @@
 """Coded distributed batch computation over prime fields.
 
 Code families: entangled polynomial (partitioning), cross-subspace alignment
-(batch), their generalized combination, the Lagrange baseline, and N-linear /
-polynomial-evaluation variants with X-secure shares and Byzantine tolerance.
+(batch), their generalized combination, and N-linear / polynomial-evaluation
+variants with X-secure shares and Byzantine tolerance, of which Lagrange
+coded computing is the case ell = 1, kc = L.
 """
 
 from .ffield import PrimeField, DEFAULT_MODULUS

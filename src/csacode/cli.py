@@ -3,7 +3,8 @@ emit plot-ready CSVs, and drive the invariant suites.
 
 Exit codes: 0 success, 2 configuration/usage error, 3 decode failure,
 4 I/O error (unreadable config, malformed matrix file, unwritable output),
-1 failed verification suite.
+1 failed verification suite (2 when no suite failed but one could not run
+at this field modulus).
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ import itertools
 import json
 import struct
 import sys
+from contextlib import nullcontext
 from fractions import Fraction
 
 import numpy as np
@@ -41,6 +43,14 @@ def _digest(products) -> str:
         h.update(struct.pack("<2Q", *m.shape))
         h.update(m.astype("<u8").tobytes(order="C"))
     return h.hexdigest()
+
+
+def _write_csv(path, header: list, rows) -> None:
+    """A header and rows as CSV, to the file ``path`` or, if None, stdout."""
+    with open(path, "w", newline="") if path else nullcontext(sys.stdout) as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
 def _summary_json(s: harness.CostSummary) -> dict:
@@ -82,6 +92,30 @@ def _build_map(spec: dict) -> ncsa.NLinearMap:
     if kind == "determinant":
         return ncsa.determinant_map(int(spec["size"]))
     raise ParameterError(f"unknown map type {kind!r}")
+
+
+def _build_setup(field: PrimeField, scheme: str, servers: int, p, arity: int = 2,
+                noise_seed: int = 0):
+    """The validated setup of ``scheme`` from its parameters ``p`` (a run
+    config's ``params``, or the ``costs`` options): ell, kc, p, m, n, X, B.
+    ``arity`` is the map arity N of ncsa and lcc; lcc is N-CSA with ell = 1
+    and kc = L, the paper's Lagrange special case."""
+    if scheme == "ep":
+        return harness.ep_setup(field, int(p["p"]), int(p["m"]), int(p["n"]), servers)
+    if scheme == "gcsa":
+        return gcsa.gcsa_params(field, int(p["ell"]), int(p["kc"]), int(p["p"]),
+                                int(p["m"]), int(p["n"]), servers)
+    if scheme in ("csa", "csa-systematic"):
+        return csa.csa_params(field, int(p["ell"]), int(p["kc"]), servers,
+                              systematic=(scheme == "csa-systematic"))
+    if scheme in ("ncsa", "lcc"):
+        ell = int(p.get("ell", 1))
+        if scheme == "lcc" and ell != 1:
+            raise ParameterError(f"lcc runs N-CSA with ell = 1 and kc = L, got ell = {ell}")
+        return ncsa.ncsa_params(field, arity, ell, int(p["kc"]), servers,
+                                x_secure=int(p.get("X", 0)), byzantine=int(p.get("B", 0)),
+                                noise_seed=noise_seed)
+    raise ParameterError(f"unknown scheme {scheme!r}")
 
 
 def cmd_run(args) -> int:
@@ -135,15 +169,7 @@ def _run_config(cfg: dict, args) -> dict:
         else:
             batch_a = [field.rand_matrix(rng, lam, kap) for _ in range(batch)]
             batch_b = [field.rand_matrix(rng, kap, mu) for _ in range(batch)]
-        if scheme == "ep":
-            setup = harness.ep_setup(field, int(p["p"]), int(p["m"]), int(p["n"]),
-                                     servers)
-        elif scheme == "gcsa":
-            setup = gcsa.gcsa_params(field, int(p["ell"]), int(p["kc"]),
-                                     int(p["p"]), int(p["m"]), int(p["n"]), servers)
-        else:
-            setup = csa.csa_params(field, int(p["ell"]), int(p["kc"]), servers,
-                                   systematic=(scheme == "csa-systematic"))
+        setup = _build_setup(field, scheme, servers, p)
         if len(batch_a) != cfg.get("batch", len(batch_a)):
             raise ParameterError("batch size does not match the loaded matrices")
         if cfg.get("byzantine"):
@@ -153,20 +179,11 @@ def _run_config(cfg: dict, args) -> dict:
         digest = _digest(products)
     elif scheme in ("ncsa", "lcc"):
         omega = _build_map(cfg["map"])
-        ell = int(p.get("ell", 1))
-        if scheme == "lcc" and ell != 1:
-            raise ParameterError(f"lcc runs N-CSA with ell = 1 and kc = L, got ell = {ell}")
-        params = ncsa.ncsa_params(
-            field, omega.arity, ell, int(p["kc"]), servers,
-            x_secure=int(p.get("X", 0)), byzantine=int(p.get("B", 0)),
-            noise_seed=int(seeds.get("noise", 0)),
-        )
-        batch = params.batch_size
-        batches = []
-        for shape in omega.var_shapes:
-            flat = [field.rand_matrix(rng, *(shape if len(shape) == 2 else (shape[0], 1)))
-                    .reshape(shape) for _ in range(batch)]
-            batches.append(flat)
+        params = _build_setup(field, scheme, servers, p, omega.arity,
+                             noise_seed=int(seeds.get("noise", 0)))
+        batches = [[field.rand_matrix(rng, *(shape if len(shape) == 2 else (shape[0], 1)))
+                    .reshape(shape) for _ in range(params.batch_size)]
+                   for shape in omega.var_shapes]
         byz = None
         if cfg.get("byzantine"):
             byz = harness.ByzantineModel.seeded(
@@ -199,25 +216,9 @@ def _run_config(cfg: dict, args) -> dict:
 
 def cmd_costs(args) -> int:
     field = PrimeField(args.field_modulus)
-    try:
-        if args.scheme == "ep":
-            setup = harness.ep_setup(field, args.p, args.m, args.n, args.servers)
-            summary = harness.theoretical_costs("ep", setup)
-        elif args.scheme == "gcsa":
-            setup = gcsa.gcsa_params(field, args.ell, args.kc, args.p, args.m,
-                                     args.n, args.servers)
-            summary = harness.theoretical_costs("gcsa", setup)
-        elif args.scheme in ("csa", "csa-systematic"):
-            setup = csa.csa_params(field, args.ell, args.kc, args.servers,
-                                   systematic=(args.scheme == "csa-systematic"))
-            summary = harness.theoretical_costs(args.scheme, setup)
-        elif args.scheme in ("ncsa", "lcc"):
-            ell = 1 if args.scheme == "lcc" else args.ell
-            params = ncsa.ncsa_params(field, args.N, ell, args.kc, args.servers,
-                                      x_secure=args.X, byzantine=args.B)
-            summary = harness.theoretical_costs("ncsa", params)
-        else:
-            raise ParameterError(f"unknown scheme {args.scheme!r}")
+    try:  # every option is an attribute, so vars(args) reads as run's params
+        summary = harness.theoretical_costs(args.scheme, _build_setup(
+            field, args.scheme, args.servers, vars(args), args.N))
     except ParameterError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
@@ -226,11 +227,8 @@ def cmd_costs(args) -> int:
     row = f"{args.scheme} R={summary.threshold} U={uploads} D={d.numerator}/{d.denominator}"
     print(row)
     if args.output:
-        with open(args.output, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["scheme", "R", "uploads", "D_num", "D_den"])
-            writer.writerow([args.scheme, summary.threshold, uploads,
-                             d.numerator, d.denominator])
+        _write_csv(args.output, ["scheme", "R", "uploads", "D_num", "D_den"],
+                   [[args.scheme, summary.threshold, uploads, d.numerator, d.denominator]])
     return EXIT_OK
 
 
@@ -260,16 +258,7 @@ def cmd_hull(args) -> int:
     except ParameterError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    target = args.output
-    if target:
-        with open(target, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(_HULL_FIELDS)
-            writer.writerows(rows)
-    else:
-        writer = csv.writer(sys.stdout)
-        writer.writerow(_HULL_FIELDS)
-        writer.writerows(rows)
+    _write_csv(args.output, _HULL_FIELDS, rows)
     return EXIT_OK
 
 
@@ -299,17 +288,7 @@ def cmd_latency(args) -> int:
     except ParameterError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    if args.output:
-        fh = open(args.output, "w", newline="")
-    else:
-        fh = sys.stdout
-    try:
-        writer = csv.writer(fh)
-        writer.writerow(_LATENCY_FIELDS)
-        writer.writerows(rows)
-    finally:
-        if args.output:
-            fh.close()
+    _write_csv(args.output, _LATENCY_FIELDS, rows)
     return EXIT_OK
 
 
@@ -488,12 +467,17 @@ def cmd_verify(args) -> int:
               file=sys.stderr)
         return EXIT_CONFIG
     field = PrimeField(args.field_modulus)
-    ok = True
+    failed = errored = False
     for name in names:
-        passed = SUITES[name](field)
+        try:  # a suite whose parameters this field cannot hold
+            passed = SUITES[name](field)
+        except ParameterError as exc:
+            print(f"ERROR {name}: {exc}")
+            errored = True
+            continue
         print(f"{'PASS' if passed else 'FAIL'} {name}")
-        ok = ok and passed
-    return EXIT_OK if ok else EXIT_FAIL
+        failed = failed or not passed
+    return EXIT_FAIL if failed else EXIT_CONFIG if errored else EXIT_OK
 
 
 # ---- entry point ----

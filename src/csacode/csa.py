@@ -246,29 +246,27 @@ def csa_decode(field: PrimeField, answers, params: CSAParams) -> list[np.ndarray
 
 
 def systematic_encode(field: PrimeField, batch_a, batch_b, params: CSAParams) -> list:
-    """Shares for all S servers: the first L get the raw matrix pair,
-    the rest get ordinary coded shares."""
+    """Shares for all S servers: ("raw", (A_s, B_s)) for the first L, then
+    ("coded", (A-side shares, B-side shares)), the N-CSA layout with N = 2."""
     _check_batch(batch_a, params)
     _check_batch(batch_b, params)
     if params.servers < params.batch_size:
         raise ParameterError("systematic layout needs S >= L")
     batch = params.batch_size
     coded = range(batch, params.servers)
-    return ([("raw", batch_a[s], batch_b[s]) for s in range(batch)]
-            + [("coded", sa, sb) for sa, sb in zip(
+    return ([("raw", (batch_a[s], batch_b[s])) for s in range(batch)]
+            + [("coded", pair) for pair in zip(
                 csa_encode_a(field, batch_a, params, coded),
                 csa_encode_b(field, batch_b, params, coded))])
 
 
 def systematic_answer(field: PrimeField, share, counter=None) -> np.ndarray:
-    kind = share[0]
-    if kind == "raw":
-        _, a, b = share
-        if counter is not None:
-            counter.mults += a.shape[0] * a.shape[1] * b.shape[1]
-        return field.matmul(a, b)
-    _, sa, sb = share
-    return csa_answer(field, sa, sb, counter)
+    kind, (a, b) = share
+    if kind == "coded":
+        return csa_answer(field, a, b, counter)
+    if counter is not None:
+        counter.mults += a.shape[0] * a.shape[1] * b.shape[1]
+    return field.matmul(a, b)
 
 
 def systematic_decode(field: PrimeField, answers, params) -> list[np.ndarray]:

@@ -43,22 +43,6 @@ def ep_threshold(params: EPParams) -> int:
     return params.p * params.m * params.n + params.p - 1
 
 
-def split_blocks(mat: np.ndarray, rows: int, cols: int) -> list[list[np.ndarray]]:
-    """Partition a matrix into a rows x cols grid of equal blocks."""
-    if not np.issubdtype(mat.dtype, np.integer):
-        raise ParameterError("matrices must hold integer residues")
-    h, w = mat.shape
-    if h % rows or w % cols:
-        raise ParameterError(
-            f"matrix of shape {mat.shape} is not divisible into {rows}x{cols} blocks"
-        )
-    bh, bw = h // rows, w // cols
-    return [
-        [mat[i * bh : (i + 1) * bh, j * bw : (j + 1) * bw] for j in range(cols)]
-        for i in range(rows)
-    ]
-
-
 def a_exponent(params: EPParams, mi: int, pi: int) -> int:
     """Power of the evaluation point carried by A block (mi, pi), 0-based."""
     return pi + params.p * mi
@@ -122,29 +106,6 @@ def ep_answer(field: PrimeField, coded_a: np.ndarray, coded_b: np.ndarray,
     if counter is not None:
         counter.mults += coded_a.shape[0] * coded_a.shape[1] * coded_b.shape[1]
     return field.matmul(coded_a, coded_b)
-
-
-def answer_coefficients(field: PrimeField, a: np.ndarray, b: np.ndarray,
-                        params: EPParams) -> list[np.ndarray]:
-    """Term-by-term expansion of the answer polynomial (oracle-grade path).
-
-    Returns the R coefficient matrices so ep_answer equals their power sum.
-    """
-    grid_a = split_blocks(a, params.m, params.p)
-    grid_b = split_blocks(b, params.p, params.n)
-    r = ep_threshold(params)
-    coeffs = [
-        np.zeros((a.shape[0] // params.m, b.shape[1] // params.n), dtype=np.int64)
-        for _ in range(r)
-    ]
-    for mi in range(params.m):
-        for pi in range(params.p):
-            for pj in range(params.p):
-                for ni in range(params.n):
-                    e = a_exponent(params, mi, pi) + b_exponent(params, pj, ni)
-                    prod = field.matmul(grid_a[mi][pi], grid_b[pj][ni])
-                    coeffs[e] = (coeffs[e] + prod) % field.q
-    return coeffs
 
 
 def ep_decode(field: PrimeField, answers, params: EPParams):

@@ -108,17 +108,11 @@ class PrimeField:
         if self.q >= 2**31:
             raise ValueError("modulus must be below 2**31")
 
-    def element(self, x: int) -> int:
-        return x % self.q
-
     def add(self, a: int, b: int) -> int:
         return (a + b) % self.q
 
     def sub(self, a: int, b: int) -> int:
         return (a - b) % self.q
-
-    def neg(self, a: int) -> int:
-        return (-a) % self.q
 
     def mul(self, a: int, b: int) -> int:
         return a * b % self.q
@@ -130,9 +124,6 @@ class PrimeField:
         if a == 0:
             raise ZeroDivisionError("inverse of zero in GF(q)")
         return pow(a, -1, self.q)
-
-    def div(self, a: int, b: int) -> int:
-        return a * self.inv(b) % self.q
 
     def pow(self, a: int, e: int) -> int:
         return pow(a, e, self.q)
@@ -164,9 +155,6 @@ class PrimeField:
         if x.size and x.view(np.uint64).max() >= self.q:
             x = x % self.q
         return x
-
-    def zeros(self, *shape) -> np.ndarray:
-        return np.zeros(shape, dtype=np.int64)
 
     def matmul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """Exact matrix product mod q of residue arrays.
@@ -255,9 +243,6 @@ class PrimeField:
         y = np.concatenate([b & (2**_LIMB_BITS - 1), b >> _LIMB_BITS]).astype(np.float64)
         return x, y, split
 
-    def scale(self, c: int, a: np.ndarray) -> np.ndarray:
-        return (c % self.q) * a % self.q
-
     def rand_matrix(self, rng: np.random.Generator, rows: int, cols: int) -> np.ndarray:
         return rng.integers(0, self.q, size=(rows, cols), dtype=np.int64)
 
@@ -303,15 +288,6 @@ def poly_mul(field: PrimeField, a, b) -> list[int]:
     return poly_trim(out)
 
 
-def poly_add(field: PrimeField, a, b) -> list[int]:
-    out = [0] * max(len(a), len(b))
-    for i, c in enumerate(a):
-        out[i] = c
-    for i, c in enumerate(b):
-        out[i] = (out[i] + c) % field.q
-    return poly_trim(out)
-
-
 def poly_divmod(field: PrimeField, num, den) -> tuple[list[int], list[int]]:
     """Long division over GF(q): returns (quotient, remainder)."""
     num = poly_trim(num)
@@ -330,28 +306,3 @@ def poly_divmod(field: PrimeField, num, den) -> tuple[list[int], list[int]]:
             for j, d in enumerate(den):
                 num[i + j] = (num[i + j] - c * d) % field.q
     return poly_trim(quot), poly_trim(num)
-
-
-def lagrange_interpolate(field: PrimeField, points) -> list[int]:
-    """Unique polynomial of degree < len(points) through the given (x, y) pairs.
-
-    Raises ValueError on duplicate x-values.
-    """
-    points = list(points)
-    xs = [x % field.q for x, _ in points]
-    if len(set(xs)) != len(xs):
-        raise ValueError("duplicate x-values in interpolation input")
-    # Z(t) = prod (t - x_j), then peel off one root per basis polynomial.
-    z = [1]
-    for x in xs:
-        z = poly_mul(field, z, [(-x) % field.q, 1])
-    out = []
-    for (x, y) in points:
-        x %= field.q
-        basis, rem = poly_divmod(field, z, [(-x) % field.q, 1])
-        if rem:
-            raise AssertionError("root division left a remainder")
-        denom = poly_eval(field, basis, x)
-        c = (y % field.q) * field.inv(denom) % field.q
-        out = poly_add(field, out, [c * b % field.q for b in basis])
-    return out

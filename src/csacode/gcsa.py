@@ -64,12 +64,6 @@ def gcsa_threshold(ell: int, kc: int, p: int, m: int, n: int) -> int:
     return p * m * n * ((ell + 1) * kc - 1) + p - 1
 
 
-def naive_combo_threshold(ell: int, kc: int, servers_inner: int) -> int:
-    """Threshold of batch-coding all inner sub-products as one large batch:
-    an (ell, kc * S') batch code over the S' * L partitioned tasks."""
-    return ell * kc * servers_inner + kc * servers_inner - 1
-
-
 def grid_naive_threshold(s_outer: int, r_outer: int, s_inner: int, r_inner: int) -> int:
     """Worst-case threshold of the column-wise two-layer composition.
 

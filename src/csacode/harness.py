@@ -119,10 +119,6 @@ def theoretical_costs(scheme: str, setup) -> CostSummary:
         return CostSummary(r, (Fraction(setup.servers, p * m),
                                Fraction(setup.servers, p * n)),
                            Fraction(r, m * n))
-    if scheme in ("csa", "csa-systematic"):
-        r = csa.csa_threshold(setup.ell, setup.kc)
-        u = Fraction(setup.servers, setup.kc)
-        return CostSummary(r, (u, u), Fraction(r, setup.batch_size))
     if scheme == "gcsa":
         r = gcsa.gcsa_threshold(setup.ell, setup.kc, setup.p, setup.m, setup.n)
         return CostSummary(
@@ -131,11 +127,10 @@ def theoretical_costs(scheme: str, setup) -> CostSummary:
              Fraction(setup.servers, setup.kc * setup.p * setup.n)),
             Fraction(r, setup.m * setup.n * setup.batch_size),
         )
-    if scheme in ("ncsa", "lcc"):
+    if scheme in ("csa", "csa-systematic", "ncsa", "lcc"):  # CSA is N-CSA with N = 2
         r = setup.threshold
         u = Fraction(setup.servers, setup.kc)
-        return CostSummary(r, tuple(u for _ in range(setup.arity)),
-                           Fraction(r, setup.batch_size))
+        return CostSummary(r, (u,) * setup.arity, Fraction(r, setup.batch_size))
     raise ParameterError(f"unknown scheme {scheme!r}")
 
 
@@ -154,89 +149,50 @@ def run_cdbmm(field: PrimeField, scheme: str, setup, batch_a, batch_b,
     batch_b = _residue_batch(field, batch_b, matrices=True)
     if len(batch_a) != len(batch_b):
         raise ParameterError("A and B batches must have equal length")
-    lam, kap = batch_a[0].shape
-    kap2, mu = batch_b[0].shape
-    if kap != kap2:
+    if batch_a[0].shape[1] != batch_b[0].shape[0]:
         raise ParameterError("inner dimensions of A and B do not match")
-    batch = len(batch_a)
-    servers = setup.servers
-    theory = theoretical_costs(scheme, setup)
-    responsive = straggler.pick(servers)
-    if len(responsive) < theory.threshold:
-        raise InsufficientAnswersError(
-            f"{len(responsive)} responsive servers, threshold is {theory.threshold}"
-        )
+    servers = range(setup.servers)
 
-    uploaded_a = 0
-    uploaded_b = 0
-    if scheme == "csa-systematic":
-        shares = csa.systematic_encode(field, batch_a, batch_b, setup)
-        for share in shares:
-            if share[0] == "raw":
-                uploaded_a += share[1].size
-                uploaded_b += share[2].size
-            else:
-                uploaded_a += sum(x.size for x in share[1])
-                uploaded_b += sum(x.size for x in share[2])
-    else:
-        if scheme == "ep":  # one call per side: every server and batch entry
-            shares_a = ep.ep_encode_a(field, batch_a, setup.params, setup.samples)
-            shares_b = ep.ep_encode_b(field, batch_b, setup.params, setup.samples)
-        elif scheme == "csa":
-            shares_a = csa.csa_encode_a(field, batch_a, setup, range(servers))
-            shares_b = csa.csa_encode_b(field, batch_b, setup, range(servers))
-        else:
-            shares_a = gcsa.gcsa_encode_a(field, batch_a, setup, range(servers))
-            shares_b = gcsa.gcsa_encode_b(field, batch_b, setup, range(servers))
-        shares = list(zip(shares_a, shares_b))
-        for sa, sb in shares:
-            uploaded_a += sum(x.size for x in sa)
-            uploaded_b += sum(x.size for x in sb)
+    def answer(s, share, counter):  # csa and gcsa: the server work is the CSA answer
+        return csa.csa_answer(field, *share, counter)
 
-    answers = []
-    server_mults = 0
-    for s in responsive:
-        counter = OpCounter()
-        if scheme == "ep":
-            sa, sb = shares[s]
-            y = np.stack([ep.ep_answer(field, a, b, counter)
-                          for a, b in zip(sa, sb)])
-        elif scheme == "csa-systematic":
-            y = csa.systematic_answer(field, shares[s], counter)
-        else:  # csa, and gcsa, whose server work is the CSA answer
-            y = csa.csa_answer(field, shares[s][0], shares[s][1], counter)
-        server_mults = max(server_mults, counter.mults)
-        answers.append((s, y))
+    if scheme == "ep":  # one call per side: every server and batch entry
+        def encode(responsive):
+            return list(zip(ep.ep_encode_a(field, batch_a, setup.params, setup.samples),
+                            ep.ep_encode_b(field, batch_b, setup.params, setup.samples)))
 
-    r = theory.threshold
-    used = answers[:r]  # the decoders consume exactly the first R answers
-    if scheme == "ep":  # the whole batch as right-hand sides of one solve
-        products = list(ep.ep_decode(field, [(setup.samples[s], y) for s, y in used],
-                                     setup.params))
+        def answer(s, share, counter):
+            return np.stack([ep.ep_answer(field, a, b, counter) for a, b in zip(*share)])
+
+        def decode(answers):  # the whole batch as right-hand sides of one solve
+            return list(ep.ep_decode(field, [(setup.samples[s], y) for s, y in answers],
+                                     setup.params)), ()
     elif scheme == "csa":
-        products = csa.csa_decode(field, answers, setup)
-    elif scheme == "csa-systematic":
-        products = csa.systematic_decode(field, answers, setup)
-    else:
-        products = gcsa.gcsa_decode(field, answers, setup)
+        def encode(responsive):
+            return list(zip(csa.csa_encode_a(field, batch_a, setup, servers),
+                            csa.csa_encode_b(field, batch_b, setup, servers)))
 
-    downloaded = sum(y.size for _, y in used)
-    measured = CostSummary(
-        threshold=r,
-        uploads=(Fraction(uploaded_a, batch * lam * kap),
-                 Fraction(uploaded_b, batch * kap * mu)),
-        download=Fraction(downloaded, batch * lam * mu),
-    )
-    report = CostReport(
-        scheme=scheme,
-        theory=theory,
-        measured=measured,
-        uploaded_elements=(uploaded_a, uploaded_b),
-        downloaded_elements=downloaded,
-        server_mults=server_mults,
-        normalized_server_mults=Fraction(server_mults, batch),
-    )
-    return products, report
+        def decode(answers):
+            return csa.csa_decode(field, answers, setup), ()
+    elif scheme == "csa-systematic":
+        def encode(responsive):
+            return csa.systematic_encode(field, batch_a, batch_b, setup)
+
+        def answer(s, share, counter):
+            return csa.systematic_answer(field, share, counter)
+
+        def decode(answers):
+            return csa.systematic_decode(field, answers, setup), ()
+    else:
+        def encode(responsive):
+            return list(zip(gcsa.gcsa_encode_a(field, batch_a, setup, servers),
+                            gcsa.gcsa_encode_b(field, batch_b, setup, servers)))
+
+        def decode(answers):
+            return gcsa.gcsa_decode(field, answers, setup), ()
+
+    return _round(scheme, setup, [batch_a, batch_b], straggler, None,
+                  encode, answer, decode)
 
 
 def run_nlinear(field: PrimeField, params: ncsa.NCSAParams, job, batches,
@@ -269,99 +225,93 @@ def run_nlinear(field: PrimeField, params: ncsa.NCSAParams, job, batches,
             raise ParameterError(
                 f"variable {v} has entries of shape {batches[v][0].shape}, "
                 f"the map expects {tuple(shape)}")
-    servers = params.servers
-    responsive = straggler.pick(servers)
-    theory = theoretical_costs("ncsa", params)
-    r = theory.threshold
-    if len(responsive) < r:
-        raise InsufficientAnswersError(
-            f"{len(responsive)} responsive servers, threshold is {r}"
-        )
-    if byzantine is not None:
-        bad = set(byzantine.corrupted)
-        if not bad <= set(responsive):
-            raise ParameterError("corrupted servers must be responsive")
-        # An over-budget adversary is not rejected here; the decoder's error
-        # correction detects it and raises a decoding failure.
-    else:
-        bad = set()
+    const_shares = {}  # a spec's constant-one shares, by responsive server
 
-    uploaded = [0] * len(batches)
-    per_server_shares = []
     if systematic:
-        sys_shares = ncsa.ncsa_systematic_encode(field, batches, params)
-        for share in sys_shares:
-            payload = share[1]
-            for v, item in enumerate(payload):
-                if share[0] == "raw":
-                    uploaded[v] += item.size
-                else:
-                    uploaded[v] += sum(x.size for x in item)
-        per_server_shares = sys_shares
+        def encode(responsive):
+            return ncsa.ncsa_systematic_encode(field, batches, params)
+
+        def answer(s, share, counter):
+            return ncsa.ncsa_systematic_answer(field, share, job, params, s)
+
+        def decode(answers):  # the layout excludes X and B
+            return csa.systematic_decode(field, answers, params), ()
     else:
-        by_var = [ncsa.xs_encode(field, batch, params, v, range(servers))
-                  for v, batch in enumerate(batches)]
-        for v, shares in enumerate(by_var):
-            uploaded[v] = sum(x.size for sh in shares for x in sh)
-        per_server_shares = [list(row) for row in zip(*by_var)]
+        def encode(responsive):
+            by_var = [ncsa.xs_encode(field, batch, params, v, range(params.servers))
+                      for v, batch in enumerate(batches)]
+            if is_spec and any(slot is None for t in job.terms for slot in t.slots):
+                ones = [np.ones(_const_shape(job), dtype=np.int64)] * params.batch_size
+                const_shares.update(zip(responsive, ncsa.xs_encode(
+                    field, ones, params, len(batches), responsive)))
+            return [list(row) for row in zip(*by_var)]
 
-    const_shares = {}
-    if is_spec and not systematic and any(
-            slot is None for t in job.terms for slot in t.slots):
-        ones = [np.ones(_const_shape(job), dtype=np.int64)] * params.batch_size
-        const_shares = dict(zip(responsive, ncsa.xs_encode(
-            field, ones, params, len(batches), responsive)))
+        def answer(s, share, counter):
+            if not is_spec:
+                return ncsa.ncsa_answer(field, share, job, params, s, counter)
+            shares_by_var = dict(enumerate(share))
+            if const_shares:
+                shares_by_var[None] = const_shares[s]
+            return ncsa.poly_batch_eval_answer(field, shares_by_var, job, params, s)
 
+        def decode(answers):
+            if not (params.x_secure or params.byzantine):
+                return ncsa.ncsa_decode(field, answers, params), ()
+            evals, found = ncsa.xsb_decode(field, answers, params)
+            return evals, tuple(found)
+
+    return _round("ncsa", params, batches, straggler, byzantine, encode, answer, decode)
+
+
+def _round(scheme: str, setup, operands, straggler: StragglerModel,
+           byzantine: Optional[ByzantineModel], encode, answer, decode):
+    """One round of any code family: pick the responsive servers, encode,
+    answer (forging the corrupted answers), decode and count the costs.
+
+    ``operands`` holds the residue batches, one per variable.
+    ``encode(responsive)`` returns one share per server: a tuple of
+    per-variable share lists, or ("raw"|"coded", that tuple) for a
+    systematic layout.  ``answer(s, share, counter)`` is server s's answer,
+    and ``decode(answers)`` returns (results, flagged servers).
+    """
+    theory = theoretical_costs(scheme, setup)
+    r = theory.threshold
+    responsive = straggler.pick(setup.servers)
+    if len(responsive) < r:
+        raise InsufficientAnswersError(f"{len(responsive)} responsive servers, threshold is {r}")
+    bad = set() if byzantine is None else set(byzantine.corrupted)
+    # An over-budget adversary is not rejected here; the decoder's error
+    # correction detects it and raises a decoding failure.
+    if not bad <= set(responsive):
+        raise ParameterError("corrupted servers must be responsive")
+
+    shares = encode(responsive)
+    uploaded = [0] * len(operands)
+    for share in shares:
+        for v, item in enumerate(share[1] if isinstance(share[0], str) else share):
+            uploaded[v] += (item.size if isinstance(item, np.ndarray)
+                            else sum(x.size for x in item))
     answers = []
     server_mults = 0
     for s in responsive:
         counter = OpCounter()
-        if systematic:
-            y = ncsa.ncsa_systematic_answer(field, per_server_shares[s], job,
-                                            params, s)
-        elif is_spec:
-            shares_by_var = {v: per_server_shares[s][v] for v in range(len(batches))}
-            if const_shares:
-                shares_by_var[None] = const_shares[s]
-            y = ncsa.poly_batch_eval_answer(field, shares_by_var, job, params, s)
-        else:
-            y = ncsa.ncsa_answer(field, per_server_shares[s], job, params, s,
-                                 counter)
+        y = answer(s, shares[s], counter)
         server_mults = max(server_mults, counter.mults)
         if s in bad:
             y = byzantine.forge(s, y)
         answers.append((s, y))
+    results, flagged = decode(answers)
 
-    flagged: tuple[int, ...] = ()
-    if params.x_secure or params.byzantine:
-        evals, found = ncsa.xsb_decode(field, answers, params)
-        flagged = tuple(found)
-    elif systematic:
-        evals = csa.systematic_decode(field, answers, params)
-    else:
-        evals = ncsa.ncsa_decode(field, answers, params)
-
-    downloaded = sum(y.size for _, y in answers[:r])
-    out_size = int(np.prod(evals[0].shape))
+    batch = len(operands[0])
+    downloaded = sum(y.size for _, y in answers[:r])  # the decoders read the first R
     measured = CostSummary(
-        threshold=r,
-        uploads=tuple(
-            Fraction(uploaded[v], params.batch_size * int(np.prod(batches[v][0].shape)))
-            for v in range(len(batches))
-        ),
-        download=Fraction(downloaded, params.batch_size * out_size),
-    )
-    report = CostReport(
-        scheme="ncsa",
-        theory=theory,
-        measured=measured,
-        uploaded_elements=tuple(uploaded),
-        downloaded_elements=downloaded,
-        server_mults=server_mults,
-        normalized_server_mults=Fraction(server_mults, params.batch_size),
-        flagged_servers=flagged,
-    )
-    return evals, report
+        r, tuple(Fraction(u, batch * x[0].size) for u, x in zip(uploaded, operands)),
+        Fraction(downloaded, batch * results[0].size))
+    return results, CostReport(
+        scheme=scheme, theory=theory, measured=measured,
+        uploaded_elements=tuple(uploaded), downloaded_elements=downloaded,
+        server_mults=server_mults, normalized_server_mults=Fraction(server_mults, batch),
+        flagged_servers=flagged)
 
 
 def _residue_batch(field: PrimeField, batch, matrices: bool = False) -> list[np.ndarray]:
@@ -398,7 +348,5 @@ def direct_products(field: PrimeField, batch_a, batch_b) -> list[np.ndarray]:
 
 
 def direct_evaluations(field: PrimeField, omega: ncsa.NLinearMap, batches) -> list[np.ndarray]:
-    out = []
-    for l in range(len(batches[0])):
-        out.append(omega(field, *[batch[l] for batch in batches]))
-    return out
+    """Brute-force oracle: evaluate the map on every batch entry directly."""
+    return [omega(field, *entry) for entry in zip(*batches)]

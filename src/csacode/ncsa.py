@@ -7,14 +7,16 @@ the prefactor-normalized group sum, and the decoder solves the scaled
 Cauchy-Vandermonde system of ``structmat`` (Cauchy columns scaled by
 c_{l,k}^(N-1)), whose tail absorbs the (kc-1)(N-1) interference dimensions.
 Points, batch checks, the plain decoder and the systematic decoder are the
-CSA ones.  Adds the Lagrange-interpolation baseline, uniform-noise shares
-that keep any X servers ignorant of the data, and error correction against B
-forged answers.
+CSA ones.  Lagrange coded computing (LCC) is the special case ell = 1,
+kc = L, with threshold N(L - 1) + 1.  Adds uniform-noise shares that keep
+any X servers ignorant of the data, and error correction against B forged
+answers.
 """
 
 from __future__ import annotations
 
 import hashlib
+import math
 import numbers
 import struct
 from dataclasses import dataclass
@@ -24,7 +26,7 @@ import numpy as np
 
 from .csa import (_check_batch, _server_list, _take_answers, cauchy_points,
                   csa_decode, csa_encode_a, scaling_constants)
-from .errors import DecodingFailureError, InsufficientAnswersError, ParameterError
+from .errors import DecodingFailureError, ParameterError
 from .ffield import PrimeField
 from .structmat import (CVSpec, _row_reduce, rs_error_correct, scaled_cv_matrix,
                         solve_batch)
@@ -123,92 +125,6 @@ def determinant_map(size: int) -> NLinearMap:
     )
 
 
-def check_multilinear(field: PrimeField, omega: NLinearMap,
-                      rng: np.random.Generator, trials: int = 20) -> bool:
-    """Random two-point linearity probe in every slot."""
-    for _ in range(trials):
-        base = [field.rand_matrix(rng, *_as2d(s)).reshape(s) for s in omega.var_shapes]
-        for slot in range(omega.arity):
-            alt = field.rand_matrix(rng, *_as2d(omega.var_shapes[slot])).reshape(
-                omega.var_shapes[slot])
-            c1, c2 = int(rng.integers(0, field.q)), int(rng.integers(0, field.q))
-            mixed = list(base)
-            mixed[slot] = (c1 * base[slot] + c2 * alt) % field.q
-            lhs = omega(field, *mixed)
-            alt_args = list(base)
-            alt_args[slot] = alt
-            rhs = (c1 * omega(field, *base) + c2 * omega(field, *alt_args)) % field.q
-            if not np.array_equal(lhs, rhs):
-                return False
-    return True
-
-
-def _as2d(shape):
-    if len(shape) == 1:
-        return (shape[0], 1)
-    return shape
-
-
-# ---- Lagrange-interpolation baseline ----
-
-
-def lcc_threshold(arity: int, batch: int) -> int:
-    return arity * (batch - 1) + 1
-
-
-def _lagrange_matrix(field: PrimeField, nodes, points) -> np.ndarray:
-    """(points x nodes) values of the Lagrange basis of ``nodes``: entry (j, i)
-    is the i-th basis polynomial at points[j], so the matrix maps values at
-    the nodes to values of their interpolant at the points.  The
-    denominators take one batched inversion."""
-    q = field.q
-
-    def numerator(x: int, i: int) -> int:  # prod_{j != i} (x - nodes[j])
-        w = 1
-        for j, node in enumerate(nodes):
-            if j != i:
-                w = w * field.sub(x, node) % q
-        return w
-
-    inv = field.batch_inv([numerator(a, i) for i, a in enumerate(nodes)])
-    rows = [[numerator(x, i) * c % q for i, c in enumerate(inv)] for x in points]
-    return np.array(rows, dtype=np.int64).reshape(len(points), len(nodes))
-
-
-def lcc_encode(field: PrimeField, batch, betas, alpha: int) -> np.ndarray:
-    """Evaluate the Lagrange interpolant through (beta_l, x_l) at alpha."""
-    betas = [b % field.q for b in betas]
-    alpha %= field.q
-    if len(set(betas)) != len(betas):
-        raise ParameterError("anchor points must be pairwise distinct")
-    weights = _lagrange_matrix(field, betas, [alpha])[0]
-    acc = np.zeros_like(batch[0])
-    for w, x in zip(weights, batch):
-        acc = (acc + int(w) * x) % field.q
-    return acc
-
-
-def lcc_decode(field: PrimeField, answers, betas, arity: int) -> list[np.ndarray]:
-    """Interpolate the degree <= N(L-1) answer polynomial and evaluate it at
-    every anchor point."""
-    betas = [b % field.q for b in betas]
-    r = lcc_threshold(arity, len(betas))
-    answers = list(answers)
-    if len(answers) < r:
-        raise InsufficientAnswersError(f"need {r} answers, got {len(answers)}")
-    answers = answers[:r]
-    alphas = [a % field.q for a, _ in answers]
-    if len(set(alphas)) != len(alphas):
-        raise ParameterError("duplicate evaluation points in answers")
-    out = []
-    for weights in _lagrange_matrix(field, alphas, betas):
-        acc = np.zeros_like(answers[0][1])
-        for w, (_, y) in zip(weights, answers):
-            acc = (acc + int(w) * y) % field.q
-        out.append(acc)
-    return out
-
-
 # ---- N-CSA parameters ----
 
 
@@ -239,6 +155,11 @@ class NCSAParams:
 
 def ncsa_threshold(arity: int, ell: int, kc: int) -> int:
     return kc * (arity + ell - 1) - arity + 1
+
+
+def lcc_threshold(arity: int, batch: int) -> int:
+    """N(L - 1) + 1: Lagrange coded computing is N-CSA with ell = 1, kc = L."""
+    return ncsa_threshold(arity, 1, batch)
 
 
 def xsb_threshold(arity: int, ell: int, kc: int, x_secure: int, byzantine: int) -> int:
@@ -475,12 +396,8 @@ def xsb_decode(field: PrimeField, answers, params: NCSAParams):
     width = r - 2 * b
     flagged_rows: set[int] = set()
     if b > 0:
-        weights = []
-        for alpha in alphas:
-            w = 1
-            for f in params.poles:
-                w = w * field.sub(f, alpha) % field.q
-            weights.append(w)
+        weights = [math.prod(_group_delta(field, params, l, alpha)
+                             for l in range(params.ell)) % field.q for alpha in alphas]
         stacked = np.stack([y.reshape(-1) for _, y in answers])
         scaled = stacked * np.array(weights, dtype=np.int64)[:, None] % field.q
         located = _locate_rows(field, alphas, scaled, width, b)
@@ -528,6 +445,25 @@ def _locate_rows(field: PrimeField, alphas, scaled: np.ndarray, width: int,
     if not np.array_equal(field.matmul(lagrange, scaled[nodes]), scaled[rest]):
         return None
     return set(positions)
+
+
+def _lagrange_matrix(field: PrimeField, nodes, points) -> np.ndarray:
+    """(points x nodes) values of the Lagrange basis of ``nodes``: entry (j, i)
+    is the i-th basis polynomial at points[j], so the matrix maps values at
+    the nodes to values of their interpolant at the points.  The
+    denominators take one batched inversion."""
+    q = field.q
+
+    def numerator(x: int, i: int) -> int:  # prod_{j != i} (x - nodes[j])
+        w = 1
+        for j, node in enumerate(nodes):
+            if j != i:
+                w = w * field.sub(x, node) % q
+        return w
+
+    inv = field.batch_inv([numerator(a, i) for i, a in enumerate(nodes)])
+    rows = [[numerator(x, i) * c % q for i, c in enumerate(inv)] for x in points]
+    return np.array(rows, dtype=np.int64).reshape(len(points), len(nodes))
 
 
 # ---- systematic layout ----

@@ -1,0 +1,173 @@
+"""Reference implementations the tests check the library against.
+
+Straightforward, term-by-term versions of what the library computes through
+generator products and structured solves, kept out of ``src/`` because no
+library code calls them:
+
+- ``lcc_encode`` / ``lcc_decode``: Lagrange coded computing (Yu et al.,
+  AISTATS 2019), the code N-CSA reduces to with ell = 1 and kc = L;
+- ``lagrange_interpolate``: the coefficients of an interpolating polynomial;
+- ``split_blocks`` / ``answer_coefficients``: the EP answer polynomial,
+  expanded block product by block product;
+- ``check_multilinear``: a random linearity probe of an N-linear map;
+- ``naive_combo_threshold``: the threshold GCSA is compared against.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+from csacode.ep import EPParams, a_exponent, b_exponent, ep_threshold
+from csacode.errors import InsufficientAnswersError, ParameterError
+from csacode.ffield import PrimeField, poly_divmod, poly_eval, poly_mul, poly_trim
+from csacode.ncsa import NLinearMap, _lagrange_matrix, lcc_threshold
+
+# ---- Lagrange coded computing ----
+
+
+def lcc_encode(field: PrimeField, batch, betas, alpha: int) -> np.ndarray:
+    """Evaluate the Lagrange interpolant through (beta_l, x_l) at alpha."""
+    betas = [b % field.q for b in betas]
+    alpha %= field.q
+    if len(set(betas)) != len(betas):
+        raise ParameterError("anchor points must be pairwise distinct")
+    weights = _lagrange_matrix(field, betas, [alpha])[0]
+    acc = np.zeros_like(batch[0])
+    for w, x in zip(weights, batch):
+        acc = (acc + int(w) * x) % field.q
+    return acc
+
+
+def lcc_decode(field: PrimeField, answers, betas, arity: int) -> list[np.ndarray]:
+    """Interpolate the degree <= N(L-1) answer polynomial and evaluate it at
+    every anchor point."""
+    betas = [b % field.q for b in betas]
+    r = lcc_threshold(arity, len(betas))
+    answers = list(answers)
+    if len(answers) < r:
+        raise InsufficientAnswersError(f"need {r} answers, got {len(answers)}")
+    answers = answers[:r]
+    alphas = [a % field.q for a, _ in answers]
+    if len(set(alphas)) != len(alphas):
+        raise ParameterError("duplicate evaluation points in answers")
+    out = []
+    for weights in _lagrange_matrix(field, alphas, betas):
+        acc = np.zeros_like(answers[0][1])
+        for w, (_, y) in zip(weights, answers):
+            acc = (acc + int(w) * y) % field.q
+        out.append(acc)
+    return out
+
+
+# ---- polynomials ----
+
+
+def poly_add(field: PrimeField, a, b) -> list[int]:
+    out = [0] * max(len(a), len(b))
+    for i, c in enumerate(a):
+        out[i] = c
+    for i, c in enumerate(b):
+        out[i] = (out[i] + c) % field.q
+    return poly_trim(out)
+
+
+def lagrange_interpolate(field: PrimeField, points) -> list[int]:
+    """Unique polynomial of degree < len(points) through the given (x, y) pairs.
+
+    Raises ValueError on duplicate x-values.
+    """
+    points = list(points)
+    xs = [x % field.q for x, _ in points]
+    if len(set(xs)) != len(xs):
+        raise ValueError("duplicate x-values in interpolation input")
+    # Z(t) = prod (t - x_j), then peel off one root per basis polynomial.
+    z = [1]
+    for x in xs:
+        z = poly_mul(field, z, [(-x) % field.q, 1])
+    out = []
+    for (x, y) in points:
+        x %= field.q
+        basis, rem = poly_divmod(field, z, [(-x) % field.q, 1])
+        if rem:
+            raise AssertionError("root division left a remainder")
+        denom = poly_eval(field, basis, x)
+        c = (y % field.q) * field.inv(denom) % field.q
+        out = poly_add(field, out, [c * b % field.q for b in basis])
+    return out
+
+
+# ---- entangled polynomial codes ----
+
+
+def split_blocks(mat: np.ndarray, rows: int, cols: int) -> list[list[np.ndarray]]:
+    """Partition a matrix into a rows x cols grid of equal blocks."""
+    if not np.issubdtype(mat.dtype, np.integer):
+        raise ParameterError("matrices must hold integer residues")
+    h, w = mat.shape
+    if h % rows or w % cols:
+        raise ParameterError(
+            f"matrix of shape {mat.shape} is not divisible into {rows}x{cols} blocks"
+        )
+    bh, bw = h // rows, w // cols
+    return [
+        [mat[i * bh : (i + 1) * bh, j * bw : (j + 1) * bw] for j in range(cols)]
+        for i in range(rows)
+    ]
+
+
+def answer_coefficients(field: PrimeField, a: np.ndarray, b: np.ndarray,
+                        params: EPParams) -> list[np.ndarray]:
+    """Term-by-term expansion of the answer polynomial (oracle-grade path).
+
+    Returns the R coefficient matrices so ep_answer equals their power sum.
+    """
+    grid_a = split_blocks(a, params.m, params.p)
+    grid_b = split_blocks(b, params.p, params.n)
+    r = ep_threshold(params)
+    coeffs = [
+        np.zeros((a.shape[0] // params.m, b.shape[1] // params.n), dtype=np.int64)
+        for _ in range(r)
+    ]
+    for mi in range(params.m):
+        for pi in range(params.p):
+            for pj in range(params.p):
+                for ni in range(params.n):
+                    e = a_exponent(params, mi, pi) + b_exponent(params, pj, ni)
+                    prod = field.matmul(grid_a[mi][pi], grid_b[pj][ni])
+                    coeffs[e] = (coeffs[e] + prod) % field.q
+    return coeffs
+
+
+# ---- N-linear maps and thresholds ----
+
+
+def check_multilinear(field: PrimeField, omega: NLinearMap,
+                      rng: np.random.Generator, trials: int = 20) -> bool:
+    """Random two-point linearity probe in every slot."""
+    for _ in range(trials):
+        base = [field.rand_matrix(rng, *_as2d(s)).reshape(s) for s in omega.var_shapes]
+        for slot in range(omega.arity):
+            alt = field.rand_matrix(rng, *_as2d(omega.var_shapes[slot])).reshape(
+                omega.var_shapes[slot])
+            c1, c2 = int(rng.integers(0, field.q)), int(rng.integers(0, field.q))
+            mixed = list(base)
+            mixed[slot] = (c1 * base[slot] + c2 * alt) % field.q
+            lhs = omega(field, *mixed)
+            alt_args = list(base)
+            alt_args[slot] = alt
+            rhs = (c1 * omega(field, *base) + c2 * omega(field, *alt_args)) % field.q
+            if not np.array_equal(lhs, rhs):
+                return False
+    return True
+
+
+def _as2d(shape):
+    if len(shape) == 1:
+        return (shape[0], 1)
+    return shape
+
+
+def naive_combo_threshold(ell: int, kc: int, servers_inner: int) -> int:
+    """Threshold of batch-coding all inner sub-products as one large batch:
+    an (ell, kc * S') batch code over the S' * L partitioned tasks."""
+    return ell * kc * servers_inner + kc * servers_inner - 1

@@ -12,6 +12,7 @@ import numpy as np
 from csacode import analysis, csa, ep, gcsa, harness, ncsa, structmat
 from csacode.cli import _HULL_FIELDS, hull_rows
 from csacode.ffield import PrimeField
+import reference
 
 FIELD = PrimeField(65537)
 
@@ -153,14 +154,14 @@ def test_04_lcc_equivalence():
             sb = csa.csa_encode_b(FIELD, bb, params, s)
             csa_answers.append((s, csa.csa_answer(FIELD, sa, sb)))
             alpha = params.samples[s]
-            ea = ncsa.lcc_encode(FIELD, aa, betas, alpha)
-            eb = ncsa.lcc_encode(FIELD, bb, betas, alpha)
+            ea = reference.lcc_encode(FIELD, aa, betas, alpha)
+            eb = reference.lcc_encode(FIELD, bb, betas, alpha)
             lcc_answers.append((alpha, FIELD.matmul(ea, eb)))
         for subset in itertools.combinations(range(servers), r):
             via_csa = csa.csa_decode(FIELD, [csa_answers[s] for s in subset],
                                      params)
-            via_lcc = ncsa.lcc_decode(FIELD, [lcc_answers[s] for s in subset],
-                                      betas, 2)
+            via_lcc = reference.lcc_decode(
+                FIELD, [lcc_answers[s] for s in subset], betas, 2)
             assert all(np.array_equal(x, y) for x, y in zip(via_csa, via_lcc))
     report(4, "batch code at ell=1 and the Lagrange baseline agree "
               "(products and thresholds) for kc in {1,2,3,4}")

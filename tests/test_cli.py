@@ -86,6 +86,11 @@ def test_run_lcc_has_the_lagrange_threshold(capsys, tmp_path):
     code, out = run_cli(capsys, "run", str(path))
     assert code == cli.EXIT_CONFIG
     assert json.loads(out)["error"]["category"] == "validation"
+    # costs builds its setup the same way, so it rejects the same layout
+    code = cli.main(["costs", "lcc", "--servers", "12", "--ell", "3", "--kc", "3"])
+    captured = capsys.readouterr()
+    assert code == cli.EXIT_CONFIG and captured.out == ""
+    assert "ell = 1" in captured.err
 
 
 @pytest.mark.parametrize("modulus", [65536, 2**31 + 11])
@@ -232,4 +237,34 @@ def test_verify_security_suite(capsys):
 
 def test_verify_unknown_suite_usage_error(capsys):
     code = cli.main(["verify", "definitely-not-a-suite"])
+    assert code == cli.EXIT_CONFIG
+
+
+def test_verify_all_at_a_small_field_reports_errors(capsys):
+    # GF(13) has too few points for gcsa-oracle and interference-rank: each
+    # reports ERROR and the other suites still run
+    code = cli.main(["--field-modulus", "13", "verify", "all"])
+    captured = capsys.readouterr()
+    lines = captured.out.splitlines()
+    assert code == cli.EXIT_CONFIG
+    assert sum(line.startswith("PASS ") for line in lines) == 7
+    assert [line for line in lines if line.startswith("ERROR ")] == [
+        "ERROR gcsa-oracle: evaluation points must be pairwise distinct",
+        "ERROR interference-rank: evaluation points must be pairwise distinct"]
+    assert len(lines) == len(cli.SUITES)
+    assert "Traceback" not in captured.out + captured.err
+
+
+def test_verify_failure_outranks_error(capsys, monkeypatch):
+    def cannot_run(field):
+        raise cli.ParameterError("too few points")
+
+    monkeypatch.setattr(cli, "SUITES", {"fails": lambda field: False,
+                                        "errs": cannot_run,
+                                        "passes": lambda field: True})
+    code, out = run_cli(capsys, "verify", "all")
+    assert code == cli.EXIT_FAIL
+    assert out.splitlines() == ["FAIL fails", "ERROR errs: too few points", "PASS passes"]
+    del cli.SUITES["fails"]
+    code, _ = run_cli(capsys, "verify", "all")
     assert code == cli.EXIT_CONFIG

@@ -260,7 +260,7 @@ def test_systematic_first_l_shares_raw():
     bb = [FIELD.rand_matrix(rng, 2, 2) for _ in range(2)]
     shares = systematic_encode(FIELD, aa, bb, params)
     for s in range(2):
-        kind, a, b = shares[s]
+        kind, (a, b) = shares[s]
         assert kind == "raw"
         assert np.array_equal(a, aa[s]) and np.array_equal(b, bb[s])
     assert shares[2][0] == "coded"

@@ -4,11 +4,11 @@ import numpy as np
 import pytest
 
 from csacode import harness, structmat
-from csacode.ep import (EPParams, answer_coefficients, desired_coeff_index,
-                        ep_answer, ep_decode, ep_encode_a, ep_encode_b,
-                        ep_threshold, split_blocks)
+from csacode.ep import (EPParams, desired_coeff_index, ep_answer, ep_decode,
+                        ep_encode_a, ep_encode_b, ep_threshold)
 from csacode.errors import InsufficientAnswersError, ParameterError
 from csacode.ffield import PrimeField
+from reference import answer_coefficients, split_blocks
 
 FIELD = PrimeField(65537)
 

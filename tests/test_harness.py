@@ -211,18 +211,60 @@ def test_systematic_through_harness():
         assert report.measured == report.theory
 
 
+_TRACED_OP = """
+import json, time
+import tracer, workloads
+t = tracer.Tracer()
+t.install()
+out = {}
+for name, workload in workloads.WORKLOADS.items():
+    rounds = workloads.build(workload)
+    workloads.run_op(rounds, workloads.draw_op(rounds, 1, 0), time.perf_counter)
+    t.enabled, t.current_op = True, 1
+    outcomes = workloads.run_op(rounds, workloads.draw_op(rounds, 1, 1), time.perf_counter)
+    t.enabled = False
+    out[name] = {"problems": [p for o in outcomes for p in o.problems],
+                 "groups": {tracer.SELF_TIME_METRICS[m]: v
+                            for m, v in t.self_times(1).items()}}
+    for column in (t.name, t.start, t.end, t.parent, t.op):
+        del column[:]
+print(json.dumps(out))
+"""
+
+_ROUND_GROUPS = ("ffield.matmul", "ffield.inv", "structmat.cv_matrix",
+                 "structmat.solve_batch", "harness.round")
+_CSA_GROUPS = ("csa.encode", "csa.answer", "csa.decode")
+_NCSA_GROUPS = ("ncsa.encode", "ncsa.noise", "ncsa.answer", "ncsa.decode")
+# Every group of perfbench/tracer.py that reads above zero on each workload.
+_TIMED_GROUPS = {
+    "cdbmm-large": _CSA_GROUPS + _ROUND_GROUPS,
+    "cdbmm-q31": _CSA_GROUPS + _ROUND_GROUPS,
+    "secure-byzantine": ("csa.encode", "structmat.rs_error_correct")
+                        + _NCSA_GROUPS + _ROUND_GROUPS,
+    "small-mixed": ("ep.encode", "ep.answer", "ep.decode", "gcsa.encode", "gcsa.decode")
+                   + _CSA_GROUPS + _NCSA_GROUPS + _ROUND_GROUPS,
+}
+
+
 def test_benchmark_tracer_still_installs():
     # perfbench's traced run rebinds every layer's public functions, including
     # names other layers import by value, and refuses to start when one is
     # missing; a refactor that drops such a name must fail here, not in the
-    # benchmark.  install() only rebinds: it records no span, writes no file.
+    # benchmark.  One warm-up and one traced operation of every workload
+    # then show that each layer the benchmark times is still reached through
+    # the names it wraps (a call routed around them reads 0 ms).  No span
+    # file is saved.
     root = Path(__file__).resolve().parent.parent
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=os.pathsep.join(
         [str(root / "perfbench"), str(root / "src")]))
-    done = subprocess.run(
-        [sys.executable, "-c", "import tracer; tracer.Tracer().install()"],
-        env=env, capture_output=True, text=True, timeout=120)
+    done = subprocess.run([sys.executable, "-c", _TRACED_OP],
+                          env=env, capture_output=True, text=True, timeout=300)
     assert done.returncode == 0, done.stderr
+    traced = json.loads(done.stdout)
+    assert set(traced) == set(_TIMED_GROUPS)
+    for name, groups in _TIMED_GROUPS.items():
+        assert traced[name]["problems"] == [], name
+        assert [g for g in groups if not traced[name]["groups"][g] > 0] == [], name
 
 
 def _matrices(value, shape=(2, 2), dtype=np.int64, count=2):

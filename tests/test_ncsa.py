@@ -7,12 +7,11 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from csacode import csa, harness, ncsa
+from csacode import cli, csa, harness, ncsa
 from csacode.errors import DecodingFailureError, ParameterError
 from csacode.ffield import PrimeField
-from csacode.ncsa import (PolynomialSpec, PolyTerm,
-                          check_multilinear, determinant_map,
-                          elementwise_product_map, lcc_decode, lcc_encode,
+from csacode.ncsa import (PolynomialSpec, PolyTerm, determinant_map,
+                          elementwise_product_map,
                           lcc_threshold, matmul_map, matrix_chain_map,
                           ncsa_answer, ncsa_decode, ncsa_params,
                           ncsa_systematic_answer,
@@ -21,6 +20,7 @@ from csacode.ncsa import (PolynomialSpec, PolyTerm,
                           xs_encode, xsb_decode, xsb_threshold)
 from csacode.structmat import (CVSpec, rs_error_correct, scaled_cv_matrix,
                                solve_batch)
+from reference import check_multilinear, lcc_decode, lcc_encode
 
 FIELD = PrimeField(65537)
 
@@ -110,6 +110,43 @@ def test_lcc_linear_map_single_answer():
                for alpha in (9, 10, 11, 12)]
     got = lcc_decode(FIELD, answers, betas, 1)
     assert all(np.array_equal(g, x) for g, x in zip(got, batch))
+
+
+@pytest.mark.parametrize("q", [13, 65537, 2147483629])
+def test_lcc_run_is_the_lagrange_code(q):
+    # LCC as the paper's special case of CSA: "scheme": "lcc" builds N-CSA
+    # with ell = 1 and kc = L, and its run equals both the Lagrange decode
+    # and the direct oracle
+    field = PrimeField(q)
+    rng = np.random.default_rng(q % 1000)
+    for omega, batch, servers in ((matmul_map(2, 3, 2), 3, 7),
+                                  (matrix_chain_map((2, 2, 1, 2)), 2, 6)):
+        params = cli._build_setup(field, "lcc", servers, {"kc": batch}, omega.arity)
+        assert (params.ell, params.kc) == (1, batch)
+        r = lcc_threshold(omega.arity, batch)
+        batches = [[field.rand_matrix(rng, *shape) for _ in range(batch)]
+                   for shape in omega.var_shapes]
+        responsive = sorted(int(s) for s in rng.choice(servers, size=r + 1, replace=False))
+        evals, report = harness.run_nlinear(field, params, omega, batches,
+                                            harness.StragglerModel(responsive=responsive))
+        assert report.theory.threshold == r
+        betas = params.poles  # the Lagrange anchors sit at the Cauchy poles
+        answers = [(params.samples[s], omega(field, *[
+            lcc_encode(field, b, betas, params.samples[s]) for b in batches]))
+            for s in responsive]
+        via_lcc = lcc_decode(field, answers, betas, omega.arity)
+        truth = harness.direct_evaluations(field, omega, batches)
+        assert len(evals) == len(via_lcc) == len(truth) == batch
+        for e, x, t in zip(evals, via_lcc, truth):
+            assert np.array_equal(e, x) and np.array_equal(e, t)
+        # share by share: the N-CSA share of a batch is the Lagrange share of
+        # the batch scaled by c_k = prod_{k' != k} (f_k' - f_k)
+        consts = csa.scaling_constants(field, params)
+        for v, entries in enumerate(batches):
+            scaled = [c * x % q for c, x in zip(consts, entries)]
+            for s in range(servers):
+                assert np.array_equal(ncsa.xs_encode(field, entries, params, v, s)[0],
+                                      lcc_encode(field, scaled, betas, params.samples[s]))
 
 
 # ---- thresholds ----
