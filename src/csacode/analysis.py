@@ -17,6 +17,7 @@ from fractions import Fraction
 from typing import Optional
 
 from .errors import ParameterError
+from .gcsa import gcsa_threshold
 
 
 @dataclass(frozen=True)
@@ -34,61 +35,46 @@ class LatencyPoint:
     witness: dict
 
 
+# The parameters each family leaves free; the rest stay 1.  EP is GCSA with
+# ell = kc = 1 and CSA is GCSA with p = m = n = 1, so one formula costs all.
+_FREE = {"ep": ("p", "m", "n"), "csa": ("ell", "kc"),
+        "gcsa": ("ell", "kc", "p", "m", "n")}
+
+
 def enumerate_costs(family: str, servers: int, r_max: int,
                     pmn_bound: Optional[int] = None):
-    """Yield (upload, download, witness) for every feasible parameter tuple."""
-    if family == "ep":
-        for p in range(1, r_max + 2):
-            if p * 1 * 1 + p - 1 > r_max:
-                break
-            for m in range(1, r_max + 1):
-                if p * m + p - 1 > r_max:
-                    break
-                for n in range(1, r_max + 1):
-                    r = p * m * n + p - 1
-                    if r > r_max:
-                        break
-                    u = max(Fraction(servers, p * m), Fraction(servers, p * n))
-                    d = Fraction(r, m * n)
-                    yield u, d, {"p": p, "m": m, "n": n}
-    elif family == "csa":
-        for ell in range(1, r_max + 1):
-            if (ell + 1) * 1 - 1 > r_max:
-                break
-            for kc in range(1, r_max + 1):
-                r = (ell + 1) * kc - 1
-                if r > r_max:
-                    break
-                u = Fraction(servers, kc)
-                d = Fraction(r, ell * kc)
-                yield u, d, {"ell": ell, "kc": kc}
-    elif family == "gcsa":
-        for p in range(1, r_max + 2):
-            if p + p - 1 > r_max:
-                break
-            for m in range(1, r_max + 1):
-                if p * m + p - 1 > r_max:
-                    break
-                for n in range(1, r_max + 1):
-                    rp = p * m * n
-                    if rp + p - 1 > r_max:
-                        break
-                    if pmn_bound is not None and rp > pmn_bound:
-                        break
-                    for ell in range(1, r_max + 1):
-                        if rp * ((ell + 1) - 1) + p - 1 > r_max:
-                            break
-                        for kc in range(1, r_max + 1):
-                            r = rp * ((ell + 1) * kc - 1) + p - 1
-                            if r > r_max:
-                                break
-                            u = max(Fraction(servers, kc * p * m),
-                                    Fraction(servers, kc * p * n))
-                            d = Fraction(r, m * n * ell * kc)
-                            yield u, d, {"ell": ell, "kc": kc, "p": p,
-                                         "m": m, "n": n}
-    else:
+    """Yield (upload, download, witness) for every feasible parameter tuple.
+
+    The threshold grows with every parameter, so each loop stops at the
+    first value whose least threshold exceeds ``r_max``; ``pmn_bound`` caps
+    pmn for ``gcsa`` only.
+    """
+    if family not in _FREE:
         raise ParameterError(f"unknown code family {family!r}")
+    ps, ms, ns, ells, kcs = (range(1, r_max + 2) if name in _FREE[family] else (1,)
+                             for name in ("p", "m", "n", "ell", "kc"))
+    bound = pmn_bound if family == "gcsa" and pmn_bound is not None else math.inf
+    for p in ps:
+        if gcsa_threshold(1, 1, p, 1, 1) > r_max:
+            break
+        for m in ms:
+            if gcsa_threshold(1, 1, p, m, 1) > r_max:
+                break
+            for n in ns:
+                if gcsa_threshold(1, 1, p, m, n) > r_max or p * m * n > bound:
+                    break
+                for ell in ells:
+                    if gcsa_threshold(ell, 1, p, m, n) > r_max:
+                        break
+                    for kc in kcs:
+                        r = gcsa_threshold(ell, kc, p, m, n)
+                        if r > r_max:
+                            break
+                        w = {"ell": ell, "kc": kc, "p": p, "m": m, "n": n}
+                        yield (max(Fraction(servers, kc * p * m),
+                                   Fraction(servers, kc * p * n)),
+                               Fraction(r, m * n * ell * kc),
+                               {k: w[k] for k in _FREE[family]})
 
 
 def _witness_key(w: dict):

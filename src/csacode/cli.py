@@ -21,7 +21,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from . import analysis, csa, ep, gcsa, harness, matfile, ncsa
+from . import analysis, csa, gcsa, harness, matfile, ncsa
 from .errors import (DecodingFailureError, InsufficientAnswersError,
                      ParameterError)
 from .ffield import DEFAULT_MODULUS, PrimeField
@@ -216,12 +216,9 @@ def _run_config(cfg: dict, args) -> dict:
 
 def cmd_costs(args) -> int:
     field = PrimeField(args.field_modulus)
-    try:  # every option is an attribute, so vars(args) reads as run's params
-        summary = harness.theoretical_costs(args.scheme, _build_setup(
-            field, args.scheme, args.servers, vars(args), args.N))
-    except ParameterError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+    # every option is an attribute, so vars(args) reads as run's params
+    summary = harness.theoretical_costs(args.scheme, _build_setup(
+        field, args.scheme, args.servers, vars(args), args.N))
     uploads = " ".join(f"{u.numerator}/{u.denominator}" for u in summary.uploads)
     d = summary.download
     row = f"{args.scheme} R={summary.threshold} U={uploads} D={d.numerator}/{d.denominator}"
@@ -253,11 +250,7 @@ def hull_rows(family: str, servers: int, r_max: int, pmn_bound=None) -> list[lis
 
 
 def cmd_hull(args) -> int:
-    try:
-        rows = hull_rows(args.family, args.servers, args.r_max, args.pmn_bound)
-    except ParameterError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+    rows = hull_rows(args.family, args.servers, args.r_max, args.pmn_bound)
     _write_csv(args.output, _HULL_FIELDS, rows)
     return EXIT_OK
 
@@ -282,12 +275,7 @@ def latency_rows(job_size: int, eta: float, k_min: float, k_max: float,
 
 
 def cmd_latency(args) -> int:
-    try:
-        rows = latency_rows(args.job_size, args.eta, args.k_min, args.k_max,
-                            args.steps)
-    except ParameterError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+    rows = latency_rows(args.job_size, args.eta, args.k_min, args.k_max, args.steps)
     _write_csv(args.output, _LATENCY_FIELDS, rows)
     return EXIT_OK
 
@@ -312,70 +300,36 @@ def _suite_field_axioms(field: PrimeField) -> bool:
     return True
 
 
-def _suite_csa_oracle(field: PrimeField) -> bool:
-    rng = np.random.default_rng(11)
-    for ell, kc in [(1, 2), (2, 2)]:
-        r = csa.csa_threshold(ell, kc)
-        params = csa.csa_params(field, ell, kc, r + 2)
-        batch = params.batch_size
-        aa = [field.rand_matrix(rng, 2, 2) for _ in range(batch)]
-        bb = [field.rand_matrix(rng, 2, 2) for _ in range(batch)]
-        truth = harness.direct_products(field, aa, bb)
-        shares = [(csa.csa_encode_a(field, aa, params, s),
-                   csa.csa_encode_b(field, bb, params, s))
-                  for s in range(params.servers)]
-        answers = [(s, csa.csa_answer(field, sa, sb)) for s, (sa, sb) in enumerate(shares)]
-        for subset in itertools.combinations(range(params.servers), r):
-            got = csa.csa_decode(field, [answers[s] for s in subset], params)
-            if not all(np.array_equal(g, t) for g, t in zip(got, truth)):
-                return False
-    return True
+def _oracle_suite(scheme: str, seed: int, cases, size: int, sampled: bool = False):
+    """A suite that checks ``scheme`` against the direct products.  Each case
+    gives its non-unit GCSA parameters (EP and CSA are GCSA cases); seeded
+    size x size batches of L = ell * kc pairs then run a harness round on
+    every threshold-sized responsive subset of R + 2 servers, or on 20 of
+    them drawn with seed 18 when ``sampled``."""
 
+    def suite(field: PrimeField) -> bool:
+        rng = np.random.default_rng(seed)
+        for case in cases:
+            full = {"ell": 1, "kc": 1, "p": 1, "m": 1, "n": 1, **case}
+            r = gcsa.gcsa_threshold(**full)
+            setup = _build_setup(field, scheme, r + 2, full)
+            batch = full["ell"] * full["kc"]
+            aa = [field.rand_matrix(rng, size, size) for _ in range(batch)]
+            bb = [field.rand_matrix(rng, size, size) for _ in range(batch)]
+            truth = harness.direct_products(field, aa, bb)
+            subsets = list(itertools.combinations(range(r + 2), r))
+            if sampled:
+                picks = np.random.default_rng(18).choice(
+                    len(subsets), size=min(20, len(subsets)), replace=False)
+                subsets = [subsets[int(i)] for i in picks]
+            for subset in subsets:
+                got, _ = harness.run_cdbmm(field, scheme, setup, aa, bb,
+                                           harness.StragglerModel(responsive=subset))
+                if not all(np.array_equal(g, t) for g, t in zip(got, truth)):
+                    return False
+        return True
 
-def _suite_ep_oracle(field: PrimeField) -> bool:
-    rng = np.random.default_rng(13)
-    for p, m, n in [(1, 2, 2), (2, 1, 1), (2, 2, 2)]:
-        params = ep.EPParams(p, m, n)
-        r = ep.ep_threshold(params)
-        setup = harness.ep_setup(field, p, m, n, r + 2)
-        a = field.rand_matrix(rng, 4, 4)
-        b = field.rand_matrix(rng, 4, 4)
-        truth = field.matmul(a, b)
-        answers = [
-            (alpha, ep.ep_answer(field, ep.ep_encode_a(field, a, params, alpha),
-                                 ep.ep_encode_b(field, b, params, alpha)))
-            for alpha in setup.samples
-        ]
-        for subset in itertools.combinations(range(setup.servers), r):
-            got = ep.ep_decode(field, [answers[s] for s in subset], params)
-            if not np.array_equal(got, truth):
-                return False
-    return True
-
-
-def _suite_gcsa_oracle(field: PrimeField) -> bool:
-    rng = np.random.default_rng(17)
-    for ell, kc, p, m, n in [(1, 2, 1, 2, 2), (1, 2, 2, 1, 1)]:
-        r = gcsa.gcsa_threshold(ell, kc, p, m, n)
-        params = gcsa.gcsa_params(field, ell, kc, p, m, n, r + 2)
-        batch = params.batch_size
-        aa = [field.rand_matrix(rng, 4, 4) for _ in range(batch)]
-        bb = [field.rand_matrix(rng, 4, 4) for _ in range(batch)]
-        truth = harness.direct_products(field, aa, bb)
-        answers = []
-        for s in range(params.servers):
-            sa = gcsa.gcsa_encode_a(field, aa, params, s)
-            sb = gcsa.gcsa_encode_b(field, bb, params, s)
-            answers.append((s, csa.csa_answer(field, sa, sb)))
-        rng2 = np.random.default_rng(18)
-        subsets = list(itertools.combinations(range(params.servers), r))
-        for subset in [subsets[int(i)] for i in
-                       rng2.choice(len(subsets), size=min(20, len(subsets)),
-                                   replace=False)]:
-            got = gcsa.gcsa_decode(field, [answers[s] for s in subset], params)
-            if not all(np.array_equal(g, t) for g, t in zip(got, truth)):
-                return False
-    return True
+    return suite
 
 
 def _suite_security(field_unused: PrimeField) -> bool:
@@ -410,21 +364,6 @@ def _suite_byzantine(field: PrimeField) -> bool:
             and report.flagged_servers == (3,))
 
 
-def _suite_systematic(field: PrimeField) -> bool:
-    rng = np.random.default_rng(29)
-    params = csa.csa_params(field, 1, 2, 5, systematic=True)
-    aa = [field.rand_matrix(rng, 2, 2) for _ in range(2)]
-    bb = [field.rand_matrix(rng, 2, 2) for _ in range(2)]
-    truth = harness.direct_products(field, aa, bb)
-    shares = csa.systematic_encode(field, aa, bb, params)
-    answers = [(s, csa.systematic_answer(field, shares[s])) for s in range(5)]
-    for subset in itertools.combinations(range(5), 3):
-        got = csa.systematic_decode(field, [answers[s] for s in subset], params)
-        if not all(np.array_equal(g, t) for g, t in zip(got, truth)):
-            return False
-    return True
-
-
 def _suite_costs(field: PrimeField) -> bool:
     rng = np.random.default_rng(31)
     params = csa.csa_params(field, 2, 2, 8)
@@ -445,12 +384,15 @@ def _suite_interference(field: PrimeField) -> bool:
 
 SUITES = {
     "field-axioms": _suite_field_axioms,
-    "csa-oracle": _suite_csa_oracle,
-    "ep-oracle": _suite_ep_oracle,
-    "gcsa-oracle": _suite_gcsa_oracle,
+    "csa-oracle": _oracle_suite("csa", 11, [{"ell": 1, "kc": 2}, {"ell": 2, "kc": 2}], 2),
+    "ep-oracle": _oracle_suite("ep", 13, [{"p": 1, "m": 2, "n": 2}, {"p": 2, "m": 1, "n": 1},
+                                          {"p": 2, "m": 2, "n": 2}], 4),
+    "gcsa-oracle": _oracle_suite("gcsa", 17, [{"ell": 1, "kc": 2, "p": 1, "m": 2, "n": 2},
+                                              {"ell": 1, "kc": 2, "p": 2, "m": 1, "n": 1}],
+                                 4, sampled=True),
     "security-exhaustive": _suite_security,
     "byzantine-exhaustive": _suite_byzantine,
-    "systematic-parity": _suite_systematic,
+    "systematic-parity": _oracle_suite("csa-systematic", 29, [{"ell": 1, "kc": 2}], 2),
     "cost-accounting": _suite_costs,
     "interference-rank": _suite_interference,
 }
@@ -555,6 +497,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
+    except ParameterError as exc:  # run and verify report their own
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
     except OSError as exc:  # e.g. an unwritable --output
         return _fail(args, "io", str(exc), EXIT_IO)
 

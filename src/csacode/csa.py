@@ -23,13 +23,9 @@ from .structmat import (CVSpec, cv_matrix, matrix_rank,  # noqa: F401
                         scaled_cv_matrix, solve_batch)
 
 
-@dataclass(frozen=True)
-class CSAParams:
-    ell: int
-    kc: int
-    servers: int
-    poles: tuple[int, ...]    # f values, group-major, length ell * kc
-    samples: tuple[int, ...]  # alpha values, one per server
+class _Groups:
+    """The batch layout of every Cauchy code's parameters (CSA, GCSA, N-CSA):
+    L = ell * kc entries in ell groups of kc, with one pole each."""
 
     @property
     def batch_size(self) -> int:
@@ -38,6 +34,15 @@ class CSAParams:
     def pole(self, l: int, k: int) -> int:
         """f_{l,k} with 0-based group and slot indices."""
         return self.poles[l * self.kc + k]
+
+
+@dataclass(frozen=True)
+class CSAParams(_Groups):
+    ell: int
+    kc: int
+    servers: int
+    poles: tuple[int, ...]    # f values, group-major, length ell * kc
+    samples: tuple[int, ...]  # alpha values, one per server
 
     @property
     def arity(self) -> int:
@@ -67,7 +72,7 @@ def cauchy_points(field: PrimeField, batch: int, servers: int, poles, samples,
     poles = tuple(x % field.q for x in poles)
     samples = tuple(x % field.q for x in samples)
     if len(poles) != batch or len(samples) != servers:
-        raise ParameterError("need ell*kc poles and one sample per server")
+        raise ParameterError("need one pole per batch entry and one sample per server")
     # Systematic servers 1..L never evaluate at their alpha, so those slots
     # are exempt from the distinctness requirement (smaller fields suffice).
     used = poles + (samples[batch:] if systematic else samples)
@@ -228,7 +233,8 @@ def csa_answer(field: PrimeField, share_a, share_b, counter=None) -> np.ndarray:
 
 def csa_decode(field: PrimeField, answers, params: CSAParams) -> list[np.ndarray]:
     """Recover the L results from any R answers of a CSA code, or of an
-    N-CSA code without X-security or Byzantine servers.
+    N-CSA code without Byzantine servers (X-security's noise lies in the
+    Vandermonde tail).
 
     ``answers`` is an iterable of (server_index, Y) pairs, 0-based indices.
     """
@@ -248,25 +254,28 @@ def csa_decode(field: PrimeField, answers, params: CSAParams) -> list[np.ndarray
 def systematic_encode(field: PrimeField, batch_a, batch_b, params: CSAParams) -> list:
     """Shares for all S servers: ("raw", (A_s, B_s)) for the first L, then
     ("coded", (A-side shares, B-side shares)), the N-CSA layout with N = 2."""
-    _check_batch(batch_a, params)
-    _check_batch(batch_b, params)
+    return _systematic_shares(field, (batch_a, batch_b), (csa_encode_a, csa_encode_b),
+                              params)
+
+
+def _systematic_shares(field: PrimeField, batches, encoders, params) -> list:
+    """The systematic layout of one batch per variable: ("raw", every
+    variable's entry s) for servers s < L, then ("coded", every variable's
+    shares) from its encoder, each of which checks its batch."""
     if params.servers < params.batch_size:
         raise ParameterError("systematic layout needs S >= L")
-    batch = params.batch_size
-    coded = range(batch, params.servers)
-    return ([("raw", (batch_a[s], batch_b[s])) for s in range(batch)]
-            + [("coded", pair) for pair in zip(
-                csa_encode_a(field, batch_a, params, coded),
-                csa_encode_b(field, batch_b, params, coded))])
+    coded = [encode(field, batch, params, range(params.batch_size, params.servers))
+             for encode, batch in zip(encoders, batches)]
+    return ([("raw", tuple(batch[s] for batch in batches))
+             for s in range(params.batch_size)]
+            + [("coded", shares) for shares in zip(*coded)])
 
 
 def systematic_answer(field: PrimeField, share, counter=None) -> np.ndarray:
     kind, (a, b) = share
-    if kind == "coded":
-        return csa_answer(field, a, b, counter)
-    if counter is not None:
-        counter.mults += a.shape[0] * a.shape[1] * b.shape[1]
-    return field.matmul(a, b)
+    if kind == "raw":  # one product: the CSA answer of a single group
+        a, b = [a], [b]
+    return csa_answer(field, a, b, counter)
 
 
 def systematic_decode(field: PrimeField, answers, params) -> list[np.ndarray]:
@@ -305,26 +314,16 @@ def systematic_decode(field: PrimeField, answers, params) -> list[np.ndarray]:
 def cross_term_matrix(field: PrimeField, params: CSAParams) -> np.ndarray:
     """Map from cross products A_{l,k} B_{l,k'} (k != k') to server answers.
 
-    Row s, column (l, k, k') holds prod_{k'' not in {k, k'}}(f_{l,k''} - alpha_s),
-    the exact coefficient those interference terms carry in Y_s.
+    Row s, column (l, k, k') holds the A-side weight of slot k times the
+    B-side weight of slot k' at alpha_s, which is
+    prod_{k'' not in {k, k'}}(f_{l,k''} - alpha_s), the exact coefficient
+    those interference terms carry in Y_s.
     """
-    cols = []
-    for l in range(params.ell):
-        for k in range(params.kc):
-            for k2 in range(params.kc):
-                if k2 == k:
-                    continue
-                col = []
-                for alpha in params.samples:
-                    w = 1
-                    for k3 in range(params.kc):
-                        if k3 != k and k3 != k2:
-                            w = w * field.sub(params.pole(l, k3), alpha) % field.q
-                    col.append(w)
-                cols.append(col)
-    if not cols:  # kc = 1 produces no cross terms at all
-        return np.zeros((params.servers, 0), dtype=np.int64)
-    return np.array(cols, dtype=np.int64).T
+    servers = range(params.servers)
+    a = _cauchy_weights(field, params, servers, "a")
+    b = _cauchy_weights(field, params, servers, "b")
+    cross = a[..., :, None] * b[..., None, :] % field.q
+    return cross[..., ~np.eye(params.kc, dtype=bool)].reshape(params.servers, -1)
 
 
 def interference_rank(field: PrimeField, params: CSAParams) -> int:

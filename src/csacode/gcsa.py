@@ -24,8 +24,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .csa import (_cauchy_weights, _check_batch, _generator_encode, _server_list,
-                  _shares, _take_answers, cauchy_points)
+from .csa import (_cauchy_weights, _check_batch, _generator_encode, _Groups,
+                  _server_list, _shares, _take_answers, cauchy_points)
 from .ep import EPParams, _a_exponents, _b_exponents, _extract_products
 from .errors import ParameterError
 from .ffield import PrimeField, poly_mul
@@ -33,7 +33,7 @@ from .structmat import CVSpec, confluent_cv_matrix, lt_toeplitz, solve_batch
 
 
 @dataclass(frozen=True)
-class GCSAParams:
+class GCSAParams(_Groups):
     ell: int
     kc: int
     p: int
@@ -44,10 +44,6 @@ class GCSAParams:
     samples: tuple[int, ...]
 
     @property
-    def batch_size(self) -> int:
-        return self.ell * self.kc
-
-    @property
     def inner_order(self) -> int:
         """R' = pmn, the pole multiplicity used throughout."""
         return self.p * self.m * self.n
@@ -55,9 +51,6 @@ class GCSAParams:
     @property
     def ep(self) -> EPParams:
         return EPParams(self.p, self.m, self.n)
-
-    def pole(self, l: int, k: int) -> int:
-        return self.poles[l * self.kc + k]
 
 
 def gcsa_threshold(ell: int, kc: int, p: int, m: int, n: int) -> int:

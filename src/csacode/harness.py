@@ -103,30 +103,20 @@ def ep_setup(field: PrimeField, p: int, m: int, n: int, servers: int,
     r = ep.ep_threshold(params)
     if r > servers:
         raise ParameterError(f"R <= S violated: threshold {r} exceeds {servers} servers")
-    if samples is None:
-        samples = tuple(s % field.q for s in range(1, servers + 1))
-    samples = tuple(s % field.q for s in samples)
-    if len(samples) != servers or len(set(samples)) != servers:
-        raise ParameterError("need one distinct evaluation point per server")
+    _, samples = csa.cauchy_points(field, 0, servers, (), samples, False)
     return EPSetup(params, servers, samples)
 
 
 def theoretical_costs(scheme: str, setup) -> CostSummary:
     """Closed-form recovery threshold and normalized costs."""
-    if scheme == "ep":
-        p, m, n = setup.params.p, setup.params.m, setup.params.n
-        r = ep.ep_threshold(setup.params)
-        return CostSummary(r, (Fraction(setup.servers, p * m),
-                               Fraction(setup.servers, p * n)),
-                           Fraction(r, m * n))
-    if scheme == "gcsa":
-        r = gcsa.gcsa_threshold(setup.ell, setup.kc, setup.p, setup.m, setup.n)
-        return CostSummary(
-            r,
-            (Fraction(setup.servers, setup.kc * setup.p * setup.m),
-             Fraction(setup.servers, setup.kc * setup.p * setup.n)),
-            Fraction(r, setup.m * setup.n * setup.batch_size),
-        )
+    if scheme in ("ep", "gcsa"):  # EP is GCSA with ell = kc = 1
+        ell, kc = (1, 1) if scheme == "ep" else (setup.ell, setup.kc)
+        inner = setup.params if scheme == "ep" else setup.ep
+        p, m, n = inner.p, inner.m, inner.n
+        r = gcsa.gcsa_threshold(ell, kc, p, m, n)
+        return CostSummary(r, (Fraction(setup.servers, kc * p * m),
+                               Fraction(setup.servers, kc * p * n)),
+                           Fraction(r, m * n * ell * kc))
     if scheme in ("csa", "csa-systematic", "ncsa", "lcc"):  # CSA is N-CSA with N = 2
         r = setup.threshold
         u = Fraction(setup.servers, setup.kc)
@@ -206,6 +196,10 @@ def run_nlinear(field: PrimeField, params: ncsa.NCSAParams, job, batches,
     Returns (evaluations, CostReport).
     """
     is_spec = isinstance(job, ncsa.PolynomialSpec)
+    if systematic and is_spec:
+        raise ParameterError("the systematic layout takes an N-linear map, not a polynomial spec")
+    if byzantine is not None and byzantine.corrupted and not params.byzantine:
+        raise ParameterError("corrupted servers need a Byzantine budget B >= 1")
     arity = job.arity
     if not is_spec and arity != params.arity:
         raise ParameterError("map arity does not match the parameters")
@@ -232,7 +226,7 @@ def run_nlinear(field: PrimeField, params: ncsa.NCSAParams, job, batches,
             return ncsa.ncsa_systematic_encode(field, batches, params)
 
         def answer(s, share, counter):
-            return ncsa.ncsa_systematic_answer(field, share, job, params, s)
+            return ncsa.ncsa_systematic_answer(field, share, job, params, s, counter)
 
         def decode(answers):  # the layout excludes X and B
             return csa.systematic_decode(field, answers, params), ()
@@ -254,9 +248,7 @@ def run_nlinear(field: PrimeField, params: ncsa.NCSAParams, job, batches,
                 shares_by_var[None] = const_shares[s]
             return ncsa.poly_batch_eval_answer(field, shares_by_var, job, params, s)
 
-        def decode(answers):
-            if not (params.x_secure or params.byzantine):
-                return ncsa.ncsa_decode(field, answers, params), ()
+        def decode(answers):  # with B = 0 it flags nothing: the plain decode
             evals, found = ncsa.xsb_decode(field, answers, params)
             return evals, tuple(found)
 

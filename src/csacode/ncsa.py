@@ -6,11 +6,11 @@ batch is Cauchy-coded per group with the CSA A-side encoder
 the prefactor-normalized group sum, and the decoder solves the scaled
 Cauchy-Vandermonde system of ``structmat`` (Cauchy columns scaled by
 c_{l,k}^(N-1)), whose tail absorbs the (kc-1)(N-1) interference dimensions.
-Points, batch checks, the plain decoder and the systematic decoder are the
-CSA ones.  Lagrange coded computing (LCC) is the special case ell = 1,
-kc = L, with threshold N(L - 1) + 1.  Adds uniform-noise shares that keep
-any X servers ignorant of the data, and error correction against B forged
-answers.
+Points, batch checks, the systematic layout and both decoders (the plain one
+also on ``xsb_decode``'s clean rows) are the CSA ones.  Lagrange coded
+computing (LCC) is the special case ell = 1, kc = L, with threshold
+N(L - 1) + 1.  Adds uniform-noise shares that keep any X servers ignorant of
+the data, and error correction against B forged answers.
 """
 
 from __future__ import annotations
@@ -19,17 +19,17 @@ import hashlib
 import math
 import numbers
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
 import numpy as np
 
-from .csa import (_check_batch, _server_list, _take_answers, cauchy_points,
-                  csa_decode, csa_encode_a, scaling_constants)
+from .csa import (_Groups, _server_list, _systematic_shares, _take_answers,
+                  cauchy_points, csa_decode, csa_encode_a)
 from .errors import DecodingFailureError, ParameterError
 from .ffield import PrimeField
-from .structmat import (CVSpec, _row_reduce, rs_error_correct, scaled_cv_matrix,
-                        solve_batch)
+# perfbench/tracer.py traces ncsa.solve_batch, so the name stays importable here.
+from .structmat import _row_reduce, rs_error_correct, solve_batch  # noqa: F401
 
 # ---- N-linear maps ----
 
@@ -58,14 +58,7 @@ class NLinearMap:
 
 def matmul_map(rows: int, inner: int, cols: int) -> NLinearMap:
     """Bilinear matrix product: the CDBMM kernel as a 2-linear map."""
-    return NLinearMap(
-        arity=2,
-        var_shapes=((rows, inner), (inner, cols)),
-        out_shape=(rows, cols),
-        fn=lambda field, a, b: field.matmul(a, b),
-        name="matmul",
-        mults=rows * inner * cols,
-    )
+    return replace(matrix_chain_map((rows, inner, cols)), name="matmul")
 
 
 def matrix_chain_map(dims: tuple[int, ...]) -> NLinearMap:
@@ -129,7 +122,7 @@ def determinant_map(size: int) -> NLinearMap:
 
 
 @dataclass(frozen=True)
-class NCSAParams:
+class NCSAParams(_Groups):
     arity: int  # N
     ell: int
     kc: int
@@ -139,13 +132,6 @@ class NCSAParams:
     poles: tuple[int, ...] = ()
     samples: tuple[int, ...] = ()
     noise_seed: int = 0
-
-    @property
-    def batch_size(self) -> int:
-        return self.ell * self.kc
-
-    def pole(self, l: int, k: int) -> int:
-        return self.poles[l * self.kc + k]
 
     @property
     def threshold(self) -> int:
@@ -410,13 +396,9 @@ def xsb_decode(field: PrimeField, answers, params: NCSAParams):
                 flagged_rows.update(positions)
             if len(flagged_rows) > b:
                 raise DecodingFailureError("corruptions exceed the Byzantine budget")
-    clean = [i for i in range(r) if i not in flagged_rows][:width]
-    mat = scaled_cv_matrix(field, CVSpec(params.poles, tuple(alphas[i] for i in clean)),
-                           scaling_constants(field, params, params.arity - 1))
-    stacked = np.stack([answers[i][1].reshape(-1) for i in clean])
-    sol = solve_batch(field, mat, stacked)
-    shape = answers[0][1].shape
-    evals = [sol[j].reshape(shape) for j in range(params.batch_size)]
+    # without the B budget the threshold is width: the CSA decode of clean rows
+    clean = [answers[i] for i in range(r) if i not in flagged_rows]
+    evals = csa_decode(field, clean, replace(params, byzantine=0))
     return evals, sorted(answers[i][0] for i in flagged_rows)
 
 
@@ -476,20 +458,15 @@ def ncsa_systematic_encode(field: PrimeField, batches, params: NCSAParams) -> li
     """
     if params.x_secure >= 1:
         raise ParameterError("systematic layout cannot be combined with X-security")
-    if params.servers < params.batch_size:
-        raise ParameterError("systematic layout needs S >= L")
-    for batch in batches:
-        _check_batch(batch, params)
-    batch_size = params.batch_size
-    coded = [csa_encode_a(field, batch, params, range(batch_size, params.servers))
-             for batch in batches]
-    return ([("raw", tuple(batch[s] for batch in batches)) for s in range(batch_size)]
-            + [("coded", tuple(per_server)) for per_server in zip(*coded)])
+    return _systematic_shares(field, batches, [csa_encode_a] * len(batches), params)
 
 
 def ncsa_systematic_answer(field: PrimeField, share, omega: NLinearMap,
-                           params: NCSAParams, s: int) -> np.ndarray:
+                           params: NCSAParams, s: int, counter=None) -> np.ndarray:
+    """A raw server evaluates the map once; a coded one answers as ``ncsa_answer``."""
     kind, payload = share
-    if kind == "raw":
-        return omega(field, *payload)
-    return ncsa_answer(field, list(payload), omega, params, s)
+    if kind == "coded":
+        return ncsa_answer(field, list(payload), omega, params, s, counter)
+    if counter is not None and omega.mults is not None:
+        counter.mults += omega.mults
+    return omega(field, *payload)

@@ -47,6 +47,45 @@ def test_hull_sorted_convex_and_witnessed():
             assert (u, d) == (p.upload, p.download)
 
 
+def _family_costs(family, servers, r_max):
+    """The EP and CSA enumerations with their own threshold formulas, as
+    written before both went through the GCSA loop nest."""
+    out = []
+    if family == "ep":
+        for p in range(1, r_max + 2):
+            for m in range(1, r_max + 1):
+                for n in range(1, r_max + 1):
+                    r = p * m * n + p - 1
+                    if r <= r_max:
+                        u = max(Fraction(servers, p * m), Fraction(servers, p * n))
+                        out.append((u, Fraction(r, m * n), {"p": p, "m": m, "n": n}))
+    else:
+        for ell in range(1, r_max + 1):
+            for kc in range(1, r_max + 1):
+                r = (ell + 1) * kc - 1
+                if r <= r_max:
+                    out.append((Fraction(servers, kc), Fraction(r, ell * kc),
+                                {"ell": ell, "kc": kc}))
+    return out
+
+
+@pytest.mark.parametrize("servers, r_max", [(2, 1), (9, 3), (12, 7), (30, 25), (300, 60)])
+def test_ep_and_csa_enumerations_are_gcsa_restrictions(servers, r_max):
+    # EP is GCSA with ell = kc = 1 and CSA is GCSA with p = m = n = 1
+    everything = list(analysis.enumerate_costs("gcsa", servers, r_max))
+    for family, fixed in (("ep", {"ell": 1, "kc": 1}), ("csa", {"p": 1, "m": 1, "n": 1})):
+        restricted = [(u, d, {k: v for k, v in w.items() if k not in fixed})
+                      for u, d, w in everything
+                      if all(w[k] == v for k, v in fixed.items())]
+        got = list(analysis.enumerate_costs(family, servers, r_max))
+        old = _family_costs(family, servers, r_max)
+        assert got == restricted == old
+        assert [list(w) for _, _, w in got] == [list(w) for _, _, w in old]
+    # the pmn bound applies to gcsa only
+    assert list(analysis.enumerate_costs("ep", servers, r_max, 1)) == \
+        list(analysis.enumerate_costs("ep", servers, r_max))
+
+
 def test_batch_dominates_partitioning_at_both_scales():
     for servers, r_max in [(30, 25), (300, 250)]:
         csa_best, _ = analysis.min_max_cost("csa", servers, r_max)

@@ -64,6 +64,18 @@ def test_run_byzantine_within_budget(capsys):
     assert json.loads(out)["flagged_servers"] == [3]
 
 
+def test_run_forgers_without_a_byzantine_budget_is_a_config_error(capsys, tmp_path):
+    # with B = 0 the forged answer once decoded to a wrong digest, unflagged
+    cfg = json.loads((DATA / "ncsa_byzantine_demo.json").read_text())
+    cfg["params"] = {"ell": 1, "kc": 1, "X": 1}
+    path = tmp_path / "no_budget.json"
+    path.write_text(json.dumps(cfg))
+    code, out = run_cli(capsys, "run", str(path))
+    assert code == cli.EXIT_CONFIG
+    err = json.loads(out)["error"]
+    assert err["category"] == "validation" and "Byzantine budget" in err["message"]
+
+
 def test_run_missing_config_is_io_error(capsys):
     code, out = run_cli(capsys, "run", "/nonexistent/config.json")
     assert code == cli.EXIT_IO
