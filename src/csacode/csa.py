@@ -298,9 +298,11 @@ def systematic_decode(field: PrimeField, answers, params) -> list[np.ndarray]:
     spec = CVSpec(tuple(params.poles[i] for i in unknown), alphas)
     mat = scaled_cv_matrix(field, spec, [consts[i] for i in unknown])
     rhs = np.stack([y.reshape(-1) for _, y in coded])
-    for idx, val in known.items():
-        w = [consts[idx] * field.inv(field.sub(params.poles[idx], alpha)) % field.q
-             for alpha in alphas]
+    invs = field.batch_inv([field.sub(params.poles[idx], alpha)
+                            for idx in known for alpha in alphas])
+    invs = np.array(invs, dtype=np.int64).reshape(len(known), len(alphas))
+    for row, (idx, val) in zip(invs, known.items()):
+        w = consts[idx] * row % field.q
         rhs = (rhs - np.outer(w, val.reshape(-1))) % field.q
     sol = solve_batch(field, mat, rhs)
     shape = answers[0][1].shape

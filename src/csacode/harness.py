@@ -208,8 +208,8 @@ def run_nlinear(field: PrimeField, params: ncsa.NCSAParams, job, batches,
         raise ParameterError(
             f"need one variable batch per slot: got {len(batches)}, "
             f"expected {want_batches}")
-    if systematic and (params.x_secure or params.byzantine):
-        raise ParameterError("systematic layout cannot be combined with X-security")
+    if systematic:
+        ncsa.check_systematic(params.x_secure, params.byzantine)
     batches = [_residue_batch(field, batch) for batch in batches]
     uses = ([(slot, t.omega.var_shapes[i]) for t in job.terms
              for i, slot in enumerate(t.slots)] if is_spec

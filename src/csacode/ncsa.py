@@ -157,8 +157,8 @@ def ncsa_params(field: PrimeField, arity: int, ell: int, kc: int, servers: int,
                 noise_seed: int = 0, systematic: bool = False) -> NCSAParams:
     if min(arity, ell, kc, servers) < 1 or min(x_secure, byzantine) < 0:
         raise ParameterError("invalid scheme parameters")
-    if systematic and x_secure >= 1:
-        raise ParameterError("systematic layout cannot be combined with X-security")
+    if systematic:
+        check_systematic(x_secure, byzantine)
     if systematic and servers < ell * kc:
         raise ParameterError("systematic layout needs S >= L")
     r = xsb_threshold(arity, ell, kc, x_secure, byzantine)
@@ -169,52 +169,38 @@ def ncsa_params(field: PrimeField, arity: int, ell: int, kc: int, servers: int,
                       poles, samples, noise_seed)
 
 
+def check_systematic(x_secure: int, byzantine: int) -> None:
+    """The systematic layout holds neither X-security nor a Byzantine budget."""
+    if x_secure >= 1:
+        raise ParameterError("systematic layout cannot be combined with X-security")
+    if byzantine >= 1:
+        raise ParameterError("systematic layout cannot be combined with a Byzantine budget B >= 1")
+
+
 # ---- encoding ----
-
-
-def noise_element(field: PrimeField, seed: int, var: int, l: int, k: int,
-                  x: int, idx: int) -> int:
-    """Deterministic uniform field element keyed by (seed, var, l, k, x, idx).
-
-    Counter-based: SHA-256 of the packed key yields 64-bit words that are
-    rejection-sampled to remove modulo bias.
-    """
-    limit = (2**64 // field.q) * field.q
-    ctr = 0
-    while True:
-        data = struct.pack("<7q", seed, var, l, k, x, idx, ctr)
-        digest = hashlib.sha256(data).digest()
-        for off in range(0, 32, 8):
-            word = struct.unpack_from("<Q", digest, off)[0]
-            if word < limit:
-                return word % field.q
-        ctr += 1
 
 
 def noise_block(field: PrimeField, seed: int, var: int, l: int, k: int, x: int,
                 shape) -> np.ndarray:
-    """``noise_element`` for every flat index of ``shape``, byte for byte.
+    """Uniform noise block keyed by (seed, var, l, k, x): one SHAKE-256 stream.
 
-    SHA-256 is a stream, so the packed key prefix (seed, var, l, k, x) is
-    hashed once and each entry continues a copy of it with (idx, 0).  The
-    entry is that digest's first word mod q unless the word falls in the
-    rejected tail; those entries (probability below 2^-33 for q < 2^31)
-    take ``noise_element``'s full rejection loop.
+    Counter-based (Salmon et al., SC 2011): the packed key seeds a SHAKE-256
+    stream (FIPS 202) read as little-endian 64-bit words.  Words at or above
+    the largest multiple of q below 2^64 are rejected, so there is no modulo
+    bias; the first n survivors mod q fill the block in row-major order, and
+    a short read continues the stream.
     """
     q = field.q
-    limit = (2**64 // q) * q
-    prefix = hashlib.sha256(struct.pack("<5q", seed, var, l, k, x))
-    pack = struct.Struct("<2q").pack
-    digests = []
-    for idx in range(int(np.prod(shape))):
-        h = prefix.copy()
-        h.update(pack(idx, 0))
-        digests.append(h.digest())
-    words = np.frombuffer(b"".join(digests), dtype="<u8")[::4]
-    flat = (words % np.uint64(q)).astype(np.int64)
-    for idx in np.flatnonzero(words >= np.uint64(limit)):
-        flat[idx] = noise_element(field, seed, var, l, k, x, int(idx))
-    return flat.reshape(shape)
+    n = int(np.prod(shape))
+    limit = np.uint64((2**64 // q) * q)
+    xof = hashlib.shake_256(struct.pack("<5q", seed, var, l, k, x))
+    words = n + 4  # below 2^31 a word is rejected with probability under 2^-33
+    while True:
+        stream = np.frombuffer(xof.digest(8 * words), dtype="<u8")
+        kept = stream[stream < limit]
+        if kept.size >= n:
+            return (kept[:n] % np.uint64(q)).astype(np.int64).reshape(shape)
+        words += 2 * (n - kept.size) + 4
 
 
 def xs_encode(field: PrimeField, batch, params: NCSAParams, var: int, servers,
@@ -456,8 +442,7 @@ def ncsa_systematic_encode(field: PrimeField, batches, params: NCSAParams) -> li
 
     ``batches`` holds one variable batch (length L) per map slot.
     """
-    if params.x_secure >= 1:
-        raise ParameterError("systematic layout cannot be combined with X-security")
+    check_systematic(params.x_secure, params.byzantine)
     return _systematic_shares(field, batches, [csa_encode_a] * len(batches), params)
 
 

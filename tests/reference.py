@@ -10,10 +10,14 @@ library code calls them:
 - ``split_blocks`` / ``answer_coefficients``: the EP answer polynomial,
   expanded block product by block product;
 - ``check_multilinear``: a random linearity probe of an N-linear map;
-- ``naive_combo_threshold``: the threshold GCSA is compared against.
+- ``naive_combo_threshold``: the threshold GCSA is compared against;
+- ``shake_words`` / ``noise_reference``: X-secure noise drawn word by word.
 """
 
 from __future__ import annotations
+
+import hashlib
+import struct
 
 import numpy as np
 
@@ -171,3 +175,29 @@ def naive_combo_threshold(ell: int, kc: int, servers_inner: int) -> int:
     """Threshold of batch-coding all inner sub-products as one large batch:
     an (ell, kc * S') batch code over the S' * L partitioned tasks."""
     return ell * kc * servers_inner + kc * servers_inner - 1
+
+
+# ---- X-secure noise ----
+
+
+def shake_words(key: tuple):
+    """The 64-bit little-endian words of the SHAKE-256 stream of the packed
+    (seed, var, l, k, x) key, read 8 bytes at a time."""
+    xof = hashlib.shake_256(struct.pack("<5q", *key))
+    stream, i = b"", 0
+    while True:
+        if 8 * (i + 1) > len(stream):
+            stream = xof.digest(max(64, 2 * len(stream)))
+        yield int.from_bytes(stream[8 * i:8 * i + 8], "little")
+        i += 1
+
+
+def noise_reference(q: int, key: tuple, n: int) -> list[int]:
+    """The first n words below the largest multiple of q under 2^64, mod q."""
+    limit = (2**64 // q) * q
+    out = []
+    for word in shake_words(key):
+        if len(out) == n:
+            return out
+        if word < limit:
+            out.append(word % q)

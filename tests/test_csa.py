@@ -280,6 +280,25 @@ def test_systematic_all_raw_needs_zero_solves():
     assert all(np.array_equal(g, t) for g, t in zip(got, truth))
 
 
+def test_systematic_decode_inverts_known_poles_in_one_batch(monkeypatch):
+    # 8 raw results against 24 coded answers once took 8 * 24 scalar inverses
+    # (101 in the round); one batch_inv leaves 14
+    rng = np.random.default_rng(13)
+    params = csa_params(FIELD, 4, 4, 40, systematic=True)
+    aa = [FIELD.rand_matrix(rng, 3, 2) for _ in range(16)]
+    bb = [FIELD.rand_matrix(rng, 2, 3) for _ in range(16)]
+    inv = PrimeField.inv
+    calls = []
+    monkeypatch.setattr(PrimeField, "inv",
+                        lambda self, a: calls.append(a) or inv(self, a))
+    products, _ = harness.run_cdbmm(
+        FIELD, "csa-systematic", params, aa, bb,
+        harness.StragglerModel(responsive=tuple(range(8)) + tuple(range(16, 40))))
+    assert len(calls) == 14
+    truth = harness.direct_products(FIELD, aa, bb)
+    assert all(np.array_equal(p, t) for p, t in zip(products, truth))
+
+
 def test_systematic_matches_plain_decode_everywhere():
     rng = np.random.default_rng(12)
     params = csa_params(FIELD, 1, 2, 5, systematic=True)

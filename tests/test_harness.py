@@ -204,6 +204,17 @@ def test_nlinear_rejects_a_spec_in_the_systematic_layout(monkeypatch):
                             harness.StragglerModel(count=5), systematic=True)
 
 
+@pytest.mark.parametrize("budget, cause", [({"x_secure": 1}, "X-security"),
+                                           ({"byzantine": 1}, "Byzantine budget")])
+def test_systematic_nlinear_names_what_it_cannot_hold(budget, cause):
+    rng = np.random.default_rng(16)
+    params = ncsa.ncsa_params(FIELD, 2, 1, 2, 9, **budget)
+    batches = [[FIELD.rand_matrix(rng, 2, 2) for _ in range(2)] for _ in range(2)]
+    with pytest.raises(ParameterError, match=cause):
+        harness.run_nlinear(FIELD, params, ncsa.matmul_map(2, 2, 2), batches,
+                            harness.StragglerModel(count=9), systematic=True)
+
+
 def test_systematic_nlinear_round_counts_server_mults():
     # systematic rounds once reported 0: neither the raw servers' map
     # evaluations nor the coded servers' answers were counted

@@ -1,6 +1,5 @@
 import hashlib
 import itertools
-import struct
 import types
 from fractions import Fraction
 
@@ -16,11 +15,12 @@ from csacode.ncsa import (PolynomialSpec, PolyTerm, determinant_map,
                           ncsa_answer, ncsa_decode, ncsa_params,
                           ncsa_systematic_answer,
                           ncsa_systematic_encode, ncsa_threshold,
-                          noise_block, noise_element, poly_batch_eval_answer,
+                          noise_block, poly_batch_eval_answer,
                           xs_encode, xsb_decode, xsb_threshold)
 from csacode.structmat import (CVSpec, rs_error_correct, scaled_cv_matrix,
                                solve_batch)
-from reference import check_multilinear, lcc_decode, lcc_encode
+from reference import (check_multilinear, lcc_decode, lcc_encode, noise_reference,
+                       shake_words)
 
 FIELD = PrimeField(65537)
 
@@ -404,29 +404,50 @@ def test_xs_exhaustive_uniformity_tiny_field():
 
 
 @pytest.mark.parametrize("q", [13, 65537, 2147483629])
-def test_noise_block_matches_noise_element(q):
+def test_noise_block_matches_reference(q):
     field = PrimeField(q)
     for key, shape in [((0, 0, 0, 0, 1), (1, 1)), ((7, 1, 1, 0, 2), (3, 4)),
                        ((99, 3, 0, 2, 1), (5,)), ((-4, 0, 2, 1, 3), (2, 3, 2))]:
         block = noise_block(field, *key, shape)
         assert block.shape == shape and block.dtype == np.int64
-        assert block.reshape(-1).tolist() == [noise_element(field, *key, i)
-                                              for i in range(block.size)]
+        assert block.reshape(-1).tolist() == noise_reference(q, key, block.size)
 
 
-def test_noise_block_rejection_tail_matches_noise_element():
-    # Below 2^31 a first word is rejected with probability under 2^-33.  A
-    # stand-in modulus just above 2^62 (the noise functions read only .q)
-    # rejects about one word in four, so the block takes the full loop.
+def test_noise_block_rejection_and_stream_extension_match_reference(monkeypatch):
+    # Below 2^31 a word is rejected with probability under 2^-33.  A stand-in
+    # modulus just above 2^62 (noise_block reads only .q) rejects about one
+    # word in four, so an 8x8 block both rejects words and reads its stream
+    # further than the first digest.
     field = types.SimpleNamespace(q=2**62 + 1)
     key = (5, 1, 0, 1, 2)
     limit = (2**64 // field.q) * field.q
-    first = [struct.unpack_from("<Q", hashlib.sha256(
-        struct.pack("<7q", *key, i, 0)).digest())[0] for i in range(64)]
-    assert any(w >= limit for w in first)
+    assert any(w >= limit for w in itertools.islice(shake_words(key), 64))
+    want = noise_reference(field.q, key, 64)
+    reads = []
+    shake = hashlib.shake_256
+
+    class Recorded:
+        def __init__(self, data):
+            self._xof = shake(data)
+
+        def digest(self, length):
+            reads.append(length)
+            return self._xof.digest(length)
+
+    monkeypatch.setattr(hashlib, "shake_256", Recorded)
     block = noise_block(field, *key, (8, 8))
-    assert block.reshape(-1).tolist() == [noise_element(field, *key, i)
-                                          for i in range(64)]
+    assert len(reads) >= 2
+    assert block.reshape(-1).tolist() == want
+
+
+def test_noise_block_is_uniform_at_q13():
+    # one fixed 1,300-entry block: every residue appears, and Pearson's
+    # statistic stays under 32.91, the 0.999 quantile of chi-square with
+    # 12 degrees of freedom
+    block = noise_block(PrimeField(13), 3, 0, 0, 0, 1, (1300,))
+    counts = np.bincount(block, minlength=13)
+    assert counts.size == 13 and counts.min() > 0
+    assert ((counts - 100) ** 2 / 100).sum() < 32.91
 
 
 @pytest.mark.parametrize("x_secure", [1, 2])
@@ -782,5 +803,11 @@ def test_systematic_layout_parity():
 
 
 def test_systematic_forbidden_with_x_security():
-    with pytest.raises(ParameterError):
+    with pytest.raises(ParameterError, match="X-security"):
         ncsa_params(FIELD, 2, 1, 2, 8, x_secure=1, systematic=True)
+
+
+def test_systematic_forbidden_with_a_byzantine_budget():
+    # once accepted here, then refused by run_nlinear as "X-security"
+    with pytest.raises(ParameterError, match="Byzantine budget"):
+        ncsa_params(FIELD, 2, 1, 2, 9, byzantine=1, systematic=True)
