@@ -135,12 +135,10 @@ def _server_list(servers) -> list[int]:
     return [servers] if isinstance(servers, numbers.Integral) else list(servers)
 
 
-def _shares(coded: np.ndarray, servers) -> list:
-    """The share lists of ``_generator_encode``'s output, one per listed
-    server, or the one list when ``servers`` is a single index."""
-    count, ell = coded.shape[:2]
-    flat = list(coded.reshape((count * ell,) + coded.shape[2:]))
-    shares = [flat[i * ell : (i + 1) * ell] for i in range(count)]
+def _shares(groups, servers) -> list:
+    """The share lists of ``_generator_encode``'s group outputs, one per
+    listed server, or the one list when ``servers`` is a single index."""
+    shares = [[group[i] for group in groups] for i in range(len(groups[0]))]
     return shares[0] if isinstance(servers, numbers.Integral) else shares
 
 
@@ -174,19 +172,18 @@ def _cauchy_weights(field: PrimeField, params, listed, side: str, order: int = 1
 
 
 def _generator_encode(field: PrimeField, batch, weights: np.ndarray,
-                      grid=(1, 1)) -> np.ndarray:
-    """Shares from one generator product, as a (servers, ell, bh, bw) array.
+                      grid=(1, 1)) -> list:
+    """Shares from generator products, as ell arrays of shape (servers, bh, bw),
+    one per group.
 
     Every batch entry is split into a ``grid`` of rows x cols equal blocks
     (bh x bw), and the L entries form ell groups of kc.  ``weights`` has
-    shape (servers, ell, kc * blocks): generator row (s, l) carries
-    ``weights[s, l]`` on group l's columns (entry, block) and zeros
-    elsewhere, so the (servers * ell x L * blocks) generator times the
-    blocks stacked as (L * blocks x bh * bw) yields every share at once.
-    A 2-D ``weights`` (servers, blocks) is one row used for every entry
-    alone (kc = 1, ell = L); the blocks then stack as (blocks x L * bh * bw)
-    and the generator needs no zeros.  On the 1 x 1 grid an entry may have
-    any shape, which each share keeps.
+    shape (servers, ell, kc * blocks): group l's shares are ``weights[:, l]``
+    times the group's blocks stacked as (kc * blocks x bh * bw), one product
+    per group.  A 2-D ``weights`` (servers, blocks) is one row used for every
+    entry alone (kc = 1, ell = L); the blocks of all entries then stack as
+    (blocks x L * bh * bw) and one product yields every share.  On the 1 x 1
+    grid an entry may have any shape, which each share keeps.
     """
     try:
         arr = np.asarray(batch)
@@ -204,31 +201,30 @@ def _generator_encode(field: PrimeField, batch, weights: np.ndarray,
     servers, width = weights.shape[0], weights.shape[-1]
     kc = width // (rows * cols)
     ell = entries // kc
+    group_shape = (servers,) + ((bh, bw) if grid != (1, 1) else entry_shape)
     blocks = field.residues(arr).reshape(ell, kc, rows, bh, cols, bw)
     if weights.ndim == 2:
         stacked = blocks.transpose(1, 2, 4, 0, 3, 5).reshape(width, -1)
-        coded = field.matmul(weights, stacked)
-    else:
-        gen = np.zeros((servers, ell, ell, width), dtype=np.int64)
-        gen[:, np.arange(ell), np.arange(ell)] = weights
-        stacked = blocks.transpose(0, 1, 2, 4, 3, 5).reshape(entries * rows * cols, -1)
-        coded = field.matmul(gen.reshape(servers * ell, ell * width), stacked)
-    return coded.reshape((servers, ell) + ((bh, bw) if grid != (1, 1) else entry_shape))
+        coded = field.matmul(weights, stacked).reshape((servers, ell, -1))
+        return [coded[:, l].reshape(group_shape) for l in range(ell)]
+    stacked = blocks.transpose(0, 1, 2, 4, 3, 5).reshape(ell, width, -1)
+    coded = np.empty((ell, servers, stacked.shape[-1]), dtype=np.int64)
+    for l in range(ell):
+        field.matmul(weights[:, l], stacked[l], out=coded[l])
+    return list(coded.reshape((ell,) + group_shape))
 
 
 def csa_answer(field: PrimeField, share_a, share_b, counter=None) -> np.ndarray:
-    """Server-side work: Y_s = sum_l A~_l B~_l."""
+    """Server-side work: Y_s = sum_l A~_l B~_l, as the one product
+    [A~_1 | ... | A~_ell] [B~_1; ...; B~_ell]."""
     if len(share_a) != len(share_b):
         raise ParameterError("share group counts differ")
-    acc = None
     for a, b in zip(share_a, share_b):
         if a.shape[1] != b.shape[0]:
             raise ParameterError("share shapes are not conformable")
         if counter is not None:
             counter.mults += a.shape[0] * a.shape[1] * b.shape[1]
-        prod = field.matmul(a, b)
-        acc = prod if acc is None else (acc + prod) % field.q
-    return acc
+    return field.matmul(np.concatenate(share_a, axis=1), np.concatenate(share_b, axis=0))
 
 
 def csa_decode(field: PrimeField, answers, params: CSAParams) -> list[np.ndarray]:
@@ -298,12 +294,13 @@ def systematic_decode(field: PrimeField, answers, params) -> list[np.ndarray]:
     spec = CVSpec(tuple(params.poles[i] for i in unknown), alphas)
     mat = scaled_cv_matrix(field, spec, [consts[i] for i in unknown])
     rhs = np.stack([y.reshape(-1) for _, y in coded])
-    invs = field.batch_inv([field.sub(params.poles[idx], alpha)
-                            for idx in known for alpha in alphas])
-    invs = np.array(invs, dtype=np.int64).reshape(len(known), len(alphas))
-    for row, (idx, val) in zip(invs, known.items()):
-        w = consts[idx] * row % field.q
-        rhs = (rhs - np.outer(w, val.reshape(-1))) % field.q
+    if known:  # coded rows x known results: c_{l,k}^(N-1) / (f_{l,k} - alpha)
+        invs = field.batch_inv([field.sub(params.poles[idx], alpha)
+                                for alpha in alphas for idx in known])
+        invs = np.array(invs, dtype=np.int64).reshape(len(alphas), len(known))
+        weights = invs * np.array([consts[idx] for idx in known], dtype=np.int64) % field.q
+        known_rows = np.stack([y.reshape(-1) for y in known.values()])
+        rhs = (rhs - field.matmul(weights, known_rows)) % field.q
     sol = solve_batch(field, mat, rhs)
     shape = answers[0][1].shape
     return [known[i] if i in known else sol[unknown.index(i)].reshape(shape)

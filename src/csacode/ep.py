@@ -95,7 +95,7 @@ def _encode(field: PrimeField, mats, grid, exps, alpha):
     gen = np.array([[pow(x, e, field.q) for e in exps] for x in points],
                    dtype=np.int64).reshape(len(points), len(exps))
     if isinstance(alpha, numbers.Integral):
-        return _generator_encode(field, [mats], gen, grid)[0, 0]
+        return _generator_encode(field, [mats], gen, grid)[0][0]
     return _shares(_generator_encode(field, mats, gen, grid), alpha)
 
 

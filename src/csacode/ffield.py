@@ -23,6 +23,21 @@ several fields can coexist in one process.
   exact over 64 terms (32 inner indices) at q = 2147483629.  Smaller q take
   this form too wherever it needs fewer chunks than plain residues.
 
+Workspaces: the float path writes its float64 operands, each ``dgemm``
+block and each reduction quotient into scratch arrays that belong to the
+calling thread (``threading.local``), grow on demand and are reused by every
+later product in that thread, whatever its field.  A float-path product
+allocates only the array it returns (nothing when the caller passes
+``out``), and that array never views or aliases a workspace, so later
+products cannot change an earlier result.  Why: every large fresh numpy
+temporary is memory that glibc has handed back to the OS, and each
+re-touched 4 KB page then costs a minor fault (about 2 us on a 2-core
+x86-64 VM).  Counted with
+``resource.getrusage`` (one BLAS thread), fresh temporaries cost a
+``cdbmm-q31`` round of the benchmark about 1,840 minor faults and 9.4 ms
+and a 192^3 product at q = 65537 328 faults and 830 us; with workspaces the
+round takes about 600 faults and 5.3 ms and the product none and 530 us.
+
 Crossover, q = 65537, square products, ``_matmul_int64`` vs
 ``_matmul_float`` (best of 25 timeit repeats, OpenBLAS 0.3.31 with one
 thread, numpy 2.4, 2-core x86-64 VM): 2.3 vs 5.7 us at 8^3, 5.1 vs 6.5 us at
@@ -45,6 +60,8 @@ limit never applies.
 
 from __future__ import annotations
 
+import math
+import threading
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -61,10 +78,18 @@ INT64_MAX_CHUNKS = 5
 # float64 represents every integer below 2^53 exactly.
 _FLOAT_EXACT = 2**53
 _LIMB_BITS = 16
-# Output columns per float64 block: 4096 keeps a 28-row block (the CSA
-# encode of 14 servers) under 1 MB and ran that encode 2.7x faster than
-# one whole-width product.
+# Output columns per float64 block, so each block is cast and reduced while
+# it is still in cache.  With workspaces, the per-group encode product of
+# cdbmm-large, (14x4)@(4x36864) at q = 65537, took 1.86 ms at 4096 columns,
+# 1.80 at 8192, 2.17 at 2048 and 2.03 as one whole-width block (medians of
+# 11, one BLAS thread, 2-core x86-64 VM); (11x11)@(11x36864), the decode
+# product, ran in the same order.
 _COLUMN_BLOCK = 4096
+# The float path's scratch arrays, one set per thread (see the module
+# docstring): x and y (float64 operands), part (one dgemm block), quot
+# (reduction quotients, and a later chunk's int64 terms before they are
+# added) and shift (the a * 2^16 limb column).
+_WORKSPACES = threading.local()
 
 
 def is_prime(n: int) -> bool:
@@ -156,26 +181,37 @@ class PrimeField:
             x = x % self.q
         return x
 
-    def matmul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    def matmul(self, a: np.ndarray, b: np.ndarray,
+               out: np.ndarray | None = None) -> np.ndarray:
         """Exact matrix product mod q of residue arrays.
 
         ``a`` may carry leading batch axes and ``b`` may be a vector, as with
         numpy's ``@``; the result has shape ``a.shape[:-1] + b.shape[1:]``.
-        Products below ``FLOAT_MIN_MACS`` multiply-adds take the int64 path
-        unless it would need more than ``INT64_MAX_CHUNKS`` chunks; the rest
-        take the float64 path, split into 16-bit limbs where (q-1)^2
-        alone exceeds what float64 sums exactly (see the module docstring
-        for each path's exactness bound).  Every path returns the same
-        residues whatever order BLAS sums in.
+        ``out``, if given, is a C-contiguous int64 array of that shape which
+        receives the result and is returned; it must not overlap ``a`` or
+        ``b``.  Products below ``FLOAT_MIN_MACS`` multiply-adds take the
+        int64 path unless it would need more than ``INT64_MAX_CHUNKS``
+        chunks; the rest take the float64 path, split into 16-bit limbs where
+        (q-1)^2 alone exceeds what float64 sums exactly (see the module
+        docstring for each path's exactness bound).  Every path returns the
+        same residues whatever order BLAS sums in.
         """
         if b.ndim > 2 or a.ndim < 1 or a.shape[-1] != b.shape[0]:
             raise ValueError(f"matmul shapes {a.shape} and {b.shape} do not conform")
+        shape = a.shape[:-1] + b.shape[1:]
+        if out is not None and (out.shape != shape or out.dtype != np.int64
+                                or not out.flags.c_contiguous):
+            raise ValueError(f"out must be a C-contiguous int64 array of shape {shape}")
         cols = b.shape[1] if b.ndim == 2 else 1
         inner = b.shape[0]
         if a.size * cols < FLOAT_MIN_MACS and inner <= self._int64_max_inner:
-            return self._matmul_int64(a, b)
-        out = self._matmul_float(a.reshape(-1, inner), b.reshape(inner, cols))
-        return out.reshape(a.shape[:-1] + b.shape[1:])
+            if out is None:
+                return self._matmul_int64(a, b)
+            np.copyto(out, self._matmul_int64(a, b))
+            return out
+        flat = None if out is None else out.reshape(-1, cols)
+        result = self._matmul_float(a.reshape(-1, inner), b.reshape(inner, cols), flat)
+        return result.reshape(shape) if out is None else out
 
     def _matmul_int64(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """int64 accumulation is safe while ``inner * (q-1)^2 < 2^62``; longer
@@ -202,30 +238,37 @@ class PrimeField:
         ``inner * (q-1)^2 < 2^62``, else at most ``INT64_MAX_CHUNKS`` chunks."""
         return max((2**62 - 1) // (self.q - 1) ** 2, INT64_MAX_CHUNKS * self._int64_chunk)
 
-    def _matmul_float(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    def _matmul_float(self, a: np.ndarray, b: np.ndarray, out=None) -> np.ndarray:
         """float64 BLAS product of 2-D residue arrays, one ``dgemm`` per
         chunk of inner terms, each chunk short enough that its float64 sums
         stay below 2^53 and so are exact integers.  Output columns go in
-        blocks of ``_COLUMN_BLOCK``, so each float64 partial product is
-        cast and reduced while it is still in cache."""
+        blocks of ``_COLUMN_BLOCK``: each block's ``dgemm`` writes into the
+        ``part`` workspace, which is cast into ``out`` and reduced there
+        while it is still in cache.  ``out`` is allocated when not given, and
+        nothing else is."""
         q = self.q
         x, y, chunk = self._float_terms(a, b)
-        out = np.empty((a.shape[0], b.shape[1]), dtype=np.int64)
+        if out is None:
+            out = np.empty((a.shape[0], b.shape[1]), dtype=np.int64)
         for col in range(0, out.shape[1], _COLUMN_BLOCK):
             cols = slice(col, col + _COLUMN_BLOCK)
             block = out[:, cols]
+            part = _workspace("part", block.shape, np.float64)
             for lo in range(0, x.shape[1], chunk):
-                part = x[:, lo : lo + chunk] @ y[lo : lo + chunk, cols]
+                np.matmul(x[:, lo : lo + chunk], y[lo : lo + chunk, cols], out=part)
                 if lo == 0:
                     np.copyto(block, part, casting="unsafe")
                 else:  # below 2^53 + q: no int64 overflow
-                    block += part.astype(np.int64)
+                    terms = _workspace("quot", block.shape, np.int64)
+                    np.copyto(terms, part, casting="unsafe")
+                    block += terms
                 _reduce(block, q)
         return out
 
     def _float_terms(self, a: np.ndarray, b: np.ndarray):
         """float64 operands ``x``, ``y`` with ``x @ y == a @ b (mod q)`` and the
-        most inner terms one exact chunk may hold.
+        most inner terms one exact chunk may hold; ``x`` and ``y`` are this
+        thread's ``x`` and ``y`` workspaces.
 
         Plain residues give terms up to (q-1)^2.  With 16-bit limbs ``b``
         becomes ``[b_lo; b_hi]`` and ``a`` becomes ``[a | a * 2^16 mod q]``:
@@ -237,10 +280,19 @@ class PrimeField:
         plain = (_FLOAT_EXACT - 1) // (q - 1) ** 2
         split = (_FLOAT_EXACT - 1) // ((q - 1) * (2**_LIMB_BITS - 1))
         if plain and -(-inner // plain) <= -(-2 * inner // split):
-            return a.astype(np.float64), b.astype(np.float64), plain
-        shifted = _reduce(a << _LIMB_BITS, q)
-        x = np.concatenate([a, shifted], axis=1).astype(np.float64)
-        y = np.concatenate([b & (2**_LIMB_BITS - 1), b >> _LIMB_BITS]).astype(np.float64)
+            x = _workspace("x", a.shape, np.float64)
+            y = _workspace("y", b.shape, np.float64)
+            np.copyto(x, a)
+            np.copyto(y, b)
+            return x, y, plain
+        x = _workspace("x", (a.shape[0], 2 * inner), np.float64)
+        y = _workspace("y", (2 * inner, b.shape[1]), np.float64)
+        shifted = _workspace("shift", a.shape, np.int64)
+        np.left_shift(a, _LIMB_BITS, out=shifted)
+        np.copyto(x[:, :inner], a)
+        np.copyto(x[:, inner:], _reduce(shifted, q))
+        np.bitwise_and(b, 2**_LIMB_BITS - 1, out=y[:inner])
+        np.right_shift(b, _LIMB_BITS, out=y[inner:])
         return x, y, split
 
     def rand_matrix(self, rng: np.random.Generator, rows: int, cols: int) -> np.ndarray:
@@ -248,13 +300,25 @@ class PrimeField:
 
 
 def _reduce(x: np.ndarray, q: int) -> np.ndarray:
-    """``x %= q`` for an int64 array, in place.  numpy vectorises integer
-    floor division by a scalar but not the remainder, so this form is about
-    1.8x faster from 1,024 entries up and no slower below."""
-    quot = x // q
+    """``x %= q`` for an int64 array, in place, the quotient in this thread's
+    ``quot`` workspace.  numpy vectorises integer floor division by a scalar
+    but not the remainder, so this form is about 1.8x faster from 1,024
+    entries up and no slower below."""
+    quot = np.floor_divide(x, q, out=_workspace("quot", x.shape, np.int64))
     quot *= q
     x -= quot
     return x
+
+
+def _workspace(name: str, shape: tuple, dtype) -> np.ndarray:
+    """This thread's scratch array ``name``, viewed as ``shape``.  Its
+    contents are left over from earlier products; it is replaced by a larger
+    one when ``shape`` does not fit, and never shrinks."""
+    buffers, size = _WORKSPACES.__dict__, math.prod(shape)
+    buf = buffers.get(name)
+    if buf is None or buf.size < size:
+        buf = buffers[name] = np.empty(size, dtype=dtype)
+    return np.ndarray(shape, dtype, buf)
 
 
 # ---- polynomials: coefficient lists, ascending degree, no trailing zeros ----

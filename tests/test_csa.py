@@ -213,6 +213,39 @@ def test_server_sequence_encodes_like_single_servers():
         assert encode(field, bb, params, []) == []
 
 
+@pytest.mark.parametrize("q", [13, 65537, 2147483629])
+@pytest.mark.parametrize("ell", [1, 2, 3])
+def test_answer_is_the_sum_of_group_products(q, ell):
+    # one product of the concatenated groups, on both matmul paths
+    field = PrimeField(q)
+    rng = np.random.default_rng(q % 1000 + ell)
+    for rows, inner, cols in ((3, 4, 5), (24, 40, 24)):
+        share_a = [field.rand_matrix(rng, rows, inner) for _ in range(ell)]
+        share_b = [field.rand_matrix(rng, inner, cols) for _ in range(ell)]
+        want = sum(field.matmul(a, b) for a, b in zip(share_a, share_b)) % q
+        counter = harness.OpCounter()
+        assert np.array_equal(csa_answer(field, share_a, share_b, counter), want)
+        assert counter.mults == ell * rows * inner * cols
+
+
+def test_encode_multiplies_each_group_by_its_own_weights(monkeypatch):
+    # one product per group: no block-diagonal zeros in the generator
+    rng = np.random.default_rng(32)
+    matmul = PrimeField.matmul
+    macs = []
+    monkeypatch.setattr(PrimeField, "matmul", lambda self, a, b, **kw: macs.append(
+        a.size * (b.size // b.shape[0])) or matmul(self, a, b, **kw))
+    for ell, kc, servers in ((1, 3, 6), (2, 2, 7), (3, 2, 9)):
+        params = csa_params(FIELD, ell, kc, servers)
+        aa = [FIELD.rand_matrix(rng, 6, 5) for _ in range(ell * kc)]
+        macs.clear()
+        shares = csa_encode_a(FIELD, aa, params, range(servers))
+        assert sum(macs) == servers * ell * kc * 6 * 5
+        for s in (0, servers - 1):
+            assert all(np.array_equal(x, y)
+                       for x, y in zip(shares[s], csa_encode_a(FIELD, aa, params, s)))
+
+
 def test_float_batch_rejected():
     params = csa_params(FIELD, 1, 2, 5)
     floats = [np.ones((2, 2)) * 0.5, np.ones((2, 2))]
@@ -297,6 +330,28 @@ def test_systematic_decode_inverts_known_poles_in_one_batch(monkeypatch):
     assert len(calls) == 14
     truth = harness.direct_products(FIELD, aa, bb)
     assert all(np.array_equal(p, t) for p, t in zip(products, truth))
+
+
+@pytest.mark.parametrize("q", [65537, 2147483629])
+def test_systematic_decode_removes_known_results_in_one_product(monkeypatch, q):
+    # the known results' Cauchy contributions leave the coded answers through
+    # one matmul; the reduced system takes the other (solve_batch's)
+    field = PrimeField(q)
+    rng = np.random.default_rng(14)
+    params = csa_params(field, 2, 3, 14, systematic=True)
+    aa = [field.rand_matrix(rng, 4, 3) for _ in range(6)]
+    bb = [field.rand_matrix(rng, 3, 5) for _ in range(6)]
+    shares = systematic_encode(field, aa, bb, params)
+    answers = [(s, systematic_answer(field, shares[s])) for s in (0, 2, 3, 5, 7, 9, 10, 11, 13)]
+    matmul = PrimeField.matmul
+    calls = []
+    monkeypatch.setattr(PrimeField, "matmul", lambda self, a, b, **kw: calls.append(
+        (a.shape, b.shape)) or matmul(self, a, b, **kw))
+    got = systematic_decode(field, answers, params)
+    assert calls[0] == ((params.threshold - 4, 4), (4, 20))
+    assert len(calls) == 2
+    truth = harness.direct_products(field, aa, bb)
+    assert all(np.array_equal(g, t) for g, t in zip(got, truth))
 
 
 def test_systematic_matches_plain_decode_everywhere():

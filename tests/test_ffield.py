@@ -1,6 +1,10 @@
+import sys
+import threading
+
 import numpy as np
 import pytest
 
+from csacode import ffield
 from csacode.ffield import (FLOAT_MIN_MACS, PrimeField, poly_divmod, poly_eval,
                             poly_mul, poly_trim)
 from reference import lagrange_interpolate
@@ -172,8 +176,8 @@ def test_large_modulus_takes_int64_and_limb_paths(monkeypatch):
     for name in ("_matmul_int64", "_matmul_float"):
         kernel = getattr(PrimeField, name)
         monkeypatch.setattr(PrimeField, name,
-                            lambda self, a, b, kernel=kernel, name=name:
-                            taken.append(name) or kernel(self, a, b))
+                            lambda self, *args, kernel=kernel, name=name:
+                            taken.append(name) or kernel(self, *args))
     rng = np.random.default_rng(9)
     small = (field.rand_matrix(rng, 3, 5), field.rand_matrix(rng, 5, 2))
     large = (field.rand_matrix(rng, 64, 64), field.rand_matrix(rng, 64, 64))
@@ -201,8 +205,8 @@ def test_small_products_route_by_int64_chunk_count(monkeypatch, q, rows, inner, 
     for name in ("_matmul_int64", "_matmul_float"):
         fn = getattr(PrimeField, name)
         monkeypatch.setattr(PrimeField, name,
-                            lambda self, a, b, fn=fn, name=name:
-                            taken.append(name) or fn(self, a, b))
+                            lambda self, *args, fn=fn, name=name:
+                            taken.append(name) or fn(self, *args))
     rng = np.random.default_rng(q % 97 + inner)
     a = field.rand_matrix(rng, rows, inner)
     b = field.rand_matrix(rng, inner, cols or 1)
@@ -275,3 +279,83 @@ def test_poly_divmod_roundtrip():
             recombined[i] = (recombined[i] + c) % field.q
         assert poly_trim(recombined) == poly_trim(num)
         assert len(rem) < len(den)
+
+
+# ---- the float path's per-thread workspaces ----
+
+
+def float_path_products(rng, field):
+    """Products of several sizes, all on the float path (at least
+    FLOAT_MIN_MACS multiply-adds), with their schoolbook answers."""
+    out = []
+    for m, n, p in ((24, 40, 24), (64, 96, 80), (2, 65, 8193), (30, 20, 30)):
+        a, b = field.rand_matrix(rng, m, n), field.rand_matrix(rng, n, p)
+        out.append((a, b, reference_matmul(a, b, field.q).astype(np.int64)))
+    return out
+
+
+def test_matmul_results_survive_later_products_in_any_field():
+    rng = np.random.default_rng(11)
+    kept = []
+    for q in MODULI:
+        field = PrimeField(q)
+        for a, b, want in float_path_products(rng, field):
+            got = field.matmul(a, b)
+            assert np.array_equal(got, want)
+            kept.append((got, want))
+    # larger and smaller products, in every field, after all of the above
+    for q in MODULI + MODULI[::-1]:
+        field = PrimeField(q)
+        for a, b, _ in float_path_products(rng, field)[::-1]:
+            field.matmul(a, b)
+    for got, want in kept:
+        assert np.array_equal(got, want)
+    workspaces = list(ffield._WORKSPACES.__dict__.values())
+    assert workspaces
+    assert not any(np.shares_memory(got, buf) for got, _ in kept for buf in workspaces)
+
+
+def test_matmul_is_exact_in_two_concurrent_threads():
+    barrier = threading.Barrier(2, timeout=60)
+    failures, finished = [], []
+
+    def work(q, seed):
+        field = PrimeField(q)
+        cases = float_path_products(np.random.default_rng(seed), field)
+        barrier.wait()
+        for _ in range(10):
+            for a, b, want in cases:
+                if not np.array_equal(field.matmul(a, b), want):
+                    failures.append((q, a.shape, b.shape))
+        finished.append(q)
+
+    threads = [threading.Thread(target=work, args=(q, seed))
+               for q, seed in ((65537, 12), (Q31, 13))]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads between numpy calls
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert failures == [] and len(finished) == 2
+
+
+def test_matmul_writes_into_out():
+    rng = np.random.default_rng(14)
+    for q in MODULI:
+        field = PrimeField(q)
+        for m, n, p in ((3, 4, 5), (40, 30, 20)):  # int64 and float paths
+            a, b = field.rand_matrix(rng, m, n), field.rand_matrix(rng, n, p)
+            out = np.full((m, p), -1, dtype=np.int64)
+            assert field.matmul(a, b, out=out) is out
+            assert np.array_equal(out, reference_matmul(a, b, q).astype(np.int64))
+    field = PrimeField(13)
+    a, b = np.ones((2, 3), dtype=np.int64), np.ones((3, 4), dtype=np.int64)
+    for bad in (np.empty((2, 5), dtype=np.int64), np.empty((2, 4)),
+                np.empty((4, 2), dtype=np.int64).T):
+        with pytest.raises(ValueError):
+            field.matmul(a, b, out=bad)
