@@ -18,9 +18,9 @@ import numpy as np
 
 from .errors import InsufficientAnswersError, ParameterError
 from .ffield import PrimeField
-# perfbench/tracer.py traces csa.cv_matrix, so the name stays importable here.
-from .structmat import (CVSpec, cv_matrix, matrix_rank,  # noqa: F401
-                        scaled_cv_matrix, solve_batch)
+# perfbench/tracer.py requires csa.cv_matrix, so it stays importable here.
+from .structmat import (CVSpec, confluent_cv_matrix, cv_matrix,  # noqa: F401
+                        matrix_rank, solve_batch)
 
 
 class _Groups:
@@ -89,23 +89,9 @@ def csa_params(field: PrimeField, ell: int, kc: int, servers: int,
     r = csa_threshold(ell, kc)
     if r > servers:
         raise ParameterError(f"R <= S violated: threshold {r} exceeds {servers} servers")
-    if systematic and servers < ell * kc:
-        raise ParameterError("systematic layout needs S >= L")
+    # R = L + kc - 1 >= L, so the systematic layout's S >= L holds here too
     poles, samples = cauchy_points(field, ell * kc, servers, poles, samples, systematic)
     return CSAParams(ell, kc, servers, poles, samples)
-
-
-def scaling_constants(field: PrimeField, params: CSAParams, power: int = 1) -> list[int]:
-    """c_{l,k} = prod_{k' != k} (f_{l,k'} - f_{l,k}) ** power, group-major."""
-    out = []
-    for l in range(params.ell):
-        for k in range(params.kc):
-            c = 1
-            for k2 in range(params.kc):
-                if k2 != k:
-                    c = c * field.sub(params.pole(l, k2), params.pole(l, k)) % field.q
-            out.append(field.pow(c, power))
-    return out
 
 
 def csa_encode_a(field: PrimeField, batch_a, params: CSAParams, servers) -> list:
@@ -235,13 +221,39 @@ def csa_decode(field: PrimeField, answers, params: CSAParams) -> list[np.ndarray
     ``answers`` is an iterable of (server_index, Y) pairs, 0-based indices.
     """
     answers = _take_answers(answers, params.threshold, params.servers)
-    alphas = tuple(params.samples[s] for s, _ in answers)
-    mat = scaled_cv_matrix(field, CVSpec(params.poles, alphas),
-                           scaling_constants(field, params, params.arity - 1))
+    mat = _decode_matrix(field, params, [s for s, _ in answers], params.arity - 1)
     stacked = np.stack([y.reshape(-1) for _, y in answers])
     sol = solve_batch(field, mat, stacked)
     shape = answers[0][1].shape
     return [sol[j].reshape(shape) for j in range(params.batch_size)]
+
+
+def _decode_matrix(field: PrimeField, params, listed, power: int, order: int = 1,
+                   slots=None) -> np.ndarray:
+    """Decode matrix of a Cauchy code at the ``listed`` servers, whose
+    unknowns are ``order`` Cauchy coordinates per batch entry in ``slots``
+    (all by default), then the Vandermonde tail.
+
+    It is ``confluent_cv_matrix`` with every Cauchy column of slot (l, k)
+    multiplied, row by row, by the encoder's A-side weight
+    w(alpha) = prod_{k' != k}(f_{l,k'} - alpha)^power (power N - 1 for CSA
+    and N-CSA, R' for GCSA), so each column holds the exact coefficient
+    w(alpha) / (f_{l,k} - alpha)^j its unknown carries in the answers.  The
+    paper's column is the pole part of that (c_{l,k} / (f_{l,k} - alpha),
+    or GCSA's Toeplitz-mixed pole powers); the rest is a polynomial in
+    alpha of degree below deg w = power * (kc - 1), which never exceeds the
+    tail width R - order * L.  So this matrix is the paper's times
+    [[I, 0], [P, I]]: the same determinant, and the same rows of the
+    inverse, hence the same solution, for the Cauchy unknowns.
+    """
+    slots = range(params.batch_size) if slots is None else slots
+    alphas = tuple(params.samples[s] for s in listed)
+    mat = confluent_cv_matrix(field, CVSpec(tuple(params.poles[i] for i in slots),
+                                            alphas, order))
+    weights = _cauchy_weights(field, params, listed, "a", power).reshape(len(alphas), -1)
+    width = order * len(slots)
+    mat[:, :width] = mat[:, :width] * np.repeat(weights[:, slots], order, axis=1) % field.q
+    return mat
 
 
 # ---- systematic layout ----
@@ -277,8 +289,9 @@ def systematic_answer(field: PrimeField, share, counter=None) -> np.ndarray:
 def systematic_decode(field: PrimeField, answers, params) -> list[np.ndarray]:
     """Decode mixed raw/coded answers of a CSA or N-CSA systematic layout.
 
-    Raw results are read off and their Cauchy contributions, scaled by
-    c_{l,k}^(N-1), eliminated from the coded answers; the reduced system
+    Raw results are read off and removed from the coded answers with the
+    exact coefficient each carries there, its A-side weight to the power
+    N - 1 times its B-side weight 1/(f_{l,k} - alpha); the reduced system
     keeps the Cauchy columns of the unknown results plus the full
     Vandermonde tail, R - L = (kc-1)(N-1) columns wide.
     """
@@ -288,17 +301,14 @@ def systematic_decode(field: PrimeField, answers, params) -> list[np.ndarray]:
     coded = [(s, y) for s, y in answers if s >= batch]
     if len(known) == batch:
         return [known[i] for i in range(batch)]
-    consts = scaling_constants(field, params, params.arity - 1)
+    listed = [s for s, _ in coded]
     unknown = [i for i in range(batch) if i not in known]
-    alphas = tuple(params.samples[s] for s, _ in coded)
-    spec = CVSpec(tuple(params.poles[i] for i in unknown), alphas)
-    mat = scaled_cv_matrix(field, spec, [consts[i] for i in unknown])
+    mat = _decode_matrix(field, params, listed, params.arity - 1, slots=unknown)
     rhs = np.stack([y.reshape(-1) for _, y in coded])
-    if known:  # coded rows x known results: c_{l,k}^(N-1) / (f_{l,k} - alpha)
-        invs = field.batch_inv([field.sub(params.poles[idx], alpha)
-                                for alpha in alphas for idx in known])
-        invs = np.array(invs, dtype=np.int64).reshape(len(alphas), len(known))
-        weights = invs * np.array([consts[idx] for idx in known], dtype=np.int64) % field.q
+    if known:
+        weights = (_cauchy_weights(field, params, listed, "a", params.arity - 1)
+                   * _cauchy_weights(field, params, listed, "b") % field.q)
+        weights = weights.reshape(len(listed), -1)[:, list(known)]
         known_rows = np.stack([y.reshape(-1) for y in known.values()])
         rhs = (rhs - field.matmul(weights, known_rows)) % field.q
     sol = solve_batch(field, mat, rhs)

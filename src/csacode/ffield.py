@@ -86,9 +86,9 @@ _LIMB_BITS = 16
 # product, ran in the same order.
 _COLUMN_BLOCK = 4096
 # The float path's scratch arrays, one set per thread (see the module
-# docstring): x and y (float64 operands), part (one dgemm block), quot
-# (reduction quotients, and a later chunk's int64 terms before they are
-# added) and shift (the a * 2^16 limb column).
+# docstring): x and y (float64 operands, y one column block of b), part
+# (one dgemm block), quot (reduction quotients, and a later chunk's int64
+# terms before they are added) and shift (the a * 2^16 limb column).
 _WORKSPACES = threading.local()
 
 
@@ -242,20 +242,22 @@ class PrimeField:
         """float64 BLAS product of 2-D residue arrays, one ``dgemm`` per
         chunk of inner terms, each chunk short enough that its float64 sums
         stay below 2^53 and so are exact integers.  Output columns go in
-        blocks of ``_COLUMN_BLOCK``: each block's ``dgemm`` writes into the
-        ``part`` workspace, which is cast into ``out`` and reduced there
-        while it is still in cache.  ``out`` is allocated when not given, and
-        nothing else is."""
+        blocks of ``_COLUMN_BLOCK``: each block of ``b`` is cast into the
+        ``y`` workspace, and each block's ``dgemm`` writes into the ``part``
+        workspace, which is cast into ``out`` and reduced there while it is
+        still in cache.  ``out`` is allocated when not given, and nothing
+        else is."""
         q = self.q
-        x, y, chunk = self._float_terms(a, b)
+        x, chunk = self._float_a(a)
         if out is None:
             out = np.empty((a.shape[0], b.shape[1]), dtype=np.int64)
         for col in range(0, out.shape[1], _COLUMN_BLOCK):
             cols = slice(col, col + _COLUMN_BLOCK)
             block = out[:, cols]
+            y = self._float_b(b[:, cols], x.shape[1])
             part = _workspace("part", block.shape, np.float64)
             for lo in range(0, x.shape[1], chunk):
-                np.matmul(x[:, lo : lo + chunk], y[lo : lo + chunk, cols], out=part)
+                np.matmul(x[:, lo : lo + chunk], y[lo : lo + chunk], out=part)
                 if lo == 0:
                     np.copyto(block, part, casting="unsafe")
                 else:  # below 2^53 + q: no int64 overflow
@@ -265,35 +267,39 @@ class PrimeField:
                 _reduce(block, q)
         return out
 
-    def _float_terms(self, a: np.ndarray, b: np.ndarray):
-        """float64 operands ``x``, ``y`` with ``x @ y == a @ b (mod q)`` and the
-        most inner terms one exact chunk may hold; ``x`` and ``y`` are this
-        thread's ``x`` and ``y`` workspaces.
+    def _float_a(self, a: np.ndarray):
+        """The float64 left operand ``x`` (this thread's ``x`` workspace) and
+        the most inner terms one exact chunk may hold.
 
-        Plain residues give terms up to (q-1)^2.  With 16-bit limbs ``b``
-        becomes ``[b_lo; b_hi]`` and ``a`` becomes ``[a | a * 2^16 mod q]``:
-        twice the terms, but each at most (q-1)(2^16-1), so a chunk can be
-        nonempty up to q = 2^31.  The form needing fewer chunks wins, the
-        plain one on a tie.
+        Plain residues give terms up to (q-1)^2.  With 16-bit limbs ``a``
+        becomes ``[a | a * 2^16 mod q]``, twice as wide, to meet ``b`` split as
+        ``[b_lo; b_hi]`` by ``_float_b``: twice the terms, but each at most
+        (q-1)(2^16-1), so a chunk can be nonempty up to q = 2^31.  The form
+        needing fewer chunks wins, the plain one on a tie.
         """
         q, inner = self.q, a.shape[1]
         plain = (_FLOAT_EXACT - 1) // (q - 1) ** 2
         split = (_FLOAT_EXACT - 1) // ((q - 1) * (2**_LIMB_BITS - 1))
-        if plain and -(-inner // plain) <= -(-2 * inner // split):
-            x = _workspace("x", a.shape, np.float64)
-            y = _workspace("y", b.shape, np.float64)
-            np.copyto(x, a)
-            np.copyto(y, b)
-            return x, y, plain
-        x = _workspace("x", (a.shape[0], 2 * inner), np.float64)
-        y = _workspace("y", (2 * inner, b.shape[1]), np.float64)
-        shifted = _workspace("shift", a.shape, np.int64)
-        np.left_shift(a, _LIMB_BITS, out=shifted)
+        limbs = not plain or -(-inner // plain) > -(-2 * inner // split)
+        x = _workspace("x", (a.shape[0], (1 + limbs) * inner), np.float64)
         np.copyto(x[:, :inner], a)
-        np.copyto(x[:, inner:], _reduce(shifted, q))
-        np.bitwise_and(b, 2**_LIMB_BITS - 1, out=y[:inner])
-        np.right_shift(b, _LIMB_BITS, out=y[inner:])
-        return x, y, split
+        if limbs:
+            shifted = np.left_shift(a, _LIMB_BITS, out=_workspace("shift", a.shape, np.int64))
+            np.copyto(x[:, inner:], _reduce(shifted, q))
+        return x, split if limbs else plain
+
+    def _float_b(self, b: np.ndarray, rows: int) -> np.ndarray:
+        """One column block of ``b`` as float64 rows matching the columns of
+        ``x`` in this thread's ``y`` workspace: ``[b_lo; b_hi]`` in 16-bit
+        limbs when ``rows`` exceeds ``b``'s, else the residues."""
+        inner = b.shape[0]
+        y = _workspace("y", (rows, b.shape[1]), np.float64)
+        if rows > inner:
+            np.bitwise_and(b, 2**_LIMB_BITS - 1, out=y[:inner])
+            np.right_shift(b, _LIMB_BITS, out=y[inner:])
+        else:
+            np.copyto(y, b)
+        return y
 
     def rand_matrix(self, rng: np.random.Generator, rows: int, cols: int) -> np.ndarray:
         return rng.integers(0, self.q, size=(rows, cols), dtype=np.int64)
@@ -338,18 +344,6 @@ def poly_eval(field: PrimeField, coeffs, x: int) -> int:
     for c in reversed(list(coeffs)):
         acc = (acc * x + c) % field.q
     return acc
-
-
-def poly_mul(field: PrimeField, a, b) -> list[int]:
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ca in enumerate(a):
-        if ca == 0:
-            continue
-        for j, cb in enumerate(b):
-            out[i + j] = (out[i + j] + ca * cb) % field.q
-    return poly_trim(out)
 
 
 def poly_divmod(field: PrimeField, num, den) -> tuple[list[int], list[int]]:

@@ -3,19 +3,18 @@
 Every constituent matrix pair is first encoded with the entangled-polynomial
 partition code of ``ep``, evaluated at the shifted point (f_{l,k} - alpha).
 The group prefactor is raised to the power R' = pmn, so a server's answer
-expands into pole powers 1/(f - alpha)^R' .. 1/(f - alpha) carrying
-Toeplitz-mixed block coefficients, plus a shared Vandermonde tail.  Points,
-batch checks and the server answer (``csa.csa_answer``) are the CSA ones.
+expands into pole powers 1/(f - alpha)^R' .. 1/(f - alpha) carrying the
+inner code's coefficients, plus a shared Vandermonde tail.  Points, batch
+checks and the server answer (``csa.csa_answer``) are the CSA ones.
 
 Both nestings fold into one linear code, so each side encodes every listed
-server with one product of a group-block-diagonal (S * ell x L * blocks)
-generator and the blocks of all entries stacked as (L * blocks x block
-size).  Entry (s, l; k, block) is w_{l,k}(alpha_s) * (f_{l,k} - alpha_s)^e,
-e the block's EP exponent, w the cleared-denominator weight
+server with one generator product per group (``csa._generator_encode``).
+Weight (s, l; k, block) is w_{l,k}(alpha_s) * (f_{l,k} - alpha_s)^e, e the
+block's EP exponent, w the cleared-denominator weight
 prod_{k' != k}(f_{l,k'} - alpha_s)^R' on the A side and
 1/(f_{l,k} - alpha_s)^R' on the B side (all inverses from one
-``batch_inv``).  Decoding solves the confluent Cauchy-Vandermonde system and
-reassembles products with the block extraction rule of the inner code.
+``batch_inv``).  Decoding solves ``csa._decode_matrix`` at order and power
+R' and reassembles products with the inner code's block extraction rule.
 """
 
 from __future__ import annotations
@@ -24,12 +23,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .csa import (_cauchy_weights, _check_batch, _generator_encode, _Groups,
-                  _server_list, _shares, _take_answers, cauchy_points)
+from .csa import (_cauchy_weights, _check_batch, _decode_matrix, _generator_encode,
+                  _Groups, _server_list, _shares, _take_answers, cauchy_points)
 from .ep import EPParams, _a_exponents, _b_exponents, _extract_products
 from .errors import ParameterError
-from .ffield import PrimeField, poly_mul
-from .structmat import CVSpec, confluent_cv_matrix, lt_toeplitz, solve_batch
+from .ffield import PrimeField
+# perfbench/tracer.py requires gcsa.confluent_cv_matrix, so it stays importable here.
+from .structmat import confluent_cv_matrix, solve_batch  # noqa: F401
 
 
 @dataclass(frozen=True)
@@ -79,21 +79,6 @@ def gcsa_params(field: PrimeField, ell: int, kc: int, p: int, m: int, n: int,
     return GCSAParams(ell, kc, p, m, n, servers, poles, samples)
 
 
-def psi_coeffs(field: PrimeField, params: GCSAParams, l: int, k: int) -> list[int]:
-    """Coefficients (ascending) of prod_{k' != k} (t + (f_{l,k'} - f_{l,k}))^R'."""
-    rp = params.inner_order
-    poly = [1]
-    for k2 in range(params.kc):
-        if k2 == k:
-            continue
-        d = field.sub(params.pole(l, k2), params.pole(l, k))
-        for _ in range(rp):
-            poly = poly_mul(field, poly, [d, 1])
-    # pad so the length is always R'(kc-1) + 1
-    want = rp * (params.kc - 1) + 1
-    return poly + [0] * (want - len(poly))
-
-
 def gcsa_encode_a(field: PrimeField, batch_a, params: GCSAParams, servers) -> list:
     """A-side shares: per group, sum over slots of the inner polynomial at
     f_{l,k} - alpha times the cleared-denominator weight
@@ -120,25 +105,15 @@ def gcsa_encode_b(field: PrimeField, batch_b, params: GCSAParams, servers) -> li
 def gcsa_decode(field: PrimeField, answers, params: GCSAParams) -> list[np.ndarray]:
     """Recover the L full products from any R answers.
 
-    Solves the confluent Cauchy-Vandermonde system (with the Toeplitz
-    coefficient mixing folded into the matrix), yielding the inner-code
-    coefficient matrices per (group, slot); the desired blocks are read off
-    at the entangled-polynomial extraction indices and reassembled.
+    Solves the decode matrix whose Cauchy unknowns are the inner-code
+    coefficient matrices per (group, slot), R' pole powers each; the
+    desired blocks are read off at the entangled-polynomial extraction
+    indices and reassembled.
     """
     r = gcsa_threshold(params.ell, params.kc, params.p, params.m, params.n)
     answers = _take_answers(answers, r, params.servers)
     rp = params.inner_order
-    alphas = tuple(params.samples[s] for s, _ in answers)
-    cv = confluent_cv_matrix(field, CVSpec(params.poles, alphas, rp))
-    # fold the block-diagonal Toeplitz mixing into the solve matrix
-    mixer = np.eye(r, dtype=np.int64)
-    for g in range(params.batch_size):
-        l, k = divmod(g, params.kc)
-        coeffs = psi_coeffs(field, params, l, k)
-        coeffs = (coeffs + [0] * rp)[:rp]  # kc = 1 yields the bare [1]
-        block = lt_toeplitz(field, coeffs)
-        mixer[g * rp : (g + 1) * rp, g * rp : (g + 1) * rp] = block
-    mat = field.matmul(cv, mixer)
+    mat = _decode_matrix(field, params, [s for s, _ in answers], rp, rp)
     stacked = np.stack([y.reshape(-1) for _, y in answers])
     sol = solve_batch(field, mat, stacked)
     bh, bw = answers[0][1].shape

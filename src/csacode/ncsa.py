@@ -3,9 +3,9 @@
 Generalizes the bilinear batch scheme (CSA is the case N = 2): every variable
 batch is Cauchy-coded per group with the CSA A-side encoder
 ``csa.csa_encode_a``, servers evaluate the map on coded variables and return
-the prefactor-normalized group sum, and the decoder solves the scaled
-Cauchy-Vandermonde system of ``structmat`` (Cauchy columns scaled by
-c_{l,k}^(N-1)), whose tail absorbs the (kc-1)(N-1) interference dimensions.
+the prefactor-normalized group sum, and the decoder solves the CSA decode
+matrix with the A-side weights to the power N - 1, whose Vandermonde tail
+absorbs the (kc-1)(N-1) interference dimensions.
 Points, batch checks, the systematic layout and both decoders (the plain one
 also on ``xsb_decode``'s clean rows) are the CSA ones.  Lagrange coded
 computing (LCC) is the special case ell = 1, kc = L, with threshold
@@ -28,7 +28,7 @@ from .csa import (_Groups, _server_list, _systematic_shares, _take_answers,
                   cauchy_points, csa_decode, csa_encode_a)
 from .errors import DecodingFailureError, ParameterError
 from .ffield import PrimeField
-# perfbench/tracer.py traces ncsa.solve_batch, so the name stays importable here.
+# perfbench/tracer.py requires ncsa.solve_batch, so it stays importable here.
 from .structmat import _row_reduce, rs_error_correct, solve_batch  # noqa: F401
 
 # ---- N-linear maps ----
@@ -327,7 +327,7 @@ def poly_batch_eval_answer(field: PrimeField, shares_by_var, spec: PolynomialSpe
 
 def ncsa_decode(field: PrimeField, answers, params: NCSAParams) -> list[np.ndarray]:
     """Recover the L evaluations from R = kc(N + ell - 1) - N + 1 answers
-    (straggler-only setting): the CSA decoder with c_{l,k}^(N-1) scaling."""
+    (straggler-only setting): the CSA decoder, A-side weights to the power N - 1."""
     if params.x_secure or params.byzantine:
         raise ParameterError("use xsb_decode when X or B is nonzero")
     return csa_decode(field, answers, params)
@@ -368,8 +368,7 @@ def xsb_decode(field: PrimeField, answers, params: NCSAParams):
     width = r - 2 * b
     flagged_rows: set[int] = set()
     if b > 0:
-        weights = [math.prod(_group_delta(field, params, l, alpha)
-                             for l in range(params.ell)) % field.q for alpha in alphas]
+        weights = [math.prod(f - alpha for f in params.poles) % field.q for alpha in alphas]
         stacked = np.stack([y.reshape(-1) for _, y in answers])
         scaled = stacked * np.array(weights, dtype=np.int64)[:, None] % field.q
         located = _locate_rows(field, alphas, scaled, width, b)

@@ -1,11 +1,11 @@
 """Structured matrices behind every decoder, and exact solvers for them.
 
 Builds Cauchy-Vandermonde matrices (left block of Cauchy entries
-``1/(f_j - a_i)``, right block of Vandermonde powers), the scaled form every
-Cauchy code decodes with, their confluent generalization with pole
-multiplicities, and lower triangular Toeplitz matrices.  One exact row
-reduction over GF(q) with first-nonzero pivoting serves every solver here
-(square batch solves, rectangular systems, rank) and the determinant map of
+``1/(f_j - a_i)``, right block of Vandermonde powers) and their confluent
+generalization with pole multiplicities, from which ``csa._decode_matrix``
+builds the decode matrix of every Cauchy code.  One exact row reduction
+over GF(q) with first-nonzero pivoting serves every solver here (square
+batch solves, rectangular systems, rank) and the determinant map of
 ``ncsa``; a Berlekamp-Welch decoder handles the Byzantine setting.
 """
 
@@ -17,9 +17,6 @@ import numpy as np
 
 from .errors import DecodingFailureError, ParameterError, SingularMatrixError
 from .ffield import PrimeField, poly_divmod, poly_eval, poly_trim
-
-# Test instrumentation: number of solve_batch invocations since import.
-solve_calls = 0
 
 
 @dataclass(frozen=True)
@@ -84,27 +81,6 @@ def confluent_cv_matrix(field: PrimeField, spec: CVSpec) -> np.ndarray:
     return np.array(rows, dtype=np.int64).reshape(R, R)
 
 
-def lt_toeplitz(field: PrimeField, column) -> np.ndarray:
-    """n x n lower triangular Toeplitz matrix with the given first column."""
-    c = [x % field.q for x in column]
-    n = len(c)
-    m = np.zeros((n, n), dtype=np.int64)
-    for i in range(n):
-        for j in range(i + 1):
-            m[i, j] = c[i - j]
-    return m
-
-
-def scaled_cv_matrix(field: PrimeField, spec: CVSpec, scales) -> np.ndarray:
-    """``cv_matrix(spec)`` with the Cauchy column of pole j multiplied by
-    ``scales[j]``: the decode matrix of every Cauchy code (CSA, N-CSA, and
-    their systematic and X-secure forms)."""
-    mat = cv_matrix(field, spec)
-    cauchy = mat[:, : len(spec.poles)]
-    cauchy[:] = cauchy * np.array(scales, dtype=np.int64) % field.q
-    return mat
-
-
 def _row_reduce(field: PrimeField, aug: np.ndarray, cols: int):
     """Bring ``aug`` in place to reduced row echelon form on its first ``cols``
     columns, the one exact elimination behind every solver here.
@@ -151,8 +127,6 @@ def solve_batch(field: PrimeField, mat: np.ndarray, rhs: np.ndarray) -> np.ndarr
     ``mat``'s columns: a column with no pivot raises SingularMatrixError
     carrying the column index.
     """
-    global solve_calls
-    solve_calls += 1
     n = mat.shape[0]
     if mat.shape[0] != mat.shape[1]:
         raise ParameterError("solve_batch requires a square matrix")

@@ -11,7 +11,14 @@ library code calls them:
   expanded block product by block product;
 - ``check_multilinear``: a random linearity probe of an N-linear map;
 - ``naive_combo_threshold``: the threshold GCSA is compared against;
-- ``shake_words`` / ``noise_reference``: X-secure noise drawn word by word.
+- ``shake_words`` / ``noise_reference``: X-secure noise drawn word by word;
+- ``scaling_constants``, ``scaled_cv_matrix``, ``psi_coeffs``,
+  ``lt_toeplitz`` and ``gcsa_paper_matrix``: the paper's decode matrices,
+  Cauchy columns scaled by the constants c_{l,k}^(N-1) (CSA, N-CSA and the
+  systematic layout) or mixed by the Toeplitz blocks of
+  psi_k(t) = prod_{k' != k}(t + f_{l,k'} - f_{l,k})^R' (GCSA), which the
+  library's decode matrices must match on the desired unknowns;
+- ``poly_mul``: the product of coefficient lists.
 """
 
 from __future__ import annotations
@@ -23,8 +30,9 @@ import numpy as np
 
 from csacode.ep import EPParams, a_exponent, b_exponent, ep_threshold
 from csacode.errors import InsufficientAnswersError, ParameterError
-from csacode.ffield import PrimeField, poly_divmod, poly_eval, poly_mul, poly_trim
+from csacode.ffield import PrimeField, poly_divmod, poly_eval, poly_trim
 from csacode.ncsa import NLinearMap, _lagrange_matrix, lcc_threshold
+from csacode.structmat import CVSpec, confluent_cv_matrix, cv_matrix
 
 # ---- Lagrange coded computing ----
 
@@ -64,6 +72,18 @@ def lcc_decode(field: PrimeField, answers, betas, arity: int) -> list[np.ndarray
 
 
 # ---- polynomials ----
+
+
+def poly_mul(field: PrimeField, a, b) -> list[int]:
+    if not a or not b:
+        return []
+    out = [0] * (len(a) + len(b) - 1)
+    for i, ca in enumerate(a):
+        if ca == 0:
+            continue
+        for j, cb in enumerate(b):
+            out[i + j] = (out[i + j] + ca * cb) % field.q
+    return poly_trim(out)
 
 
 def poly_add(field: PrimeField, a, b) -> list[int]:
@@ -201,3 +221,69 @@ def noise_reference(q: int, key: tuple, n: int) -> list[int]:
             return out
         if word < limit:
             out.append(word % q)
+
+
+# ---- the paper's decode matrices ----
+
+
+def scaling_constants(field: PrimeField, params, power: int = 1) -> list[int]:
+    """c_{l,k} = prod_{k' != k} (f_{l,k'} - f_{l,k}) ** power, group-major."""
+    out = []
+    for l in range(params.ell):
+        for k in range(params.kc):
+            c = 1
+            for k2 in range(params.kc):
+                if k2 != k:
+                    c = c * field.sub(params.pole(l, k2), params.pole(l, k)) % field.q
+            out.append(field.pow(c, power))
+    return out
+
+
+def scaled_cv_matrix(field: PrimeField, spec: CVSpec, scales) -> np.ndarray:
+    """``cv_matrix(spec)`` with the Cauchy column of pole j multiplied by
+    ``scales[j]``: the paper's decode matrix of CSA and N-CSA, and of their
+    systematic and X-secure forms."""
+    mat = cv_matrix(field, spec)
+    cauchy = mat[:, : len(spec.poles)]
+    cauchy[:] = cauchy * np.array(scales, dtype=np.int64) % field.q
+    return mat
+
+
+def lt_toeplitz(field: PrimeField, column) -> np.ndarray:
+    """n x n lower triangular Toeplitz matrix with the given first column."""
+    c = [x % field.q for x in column]
+    n = len(c)
+    m = np.zeros((n, n), dtype=np.int64)
+    for i in range(n):
+        for j in range(i + 1):
+            m[i, j] = c[i - j]
+    return m
+
+
+def psi_coeffs(field: PrimeField, params, l: int, k: int) -> list[int]:
+    """Coefficients (ascending) of prod_{k' != k} (t + (f_{l,k'} - f_{l,k}))^R'."""
+    rp = params.inner_order
+    poly = [1]
+    for k2 in range(params.kc):
+        if k2 == k:
+            continue
+        d = field.sub(params.pole(l, k2), params.pole(l, k))
+        for _ in range(rp):
+            poly = poly_mul(field, poly, [d, 1])
+    # pad so the length is always R'(kc-1) + 1
+    want = rp * (params.kc - 1) + 1
+    return poly + [0] * (want - len(poly))
+
+
+def gcsa_paper_matrix(field: PrimeField, params, alphas) -> np.ndarray:
+    """The confluent Cauchy-Vandermonde matrix of GCSA times the
+    block-diagonal mixer whose block g is the lower triangular Toeplitz
+    matrix of psi's first R' coefficients."""
+    rp = params.inner_order
+    cv = confluent_cv_matrix(field, CVSpec(params.poles, tuple(alphas), rp))
+    mixer = np.eye(len(alphas), dtype=np.int64)
+    for g in range(params.batch_size):
+        l, k = divmod(g, params.kc)
+        coeffs = (psi_coeffs(field, params, l, k) + [0] * rp)[:rp]
+        mixer[g * rp : (g + 1) * rp, g * rp : (g + 1) * rp] = lt_toeplitz(field, coeffs)
+    return field.matmul(cv, mixer)

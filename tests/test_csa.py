@@ -4,14 +4,15 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from csacode import harness, structmat
+from csacode import csa, gcsa, harness, ncsa
 from csacode.csa import (csa_answer, csa_decode, csa_encode_a,
                          csa_encode_b, csa_params, csa_threshold,
-                         interference_rank, scaling_constants,
-                         systematic_answer, systematic_decode,
-                         systematic_encode)
+                         interference_rank, systematic_answer,
+                         systematic_decode, systematic_encode)
 from csacode.errors import InsufficientAnswersError, ParameterError
 from csacode.ffield import PrimeField
+from csacode.structmat import CVSpec, solve_batch
+from reference import gcsa_paper_matrix, scaled_cv_matrix, scaling_constants
 
 FIELD = PrimeField(65537)
 
@@ -299,16 +300,18 @@ def test_systematic_first_l_shares_raw():
     assert shares[2][0] == "coded"
 
 
-def test_systematic_all_raw_needs_zero_solves():
+def test_systematic_all_raw_needs_zero_solves(monkeypatch):
     rng = np.random.default_rng(11)
     params = csa_params(FIELD, 1, 2, 5, systematic=True)
     aa = [FIELD.rand_matrix(rng, 2, 2) for _ in range(2)]
     bb = [FIELD.rand_matrix(rng, 2, 2) for _ in range(2)]
     shares = systematic_encode(FIELD, aa, bb, params)
     answers = [(s, systematic_answer(FIELD, shares[s])) for s in (0, 1, 4)]
-    before = structmat.solve_calls
+    solves = []
+    monkeypatch.setattr(csa, "solve_batch",
+                        lambda *args: solves.append(args) or solve_batch(*args))
     got = systematic_decode(FIELD, answers, params)
-    assert structmat.solve_calls == before
+    assert solves == []
     truth = harness.direct_products(FIELD, aa, bb)
     assert all(np.array_equal(g, t) for g, t in zip(got, truth))
 
@@ -401,3 +404,77 @@ def test_systematic_relaxed_field_size():
     got = systematic_decode(small, answers, params)
     truth = harness.direct_products(small, aa, bb)
     assert all(np.array_equal(g, t) for g, t in zip(got, truth))
+
+
+# ---- the decode matrix against the paper's ----
+
+
+def _decoder_cases(field):
+    """(module whose solve_batch the decoder calls, decoder, params, the
+    responding servers, or None for a random threshold-sized subset) of
+    every Cauchy decoder, skipping the cases GF(q) has too few points for."""
+    cases = [(csa, csa_decode, lambda ell=ell, kc=kc: csa_params(
+                 field, ell, kc, csa_threshold(ell, kc) + 1), None)
+             for ell, kc in [(1, 1), (1, 3), (2, 2)]]
+    cases += [(csa, ncsa.xsb_decode if x else ncsa.ncsa_decode,
+               lambda arity=arity, x=x: ncsa.ncsa_params(
+                   field, arity, 2, 2, ncsa.xsb_threshold(arity, 2, 2, x, 0) + 1, x), None)
+              for arity, x in itertools.product((2, 3), (0, 1, 2))]
+    cases += [(gcsa, gcsa.gcsa_decode, lambda dims=dims: gcsa.gcsa_params(
+                   field, *dims, gcsa.gcsa_threshold(*dims) + 1), None)
+              for dims in [(2, 1, 2, 1, 1), (1, 2, 2, 2, 1)]]
+    # systematic subsets with known results: servers below L answer raw
+    cases += [(csa, systematic_decode,
+               lambda: csa_params(field, 2, 2, 8, systematic=True), (1, 3, 4, 6, 7)),
+              (csa, systematic_decode,
+               lambda: ncsa.ncsa_params(field, 3, 1, 2, 6, systematic=True), (0, 3, 4, 5))]
+    for module, decode, make, servers in cases:
+        try:
+            params = make()
+        except ParameterError:  # the field holds too few distinct points
+            continue
+        yield module, decode, params, servers
+
+
+def _paper_matrix(field, decode, params, servers):
+    """The paper's decode matrix for the responding servers and the number
+    of its leading unknowns that carry desired coefficients."""
+    if decode is gcsa.gcsa_decode:
+        alphas = [params.samples[s] for s in servers]
+        return (gcsa_paper_matrix(field, params, alphas),
+                params.batch_size * params.inner_order)
+    raw = decode is systematic_decode
+    unknown = [i for i in range(params.batch_size) if not (raw and i in servers)]
+    consts = scaling_constants(field, params, params.arity - 1)
+    spec = CVSpec(tuple(params.poles[i] for i in unknown),
+                  tuple(params.samples[s] for s in servers
+                        if not (raw and s < params.batch_size)))
+    return scaled_cv_matrix(field, spec, [consts[i] for i in unknown]), len(unknown)
+
+
+@pytest.mark.parametrize("q", [13, 65537, 2147483629])
+def test_decode_matrix_matches_the_papers_on_desired_unknowns(monkeypatch, q):
+    # Every Cauchy decoder solves a matrix whose Cauchy columns carry the
+    # exact coefficients of the answers, which differ from the paper's
+    # c_{l,k}^(N-1) scaling or GCSA Toeplitz mixing by polynomials the
+    # Vandermonde tail absorbs: for any right-hand side both solves agree on
+    # the desired unknowns.
+    field = PrimeField(q)
+    rng = np.random.default_rng(q)
+    checked = 0
+    for module, decode, params, servers in _decoder_cases(field):
+        if servers is None:
+            r = (params.threshold if decode is not gcsa.gcsa_decode else
+                 gcsa.gcsa_threshold(params.ell, params.kc, params.p, params.m, params.n))
+            servers = sorted(int(s) for s in rng.choice(params.servers, r, replace=False))
+        mats = []
+        monkeypatch.setattr(module, "solve_batch",
+                            lambda f, mat, rhs: mats.append(mat) or solve_batch(f, mat, rhs))
+        decode(field, [(s, field.rand_matrix(rng, 2, 3)) for s in servers], params)
+        [mat] = mats
+        paper, desired = _paper_matrix(field, decode, params, servers)
+        rhs = field.rand_matrix(rng, len(mat), 4)
+        assert np.array_equal(solve_batch(field, mat, rhs)[:desired],
+                              solve_batch(field, paper, rhs)[:desired])
+        checked += 1
+    assert checked == (9 if q == 13 else 13)  # GF(13) lacks the points for 4

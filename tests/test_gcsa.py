@@ -9,8 +9,8 @@ from csacode.errors import ParameterError
 from csacode.ffield import PrimeField, poly_eval
 from csacode.gcsa import (gcsa_decode, gcsa_encode_a,
                           gcsa_encode_b, gcsa_params, gcsa_threshold,
-                          grid_naive_threshold, psi_coeffs)
-from reference import naive_combo_threshold
+                          grid_naive_threshold)
+from reference import naive_combo_threshold, psi_coeffs
 
 FIELD = PrimeField(65537)
 

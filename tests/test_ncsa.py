@@ -17,10 +17,9 @@ from csacode.ncsa import (PolynomialSpec, PolyTerm, determinant_map,
                           ncsa_systematic_encode, ncsa_threshold,
                           noise_block, poly_batch_eval_answer,
                           xs_encode, xsb_decode, xsb_threshold)
-from csacode.structmat import (CVSpec, rs_error_correct, scaled_cv_matrix,
-                               solve_batch)
+from csacode.structmat import CVSpec, rs_error_correct, solve_batch
 from reference import (check_multilinear, lcc_decode, lcc_encode, noise_reference,
-                       shake_words)
+                       scaled_cv_matrix, scaling_constants, shake_words)
 
 FIELD = PrimeField(65537)
 
@@ -141,7 +140,7 @@ def test_lcc_run_is_the_lagrange_code(q):
             assert np.array_equal(e, x) and np.array_equal(e, t)
         # share by share: the N-CSA share of a batch is the Lagrange share of
         # the batch scaled by c_k = prod_{k' != k} (f_k' - f_k)
-        consts = csa.scaling_constants(field, params)
+        consts = scaling_constants(field, params)
         for v, entries in enumerate(batches):
             scaled = [c * x % q for c, x in zip(consts, entries)]
             for s in range(servers):
@@ -646,7 +645,7 @@ def _per_entry_decode(field, answers, params):
         raise DecodingFailureError("over budget")
     clean = [i for i in range(r) if i not in flagged][: r - 2 * b]
     mat = scaled_cv_matrix(field, CVSpec(params.poles, tuple(alphas[i] for i in clean)),
-                           csa.scaling_constants(field, params, params.arity - 1))
+                           scaling_constants(field, params, params.arity - 1))
     sol = solve_batch(field, mat, np.stack([answers[i][1].reshape(-1) for i in clean]))
     shape = answers[0][1].shape
     return ([sol[j].reshape(shape) for j in range(params.batch_size)],

@@ -6,8 +6,9 @@ import pytest
 from csacode.errors import DecodingFailureError, ParameterError, SingularMatrixError
 from csacode.ffield import PrimeField, poly_eval
 from csacode.structmat import (CVSpec, confluent_cv_matrix, cv_matrix,
-                               lt_toeplitz, matrix_rank, rs_error_correct,
-                               solve_any, solve_batch)
+                               matrix_rank, rs_error_correct, solve_any,
+                               solve_batch)
+from reference import lt_toeplitz
 
 FIELD = PrimeField(65537)
 # The shared row reduction is checked at a small, the default and a near-2^31
