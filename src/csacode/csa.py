@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InsufficientAnswersError, ParameterError
-from .ffield import PrimeField
+from .ffield import _ARENA_MIN_BYTES, PrimeField, _arena
 # perfbench/tracer.py requires csa.cv_matrix, so it stays importable here.
 from .structmat import (CVSpec, confluent_cv_matrix, cv_matrix,  # noqa: F401
                         matrix_rank, solve_batch)
@@ -94,26 +94,30 @@ def csa_params(field: PrimeField, ell: int, kc: int, servers: int,
     return CSAParams(ell, kc, servers, poles, samples)
 
 
-def csa_encode_a(field: PrimeField, batch_a, params: CSAParams, servers) -> list:
+def csa_encode_a(field: PrimeField, batch_a, params: CSAParams, servers,
+                 arena: str | None = None) -> list:
     """A-side shares: ell matrices per server, one per group.
 
     Uses the expanded polynomial form prod_{k' != k}(f_{l,k'} - alpha), so no
     inversions are needed on the A side.  ``servers`` is one server index,
     which returns that server's ell shares, or a sequence of indices, which
-    returns one such list per server, all from one generator product.
+    returns one such list per server, all from one generator product.  The
+    shares are fresh arrays, or views of the round-arena buffer named
+    ``arena`` (see ``_generator_encode``).
     """
     _check_batch(batch_a, params)
     weights = _cauchy_weights(field, params, _server_list(servers), "a")
-    return _shares(_generator_encode(field, batch_a, weights), servers)
+    return _shares(_generator_encode(field, batch_a, weights, arena=arena), servers)
 
 
-def csa_encode_b(field: PrimeField, batch_b, params: CSAParams, servers) -> list:
+def csa_encode_b(field: PrimeField, batch_b, params: CSAParams, servers,
+                 arena: str | None = None) -> list:
     """B-side shares: bare Cauchy combinations with weights 1/(f_{l,k} - alpha),
     the inverses of all listed servers from one batched inversion.
-    ``servers`` is one index or a sequence, as for ``csa_encode_a``."""
+    ``servers`` and ``arena`` as for ``csa_encode_a``."""
     _check_batch(batch_b, params)
     weights = _cauchy_weights(field, params, _server_list(servers), "b")
-    return _shares(_generator_encode(field, batch_b, weights), servers)
+    return _shares(_generator_encode(field, batch_b, weights, arena=arena), servers)
 
 
 def _server_list(servers) -> list[int]:
@@ -153,12 +157,14 @@ def _cauchy_weights(field: PrimeField, params, listed, side: str, order: int = 1
     else:
         pref = np.array(field.batch_inv(powers[order].ravel().tolist()),
                         dtype=np.int64).reshape(d.shape)
+    if tuple(exps) == (0,):  # every block carries d^0
+        return pref
     weights = pref[..., None] * np.stack([powers[e] for e in exps], axis=-1) % q
     return weights.reshape(len(alphas), params.ell, params.kc * len(exps))
 
 
 def _generator_encode(field: PrimeField, batch, weights: np.ndarray,
-                      grid=(1, 1)) -> list:
+                      grid=(1, 1), arena: str | None = None) -> list:
     """Shares from generator products, as ell arrays of shape (servers, bh, bw),
     one per group.
 
@@ -170,6 +176,12 @@ def _generator_encode(field: PrimeField, batch, weights: np.ndarray,
     entry alone (kc = 1, ell = L); the blocks of all entries then stack as
     (blocks x L * bh * bw) and one product yields every share.  On the 1 x 1
     grid an entry may have any shape, which each share keeps.
+
+    The products write into one int64 array: a fresh one, or, when
+    ``arena`` names a buffer, this thread's round-arena buffer of that name
+    (``ffield._arena``), which a round reuses instead of faulting in the
+    shares' pages afresh.  Those shares stay valid only until the next
+    encode into the same buffer in this thread.
     """
     try:
         arr = np.asarray(batch)
@@ -191,26 +203,44 @@ def _generator_encode(field: PrimeField, batch, weights: np.ndarray,
     blocks = field.residues(arr).reshape(ell, kc, rows, bh, cols, bw)
     if weights.ndim == 2:
         stacked = blocks.transpose(1, 2, 4, 0, 3, 5).reshape(width, -1)
-        coded = field.matmul(weights, stacked).reshape((servers, ell, -1))
+        coded = field.matmul(weights, stacked, out=_coded(
+            arena, (servers, stacked.shape[1]))).reshape((servers, ell, -1))
         return [coded[:, l].reshape(group_shape) for l in range(ell)]
     stacked = blocks.transpose(0, 1, 2, 4, 3, 5).reshape(ell, width, -1)
-    coded = np.empty((ell, servers, stacked.shape[-1]), dtype=np.int64)
+    coded = _coded(arena, (ell, servers, stacked.shape[-1]))
     for l in range(ell):
         field.matmul(weights[:, l], stacked[l], out=coded[l])
     return list(coded.reshape((ell,) + group_shape))
 
 
-def csa_answer(field: PrimeField, share_a, share_b, counter=None) -> np.ndarray:
+def _coded(arena: str | None, shape: tuple) -> np.ndarray:
+    """The round-arena buffer ``arena`` as an int64 array of ``shape``, or a
+    fresh one without an arena name or below the arena's smallest size."""
+    out = None if arena is None else _arena(arena, shape)
+    return np.empty(shape, np.int64) if out is None else out
+
+
+def csa_answer(field: PrimeField, share_a, share_b, counter=None,
+               out: np.ndarray | None = None) -> np.ndarray:
     """Server-side work: Y_s = sum_l A~_l B~_l, as the one product
-    [A~_1 | ... | A~_ell] [B~_1; ...; B~_ell]."""
+    [A~_1 | ... | A~_ell] [B~_1; ...; B~_ell], written into ``out`` (a
+    C-contiguous int64 array of the answer's shape) when given, else into a
+    fresh array.  The concatenations go to this thread's round-arena
+    buffers ``concat-a`` and ``concat-b`` where large enough."""
     if len(share_a) != len(share_b):
         raise ParameterError("share group counts differ")
+    inner = 0
     for a, b in zip(share_a, share_b):
         if a.shape[1] != b.shape[0]:
             raise ParameterError("share shapes are not conformable")
         if counter is not None:
             counter.mults += a.shape[0] * a.shape[1] * b.shape[1]
-    return field.matmul(np.concatenate(share_a, axis=1), np.concatenate(share_b, axis=0))
+        inner += a.shape[1]
+    left = np.concatenate(share_a, axis=1,
+                          out=_arena("concat-a", (share_a[0].shape[0], inner)))
+    right = np.concatenate(share_b, axis=0,
+                           out=_arena("concat-b", (inner, share_b[0].shape[1])))
+    return field.matmul(left, right, out=out)
 
 
 def csa_decode(field: PrimeField, answers, params: CSAParams) -> list[np.ndarray]:
@@ -222,14 +252,37 @@ def csa_decode(field: PrimeField, answers, params: CSAParams) -> list[np.ndarray
     """
     answers = _take_answers(answers, params.threshold, params.servers)
     mat = _decode_matrix(field, params, [s for s, _ in answers], params.arity - 1)
-    stacked = np.stack([y.reshape(-1) for _, y in answers])
-    sol = solve_batch(field, mat, stacked)
+    sol = solve_batch(field, mat, _answer_rows([y for _, y in answers]),
+                      rows=slice(params.batch_size))
     shape = answers[0][1].shape
     return [sol[j].reshape(shape) for j in range(params.batch_size)]
 
 
+def _answer_rows(ys) -> np.ndarray:
+    """The answers ``ys`` as the rows of one (R, entries) array.  Where they
+    are consecutive rows of one int64 buffer, as a harness round writes
+    them, that memory is read in place (each answer covers its own bytes, so
+    the view covers exactly the answers); else they are stacked into a fresh
+    array.  Answers below ``ffield._ARENA_MIN_BYTES`` are always stacked:
+    checking an address costs about 3 us an answer, more than copying a
+    small one (11 answers of 32 KiB: 29.7 us to check, 22.8 to stack; of
+    64 KiB: 30.8 and 41.8; best of 7, 2-core x86-64 VM)."""
+    first = ys[0]
+    if (isinstance(first, np.ndarray) and first.dtype == np.int64
+            and first.nbytes >= _ARENA_MIN_BYTES):
+        start = first.__array_interface__["data"][0]
+        if all(isinstance(y, np.ndarray) and y.dtype == np.int64
+               and y.shape == first.shape and y.flags.c_contiguous
+               and y.__array_interface__["data"][0] == start + i * first.nbytes
+               for i, y in enumerate(ys)):
+            return np.lib.stride_tricks.as_strided(
+                first, (len(ys), first.size), (first.nbytes, first.itemsize),
+                writeable=False)
+    return np.stack([np.asarray(y).reshape(-1) for y in ys])
+
+
 def _decode_matrix(field: PrimeField, params, listed, power: int, order: int = 1,
-                   slots=None) -> np.ndarray:
+                   slots=None, weights=None) -> np.ndarray:
     """Decode matrix of a Cauchy code at the ``listed`` servers, whose
     unknowns are ``order`` Cauchy coordinates per batch entry in ``slots``
     (all by default), then the Vandermonde tail.
@@ -244,13 +297,16 @@ def _decode_matrix(field: PrimeField, params, listed, power: int, order: int = 1
     alpha of degree below deg w = power * (kc - 1), which never exceeds the
     tail width R - order * L.  So this matrix is the paper's times
     [[I, 0], [P, I]]: the same determinant, and the same rows of the
-    inverse, hence the same solution, for the Cauchy unknowns.
+    inverse, hence the same solution, for the Cauchy unknowns.  A caller
+    that already holds those weights, (listed x L), passes them as
+    ``weights``.
     """
     slots = range(params.batch_size) if slots is None else slots
     alphas = tuple(params.samples[s] for s in listed)
     mat = confluent_cv_matrix(field, CVSpec(tuple(params.poles[i] for i in slots),
                                             alphas, order))
-    weights = _cauchy_weights(field, params, listed, "a", power).reshape(len(alphas), -1)
+    if weights is None:
+        weights = _cauchy_weights(field, params, listed, "a", power).reshape(len(alphas), -1)
     width = order * len(slots)
     mat[:, :width] = mat[:, :width] * np.repeat(weights[:, slots], order, axis=1) % field.q
     return mat
@@ -259,31 +315,40 @@ def _decode_matrix(field: PrimeField, params, listed, power: int, order: int = 1
 # ---- systematic layout ----
 
 
-def systematic_encode(field: PrimeField, batch_a, batch_b, params: CSAParams) -> list:
+def systematic_encode(field: PrimeField, batch_a, batch_b, params: CSAParams,
+                      arenas=None) -> list:
     """Shares for all S servers: ("raw", (A_s, B_s)) for the first L, then
-    ("coded", (A-side shares, B-side shares)), the N-CSA layout with N = 2."""
+    ("coded", (A-side shares, B-side shares)), the N-CSA layout with N = 2.
+    ``arenas`` optionally names one round-arena buffer per side for the
+    coded shares (see ``_generator_encode``)."""
     return _systematic_shares(field, (batch_a, batch_b), (csa_encode_a, csa_encode_b),
-                              params)
+                              params, arenas)
 
 
-def _systematic_shares(field: PrimeField, batches, encoders, params) -> list:
+def _systematic_shares(field: PrimeField, batches, encoders, params,
+                       arenas=None) -> list:
     """The systematic layout of one batch per variable: ("raw", every
     variable's entry s) for servers s < L, then ("coded", every variable's
-    shares) from its encoder, each of which checks its batch."""
+    shares) from its encoder, each of which checks its batch, into the
+    variable's round-arena buffer in ``arenas`` if given."""
     if params.servers < params.batch_size:
         raise ParameterError("systematic layout needs S >= L")
-    coded = [encode(field, batch, params, range(params.batch_size, params.servers))
-             for encode, batch in zip(encoders, batches)]
+    arenas = [None] * len(batches) if arenas is None else arenas
+    coded = [encode(field, batch, params, range(params.batch_size, params.servers),
+                    arena=arena)
+             for encode, batch, arena in zip(encoders, batches, arenas)]
     return ([("raw", tuple(batch[s] for batch in batches))
              for s in range(params.batch_size)]
             + [("coded", shares) for shares in zip(*coded)])
 
 
-def systematic_answer(field: PrimeField, share, counter=None) -> np.ndarray:
+def systematic_answer(field: PrimeField, share, counter=None,
+                      out: np.ndarray | None = None) -> np.ndarray:
+    """A raw or coded server's answer, into ``out`` as for ``csa_answer``."""
     kind, (a, b) = share
     if kind == "raw":  # one product: the CSA answer of a single group
         a, b = [a], [b]
-    return csa_answer(field, a, b, counter)
+    return csa_answer(field, a, b, counter, out)
 
 
 def systematic_decode(field: PrimeField, answers, params) -> list[np.ndarray]:
@@ -293,27 +358,32 @@ def systematic_decode(field: PrimeField, answers, params) -> list[np.ndarray]:
     exact coefficient each carries there, its A-side weight to the power
     N - 1 times its B-side weight 1/(f_{l,k} - alpha); the reduced system
     keeps the Cauchy columns of the unknown results plus the full
-    Vandermonde tail, R - L = (kc-1)(N-1) columns wide.
+    Vandermonde tail, R - L = (kc-1)(N-1) columns wide.  Returned raw
+    results are copies, never the answers themselves.
     """
     batch = params.batch_size
     answers = _take_answers(answers, params.threshold, params.servers)
     known = {s: y for s, y in answers if s < batch}
     coded = [(s, y) for s, y in answers if s >= batch]
     if len(known) == batch:
-        return [known[i] for i in range(batch)]
+        return [np.array(known[i]) for i in range(batch)]
     listed = [s for s, _ in coded]
     unknown = [i for i in range(batch) if i not in known]
-    mat = _decode_matrix(field, params, listed, params.arity - 1, slots=unknown)
-    rhs = np.stack([y.reshape(-1) for _, y in coded])
-    if known:
-        weights = (_cauchy_weights(field, params, listed, "a", params.arity - 1)
-                   * _cauchy_weights(field, params, listed, "b") % field.q)
-        weights = weights.reshape(len(listed), -1)[:, list(known)]
-        known_rows = np.stack([y.reshape(-1) for y in known.values()])
+    weights = _cauchy_weights(field, params, listed, "a",
+                              params.arity - 1).reshape(len(listed), -1)
+    mat = _decode_matrix(field, params, listed, params.arity - 1, slots=unknown,
+                         weights=weights)
+    rhs = _answer_rows([y for _, y in coded])
+    if known:  # the A-side weight times the B-side 1/(f - alpha)
+        inverses = field.batch_inv([params.poles[k] - params.samples[s]
+                                    for s in listed for k in known])
+        weights = weights[:, list(known)] * np.array(
+            inverses, dtype=np.int64).reshape(len(listed), len(known)) % field.q
+        known_rows = _answer_rows(list(known.values()))
         rhs = (rhs - field.matmul(weights, known_rows)) % field.q
-    sol = solve_batch(field, mat, rhs)
+    sol = solve_batch(field, mat, rhs, rows=slice(len(unknown)))
     shape = answers[0][1].shape
-    return [known[i] if i in known else sol[unknown.index(i)].reshape(shape)
+    return [np.array(known[i]) if i in known else sol[unknown.index(i)].reshape(shape)
             for i in range(batch)]
 
 

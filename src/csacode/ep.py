@@ -10,8 +10,9 @@ Encoding is one generator product per side: the S x mp (or S x pn) table of
 alpha_s^e, one row per server and one column per block in row-major grid
 order, times the blocks of every batch entry stacked as (blocks x entries *
 block size), so every server's share of every entry comes out at once
-(``csa._generator_encode``).  Decoding stacks a whole batch of answers as
-right-hand-side columns of one Vandermonde solve.
+(``csa._generator_encode``).  Decoding takes a whole batch of answers as
+right-hand-side columns of one Vandermonde solve, which returns only the mn
+desired coefficients.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .csa import _generator_encode, _server_list, _shares
+from .csa import _answer_rows, _generator_encode, _server_list, _shares
 from .errors import InsufficientAnswersError, ParameterError
 from .ffield import PrimeField
 from .structmat import CVSpec, cv_matrix, solve_batch
@@ -71,41 +72,45 @@ def _b_exponents(params: EPParams) -> list[int]:
     return [b_exponent(params, pi, ni) for pi in range(params.p) for ni in range(params.n)]
 
 
-def ep_encode_a(field: PrimeField, a, params: EPParams, alpha):
+def ep_encode_a(field: PrimeField, a, params: EPParams, alpha,
+                arena: str | None = None):
     """A polynomial sum_{mi,pi} A_{mi,pi} alpha^(pi + p*mi); GCSA's generator
     evaluates the same polynomial at the shifted point f_{l,k} - alpha.
 
     With one matrix and one point, returns that share.  With a batch of
     matrices and a sequence of points, returns one list of shares (one per
-    batch entry) per point, all from one generator product.
+    batch entry) per point, all from one generator product, as fresh arrays
+    or views of the round-arena buffer ``arena`` (``csa._generator_encode``).
     """
-    return _encode(field, a, (params.m, params.p), _a_exponents(params), alpha)
+    return _encode(field, a, (params.m, params.p), _a_exponents(params), alpha, arena)
 
 
-def ep_encode_b(field: PrimeField, b, params: EPParams, alpha):
+def ep_encode_b(field: PrimeField, b, params: EPParams, alpha,
+                arena: str | None = None):
     """B polynomial sum_{pi,ni} B_{pi,ni} alpha^(p-1-pi + p*m*ni); one matrix
     and one point, or a batch and a sequence of points, as ``ep_encode_a``."""
-    return _encode(field, b, (params.p, params.n), _b_exponents(params), alpha)
+    return _encode(field, b, (params.p, params.n), _b_exponents(params), alpha, arena)
 
 
-def _encode(field: PrimeField, mats, grid, exps, alpha):
+def _encode(field: PrimeField, mats, grid, exps, alpha, arena):
     """The (points x blocks) generator of alpha^e times the blocks of every
     entry; one matrix and one point give the one share."""
     points = _server_list(alpha)
     gen = np.array([[pow(x, e, field.q) for e in exps] for x in points],
                    dtype=np.int64).reshape(len(points), len(exps))
     if isinstance(alpha, numbers.Integral):
-        return _generator_encode(field, [mats], gen, grid)[0][0]
-    return _shares(_generator_encode(field, mats, gen, grid), alpha)
+        return _generator_encode(field, [mats], gen, grid, arena)[0][0]
+    return _shares(_generator_encode(field, mats, gen, grid, arena), alpha)
 
 
 def ep_answer(field: PrimeField, coded_a: np.ndarray, coded_b: np.ndarray,
-              counter=None) -> np.ndarray:
+              counter=None, out: np.ndarray | None = None) -> np.ndarray:
+    """One coded product, into ``out`` when given (as ``PrimeField.matmul``)."""
     if coded_a.shape[1] != coded_b.shape[0]:
         raise ParameterError("coded shares are not conformable")
     if counter is not None:
         counter.mults += coded_a.shape[0] * coded_a.shape[1] * coded_b.shape[1]
-    return field.matmul(coded_a, coded_b)
+    return field.matmul(coded_a, coded_b, out=out)
 
 
 def ep_decode(field: PrimeField, answers, params: EPParams):
@@ -113,9 +118,9 @@ def ep_decode(field: PrimeField, answers, params: EPParams):
 
     ``answers`` is an iterable of (alpha, Y) pairs.  Y is one answer matrix,
     which returns the one product, or a stack of them (one per batch entry),
-    which returns the list of products; either way the coefficient matrices
-    are interpolated entry-wise with one Vandermonde solve, then each
-    product's desired block grid is reassembled.
+    which returns the list of products; either way the desired coefficient
+    matrices are interpolated entry-wise with one Vandermonde solve, then
+    each product's block grid is reassembled.
     """
     r = ep_threshold(params)
     answers = list(answers)
@@ -124,19 +129,25 @@ def ep_decode(field: PrimeField, answers, params: EPParams):
     answers = answers[:r]
     # a Cauchy-Vandermonde matrix without poles is the plain Vandermonde
     vand = cv_matrix(field, CVSpec((), tuple(a % field.q for a, _ in answers)))
-    stacked = np.stack([y for _, y in answers])  # R x (entries x) block
-    coeffs = solve_batch(field, vand, stacked.reshape(r, -1)).reshape(stacked.shape)
-    if stacked.ndim == 3:
-        return _extract_products(params, coeffs[:, None])[0]
-    return _extract_products(params, coeffs)
+    shape = np.shape(answers[0][1])  # (entries x) block
+    idx = _desired_indices(params)
+    coeffs = solve_batch(field, vand, _answer_rows([y for _, y in answers]), rows=idx)
+    if len(shape) == 2:
+        return _extract_products(params, coeffs.reshape((len(idx), 1) + shape))[0]
+    return _extract_products(params, coeffs.reshape((len(idx),) + shape))
 
 
-def _extract_products(params: EPParams, coeffs: np.ndarray) -> np.ndarray:
-    """Products from interpolated coefficients of shape (R', entries, bh, bw):
-    output block (mi, ni) of every entry is the coefficient at
-    ``desired_coeff_index``; returns (entries, m * bh, n * bw)."""
+def _desired_indices(params: EPParams) -> list[int]:
+    """``desired_coeff_index`` of every output block, row-major in (mi, ni)."""
+    return [desired_coeff_index(params, mi, ni)
+            for mi in range(params.m) for ni in range(params.n)]
+
+
+def _extract_products(params: EPParams, desired: np.ndarray) -> np.ndarray:
+    """Products from the desired coefficients, shape (m * n, entries, bh, bw)
+    in ``_desired_indices`` order: output block (mi, ni) of every entry is
+    its coefficient; returns (entries, m * bh, n * bw)."""
     m, n = params.m, params.n
-    _, entries, bh, bw = coeffs.shape
-    idx = [desired_coeff_index(params, mi, ni) for mi in range(m) for ni in range(n)]
-    grid = coeffs[idx].reshape(m, n, entries, bh, bw)
+    _, entries, bh, bw = desired.shape
+    grid = desired.reshape(m, n, entries, bh, bw)
     return grid.transpose(2, 0, 3, 1, 4).reshape(entries, m * bh, n * bw)

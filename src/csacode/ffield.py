@@ -38,6 +38,21 @@ x86-64 VM).  Counted with
 and a 192^3 product at q = 65537 328 faults and 830 us; with workspaces the
 round takes about 600 faults and 5.3 ms and the product none and 530 us.
 
+The round arena extends the same store (``_workspace``) to a round's large
+intermediates, under names of their own: ``shares-<v>`` (variable v's
+shares, written by ``csa._generator_encode``), ``answers`` (one row per
+responsive server, which the decoders read in place), ``concat-a`` and
+``concat-b`` (``csa.csa_answer``'s concatenated shares), each once it
+reaches ``_ARENA_MIN_BYTES``.  A large CDBMM round (``harness.run_cdbmm``)
+then allocates only the products it returns, as ``solve_batch`` computes
+just their rows; N-CSA answers come fresh from the map.  Measured in the
+benchmark's own loop (its reference kernel, then one operation, oracle
+included, over 20 operations; one BLAS thread, 2-core x86-64 VM), a
+``cdbmm-large`` operation took 3,094 to 3,605 minor faults and
+``cdbmm-q31`` 624 with fresh round temporaries; with the arena they take
+about 1,264 and none.  The faults left are the fresh products of the round and of its
+oracle.
+
 Crossover, q = 65537, square products, ``_matmul_int64`` vs
 ``_matmul_float`` (best of 25 timeit repeats, OpenBLAS 0.3.31 with one
 thread, numpy 2.4, 2-core x86-64 VM): 2.3 vs 5.7 us at 8^3, 5.1 vs 6.5 us at
@@ -88,8 +103,15 @@ _COLUMN_BLOCK = 4096
 # The float path's scratch arrays, one set per thread (see the module
 # docstring): x and y (float64 operands, y one column block of b), part
 # (one dgemm block), quot (reduction quotients, and a later chunk's int64
-# terms before they are added) and shift (the a * 2^16 limb column).
+# terms before they are added) and shift (the a * 2^16 limb column).  The
+# round arena's buffers live here too, under the names the module docstring
+# lists.
 _WORKSPACES = threading.local()
+# Smallest array the round arena holds.  Smaller temporaries come from freed
+# heap memory without fresh-page faults (the benchmark's small-mixed and
+# secure-byzantine operations take none), and there an arena lookup (about
+# 0.6 us) costs more than it saves.
+_ARENA_MIN_BYTES = 1 << 15
 
 
 def is_prime(n: int) -> bool:
@@ -205,26 +227,28 @@ class PrimeField:
         cols = b.shape[1] if b.ndim == 2 else 1
         inner = b.shape[0]
         if a.size * cols < FLOAT_MIN_MACS and inner <= self._int64_max_inner:
-            if out is None:
-                return self._matmul_int64(a, b)
-            np.copyto(out, self._matmul_int64(a, b))
-            return out
+            return self._matmul_int64(a, b, out)
         flat = None if out is None else out.reshape(-1, cols)
         result = self._matmul_float(a.reshape(-1, inner), b.reshape(inner, cols), flat)
         return result.reshape(shape) if out is None else out
 
-    def _matmul_int64(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    def _matmul_int64(self, a: np.ndarray, b: np.ndarray, out=None) -> np.ndarray:
         """int64 accumulation is safe while ``inner * (q-1)^2 < 2^62``; longer
         inner dimensions are accumulated in chunks (a single product always
-        fits thanks to the q < 2^31 bound)."""
+        fits thanks to the q < 2^31 bound).  The result goes to ``out`` when
+        given, reduced there in place."""
         inner = a.shape[-1]
         if inner * (self.q - 1) ** 2 < 2**62:
-            return (a @ b) % self.q
+            prod = np.matmul(a, b, out=out)
+            return np.remainder(prod, self.q, out=prod)
         step = self._int64_chunk
         acc = np.zeros(a.shape[:-1] + b.shape[1:], dtype=np.int64)
         for lo in range(0, inner, step):
             acc = (acc + a[..., lo : lo + step] @ b[lo : lo + step, ...]) % self.q
-        return acc
+        if out is None:
+            return acc
+        np.copyto(out, acc)
+        return out
 
     @cached_property
     def _int64_chunk(self) -> int:
@@ -316,10 +340,19 @@ def _reduce(x: np.ndarray, q: int) -> np.ndarray:
     return x
 
 
+def _arena(name: str, shape: tuple) -> np.ndarray | None:
+    """This thread's round-arena buffer ``name`` as an int64 array of
+    ``shape``, or None (the caller then allocates a fresh array) when that
+    is below ``_ARENA_MIN_BYTES``."""
+    if 8 * math.prod(shape) < _ARENA_MIN_BYTES:
+        return None
+    return _workspace(name, shape, np.int64)
+
+
 def _workspace(name: str, shape: tuple, dtype) -> np.ndarray:
     """This thread's scratch array ``name``, viewed as ``shape``.  Its
-    contents are left over from earlier products; it is replaced by a larger
-    one when ``shape`` does not fit, and never shrinks."""
+    contents are left over from earlier products or rounds; it is replaced
+    by a larger one when ``shape`` does not fit, and never shrinks."""
     buffers, size = _WORKSPACES.__dict__, math.prod(shape)
     buf = buffers.get(name)
     if buf is None or buf.size < size:

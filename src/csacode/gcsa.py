@@ -23,9 +23,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .csa import (_cauchy_weights, _check_batch, _decode_matrix, _generator_encode,
-                  _Groups, _server_list, _shares, _take_answers, cauchy_points)
-from .ep import EPParams, _a_exponents, _b_exponents, _extract_products
+from .csa import (_answer_rows, _cauchy_weights, _check_batch, _decode_matrix,
+                  _generator_encode, _Groups, _server_list, _shares, _take_answers,
+                  cauchy_points)
+from .ep import (EPParams, _a_exponents, _b_exponents, _desired_indices,
+                 _extract_products)
 from .errors import ParameterError
 from .ffield import PrimeField
 # perfbench/tracer.py requires gcsa.confluent_cv_matrix, so it stays importable here.
@@ -79,44 +81,47 @@ def gcsa_params(field: PrimeField, ell: int, kc: int, p: int, m: int, n: int,
     return GCSAParams(ell, kc, p, m, n, servers, poles, samples)
 
 
-def gcsa_encode_a(field: PrimeField, batch_a, params: GCSAParams, servers) -> list:
+def gcsa_encode_a(field: PrimeField, batch_a, params: GCSAParams, servers,
+                  arena: str | None = None) -> list:
     """A-side shares: per group, sum over slots of the inner polynomial at
     f_{l,k} - alpha times the cleared-denominator weight
     prod_{k' != k}(f_{l,k'} - alpha)^R'.  ``servers`` is one server index
-    (that server's ell shares) or a sequence (one list per server), as for
+    (that server's ell shares) or a sequence (one list per server), and
+    ``arena`` optionally names the round-arena buffer of the shares, as for
     ``csa.csa_encode_a``."""
     _check_batch(batch_a, params)
     weights = _cauchy_weights(field, params, _server_list(servers), "a",
                               params.inner_order, _a_exponents(params.ep))
-    return _shares(_generator_encode(field, batch_a, weights, (params.m, params.p)),
-                   servers)
+    return _shares(_generator_encode(field, batch_a, weights, (params.m, params.p),
+                                     arena), servers)
 
 
-def gcsa_encode_b(field: PrimeField, batch_b, params: GCSAParams, servers) -> list:
+def gcsa_encode_b(field: PrimeField, batch_b, params: GCSAParams, servers,
+                  arena: str | None = None) -> list:
     """B-side shares: the inner B polynomials at f_{l,k} - alpha, weighted by
-    1/(f_{l,k} - alpha)^R'; one index or a sequence, as ``gcsa_encode_a``."""
+    1/(f_{l,k} - alpha)^R'; ``servers`` and ``arena`` as ``gcsa_encode_a``."""
     _check_batch(batch_b, params)
     weights = _cauchy_weights(field, params, _server_list(servers), "b",
                               params.inner_order, _b_exponents(params.ep))
-    return _shares(_generator_encode(field, batch_b, weights, (params.p, params.n)),
-                   servers)
+    return _shares(_generator_encode(field, batch_b, weights, (params.p, params.n),
+                                     arena), servers)
 
 
 def gcsa_decode(field: PrimeField, answers, params: GCSAParams) -> list[np.ndarray]:
     """Recover the L full products from any R answers.
 
     Solves the decode matrix whose Cauchy unknowns are the inner-code
-    coefficient matrices per (group, slot), R' pole powers each; the
-    desired blocks are read off at the entangled-polynomial extraction
-    indices and reassembled.
+    coefficient matrices per (group, slot), R' pole powers each, for just
+    the desired blocks at the entangled-polynomial extraction indices, and
+    reassembles them.
     """
     r = gcsa_threshold(params.ell, params.kc, params.p, params.m, params.n)
     answers = _take_answers(answers, r, params.servers)
     rp = params.inner_order
     mat = _decode_matrix(field, params, [s for s, _ in answers], rp, rp)
-    stacked = np.stack([y.reshape(-1) for _, y in answers])
-    sol = solve_batch(field, mat, stacked)
+    idx = _desired_indices(params.ep)
+    sol = solve_batch(field, mat, _answer_rows([y for _, y in answers]),
+                      rows=[j * rp + i for j in range(params.batch_size) for i in idx])
     bh, bw = answers[0][1].shape
-    coeffs = sol[: params.batch_size * rp].reshape(params.batch_size, rp, bh, bw)
-    coeffs = coeffs.transpose(1, 0, 2, 3)
-    return list(_extract_products(params.ep, coeffs))
+    desired = sol.reshape(params.batch_size, len(idx), bh, bw).transpose(1, 0, 2, 3)
+    return list(_extract_products(params.ep, desired))

@@ -9,6 +9,7 @@ floats); server computation is counted in field multiplications.
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional
@@ -17,9 +18,11 @@ import numpy as np
 
 from . import csa, ep, gcsa, ncsa
 from .errors import InsufficientAnswersError, ParameterError
-from .ffield import PrimeField
+from .ffield import PrimeField, _arena
 
 CDBMM_SCHEMES = ("ep", "csa", "csa-systematic", "gcsa")
+# Whether a round is running in this thread (see ``_round``).
+_ACTIVE = threading.local()
 
 
 @dataclass
@@ -142,47 +145,57 @@ def run_cdbmm(field: PrimeField, scheme: str, setup, batch_a, batch_b,
     if batch_a[0].shape[1] != batch_b[0].shape[0]:
         raise ParameterError("inner dimensions of A and B do not match")
     servers = range(setup.servers)
+    shape = (batch_a[0].shape[0], batch_b[0].shape[1])  # of one answer
 
-    def answer(s, share, counter):  # csa and gcsa: the server work is the CSA answer
-        return csa.csa_answer(field, *share, counter)
+    def answer(s, share, counter, out):  # csa and gcsa: the server work is the CSA answer
+        return csa.csa_answer(field, *share, counter, out)
 
     if scheme == "ep":  # one call per side: every server and batch entry
-        def encode(responsive):
-            return list(zip(ep.ep_encode_a(field, batch_a, setup.params, setup.samples),
-                            ep.ep_encode_b(field, batch_b, setup.params, setup.samples)))
+        shape = (len(batch_a), shape[0] // setup.params.m, shape[1] // setup.params.n)
 
-        def answer(s, share, counter):
-            return np.stack([ep.ep_answer(field, a, b, counter) for a, b in zip(*share)])
+        def encode(responsive, arenas):
+            return list(zip(ep.ep_encode_a(field, batch_a, setup.params, setup.samples,
+                                           arenas[0]),
+                            ep.ep_encode_b(field, batch_b, setup.params, setup.samples,
+                                           arenas[1])))
+
+        def answer(s, share, counter, out):
+            out = np.empty(shape, np.int64) if out is None else out
+            for a, b, y in zip(*share, out):
+                ep.ep_answer(field, a, b, counter, y)
+            return out
 
         def decode(answers):  # the whole batch as right-hand sides of one solve
             return list(ep.ep_decode(field, [(setup.samples[s], y) for s, y in answers],
                                      setup.params)), ()
     elif scheme == "csa":
-        def encode(responsive):
-            return list(zip(csa.csa_encode_a(field, batch_a, setup, servers),
-                            csa.csa_encode_b(field, batch_b, setup, servers)))
+        def encode(responsive, arenas):
+            return list(zip(csa.csa_encode_a(field, batch_a, setup, servers, arenas[0]),
+                            csa.csa_encode_b(field, batch_b, setup, servers, arenas[1])))
 
         def decode(answers):
             return csa.csa_decode(field, answers, setup), ()
     elif scheme == "csa-systematic":
-        def encode(responsive):
-            return csa.systematic_encode(field, batch_a, batch_b, setup)
+        def encode(responsive, arenas):
+            return csa.systematic_encode(field, batch_a, batch_b, setup, arenas)
 
-        def answer(s, share, counter):
-            return csa.systematic_answer(field, share, counter)
+        def answer(s, share, counter, out):
+            return csa.systematic_answer(field, share, counter, out)
 
         def decode(answers):
             return csa.systematic_decode(field, answers, setup), ()
     else:
-        def encode(responsive):
-            return list(zip(gcsa.gcsa_encode_a(field, batch_a, setup, servers),
-                            gcsa.gcsa_encode_b(field, batch_b, setup, servers)))
+        shape = (shape[0] // setup.m, shape[1] // setup.n)
+
+        def encode(responsive, arenas):
+            return list(zip(gcsa.gcsa_encode_a(field, batch_a, setup, servers, arenas[0]),
+                            gcsa.gcsa_encode_b(field, batch_b, setup, servers, arenas[1])))
 
         def decode(answers):
             return gcsa.gcsa_decode(field, answers, setup), ()
 
     return _round(scheme, setup, [batch_a, batch_b], straggler, None,
-                  encode, answer, decode)
+                  encode, answer, decode, shape)
 
 
 def run_nlinear(field: PrimeField, params: ncsa.NCSAParams, job, batches,
@@ -222,17 +235,18 @@ def run_nlinear(field: PrimeField, params: ncsa.NCSAParams, job, batches,
     const_shares = {}  # a spec's constant-one shares, by responsive server
 
     if systematic:
-        def encode(responsive):
-            return ncsa.ncsa_systematic_encode(field, batches, params)
+        def encode(responsive, arenas):
+            return ncsa.ncsa_systematic_encode(field, batches, params, arenas)
 
-        def answer(s, share, counter):
+        def answer(s, share, counter, out):
             return ncsa.ncsa_systematic_answer(field, share, job, params, s, counter)
 
         def decode(answers):  # the layout excludes X and B
             return csa.systematic_decode(field, answers, params), ()
     else:
-        def encode(responsive):
-            by_var = [ncsa.xs_encode(field, batch, params, v, range(params.servers))
+        def encode(responsive, arenas):
+            by_var = [ncsa.xs_encode(field, batch, params, v, range(params.servers),
+                                     arena=arenas[v])
                       for v, batch in enumerate(batches)]
             if is_spec and any(slot is None for t in job.terms for slot in t.slots):
                 ones = [np.ones(_const_shape(job), dtype=np.int64)] * params.batch_size
@@ -240,7 +254,7 @@ def run_nlinear(field: PrimeField, params: ncsa.NCSAParams, job, batches,
                     field, ones, params, len(batches), responsive)))
             return [list(row) for row in zip(*by_var)]
 
-        def answer(s, share, counter):
+        def answer(s, share, counter, out):
             if not is_spec:
                 return ncsa.ncsa_answer(field, share, job, params, s, counter)
             shares_by_var = dict(enumerate(share))
@@ -256,15 +270,27 @@ def run_nlinear(field: PrimeField, params: ncsa.NCSAParams, job, batches,
 
 
 def _round(scheme: str, setup, operands, straggler: StragglerModel,
-           byzantine: Optional[ByzantineModel], encode, answer, decode):
+           byzantine: Optional[ByzantineModel], encode, answer, decode,
+           answer_shape: Optional[tuple] = None):
     """One round of any code family: pick the responsive servers, encode,
     answer (forging the corrupted answers), decode and count the costs.
 
     ``operands`` holds the residue batches, one per variable.
-    ``encode(responsive)`` returns one share per server: a tuple of
+    ``encode(responsive, arenas)`` returns one share per server: a tuple of
     per-variable share lists, or ("raw"|"coded", that tuple) for a
-    systematic layout.  ``answer(s, share, counter)`` is server s's answer,
-    and ``decode(answers)`` returns (results, flagged servers).
+    systematic layout.  ``answer(s, share, counter, out)`` is server s's
+    answer, and ``decode(answers)`` returns (results, flagged servers).
+
+    Large intermediates live in this thread's round arena
+    (``ffield._arena``), reused by every round instead of faulting in fresh
+    pages: the encoders write variable v's shares into the buffer named
+    ``arenas[v]``, "shares-<v>", and with an ``answer_shape`` each
+    responsive server writes its answer into ``out``, its own row of the
+    buffer ``answers``, whose first R rows the decoder reads in place.
+    Without one, or when the answers are too small for the arena, ``out``
+    is None.  A round run inside another round in this thread (by a map or
+    a forger) uses no arena, so it leaves the outer round's buffers alone.
+    The decoders return fresh results, so no result views the arena.
     """
     theory = theoretical_costs(scheme, setup)
     r = theory.threshold
@@ -277,22 +303,32 @@ def _round(scheme: str, setup, operands, straggler: StragglerModel,
     if not bad <= set(responsive):
         raise ParameterError("corrupted servers must be responsive")
 
-    shares = encode(responsive)
-    uploaded = [0] * len(operands)
-    for share in shares:
-        for v, item in enumerate(share[1] if isinstance(share[0], str) else share):
-            uploaded[v] += (item.size if isinstance(item, np.ndarray)
-                            else sum(x.size for x in item))
-    answers = []
-    server_mults = 0
-    for s in responsive:
-        counter = OpCounter()
-        y = answer(s, shares[s], counter)
-        server_mults = max(server_mults, counter.mults)
-        if s in bad:
-            y = byzantine.forge(s, y)
-        answers.append((s, y))
-    results, flagged = decode(answers)
+    nested = getattr(_ACTIVE, "round", False)
+    _ACTIVE.round = True
+    try:
+        shares = encode(responsive, [None if nested else f"shares-{v}"
+                                     for v in range(len(operands))])
+        uploaded = [0] * len(operands)
+        for share in shares:
+            for v, item in enumerate(share[1] if isinstance(share[0], str) else share):
+                uploaded[v] += (item.size if isinstance(item, np.ndarray)
+                                else sum(x.size for x in item))
+        rows = (_arena("answers", (len(responsive),) + answer_shape)
+                if answer_shape and not nested else None)
+        if rows is None:
+            rows = [None] * len(responsive)
+        answers = []
+        server_mults = 0
+        for s, out in zip(responsive, rows):
+            counter = OpCounter()
+            y = answer(s, shares[s], counter, out)
+            server_mults = max(server_mults, counter.mults)
+            if s in bad:
+                y = byzantine.forge(s, y)
+            answers.append((s, y))
+        results, flagged = decode(answers)
+    finally:
+        _ACTIVE.round = nested
 
     batch = len(operands[0])
     downloaded = sum(y.size for _, y in answers[:r])  # the decoders read the first R

@@ -24,8 +24,8 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .csa import (_Groups, _server_list, _systematic_shares, _take_answers,
-                  cauchy_points, csa_decode, csa_encode_a)
+from .csa import (_answer_rows, _Groups, _server_list, _systematic_shares,
+                  _take_answers, cauchy_points, csa_decode, csa_encode_a)
 from .errors import DecodingFailureError, ParameterError
 from .ffield import PrimeField
 # perfbench/tracer.py requires ncsa.solve_batch, so it stays importable here.
@@ -204,7 +204,7 @@ def noise_block(field: PrimeField, seed: int, var: int, l: int, k: int, x: int,
 
 
 def xs_encode(field: PrimeField, batch, params: NCSAParams, var: int, servers,
-              noise=None) -> list:
+              noise=None, arena: str | None = None) -> list:
     """Secure shares: data Cauchy terms plus uniform noise along powers of alpha.
 
     The noise realization z_{l,k,x} is fixed per (var, l, k, x) and shared
@@ -217,9 +217,10 @@ def xs_encode(field: PrimeField, batch, params: NCSAParams, var: int, servers,
     the masks of all listed servers come from one product per group: the
     (servers x kc*X) mask coefficients times the stacked noise blocks.
     ``noise`` may override the seeded values: a mapping (l, k, x) -> array
-    (1-based x).
+    (1-based x).  ``arena`` optionally names the round-arena buffer of the
+    shares, as for ``csa_encode_a``; the masks are added in place.
     """
-    base = csa_encode_a(field, batch, params, servers)
+    base = csa_encode_a(field, batch, params, servers, arena=arena)
     if params.x_secure < 1:
         return base
     single = isinstance(servers, numbers.Integral)
@@ -238,7 +239,8 @@ def xs_encode(field: PrimeField, batch, params: NCSAParams, var: int, servers,
         masks = field.matmul(coeffs,
                              field.residues(np.stack(blocks)).reshape(len(keys), -1))
         for share, mask in zip(shares, masks):
-            share[l] = (share[l] + mask.reshape(shape)) % field.q
+            share[l] += mask.reshape(shape)
+            share[l] %= field.q
     return shares[0] if single else shares
 
 
@@ -369,7 +371,7 @@ def xsb_decode(field: PrimeField, answers, params: NCSAParams):
     flagged_rows: set[int] = set()
     if b > 0:
         weights = [math.prod(f - alpha for f in params.poles) % field.q for alpha in alphas]
-        stacked = np.stack([y.reshape(-1) for _, y in answers])
+        stacked = _answer_rows([y for _, y in answers])
         scaled = stacked * np.array(weights, dtype=np.int64)[:, None] % field.q
         located = _locate_rows(field, alphas, scaled, width, b)
         if located is not None:
@@ -436,13 +438,17 @@ def _lagrange_matrix(field: PrimeField, nodes, points) -> np.ndarray:
 # ---- systematic layout ----
 
 
-def ncsa_systematic_encode(field: PrimeField, batches, params: NCSAParams) -> list:
+def ncsa_systematic_encode(field: PrimeField, batches, params: NCSAParams,
+                           arenas=None) -> list:
     """First L servers receive the raw variable tuple, the rest coded shares.
 
-    ``batches`` holds one variable batch (length L) per map slot.
+    ``batches`` holds one variable batch (length L) per map slot;
+    ``arenas`` optionally names one round-arena buffer per batch, as for
+    ``csa.systematic_encode``.
     """
     check_systematic(params.x_secure, params.byzantine)
-    return _systematic_shares(field, batches, [csa_encode_a] * len(batches), params)
+    return _systematic_shares(field, batches, [csa_encode_a] * len(batches), params,
+                              arenas)
 
 
 def ncsa_systematic_answer(field: PrimeField, share, omega: NLinearMap,

@@ -118,14 +118,17 @@ def _row_reduce(field: PrimeField, aug: np.ndarray, cols: int):
     return pivots, det
 
 
-def solve_batch(field: PrimeField, mat: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+def solve_batch(field: PrimeField, mat: np.ndarray, rhs: np.ndarray,
+                rows=None) -> np.ndarray:
     """Solve ``mat @ x = rhs`` exactly over GF(q) for every rhs column.
 
     Row-reduces the R x 2R block ``[mat | I]`` to get the inverse, then
     returns one ``field.matmul(inverse, rhs)``, so the elimination never
-    touches the (possibly very wide) right-hand side.  Pivots depend only on
-    ``mat``'s columns: a column with no pivot raises SingularMatrixError
-    carrying the column index.
+    touches the (possibly very wide) right-hand side.  ``rows`` (a slice or
+    a sequence of indices) keeps only those unknowns: the product then
+    multiplies only their rows of the inverse, and the fresh result holds
+    just them.  Pivots depend only on ``mat``'s columns: a column with no
+    pivot raises SingularMatrixError carrying the column index.
     """
     n = mat.shape[0]
     if mat.shape[0] != mat.shape[1]:
@@ -135,8 +138,9 @@ def solve_batch(field: PrimeField, mat: np.ndarray, rhs: np.ndarray) -> np.ndarr
     pivots, _ = _row_reduce(field, aug, n)
     if len(pivots) < n:
         raise SingularMatrixError(min(set(range(n)) - set(pivots)))
-    sol = field.matmul(aug[:, n:], field.residues(rhs.reshape(n, -1)))
-    return sol.reshape(rhs.shape)
+    inverse = aug[:, n:] if rows is None else aug[rows, n:]
+    sol = field.matmul(inverse, field.residues(rhs.reshape(n, -1)))
+    return sol.reshape(sol.shape[:1] + rhs.shape[1:])
 
 
 def solve_any(field: PrimeField, mat: np.ndarray, rhs: np.ndarray):

@@ -469,7 +469,8 @@ def test_decode_matrix_matches_the_papers_on_desired_unknowns(monkeypatch, q):
             servers = sorted(int(s) for s in rng.choice(params.servers, r, replace=False))
         mats = []
         monkeypatch.setattr(module, "solve_batch",
-                            lambda f, mat, rhs: mats.append(mat) or solve_batch(f, mat, rhs))
+                            lambda f, mat, rhs, **kw: mats.append(mat)
+                            or solve_batch(f, mat, rhs, **kw))
         decode(field, [(s, field.rand_matrix(rng, 2, 3)) for s in servers], params)
         [mat] = mats
         paper, desired = _paper_matrix(field, decode, params, servers)

@@ -281,7 +281,7 @@ def test_decode_whole_batch_in_one_solve(monkeypatch):
                for x, (sa, sb) in zip(setup.samples, shares)]
     solves = []
     monkeypatch.setattr(ep, "solve_batch",
-                        lambda *args: solves.append(args) or solve_batch(*args))
+                        lambda *args, **kw: solves.append(args) or solve_batch(*args, **kw))
     got = ep_decode(FIELD, answers[1:], params)
     assert len(solves) == 1
     for l, (a, b) in enumerate(zip(batch_a, batch_b)):

@@ -8,6 +8,7 @@ import json
 import os
 import subprocess
 import sys
+import threading
 import time
 from fractions import Fraction
 from pathlib import Path
@@ -15,7 +16,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from csacode import csa, ep, gcsa, harness, ncsa, structmat
+from csacode import csa, ep, ffield, gcsa, harness, ncsa, structmat
 from csacode.errors import InsufficientAnswersError, ParameterError
 from csacode.ffield import PrimeField
 
@@ -483,8 +484,8 @@ def test_ep_round_decodes_with_one_solve(monkeypatch):
     aa = [FIELD.rand_matrix(rng, 4, 4) for _ in range(4)]
     bb = [FIELD.rand_matrix(rng, 4, 4) for _ in range(4)]
     solves = []
-    monkeypatch.setattr(ep, "solve_batch",
-                        lambda *args: solves.append(args) or structmat.solve_batch(*args))
+    monkeypatch.setattr(ep, "solve_batch", lambda *args, **kw: solves.append(args)
+                        or structmat.solve_batch(*args, **kw))
     harness.run_cdbmm(FIELD, "ep", setup, aa, bb, harness.StragglerModel(count=10, seed=1))
     assert len(solves) == 1
 
@@ -563,3 +564,186 @@ def test_benchmark_group_labels_resolve(monkeypatch):
         if not (inspect.isfunction(obj) and obj.__module__ == f"csacode.{module}"):
             unresolved.add(label)
     assert unresolved == _GONE_GROUP_LABELS
+
+
+# ---- the round arena ----
+
+
+def _arena_round(field, scheme, dims, seed, first=False):
+    """One round of ``scheme`` on seeded (rows, inner, cols) entries,
+    returning (products, the direct oracle's).  The first R + 1 servers
+    respond if ``first``, else the last R + 1 (a systematic code then mixes
+    raw and coded answers)."""
+    rng = np.random.default_rng(seed)
+    rows, inner, cols = dims
+    if scheme in harness.CDBMM_SCHEMES:
+        setup = {"ep": lambda: harness.ep_setup(field, 2, 2, 1, 9),
+                 "csa": lambda: csa.csa_params(field, 2, 2, 7),
+                 "csa-systematic": lambda: csa.csa_params(field, 2, 2, 7, systematic=True),
+                 "gcsa": lambda: gcsa.gcsa_params(field, 1, 2, 2, 1, 1, 8)}[scheme]()
+        batch = 3 if scheme == "ep" else setup.batch_size
+        aa = [field.rand_matrix(rng, rows, inner) for _ in range(batch)]
+        bb = [field.rand_matrix(rng, inner, cols) for _ in range(batch)]
+        products, _ = harness.run_cdbmm(field, scheme, setup, aa, bb,
+                                        _responders(scheme, setup, first))
+        return products, harness.direct_products(field, aa, bb)
+    x, b = {"ncsa": (0, 0), "ncsa-xb": (1, 1)}[scheme]
+    omega = ncsa.matmul_map(rows, inner, cols)
+    params = ncsa.ncsa_params(field, 2, 2, 2, ncsa.xsb_threshold(2, 2, 2, x, b) + 1, x, b)
+    batches = [[field.rand_matrix(rng, *shape) for _ in range(4)]
+               for shape in omega.var_shapes]
+    straggler = _responders("ncsa", params, first)
+    forger = (harness.ByzantineModel.seeded(field, straggler.responsive[:b], seed)
+              if b else None)
+    products, _ = harness.run_nlinear(field, params, omega, batches, straggler, forger)
+    return products, harness.direct_evaluations(field, omega, batches)
+
+
+def _responders(scheme, setup, first):
+    r = harness.theoretical_costs(scheme, setup).threshold
+    servers = range(r + 1) if first else range(setup.servers - r - 1, setup.servers)
+    return harness.StragglerModel(responsive=tuple(servers))
+
+
+_ARENA_SCHEMES = ("ep", "csa", "csa-systematic", "gcsa", "ncsa", "ncsa-xb")
+
+
+@pytest.mark.parametrize("q", [65537, 2147483629])
+def test_round_results_survive_later_rounds_and_never_view_the_arena(q):
+    # Every round keeps its shares, answers and concatenations in this
+    # thread's round arena and returns fresh products: rounds of the same,
+    # larger and smaller shapes afterwards, in every scheme, change no
+    # earlier product.  A larger round replaces a grown buffer, so overlap
+    # with the arena is checked right after each round.  The first two
+    # shapes are large enough for the arena, so the decoders read their
+    # answers in place.
+    field = PrimeField(q)
+    kept = {}
+    for scheme, first in itertools.product(_ARENA_SCHEMES, (True, False)):
+        products, _ = kept[scheme, first] = _arena_round(field, scheme, (64, 32, 64), 1, first)
+        arena = list(ffield._WORKSPACES.__dict__.values())
+        assert not any(np.shares_memory(p, buf) for p in products for buf in arena), scheme
+    assert {"shares-0", "shares-1", "answers", "concat-a", "concat-b"} <= set(
+        ffield._WORKSPACES.__dict__)
+    later = [p for dims, seed in (((64, 32, 64), 2), ((96, 48, 96), 3), ((4, 2, 2), 4))
+             for s in _ARENA_SCHEMES for p in _arena_round(field, s, dims, seed)[0]]
+    for scheme, (products, truth) in kept.items():
+        assert all(np.array_equal(p, t) for p, t in zip(products, truth)), scheme
+        assert not any(np.shares_memory(p, other) for p in products for other in later), scheme
+
+
+def test_encoders_without_an_arena_return_independent_shares():
+    rng = np.random.default_rng(21)
+    params = csa.csa_params(FIELD, 2, 2, 7)
+    aa = [FIELD.rand_matrix(rng, 4, 3) for _ in range(4)]
+    first = csa.csa_encode_a(FIELD, aa, params, range(7))
+    second = csa.csa_encode_a(FIELD, aa, params, range(7))
+    arena = list(ffield._WORKSPACES.__dict__.values())
+    for s in range(7):
+        for x, y in zip(first[s], second[s]):
+            assert np.array_equal(x, y) and not np.shares_memory(x, y)
+            assert not any(np.shares_memory(x, buf) for buf in arena)
+
+
+def test_same_shape_rounds_reuse_the_arena(monkeypatch):
+    # Two rounds of one shape write their shares and answers at the same
+    # addresses, so the arena is reused rather than grown, and the decoder
+    # solves on the answer rows in place; a smaller round after them reads a
+    # prefix of the same buffers and is still exact.
+    seen, solved = [], []
+    answer = csa.csa_answer
+
+    def recorded(field, share_a, share_b, counter=None, out=None):
+        if out is not None:  # the small round's answers stay out of the arena
+            seen[-1].append(tuple(x.__array_interface__["data"][0]
+                                  for x in (*share_a, *share_b, out)))
+        return answer(field, share_a, share_b, counter, out)
+
+    monkeypatch.setattr(csa, "csa_answer", recorded)
+    monkeypatch.setattr(csa, "solve_batch", lambda f, mat, rhs, **kw: solved.append(
+        np.shares_memory(rhs, ffield._WORKSPACES.answers)) or structmat.solve_batch(
+        f, mat, rhs, **kw))
+    for seed in (4, 5):
+        seen.append([])
+        _, buffers = _arena_round(FIELD, "csa", (64, 32, 64), seed), dict(
+            ffield._WORKSPACES.__dict__)
+    assert seen[0] == seen[1] and len(seen[0]) == 6
+    assert solved == [True, True]
+    products, truth = _arena_round(FIELD, "csa", (4, 2, 2), 6)
+    assert all(np.array_equal(p, t) for p, t in zip(products, truth))
+    assert all(ffield._WORKSPACES.__dict__[name] is buf for name, buf in buffers.items())
+
+
+def test_decoders_read_answer_rows_in_place_only_when_consecutive():
+    # csa_decode reads the answers in place only when they are consecutive
+    # rows of one buffer; rows out of order, with a gap, or copied decode
+    # the same products from a stacked copy.
+    rng = np.random.default_rng(22)
+    params = csa.csa_params(FIELD, 2, 2, 7)
+    aa = [FIELD.rand_matrix(rng, 64, 8) for _ in range(4)]
+    bb = [FIELD.rand_matrix(rng, 8, 64) for _ in range(4)]
+    truth = harness.direct_products(FIELD, aa, bb)
+    rows = np.empty((7, 64, 64), dtype=np.int64)  # 32 KiB answers
+    for s, (sa, sb) in enumerate(zip(csa.csa_encode_a(FIELD, aa, params, range(7)),
+                                     csa.csa_encode_b(FIELD, bb, params, range(7)))):
+        csa.csa_answer(FIELD, sa, sb, out=rows[s])
+    for order in ([0, 1, 2, 3, 4], [1, 2, 3, 4, 5], [4, 3, 2, 1, 0], [0, 2, 1, 3, 4],
+                  [0, 1, 2, 4, 5], [0, 2, 4, 6, 1]):
+        answers = [(s, rows[s]) for s in order]
+        got = csa.csa_decode(FIELD, answers, params)
+        assert all(np.array_equal(g, t) for g, t in zip(got, truth)), order
+        got = csa.csa_decode(FIELD, [(s, y.copy()) for s, y in answers], params)
+        assert all(np.array_equal(g, t) for g, t in zip(got, truth)), order
+
+
+def test_rounds_are_exact_in_two_concurrent_threads():
+    # The round arena is per thread, like the matmul workspaces: two threads
+    # running rounds of different shapes and fields, all large enough for
+    # the arena, never share a buffer.
+    barrier = threading.Barrier(2, timeout=60)
+    failures, finished = [], []
+
+    def work(q, dims):
+        field = PrimeField(q)
+        barrier.wait()
+        for seed in range(6):
+            for scheme in ("csa", "gcsa"):
+                products, truth = _arena_round(field, scheme, dims, seed)
+                if not all(np.array_equal(p, t) for p, t in zip(products, truth)):
+                    failures.append((q, scheme, seed))
+        finished.append(q)
+
+    threads = [threading.Thread(target=work, args=args)
+               for args in ((65537, (64, 32, 64)), (2147483629, (96, 48, 64)))]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads between numpy calls
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert failures == [] and len(finished) == 2
+
+
+def test_a_round_inside_a_map_leaves_the_outer_rounds_arena_alone():
+    # A map may itself run a round in the same thread; that inner round must
+    # not write over the shares the outer round is still answering from.
+    inner = csa.csa_params(FIELD, 1, 1, 3)
+
+    def product(field, a, b):
+        products, _ = harness.run_cdbmm(field, "csa", inner, [a], [b],
+                                        harness.StragglerModel(count=2))
+        return products[0]
+
+    omega = dataclasses.replace(ncsa.matmul_map(64, 32, 64), fn=product)
+    params = ncsa.ncsa_params(FIELD, 2, 2, 2, ncsa.xsb_threshold(2, 2, 2, 0, 0))
+    rng = np.random.default_rng(23)
+    batches = [[FIELD.rand_matrix(rng, *shape) for _ in range(4)]
+               for shape in omega.var_shapes]
+    got, _ = harness.run_nlinear(FIELD, params, omega, batches,
+                                 harness.StragglerModel(count=params.servers))
+    truth = harness.direct_products(FIELD, *batches)
+    assert all(np.array_equal(g, t) for g, t in zip(got, truth))
