@@ -17,7 +17,7 @@ from fractions import Fraction
 from typing import Optional
 
 from .errors import ParameterError
-from .gcsa import gcsa_threshold
+from .gcsa import _gcsa_costs, gcsa_threshold
 
 
 @dataclass(frozen=True)
@@ -67,14 +67,11 @@ def enumerate_costs(family: str, servers: int, r_max: int,
                     if gcsa_threshold(ell, 1, p, m, n) > r_max:
                         break
                     for kc in kcs:
-                        r = gcsa_threshold(ell, kc, p, m, n)
+                        r, uploads, download = _gcsa_costs(ell, kc, p, m, n, servers)
                         if r > r_max:
                             break
                         w = {"ell": ell, "kc": kc, "p": p, "m": m, "n": n}
-                        yield (max(Fraction(servers, kc * p * m),
-                                   Fraction(servers, kc * p * n)),
-                               Fraction(r, m * n * ell * kc),
-                               {k: w[k] for k in _FREE[family]})
+                        yield max(uploads), download, {k: w[k] for k in _FREE[family]}
 
 
 def _witness_key(w: dict):

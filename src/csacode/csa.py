@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InsufficientAnswersError, ParameterError
-from .ffield import _ARENA_MIN_BYTES, PrimeField, _arena
+from .ffield import _ARENA_MIN_BYTES, PrimeField, _arena, _shares_out
 # perfbench/tracer.py requires csa.cv_matrix, so it stays importable here.
 from .structmat import (CVSpec, confluent_cv_matrix, cv_matrix,  # noqa: F401
                         matrix_rank, solve_batch)
@@ -94,30 +94,27 @@ def csa_params(field: PrimeField, ell: int, kc: int, servers: int,
     return CSAParams(ell, kc, servers, poles, samples)
 
 
-def csa_encode_a(field: PrimeField, batch_a, params: CSAParams, servers,
-                 arena: str | None = None) -> list:
+def csa_encode_a(field: PrimeField, batch_a, params: CSAParams, servers) -> list:
     """A-side shares: ell matrices per server, one per group.
 
     Uses the expanded polynomial form prod_{k' != k}(f_{l,k'} - alpha), so no
     inversions are needed on the A side.  ``servers`` is one server index,
     which returns that server's ell shares, or a sequence of indices, which
-    returns one such list per server, all from one generator product.  The
-    shares are fresh arrays, or views of the round-arena buffer named
-    ``arena`` (see ``_generator_encode``).
+    returns one such list per server, all from one generator product (see
+    ``_generator_encode`` for where the shares live).
     """
     _check_batch(batch_a, params)
     weights = _cauchy_weights(field, params, _server_list(servers), "a")
-    return _shares(_generator_encode(field, batch_a, weights, arena=arena), servers)
+    return _shares(_generator_encode(field, batch_a, weights), servers)
 
 
-def csa_encode_b(field: PrimeField, batch_b, params: CSAParams, servers,
-                 arena: str | None = None) -> list:
+def csa_encode_b(field: PrimeField, batch_b, params: CSAParams, servers) -> list:
     """B-side shares: bare Cauchy combinations with weights 1/(f_{l,k} - alpha),
     the inverses of all listed servers from one batched inversion.
-    ``servers`` and ``arena`` as for ``csa_encode_a``."""
+    ``servers`` as for ``csa_encode_a``."""
     _check_batch(batch_b, params)
     weights = _cauchy_weights(field, params, _server_list(servers), "b")
-    return _shares(_generator_encode(field, batch_b, weights, arena=arena), servers)
+    return _shares(_generator_encode(field, batch_b, weights), servers)
 
 
 def _server_list(servers) -> list[int]:
@@ -164,7 +161,7 @@ def _cauchy_weights(field: PrimeField, params, listed, side: str, order: int = 1
 
 
 def _generator_encode(field: PrimeField, batch, weights: np.ndarray,
-                      grid=(1, 1), arena: str | None = None) -> list:
+                      grid=(1, 1)) -> list:
     """Shares from generator products, as ell arrays of shape (servers, bh, bw),
     one per group.
 
@@ -177,11 +174,11 @@ def _generator_encode(field: PrimeField, batch, weights: np.ndarray,
     (blocks x L * bh * bw) and one product yields every share.  On the 1 x 1
     grid an entry may have any shape, which each share keeps.
 
-    The products write into one int64 array: a fresh one, or, when
-    ``arena`` names a buffer, this thread's round-arena buffer of that name
-    (``ffield._arena``), which a round reuses instead of faulting in the
-    shares' pages afresh.  Those shares stay valid only until the next
-    encode into the same buffer in this thread.
+    The products write into one int64 array from ``ffield._shares_out``:
+    during a top-level round's encode step, the round-arena buffer
+    ``shares-<i>`` of the i-th encode, which every round reuses instead of
+    faulting in the shares' pages afresh, and valid only until the next
+    round in this thread; else a fresh array.
     """
     try:
         arr = np.asarray(batch)
@@ -203,21 +200,14 @@ def _generator_encode(field: PrimeField, batch, weights: np.ndarray,
     blocks = field.residues(arr).reshape(ell, kc, rows, bh, cols, bw)
     if weights.ndim == 2:
         stacked = blocks.transpose(1, 2, 4, 0, 3, 5).reshape(width, -1)
-        coded = field.matmul(weights, stacked, out=_coded(
-            arena, (servers, stacked.shape[1]))).reshape((servers, ell, -1))
+        coded = field.matmul(weights, stacked, out=_shares_out(
+            (servers, stacked.shape[1]))).reshape((servers, ell, -1))
         return [coded[:, l].reshape(group_shape) for l in range(ell)]
     stacked = blocks.transpose(0, 1, 2, 4, 3, 5).reshape(ell, width, -1)
-    coded = _coded(arena, (ell, servers, stacked.shape[-1]))
+    coded = _shares_out((ell, servers, stacked.shape[-1]))
     for l in range(ell):
         field.matmul(weights[:, l], stacked[l], out=coded[l])
     return list(coded.reshape((ell,) + group_shape))
-
-
-def _coded(arena: str | None, shape: tuple) -> np.ndarray:
-    """The round-arena buffer ``arena`` as an int64 array of ``shape``, or a
-    fresh one without an arena name or below the arena's smallest size."""
-    out = None if arena is None else _arena(arena, shape)
-    return np.empty(shape, np.int64) if out is None else out
 
 
 def csa_answer(field: PrimeField, share_a, share_b, counter=None,
@@ -315,28 +305,21 @@ def _decode_matrix(field: PrimeField, params, listed, power: int, order: int = 1
 # ---- systematic layout ----
 
 
-def systematic_encode(field: PrimeField, batch_a, batch_b, params: CSAParams,
-                      arenas=None) -> list:
+def systematic_encode(field: PrimeField, batch_a, batch_b, params: CSAParams) -> list:
     """Shares for all S servers: ("raw", (A_s, B_s)) for the first L, then
-    ("coded", (A-side shares, B-side shares)), the N-CSA layout with N = 2.
-    ``arenas`` optionally names one round-arena buffer per side for the
-    coded shares (see ``_generator_encode``)."""
+    ("coded", (A-side shares, B-side shares)), the N-CSA layout with N = 2."""
     return _systematic_shares(field, (batch_a, batch_b), (csa_encode_a, csa_encode_b),
-                              params, arenas)
+                              params)
 
 
-def _systematic_shares(field: PrimeField, batches, encoders, params,
-                       arenas=None) -> list:
+def _systematic_shares(field: PrimeField, batches, encoders, params) -> list:
     """The systematic layout of one batch per variable: ("raw", every
     variable's entry s) for servers s < L, then ("coded", every variable's
-    shares) from its encoder, each of which checks its batch, into the
-    variable's round-arena buffer in ``arenas`` if given."""
+    shares) from its encoder, each of which checks its batch."""
     if params.servers < params.batch_size:
         raise ParameterError("systematic layout needs S >= L")
-    arenas = [None] * len(batches) if arenas is None else arenas
-    coded = [encode(field, batch, params, range(params.batch_size, params.servers),
-                    arena=arena)
-             for encode, batch, arena in zip(encoders, batches, arenas)]
+    coded = [encode(field, batch, params, range(params.batch_size, params.servers))
+             for encode, batch in zip(encoders, batches)]
     return ([("raw", tuple(batch[s] for batch in batches))
              for s in range(params.batch_size)]
             + [("coded", shares) for shares in zip(*coded)])

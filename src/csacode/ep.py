@@ -72,35 +72,33 @@ def _b_exponents(params: EPParams) -> list[int]:
     return [b_exponent(params, pi, ni) for pi in range(params.p) for ni in range(params.n)]
 
 
-def ep_encode_a(field: PrimeField, a, params: EPParams, alpha,
-                arena: str | None = None):
+def ep_encode_a(field: PrimeField, a, params: EPParams, alpha):
     """A polynomial sum_{mi,pi} A_{mi,pi} alpha^(pi + p*mi); GCSA's generator
     evaluates the same polynomial at the shifted point f_{l,k} - alpha.
 
     With one matrix and one point, returns that share.  With a batch of
     matrices and a sequence of points, returns one list of shares (one per
-    batch entry) per point, all from one generator product, as fresh arrays
-    or views of the round-arena buffer ``arena`` (``csa._generator_encode``).
+    batch entry) per point, all from one generator product
+    (``csa._generator_encode``).
     """
-    return _encode(field, a, (params.m, params.p), _a_exponents(params), alpha, arena)
+    return _encode(field, a, (params.m, params.p), _a_exponents(params), alpha)
 
 
-def ep_encode_b(field: PrimeField, b, params: EPParams, alpha,
-                arena: str | None = None):
+def ep_encode_b(field: PrimeField, b, params: EPParams, alpha):
     """B polynomial sum_{pi,ni} B_{pi,ni} alpha^(p-1-pi + p*m*ni); one matrix
     and one point, or a batch and a sequence of points, as ``ep_encode_a``."""
-    return _encode(field, b, (params.p, params.n), _b_exponents(params), alpha, arena)
+    return _encode(field, b, (params.p, params.n), _b_exponents(params), alpha)
 
 
-def _encode(field: PrimeField, mats, grid, exps, alpha, arena):
+def _encode(field: PrimeField, mats, grid, exps, alpha):
     """The (points x blocks) generator of alpha^e times the blocks of every
     entry; one matrix and one point give the one share."""
     points = _server_list(alpha)
     gen = np.array([[pow(x, e, field.q) for e in exps] for x in points],
                    dtype=np.int64).reshape(len(points), len(exps))
     if isinstance(alpha, numbers.Integral):
-        return _generator_encode(field, [mats], gen, grid, arena)[0][0]
-    return _shares(_generator_encode(field, mats, gen, grid, arena), alpha)
+        return _generator_encode(field, [mats], gen, grid)[0][0]
+    return _shares(_generator_encode(field, mats, gen, grid), alpha)
 
 
 def ep_answer(field: PrimeField, coded_a: np.ndarray, coded_b: np.ndarray,

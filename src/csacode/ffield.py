@@ -8,10 +8,9 @@ several fields can coexist in one process.
 ``PrimeField.matmul`` picks one of three exact paths by shape and q:
 
 - **int64**: numpy's integer ``@`` (no BLAS) for products of fewer than
-  ``FLOAT_MIN_MACS`` multiply-adds that need at most ``INT64_MAX_CHUNKS``
-  chunks.  Exact while ``inner * (q-1)^2 < 2^62``; longer inner dimensions
-  accumulate in chunks, one numpy call each (one term per chunk near
-  q = 2^31, two near 2^30).
+  ``FLOAT_MIN_MACS`` multiply-adds that are exact in one int64 sum,
+  ``inner * (q-1)^2 < 2^62``: any inner dimension at q = 65537, at most 4
+  at q = 1073741789 and 1 at q = 2147483629.
 - **float64**: OpenBLAS ``dgemm`` on the residues, cast to int64 and reduced
   mod q.  Exact while ``inner * (q-1)^2 < 2^53``: every partial sum is then
   an integer below 2^53, which float64 holds exactly in whatever order BLAS
@@ -39,19 +38,24 @@ and a 192^3 product at q = 65537 328 faults and 830 us; with workspaces the
 round takes about 600 faults and 5.3 ms and the product none and 530 us.
 
 The round arena extends the same store (``_workspace``) to a round's large
-intermediates, under names of their own: ``shares-<v>`` (variable v's
-shares, written by ``csa._generator_encode``), ``answers`` (one row per
-responsive server, which the decoders read in place), ``concat-a`` and
-``concat-b`` (``csa.csa_answer``'s concatenated shares), each once it
-reaches ``_ARENA_MIN_BYTES``.  A large CDBMM round (``harness.run_cdbmm``)
-then allocates only the products it returns, as ``solve_batch`` computes
-just their rows; N-CSA answers come fresh from the map.  Measured in the
-benchmark's own loop (its reference kernel, then one operation, oracle
-included, over 20 operations; one BLAS thread, 2-core x86-64 VM), a
-``cdbmm-large`` operation took 3,094 to 3,605 minor faults and
-``cdbmm-q31`` 624 with fresh round temporaries; with the arena they take
-about 1,264 and none.  The faults left are the fresh products of the round and of its
-oracle.
+intermediates, under names of their own: ``shares-<i>`` (the shares of the
+i-th encode of a round, written by ``csa._generator_encode``), ``answers``
+(one row per responsive server, which the decoders read in place),
+``concat-a`` and ``concat-b`` (``csa.csa_answer``'s concatenated shares),
+each once it reaches ``_ARENA_MIN_BYTES``.  Which buffers a round uses
+follows from this thread's round state, ``_ROUND``, which
+``harness._round`` opens: only the encode step of a top-level round takes
+``shares-<i>`` buffers and only that round an ``answers`` buffer; encodes
+outside a round, after the encode step or in a round nested in another (by
+a map or a forger) return fresh arrays.  A large CDBMM round
+(``harness.run_cdbmm``) then allocates only the products it returns, as
+``solve_batch`` computes just their rows; N-CSA answers come fresh from the
+map.  Measured in the benchmark's own loop (its reference kernel, then one
+operation, oracle included, over 20 operations; one BLAS thread, 2-core
+x86-64 VM), a ``cdbmm-large`` operation took 3,094 to 3,605 minor faults
+and ``cdbmm-q31`` 624 with fresh round temporaries; with the arena they
+take about 1,264 and none.  The faults left are the fresh products of the
+round and of its oracle.
 
 Crossover, q = 65537, square products, ``_matmul_int64`` vs
 ``_matmul_float`` (best of 25 timeit repeats, OpenBLAS 0.3.31 with one
@@ -59,18 +63,6 @@ thread, numpy 2.4, 2-core x86-64 VM): 2.3 vs 5.7 us at 8^3, 5.1 vs 6.5 us at
 16^3, 7.0 vs 7.3 us at 18^3, 8.0 vs 7.4 us at 20^3, 13.9 vs 10.1 us at
 24^3, 142 vs 23 us at 64^3 and 7.8 vs 0.79 ms at 192^3; hence
 ``FLOAT_MIN_MACS = 20**3``.
-
-Crossover for small products at large q, where int64 chunks, the same two
-kernels (best of 7 timeit repeats of 200 calls, same machine and
-libraries).  At q = 2147483629 (one term per chunk): 20 vs 22 us at 4^3 (4
-chunks), 24 vs 22 us for (3x5)@(5x2) (5), 30 vs 23 us at 6^3 (6), 40 vs
-24 us at 8^3 (8), 106 vs 27 us at 16^3 and 723 vs 90 us for (11x256)@(256,)
-(256).  At q = 1073741789 (two terms per chunk): 12.5 vs 13.7 us at 8^3 (4
-chunks), 15.6 vs 13.3 us for (2x12)@(12x2) (6) and 36 vs 16 us at 16^3 (8).
-A chunk costs about 5 us and the limb path about 22 us, so int64 wins up
-to 4 chunks and ties at 5; hence ``INT64_MAX_CHUNKS = 5``.  Below about
-q = 2^25 no product under ``FLOAT_MIN_MACS`` needs six chunks, so there the
-limit never applies.
 """
 
 from __future__ import annotations
@@ -78,7 +70,6 @@ from __future__ import annotations
 import math
 import threading
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -87,9 +78,6 @@ DEFAULT_MODULUS = 65537
 # Fewest multiply-adds for which a float64 BLAS product beats numpy's int64
 # matmul; the measurement behind it is in the module docstring.
 FLOAT_MIN_MACS = 20**3
-# Most int64 chunks a product below FLOAT_MIN_MACS may take before the float
-# path is faster; measured near q = 2^31 in the module docstring.
-INT64_MAX_CHUNKS = 5
 # float64 represents every integer below 2^53 exactly.
 _FLOAT_EXACT = 2**53
 _LIMB_BITS = 16
@@ -211,12 +199,12 @@ class PrimeField:
         numpy's ``@``; the result has shape ``a.shape[:-1] + b.shape[1:]``.
         ``out``, if given, is a C-contiguous int64 array of that shape which
         receives the result and is returned; it must not overlap ``a`` or
-        ``b``.  Products below ``FLOAT_MIN_MACS`` multiply-adds take the
-        int64 path unless it would need more than ``INT64_MAX_CHUNKS``
-        chunks; the rest take the float64 path, split into 16-bit limbs where
-        (q-1)^2 alone exceeds what float64 sums exactly (see the module
-        docstring for each path's exactness bound).  Every path returns the
-        same residues whatever order BLAS sums in.
+        ``b``.  Products below ``FLOAT_MIN_MACS`` multiply-adds that one
+        int64 sum holds exactly take the int64 path; the rest take the
+        float64 path, split into 16-bit limbs where (q-1)^2 alone exceeds
+        what float64 sums exactly (see the module docstring for each path's
+        exactness bound).  Every path returns the same residues whatever
+        order BLAS sums in.
         """
         if b.ndim > 2 or a.ndim < 1 or a.shape[-1] != b.shape[0]:
             raise ValueError(f"matmul shapes {a.shape} and {b.shape} do not conform")
@@ -226,41 +214,17 @@ class PrimeField:
             raise ValueError(f"out must be a C-contiguous int64 array of shape {shape}")
         cols = b.shape[1] if b.ndim == 2 else 1
         inner = b.shape[0]
-        if a.size * cols < FLOAT_MIN_MACS and inner <= self._int64_max_inner:
+        if a.size * cols < FLOAT_MIN_MACS and inner * (self.q - 1) ** 2 < 2**62:
             return self._matmul_int64(a, b, out)
         flat = None if out is None else out.reshape(-1, cols)
         result = self._matmul_float(a.reshape(-1, inner), b.reshape(inner, cols), flat)
         return result.reshape(shape) if out is None else out
 
     def _matmul_int64(self, a: np.ndarray, b: np.ndarray, out=None) -> np.ndarray:
-        """int64 accumulation is safe while ``inner * (q-1)^2 < 2^62``; longer
-        inner dimensions are accumulated in chunks (a single product always
-        fits thanks to the q < 2^31 bound).  The result goes to ``out`` when
-        given, reduced there in place."""
-        inner = a.shape[-1]
-        if inner * (self.q - 1) ** 2 < 2**62:
-            prod = np.matmul(a, b, out=out)
-            return np.remainder(prod, self.q, out=prod)
-        step = self._int64_chunk
-        acc = np.zeros(a.shape[:-1] + b.shape[1:], dtype=np.int64)
-        for lo in range(0, inner, step):
-            acc = (acc + a[..., lo : lo + step] @ b[lo : lo + step, ...]) % self.q
-        if out is None:
-            return acc
-        np.copyto(out, acc)
-        return out
-
-    @cached_property
-    def _int64_chunk(self) -> int:
-        """Inner terms per chunk when int64 must chunk: ``2^61 // (q-1)^2``,
-        at least one, so a running sum plus one chunk stays below 2^63."""
-        return max(1, 2**61 // (self.q - 1) ** 2)
-
-    @cached_property
-    def _int64_max_inner(self) -> int:
-        """Longest inner dimension the int64 path takes: one chunk while
-        ``inner * (q-1)^2 < 2^62``, else at most ``INT64_MAX_CHUNKS`` chunks."""
-        return max((2**62 - 1) // (self.q - 1) ** 2, INT64_MAX_CHUNKS * self._int64_chunk)
+        """numpy's int64 ``@``, exact while ``inner * (q-1)^2 < 2^62``, then
+        reduced in place (in ``out`` when given)."""
+        prod = np.matmul(a, b, out=out)
+        return np.remainder(prod, self.q, out=prod)
 
     def _matmul_float(self, a: np.ndarray, b: np.ndarray, out=None) -> np.ndarray:
         """float64 BLAS product of 2-D residue arrays, one ``dgemm`` per
@@ -347,6 +311,30 @@ def _arena(name: str, shape: tuple) -> np.ndarray | None:
     if 8 * math.prod(shape) < _ARENA_MIN_BYTES:
         return None
     return _workspace(name, shape, np.int64)
+
+
+class _RoundState(threading.local):
+    """This thread's round state (see the module docstring): ``running``,
+    whether a round runs, and ``shares``, the index of the next
+    ``shares-<i>`` buffer while a top-level round runs its encode step,
+    else None."""
+
+    running = False
+    shares = None
+
+
+_ROUND = _RoundState()
+
+
+def _shares_out(shape: tuple) -> np.ndarray:
+    """An int64 array of ``shape`` for one encode's shares: the next
+    ``shares-<i>`` round-arena buffer during a top-level round's encode
+    step, else (or below ``_ARENA_MIN_BYTES``) a fresh array."""
+    i, out = _ROUND.shares, None
+    if i is not None:
+        _ROUND.shares = i + 1
+        out = _arena(f"shares-{i}", shape)
+    return np.empty(shape, np.int64) if out is None else out
 
 
 def _workspace(name: str, shape: tuple, dtype) -> np.ndarray:

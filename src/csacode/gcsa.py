@@ -20,6 +20,7 @@ R' and reassembles products with the inner code's block extraction rule.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
@@ -59,6 +60,15 @@ def gcsa_threshold(ell: int, kc: int, p: int, m: int, n: int) -> int:
     return p * m * n * ((ell + 1) * kc - 1) + p - 1
 
 
+def _gcsa_costs(ell: int, kc: int, p: int, m: int, n: int, servers: int):
+    """(R, (U_A, U_B), D) of GCSA on ``servers`` servers: the threshold, the
+    normalized uploads S/(kc p m) and S/(kc p n) and the normalized download
+    R/(mn ell kc).  EP is the case ell = kc = 1 and CSA p = m = n = 1."""
+    r = gcsa_threshold(ell, kc, p, m, n)
+    return (r, (Fraction(servers, kc * p * m), Fraction(servers, kc * p * n)),
+            Fraction(r, m * n * ell * kc))
+
+
 def grid_naive_threshold(s_outer: int, r_outer: int, s_inner: int, r_inner: int) -> int:
     """Worst-case threshold of the column-wise two-layer composition.
 
@@ -81,30 +91,26 @@ def gcsa_params(field: PrimeField, ell: int, kc: int, p: int, m: int, n: int,
     return GCSAParams(ell, kc, p, m, n, servers, poles, samples)
 
 
-def gcsa_encode_a(field: PrimeField, batch_a, params: GCSAParams, servers,
-                  arena: str | None = None) -> list:
+def gcsa_encode_a(field: PrimeField, batch_a, params: GCSAParams, servers) -> list:
     """A-side shares: per group, sum over slots of the inner polynomial at
     f_{l,k} - alpha times the cleared-denominator weight
     prod_{k' != k}(f_{l,k'} - alpha)^R'.  ``servers`` is one server index
-    (that server's ell shares) or a sequence (one list per server), and
-    ``arena`` optionally names the round-arena buffer of the shares, as for
-    ``csa.csa_encode_a``."""
+    (that server's ell shares) or a sequence (one list per server)."""
     _check_batch(batch_a, params)
     weights = _cauchy_weights(field, params, _server_list(servers), "a",
                               params.inner_order, _a_exponents(params.ep))
-    return _shares(_generator_encode(field, batch_a, weights, (params.m, params.p),
-                                     arena), servers)
+    return _shares(_generator_encode(field, batch_a, weights, (params.m, params.p)),
+                   servers)
 
 
-def gcsa_encode_b(field: PrimeField, batch_b, params: GCSAParams, servers,
-                  arena: str | None = None) -> list:
+def gcsa_encode_b(field: PrimeField, batch_b, params: GCSAParams, servers) -> list:
     """B-side shares: the inner B polynomials at f_{l,k} - alpha, weighted by
-    1/(f_{l,k} - alpha)^R'; ``servers`` and ``arena`` as ``gcsa_encode_a``."""
+    1/(f_{l,k} - alpha)^R'; ``servers`` as for ``gcsa_encode_a``."""
     _check_batch(batch_b, params)
     weights = _cauchy_weights(field, params, _server_list(servers), "b",
                               params.inner_order, _b_exponents(params.ep))
-    return _shares(_generator_encode(field, batch_b, weights, (params.p, params.n),
-                                     arena), servers)
+    return _shares(_generator_encode(field, batch_b, weights, (params.p, params.n)),
+                   servers)
 
 
 def gcsa_decode(field: PrimeField, answers, params: GCSAParams) -> list[np.ndarray]:

@@ -9,7 +9,6 @@ floats); server computation is counted in field multiplications.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional
@@ -18,11 +17,9 @@ import numpy as np
 
 from . import csa, ep, gcsa, ncsa
 from .errors import InsufficientAnswersError, ParameterError
-from .ffield import PrimeField, _arena
+from .ffield import _ROUND, PrimeField, _arena
 
 CDBMM_SCHEMES = ("ep", "csa", "csa-systematic", "gcsa")
-# Whether a round is running in this thread (see ``_round``).
-_ACTIVE = threading.local()
 
 
 @dataclass
@@ -115,11 +112,8 @@ def theoretical_costs(scheme: str, setup) -> CostSummary:
     if scheme in ("ep", "gcsa"):  # EP is GCSA with ell = kc = 1
         ell, kc = (1, 1) if scheme == "ep" else (setup.ell, setup.kc)
         inner = setup.params if scheme == "ep" else setup.ep
-        p, m, n = inner.p, inner.m, inner.n
-        r = gcsa.gcsa_threshold(ell, kc, p, m, n)
-        return CostSummary(r, (Fraction(setup.servers, kc * p * m),
-                               Fraction(setup.servers, kc * p * n)),
-                           Fraction(r, m * n * ell * kc))
+        return CostSummary(*gcsa._gcsa_costs(ell, kc, inner.p, inner.m, inner.n,
+                                             setup.servers))
     if scheme in ("csa", "csa-systematic", "ncsa", "lcc"):  # CSA is N-CSA with N = 2
         r = setup.threshold
         u = Fraction(setup.servers, setup.kc)
@@ -153,11 +147,9 @@ def run_cdbmm(field: PrimeField, scheme: str, setup, batch_a, batch_b,
     if scheme == "ep":  # one call per side: every server and batch entry
         shape = (len(batch_a), shape[0] // setup.params.m, shape[1] // setup.params.n)
 
-        def encode(responsive, arenas):
-            return list(zip(ep.ep_encode_a(field, batch_a, setup.params, setup.samples,
-                                           arenas[0]),
-                            ep.ep_encode_b(field, batch_b, setup.params, setup.samples,
-                                           arenas[1])))
+        def encode(responsive):
+            return list(zip(ep.ep_encode_a(field, batch_a, setup.params, setup.samples),
+                            ep.ep_encode_b(field, batch_b, setup.params, setup.samples)))
 
         def answer(s, share, counter, out):
             out = np.empty(shape, np.int64) if out is None else out
@@ -169,15 +161,15 @@ def run_cdbmm(field: PrimeField, scheme: str, setup, batch_a, batch_b,
             return list(ep.ep_decode(field, [(setup.samples[s], y) for s, y in answers],
                                      setup.params)), ()
     elif scheme == "csa":
-        def encode(responsive, arenas):
-            return list(zip(csa.csa_encode_a(field, batch_a, setup, servers, arenas[0]),
-                            csa.csa_encode_b(field, batch_b, setup, servers, arenas[1])))
+        def encode(responsive):
+            return list(zip(csa.csa_encode_a(field, batch_a, setup, servers),
+                            csa.csa_encode_b(field, batch_b, setup, servers)))
 
         def decode(answers):
             return csa.csa_decode(field, answers, setup), ()
     elif scheme == "csa-systematic":
-        def encode(responsive, arenas):
-            return csa.systematic_encode(field, batch_a, batch_b, setup, arenas)
+        def encode(responsive):
+            return csa.systematic_encode(field, batch_a, batch_b, setup)
 
         def answer(s, share, counter, out):
             return csa.systematic_answer(field, share, counter, out)
@@ -187,9 +179,9 @@ def run_cdbmm(field: PrimeField, scheme: str, setup, batch_a, batch_b,
     else:
         shape = (shape[0] // setup.m, shape[1] // setup.n)
 
-        def encode(responsive, arenas):
-            return list(zip(gcsa.gcsa_encode_a(field, batch_a, setup, servers, arenas[0]),
-                            gcsa.gcsa_encode_b(field, batch_b, setup, servers, arenas[1])))
+        def encode(responsive):
+            return list(zip(gcsa.gcsa_encode_a(field, batch_a, setup, servers),
+                            gcsa.gcsa_encode_b(field, batch_b, setup, servers)))
 
         def decode(answers):
             return gcsa.gcsa_decode(field, answers, setup), ()
@@ -235,8 +227,8 @@ def run_nlinear(field: PrimeField, params: ncsa.NCSAParams, job, batches,
     const_shares = {}  # a spec's constant-one shares, by responsive server
 
     if systematic:
-        def encode(responsive, arenas):
-            return ncsa.ncsa_systematic_encode(field, batches, params, arenas)
+        def encode(responsive):
+            return ncsa.ncsa_systematic_encode(field, batches, params)
 
         def answer(s, share, counter, out):
             return ncsa.ncsa_systematic_answer(field, share, job, params, s, counter)
@@ -244,9 +236,8 @@ def run_nlinear(field: PrimeField, params: ncsa.NCSAParams, job, batches,
         def decode(answers):  # the layout excludes X and B
             return csa.systematic_decode(field, answers, params), ()
     else:
-        def encode(responsive, arenas):
-            by_var = [ncsa.xs_encode(field, batch, params, v, range(params.servers),
-                                     arena=arenas[v])
+        def encode(responsive):
+            by_var = [ncsa.xs_encode(field, batch, params, v, range(params.servers))
                       for v, batch in enumerate(batches)]
             if is_spec and any(slot is None for t in job.terms for slot in t.slots):
                 ones = [np.ones(_const_shape(job), dtype=np.int64)] * params.batch_size
@@ -276,21 +267,22 @@ def _round(scheme: str, setup, operands, straggler: StragglerModel,
     answer (forging the corrupted answers), decode and count the costs.
 
     ``operands`` holds the residue batches, one per variable.
-    ``encode(responsive, arenas)`` returns one share per server: a tuple of
+    ``encode(responsive)`` returns one share per server: a tuple of
     per-variable share lists, or ("raw"|"coded", that tuple) for a
     systematic layout.  ``answer(s, share, counter, out)`` is server s's
     answer, and ``decode(answers)`` returns (results, flagged servers).
 
     Large intermediates live in this thread's round arena
     (``ffield._arena``), reused by every round instead of faulting in fresh
-    pages: the encoders write variable v's shares into the buffer named
-    ``arenas[v]``, "shares-<v>", and with an ``answer_shape`` each
-    responsive server writes its answer into ``out``, its own row of the
-    buffer ``answers``, whose first R rows the decoder reads in place.
-    Without one, or when the answers are too small for the arena, ``out``
-    is None.  A round run inside another round in this thread (by a map or
-    a forger) uses no arena, so it leaves the outer round's buffers alone.
-    The decoders return fresh results, so no result views the arena.
+    pages.  The round opens this thread's round state (``ffield._ROUND``),
+    so during its encode step the i-th encode writes its shares into the
+    buffer "shares-<i>", and with an ``answer_shape`` each responsive
+    server writes its answer into ``out``, its own row of the buffer
+    ``answers``, whose first R rows the decoder reads in place.  Without
+    one, or when the answers are too small for the arena, ``out`` is None.
+    A round run inside another round in this thread (by a map or a forger)
+    uses no arena, so it leaves the outer round's buffers alone.  The
+    decoders return fresh results, so no result views the arena.
     """
     theory = theoretical_costs(scheme, setup)
     r = theory.threshold
@@ -303,11 +295,11 @@ def _round(scheme: str, setup, operands, straggler: StragglerModel,
     if not bad <= set(responsive):
         raise ParameterError("corrupted servers must be responsive")
 
-    nested = getattr(_ACTIVE, "round", False)
-    _ACTIVE.round = True
+    nested = _ROUND.running
+    _ROUND.running, _ROUND.shares = True, None if nested else 0
     try:
-        shares = encode(responsive, [None if nested else f"shares-{v}"
-                                     for v in range(len(operands))])
+        shares = encode(responsive)
+        _ROUND.shares = None  # later encodes, by a map or a forger, allocate
         uploaded = [0] * len(operands)
         for share in shares:
             for v, item in enumerate(share[1] if isinstance(share[0], str) else share):
@@ -328,7 +320,7 @@ def _round(scheme: str, setup, operands, straggler: StragglerModel,
             answers.append((s, y))
         results, flagged = decode(answers)
     finally:
-        _ACTIVE.round = nested
+        _ROUND.running, _ROUND.shares = nested, None
 
     batch = len(operands[0])
     downloaded = sum(y.size for _, y in answers[:r])  # the decoders read the first R
@@ -357,6 +349,8 @@ def _residue_batch(field: PrimeField, batch, matrices: bool = False) -> list[np.
         raise ParameterError("batch entries must share one shape")
     if matrices and arrays[0].ndim != 2:
         raise ParameterError("batch entries must be matrices")
+    if not arrays[0].size:  # no cost of a round could be normalized
+        raise ParameterError(f"batch entries of shape {arrays[0].shape} have no elements")
     return [field.residues(x % np.uint64(field.q) if x.dtype == np.uint64 else x)
             for x in arrays]
 

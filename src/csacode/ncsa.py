@@ -204,7 +204,7 @@ def noise_block(field: PrimeField, seed: int, var: int, l: int, k: int, x: int,
 
 
 def xs_encode(field: PrimeField, batch, params: NCSAParams, var: int, servers,
-              noise=None, arena: str | None = None) -> list:
+              noise=None) -> list:
     """Secure shares: data Cauchy terms plus uniform noise along powers of alpha.
 
     The noise realization z_{l,k,x} is fixed per (var, l, k, x) and shared
@@ -217,10 +217,9 @@ def xs_encode(field: PrimeField, batch, params: NCSAParams, var: int, servers,
     the masks of all listed servers come from one product per group: the
     (servers x kc*X) mask coefficients times the stacked noise blocks.
     ``noise`` may override the seeded values: a mapping (l, k, x) -> array
-    (1-based x).  ``arena`` optionally names the round-arena buffer of the
-    shares, as for ``csa_encode_a``; the masks are added in place.
+    (1-based x).  The masks are added to the data shares in place.
     """
-    base = csa_encode_a(field, batch, params, servers, arena=arena)
+    base = csa_encode_a(field, batch, params, servers)
     if params.x_secure < 1:
         return base
     single = isinstance(servers, numbers.Integral)
@@ -438,17 +437,13 @@ def _lagrange_matrix(field: PrimeField, nodes, points) -> np.ndarray:
 # ---- systematic layout ----
 
 
-def ncsa_systematic_encode(field: PrimeField, batches, params: NCSAParams,
-                           arenas=None) -> list:
+def ncsa_systematic_encode(field: PrimeField, batches, params: NCSAParams) -> list:
     """First L servers receive the raw variable tuple, the rest coded shares.
 
-    ``batches`` holds one variable batch (length L) per map slot;
-    ``arenas`` optionally names one round-arena buffer per batch, as for
-    ``csa.systematic_encode``.
+    ``batches`` holds one variable batch (length L) per map slot.
     """
     check_systematic(params.x_secure, params.byzantine)
-    return _systematic_shares(field, batches, [csa_encode_a] * len(batches), params,
-                              arenas)
+    return _systematic_shares(field, batches, [csa_encode_a] * len(batches), params)
 
 
 def ncsa_systematic_answer(field: PrimeField, share, omega: NLinearMap,

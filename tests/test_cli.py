@@ -143,6 +143,43 @@ def test_run_malformed_matrix_file_is_io_error(capsys, tmp_path):
     assert json.loads(out)["error"]["category"] == "io"
 
 
+_CSA_CFG = {"scheme": "csa", "servers": 5, "params": {"ell": 1, "kc": 2}, "batch": 2}
+_NCSA_CFG = {"scheme": "ncsa", "servers": 5, "params": {"ell": 1, "kc": 2}}
+_ZERO_ROW_FILES = {"input_a": "zero-rows.mat", "input_b": "square.mat"}
+
+
+@pytest.mark.parametrize("cfg", [
+    {**_CSA_CFG, "dims": [0, 2, 2]},
+    {**_CSA_CFG, "dims": [2, 0, 2]},
+    {**_CSA_CFG, "dims": [-1, 2, 2]},
+    {**_CSA_CFG, "dims": [2.5, 2, 2]},
+    {**_CSA_CFG, "dims": ["2", 2, 2]},
+    {**_NCSA_CFG, "map": {"type": "elementwise", "arity": 2, "dim": 0}},
+    {**_NCSA_CFG, "map": {"type": "matmul", "dims": [2, 0, 2]}},
+    {**_CSA_CFG, "dims": [0, 2, 2], **_ZERO_ROW_FILES},
+    [1, 2, 3],
+    "csa",
+    None,
+], ids=["zero-dim", "zero-inner", "negative-dim", "float-dim", "string-dim",
+        "zero-vector", "zero-map-dim", "zero-row-file", "list", "string", "null"])
+def test_run_never_crashes_on_malformed_configs(capsys, tmp_path, cfg):
+    # Every malformed input is a typed error with a JSON payload: exit 2 for
+    # a bad config, 4 for a bad file; never exit 1 ("verify suite failed")
+    # or a traceback.
+    matfile.write_matrices(tmp_path / "zero-rows.mat", 65537,
+                           [np.zeros((0, 2), dtype=np.int64)] * 2)
+    matfile.write_matrices(tmp_path / "square.mat", 65537,
+                           [np.ones((2, 2), dtype=np.int64)] * 2)
+    if isinstance(cfg, dict) and "input_a" in cfg:
+        cfg = {**cfg, "input_a": str(tmp_path / cfg["input_a"]),
+               "input_b": str(tmp_path / cfg["input_b"])}
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    code, out = run_cli(capsys, "run", str(path))
+    assert code in (cli.EXIT_CONFIG, cli.EXIT_IO)
+    assert set(json.loads(out)["error"]) == {"category", "message"}
+
+
 def test_run_with_matrix_files(capsys, tmp_path):
     field = PrimeField(65537)
     rng = np.random.default_rng(3)

@@ -91,7 +91,8 @@ def test_batch_inv_zero_raises():
 
 
 def test_matmul_exact_near_modulus_bound():
-    # the largest supported modulus forces the chunked accumulation path
+    # at the largest supported modulus one int64 sum holds one term, not five,
+    # so this small product takes the 16-bit limb path
     field = PrimeField(2147483629)
     rng = np.random.default_rng(3)
     a = field.rand_matrix(rng, 3, 5)
@@ -181,9 +182,11 @@ def test_large_modulus_takes_int64_and_limb_paths(monkeypatch):
     rng = np.random.default_rng(9)
     small = (field.rand_matrix(rng, 3, 5), field.rand_matrix(rng, 5, 2))
     large = (field.rand_matrix(rng, 64, 64), field.rand_matrix(rng, 64, 64))
-    for a, b in (small, large):
+    one_term = (field.rand_matrix(rng, 3, 1), field.rand_matrix(rng, 1, 2))
+    for a, b in (small, large, one_term):
         assert_matmul_exact(field, a, b)
-    assert taken == ["_matmul_int64", "_matmul_float"]
+    # int64 sums (q-1)^2 < 2^62 exactly, but not five such terms
+    assert taken == ["_matmul_float", "_matmul_float", "_matmul_int64"]
     # at q near 2^31 the float64 path runs on 16-bit limbs of b: 2 terms per index
     x, _ = field._float_a(large[0])
     y = field._float_b(large[1], x.shape[1])
@@ -192,15 +195,22 @@ def test_large_modulus_takes_int64_and_limb_paths(monkeypatch):
 
 
 @pytest.mark.parametrize("q, rows, inner, cols, kernel", [
-    (Q31, 4, 4, 4, "_matmul_int64"),      # 4 int64 chunks of one term
-    (Q31, 3, 5, 2, "_matmul_int64"),      # 5 chunks: still int64
-    (Q31, 6, 6, 6, "_matmul_float"),      # 6 chunks: the limb path
+    (Q31, 3, 1, 2, "_matmul_int64"),      # one int64 sum holds one term
+    (Q31, 3, 2, 2, "_matmul_float"),      # but not two: the limb path
+    (Q31, 4, 4, 4, "_matmul_float"),
+    (Q31, 3, 5, 2, "_matmul_float"),
+    (Q31, 6, 6, 6, "_matmul_float"),
     (Q31, 11, 256, None, "_matmul_float"),
-    (1073741789, 8, 8, 8, "_matmul_int64"),    # two terms per chunk: 4 chunks
-    (1073741789, 2, 12, 2, "_matmul_float"),   # 6 chunks
-    (65537, 11, 256, None, "_matmul_int64"),   # one chunk holds it all
+    (1073741789, 3, 4, 2, "_matmul_int64"),    # four terms
+    (1073741789, 3, 5, 2, "_matmul_float"),    # but not five
+    (1073741789, 8, 8, 8, "_matmul_float"),
+    (1073741789, 2, 12, 2, "_matmul_float"),
+    (65537, 11, 256, None, "_matmul_int64"),   # one sum holds them all
 ])
 def test_small_products_route_by_int64_chunk_count(monkeypatch, q, rows, inner, cols, kernel):
+    # Below FLOAT_MIN_MACS a product takes int64 only when one int64 sum is
+    # exact, inner * (q-1)^2 < 2^62; the rest take the float path.
+    assert (inner * (q - 1) ** 2 < 2**62) == (kernel == "_matmul_int64")
     field = PrimeField(q)
     taken = []
     for name in ("_matmul_int64", "_matmul_float"):

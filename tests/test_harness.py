@@ -147,19 +147,22 @@ def test_nlinear_matmul_reproduces_cdbmm():
 
 
 def test_nlinear_polynomial_spec_run():
+    # 64 x 64 entries make every variable's shares, the constant slot's
+    # included, large enough for the round arena
     rng = np.random.default_rng(8)
     params = ncsa.ncsa_params(FIELD, 2, 1, 2, 6)
-    omega = ncsa.matmul_map(2, 2, 2)
-    spec = ncsa.PolynomialSpec(2, (ncsa.PolyTerm(1, omega, (0, 1)),
-                                   ncsa.PolyTerm(2, omega, (0, None))))
-    aa = [FIELD.rand_matrix(rng, 2, 2) for _ in range(2)]
-    bb = [FIELD.rand_matrix(rng, 2, 2) for _ in range(2)]
-    evals, _ = harness.run_nlinear(FIELD, params, spec, [aa, bb],
-                                   harness.StragglerModel(count=6, seed=1))
-    ones = np.ones((2, 2), dtype=np.int64)
-    for l in range(2):
-        want = (FIELD.matmul(aa[l], bb[l]) + 2 * FIELD.matmul(aa[l], ones)) % FIELD.q
-        assert np.array_equal(evals[l], want)
+    for size in (2, 64):
+        omega = ncsa.matmul_map(size, size, size)
+        spec = ncsa.PolynomialSpec(2, (ncsa.PolyTerm(1, omega, (0, 1)),
+                                       ncsa.PolyTerm(2, omega, (0, None))))
+        aa = [FIELD.rand_matrix(rng, size, size) for _ in range(2)]
+        bb = [FIELD.rand_matrix(rng, size, size) for _ in range(2)]
+        evals, _ = harness.run_nlinear(FIELD, params, spec, [aa, bb],
+                                       harness.StragglerModel(count=6, seed=1))
+        ones = np.ones((size, size), dtype=np.int64)
+        for l in range(2):
+            want = (FIELD.matmul(aa[l], bb[l]) + 2 * FIELD.matmul(aa[l], ones)) % FIELD.q
+            assert np.array_equal(evals[l], want)
 
 
 def test_nlinear_byzantine_localization():
@@ -339,6 +342,9 @@ def _matrices(value, shape=(2, 2), dtype=np.int64, count=2):
     ("csa", [[[1, 2], [3]], [[1, 2], [3, 4]]], "rectangular"),
     ("csa", _matrices(True, dtype=bool), "integers"),
     ("ep", [np.ones((4, 4), dtype=np.int64), np.ones((2, 2), dtype=np.int64)], "one shape"),
+    ("csa", _matrices(1, shape=(0, 2)), "no elements"),  # once a ZeroDivisionError
+    ("csa", _matrices(1, shape=(2, 0)), "no elements"),
+    ("ep", _matrices(1, shape=(0, 4)), "no elements"),
 ])
 def test_run_cdbmm_rejects_malformed_batches(scheme, batch_a, why):
     # checked before the cast to int64, which would truncate 1.5 to 1
@@ -359,6 +365,10 @@ def test_run_nlinear_rejects_non_integer_batches():
     with pytest.raises(ParameterError, match="empty"):
         harness.run_nlinear(FIELD, params, ncsa.matmul_map(2, 2, 2),
                             [[], []], harness.StragglerModel(count=5))
+    empty = [np.zeros(0, dtype=np.int64)] * 2  # once a ZeroDivisionError
+    with pytest.raises(ParameterError, match="no elements"):
+        harness.run_nlinear(FIELD, params, ncsa.elementwise_product_map(2, 0),
+                            [empty, empty], harness.StragglerModel(count=5))
 
 
 def test_run_nlinear_checks_entry_shapes():
@@ -635,14 +645,34 @@ def test_round_results_survive_later_rounds_and_never_view_the_arena(q):
 def test_encoders_without_an_arena_return_independent_shares():
     rng = np.random.default_rng(21)
     params = csa.csa_params(FIELD, 2, 2, 7)
-    aa = [FIELD.rand_matrix(rng, 4, 3) for _ in range(4)]
-    first = csa.csa_encode_a(FIELD, aa, params, range(7))
-    second = csa.csa_encode_a(FIELD, aa, params, range(7))
-    arena = list(ffield._WORKSPACES.__dict__.values())
-    for s in range(7):
-        for x, y in zip(first[s], second[s]):
-            assert np.array_equal(x, y) and not np.shares_memory(x, y)
-            assert not any(np.shares_memory(x, buf) for buf in arena)
+
+    def check(aa):
+        first = csa.csa_encode_a(FIELD, aa, params, range(7))
+        second = csa.csa_encode_a(FIELD, aa, params, range(7))
+        arena = list(ffield._WORKSPACES.__dict__.values())
+        for s in range(7):
+            for x, y in zip(first[s], second[s]):
+                assert np.array_equal(x, y) and not np.shares_memory(x, y)
+                assert not any(np.shares_memory(x, buf) for buf in arena)
+
+    check([FIELD.rand_matrix(rng, 4, 3) for _ in range(4)])
+    # Called from a map, in a round's answer step, an encoder whose shares
+    # are large enough for the arena still returns fresh arrays.
+    called = []
+
+    def product(field, a, b):
+        check([FIELD.rand_matrix(rng, 64, 64) for _ in range(4)])
+        called.append(True)
+        return field.matmul(a, b)
+
+    omega = dataclasses.replace(ncsa.matmul_map(64, 32, 64), fn=product)
+    nparams = ncsa.ncsa_params(FIELD, 2, 1, 2, 5)
+    batches = [[FIELD.rand_matrix(rng, *shape) for _ in range(2)]
+               for shape in omega.var_shapes]
+    got, _ = harness.run_nlinear(FIELD, nparams, omega, batches,
+                                 harness.StragglerModel(count=5))
+    assert called and all(np.array_equal(g, t) for g, t in
+                          zip(got, harness.direct_products(FIELD, *batches)))
 
 
 def test_same_shape_rounds_reuse_the_arena(monkeypatch):
@@ -747,3 +777,17 @@ def test_a_round_inside_a_map_leaves_the_outer_rounds_arena_alone():
                                  harness.StragglerModel(count=params.servers))
     truth = harness.direct_products(FIELD, *batches)
     assert all(np.array_equal(g, t) for g, t in zip(got, truth))
+
+    # So must a round run by a forger, between two servers' answers.
+    def forge(server, answer):
+        doubled, _ = harness.run_cdbmm(FIELD, "csa", inner, [answer],
+                                       [np.eye(64, dtype=np.int64) * 2],
+                                       harness.StragglerModel(count=2))
+        return (doubled[0] + 1) % FIELD.q
+
+    params = ncsa.ncsa_params(FIELD, 2, 2, 2, ncsa.xsb_threshold(2, 2, 2, 0, 1), 0, 1)
+    got, report = harness.run_nlinear(FIELD, params, ncsa.matmul_map(64, 32, 64), batches,
+                                      harness.StragglerModel(count=params.servers),
+                                      harness.ByzantineModel((3,), forge))
+    assert all(np.array_equal(g, t) for g, t in zip(got, truth))
+    assert report.flagged_servers == (3,)
