@@ -64,33 +64,40 @@ def _summary_json(s: harness.CostSummary) -> dict:
 # ---- run ----
 
 
-def _load_config(path: str) -> dict:
-    with open(path) as fh:
-        return json.load(fh)
+def _object(value, what: str) -> dict:
+    if not isinstance(value, dict):
+        raise ParameterError(f"{what} must be a JSON object, not {value!r}")
+    return value
 
 
-def _build_straggler(cfg: dict, seeds: dict) -> harness.StragglerModel:
+def _int(section: dict, key: str, default=None) -> int:
+    """The integer ``section[key]``, ``default`` if given and it is absent."""
+    return harness._integer(section[key] if default is None else section.get(key, default), key)
+
+
+def _dims(section: dict) -> tuple[int, ...]:
+    return tuple(harness._integer(d, "each of dims") for d in section["dims"])
+
+
+def _build_straggler(cfg: dict, servers: int, seeds: dict) -> harness.StragglerModel:
     spec = cfg.get("stragglers")
-    if spec is None:
-        return harness.StragglerModel(count=cfg["servers"],
-                                      seed=seeds.get("straggler", 0))
+    spec = {"count": servers} if spec is None else _object(spec, "stragglers")
     if "responsive" in spec:
         return harness.StragglerModel(responsive=tuple(spec["responsive"]))
-    return harness.StragglerModel(count=int(spec["count"]),
-                                  seed=seeds.get("straggler", 0))
+    return harness.StragglerModel(count=_int(spec, "count"), seed=_int(seeds, "straggler", 0))
 
 
 def _build_map(spec: dict) -> ncsa.NLinearMap:
     kind = spec.get("type", "matmul")
     if kind == "matmul":
-        lam, kap, mu = spec["dims"]
+        lam, kap, mu = _dims(spec)
         return ncsa.matmul_map(lam, kap, mu)
     if kind == "chain":
-        return ncsa.matrix_chain_map(tuple(spec["dims"]))
+        return ncsa.matrix_chain_map(_dims(spec))
     if kind == "elementwise":
-        return ncsa.elementwise_product_map(int(spec["arity"]), int(spec["dim"]))
+        return ncsa.elementwise_product_map(_int(spec, "arity"), _int(spec, "dim"))
     if kind == "determinant":
-        return ncsa.determinant_map(int(spec["size"]))
+        return ncsa.determinant_map(_int(spec, "size"))
     raise ParameterError(f"unknown map type {kind!r}")
 
 
@@ -101,26 +108,27 @@ def _build_setup(field: PrimeField, scheme: str, servers: int, p, arity: int = 2
     ``arity`` is the map arity N of ncsa and lcc; lcc is N-CSA with ell = 1
     and kc = L, the paper's Lagrange special case."""
     if scheme == "ep":
-        return harness.ep_setup(field, int(p["p"]), int(p["m"]), int(p["n"]), servers)
+        return harness.ep_setup(field, _int(p, "p"), _int(p, "m"), _int(p, "n"), servers)
     if scheme == "gcsa":
-        return gcsa.gcsa_params(field, int(p["ell"]), int(p["kc"]), int(p["p"]),
-                                int(p["m"]), int(p["n"]), servers)
+        return gcsa.gcsa_params(field, _int(p, "ell"), _int(p, "kc"), _int(p, "p"),
+                                _int(p, "m"), _int(p, "n"), servers)
     if scheme in ("csa", "csa-systematic"):
-        return csa.csa_params(field, int(p["ell"]), int(p["kc"]), servers,
+        return csa.csa_params(field, _int(p, "ell"), _int(p, "kc"), servers,
                               systematic=(scheme == "csa-systematic"))
     if scheme in ("ncsa", "lcc"):
-        ell = int(p.get("ell", 1))
+        ell = _int(p, "ell", 1)
         if scheme == "lcc" and ell != 1:
             raise ParameterError(f"lcc runs N-CSA with ell = 1 and kc = L, got ell = {ell}")
-        return ncsa.ncsa_params(field, arity, ell, int(p["kc"]), servers,
-                                x_secure=int(p.get("X", 0)), byzantine=int(p.get("B", 0)),
+        return ncsa.ncsa_params(field, arity, ell, _int(p, "kc"), servers,
+                                x_secure=_int(p, "X", 0), byzantine=_int(p, "B", 0),
                                 noise_seed=noise_seed)
     raise ParameterError(f"unknown scheme {scheme!r}")
 
 
 def cmd_run(args) -> int:
     try:
-        cfg = _load_config(args.config)
+        with open(args.config) as fh:
+            cfg = json.load(fh)
     except json.JSONDecodeError as exc:
         return _fail(args, "validation", f"config is not valid JSON: {exc}", EXIT_CONFIG)
     try:
@@ -145,32 +153,30 @@ def _fail(args, category: str, message: str, code: int) -> int:
 
 
 def _run_config(cfg: dict, args) -> dict:
-    scheme = cfg["scheme"]
-    q = int(cfg.get("field_modulus", args.field_modulus))
-    field = PrimeField(q)
-    servers = int(cfg["servers"])
-    seeds = cfg.get("seeds", {})
-    data_seed = int(seeds.get("data", args.seed))
-    rng = np.random.default_rng(data_seed)
-    straggler = _build_straggler(cfg, seeds)
-    p = cfg.get("params", {})
+    scheme = _object(cfg, "the config")["scheme"]
+    field = PrimeField(_int(cfg, "field_modulus", args.field_modulus))
+    servers = _int(cfg, "servers")
+    seeds = _object(cfg.get("seeds", {}), "seeds")
+    rng = np.random.default_rng(_int(seeds, "data", args.seed))
+    straggler = _build_straggler(cfg, servers, seeds)
+    p = _object(cfg.get("params", {}), "params")
 
     if scheme in harness.CDBMM_SCHEMES:
-        lam, kap, mu = cfg["dims"]
-        batch = int(cfg.get("batch", 1))
+        lam, kap, mu = _dims(cfg)
+        batch = _int(cfg, "batch", 1)
         if cfg.get("input_a"):
             try:
                 qa, batch_a = matfile.read_matrices(cfg["input_a"])
                 qb, batch_b = matfile.read_matrices(cfg["input_b"])
             except ValueError as exc:  # a malformed file is an I/O error
                 raise OSError(f"malformed matrix file: {exc}") from exc
-            if qa != q or qb != q:
+            if qa != field.q or qb != field.q:
                 raise ParameterError("matrix file modulus differs from config")
         else:
             batch_a = [field.rand_matrix(rng, lam, kap) for _ in range(batch)]
             batch_b = [field.rand_matrix(rng, kap, mu) for _ in range(batch)]
         setup = _build_setup(field, scheme, servers, p)
-        if len(batch_a) != cfg.get("batch", len(batch_a)):
+        if len(batch_a) != _int(cfg, "batch", len(batch_a)):
             raise ParameterError("batch size does not match the loaded matrices")
         if cfg.get("byzantine"):
             raise ParameterError("Byzantine servers are only supported for ncsa runs")
@@ -178,17 +184,16 @@ def _run_config(cfg: dict, args) -> dict:
                                              batch_b, straggler)
         digest = _digest(products)
     elif scheme in ("ncsa", "lcc"):
-        omega = _build_map(cfg["map"])
+        omega = _build_map(_object(cfg["map"], "map"))
         params = _build_setup(field, scheme, servers, p, omega.arity,
-                             noise_seed=int(seeds.get("noise", 0)))
+                             noise_seed=_int(seeds, "noise", 0))
         batches = [[field.rand_matrix(rng, *(shape if len(shape) == 2 else (shape[0], 1)))
                     .reshape(shape) for _ in range(params.batch_size)]
                    for shape in omega.var_shapes]
         byz = None
         if cfg.get("byzantine"):
-            byz = harness.ByzantineModel.seeded(
-                field, tuple(cfg["byzantine"]["servers"]),
-                int(cfg["byzantine"].get("seed", 0)))
+            spec = _object(cfg["byzantine"], "byzantine")
+            byz = harness.ByzantineModel.seeded(field, spec["servers"], _int(spec, "seed", 0))
         evals, report = harness.run_nlinear(field, params, omega, batches,
                                             straggler, byz)
         digest = _digest([np.atleast_2d(e) for e in evals])
@@ -197,7 +202,7 @@ def _run_config(cfg: dict, args) -> dict:
 
     return {
         "scheme": scheme,
-        "field_modulus": q,
+        "field_modulus": field.q,
         "threshold": report.theory.threshold,
         "products_digest": f"sha256:{digest}",
         "costs": {

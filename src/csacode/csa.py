@@ -103,7 +103,6 @@ def csa_encode_a(field: PrimeField, batch_a, params: CSAParams, servers) -> list
     returns one such list per server, all from one generator product (see
     ``_generator_encode`` for where the shares live).
     """
-    _check_batch(batch_a, params)
     weights = _cauchy_weights(field, params, _server_list(servers), "a")
     return _shares(_generator_encode(field, batch_a, weights), servers)
 
@@ -112,7 +111,6 @@ def csa_encode_b(field: PrimeField, batch_b, params: CSAParams, servers) -> list
     """B-side shares: bare Cauchy combinations with weights 1/(f_{l,k} - alpha),
     the inverses of all listed servers from one batched inversion.
     ``servers`` as for ``csa_encode_a``."""
-    _check_batch(batch_b, params)
     weights = _cauchy_weights(field, params, _server_list(servers), "b")
     return _shares(_generator_encode(field, batch_b, weights), servers)
 
@@ -180,24 +178,19 @@ def _generator_encode(field: PrimeField, batch, weights: np.ndarray,
     faulting in the shares' pages afresh, and valid only until the next
     round in this thread; else a fresh array.
     """
-    try:
-        arr = np.asarray(batch)
-    except ValueError:  # entries of different shapes
-        raise ParameterError("batch entries must share one shape") from None
     rows, cols = grid
-    if arr.dtype.kind not in "iu" or (arr.ndim != 3 and grid != (1, 1)):
-        raise ParameterError("batch entries must be integer matrices of one shape")
-    entries, entry_shape = arr.shape[0], arr.shape[1:]
-    h, w = entry_shape if arr.ndim == 3 else (1, int(np.prod(entry_shape)))
+    servers, width = weights.shape[0], weights.shape[-1]
+    kc = width // (rows * cols)
+    arr = field.residues(np.asarray(_batch_entries(
+        field, batch, None if weights.ndim == 2 else weights.shape[1] * kc, grid != (1, 1))))
+    h, w = arr.shape[1:] if arr.ndim == 3 else (1, arr[0].size)
     if h % rows or w % cols:
         raise ParameterError(
             f"matrices of shape {(h, w)} are not divisible into {rows}x{cols} blocks")
     bh, bw = h // rows, w // cols
-    servers, width = weights.shape[0], weights.shape[-1]
-    kc = width // (rows * cols)
-    ell = entries // kc
-    group_shape = (servers,) + ((bh, bw) if grid != (1, 1) else entry_shape)
-    blocks = field.residues(arr).reshape(ell, kc, rows, bh, cols, bw)
+    ell = len(arr) // kc
+    group_shape = (servers,) + ((bh, bw) if grid != (1, 1) else arr.shape[1:])
+    blocks = arr.reshape(ell, kc, rows, bh, cols, bw)
     if weights.ndim == 2:
         stacked = blocks.transpose(1, 2, 4, 0, 3, 5).reshape(width, -1)
         coded = field.matmul(weights, stacked, out=_shares_out(
@@ -313,14 +306,15 @@ def systematic_encode(field: PrimeField, batch_a, batch_b, params: CSAParams) ->
 
 
 def _systematic_shares(field: PrimeField, batches, encoders, params) -> list:
-    """The systematic layout of one batch per variable: ("raw", every
-    variable's entry s) for servers s < L, then ("coded", every variable's
-    shares) from its encoder, each of which checks its batch."""
+    """The systematic layout of one batch per variable: ("raw", the residues
+    of every variable's entry s) for servers s < L, then ("coded", every
+    variable's shares) from its encoder."""
     if params.servers < params.batch_size:
         raise ParameterError("systematic layout needs S >= L")
     coded = [encode(field, batch, params, range(params.batch_size, params.servers))
              for encode, batch in zip(encoders, batches)]
-    return ([("raw", tuple(batch[s] for batch in batches))
+    raw = [field.residues(np.asarray(_batch_entries(field, batch))) for batch in batches]
+    return ([("raw", tuple(stack[s] for stack in raw))
              for s in range(params.batch_size)]
             + [("coded", shares) for shares in zip(*coded)])
 
@@ -396,16 +390,28 @@ def interference_rank(field: PrimeField, params: CSAParams) -> int:
 # ---- shared helpers ----
 
 
-def _check_batch(batch, params):
-    if len(batch) != params.batch_size:
-        raise ParameterError(
-            f"batch of {len(batch)} entries does not match L = {params.batch_size}"
-        )
-    arrays = [np.asarray(x) for x in batch]
+def _batch_entries(field: PrimeField, batch, size=None, matrices=False) -> list:
+    """The checked entry arrays of one input batch, for every encoder and the
+    harness: rectangular, ``size`` of them if given (L), integer, one shape.
+    Entries of mixed dtypes come as residues, so that they stack as int64."""
+    try:
+        arrays = [np.asarray(x) for x in batch]
+    except ValueError as exc:  # a ragged nested list
+        raise ParameterError(f"batch entries must be rectangular arrays: {exc}") from None
+    if not arrays:
+        raise ParameterError("batch is empty")
+    if size is not None and len(arrays) != size:
+        raise ParameterError(f"batch of {len(arrays)} entries does not match L = {size}")
+    dtypes = {x.dtype for x in arrays}
+    if any(d.kind not in "iu" for d in dtypes):
+        raise ParameterError("batch entries must hold integers")
     if len({x.shape for x in arrays}) != 1:
         raise ParameterError("batch entries must share one shape")
-    if any(x.dtype.kind not in "iu" for x in arrays):
-        raise ParameterError("batch entries must hold integer residues")
+    if matrices and arrays[0].ndim != 2:
+        raise ParameterError("batch entries must be matrices")
+    if not arrays[0].size:  # no cost of a round could be normalized
+        raise ParameterError(f"batch entries of shape {arrays[0].shape} have no elements")
+    return arrays if len(dtypes) == 1 else [field.residues(x) for x in arrays]
 
 
 def _take_answers(answers, r: int, servers: int):

@@ -31,11 +31,9 @@ allocates only the array it returns (nothing when the caller passes
 products cannot change an earlier result.  Why: every large fresh numpy
 temporary is memory that glibc has handed back to the OS, and each
 re-touched 4 KB page then costs a minor fault (about 2 us on a 2-core
-x86-64 VM).  Counted with
-``resource.getrusage`` (one BLAS thread), fresh temporaries cost a
-``cdbmm-q31`` round of the benchmark about 1,840 minor faults and 9.4 ms
-and a 192^3 product at q = 65537 328 faults and 830 us; with workspaces the
-round takes about 600 faults and 5.3 ms and the product none and 530 us.
+x86-64 VM): counted with ``resource.getrusage`` (one BLAS thread), a 192^3
+product at q = 65537 took 328 faults and 830 us with fresh temporaries and
+none and 530 us with workspaces.
 
 The round arena extends the same store (``_workspace``) to a round's large
 intermediates, under names of their own: ``shares-<i>`` (the shares of the
@@ -73,7 +71,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import ParameterError
+
 DEFAULT_MODULUS = 65537
+_INT64 = np.dtype(np.int64)  # numpy's one native int64 dtype object
 
 # Fewest multiply-adds for which a float64 BLAS product beats numpy's int64
 # matmul; the measurement behind it is in the module docstring.
@@ -182,10 +183,15 @@ class PrimeField:
     # ---- numpy matrix helpers ----
 
     def residues(self, x) -> np.ndarray:
-        """``x`` as int64 residues, reduced only if an entry lies outside
-        [0, q): the exact kernels assume residues, and most inputs already
-        are."""
-        x = np.asarray(x, dtype=np.int64)
+        """``x`` as int64 residues, the one cast of a caller's array: integer
+        dtypes only (ParameterError), uint64 reduced before the cast, which
+        would wrap 2^63 and up, and others only if an entry lies outside
+        [0, q), so the result may be ``x`` itself: copy it to work in place."""
+        x = np.asarray(x)
+        if x.dtype is not _INT64:  # the common case skips these checks
+            if x.dtype.kind not in "iu":
+                raise ParameterError(f"entries must hold integers, not {x.dtype}")
+            x = (x % np.uint64(self.q) if x.dtype == np.uint64 else x).astype(np.int64)
         # as uint64 a negative entry is at least 2^63, so one max finds both
         if x.size and x.view(np.uint64).max() >= self.q:
             x = x % self.q

@@ -24,9 +24,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .csa import (_answer_rows, _cauchy_weights, _check_batch, _decode_matrix,
-                  _generator_encode, _Groups, _server_list, _shares, _take_answers,
-                  cauchy_points)
+from .csa import (_answer_rows, _cauchy_weights, _decode_matrix, _generator_encode,
+                  _Groups, _server_list, _shares, _take_answers, cauchy_points)
 from .ep import (EPParams, _a_exponents, _b_exponents, _desired_indices,
                  _extract_products)
 from .errors import ParameterError
@@ -96,7 +95,6 @@ def gcsa_encode_a(field: PrimeField, batch_a, params: GCSAParams, servers) -> li
     f_{l,k} - alpha times the cleared-denominator weight
     prod_{k' != k}(f_{l,k'} - alpha)^R'.  ``servers`` is one server index
     (that server's ell shares) or a sequence (one list per server)."""
-    _check_batch(batch_a, params)
     weights = _cauchy_weights(field, params, _server_list(servers), "a",
                               params.inner_order, _a_exponents(params.ep))
     return _shares(_generator_encode(field, batch_a, weights, (params.m, params.p)),
@@ -106,7 +104,6 @@ def gcsa_encode_a(field: PrimeField, batch_a, params: GCSAParams, servers) -> li
 def gcsa_encode_b(field: PrimeField, batch_b, params: GCSAParams, servers) -> list:
     """B-side shares: the inner B polynomials at f_{l,k} - alpha, weighted by
     1/(f_{l,k} - alpha)^R'; ``servers`` as for ``gcsa_encode_a``."""
-    _check_batch(batch_b, params)
     weights = _cauchy_weights(field, params, _server_list(servers), "b",
                               params.inner_order, _b_exponents(params.ep))
     return _shares(_generator_encode(field, batch_b, weights, (params.p, params.n)),

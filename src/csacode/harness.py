@@ -27,6 +27,13 @@ class OpCounter:
     mults: int = 0
 
 
+def _integer(value, what: str) -> int:
+    """``value`` as an int; a float or a bool, which ``int()`` would cut, raises."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ParameterError(f"{what} must be an integer, not {value!r}")
+    return int(value)
+
+
 @dataclass(frozen=True)
 class StragglerModel:
     """Which servers respond: an explicit set, or a seeded random subset."""
@@ -37,13 +44,13 @@ class StragglerModel:
 
     def pick(self, servers: int) -> list[int]:
         if self.responsive is not None:
-            picked = sorted(set(int(s) for s in self.responsive))
+            picked = sorted({_integer(s, "a responsive index") for s in self.responsive})
             if picked and (picked[0] < 0 or picked[-1] >= servers):
                 raise ParameterError("responsive indices out of range")
             return picked
         if self.count is None:
             raise ParameterError("straggler model needs a responsive set or a count")
-        if not 0 <= self.count <= servers:
+        if not 0 <= _integer(self.count, "the responsive count") <= servers:
             raise ParameterError("responsive count out of range")
         rng = np.random.default_rng(self.seed)
         picked = rng.choice(servers, size=self.count, replace=False)
@@ -66,7 +73,7 @@ class ByzantineModel:
             offset = rng.integers(1, field.q, size=answer.shape, dtype=np.int64)
             return (answer + offset) % field.q
 
-        return cls(tuple(sorted(set(int(s) for s in corrupted))), forge)
+        return cls(tuple(sorted({_integer(s, "a corrupted index") for s in corrupted})), forge)
 
 
 @dataclass(frozen=True)
@@ -132,8 +139,8 @@ def run_cdbmm(field: PrimeField, scheme: str, setup, batch_a, batch_b,
         raise ParameterError(f"unknown CDBMM scheme {scheme!r}")
     if byzantine is not None:
         raise ParameterError("the CDBMM decoders assume honest answers (B = 0)")
-    batch_a = _residue_batch(field, batch_a, matrices=True)
-    batch_b = _residue_batch(field, batch_b, matrices=True)
+    batch_a, batch_b = ([field.residues(x) for x in csa._batch_entries(field, b, matrices=True)]
+                        for b in (batch_a, batch_b))
     if len(batch_a) != len(batch_b):
         raise ParameterError("A and B batches must have equal length")
     if batch_a[0].shape[1] != batch_b[0].shape[0]:
@@ -215,7 +222,7 @@ def run_nlinear(field: PrimeField, params: ncsa.NCSAParams, job, batches,
             f"expected {want_batches}")
     if systematic:
         ncsa.check_systematic(params.x_secure, params.byzantine)
-    batches = [_residue_batch(field, batch) for batch in batches]
+    batches = [[field.residues(x) for x in csa._batch_entries(field, b)] for b in batches]
     uses = ([(slot, t.omega.var_shapes[i]) for t in job.terms
              for i, slot in enumerate(t.slots)] if is_spec
             else enumerate(job.var_shapes))
@@ -334,27 +341,6 @@ def _round(scheme: str, setup, operands, straggler: StragglerModel,
         flagged_servers=flagged)
 
 
-def _residue_batch(field: PrimeField, batch, matrices: bool = False) -> list[np.ndarray]:
-    """One input batch as int64 residues mod q, checked before any cast: a
-    cast truncates 1.5 to 1, and wraps uint64 entries at or above 2^63."""
-    try:
-        arrays = [np.asarray(x) for x in batch]
-    except ValueError as exc:  # a ragged nested list
-        raise ParameterError(f"batch entries must be rectangular arrays: {exc}") from None
-    if not arrays:
-        raise ParameterError("batch is empty")
-    if any(x.dtype.kind not in "iu" for x in arrays):
-        raise ParameterError("batch entries must hold integers")
-    if len({x.shape for x in arrays}) != 1:
-        raise ParameterError("batch entries must share one shape")
-    if matrices and arrays[0].ndim != 2:
-        raise ParameterError("batch entries must be matrices")
-    if not arrays[0].size:  # no cost of a round could be normalized
-        raise ParameterError(f"batch entries of shape {arrays[0].shape} have no elements")
-    return [field.residues(x % np.uint64(field.q) if x.dtype == np.uint64 else x)
-            for x in arrays]
-
-
 def _const_shape(spec: ncsa.PolynomialSpec):
     shapes = {t.omega.var_shapes[i]
               for t in spec.terms for i, slot in enumerate(t.slots) if slot is None}
@@ -365,7 +351,7 @@ def _const_shape(spec: ncsa.PolynomialSpec):
 
 def direct_products(field: PrimeField, batch_a, batch_b) -> list[np.ndarray]:
     """Brute-force oracle: multiply every pair directly."""
-    return [field.matmul(np.asarray(a) % field.q, np.asarray(b) % field.q)
+    return [field.matmul(field.residues(a), field.residues(b))
             for a, b in zip(batch_a, batch_b)]
 
 

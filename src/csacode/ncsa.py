@@ -105,7 +105,7 @@ def determinant_map(size: int) -> NLinearMap:
     """Determinant of a size x size matrix, multilinear in its columns."""
 
     def det(field, *cols):
-        m = np.stack(cols, axis=1).astype(np.int64) % field.q
+        m = field.residues(np.stack(cols, axis=1))  # a fresh stack, reduced in place
         pivots, out = _row_reduce(field, m, size)
         return np.array([out if len(pivots) == size else 0], dtype=np.int64)
 

@@ -130,16 +130,16 @@ def solve_batch(field: PrimeField, mat: np.ndarray, rhs: np.ndarray,
     just them.  Pivots depend only on ``mat``'s columns: a column with no
     pivot raises SingularMatrixError carrying the column index.
     """
+    mat, rhs = field.residues(mat), field.residues(rhs)
     n = mat.shape[0]
-    if mat.shape[0] != mat.shape[1]:
+    if mat.shape != (n, n):
         raise ParameterError("solve_batch requires a square matrix")
-    aug = np.concatenate([np.asarray(mat, dtype=np.int64) % field.q,
-                          np.eye(n, dtype=np.int64)], axis=1)
+    aug = np.concatenate([mat, np.eye(n, dtype=np.int64)], axis=1)
     pivots, _ = _row_reduce(field, aug, n)
     if len(pivots) < n:
         raise SingularMatrixError(min(set(range(n)) - set(pivots)))
     inverse = aug[:, n:] if rows is None else aug[rows, n:]
-    sol = field.matmul(inverse, field.residues(rhs.reshape(n, -1)))
+    sol = field.matmul(inverse, rhs.reshape(n, -1))
     return sol.reshape(sol.shape[:1] + rhs.shape[1:])
 
 
@@ -150,9 +150,8 @@ def solve_any(field: PrimeField, mat: np.ndarray, rhs: np.ndarray):
     whose linear system is underdetermined when fewer errors occurred than
     budgeted.
     """
-    rows, cols = mat.shape
-    aug = np.concatenate([mat % field.q, rhs.reshape(rows, 1) % field.q],
-                         axis=1).astype(np.int64)
+    aug = np.concatenate([field.residues(mat), field.residues(rhs).reshape(-1, 1)], axis=1)
+    cols = aug.shape[1] - 1
     pivots, _ = _row_reduce(field, aug, cols)
     # Rows of the form 0 = nonzero mean the system is inconsistent.
     if aug[len(pivots) :, cols].any():
@@ -164,7 +163,7 @@ def solve_any(field: PrimeField, mat: np.ndarray, rhs: np.ndarray):
 
 def matrix_rank(field: PrimeField, mat: np.ndarray) -> int:
     """Rank over GF(q) by row reduction."""
-    m = np.asarray(mat, dtype=np.int64) % field.q
+    m = field.residues(mat).copy()  # the reduction works in place
     return len(_row_reduce(field, m, m.shape[1])[0])
 
 

@@ -146,6 +146,8 @@ def test_run_malformed_matrix_file_is_io_error(capsys, tmp_path):
 _CSA_CFG = {"scheme": "csa", "servers": 5, "params": {"ell": 1, "kc": 2}, "batch": 2}
 _NCSA_CFG = {"scheme": "ncsa", "servers": 5, "params": {"ell": 1, "kc": 2}}
 _ZERO_ROW_FILES = {"input_a": "zero-rows.mat", "input_b": "square.mat"}
+_BYZANTINE_CFG = {"scheme": "ncsa", "servers": 7, "params": {"kc": 1, "X": 1, "B": 1},
+                  "map": {"type": "matmul", "dims": [1, 1, 1]}}
 
 
 @pytest.mark.parametrize("cfg", [
@@ -160,8 +162,23 @@ _ZERO_ROW_FILES = {"input_a": "zero-rows.mat", "input_b": "square.mat"}
     [1, 2, 3],
     "csa",
     None,
+    # non-integer values once ran truncated by int(), with exit 0
+    {**_CSA_CFG, "dims": [2, 2, 2], "stragglers": {"responsive": [0.5, 1, 2, 3]}},
+    {**_BYZANTINE_CFG, "byzantine": {"servers": [3.9]}},
+    {**_NCSA_CFG, "map": {"type": "elementwise", "arity": 2, "dim": 1.5}},
+    {**_CSA_CFG, "dims": [2, 2, 2], "params": {"ell": 1.9, "kc": 2}},
+    {**_CSA_CFG, "dims": [2, 2, 2], "servers": 6.7},
+    {**_CSA_CFG, "dims": [2, 2, 2], "params": {"ell": True, "kc": 2}},
+    {**_CSA_CFG, "dims": [2, 2, 2], "batch": 2.0},
+    # non-object sections once raised AttributeError, exit 1
+    {**_CSA_CFG, "dims": [2, 2, 2], "seeds": [1]},
+    {**_NCSA_CFG, "map": "matmul"},
+    {**_NCSA_CFG, "map": {"type": "elementwise", "arity": 2, "dim": 2}, "params": [1]},
 ], ids=["zero-dim", "zero-inner", "negative-dim", "float-dim", "string-dim",
-        "zero-vector", "zero-map-dim", "zero-row-file", "list", "string", "null"])
+        "zero-vector", "zero-map-dim", "zero-row-file", "list", "string", "null",
+        "float-responsive", "float-corrupted", "float-map-dim", "float-ell",
+        "float-servers", "bool-ell", "float-batch", "list-seeds", "string-map",
+        "list-params"])
 def test_run_never_crashes_on_malformed_configs(capsys, tmp_path, cfg):
     # Every malformed input is a typed error with a JSON payload: exit 2 for
     # a bad config, 4 for a bad file; never exit 1 ("verify suite failed")

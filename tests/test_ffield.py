@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from csacode import ffield
+from csacode.errors import ParameterError
 from csacode.ffield import (FLOAT_MIN_MACS, PrimeField, poly_divmod, poly_eval,
                             poly_trim)
 from reference import lagrange_interpolate, poly_mul
@@ -231,6 +232,24 @@ def test_residues_reduces_only_out_of_range_inputs():
     x = np.array([[0, 12], [5, 7]], dtype=np.int64)
     assert field.residues(x) is x
     assert field.residues([[-1, 13], [26, 40]]).tolist() == [[12, 0], [0, 1]]
+
+
+@pytest.mark.parametrize("q", [65537, Q31])
+def test_residues_reduce_uint64_before_the_cast(q):
+    # a cast to int64 would wrap these to x - 2^64
+    big = [2**63, 2**64 - 1, 2**63 + q, 5]
+    field = PrimeField(q)
+    assert field.residues(np.array(big, dtype=np.uint64)).tolist() == [x % q for x in big]
+    assert field.residues([2**64 - 1]).tolist() == [(2**64 - 1) % q]
+
+
+@pytest.mark.parametrize("x", [np.full(2, 1.5), np.ones(2, dtype=bool), [1.5],
+                               np.array([1], dtype=object)],
+                         ids=["float", "bool", "float-list", "object"])
+def test_residues_rejects_non_integers(x):
+    # a cast would truncate 1.5 to 1 and read True as 1
+    with pytest.raises(ParameterError, match="integers"):
+        PrimeField(13).residues(x)
 
 
 def test_modulus_bound_enforced():

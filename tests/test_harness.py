@@ -331,11 +331,23 @@ def test_benchmark_tracer_still_installs():
         assert [g for g in groups if not traced[name]["groups"][g] > 0] == [], name
 
 
+@pytest.mark.parametrize("model", [
+    lambda: harness.StragglerModel(responsive=(0.5, 1, 2)).pick(4),
+    lambda: harness.StragglerModel(responsive=(True, 2)).pick(4),
+    lambda: harness.StragglerModel(count=2.0).pick(4),
+    lambda: harness.ByzantineModel.seeded(FIELD, (3.9,)),
+], ids=["float-index", "bool-index", "float-count", "float-corrupted"])
+def test_models_refuse_non_integer_servers(model):
+    # int() once ran 0.5 as server 0, True as server 1 and 3.9 as server 3
+    with pytest.raises(ParameterError, match="integer"):
+        model()
+
+
 def _matrices(value, shape=(2, 2), dtype=np.int64, count=2):
     return [np.full(shape, value, dtype=dtype) for _ in range(count)]
 
 
-@pytest.mark.parametrize("scheme, batch_a, why", [
+_MALFORMED_BATCHES = [
     ("csa", _matrices(1.5, dtype=np.float64), "integers"),
     ("csa", [], "empty"),
     ("csa", [np.ones(2, dtype=np.int64)] * 2, "matrices"),
@@ -345,7 +357,10 @@ def _matrices(value, shape=(2, 2), dtype=np.int64, count=2):
     ("csa", _matrices(1, shape=(0, 2)), "no elements"),  # once a ZeroDivisionError
     ("csa", _matrices(1, shape=(2, 0)), "no elements"),
     ("ep", _matrices(1, shape=(0, 4)), "no elements"),
-])
+]
+
+
+@pytest.mark.parametrize("scheme, batch_a, why", _MALFORMED_BATCHES)
 def test_run_cdbmm_rejects_malformed_batches(scheme, batch_a, why):
     # checked before the cast to int64, which would truncate 1.5 to 1
     setup = (csa.csa_params(FIELD, 1, 2, 5) if scheme == "csa"
@@ -354,6 +369,79 @@ def test_run_cdbmm_rejects_malformed_batches(scheme, batch_a, why):
     with pytest.raises(ParameterError, match=why):
         harness.run_cdbmm(FIELD, scheme, setup, batch_a, batch_b,
                           harness.StragglerModel(count=setup.servers))
+
+
+def _entry_points(field: PrimeField) -> dict:
+    """Every public encoder, single and batch forms, as encode(batch) for a
+    batch of L = 2 matrices of shape (2, 2)."""
+    cparams = csa.csa_params(field, 1, 2, 5)
+    gparams = gcsa.gcsa_params(field, 1, 2, 2, 1, 1, 8)  # grids 1x2 and 2x1
+    eparams = ep.EPParams(2, 1, 1)
+    xparams = ncsa.ncsa_params(field, 2, 1, 2, 6, x_secure=1)
+    sparams = csa.csa_params(field, 1, 2, 5, systematic=True)
+    nparams = ncsa.ncsa_params(field, 2, 1, 2, 5, systematic=True)
+    return {
+        "csa_encode_a": lambda b: csa.csa_encode_a(field, b, cparams, range(5)),
+        "csa_encode_b": lambda b: csa.csa_encode_b(field, b, cparams, range(5)),
+        "csa_encode_a-single": lambda b: csa.csa_encode_a(field, b, cparams, 3),
+        "csa_encode_b-single": lambda b: csa.csa_encode_b(field, b, cparams, 3),
+        "gcsa_encode_a": lambda b: gcsa.gcsa_encode_a(field, b, gparams, range(8)),
+        "gcsa_encode_b": lambda b: gcsa.gcsa_encode_b(field, b, gparams, range(8)),
+        "gcsa_encode_a-single": lambda b: gcsa.gcsa_encode_a(field, b, gparams, 3),
+        "gcsa_encode_b-single": lambda b: gcsa.gcsa_encode_b(field, b, gparams, 3),
+        "ep_encode_a": lambda b: ep.ep_encode_a(field, b, eparams, [3, 4, 5]),
+        "ep_encode_b": lambda b: ep.ep_encode_b(field, b, eparams, [3, 4, 5]),
+        "ep_encode_a-single": lambda b: [ep.ep_encode_a(field, x, eparams, 3) for x in b],
+        "ep_encode_b-single": lambda b: [ep.ep_encode_b(field, x, eparams, 3) for x in b],
+        "xs_encode": lambda b: ncsa.xs_encode(field, b, xparams, 0, range(6)),
+        "xs_encode-single": lambda b: ncsa.xs_encode(field, b, xparams, 1, 4),
+        "systematic_encode": lambda b: csa.systematic_encode(field, b, b, sparams),
+        "ncsa_systematic_encode": lambda b: ncsa.ncsa_systematic_encode(field, [b, b],
+                                                                        nparams),
+    }
+
+
+def _plain(x):
+    """Nested shares as plain Python values: arrays become lists of ints."""
+    if isinstance(x, np.ndarray):
+        return x.tolist()
+    if isinstance(x, (list, tuple)):
+        return [_plain(y) for y in x]
+    return x
+
+
+# EP's single form takes one matrix, not a batch
+_BATCH_FORMS = [name for name in _entry_points(FIELD)
+                if name not in ("ep_encode_a-single", "ep_encode_b-single")]
+
+
+@pytest.mark.parametrize("q", [65537, 2147483629])
+@pytest.mark.parametrize("name", list(_entry_points(FIELD)))
+def test_entry_points_reduce_uint64_entries(q, name):
+    # uint64 entries at and above 2^63 encode like their residues, reduced
+    # here with Python ints; a plain cast to int64 once wrapped them
+    field = PrimeField(q)
+    values = [[[2**63, 1], [2**64 - 1, 5]], [[2**64 - 1, 2**63], [7, 0]]]
+    big = [np.array(v, dtype=np.uint64) for v in values]
+    residues = [np.array([[x % q for x in row] for row in v], dtype=np.int64)
+                for v in values]
+    encode = _entry_points(field)[name]
+    want = _plain(encode(residues))
+    assert _plain(encode(big)) == want
+    # uint64 beside int64 entries, which numpy would stack as float64
+    assert _plain(encode([big[0], residues[1] - q])) == want
+
+
+@pytest.mark.parametrize("name", _BATCH_FORMS)
+@pytest.mark.parametrize("scheme, batch, why", [
+    row for row in _MALFORMED_BATCHES if row[2] not in ("one shape", "matrices")])
+def test_encoders_reject_what_the_harness_rejects(name, scheme, batch, why):
+    # one batch check for every encoder and the harness, so each malformed
+    # batch of run_cdbmm is a ParameterError with the same reason here (the
+    # encoders always refused mixed shapes, and the Cauchy ones take vectors)
+    encode = _entry_points(FIELD)[name]
+    with pytest.raises(ParameterError, match=why):
+        encode(batch)
 
 
 def test_run_nlinear_rejects_non_integer_batches():

@@ -49,6 +49,16 @@ def test_determinant_map_against_cofactor_expansion():
             assert got == det
 
 
+@pytest.mark.parametrize("q", [65537, 2147483629])
+@pytest.mark.parametrize("x", [2**63, 2**64 - 1])
+def test_determinant_map_reduces_uint64_columns(q, x):
+    # the columns are residues first; a plain cast once wrapped x to x - 2^64
+    omega = determinant_map(2)
+    for a, b, c, d in [(x, 1, x % q, 1), (x, 2**64 - 1, 5, x), (x, 0, 0, 1)]:
+        cols = [np.array([a, c], dtype=np.uint64), np.array([b, d], dtype=np.uint64)]
+        assert omega(PrimeField(q), *cols).tolist() == [(a * d - b * c) % q]
+
+
 # ---- LCC baseline ----
 
 def test_lcc_encode_single_item_constant():

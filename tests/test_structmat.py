@@ -16,6 +16,41 @@ FIELD = PrimeField(65537)
 FIELDS = (PrimeField(13), FIELD, PrimeField(2147483629))
 
 
+@pytest.mark.parametrize("q", [65537, 2147483629])
+@pytest.mark.parametrize("x", [2**63, 2**64 - 1])
+def test_solvers_and_rank_reduce_uint64_entries(q, x):
+    # every entry is a residue first; a plain cast once wrapped x to x - 2^64,
+    # which made the first matrix nonsingular
+    field = PrimeField(q)
+    r = x % q
+    twice = np.array([[x, 1], [r, 1]], dtype=np.uint64)  # equal rows mod q
+    assert matrix_rank(field, twice) == 1
+    with pytest.raises(SingularMatrixError):
+        solve_batch(field, twice, np.array([1, 1]))
+    assert solve_any(field, twice, np.array([1, 2])) is None
+    mat = np.array([[x, 1], [1, 0]], dtype=np.uint64)
+    rhs = np.array([r, 1])  # x * 1 + 1 * 0 = r
+    assert solve_batch(field, mat, rhs).tolist() == [1, 0]
+    assert solve_any(field, mat, rhs).tolist() == [1, 0]
+
+
+@pytest.mark.parametrize("solver", [
+    lambda m: matrix_rank(FIELD, m),
+    lambda m: solve_batch(FIELD, m, np.ones(2, dtype=np.int64)),
+    lambda m: solve_any(FIELD, m, np.ones(2, dtype=np.int64)),
+], ids=["matrix_rank", "solve_batch", "solve_any"])
+def test_solvers_reject_non_integer_matrices(solver):
+    # a cast would truncate 2.5 to 2 and solve a different system
+    with pytest.raises(ParameterError, match="integers"):
+        solver(np.array([[2.5, 1.0], [1.0, 1.0]]))
+
+
+def test_matrix_rank_leaves_its_argument_alone():
+    mat = np.array([[1, 2], [3, 4]], dtype=np.int64)
+    assert matrix_rank(FIELD, mat) == 2
+    assert mat.tolist() == [[1, 2], [3, 4]]
+
+
 def random_spec(rng, field, num_poles, num_samples, order=1):
     pts = rng.choice(field.q, size=num_poles + num_samples, replace=False)
     return CVSpec(tuple(int(x) for x in pts[:num_poles]),
