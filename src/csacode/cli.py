@@ -24,7 +24,7 @@ import numpy as np
 from . import analysis, csa, gcsa, harness, matfile, ncsa
 from .errors import (DecodingFailureError, InsufficientAnswersError,
                      ParameterError)
-from .ffield import DEFAULT_MODULUS, PrimeField
+from .ffield import DEFAULT_MODULUS, PrimeField, _integer
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -72,11 +72,11 @@ def _object(value, what: str) -> dict:
 
 def _int(section: dict, key: str, default=None) -> int:
     """The integer ``section[key]``, ``default`` if given and it is absent."""
-    return harness._integer(section[key] if default is None else section.get(key, default), key)
+    return _integer(section[key] if default is None else section.get(key, default), key)
 
 
 def _dims(section: dict) -> tuple[int, ...]:
-    return tuple(harness._integer(d, "each of dims") for d in section["dims"])
+    return tuple(_integer(d, "each of dims") for d in section["dims"])
 
 
 def _build_straggler(cfg: dict, servers: int, seeds: dict) -> harness.StragglerModel:

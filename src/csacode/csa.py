@@ -7,6 +7,11 @@ matrices along bare Cauchy terms.  Each server returns the sum of its ell
 coded products; desired products stay separable along the Cauchy coordinates
 while all cross terms collapse into a kc - 1 dimensional Vandermonde tail,
 giving recovery threshold (ell + 1) * kc - 1.
+
+In the systematic layout (``systematic=True`` on the parameters) servers
+0..L-1 hold their own entries uncoded, as one-group shares, so their
+answers are desired products: known Cauchy coordinates, which the one
+decoder subtracts from the coded answers before solving for the rest.
 """
 
 from __future__ import annotations
@@ -17,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InsufficientAnswersError, ParameterError
-from .ffield import _ARENA_MIN_BYTES, PrimeField, _arena, _shares_out
+from .ffield import _ARENA_MIN_BYTES, PrimeField, _arena, _integer, _shares_out
 # perfbench/tracer.py requires csa.cv_matrix, so it stays importable here.
 from .structmat import (CVSpec, confluent_cv_matrix, cv_matrix,  # noqa: F401
                         matrix_rank, solve_batch)
@@ -43,6 +48,7 @@ class CSAParams(_Groups):
     servers: int
     poles: tuple[int, ...]    # f values, group-major, length ell * kc
     samples: tuple[int, ...]  # alpha values, one per server
+    systematic: bool = False  # servers 0..L-1 hold their own entry, uncoded
 
     @property
     def arity(self) -> int:
@@ -69,8 +75,8 @@ def cauchy_points(field: PrimeField, batch: int, servers: int, poles, samples,
         poles = range(1, batch + 1)
     if samples is None:
         samples = range(batch + 1, batch + servers + 1)
-    poles = tuple(x % field.q for x in poles)
-    samples = tuple(x % field.q for x in samples)
+    poles = tuple(_integer(x, "a pole") % field.q for x in poles)
+    samples = tuple(_integer(x, "a sample") % field.q for x in samples)
     if len(poles) != batch or len(samples) != servers:
         raise ParameterError("need one pole per batch entry and one sample per server")
     # Systematic servers 1..L never evaluate at their alpha, so those slots
@@ -91,7 +97,7 @@ def csa_params(field: PrimeField, ell: int, kc: int, servers: int,
         raise ParameterError(f"R <= S violated: threshold {r} exceeds {servers} servers")
     # R = L + kc - 1 >= L, so the systematic layout's S >= L holds here too
     poles, samples = cauchy_points(field, ell * kc, servers, poles, samples, systematic)
-    return CSAParams(ell, kc, servers, poles, samples)
+    return CSAParams(ell, kc, servers, poles, samples, systematic)
 
 
 def csa_encode_a(field: PrimeField, batch_a, params: CSAParams, servers) -> list:
@@ -99,32 +105,38 @@ def csa_encode_a(field: PrimeField, batch_a, params: CSAParams, servers) -> list
 
     Uses the expanded polynomial form prod_{k' != k}(f_{l,k'} - alpha), so no
     inversions are needed on the A side.  ``servers`` is one server index,
-    which returns that server's ell shares, or a sequence of indices, which
+    which returns that server's shares, or a sequence of indices, which
     returns one such list per server, all from one generator product (see
-    ``_generator_encode`` for where the shares live).
+    ``_generator_encode`` for where the shares live).  In a systematic
+    layout a server s < L holds its own entry s as a one-group share [X_s].
     """
-    weights = _cauchy_weights(field, params, _server_list(servers), "a")
-    return _shares(_generator_encode(field, batch_a, weights), servers)
+    return _cauchy_encode(field, batch_a, params, servers, "a")
 
 
 def csa_encode_b(field: PrimeField, batch_b, params: CSAParams, servers) -> list:
     """B-side shares: bare Cauchy combinations with weights 1/(f_{l,k} - alpha),
     the inverses of all listed servers from one batched inversion.
-    ``servers`` as for ``csa_encode_a``."""
-    weights = _cauchy_weights(field, params, _server_list(servers), "b")
-    return _shares(_generator_encode(field, batch_b, weights), servers)
+    ``servers`` and the systematic layout as for ``csa_encode_a``."""
+    return _cauchy_encode(field, batch_b, params, servers, "b")
+
+
+def _cauchy_encode(field: PrimeField, batch, params, servers, side: str) -> list:
+    """Both encoders: ``side`` "a" or "b" picks the generator weights."""
+    raw = _raw(params)
+    coded = [s for s in _server_list(servers) if s >= raw]
+    return _generator_encode(field, batch, _cauchy_weights(field, params, coded, side),
+                             servers, raw=raw)
+
+
+def _raw(params) -> int:
+    """Servers below this index hold their own batch entry: L in a
+    systematic layout, none otherwise."""
+    return params.batch_size if params.systematic else 0
 
 
 def _server_list(servers) -> list[int]:
     """One server index becomes a one-element list, so both forms share a path."""
     return [servers] if isinstance(servers, numbers.Integral) else list(servers)
-
-
-def _shares(groups, servers) -> list:
-    """The share lists of ``_generator_encode``'s group outputs, one per
-    listed server, or the one list when ``servers`` is a single index."""
-    shares = [[group[i] for group in groups] for i in range(len(groups[0]))]
-    return shares[0] if isinstance(servers, numbers.Integral) else shares
 
 
 def _cauchy_weights(field: PrimeField, params, listed, side: str, order: int = 1,
@@ -158,28 +170,32 @@ def _cauchy_weights(field: PrimeField, params, listed, side: str, order: int = 1
     return weights.reshape(len(alphas), params.ell, params.kc * len(exps))
 
 
-def _generator_encode(field: PrimeField, batch, weights: np.ndarray,
-                      grid=(1, 1)) -> list:
-    """Shares from generator products, as ell arrays of shape (servers, bh, bw),
-    one per group.
+def _generator_encode(field: PrimeField, batch, weights: np.ndarray, servers,
+                      grid=(1, 1), raw: int = 0) -> list:
+    """The share lists of ``servers`` (one index, or a sequence as for
+    ``csa_encode_a``) from generator products: a listed server s < ``raw``
+    holds the residue entry s alone, every other its share of each group,
+    from its row of ``weights`` (one row per such server, in listed order).
 
     Every batch entry is split into a ``grid`` of rows x cols equal blocks
     (bh x bw), and the L entries form ell groups of kc.  ``weights`` has
-    shape (servers, ell, kc * blocks): group l's shares are ``weights[:, l]``
-    times the group's blocks stacked as (kc * blocks x bh * bw), one product
-    per group.  A 2-D ``weights`` (servers, blocks) is one row used for every
-    entry alone (kc = 1, ell = L); the blocks of all entries then stack as
-    (blocks x L * bh * bw) and one product yields every share.  On the 1 x 1
-    grid an entry may have any shape, which each share keeps.
+    shape (coded servers, ell, kc * blocks): group l's shares are
+    ``weights[:, l]`` times the group's blocks stacked as
+    (kc * blocks x bh * bw), one product per group.  A 2-D ``weights``
+    (coded servers, blocks) is one row used for every entry alone (kc = 1,
+    ell = L); the blocks of all entries then stack as
+    (blocks x L * bh * bw) and one product yields every share.  On the
+    1 x 1 grid an entry may have any shape, which each share keeps.
 
-    The products write into one int64 array from ``ffield._shares_out``:
-    during a top-level round's encode step, the round-arena buffer
-    ``shares-<i>`` of the i-th encode, which every round reuses instead of
-    faulting in the shares' pages afresh, and valid only until the next
-    round in this thread; else a fresh array.
+    The batch is checked, stacked and reduced once, into a fresh array that
+    the raw shares view.  The products write into one int64 array from
+    ``ffield._shares_out``: during a top-level round's encode step, the
+    round-arena buffer ``shares-<i>`` of the i-th encode, which every round
+    reuses instead of faulting in the shares' pages afresh, and valid only
+    until the next round in this thread; else a fresh array.
     """
     rows, cols = grid
-    servers, width = weights.shape[0], weights.shape[-1]
+    coded, width = weights.shape[0], weights.shape[-1]
     kc = width // (rows * cols)
     arr = field.residues(np.asarray(_batch_entries(
         field, batch, None if weights.ndim == 2 else weights.shape[1] * kc, grid != (1, 1))))
@@ -189,18 +205,22 @@ def _generator_encode(field: PrimeField, batch, weights: np.ndarray,
             f"matrices of shape {(h, w)} are not divisible into {rows}x{cols} blocks")
     bh, bw = h // rows, w // cols
     ell = len(arr) // kc
-    group_shape = (servers,) + ((bh, bw) if grid != (1, 1) else arr.shape[1:])
+    group_shape = (coded,) + ((bh, bw) if grid != (1, 1) else arr.shape[1:])
     blocks = arr.reshape(ell, kc, rows, bh, cols, bw)
     if weights.ndim == 2:
         stacked = blocks.transpose(1, 2, 4, 0, 3, 5).reshape(width, -1)
-        coded = field.matmul(weights, stacked, out=_shares_out(
-            (servers, stacked.shape[1]))).reshape((servers, ell, -1))
-        return [coded[:, l].reshape(group_shape) for l in range(ell)]
-    stacked = blocks.transpose(0, 1, 2, 4, 3, 5).reshape(ell, width, -1)
-    coded = _shares_out((ell, servers, stacked.shape[-1]))
-    for l in range(ell):
-        field.matmul(weights[:, l], stacked[l], out=coded[l])
-    return list(coded.reshape((ell,) + group_shape))
+        out = field.matmul(weights, stacked, out=_shares_out(
+            (coded, stacked.shape[1]))).reshape((coded, ell, -1))
+        groups = [out[:, l].reshape(group_shape) for l in range(ell)]
+    else:
+        stacked = blocks.transpose(0, 1, 2, 4, 3, 5).reshape(ell, width, -1)
+        out = _shares_out((ell, coded, stacked.shape[-1]))
+        for l in range(ell):
+            field.matmul(weights[:, l], stacked[l], out=out[l])
+        groups = out.reshape((ell,) + group_shape)
+    by_server = iter(zip(*groups))  # the coded servers' shares, in listed order
+    shares = [[arr[s]] if s < raw else list(next(by_server)) for s in _server_list(servers)]
+    return shares[0] if isinstance(servers, numbers.Integral) else shares
 
 
 def csa_answer(field: PrimeField, share_a, share_b, counter=None,
@@ -232,13 +252,38 @@ def csa_decode(field: PrimeField, answers, params: CSAParams) -> list[np.ndarray
     Vandermonde tail).
 
     ``answers`` is an iterable of (server_index, Y) pairs, 0-based indices.
+    In a systematic layout a raw server's answer is its own result: it is
+    read off and removed from the coded answers with the exact coefficient
+    it carries there, its A-side weight to the power N - 1 times its B-side
+    weight 1/(f_{l,k} - alpha).  The reduced system keeps the Cauchy columns
+    of the unknown results plus the full Vandermonde tail, R - L =
+    (kc-1)(N-1) columns wide.  Returned raw results are copies, never the
+    answers themselves.
     """
+    batch = params.batch_size
     answers = _take_answers(answers, params.threshold, params.servers)
-    mat = _decode_matrix(field, params, [s for s, _ in answers], params.arity - 1)
-    sol = solve_batch(field, mat, _answer_rows([y for _, y in answers]),
-                      rows=slice(params.batch_size))
+    raw = _raw(params)
+    known = {s: y for s, y in answers if s < raw}
+    if len(known) == batch:
+        return [np.array(known[i]) for i in range(batch)]
+    coded = [(s, y) for s, y in answers if s >= raw]
+    listed = [s for s, _ in coded]
+    unknown = [i for i in range(batch) if i not in known]
+    weights = _cauchy_weights(field, params, listed, "a",
+                              params.arity - 1).reshape(len(listed), -1)
+    mat = _decode_matrix(field, params, listed, params.arity - 1, slots=unknown,
+                         weights=weights)
+    rhs = _answer_rows([y for _, y in coded])
+    if known:  # the A-side weight times the B-side 1/(f - alpha)
+        inverses = field.batch_inv([params.poles[k] - params.samples[s]
+                                    for s in listed for k in known])
+        weights = weights[:, list(known)] * np.array(
+            inverses, dtype=np.int64).reshape(len(listed), len(known)) % field.q
+        rhs = (rhs - field.matmul(weights, _answer_rows(list(known.values())))) % field.q
+    solved = iter(solve_batch(field, mat, rhs, rows=slice(len(unknown))))
     shape = answers[0][1].shape
-    return [sol[j].reshape(shape) for j in range(params.batch_size)]
+    return [np.array(known[i]) if i in known else next(solved).reshape(shape)
+            for i in range(batch)]
 
 
 def _answer_rows(ys) -> np.ndarray:
@@ -293,75 +338,6 @@ def _decode_matrix(field: PrimeField, params, listed, power: int, order: int = 1
     width = order * len(slots)
     mat[:, :width] = mat[:, :width] * np.repeat(weights[:, slots], order, axis=1) % field.q
     return mat
-
-
-# ---- systematic layout ----
-
-
-def systematic_encode(field: PrimeField, batch_a, batch_b, params: CSAParams) -> list:
-    """Shares for all S servers: ("raw", (A_s, B_s)) for the first L, then
-    ("coded", (A-side shares, B-side shares)), the N-CSA layout with N = 2."""
-    return _systematic_shares(field, (batch_a, batch_b), (csa_encode_a, csa_encode_b),
-                              params)
-
-
-def _systematic_shares(field: PrimeField, batches, encoders, params) -> list:
-    """The systematic layout of one batch per variable: ("raw", the residues
-    of every variable's entry s) for servers s < L, then ("coded", every
-    variable's shares) from its encoder."""
-    if params.servers < params.batch_size:
-        raise ParameterError("systematic layout needs S >= L")
-    coded = [encode(field, batch, params, range(params.batch_size, params.servers))
-             for encode, batch in zip(encoders, batches)]
-    raw = [field.residues(np.asarray(_batch_entries(field, batch))) for batch in batches]
-    return ([("raw", tuple(stack[s] for stack in raw))
-             for s in range(params.batch_size)]
-            + [("coded", shares) for shares in zip(*coded)])
-
-
-def systematic_answer(field: PrimeField, share, counter=None,
-                      out: np.ndarray | None = None) -> np.ndarray:
-    """A raw or coded server's answer, into ``out`` as for ``csa_answer``."""
-    kind, (a, b) = share
-    if kind == "raw":  # one product: the CSA answer of a single group
-        a, b = [a], [b]
-    return csa_answer(field, a, b, counter, out)
-
-
-def systematic_decode(field: PrimeField, answers, params) -> list[np.ndarray]:
-    """Decode mixed raw/coded answers of a CSA or N-CSA systematic layout.
-
-    Raw results are read off and removed from the coded answers with the
-    exact coefficient each carries there, its A-side weight to the power
-    N - 1 times its B-side weight 1/(f_{l,k} - alpha); the reduced system
-    keeps the Cauchy columns of the unknown results plus the full
-    Vandermonde tail, R - L = (kc-1)(N-1) columns wide.  Returned raw
-    results are copies, never the answers themselves.
-    """
-    batch = params.batch_size
-    answers = _take_answers(answers, params.threshold, params.servers)
-    known = {s: y for s, y in answers if s < batch}
-    coded = [(s, y) for s, y in answers if s >= batch]
-    if len(known) == batch:
-        return [np.array(known[i]) for i in range(batch)]
-    listed = [s for s, _ in coded]
-    unknown = [i for i in range(batch) if i not in known]
-    weights = _cauchy_weights(field, params, listed, "a",
-                              params.arity - 1).reshape(len(listed), -1)
-    mat = _decode_matrix(field, params, listed, params.arity - 1, slots=unknown,
-                         weights=weights)
-    rhs = _answer_rows([y for _, y in coded])
-    if known:  # the A-side weight times the B-side 1/(f - alpha)
-        inverses = field.batch_inv([params.poles[k] - params.samples[s]
-                                    for s in listed for k in known])
-        weights = weights[:, list(known)] * np.array(
-            inverses, dtype=np.int64).reshape(len(listed), len(known)) % field.q
-        known_rows = _answer_rows(list(known.values()))
-        rhs = (rhs - field.matmul(weights, known_rows)) % field.q
-    sol = solve_batch(field, mat, rhs, rows=slice(len(unknown)))
-    shape = answers[0][1].shape
-    return [np.array(known[i]) if i in known else sol[unknown.index(i)].reshape(shape)
-            for i in range(batch)]
 
 
 # ---- interference structure ----

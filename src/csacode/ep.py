@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .csa import _answer_rows, _generator_encode, _server_list, _shares
+from .csa import _answer_rows, _generator_encode, _server_list
 from .errors import InsufficientAnswersError, ParameterError
 from .ffield import PrimeField
 from .structmat import CVSpec, cv_matrix, solve_batch
@@ -97,8 +97,8 @@ def _encode(field: PrimeField, mats, grid, exps, alpha):
     gen = np.array([[pow(x, e, field.q) for e in exps] for x in points],
                    dtype=np.int64).reshape(len(points), len(exps))
     if isinstance(alpha, numbers.Integral):
-        return _generator_encode(field, [mats], gen, grid)[0][0]
-    return _shares(_generator_encode(field, mats, gen, grid), alpha)
+        return _generator_encode(field, [mats], gen, alpha, grid)[0]
+    return _generator_encode(field, mats, gen, alpha, grid)
 
 
 def ep_answer(field: PrimeField, coded_a: np.ndarray, coded_b: np.ndarray,

@@ -103,6 +103,14 @@ _WORKSPACES = threading.local()
 _ARENA_MIN_BYTES = 1 << 15
 
 
+def _integer(value, what: str) -> int:
+    """``value`` as an int, the one integer rule for scalar parameters: a
+    float or a bool, which ``int()`` would cut, raises ParameterError."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ParameterError(f"{what} must be an integer, not {value!r}")
+    return int(value)
+
+
 def is_prime(n: int) -> bool:
     """Deterministic Miller-Rabin, valid for all 64-bit inputs."""
     if n < 2:

@@ -25,7 +25,7 @@ from fractions import Fraction
 import numpy as np
 
 from .csa import (_answer_rows, _cauchy_weights, _decode_matrix, _generator_encode,
-                  _Groups, _server_list, _shares, _take_answers, cauchy_points)
+                  _Groups, _server_list, _take_answers, cauchy_points)
 from .ep import (EPParams, _a_exponents, _b_exponents, _desired_indices,
                  _extract_products)
 from .errors import ParameterError
@@ -97,8 +97,7 @@ def gcsa_encode_a(field: PrimeField, batch_a, params: GCSAParams, servers) -> li
     (that server's ell shares) or a sequence (one list per server)."""
     weights = _cauchy_weights(field, params, _server_list(servers), "a",
                               params.inner_order, _a_exponents(params.ep))
-    return _shares(_generator_encode(field, batch_a, weights, (params.m, params.p)),
-                   servers)
+    return _generator_encode(field, batch_a, weights, servers, (params.m, params.p))
 
 
 def gcsa_encode_b(field: PrimeField, batch_b, params: GCSAParams, servers) -> list:
@@ -106,8 +105,7 @@ def gcsa_encode_b(field: PrimeField, batch_b, params: GCSAParams, servers) -> li
     1/(f_{l,k} - alpha)^R'; ``servers`` as for ``gcsa_encode_a``."""
     weights = _cauchy_weights(field, params, _server_list(servers), "b",
                               params.inner_order, _b_exponents(params.ep))
-    return _shares(_generator_encode(field, batch_b, weights, (params.p, params.n)),
-                   servers)
+    return _generator_encode(field, batch_b, weights, servers, (params.p, params.n))
 
 
 def gcsa_decode(field: PrimeField, answers, params: GCSAParams) -> list[np.ndarray]:

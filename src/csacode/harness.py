@@ -17,7 +17,7 @@ import numpy as np
 
 from . import csa, ep, gcsa, ncsa
 from .errors import InsufficientAnswersError, ParameterError
-from .ffield import _ROUND, PrimeField, _arena
+from .ffield import _ROUND, PrimeField, _arena, _integer
 
 CDBMM_SCHEMES = ("ep", "csa", "csa-systematic", "gcsa")
 
@@ -25,13 +25,6 @@ CDBMM_SCHEMES = ("ep", "csa", "csa-systematic", "gcsa")
 @dataclass
 class OpCounter:
     mults: int = 0
-
-
-def _integer(value, what: str) -> int:
-    """``value`` as an int; a float or a bool, which ``int()`` would cut, raises."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise ParameterError(f"{what} must be an integer, not {value!r}")
-    return int(value)
 
 
 @dataclass(frozen=True)
@@ -167,22 +160,17 @@ def run_cdbmm(field: PrimeField, scheme: str, setup, batch_a, batch_b,
         def decode(answers):  # the whole batch as right-hand sides of one solve
             return list(ep.ep_decode(field, [(setup.samples[s], y) for s, y in answers],
                                      setup.params)), ()
-    elif scheme == "csa":
+    elif scheme in ("csa", "csa-systematic"):  # the layout is the setup's
+        if setup.systematic != (scheme == "csa-systematic"):
+            raise ParameterError(f"scheme {scheme!r} does not match parameters "
+                                 f"built with systematic={setup.systematic}")
+
         def encode(responsive):
             return list(zip(csa.csa_encode_a(field, batch_a, setup, servers),
                             csa.csa_encode_b(field, batch_b, setup, servers)))
 
         def decode(answers):
             return csa.csa_decode(field, answers, setup), ()
-    elif scheme == "csa-systematic":
-        def encode(responsive):
-            return csa.systematic_encode(field, batch_a, batch_b, setup)
-
-        def answer(s, share, counter, out):
-            return csa.systematic_answer(field, share, counter, out)
-
-        def decode(answers):
-            return csa.systematic_decode(field, answers, setup), ()
     else:
         shape = (shape[0] // setup.m, shape[1] // setup.n)
 
@@ -199,8 +187,7 @@ def run_cdbmm(field: PrimeField, scheme: str, setup, batch_a, batch_b,
 
 def run_nlinear(field: PrimeField, params: ncsa.NCSAParams, job, batches,
                 straggler: StragglerModel,
-                byzantine: Optional[ByzantineModel] = None,
-                systematic: bool = False):
+                byzantine: Optional[ByzantineModel] = None):
     """N-linear (or degree-N polynomial) batch round.
 
     ``job`` is an NLinearMap or a PolynomialSpec; ``batches`` holds one
@@ -208,7 +195,7 @@ def run_nlinear(field: PrimeField, params: ncsa.NCSAParams, job, batches,
     Returns (evaluations, CostReport).
     """
     is_spec = isinstance(job, ncsa.PolynomialSpec)
-    if systematic and is_spec:
+    if params.systematic and is_spec:
         raise ParameterError("the systematic layout takes an N-linear map, not a polynomial spec")
     if byzantine is not None and byzantine.corrupted and not params.byzantine:
         raise ParameterError("corrupted servers need a Byzantine budget B >= 1")
@@ -220,8 +207,6 @@ def run_nlinear(field: PrimeField, params: ncsa.NCSAParams, job, batches,
         raise ParameterError(
             f"need one variable batch per slot: got {len(batches)}, "
             f"expected {want_batches}")
-    if systematic:
-        ncsa.check_systematic(params.x_secure, params.byzantine)
     batches = [[field.residues(x) for x in csa._batch_entries(field, b)] for b in batches]
     uses = ([(slot, t.omega.var_shapes[i]) for t in job.terms
              for i, slot in enumerate(t.slots)] if is_spec
@@ -233,36 +218,26 @@ def run_nlinear(field: PrimeField, params: ncsa.NCSAParams, job, batches,
                 f"the map expects {tuple(shape)}")
     const_shares = {}  # a spec's constant-one shares, by responsive server
 
-    if systematic:
-        def encode(responsive):
-            return ncsa.ncsa_systematic_encode(field, batches, params)
+    def encode(responsive):
+        by_var = [ncsa.xs_encode(field, batch, params, v, range(params.servers))
+                  for v, batch in enumerate(batches)]
+        if is_spec and any(slot is None for t in job.terms for slot in t.slots):
+            ones = [np.ones(_const_shape(job), dtype=np.int64)] * params.batch_size
+            const_shares.update(zip(responsive, ncsa.xs_encode(
+                field, ones, params, len(batches), responsive)))
+        return [list(row) for row in zip(*by_var)]
 
-        def answer(s, share, counter, out):
-            return ncsa.ncsa_systematic_answer(field, share, job, params, s, counter)
+    def answer(s, share, counter, out):
+        if not is_spec:
+            return ncsa.ncsa_answer(field, share, job, params, s, counter)
+        shares_by_var = dict(enumerate(share))
+        if const_shares:
+            shares_by_var[None] = const_shares[s]
+        return ncsa.poly_batch_eval_answer(field, shares_by_var, job, params, s)
 
-        def decode(answers):  # the layout excludes X and B
-            return csa.systematic_decode(field, answers, params), ()
-    else:
-        def encode(responsive):
-            by_var = [ncsa.xs_encode(field, batch, params, v, range(params.servers))
-                      for v, batch in enumerate(batches)]
-            if is_spec and any(slot is None for t in job.terms for slot in t.slots):
-                ones = [np.ones(_const_shape(job), dtype=np.int64)] * params.batch_size
-                const_shares.update(zip(responsive, ncsa.xs_encode(
-                    field, ones, params, len(batches), responsive)))
-            return [list(row) for row in zip(*by_var)]
-
-        def answer(s, share, counter, out):
-            if not is_spec:
-                return ncsa.ncsa_answer(field, share, job, params, s, counter)
-            shares_by_var = dict(enumerate(share))
-            if const_shares:
-                shares_by_var[None] = const_shares[s]
-            return ncsa.poly_batch_eval_answer(field, shares_by_var, job, params, s)
-
-        def decode(answers):  # with B = 0 it flags nothing: the plain decode
-            evals, found = ncsa.xsb_decode(field, answers, params)
-            return evals, tuple(found)
+    def decode(answers):  # with B = 0 it flags nothing: the plain decode
+        evals, found = ncsa.xsb_decode(field, answers, params)
+        return evals, tuple(found)
 
     return _round("ncsa", params, batches, straggler, byzantine, encode, answer, decode)
 
@@ -275,9 +250,8 @@ def _round(scheme: str, setup, operands, straggler: StragglerModel,
 
     ``operands`` holds the residue batches, one per variable.
     ``encode(responsive)`` returns one share per server: a tuple of
-    per-variable share lists, or ("raw"|"coded", that tuple) for a
-    systematic layout.  ``answer(s, share, counter, out)`` is server s's
-    answer, and ``decode(answers)`` returns (results, flagged servers).
+    per-variable share lists.  ``answer(s, share, counter, out)`` is server
+    s's answer, and ``decode(answers)`` returns (results, flagged servers).
 
     Large intermediates live in this thread's round arena
     (``ffield._arena``), reused by every round instead of faulting in fresh
@@ -309,9 +283,8 @@ def _round(scheme: str, setup, operands, straggler: StragglerModel,
         _ROUND.shares = None  # later encodes, by a map or a forger, allocate
         uploaded = [0] * len(operands)
         for share in shares:
-            for v, item in enumerate(share[1] if isinstance(share[0], str) else share):
-                uploaded[v] += (item.size if isinstance(item, np.ndarray)
-                                else sum(x.size for x in item))
+            for v, item in enumerate(share):
+                uploaded[v] += sum(x.size for x in item)
         rows = (_arena("answers", (len(responsive),) + answer_shape)
                 if answer_shape and not nested else None)
         if rows is None:

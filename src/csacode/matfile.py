@@ -10,12 +10,17 @@ import struct
 
 import numpy as np
 
+from .ffield import PrimeField
+
 MAGIC = int.from_bytes(b"GFMATRX1", "little")
 _HEADER = struct.Struct("<5Q")
 
 
 def write_matrices(path, q: int, matrices) -> None:
-    mats = [np.asarray(m, dtype=np.uint64) for m in matrices]
+    """Writes integer matrices as their residues mod q; a non-integer entry
+    raises ParameterError (``PrimeField.residues``)."""
+    field = PrimeField(q)
+    mats = [field.residues(m) for m in matrices]
     if not mats:
         raise ValueError("need at least one matrix")
     rows, cols = mats[0].shape

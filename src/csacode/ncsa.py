@@ -6,8 +6,9 @@ batch is Cauchy-coded per group with the CSA A-side encoder
 the prefactor-normalized group sum, and the decoder solves the CSA decode
 matrix with the A-side weights to the power N - 1, whose Vandermonde tail
 absorbs the (kc-1)(N-1) interference dimensions.
-Points, batch checks, the systematic layout and both decoders (the plain one
-also on ``xsb_decode``'s clean rows) are the CSA ones.  Lagrange coded
+Points, batch checks, the encoder and the decoder (also on ``xsb_decode``'s
+clean rows) are the CSA ones, and so is the systematic layout: its raw
+servers hold their own entries and evaluate the map on them.  Lagrange coded
 computing (LCC) is the special case ell = 1, kc = L, with threshold
 N(L - 1) + 1.  Adds uniform-noise shares that keep any X servers ignorant of
 the data, and error correction against B forged answers.
@@ -24,8 +25,8 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .csa import (_answer_rows, _Groups, _server_list, _systematic_shares,
-                  _take_answers, cauchy_points, csa_decode, csa_encode_a)
+from .csa import (_answer_rows, _Groups, _raw, _server_list, _take_answers,
+                  cauchy_points, csa_decode, csa_encode_a)
 from .errors import DecodingFailureError, ParameterError
 from .ffield import PrimeField
 # perfbench/tracer.py requires ncsa.solve_batch, so it stays importable here.
@@ -132,6 +133,7 @@ class NCSAParams(_Groups):
     poles: tuple[int, ...] = ()
     samples: tuple[int, ...] = ()
     noise_seed: int = 0
+    systematic: bool = False  # servers 0..L-1 hold their own entries, uncoded
 
     @property
     def threshold(self) -> int:
@@ -157,8 +159,10 @@ def ncsa_params(field: PrimeField, arity: int, ell: int, kc: int, servers: int,
                 noise_seed: int = 0, systematic: bool = False) -> NCSAParams:
     if min(arity, ell, kc, servers) < 1 or min(x_secure, byzantine) < 0:
         raise ParameterError("invalid scheme parameters")
-    if systematic:
-        check_systematic(x_secure, byzantine)
+    if systematic and x_secure >= 1:
+        raise ParameterError("systematic layout cannot be combined with X-security")
+    if systematic and byzantine >= 1:
+        raise ParameterError("systematic layout cannot be combined with a Byzantine budget B >= 1")
     if systematic and servers < ell * kc:
         raise ParameterError("systematic layout needs S >= L")
     r = xsb_threshold(arity, ell, kc, x_secure, byzantine)
@@ -166,15 +170,7 @@ def ncsa_params(field: PrimeField, arity: int, ell: int, kc: int, servers: int,
         raise ParameterError(f"R <= S violated: threshold {r} exceeds {servers} servers")
     poles, samples = cauchy_points(field, ell * kc, servers, poles, samples, systematic)
     return NCSAParams(arity, ell, kc, servers, x_secure, byzantine,
-                      poles, samples, noise_seed)
-
-
-def check_systematic(x_secure: int, byzantine: int) -> None:
-    """The systematic layout holds neither X-security nor a Byzantine budget."""
-    if x_secure >= 1:
-        raise ParameterError("systematic layout cannot be combined with X-security")
-    if byzantine >= 1:
-        raise ParameterError("systematic layout cannot be combined with a Byzantine budget B >= 1")
+                      poles, samples, noise_seed, systematic)
 
 
 # ---- encoding ----
@@ -258,10 +254,16 @@ def ncsa_answer(field: PrimeField, shares, omega: NLinearMap, params: NCSAParams
                 s: int, counter=None) -> np.ndarray:
     """Y_s = sum_l Delta_s^{-1} Omega(coded variables of group l).
 
-    ``shares`` holds one share list (length ell) per variable slot.
+    ``shares`` holds one share list (length ell) per variable slot.  A raw
+    server of a systematic layout (s < L) holds one-group shares, its own
+    entries, and returns Omega of them unnormalized: its own result.
     """
     if len(shares) != omega.arity or omega.arity != params.arity:
         raise ParameterError("share count does not match the map arity")
+    if s < _raw(params):
+        if counter is not None and omega.mults is not None:
+            counter.mults += omega.mults
+        return omega(field, *[sh[0] for sh in shares])
     alpha = params.samples[s]
     acc = None
     for l in range(params.ell):
@@ -432,26 +434,3 @@ def _lagrange_matrix(field: PrimeField, nodes, points) -> np.ndarray:
     inv = field.batch_inv([numerator(a, i) for i, a in enumerate(nodes)])
     rows = [[numerator(x, i) * c % q for i, c in enumerate(inv)] for x in points]
     return np.array(rows, dtype=np.int64).reshape(len(points), len(nodes))
-
-
-# ---- systematic layout ----
-
-
-def ncsa_systematic_encode(field: PrimeField, batches, params: NCSAParams) -> list:
-    """First L servers receive the raw variable tuple, the rest coded shares.
-
-    ``batches`` holds one variable batch (length L) per map slot.
-    """
-    check_systematic(params.x_secure, params.byzantine)
-    return _systematic_shares(field, batches, [csa_encode_a] * len(batches), params)
-
-
-def ncsa_systematic_answer(field: PrimeField, share, omega: NLinearMap,
-                           params: NCSAParams, s: int, counter=None) -> np.ndarray:
-    """A raw server evaluates the map once; a coded one answers as ``ncsa_answer``."""
-    kind, payload = share
-    if kind == "coded":
-        return ncsa_answer(field, list(payload), omega, params, s, counter)
-    if counter is not None and omega.mults is not None:
-        counter.mults += omega.mults
-    return omega(field, *payload)

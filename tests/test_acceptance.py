@@ -398,23 +398,18 @@ def test_11_systematic_parity(monkeypatch):
     aa = [FIELD.rand_matrix(rng, 2, 2) for _ in range(2)]
     bb = [FIELD.rand_matrix(rng, 2, 2) for _ in range(2)]
     truth = harness.direct_products(FIELD, aa, bb)
-    shares = csa.systematic_encode(FIELD, aa, bb, params)
-    answers = [(s, csa.systematic_answer(FIELD, shares[s])) for s in range(5)]
-    plain_answers = []
-    for s in range(5):
-        sa = csa.csa_encode_a(FIELD, aa, plain, s)
-        sb = csa.csa_encode_b(FIELD, bb, plain, s)
-        plain_answers.append((s, csa.csa_answer(FIELD, sa, sb)))
+    answers, plain_answers = ([(s, csa.csa_answer(FIELD, sa, sb)) for s, sa, sb in zip(
+        range(5), csa.csa_encode_a(FIELD, aa, p, range(5)),
+        csa.csa_encode_b(FIELD, bb, p, range(5)))] for p in (params, plain))
     for subset in itertools.combinations(range(5), 3):
-        got = csa.systematic_decode(FIELD, [answers[s] for s in subset], params)
+        got = csa.csa_decode(FIELD, [answers[s] for s in subset], params)
         want = csa.csa_decode(FIELD, [plain_answers[s] for s in subset], plain)
         assert all(np.array_equal(g, t) for g, t in zip(got, truth))
         assert all(np.array_equal(g, w) for g, w in zip(got, want))
     solves = []
     monkeypatch.setattr(csa, "solve_batch",
                         lambda *args: solves.append(args) or structmat.solve_batch(*args))
-    got = csa.systematic_decode(FIELD, [answers[0], answers[1], answers[3]],
-                                params)
+    got = csa.csa_decode(FIELD, [answers[0], answers[1], answers[3]], params)
     assert solves == []
     assert all(np.array_equal(g, t) for g, t in zip(got, truth))
     report(11, "systematic decode equals non-systematic on every mixed "

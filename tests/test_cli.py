@@ -28,7 +28,9 @@ def test_run_csa_demo_config(capsys, tmp_path):
     assert result["costs"]["theory"]["uploads"] == [[4, 1], [4, 1]]
     assert result["costs"]["theory"]["download"] == [5, 4]
     assert result["costs"]["measured"] == result["costs"]["theory"]
-    assert result["products_digest"].startswith("sha256:")
+    # pinned: a change to the codes must leave the products byte-identical
+    assert result["products_digest"] == (
+        "sha256:ba4c335367ba6f19f8338eb2970bb6b22e3a0449b124e96d1a147bcd653d7983")
     # determinism: running again produces the identical document
     code2, out2 = run_cli(capsys, "run", str(DATA / "csa_demo.json"))
     assert code2 == 0 and json.loads(out2) == result
@@ -150,39 +152,53 @@ _BYZANTINE_CFG = {"scheme": "ncsa", "servers": 7, "params": {"kc": 1, "X": 1, "B
                   "map": {"type": "matmul", "dims": [1, 1, 1]}}
 
 
-@pytest.mark.parametrize("cfg", [
-    {**_CSA_CFG, "dims": [0, 2, 2]},
-    {**_CSA_CFG, "dims": [2, 0, 2]},
-    {**_CSA_CFG, "dims": [-1, 2, 2]},
-    {**_CSA_CFG, "dims": [2.5, 2, 2]},
-    {**_CSA_CFG, "dims": ["2", 2, 2]},
-    {**_NCSA_CFG, "map": {"type": "elementwise", "arity": 2, "dim": 0}},
-    {**_NCSA_CFG, "map": {"type": "matmul", "dims": [2, 0, 2]}},
-    {**_CSA_CFG, "dims": [0, 2, 2], **_ZERO_ROW_FILES},
-    [1, 2, 3],
-    "csa",
-    None,
+@pytest.mark.parametrize("cfg, why", [
+    pytest.param({**_CSA_CFG, "dims": [0, 2, 2]}, "shape (0, 2) have no elements", id="zero-dim"),
+    pytest.param({**_CSA_CFG, "dims": [2, 0, 2]}, "shape (2, 0) have no elements",
+                 id="zero-inner"),
+    pytest.param({**_CSA_CFG, "dims": [-1, 2, 2]}, "negative dimensions", id="negative-dim"),
+    pytest.param({**_CSA_CFG, "dims": [2.5, 2, 2]}, "each of dims must be an integer, not 2.5",
+                 id="float-dim"),
+    pytest.param({**_CSA_CFG, "dims": ["2", 2, 2]}, "each of dims must be an integer, not '2'",
+                 id="string-dim"),
+    pytest.param({**_NCSA_CFG, "map": {"type": "elementwise", "arity": 2, "dim": 0}},
+                 "shape (0,) have no elements", id="zero-vector"),
+    pytest.param({**_NCSA_CFG, "map": {"type": "matmul", "dims": [2, 0, 2]}},
+                 "shape (2, 0) have no elements", id="zero-map-dim"),
+    pytest.param({**_CSA_CFG, "dims": [0, 2, 2], **_ZERO_ROW_FILES},
+                 "shape (0, 2) have no elements", id="zero-row-file"),
+    pytest.param([1, 2, 3], "config must be a JSON object, not [1, 2, 3]", id="list"),
+    pytest.param("csa", "config must be a JSON object, not 'csa'", id="string"),
+    pytest.param(None, "config must be a JSON object, not None", id="null"),
     # non-integer values once ran truncated by int(), with exit 0
-    {**_CSA_CFG, "dims": [2, 2, 2], "stragglers": {"responsive": [0.5, 1, 2, 3]}},
-    {**_BYZANTINE_CFG, "byzantine": {"servers": [3.9]}},
-    {**_NCSA_CFG, "map": {"type": "elementwise", "arity": 2, "dim": 1.5}},
-    {**_CSA_CFG, "dims": [2, 2, 2], "params": {"ell": 1.9, "kc": 2}},
-    {**_CSA_CFG, "dims": [2, 2, 2], "servers": 6.7},
-    {**_CSA_CFG, "dims": [2, 2, 2], "params": {"ell": True, "kc": 2}},
-    {**_CSA_CFG, "dims": [2, 2, 2], "batch": 2.0},
+    pytest.param({**_CSA_CFG, "dims": [2, 2, 2], "stragglers": {"responsive": [0.5, 1, 2, 3]}},
+                 "a responsive index must be an integer, not 0.5", id="float-responsive"),
+    pytest.param({**_BYZANTINE_CFG, "byzantine": {"servers": [3.9]}},
+                 "a corrupted index must be an integer, not 3.9", id="float-corrupted"),
+    pytest.param({**_NCSA_CFG, "map": {"type": "elementwise", "arity": 2, "dim": 1.5}},
+                 "dim must be an integer, not 1.5", id="float-map-dim"),
+    pytest.param({**_CSA_CFG, "dims": [2, 2, 2], "params": {"ell": 1.9, "kc": 2}},
+                 "ell must be an integer, not 1.9", id="float-ell"),
+    # once refused as "responsive count out of range", for the wrong reason
+    pytest.param({**_CSA_CFG, "dims": [2, 2, 2], "servers": 6.7},
+                 "servers must be an integer, not 6.7", id="float-servers"),
+    pytest.param({**_CSA_CFG, "dims": [2, 2, 2], "params": {"ell": True, "kc": 2}},
+                 "ell must be an integer, not True", id="bool-ell"),
+    pytest.param({**_CSA_CFG, "dims": [2, 2, 2], "batch": 2.0},
+                 "batch must be an integer, not 2.0", id="float-batch"),
     # non-object sections once raised AttributeError, exit 1
-    {**_CSA_CFG, "dims": [2, 2, 2], "seeds": [1]},
-    {**_NCSA_CFG, "map": "matmul"},
-    {**_NCSA_CFG, "map": {"type": "elementwise", "arity": 2, "dim": 2}, "params": [1]},
-], ids=["zero-dim", "zero-inner", "negative-dim", "float-dim", "string-dim",
-        "zero-vector", "zero-map-dim", "zero-row-file", "list", "string", "null",
-        "float-responsive", "float-corrupted", "float-map-dim", "float-ell",
-        "float-servers", "bool-ell", "float-batch", "list-seeds", "string-map",
-        "list-params"])
-def test_run_never_crashes_on_malformed_configs(capsys, tmp_path, cfg):
+    pytest.param({**_CSA_CFG, "dims": [2, 2, 2], "seeds": [1]},
+                 "seeds must be a JSON object, not [1]", id="list-seeds"),
+    pytest.param({**_NCSA_CFG, "map": "matmul"}, "map must be a JSON object, not 'matmul'",
+                 id="string-map"),
+    pytest.param({**_NCSA_CFG, "map": {"type": "elementwise", "arity": 2, "dim": 2},
+                  "params": [1]}, "params must be a JSON object, not [1]", id="list-params"),
+])
+def test_run_never_crashes_on_malformed_configs(capsys, tmp_path, cfg, why):
     # Every malformed input is a typed error with a JSON payload: exit 2 for
     # a bad config, 4 for a bad file; never exit 1 ("verify suite failed")
-    # or a traceback.
+    # or a traceback.  The message names the refused value or rule, so a
+    # config refused for another reason fails here.
     matfile.write_matrices(tmp_path / "zero-rows.mat", 65537,
                            [np.zeros((0, 2), dtype=np.int64)] * 2)
     matfile.write_matrices(tmp_path / "square.mat", 65537,
@@ -194,7 +210,9 @@ def test_run_never_crashes_on_malformed_configs(capsys, tmp_path, cfg):
     path.write_text(json.dumps(cfg))
     code, out = run_cli(capsys, "run", str(path))
     assert code in (cli.EXIT_CONFIG, cli.EXIT_IO)
-    assert set(json.loads(out)["error"]) == {"category", "message"}
+    error = json.loads(out)["error"]
+    assert set(error) == {"category", "message"}
+    assert why in error["message"]
 
 
 def test_run_with_matrix_files(capsys, tmp_path):
@@ -309,6 +327,17 @@ def test_verify_security_suite(capsys):
 def test_verify_unknown_suite_usage_error(capsys):
     code = cli.main(["verify", "definitely-not-a-suite"])
     assert code == cli.EXIT_CONFIG
+
+
+@pytest.mark.parametrize("q", [65537, 2147483629])
+def test_verify_all_passes_every_suite(capsys, q):
+    # pinned stdout and exit code
+    code, out = run_cli(capsys, "--field-modulus", str(q), "verify", "all")
+    assert code == cli.EXIT_OK
+    assert out.splitlines() == [f"PASS {name}" for name in (
+        "field-axioms", "csa-oracle", "ep-oracle", "gcsa-oracle", "security-exhaustive",
+        "byzantine-exhaustive", "systematic-parity", "cost-accounting",
+        "interference-rank")]
 
 
 def test_verify_all_at_a_small_field_reports_errors(capsys):

@@ -7,8 +7,7 @@ import pytest
 from csacode import csa, gcsa, harness, ncsa
 from csacode.csa import (csa_answer, csa_decode, csa_encode_a,
                          csa_encode_b, csa_params, csa_threshold,
-                         interference_rank, systematic_answer,
-                         systematic_decode, systematic_encode)
+                         interference_rank)
 from csacode.errors import InsufficientAnswersError, ParameterError
 from csacode.ffield import PrimeField
 from csacode.structmat import CVSpec, solve_batch
@@ -284,20 +283,63 @@ def test_cost_counters():
     assert report.server_mults == 2 * 2 * 3 * 2
 
 
+# ---- evaluation points ----
+
+
+_BUILDERS = {
+    "csa": lambda f, **kw: csa_params(f, 1, 2, 5, **kw),
+    "gcsa": lambda f, **kw: gcsa.gcsa_params(f, 1, 2, 1, 1, 1, 5, **kw),
+    "ncsa": lambda f, **kw: ncsa.ncsa_params(f, 2, 1, 2, 5, **kw),
+    "ep": lambda f, **kw: harness.ep_setup(f, 1, 1, 1, 3, **kw),
+}
+
+
+_POINTS = {"float-pole": ({"poles": [1.5, 2]}, "a pole"),
+           "bool-pole": ({"poles": [True, 2]}, "a pole"),
+           "float-sample": ({"samples": [3, 4, 5, 6, 7.0]}, "a sample"),
+           "bool-sample": ({"samples": [3, 4, 5, 6, False]}, "a sample")}
+
+
+@pytest.mark.parametrize("builder, case", [
+    (b, c) for b in _BUILDERS for c in _POINTS if not (b == "ep" and "pole" in c)])
+def test_builders_refuse_non_integer_points(builder, case):
+    # a float pole was once accepted, and the first round died with a bare
+    # TypeError from pow(); every Cauchy builder and ep_setup (3 samples,
+    # no poles) share the rule
+    points, what = _POINTS[case]
+    if builder == "ep":
+        points = {"samples": points["samples"][-3:]}
+    with pytest.raises(ParameterError, match=f"{what} must be an integer"):
+        _BUILDERS[builder](FIELD, **points)
+
+
 # ---- systematic construction ----
 
 
+def _answers(field, aa, bb, params, servers):
+    """(s, Y_s) of the listed servers, through the one CSA encoder and answer."""
+    shares_a = csa_encode_a(field, aa, params, servers)
+    shares_b = csa_encode_b(field, bb, params, servers)
+    return [(s, csa_answer(field, a, b)) for s, a, b in zip(servers, shares_a, shares_b)]
+
+
 def test_systematic_first_l_shares_raw():
+    # a raw server holds its own entry as a one-group share [X_s], a copy;
+    # the coded servers hold the plain code's shares
     rng = np.random.default_rng(10)
     params = csa_params(FIELD, 1, 2, 5, systematic=True)
+    plain = csa_params(FIELD, 1, 2, 5)
     aa = [FIELD.rand_matrix(rng, 2, 2) for _ in range(2)]
     bb = [FIELD.rand_matrix(rng, 2, 2) for _ in range(2)]
-    shares = systematic_encode(FIELD, aa, bb, params)
-    for s in range(2):
-        kind, (a, b) = shares[s]
-        assert kind == "raw"
-        assert np.array_equal(a, aa[s]) and np.array_equal(b, bb[s])
-    assert shares[2][0] == "coded"
+    for encode, batch in ((csa_encode_a, aa), (csa_encode_b, bb)):
+        shares = encode(FIELD, batch, params, range(5))
+        for s in range(2):
+            [x] = shares[s]
+            assert np.array_equal(x, batch[s]) and not np.shares_memory(x, batch[s])
+            assert [y.tolist() for y in encode(FIELD, batch, params, s)] == [x.tolist()]
+        for s in range(2, 5):
+            assert [y.tolist() for y in shares[s]] == [
+                y.tolist() for y in encode(FIELD, batch, plain, s)]
 
 
 def test_systematic_all_raw_needs_zero_solves(monkeypatch):
@@ -305,15 +347,15 @@ def test_systematic_all_raw_needs_zero_solves(monkeypatch):
     params = csa_params(FIELD, 1, 2, 5, systematic=True)
     aa = [FIELD.rand_matrix(rng, 2, 2) for _ in range(2)]
     bb = [FIELD.rand_matrix(rng, 2, 2) for _ in range(2)]
-    shares = systematic_encode(FIELD, aa, bb, params)
-    answers = [(s, systematic_answer(FIELD, shares[s])) for s in (0, 1, 4)]
+    answers = _answers(FIELD, aa, bb, params, (0, 1, 4))
     solves = []
     monkeypatch.setattr(csa, "solve_batch",
                         lambda *args: solves.append(args) or solve_batch(*args))
-    got = systematic_decode(FIELD, answers, params)
+    got = csa_decode(FIELD, answers, params)
     assert solves == []
     truth = harness.direct_products(FIELD, aa, bb)
     assert all(np.array_equal(g, t) for g, t in zip(got, truth))
+    assert not any(np.shares_memory(g, y) for g, (_, y) in zip(got, answers))
 
 
 def test_systematic_decode_inverts_known_poles_in_one_batch(monkeypatch):
@@ -344,13 +386,12 @@ def test_systematic_decode_removes_known_results_in_one_product(monkeypatch, q):
     params = csa_params(field, 2, 3, 14, systematic=True)
     aa = [field.rand_matrix(rng, 4, 3) for _ in range(6)]
     bb = [field.rand_matrix(rng, 3, 5) for _ in range(6)]
-    shares = systematic_encode(field, aa, bb, params)
-    answers = [(s, systematic_answer(field, shares[s])) for s in (0, 2, 3, 5, 7, 9, 10, 11, 13)]
+    answers = _answers(field, aa, bb, params, (0, 2, 3, 5, 7, 9, 10, 11, 13))
     matmul = PrimeField.matmul
     calls = []
     monkeypatch.setattr(PrimeField, "matmul", lambda self, a, b, **kw: calls.append(
         (a.shape, b.shape)) or matmul(self, a, b, **kw))
-    got = systematic_decode(field, answers, params)
+    got = csa_decode(field, answers, params)
     assert calls[0] == ((params.threshold - 4, 4), (4, 20))
     assert len(calls) == 2
     truth = harness.direct_products(field, aa, bb)
@@ -364,15 +405,12 @@ def test_systematic_matches_plain_decode_everywhere():
     aa = [FIELD.rand_matrix(rng, 2, 2) for _ in range(2)]
     bb = [FIELD.rand_matrix(rng, 2, 2) for _ in range(2)]
     truth = harness.direct_products(FIELD, aa, bb)
-    shares = systematic_encode(FIELD, aa, bb, params)
-    answers = [(s, systematic_answer(FIELD, shares[s])) for s in range(5)]
-    plain_answers = []
-    for s in range(5):
-        sa = csa_encode_a(FIELD, aa, plain, s)
-        sb = csa_encode_b(FIELD, bb, plain, s)
-        plain_answers.append((s, csa_answer(FIELD, sa, sb)))
+    answers = _answers(FIELD, aa, bb, params, range(5))
+    plain_answers = _answers(FIELD, aa, bb, plain, range(5))
+    for s in range(2):  # a raw server answers its own product
+        assert np.array_equal(answers[s][1], truth[s])
     for subset in itertools.combinations(range(5), 3):
-        got = systematic_decode(FIELD, [answers[s] for s in subset], params)
+        got = csa_decode(FIELD, [answers[s] for s in subset], params)
         assert all(np.array_equal(g, t) for g, t in zip(got, truth))
         if min(subset) >= 2:
             # coded-only answers coincide with the non-systematic code
@@ -399,11 +437,49 @@ def test_systematic_relaxed_field_size():
     rng = np.random.default_rng(13)
     aa = [small.rand_matrix(rng, 2, 2) for _ in range(8)]
     bb = [small.rand_matrix(rng, 2, 2) for _ in range(8)]
-    shares = systematic_encode(small, aa, bb, params)
-    answers = [(s, systematic_answer(small, shares[s])) for s in range(11)]
-    got = systematic_decode(small, answers, params)
+    got = csa_decode(small, _answers(small, aa, bb, params, range(11)), params)
     truth = harness.direct_products(small, aa, bb)
     assert all(np.array_equal(g, t) for g, t in zip(got, truth))
+
+
+_REUSED_POLES = {"poles": [1, 2], "samples": [1, 2, 3, 4, 5], "systematic": True}
+
+
+def test_systematic_layout_reusing_poles_runs_only_as_itself():
+    # raw servers 0 and 1 sample at the poles 1 and 2, which the layout
+    # allows; the "csa" scheme on such parameters once died with a bare
+    # ZeroDivisionError from the coded servers' weights
+    small = PrimeField(13)
+    params = csa_params(small, 1, 2, 5, **_REUSED_POLES)
+    rng = np.random.default_rng(15)
+    aa = [small.rand_matrix(rng, 2, 3) for _ in range(2)]
+    bb = [small.rand_matrix(rng, 3, 2) for _ in range(2)]
+    with pytest.raises(ParameterError, match="systematic"):
+        harness.run_cdbmm(small, "csa", params, aa, bb, harness.StragglerModel(count=5))
+    with pytest.raises(ParameterError, match="systematic"):
+        harness.run_cdbmm(small, "csa-systematic", csa_params(small, 1, 2, 5), aa, bb,
+                          harness.StragglerModel(count=5))
+    truth = harness.direct_products(small, aa, bb)
+    for subset in itertools.combinations(range(5), 3):
+        got, report = harness.run_cdbmm(small, "csa-systematic", params, aa, bb,
+                                        harness.StragglerModel(responsive=subset))
+        assert all(np.array_equal(g, t) for g, t in zip(got, truth)), subset
+        assert report.measured.download == report.theory.download
+
+
+def test_systematic_nlinear_reusing_poles_equals_the_oracle():
+    # once a ZeroDivisionError unless run_nlinear was also told the layout
+    small = PrimeField(13)
+    params = ncsa.ncsa_params(small, 2, 1, 2, 5, **_REUSED_POLES)
+    omega = ncsa.matmul_map(2, 3, 2)
+    rng = np.random.default_rng(16)
+    batches = [[small.rand_matrix(rng, *shape) for _ in range(2)]
+               for shape in omega.var_shapes]
+    truth = harness.direct_evaluations(small, omega, batches)
+    for subset in itertools.combinations(range(5), 3):
+        got, _ = harness.run_nlinear(small, params, omega, batches,
+                                     harness.StragglerModel(responsive=subset))
+        assert all(np.array_equal(g, t) for g, t in zip(got, truth)), subset
 
 
 # ---- the decode matrix against the paper's ----
@@ -424,9 +500,9 @@ def _decoder_cases(field):
                    field, *dims, gcsa.gcsa_threshold(*dims) + 1), None)
               for dims in [(2, 1, 2, 1, 1), (1, 2, 2, 2, 1)]]
     # systematic subsets with known results: servers below L answer raw
-    cases += [(csa, systematic_decode,
+    cases += [(csa, csa_decode,
                lambda: csa_params(field, 2, 2, 8, systematic=True), (1, 3, 4, 6, 7)),
-              (csa, systematic_decode,
+              (csa, ncsa.ncsa_decode,
                lambda: ncsa.ncsa_params(field, 3, 1, 2, 6, systematic=True), (0, 3, 4, 5))]
     for module, decode, make, servers in cases:
         try:
@@ -443,7 +519,7 @@ def _paper_matrix(field, decode, params, servers):
         alphas = [params.samples[s] for s in servers]
         return (gcsa_paper_matrix(field, params, alphas),
                 params.batch_size * params.inner_order)
-    raw = decode is systematic_decode
+    raw = params.systematic
     unknown = [i for i in range(params.batch_size) if not (raw and i in servers)]
     consts = scaling_constants(field, params, params.arity - 1)
     spec = CVSpec(tuple(params.poles[i] for i in unknown),

@@ -182,13 +182,13 @@ def test_nlinear_byzantine_localization():
 def test_nlinear_rejects_forgers_without_a_byzantine_budget():
     # with B = 0 the forged answer once decoded to wrong evaluations, unflagged
     rng = np.random.default_rng(14)
-    params = ncsa.ncsa_params(FIELD, 2, 1, 2, 5)
     batches = [[FIELD.rand_matrix(rng, 2, 2) for _ in range(2)] for _ in range(2)]
     byz = harness.ByzantineModel.seeded(FIELD, (3,), seed=1)
     for systematic in (False, True):
+        params = ncsa.ncsa_params(FIELD, 2, 1, 2, 5, systematic=systematic)
         with pytest.raises(ParameterError, match="Byzantine budget"):
             harness.run_nlinear(FIELD, params, ncsa.matmul_map(2, 2, 2), batches,
-                                harness.StragglerModel(count=5), byz, systematic)
+                                harness.StragglerModel(count=5), byz)
 
 
 def test_nlinear_rejects_a_spec_in_the_systematic_layout(monkeypatch):
@@ -196,42 +196,28 @@ def test_nlinear_rejects_a_spec_in_the_systematic_layout(monkeypatch):
     def encode(*args, **kwargs):
         raise AssertionError("encoded before validation")
 
-    for name in ("ncsa_systematic_encode", "xs_encode"):
-        monkeypatch.setattr(ncsa, name, encode)
+    monkeypatch.setattr(ncsa, "xs_encode", encode)
     rng = np.random.default_rng(15)
     params = ncsa.ncsa_params(FIELD, 2, 1, 2, 5, systematic=True)
     omega = ncsa.matmul_map(2, 2, 2)
     spec = ncsa.PolynomialSpec(2, (ncsa.PolyTerm(1, omega, (0, 1)),))
     batches = [[FIELD.rand_matrix(rng, 2, 2) for _ in range(2)] for _ in range(2)]
     with pytest.raises(ParameterError, match="systematic"):
-        harness.run_nlinear(FIELD, params, spec, batches,
-                            harness.StragglerModel(count=5), systematic=True)
-
-
-@pytest.mark.parametrize("budget, cause", [({"x_secure": 1}, "X-security"),
-                                           ({"byzantine": 1}, "Byzantine budget")])
-def test_systematic_nlinear_names_what_it_cannot_hold(budget, cause):
-    rng = np.random.default_rng(16)
-    params = ncsa.ncsa_params(FIELD, 2, 1, 2, 9, **budget)
-    batches = [[FIELD.rand_matrix(rng, 2, 2) for _ in range(2)] for _ in range(2)]
-    with pytest.raises(ParameterError, match=cause):
-        harness.run_nlinear(FIELD, params, ncsa.matmul_map(2, 2, 2), batches,
-                            harness.StragglerModel(count=9), systematic=True)
+        harness.run_nlinear(FIELD, params, spec, batches, harness.StragglerModel(count=5))
 
 
 def test_systematic_nlinear_round_counts_server_mults():
     # systematic rounds once reported 0: neither the raw servers' map
     # evaluations nor the coded servers' answers were counted
     rng = np.random.default_rng(16)
-    params = ncsa.ncsa_params(FIELD, 2, 1, 2, 5, systematic=True)
     for omega, want in ((ncsa.matmul_map(2, 2, 2), 12), (ncsa.determinant_map(2), 0)):
         batches = [[FIELD.rand_matrix(rng, int(np.prod(shape)), 1).reshape(shape) for _ in range(2)]
                    for shape in omega.var_shapes]
         counts = []
         for systematic in (False, True):
+            params = ncsa.ncsa_params(FIELD, 2, 1, 2, 5, systematic=systematic)
             _, report = harness.run_nlinear(FIELD, params, omega, batches,
-                                            harness.StragglerModel(count=5),
-                                            systematic=systematic)
+                                            harness.StragglerModel(count=5))
             counts.append(report.server_mults)
         assert counts == [want, want], omega.name
 
@@ -395,9 +381,9 @@ def _entry_points(field: PrimeField) -> dict:
         "ep_encode_b-single": lambda b: [ep.ep_encode_b(field, x, eparams, 3) for x in b],
         "xs_encode": lambda b: ncsa.xs_encode(field, b, xparams, 0, range(6)),
         "xs_encode-single": lambda b: ncsa.xs_encode(field, b, xparams, 1, 4),
-        "systematic_encode": lambda b: csa.systematic_encode(field, b, b, sparams),
-        "ncsa_systematic_encode": lambda b: ncsa.ncsa_systematic_encode(field, [b, b],
-                                                                        nparams),
+        "csa_encode_a-systematic": lambda b: csa.csa_encode_a(field, b, sparams, range(5)),
+        "csa_encode_b-systematic": lambda b: csa.csa_encode_b(field, b, sparams, range(5)),
+        "xs_encode-systematic": lambda b: ncsa.xs_encode(field, b, nparams, 0, range(5)),
     }
 
 
@@ -594,8 +580,7 @@ def test_rounds_call_the_encoders_the_benchmark_times(monkeypatch):
     # around them would read 0 ms there.  A patched name counts the calls
     # made through its own module, not through another module's import.
     encoders = {ep: ("ep_encode_a", "ep_encode_b"), gcsa: ("gcsa_encode_a", "gcsa_encode_b"),
-                csa: ("csa_encode_a", "csa_encode_b", "systematic_encode"),
-                ncsa: ("xs_encode", "ncsa_systematic_encode")}
+                csa: ("csa_encode_a", "csa_encode_b"), ncsa: ("xs_encode",)}
     calls = collections.Counter()
     for module, names in encoders.items():
         for name in names:
@@ -613,10 +598,9 @@ def test_rounds_call_the_encoders_the_benchmark_times(monkeypatch):
         return harness.run_cdbmm(FIELD, scheme, setup, aa, bb,
                                  harness.StragglerModel(count=setup.servers - 1, seed=0))
 
-    def nlinear(params, systematic=False):
+    def nlinear(params):
         return harness.run_nlinear(FIELD, params, omega, [aa, bb],
-                                   harness.StragglerModel(count=params.servers, seed=0),
-                                   systematic=systematic)
+                                   harness.StragglerModel(count=params.servers, seed=0))
 
     rounds = [
         (lambda: cdbmm("ep", harness.ep_setup(FIELD, 2, 2, 2, 10)),
@@ -626,11 +610,11 @@ def test_rounds_call_the_encoders_the_benchmark_times(monkeypatch):
         (lambda: cdbmm("csa", csa.csa_params(FIELD, 1, 2, 5)),
          {"csa_encode_a": 1, "csa_encode_b": 1}),
         (lambda: cdbmm("csa-systematic", csa.csa_params(FIELD, 1, 2, 5, systematic=True)),
-         {"systematic_encode": 1, "csa_encode_a": 1, "csa_encode_b": 1}),
+         {"csa_encode_a": 1, "csa_encode_b": 1}),
         (lambda: nlinear(ncsa.ncsa_params(FIELD, 2, 1, 2, 5)), {"xs_encode": 2}),
         (lambda: nlinear(ncsa.ncsa_params(FIELD, 2, 1, 2, 6, x_secure=1)), {"xs_encode": 2}),
-        (lambda: nlinear(ncsa.ncsa_params(FIELD, 2, 1, 2, 5, systematic=True), True),
-         {"ncsa_systematic_encode": 1}),
+        (lambda: nlinear(ncsa.ncsa_params(FIELD, 2, 1, 2, 5, systematic=True)),
+         {"xs_encode": 2}),
     ]
     for run, want in rounds:
         calls.clear()
@@ -639,8 +623,13 @@ def test_rounds_call_the_encoders_the_benchmark_times(monkeypatch):
 
 
 # Labels of perfbench/tracer.py's GROUPS whose functions were merged into
-# others before this guard existed; the tracer finds nothing under them.
-_GONE_GROUP_LABELS = {"gcsa.gcsa_answer", "ncsa.ncsa_encode", "ncsa.ncsa_systematic_decode"}
+# others; the tracer finds nothing under them.  The systematic layout's
+# five entry points are now the CSA encoder, answer and decoder (and
+# ncsa_answer) on parameters that carry the layout.
+_GONE_GROUP_LABELS = {"gcsa.gcsa_answer", "ncsa.ncsa_encode", "ncsa.ncsa_systematic_decode",
+                      "csa.systematic_encode", "csa.systematic_answer",
+                      "csa.systematic_decode", "ncsa.ncsa_systematic_encode",
+                      "ncsa.ncsa_systematic_answer"}
 
 
 def test_benchmark_group_labels_resolve(monkeypatch):
@@ -662,6 +651,9 @@ def test_benchmark_group_labels_resolve(monkeypatch):
         if not (inspect.isfunction(obj) and obj.__module__ == f"csacode.{module}"):
             unresolved.add(label)
     assert unresolved == _GONE_GROUP_LABELS
+    # gcsa answers run csa_answer, so they are timed in csa.answer
+    assert [g for g, labels in tracer.GROUPS.items()
+            if set(labels) <= unresolved] == ["gcsa.answer"]
 
 
 # ---- the round arena ----

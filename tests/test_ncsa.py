@@ -12,9 +12,7 @@ from csacode.ffield import PrimeField
 from csacode.ncsa import (PolynomialSpec, PolyTerm, determinant_map,
                           elementwise_product_map,
                           lcc_threshold, matmul_map, matrix_chain_map,
-                          ncsa_answer, ncsa_decode, ncsa_params,
-                          ncsa_systematic_answer,
-                          ncsa_systematic_encode, ncsa_threshold,
+                          ncsa_answer, ncsa_decode, ncsa_params, ncsa_threshold,
                           noise_block, poly_batch_eval_answer,
                           xs_encode, xsb_decode, xsb_threshold)
 from csacode.structmat import CVSpec, rs_error_correct, solve_batch
@@ -796,18 +794,20 @@ def test_systematic_layout_parity():
     aa = [FIELD.rand_matrix(rng, 2, 2) for _ in range(2)]
     bb = [FIELD.rand_matrix(rng, 2, 2) for _ in range(2)]
     truth = harness.direct_products(FIELD, aa, bb)
-    shares = ncsa_systematic_encode(FIELD, [aa, bb], params)
-    answers = [(s, ncsa_systematic_answer(FIELD, shares[s], omega, params, s))
-               for s in range(5)]
-    plain = []
-    for s in range(5):
-        sh = [csa.csa_encode_a(FIELD, aa, params, s),
-              csa.csa_encode_a(FIELD, bb, params, s)]
-        plain.append((s, ncsa_answer(FIELD, sh, omega, params, s)))
+    plain_params = ncsa_params(FIELD, 2, 1, 2, 5)
+
+    def answers(p):  # raw servers hold one-group shares and answer Omega of them
+        shares = [xs_encode(FIELD, batch, p, v, range(5)) for v, batch in enumerate((aa, bb))]
+        return [(s, ncsa_answer(FIELD, [shares[0][s], shares[1][s]], omega, p, s))
+                for s in range(5)]
+
+    raw, plain = answers(params), answers(plain_params)
+    for s in range(2):
+        assert np.array_equal(raw[s][1], truth[s])
     for subset in itertools.combinations(range(5), 3):
-        got = csa.systematic_decode(FIELD, [answers[s] for s in subset], params)
+        got = ncsa_decode(FIELD, [raw[s] for s in subset], params)
         assert all(np.array_equal(g, t) for g, t in zip(got, truth))
-        via_plain = ncsa_decode(FIELD, [plain[s] for s in subset], params)
+        via_plain = ncsa_decode(FIELD, [plain[s] for s in subset], plain_params)
         assert all(np.array_equal(g, v) for g, v in zip(got, via_plain))
 
 
