@@ -24,8 +24,7 @@ import numpy as np
 from .errors import InsufficientAnswersError, ParameterError
 from .ffield import _ARENA_MIN_BYTES, PrimeField, _arena, _integer, _shares_out
 # perfbench/tracer.py requires csa.cv_matrix, so it stays importable here.
-from .structmat import (CVSpec, confluent_cv_matrix, cv_matrix,  # noqa: F401
-                        matrix_rank, solve_batch)
+from .structmat import _powers, cv_matrix, matrix_rank, solve_batch  # noqa: F401
 
 
 class _Groups:
@@ -253,12 +252,11 @@ def csa_decode(field: PrimeField, answers, params: CSAParams) -> list[np.ndarray
 
     ``answers`` is an iterable of (server_index, Y) pairs, 0-based indices.
     In a systematic layout a raw server's answer is its own result: it is
-    read off and removed from the coded answers with the exact coefficient
-    it carries there, its A-side weight to the power N - 1 times its B-side
-    weight 1/(f_{l,k} - alpha).  The reduced system keeps the Cauchy columns
-    of the unknown results plus the full Vandermonde tail, R - L =
-    (kc-1)(N-1) columns wide.  Returned raw results are copies, never the
-    answers themselves.
+    read off and removed from the coded answers through its own Cauchy
+    column of ``_decode_matrix``, the exact coefficient it carries there.
+    The reduced system keeps the Cauchy columns of the unknown results plus
+    the full Vandermonde tail, R - L = (kc-1)(N-1) columns wide.  Returned
+    raw results are copies, never the answers themselves.
     """
     batch = params.batch_size
     answers = _take_answers(answers, params.threshold, params.servers)
@@ -267,20 +265,14 @@ def csa_decode(field: PrimeField, answers, params: CSAParams) -> list[np.ndarray
     if len(known) == batch:
         return [np.array(known[i]) for i in range(batch)]
     coded = [(s, y) for s, y in answers if s >= raw]
-    listed = [s for s, _ in coded]
-    unknown = [i for i in range(batch) if i not in known]
-    weights = _cauchy_weights(field, params, listed, "a",
-                              params.arity - 1).reshape(len(listed), -1)
-    mat = _decode_matrix(field, params, listed, params.arity - 1, slots=unknown,
-                         weights=weights)
+    mat = _decode_matrix(field, params, [s for s, _ in coded], params.arity - 1,
+                         params.threshold)
     rhs = _answer_rows([y for _, y in coded])
-    if known:  # the A-side weight times the B-side 1/(f - alpha)
-        inverses = field.batch_inv([params.poles[k] - params.samples[s]
-                                    for s in listed for k in known])
-        weights = weights[:, list(known)] * np.array(
-            inverses, dtype=np.int64).reshape(len(listed), len(known)) % field.q
-        rhs = (rhs - field.matmul(weights, _answer_rows(list(known.values())))) % field.q
-    solved = iter(solve_batch(field, mat, rhs, rows=slice(len(unknown))))
+    if known:
+        rhs = (rhs - field.matmul(mat[:, list(known)],
+                                  _answer_rows(list(known.values())))) % field.q
+        mat = np.delete(mat, list(known), axis=1)
+    solved = iter(solve_batch(field, mat, rhs, rows=slice(batch - len(known))))
     shape = answers[0][1].shape
     return [np.array(known[i]) if i in known else next(solved).reshape(shape)
             for i in range(batch)]
@@ -309,35 +301,26 @@ def _answer_rows(ys) -> np.ndarray:
     return np.stack([np.asarray(y).reshape(-1) for y in ys])
 
 
-def _decode_matrix(field: PrimeField, params, listed, power: int, order: int = 1,
-                   slots=None, weights=None) -> np.ndarray:
-    """Decode matrix of a Cauchy code at the ``listed`` servers, whose
-    unknowns are ``order`` Cauchy coordinates per batch entry in ``slots``
-    (all by default), then the Vandermonde tail.
+def _decode_matrix(field: PrimeField, params, listed, power: int, width: int,
+                   order: int = 1) -> np.ndarray:
+    """Decode matrix of a Cauchy code at the ``listed`` servers, (listed x
+    width): ``order`` Cauchy columns per batch entry, then the Vandermonde
+    tail alpha^0, ..., alpha^(width - order * L - 1).
 
-    It is ``confluent_cv_matrix`` with every Cauchy column of slot (l, k)
-    multiplied, row by row, by the encoder's A-side weight
-    w(alpha) = prod_{k' != k}(f_{l,k'} - alpha)^power (power N - 1 for CSA
-    and N-CSA, R' for GCSA), so each column holds the exact coefficient
-    w(alpha) / (f_{l,k} - alpha)^j its unknown carries in the answers.  The
-    paper's column is the pole part of that (c_{l,k} / (f_{l,k} - alpha),
-    or GCSA's Toeplitz-mixed pole powers); the rest is a polynomial in
-    alpha of degree below deg w = power * (kc - 1), which never exceeds the
-    tail width R - order * L.  So this matrix is the paper's times
-    [[I, 0], [P, I]]: the same determinant, and the same rows of the
-    inverse, hence the same solution, for the Cauchy unknowns.  A caller
-    that already holds those weights, (listed x L), passes them as
-    ``weights``.
+    A Cauchy column holds the coefficient its unknown carries in the
+    answers, the encoders' own weights: the A-side w(alpha) =
+    prod_{k' != k}(f_{l,k'} - alpha)^power (N - 1 for CSA and N-CSA, R' for
+    GCSA) times the B-side 1/(f_{l,k} - alpha)^j, j = order, ..., 1.  The
+    paper's column is its pole part (c_{l,k} / (f_{l,k} - alpha), or GCSA's
+    Toeplitz-mixed pole powers); the rest is a polynomial in alpha of degree
+    below power * (kc - 1), within the tail.  So this is the paper's matrix
+    times [[I, 0], [P, I]], with the same solution for the Cauchy unknowns.
     """
-    slots = range(params.batch_size) if slots is None else slots
-    alphas = tuple(params.samples[s] for s in listed)
-    mat = confluent_cv_matrix(field, CVSpec(tuple(params.poles[i] for i in slots),
-                                            alphas, order))
-    if weights is None:
-        weights = _cauchy_weights(field, params, listed, "a", power).reshape(len(alphas), -1)
-    width = order * len(slots)
-    mat[:, :width] = mat[:, :width] * np.repeat(weights[:, slots], order, axis=1) % field.q
-    return mat
+    rows, cols = len(listed), order * params.batch_size
+    a = _cauchy_weights(field, params, listed, "a", power).reshape(rows, params.batch_size)
+    b = _cauchy_weights(field, params, listed, "b", order, range(order)).reshape(rows, cols)
+    tail = _powers(field, [params.samples[s] for s in listed], width - cols)
+    return np.concatenate([np.repeat(a, order, axis=1) * b % field.q, tail], axis=1)
 
 
 # ---- interference structure ----
@@ -349,13 +332,13 @@ def cross_term_matrix(field: PrimeField, params: CSAParams) -> np.ndarray:
     Row s, column (l, k, k') holds the A-side weight of slot k times the
     B-side weight of slot k' at alpha_s, which is
     prod_{k'' not in {k, k'}}(f_{l,k''} - alpha_s), the exact coefficient
-    those interference terms carry in Y_s.
+    those interference terms carry in Y_s; raw servers hold none, no row.
     """
-    servers = range(params.servers)
+    servers = range(_raw(params), params.servers)
     a = _cauchy_weights(field, params, servers, "a")
     b = _cauchy_weights(field, params, servers, "b")
     cross = a[..., :, None] * b[..., None, :] % field.q
-    return cross[..., ~np.eye(params.kc, dtype=bool)].reshape(params.servers, -1)
+    return cross[..., ~np.eye(params.kc, dtype=bool)].reshape(len(servers), -1)
 
 
 def interference_rank(field: PrimeField, params: CSAParams) -> int:
@@ -391,7 +374,6 @@ def _batch_entries(field: PrimeField, batch, size=None, matrices=False) -> list:
 
 
 def _take_answers(answers, r: int, servers: int):
-    answers = list(answers)
     seen = set()
     taken = []
     for s, y in answers:

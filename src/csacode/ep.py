@@ -25,7 +25,7 @@ import numpy as np
 from .csa import _answer_rows, _generator_encode, _server_list
 from .errors import InsufficientAnswersError, ParameterError
 from .ffield import PrimeField
-from .structmat import CVSpec, cv_matrix, solve_batch
+from .structmat import CVSpec, _powers, cv_matrix, solve_batch
 
 
 @dataclass(frozen=True)
@@ -93,9 +93,7 @@ def ep_encode_b(field: PrimeField, b, params: EPParams, alpha):
 def _encode(field: PrimeField, mats, grid, exps, alpha):
     """The (points x blocks) generator of alpha^e times the blocks of every
     entry; one matrix and one point give the one share."""
-    points = _server_list(alpha)
-    gen = np.array([[pow(x, e, field.q) for e in exps] for x in points],
-                   dtype=np.int64).reshape(len(points), len(exps))
+    gen = _powers(field, _server_list(alpha), max(exps) + 1)[:, exps]
     if isinstance(alpha, numbers.Integral):
         return _generator_encode(field, [mats], gen, alpha, grid)[0]
     return _generator_encode(field, mats, gen, alpha, grid)

@@ -119,7 +119,7 @@ def gcsa_decode(field: PrimeField, answers, params: GCSAParams) -> list[np.ndarr
     r = gcsa_threshold(params.ell, params.kc, params.p, params.m, params.n)
     answers = _take_answers(answers, r, params.servers)
     rp = params.inner_order
-    mat = _decode_matrix(field, params, [s for s, _ in answers], rp, rp)
+    mat = _decode_matrix(field, params, [s for s, _ in answers], rp, r, rp)
     idx = _desired_indices(params.ep)
     sol = solve_batch(field, mat, _answer_rows([y for _, y in answers]),
                       rows=[j * rp + i for j in range(params.batch_size) for i in idx])

@@ -107,18 +107,34 @@ def ep_setup(field: PrimeField, p: int, m: int, n: int, servers: int,
     return EPSetup(params, servers, samples)
 
 
+_SETUP_TYPES = {"ep": EPSetup, "csa": csa.CSAParams, "csa-systematic": csa.CSAParams,
+                "gcsa": gcsa.GCSAParams, "ncsa": ncsa.NCSAParams, "lcc": ncsa.NCSAParams}
+
+
+def _check_setup(scheme: str, setup) -> None:
+    """Refuse an unknown scheme, a setup of another family than the
+    scheme's, and CSA parameters whose layout the scheme does not name."""
+    kind = _SETUP_TYPES.get(scheme)
+    if kind is None:
+        raise ParameterError(f"unknown scheme {scheme!r}")
+    if not isinstance(setup, kind):
+        raise ParameterError(f"{scheme!r} takes {kind.__name__}, not {type(setup).__name__}")
+    if kind is csa.CSAParams and setup.systematic != (scheme == "csa-systematic"):
+        raise ParameterError(f"scheme {scheme!r} does not match parameters "
+                             f"built with systematic={setup.systematic}")
+
+
 def theoretical_costs(scheme: str, setup) -> CostSummary:
     """Closed-form recovery threshold and normalized costs."""
+    _check_setup(scheme, setup)
     if scheme in ("ep", "gcsa"):  # EP is GCSA with ell = kc = 1
         ell, kc = (1, 1) if scheme == "ep" else (setup.ell, setup.kc)
         inner = setup.params if scheme == "ep" else setup.ep
         return CostSummary(*gcsa._gcsa_costs(ell, kc, inner.p, inner.m, inner.n,
                                              setup.servers))
-    if scheme in ("csa", "csa-systematic", "ncsa", "lcc"):  # CSA is N-CSA with N = 2
-        r = setup.threshold
-        u = Fraction(setup.servers, setup.kc)
-        return CostSummary(r, (u,) * setup.arity, Fraction(r, setup.batch_size))
-    raise ParameterError(f"unknown scheme {scheme!r}")
+    r = setup.threshold  # CSA is N-CSA with N = 2
+    u = Fraction(setup.servers, setup.kc)
+    return CostSummary(r, (u,) * setup.arity, Fraction(r, setup.batch_size))
 
 
 def run_cdbmm(field: PrimeField, scheme: str, setup, batch_a, batch_b,
@@ -130,6 +146,7 @@ def run_cdbmm(field: PrimeField, scheme: str, setup, batch_a, batch_b,
     """
     if scheme not in CDBMM_SCHEMES:
         raise ParameterError(f"unknown CDBMM scheme {scheme!r}")
+    _check_setup(scheme, setup)
     if byzantine is not None:
         raise ParameterError("the CDBMM decoders assume honest answers (B = 0)")
     batch_a, batch_b = ([field.residues(x) for x in csa._batch_entries(field, b, matrices=True)]
@@ -161,9 +178,6 @@ def run_cdbmm(field: PrimeField, scheme: str, setup, batch_a, batch_b,
             return list(ep.ep_decode(field, [(setup.samples[s], y) for s, y in answers],
                                      setup.params)), ()
     elif scheme in ("csa", "csa-systematic"):  # the layout is the setup's
-        if setup.systematic != (scheme == "csa-systematic"):
-            raise ParameterError(f"scheme {scheme!r} does not match parameters "
-                                 f"built with systematic={setup.systematic}")
 
         def encode(responsive):
             return list(zip(csa.csa_encode_a(field, batch_a, setup, servers),
@@ -194,15 +208,15 @@ def run_nlinear(field: PrimeField, params: ncsa.NCSAParams, job, batches,
     variable batch per map slot (per polynomial variable for a spec).
     Returns (evaluations, CostReport).
     """
+    _check_setup("ncsa", params)
     is_spec = isinstance(job, ncsa.PolynomialSpec)
     if params.systematic and is_spec:
         raise ParameterError("the systematic layout takes an N-linear map, not a polynomial spec")
     if byzantine is not None and byzantine.corrupted and not params.byzantine:
         raise ParameterError("corrupted servers need a Byzantine budget B >= 1")
-    arity = job.arity
-    if not is_spec and arity != params.arity:
+    if not is_spec and job.arity != params.arity:
         raise ParameterError("map arity does not match the parameters")
-    want_batches = job.num_vars if is_spec else arity
+    want_batches = job.num_vars if is_spec else job.arity
     if len(batches) != want_batches:
         raise ParameterError(
             f"need one variable batch per slot: got {len(batches)}, "

@@ -30,7 +30,7 @@ from .csa import (_answer_rows, _Groups, _raw, _server_list, _take_answers,
 from .errors import DecodingFailureError, ParameterError
 from .ffield import PrimeField
 # perfbench/tracer.py requires ncsa.solve_batch, so it stays importable here.
-from .structmat import _row_reduce, rs_error_correct, solve_batch  # noqa: F401
+from .structmat import _powers, _row_reduce, rs_error_correct, solve_batch  # noqa: F401
 
 # ---- N-linear maps ----
 
@@ -223,15 +223,13 @@ def xs_encode(field: PrimeField, batch, params: NCSAParams, var: int, servers,
     alphas = [params.samples[s] for s in _server_list(servers)]
     keys = [(k, x) for x in range(1, params.x_secure + 1) for k in range(params.kc)]
     shape = np.shape(batch[0])
+    powers = np.repeat(_powers(field, alphas, params.x_secure), params.kc, axis=1)  # per key
     for l in range(params.ell):
         blocks = [noise[(l, k, x)] if noise is not None else
                   noise_block(field, params.noise_seed, var, l, k, x, shape)
                   for k, x in keys]
-        coeffs = np.zeros((len(alphas), len(keys)), dtype=np.int64)
-        for i, alpha in enumerate(alphas):
-            delta = _group_delta(field, params, l, alpha)
-            coeffs[i] = [delta * field.pow(alpha, x - 1) % field.q for _, x in keys]
-        masks = field.matmul(coeffs,
+        deltas = np.array([_group_delta(field, params, l, a) for a in alphas], dtype=np.int64)
+        masks = field.matmul(deltas[:, None] * powers % field.q,
                              field.residues(np.stack(blocks)).reshape(len(keys), -1))
         for share, mask in zip(shares, masks):
             share[l] += mask.reshape(shape)

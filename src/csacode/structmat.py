@@ -1,12 +1,11 @@
 """Structured matrices behind every decoder, and exact solvers for them.
 
-Builds Cauchy-Vandermonde matrices (left block of Cauchy entries
-``1/(f_j - a_i)``, right block of Vandermonde powers) and their confluent
-generalization with pole multiplicities, from which ``csa._decode_matrix``
-builds the decode matrix of every Cauchy code.  One exact row reduction
-over GF(q) with first-nonzero pivoting serves every solver here (square
-batch solves, rectangular systems, rank) and the determinant map of
-``ncsa``; a Berlekamp-Welch decoder handles the Byzantine setting.
+Builds Cauchy-Vandermonde matrices (Cauchy entries ``1/(f_j - a_i)``, then
+Vandermonde powers) and their confluent form with pole multiplicities; EP
+decodes with the plain Vandermonde, and ``_powers`` builds every table of
+point powers.  One exact row reduction over GF(q) with first-nonzero
+pivoting serves every solver here (batch solves, rectangular systems, rank)
+and ``ncsa``'s determinant map; Berlekamp-Welch handles forged answers.
 """
 
 from __future__ import annotations
@@ -16,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DecodingFailureError, ParameterError, SingularMatrixError
-from .ffield import PrimeField, poly_divmod, poly_eval, poly_trim
+from .ffield import PrimeField, _integer, poly_divmod, poly_eval, poly_trim
 
 
 @dataclass(frozen=True)
@@ -79,6 +78,15 @@ def confluent_cv_matrix(field: PrimeField, spec: CVSpec) -> np.ndarray:
             p = p * a % q
         rows.append(row)
     return np.array(rows, dtype=np.int64).reshape(R, R)
+
+
+def _powers(field: PrimeField, xs, width: int) -> np.ndarray:
+    """(len(xs) x width) table whose row i is x_i^0, ..., x_i^(width-1) mod q."""
+    table = np.ones((len(xs), width), dtype=np.int64)
+    col = np.array([_integer(x, "a point") % field.q for x in xs], dtype=np.int64)
+    for j in range(1, width):
+        table[:, j] = table[:, j - 1] * col % field.q
+    return table
 
 
 def _row_reduce(field: PrimeField, aug: np.ndarray, cols: int):
@@ -191,21 +199,11 @@ def rs_error_correct(field: PrimeField, samples, values, degree_bound: int,
         return list(ys), []
     # Unknowns: N(x) with deg < d + b, and monic E(x) with deg = b.
     # Constraints: N(x_i) = y_i * E(x_i) for every i.
-    q = field.q
     num_n = d + b
-    mat = np.zeros((n, num_n + b), dtype=np.int64)
-    rhs = np.zeros(n, dtype=np.int64)
-    for i, (x, y) in enumerate(zip(xs, ys)):
-        p = 1
-        for j in range(num_n):
-            mat[i, j] = p
-            p = p * x % q
-        p = 1
-        for j in range(b):
-            mat[i, num_n + j] = (-y * p) % q
-            p = p * x % q
-        rhs[i] = y * p % q  # y * x^b from the monic leading term
-    sol = solve_any(field, mat, rhs)
+    powers = _powers(field, xs, max(num_n, b + 1))
+    y = np.array(ys, dtype=np.int64)
+    mat = np.concatenate([powers[:, :num_n], -y[:, None] * powers[:, :b] % field.q], axis=1)
+    sol = solve_any(field, mat, y * powers[:, b] % field.q)  # y x^b, as E is monic
     if sol is None:
         raise DecodingFailureError("error locator system is inconsistent")
     n_poly = poly_trim([int(c) for c in sol[:num_n]])

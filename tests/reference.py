@@ -18,6 +18,10 @@ library code calls them:
   systematic layout) or mixed by the Toeplitz blocks of
   psi_k(t) = prod_{k' != k}(t + f_{l,k'} - f_{l,k})^R' (GCSA), which the
   library's decode matrices must match on the desired unknowns;
+- ``confluent_decode_matrix``: the library's Cauchy decode matrix built
+  as it once was, ``confluent_cv_matrix`` with every Cauchy column scaled
+  by its A-side weight, which ``csa._decode_matrix`` must equal byte for
+  byte;
 - ``poly_mul``: the product of coefficient lists.
 """
 
@@ -287,3 +291,25 @@ def gcsa_paper_matrix(field: PrimeField, params, alphas) -> np.ndarray:
         coeffs = (psi_coeffs(field, params, l, k) + [0] * rp)[:rp]
         mixer[g * rp : (g + 1) * rp, g * rp : (g + 1) * rp] = lt_toeplitz(field, coeffs)
     return field.matmul(cv, mixer)
+
+
+def confluent_decode_matrix(field: PrimeField, params, listed, power: int,
+                            order: int = 1, slots=None) -> np.ndarray:
+    """The square decode matrix at the ``listed`` servers with unknowns for
+    the batch entries in ``slots`` (all by default): ``confluent_cv_matrix``
+    of their poles, every Cauchy column of entry (l, k) multiplied row by
+    row by the A-side weight prod_{k' != k}(f_{l,k'} - alpha)^power."""
+    slots = range(params.batch_size) if slots is None else slots
+    alphas = [params.samples[s] for s in listed]
+    mat = confluent_cv_matrix(field, CVSpec(tuple(params.poles[i] for i in slots),
+                                            tuple(alphas), order))
+    for col, i in enumerate(slots):
+        l, k = divmod(i, params.kc)
+        for row, alpha in enumerate(alphas):
+            w = 1
+            for k2 in range(params.kc):
+                if k2 != k:
+                    w = w * field.pow(field.sub(params.pole(l, k2), alpha), power) % field.q
+            cauchy = mat[row, col * order:(col + 1) * order]
+            cauchy[:] = cauchy * w % field.q
+    return mat

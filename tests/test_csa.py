@@ -11,7 +11,8 @@ from csacode.csa import (csa_answer, csa_decode, csa_encode_a,
 from csacode.errors import InsufficientAnswersError, ParameterError
 from csacode.ffield import PrimeField
 from csacode.structmat import CVSpec, solve_batch
-from reference import gcsa_paper_matrix, scaled_cv_matrix, scaling_constants
+from reference import (confluent_decode_matrix, gcsa_paper_matrix, scaled_cv_matrix,
+                       scaling_constants)
 
 FIELD = PrimeField(65537)
 
@@ -360,7 +361,8 @@ def test_systematic_all_raw_needs_zero_solves(monkeypatch):
 
 def test_systematic_decode_inverts_known_poles_in_one_batch(monkeypatch):
     # 8 raw results against 24 coded answers once took 8 * 24 scalar inverses
-    # (101 in the round); one batch_inv leaves 14
+    # (101 in the round); one batch_inv left 14, and taking the known
+    # results' coefficients from the decode matrix's own columns 13
     rng = np.random.default_rng(13)
     params = csa_params(FIELD, 4, 4, 40, systematic=True)
     aa = [FIELD.rand_matrix(rng, 3, 2) for _ in range(16)]
@@ -372,7 +374,7 @@ def test_systematic_decode_inverts_known_poles_in_one_batch(monkeypatch):
     products, _ = harness.run_cdbmm(
         FIELD, "csa-systematic", params, aa, bb,
         harness.StragglerModel(responsive=tuple(range(8)) + tuple(range(16, 40))))
-    assert len(calls) == 14
+    assert len(calls) == 13
     truth = harness.direct_products(FIELD, aa, bb)
     assert all(np.array_equal(p, t) for p, t in zip(products, truth))
 
@@ -467,6 +469,17 @@ def test_systematic_layout_reusing_poles_runs_only_as_itself():
         assert report.measured.download == report.theory.download
 
 
+@pytest.mark.parametrize("field, points", [(PrimeField(13), _REUSED_POLES),
+                                           (FIELD, {"systematic": True})],
+                         ids=["reused-poles-q13", "canonical"])
+def test_interference_counts_coded_servers_only(field, points):
+    # raw servers hold no cross terms: their rows once counted terms they
+    # never hold, and raw samples at the poles raised ZeroDivisionError
+    params = csa_params(field, 1, 2, 5, **points)
+    assert csa.cross_term_matrix(field, params).shape == (3, 2)
+    assert interference_rank(field, params) == 1
+
+
 def test_systematic_nlinear_reusing_poles_equals_the_oracle():
     # once a ZeroDivisionError unless run_nlinear was also told the layout
     small = PrimeField(13)
@@ -555,3 +568,40 @@ def test_decode_matrix_matches_the_papers_on_desired_unknowns(monkeypatch, q):
                               solve_batch(field, paper, rhs)[:desired])
         checked += 1
     assert checked == (9 if q == 13 else 13)  # GF(13) lacks the points for 4
+
+
+@pytest.mark.parametrize("q", [13, 65537, 2147483629])
+def test_decode_matrix_equals_the_scaled_confluent_matrix(q):
+    # _decode_matrix takes its Cauchy columns from the encoders' weights
+    # alone; it must equal, byte for byte, the confluent Cauchy-Vandermonde
+    # matrix scaled by the A-side weights that every decoder once solved:
+    # order 1 at every power 1..N-1, order R' (GCSA), and systematic subsets
+    # whose known results' columns leave the matrix
+    field = PrimeField(q)
+    rng = np.random.default_rng(q + 1)
+    cases = [(lambda: csa_params(field, 2, 2, 6), (1,), 1, None),
+             (lambda: csa_params(field, 1, 3, 6), (1,), 1, None),
+             (lambda: ncsa.ncsa_params(field, 3, 2, 2, 9, x_secure=1), (1, 2), 1, None),
+             (lambda: ncsa.ncsa_params(field, 3, 1, 2, 6, systematic=True), (1, 2), 1,
+              (0, 3, 4, 5)),
+             (lambda: csa_params(field, 2, 2, 8, systematic=True), (1,), 1, (1, 3, 4, 6, 7)),
+             (lambda: gcsa.gcsa_params(field, 2, 1, 2, 1, 1, 10), (2,), 2, None),
+             (lambda: gcsa.gcsa_params(field, 1, 2, 1, 2, 1, 8), (2,), 2, None)]
+    checked = 0
+    for make, powers, order, responsive in cases:
+        params = make()  # GF(13) holds the points of every case
+        width = (params.threshold if order == 1 else
+                 gcsa.gcsa_threshold(params.ell, params.kc, params.p, params.m, params.n))
+        if responsive is None:
+            responsive = sorted(int(s) for s in rng.choice(params.servers, width, replace=False))
+        known = [s for s in responsive
+                 if getattr(params, "systematic", False) and s < params.batch_size]
+        listed = [s for s in responsive if s not in known]
+        unknown = [i for i in range(params.batch_size) if i not in known]
+        for power in powers:
+            got = csa._decode_matrix(field, params, listed, power, width, order)
+            assert got.shape == (len(listed), width)
+            want = confluent_decode_matrix(field, params, listed, power, order, unknown)
+            assert np.delete(got, known, axis=1).tobytes() == want.tobytes()
+            checked += 1
+    assert checked == 9

@@ -179,6 +179,41 @@ def test_nlinear_byzantine_localization():
     assert report.flagged_servers == (5,)
 
 
+def _cdbmm(scheme, setup):
+    rng = np.random.default_rng(17)
+    batch = [[FIELD.rand_matrix(rng, 2, 2) for _ in range(2)] for _ in range(2)]
+    return harness.run_cdbmm(FIELD, scheme, setup, *batch,
+                             harness.StragglerModel(count=setup.servers))
+
+
+def _csa_setup():
+    return csa.csa_params(FIELD, 1, 2, 5)
+
+
+def _gcsa_setup():
+    return gcsa.gcsa_params(FIELD, 1, 2, 1, 2, 1, 8)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: _cdbmm("csa", ncsa.ncsa_params(FIELD, 3, 1, 2, 7)),
+    lambda: _cdbmm("csa", _gcsa_setup()),
+    lambda: _cdbmm("gcsa", _csa_setup()),
+    lambda: _cdbmm("ep", _csa_setup()),
+    lambda: _cdbmm("csa", harness.ep_setup(FIELD, 2, 1, 1, 5)),
+    lambda: harness.theoretical_costs("ep", _csa_setup()),
+    lambda: harness.theoretical_costs("csa", _gcsa_setup()),
+    lambda: harness.run_nlinear(FIELD, _csa_setup(), ncsa.matmul_map(2, 2, 2),
+                                [_matrices(1), _matrices(2)], harness.StragglerModel(count=5)),
+], ids=["ncsa-as-csa", "gcsa-as-csa", "csa-as-gcsa", "csa-as-ep", "ep-as-csa",
+        "costs-csa-as-ep", "costs-gcsa-as-csa", "nlinear-on-csa"])
+def test_a_setup_of_another_family_is_refused(call):
+    # N-CSA parameters under "csa" once decoded wrong products with no error
+    # (the arity-3 decode matrix against bilinear shares); the others died
+    # with a bare AttributeError
+    with pytest.raises(ParameterError, match="takes"):
+        call()
+
+
 def test_nlinear_rejects_forgers_without_a_byzantine_budget():
     # with B = 0 the forged answer once decoded to wrong evaluations, unflagged
     rng = np.random.default_rng(14)
@@ -281,8 +316,7 @@ for name, workload in workloads.WORKLOADS.items():
 print(json.dumps(out))
 """
 
-_ROUND_GROUPS = ("ffield.matmul", "ffield.inv", "structmat.cv_matrix",
-                 "structmat.solve_batch", "harness.round")
+_ROUND_GROUPS = ("ffield.matmul", "ffield.inv", "structmat.solve_batch", "harness.round")
 _CSA_GROUPS = ("csa.encode", "csa.answer", "csa.decode")
 _NCSA_GROUPS = ("ncsa.encode", "ncsa.noise", "ncsa.answer", "ncsa.decode")
 # Every group of perfbench/tracer.py that reads above zero on each workload.
@@ -291,8 +325,9 @@ _TIMED_GROUPS = {
     "cdbmm-q31": _CSA_GROUPS + _ROUND_GROUPS,
     "secure-byzantine": ("csa.encode", "structmat.rs_error_correct")
                         + _NCSA_GROUPS + _ROUND_GROUPS,
-    "small-mixed": ("ep.encode", "ep.answer", "ep.decode", "gcsa.encode", "gcsa.decode")
-                   + _CSA_GROUPS + _NCSA_GROUPS + _ROUND_GROUPS,
+    # ep_decode's Vandermonde is the one cv_matrix left; no Cauchy decoder runs it
+    "small-mixed": ("ep.encode", "ep.answer", "ep.decode", "gcsa.encode", "gcsa.decode",
+                    "structmat.cv_matrix") + _CSA_GROUPS + _NCSA_GROUPS + _ROUND_GROUPS,
 }
 
 
