@@ -16,6 +16,7 @@ decoder subtracts from the coded answers before solving for the rest.
 
 from __future__ import annotations
 
+import functools
 import numbers
 from dataclasses import dataclass
 
@@ -25,6 +26,9 @@ from .errors import InsufficientAnswersError, ParameterError
 from .ffield import _ARENA_MIN_BYTES, PrimeField, _arena, _integer, _shares_out
 # perfbench/tracer.py requires csa.cv_matrix, so it stays importable here.
 from .structmat import _powers, cv_matrix, matrix_rank, solve_batch  # noqa: F401
+
+# Each of csa, gcsa and ep keeps its last 512 decode plans, one LRU per module.
+_plan_cache = functools.lru_cache(maxsize=512)
 
 
 class _Groups:
@@ -254,9 +258,9 @@ def csa_decode(field: PrimeField, answers, params: CSAParams) -> list[np.ndarray
     In a systematic layout a raw server's answer is its own result: it is
     read off and removed from the coded answers through its own Cauchy
     column of ``_decode_matrix``, the exact coefficient it carries there.
-    The reduced system keeps the Cauchy columns of the unknown results plus
-    the full Vandermonde tail, R - L = (kc-1)(N-1) columns wide.  Returned
-    raw results are copies, never the answers themselves.
+    The reduced system keeps the unknown results' Cauchy columns plus the
+    (kc-1)(N-1) tail columns; its solution is one product with ``_plan``.
+    Returned raw results are copies, never the answers themselves.
     """
     batch = params.batch_size
     answers = _take_answers(answers, params.threshold, params.servers)
@@ -264,18 +268,34 @@ def csa_decode(field: PrimeField, answers, params: CSAParams) -> list[np.ndarray
     known = {s: y for s, y in answers if s < raw}
     if len(known) == batch:
         return [np.array(known[i]) for i in range(batch)]
-    coded = [(s, y) for s, y in answers if s >= raw]
-    mat = _decode_matrix(field, params, [s for s, _ in coded], params.arity - 1,
-                         params.threshold)
-    rhs = _answer_rows([y for _, y in coded])
+    rows, known_cols = _plan(field, params, tuple(s for s, _ in answers))
+    rhs = field.residues(_answer_rows([y for s, y in answers if s >= raw]))
     if known:
-        rhs = (rhs - field.matmul(mat[:, list(known)],
-                                  _answer_rows(list(known.values())))) % field.q
-        mat = np.delete(mat, list(known), axis=1)
-    solved = iter(solve_batch(field, mat, rhs, rows=slice(batch - len(known))))
+        rhs = (rhs - field.matmul(known_cols, _answer_rows(list(known.values())))) % field.q
+    solved = iter(field.matmul(rows, rhs))
     shape = answers[0][1].shape
     return [np.array(known[i]) if i in known else next(solved).reshape(shape)
             for i in range(batch)]
+
+
+@_plan_cache
+def _plan(field: PrimeField, params, listed: tuple) -> tuple:
+    """``csa_decode``'s plan for the ``listed`` servers in answer order: the unknown
+    results' rows of the reduced inverse, and the known results' columns (or None)."""
+    raw = _raw(params)
+    known = [s for s in listed if s < raw]
+    mat = _decode_matrix(field, params, [s for s in listed if s >= raw],
+                         params.arity - 1, params.threshold)
+    cols = _read_only(mat[:, known]) if known else None
+    rows = solve_batch(field, np.delete(mat, known, axis=1) if known else mat,
+                       np.eye(len(mat), dtype=np.int64),
+                       rows=slice(params.batch_size - len(known)))
+    return _read_only(rows), cols
+
+
+def _read_only(plan: np.ndarray) -> np.ndarray:
+    plan.setflags(write=False)  # every later decode of its key shares it
+    return plan
 
 
 def _answer_rows(ys) -> np.ndarray:

@@ -10,9 +10,9 @@ Encoding is one generator product per side: the S x mp (or S x pn) table of
 alpha_s^e, one row per server and one column per block in row-major grid
 order, times the blocks of every batch entry stacked as (blocks x entries *
 block size), so every server's share of every entry comes out at once
-(``csa._generator_encode``).  Decoding takes a whole batch of answers as
-right-hand-side columns of one Vandermonde solve, which returns only the mn
-desired coefficients.
+(``csa._generator_encode``).  Decoding multiplies a whole batch of answers,
+as columns, by the plan of the answering points: the mn desired rows of the
+inverse Vandermonde, built by one solve on their first decode.
 """
 
 from __future__ import annotations
@@ -22,10 +22,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .csa import _answer_rows, _generator_encode, _server_list
+from .csa import _answer_rows, _generator_encode, _plan_cache, _read_only, _server_list
 from .errors import InsufficientAnswersError, ParameterError
 from .ffield import PrimeField
-from .structmat import CVSpec, _powers, cv_matrix, solve_batch
+from .structmat import _powers, solve_batch
 
 
 @dataclass(frozen=True)
@@ -114,8 +114,8 @@ def ep_decode(field: PrimeField, answers, params: EPParams):
 
     ``answers`` is an iterable of (alpha, Y) pairs.  Y is one answer matrix,
     which returns the one product, or a stack of them (one per batch entry),
-    which returns the list of products; either way the desired coefficient
-    matrices are interpolated entry-wise with one Vandermonde solve, then
+    which returns the list of products; either way one product with
+    ``_plan`` interpolates the desired coefficient matrices entry-wise, then
     each product's block grid is reassembled.
     """
     r = ep_threshold(params)
@@ -123,14 +123,21 @@ def ep_decode(field: PrimeField, answers, params: EPParams):
     if len(answers) < r:
         raise InsufficientAnswersError(f"need {r} answers, got {len(answers)}")
     answers = answers[:r]
-    # a Cauchy-Vandermonde matrix without poles is the plain Vandermonde
-    vand = cv_matrix(field, CVSpec((), tuple(a % field.q for a, _ in answers)))
     shape = np.shape(answers[0][1])  # (entries x) block
-    idx = _desired_indices(params)
-    coeffs = solve_batch(field, vand, _answer_rows([y for _, y in answers]), rows=idx)
-    if len(shape) == 2:
-        return _extract_products(params, coeffs.reshape((len(idx), 1) + shape))[0]
-    return _extract_products(params, coeffs.reshape((len(idx),) + shape))
+    coeffs = field.matmul(_plan(field, params, tuple(a % field.q for a, _ in answers)),
+                          field.residues(_answer_rows([y for _, y in answers])))
+    products = _extract_products(params, coeffs.reshape((len(coeffs), -1) + shape[-2:]))
+    return products[0] if len(shape) == 2 else products
+
+
+@_plan_cache
+def _plan(field: PrimeField, params: EPParams, alphas: tuple) -> np.ndarray:
+    """``ep_decode``'s plan: the desired coefficients' rows of the inverse Vandermonde."""
+    if len(set(alphas)) != len(alphas):
+        raise ParameterError("evaluation points must be pairwise distinct")
+    return _read_only(solve_batch(field, _powers(field, alphas, len(alphas)),
+                                  np.eye(len(alphas), dtype=np.int64),
+                                  rows=_desired_indices(params)))
 
 
 def _desired_indices(params: EPParams) -> list[int]:

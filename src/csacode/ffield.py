@@ -47,7 +47,7 @@ follows from this thread's round state, ``_ROUND``, which
 outside a round, after the encode step or in a round nested in another (by
 a map or a forger) return fresh arrays.  A large CDBMM round
 (``harness.run_cdbmm``) then allocates only the products it returns, as
-``solve_batch`` computes just their rows; N-CSA answers come fresh from the
+each decoder's plan holds just their rows; N-CSA answers come fresh from the
 map.  Measured in the benchmark's own loop (its reference kernel, then one
 operation, oracle included, over 20 operations; one BLAS thread, 2-core
 x86-64 VM), a ``cdbmm-large`` operation took 3,094 to 3,605 minor faults
@@ -82,6 +82,7 @@ FLOAT_MIN_MACS = 20**3
 # float64 represents every integer below 2^53 exactly.
 _FLOAT_EXACT = 2**53
 _LIMB_BITS = 16
+_CHUNK_SUMS = 2**63 // _FLOAT_EXACT - 1  # chunk sums (each < 2^53) an int64 holds with a residue
 # Output columns per float64 block, so each block is cast and reduced while
 # it is still in cache.  With workspaces, the per-group encode product of
 # cdbmm-large, (14x4)@(4x36864) at q = 65537, took 1.86 ms at 4096 columns,
@@ -245,10 +246,10 @@ class PrimeField:
         chunk of inner terms, each chunk short enough that its float64 sums
         stay below 2^53 and so are exact integers.  Output columns go in
         blocks of ``_COLUMN_BLOCK``: each block of ``b`` is cast into the
-        ``y`` workspace, and each block's ``dgemm`` writes into the ``part``
-        workspace, which is cast into ``out`` and reduced there while it is
-        still in cache.  ``out`` is allocated when not given, and nothing
-        else is."""
+        ``y`` workspace, and each chunk's ``dgemm`` writes into the ``part``
+        workspace, which is added into ``out`` while it is still in cache,
+        reduced once a block and after every ``_CHUNK_SUMS`` added chunks.
+        ``out`` is allocated when not given, and nothing else is."""
         q = self.q
         x, chunk = self._float_a(a)
         if out is None:
@@ -258,15 +259,17 @@ class PrimeField:
             block = out[:, cols]
             y = self._float_b(b[:, cols], x.shape[1])
             part = _workspace("part", block.shape, np.float64)
-            for lo in range(0, x.shape[1], chunk):
+            for i, lo in enumerate(range(0, x.shape[1], chunk)):
                 np.matmul(x[:, lo : lo + chunk], y[lo : lo + chunk], out=part)
-                if lo == 0:
+                if i == 0:
                     np.copyto(block, part, casting="unsafe")
-                else:  # below 2^53 + q: no int64 overflow
-                    terms = _workspace("quot", block.shape, np.int64)
-                    np.copyto(terms, part, casting="unsafe")
-                    block += terms
-                _reduce(block, q)
+                    continue
+                terms = _workspace("quot", block.shape, np.int64)
+                np.copyto(terms, part, casting="unsafe")
+                block += terms
+                if i % _CHUNK_SUMS == 0:
+                    _reduce(block, q)
+            _reduce(block, q)
         return out
 
     def _float_a(self, a: np.ndarray):

@@ -24,8 +24,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .csa import (_answer_rows, _cauchy_weights, _decode_matrix, _generator_encode,
-                  _Groups, _server_list, _take_answers, cauchy_points)
+from .csa import (_answer_rows, _cauchy_weights, _decode_matrix, _generator_encode, _Groups,
+                  _plan_cache, _read_only, _server_list, _take_answers, cauchy_points)
 from .ep import (EPParams, _a_exponents, _b_exponents, _desired_indices,
                  _extract_products)
 from .errors import ParameterError
@@ -54,17 +54,20 @@ class GCSAParams(_Groups):
     def ep(self) -> EPParams:
         return EPParams(self.p, self.m, self.n)
 
+    @property
+    def threshold(self) -> int:
+        return gcsa_threshold(self.ell, self.kc, self.p, self.m, self.n)
+
 
 def gcsa_threshold(ell: int, kc: int, p: int, m: int, n: int) -> int:
     return p * m * n * ((ell + 1) * kc - 1) + p - 1
 
 
-def _gcsa_costs(ell: int, kc: int, p: int, m: int, n: int, servers: int):
-    """(R, (U_A, U_B), D) of GCSA on ``servers`` servers: the threshold, the
-    normalized uploads S/(kc p m) and S/(kc p n) and the normalized download
-    R/(mn ell kc).  EP is the case ell = kc = 1 and CSA p = m = n = 1."""
-    r = gcsa_threshold(ell, kc, p, m, n)
-    return (r, (Fraction(servers, kc * p * m), Fraction(servers, kc * p * n)),
+def _gcsa_loads(r: int, ell: int, kc: int, p: int, m: int, n: int, servers: int):
+    """((U_A, U_B), D) of GCSA with threshold ``r`` on ``servers`` servers:
+    the normalized uploads S/(kc p m) and S/(kc p n) and the normalized
+    download R/(mn ell kc).  EP is the case ell = kc = 1 and CSA p = m = n = 1."""
+    return ((Fraction(servers, kc * p * m), Fraction(servers, kc * p * n)),
             Fraction(r, m * n * ell * kc))
 
 
@@ -111,18 +114,22 @@ def gcsa_encode_b(field: PrimeField, batch_b, params: GCSAParams, servers) -> li
 def gcsa_decode(field: PrimeField, answers, params: GCSAParams) -> list[np.ndarray]:
     """Recover the L full products from any R answers.
 
-    Solves the decode matrix whose Cauchy unknowns are the inner-code
-    coefficient matrices per (group, slot), R' pole powers each, for just
-    the desired blocks at the entangled-polynomial extraction indices, and
-    reassembles them.
+    The decode matrix's Cauchy unknowns are the inner-code coefficient
+    matrices per (group, slot), R' pole powers each; one product with
+    ``_plan`` solves for just the desired blocks at the entangled-polynomial
+    extraction indices, which are reassembled.
     """
-    r = gcsa_threshold(params.ell, params.kc, params.p, params.m, params.n)
-    answers = _take_answers(answers, r, params.servers)
+    answers = _take_answers(answers, params.threshold, params.servers)
+    sol = field.matmul(_plan(field, params, tuple(s for s, _ in answers)),
+                       field.residues(_answer_rows([y for _, y in answers])))
+    desired = sol.reshape((params.batch_size, -1) + answers[0][1].shape)
+    return list(_extract_products(params.ep, desired.transpose(1, 0, 2, 3)))
+
+
+@_plan_cache
+def _plan(field: PrimeField, params: GCSAParams, listed: tuple) -> np.ndarray:
+    """``gcsa_decode``'s plan: the desired blocks' rows of the inverse, slot-major."""
     rp = params.inner_order
-    mat = _decode_matrix(field, params, [s for s, _ in answers], rp, r, rp)
-    idx = _desired_indices(params.ep)
-    sol = solve_batch(field, mat, _answer_rows([y for _, y in answers]),
-                      rows=[j * rp + i for j in range(params.batch_size) for i in idx])
-    bh, bw = answers[0][1].shape
-    desired = sol.reshape(params.batch_size, len(idx), bh, bw).transpose(1, 0, 2, 3)
-    return list(_extract_products(params.ep, desired))
+    mat = _decode_matrix(field, params, listed, rp, params.threshold, rp)
+    rows = [j * rp + i for j in range(params.batch_size) for i in _desired_indices(params.ep)]
+    return _read_only(solve_batch(field, mat, np.eye(len(listed), dtype=np.int64), rows=rows))

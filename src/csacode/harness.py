@@ -130,8 +130,9 @@ def theoretical_costs(scheme: str, setup) -> CostSummary:
     if scheme in ("ep", "gcsa"):  # EP is GCSA with ell = kc = 1
         ell, kc = (1, 1) if scheme == "ep" else (setup.ell, setup.kc)
         inner = setup.params if scheme == "ep" else setup.ep
-        return CostSummary(*gcsa._gcsa_costs(ell, kc, inner.p, inner.m, inner.n,
-                                             setup.servers))
+        r = ep.ep_threshold(inner) if scheme == "ep" else setup.threshold
+        return CostSummary(r, *gcsa._gcsa_loads(r, ell, kc, inner.p, inner.m, inner.n,
+                                                setup.servers))
     r = setup.threshold  # CSA is N-CSA with N = 2
     u = Fraction(setup.servers, setup.kc)
     return CostSummary(r, (u,) * setup.arity, Fraction(r, setup.batch_size))
@@ -174,7 +175,7 @@ def run_cdbmm(field: PrimeField, scheme: str, setup, batch_a, batch_b,
                 ep.ep_answer(field, a, b, counter, y)
             return out
 
-        def decode(answers):  # the whole batch as right-hand sides of one solve
+        def decode(answers):  # the whole batch as columns of one plan product
             return list(ep.ep_decode(field, [(setup.samples[s], y) for s, y in answers],
                                      setup.params)), ()
     elif scheme in ("csa", "csa-systematic"):  # the layout is the setup's
@@ -285,8 +286,9 @@ def _round(scheme: str, setup, operands, straggler: StragglerModel,
     if len(responsive) < r:
         raise InsufficientAnswersError(f"{len(responsive)} responsive servers, threshold is {r}")
     bad = set() if byzantine is None else set(byzantine.corrupted)
-    # An over-budget adversary is not rejected here; the decoder's error
-    # correction detects it and raises a decoding failure.
+    # Not rejected here: xsb_decode corrects up to B forgeries among the first R
+    # answers, but past B it fails only with high probability at large q; at
+    # small q an over-budget forgery can decode to wrong values, unflagged.
     if not bad <= set(responsive):
         raise ParameterError("corrupted servers must be responsive")
 

@@ -1,11 +1,11 @@
 """Structured matrices behind every decoder, and exact solvers for them.
 
 Builds Cauchy-Vandermonde matrices (Cauchy entries ``1/(f_j - a_i)``, then
-Vandermonde powers) and their confluent form with pole multiplicities; EP
-decodes with the plain Vandermonde, and ``_powers`` builds every table of
-point powers.  One exact row reduction over GF(q) with first-nonzero
-pivoting serves every solver here (batch solves, rectangular systems, rank)
-and ``ncsa``'s determinant map; Berlekamp-Welch handles forged answers.
+Vandermonde powers) and their confluent form with pole multiplicities,
+which no decoder uses any more; ``_powers`` builds every table of point
+powers.  One exact row reduction over GF(q) with first-nonzero pivoting
+serves every solver here (batch solves, rectangular systems, rank) and
+``ncsa``'s determinant map; Berlekamp-Welch handles forged answers.
 """
 
 from __future__ import annotations
@@ -55,29 +55,13 @@ def confluent_cv_matrix(field: PrimeField, spec: CVSpec) -> np.ndarray:
 
     For each pole f the columns run 1/(f-a)^order down to 1/(f-a), followed
     by the Vandermonde tail 1, a, ..., a^(R - order*L - 1).  Every 1/(f-a)
-    comes from one batched inversion.
+    comes from one batched inversion, and every power from ``_powers``.
     """
-    q = field.q
-    R = len(spec.samples)
-    L = len(spec.poles)
-    r1 = spec.order
-    diffs = [field.sub(f, a) for a in spec.samples for f in spec.poles]
-    invs = field.batch_inv(diffs)
-    rows = []
-    for i, a in enumerate(spec.samples):
-        row = []
-        for d, c in zip(diffs[i * L : (i + 1) * L], invs[i * L : (i + 1) * L]):
-            p = pow(c, r1, q)
-            for _ in range(r1):
-                row.append(p)
-                # step down one multiplicity: (f-a)^-(r1-j) -> (f-a)^-(r1-j-1)
-                p = p * d % q
-        p = 1
-        for _ in range(R - r1 * L):
-            row.append(p)
-            p = p * a % q
-        rows.append(row)
-    return np.array(rows, dtype=np.int64).reshape(R, R)
+    rows, order = len(spec.samples), spec.order
+    invs = field.batch_inv([field.sub(f, a) for a in spec.samples for f in spec.poles])
+    cauchy = _powers(field, invs, order + 1)[:, :0:-1].reshape(rows, -1)
+    tail = _powers(field, spec.samples, rows - order * len(spec.poles))
+    return np.concatenate([cauchy, tail], axis=1)
 
 
 def _powers(field: PrimeField, xs, width: int) -> np.ndarray:
@@ -93,11 +77,12 @@ def _row_reduce(field: PrimeField, aug: np.ndarray, cols: int):
     """Bring ``aug`` in place to reduced row echelon form on its first ``cols``
     columns, the one exact elimination behind every solver here.
 
-    Pivoting is first-nonzero; each pivot costs one scaled pivot row and one
-    rank-1 update of every other row, and a column without a pivot is
-    skipped.  Returns the pivot columns and the product of the pivots before
-    scaling, negated once per row swap: the determinant when the leading
-    block is square and every column has a pivot.
+    Pivoting is first-nonzero; each pivot costs one rank-1 update, which
+    scales the pivot row by 1/pivot and clears the column in every other
+    row, and a column without a pivot is skipped.  Returns the pivot
+    columns and the product of the pivots before scaling, negated once per
+    row swap: the determinant when the leading block is square and every
+    column has a pivot.
     """
     q = field.q
     rows = aug.shape[0]
@@ -115,10 +100,10 @@ def _row_reduce(field: PrimeField, aug: np.ndarray, cols: int):
             det = -det
         pivot = int(aug[r, c])
         det = det * pivot % q
-        aug[r] = aug[r] * field.inv(pivot) % q
-        others = aug[:, c].copy()
-        others[r] = 0
-        aug -= others[:, None] * aug[r]
+        inv = field.inv(pivot)
+        factors = aug[:, c] * inv % q
+        factors[r] = 1 - inv  # aug[r] - (1 - inv) * aug[r] is aug[r] / pivot
+        aug -= factors[:, None] * aug[r]
         aug %= q
         pivots.append(c)
         if len(pivots) == rows:
@@ -130,24 +115,23 @@ def solve_batch(field: PrimeField, mat: np.ndarray, rhs: np.ndarray,
                 rows=None) -> np.ndarray:
     """Solve ``mat @ x = rhs`` exactly over GF(q) for every rhs column.
 
-    Row-reduces the R x 2R block ``[mat | I]`` to get the inverse, then
-    returns one ``field.matmul(inverse, rhs)``, so the elimination never
-    touches the (possibly very wide) right-hand side.  ``rows`` (a slice or
-    a sequence of indices) keeps only those unknowns: the product then
-    multiplies only their rows of the inverse, and the fresh result holds
-    just them.  Pivots depend only on ``mat``'s columns: a column with no
-    pivot raises SingularMatrixError carrying the column index.
+    Row-reduces the block ``[mat | rhs]``, so the cost grows with the width
+    of ``rhs``: each decoder passes the identity, once per plan (the desired
+    rows of the inverse, ``csa._plan``), and applies the plan to its answers
+    as one product.  ``rows`` (a slice or a sequence of indices) keeps only
+    those unknowns, and the fresh result holds just them.  Pivots depend
+    only on ``mat``'s columns: a column with no pivot raises
+    SingularMatrixError carrying the column index.
     """
     mat, rhs = field.residues(mat), field.residues(rhs)
     n = mat.shape[0]
     if mat.shape != (n, n):
         raise ParameterError("solve_batch requires a square matrix")
-    aug = np.concatenate([mat, np.eye(n, dtype=np.int64)], axis=1)
+    aug = np.concatenate([mat, rhs.reshape(n, -1)], axis=1)
     pivots, _ = _row_reduce(field, aug, n)
     if len(pivots) < n:
         raise SingularMatrixError(min(set(range(n)) - set(pivots)))
-    inverse = aug[:, n:] if rows is None else aug[rows, n:]
-    sol = field.matmul(inverse, rhs.reshape(n, -1))
+    sol = (aug[:, n:] if rows is None else aug[rows, n:]).copy()
     return sol.reshape(sol.shape[:1] + rhs.shape[1:])
 
 

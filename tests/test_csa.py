@@ -382,7 +382,9 @@ def test_systematic_decode_inverts_known_poles_in_one_batch(monkeypatch):
 @pytest.mark.parametrize("q", [65537, 2147483629])
 def test_systematic_decode_removes_known_results_in_one_product(monkeypatch, q):
     # the known results' Cauchy contributions leave the coded answers through
-    # one matmul; the reduced system takes the other (solve_batch's)
+    # one matmul and the reduced system takes one more, the plan's product;
+    # a cold decode first builds the plan with one solve (which row-reduces
+    # its identity right-hand side, no matmul), a warm one runs no solve
     field = PrimeField(q)
     rng = np.random.default_rng(14)
     params = csa_params(field, 2, 3, 14, systematic=True)
@@ -393,11 +395,19 @@ def test_systematic_decode_removes_known_results_in_one_product(monkeypatch, q):
     calls = []
     monkeypatch.setattr(PrimeField, "matmul", lambda self, a, b, **kw: calls.append(
         (a.shape, b.shape)) or matmul(self, a, b, **kw))
-    got = csa_decode(field, answers, params)
-    assert calls[0] == ((params.threshold - 4, 4), (4, 20))
-    assert len(calls) == 2
+    solves = []
+    monkeypatch.setattr(csa, "solve_batch", lambda *args, **kw: solves.append(
+        args[1].shape) or solve_batch(*args, **kw))
+    coded = params.threshold - 4
     truth = harness.direct_products(field, aa, bb)
-    assert all(np.array_equal(g, t) for g, t in zip(got, truth))
+    for built in ([(coded, coded)], []):  # cold, then warm
+        calls.clear()
+        solves.clear()
+        got = csa_decode(field, answers, params)
+        assert solves == built
+        # 2 unknown results: the plan holds their rows of the reduced inverse
+        assert calls == [((coded, 4), (4, 20)), ((2, coded), (coded, 20))]
+        assert all(np.array_equal(g, t) for g, t in zip(got, truth))
 
 
 def test_systematic_matches_plain_decode_everywhere():
@@ -553,9 +563,8 @@ def test_decode_matrix_matches_the_papers_on_desired_unknowns(monkeypatch, q):
     checked = 0
     for module, decode, params, servers in _decoder_cases(field):
         if servers is None:
-            r = (params.threshold if decode is not gcsa.gcsa_decode else
-                 gcsa.gcsa_threshold(params.ell, params.kc, params.p, params.m, params.n))
-            servers = sorted(int(s) for s in rng.choice(params.servers, r, replace=False))
+            servers = sorted(int(s) for s in rng.choice(params.servers, params.threshold,
+                                                        replace=False))
         mats = []
         monkeypatch.setattr(module, "solve_batch",
                             lambda f, mat, rhs, **kw: mats.append(mat)
@@ -590,8 +599,7 @@ def test_decode_matrix_equals_the_scaled_confluent_matrix(q):
     checked = 0
     for make, powers, order, responsive in cases:
         params = make()  # GF(13) holds the points of every case
-        width = (params.threshold if order == 1 else
-                 gcsa.gcsa_threshold(params.ell, params.kc, params.p, params.m, params.n))
+        width = params.threshold
         if responsive is None:
             responsive = sorted(int(s) for s in rng.choice(params.servers, width, replace=False))
         known = [s for s in responsive

@@ -137,6 +137,27 @@ def test_matmul_inner_sizes_straddle_every_chunk_boundary():
             assert (field.matmul(odd_a, odd_b) == n * (q - 2) * b_value % q).all()
 
 
+@pytest.mark.parametrize("chunks", [1, 2, 1023, 1024, 1025])
+def test_matmul_sums_many_chunks_before_one_reduction(chunks):
+    # At q near 2^31 a chunk is 32 inner indices (64 limb terms, each chunk
+    # sum below 2^53).  A column block adds its chunk sums in int64 and
+    # reduces once, and after every _CHUNK_SUMS added chunks: 1023, 1024 and
+    # 1025 chunks straddle that, with and without out=.
+    assert ffield._CHUNK_SUMS == 1023
+    field = PrimeField(Q31)
+    n = 32 * chunks
+    rng = np.random.default_rng(chunks)
+    odd_b = np.full((n, 1), min(Q31 - 1, 2**31 - 2**16 - 1), dtype=np.int64)
+    for a, b in ((field.rand_matrix(rng, 2, n), field.rand_matrix(rng, n, 1)),
+                 worst_case(Q31, (2, n), (n, 1)),
+                 (np.full((2, n), Q31 - 2, dtype=np.int64), odd_b)):
+        want = reference_matmul(a, b, Q31).astype(np.int64)
+        assert np.array_equal(field.matmul(a, b), want)
+        out = np.full((2, 1), -1, dtype=np.int64)
+        assert field.matmul(a, b, out=out) is out
+        assert np.array_equal(out, want)
+
+
 def test_matmul_wide_output_spans_column_blocks():
     # 8193 output columns run as several column blocks, each over 3 inner
     # chunks at q near 2^31

@@ -177,8 +177,8 @@ def test_solve_batch_singular_reports_pivot():
 
 
 def test_solve_batch_wide_rhs_against_python_ints():
-    # the inverse-times-rhs product runs on the float64 kernel here, so the
-    # solution is checked by multiplying back in Python integers
+    # a right-hand side far wider than the matrix is row-reduced along with
+    # it; the solution is checked by multiplying back in Python integers
     rng = np.random.default_rng(23)
     for field in FIELDS:
         mat = cv_matrix(field, CVSpec((1, 2, 3), tuple(range(4, 12))))

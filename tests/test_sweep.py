@@ -49,8 +49,7 @@ def _setups(field):
 
 def _round(field, scheme, setup, rng):
     """One seeded round of ``setup`` and the oracle's results."""
-    r = setup.threshold if scheme != "gcsa" else gcsa.gcsa_threshold(
-        setup.ell, setup.kc, setup.p, setup.m, setup.n)
+    r = setup.threshold
     count = int(rng.integers(r, setup.servers + 1))
     straggler = harness.StragglerModel(count=count, seed=int(rng.integers(1 << 30)))
     entries = setup.batch_size
