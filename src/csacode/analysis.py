@@ -17,7 +17,7 @@ from fractions import Fraction
 from typing import Optional
 
 from .errors import ParameterError
-from .gcsa import _gcsa_loads, gcsa_threshold
+from .gcsa import _gcsa_costs, gcsa_threshold
 
 
 @dataclass(frozen=True)
@@ -67,10 +67,9 @@ def enumerate_costs(family: str, servers: int, r_max: int,
                     if gcsa_threshold(ell, 1, p, m, n) > r_max:
                         break
                     for kc in kcs:
-                        r = gcsa_threshold(ell, kc, p, m, n)
+                        r, uploads, download = _gcsa_costs(ell, kc, p, m, n, servers)
                         if r > r_max:
                             break
-                        uploads, download = _gcsa_loads(r, ell, kc, p, m, n, servers)
                         w = {"ell": ell, "kc": kc, "p": p, "m": m, "n": n}
                         yield max(uploads), download, {k: w[k] for k in _FREE[family]}
 

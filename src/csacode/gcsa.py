@@ -63,11 +63,12 @@ def gcsa_threshold(ell: int, kc: int, p: int, m: int, n: int) -> int:
     return p * m * n * ((ell + 1) * kc - 1) + p - 1
 
 
-def _gcsa_loads(r: int, ell: int, kc: int, p: int, m: int, n: int, servers: int):
-    """((U_A, U_B), D) of GCSA with threshold ``r`` on ``servers`` servers:
-    the normalized uploads S/(kc p m) and S/(kc p n) and the normalized
-    download R/(mn ell kc).  EP is the case ell = kc = 1 and CSA p = m = n = 1."""
-    return ((Fraction(servers, kc * p * m), Fraction(servers, kc * p * n)),
+def _gcsa_costs(ell: int, kc: int, p: int, m: int, n: int, servers: int):
+    """(R, (U_A, U_B), D) of GCSA on ``servers`` servers: the threshold, the
+    normalized uploads S/(kc p m) and S/(kc p n) and the normalized download
+    R/(mn ell kc).  EP is the case ell = kc = 1 and CSA p = m = n = 1."""
+    r = gcsa_threshold(ell, kc, p, m, n)
+    return (r, (Fraction(servers, kc * p * m), Fraction(servers, kc * p * n)),
             Fraction(r, m * n * ell * kc))
 
 

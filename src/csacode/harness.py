@@ -130,9 +130,8 @@ def theoretical_costs(scheme: str, setup) -> CostSummary:
     if scheme in ("ep", "gcsa"):  # EP is GCSA with ell = kc = 1
         ell, kc = (1, 1) if scheme == "ep" else (setup.ell, setup.kc)
         inner = setup.params if scheme == "ep" else setup.ep
-        r = ep.ep_threshold(inner) if scheme == "ep" else setup.threshold
-        return CostSummary(r, *gcsa._gcsa_loads(r, ell, kc, inner.p, inner.m, inner.n,
-                                                setup.servers))
+        return CostSummary(*gcsa._gcsa_costs(ell, kc, inner.p, inner.m, inner.n,
+                                             setup.servers))
     r = setup.threshold  # CSA is N-CSA with N = 2
     u = Fraction(setup.servers, setup.kc)
     return CostSummary(r, (u,) * setup.arity, Fraction(r, setup.batch_size))

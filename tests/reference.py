@@ -18,9 +18,13 @@ library code calls them:
   systematic layout) or mixed by the Toeplitz blocks of
   psi_k(t) = prod_{k' != k}(t + f_{l,k'} - f_{l,k})^R' (GCSA), which the
   library's decode matrices must match on the desired unknowns;
+- ``loop_cv_matrix``: the confluent Cauchy-Vandermonde matrix, entry by
+  entry in Python integers, so no reference here shares the library's
+  power tables (``structmat._powers``); ``structmat.confluent_cv_matrix``
+  must equal it;
 - ``confluent_decode_matrix``: the library's Cauchy decode matrix built
-  as it once was, ``confluent_cv_matrix`` with every Cauchy column scaled
-  by its A-side weight, which ``csa._decode_matrix`` must equal byte for
+  as it once was, ``loop_cv_matrix`` with every Cauchy column scaled by
+  its A-side weight, which ``csa._decode_matrix`` must equal byte for
   byte;
 - ``poly_mul``: the product of coefficient lists.
 """
@@ -36,7 +40,7 @@ from csacode.ep import EPParams, a_exponent, b_exponent, ep_threshold
 from csacode.errors import InsufficientAnswersError, ParameterError
 from csacode.ffield import PrimeField, poly_divmod, poly_eval, poly_trim
 from csacode.ncsa import NLinearMap, _lagrange_matrix, lcc_threshold
-from csacode.structmat import CVSpec, confluent_cv_matrix, cv_matrix
+from csacode.structmat import CVSpec
 
 # ---- Lagrange coded computing ----
 
@@ -243,11 +247,34 @@ def scaling_constants(field: PrimeField, params, power: int = 1) -> list[int]:
     return out
 
 
+def loop_cv_matrix(field: PrimeField, spec: CVSpec) -> np.ndarray:
+    """R x R confluent Cauchy-Vandermonde matrix: for each pole f the columns
+    1/(f-a)^order down to 1/(f-a), then the tail 1, a, ..., a^(R - order*L - 1),
+    every entry stepped in Python integers."""
+    q = field.q
+    R = len(spec.samples)
+    rows = []
+    for a in spec.samples:
+        row = []
+        for f in spec.poles:
+            d = field.sub(f, a)
+            p = pow(field.inv(d), spec.order, q)
+            for _ in range(spec.order):
+                row.append(p)
+                p = p * d % q  # (f-a)^-(j) -> (f-a)^-(j-1)
+        p = 1
+        for _ in range(R - spec.order * len(spec.poles)):
+            row.append(p)
+            p = p * a % q
+        rows.append(row)
+    return np.array(rows, dtype=np.int64).reshape(R, R)
+
+
 def scaled_cv_matrix(field: PrimeField, spec: CVSpec, scales) -> np.ndarray:
-    """``cv_matrix(spec)`` with the Cauchy column of pole j multiplied by
-    ``scales[j]``: the paper's decode matrix of CSA and N-CSA, and of their
-    systematic and X-secure forms."""
-    mat = cv_matrix(field, spec)
+    """The order-1 ``loop_cv_matrix(spec)`` with the Cauchy column of pole j
+    multiplied by ``scales[j]``: the paper's decode matrix of CSA and N-CSA,
+    and of their systematic and X-secure forms."""
+    mat = loop_cv_matrix(field, spec)
     cauchy = mat[:, : len(spec.poles)]
     cauchy[:] = cauchy * np.array(scales, dtype=np.int64) % field.q
     return mat
@@ -284,7 +311,7 @@ def gcsa_paper_matrix(field: PrimeField, params, alphas) -> np.ndarray:
     block-diagonal mixer whose block g is the lower triangular Toeplitz
     matrix of psi's first R' coefficients."""
     rp = params.inner_order
-    cv = confluent_cv_matrix(field, CVSpec(params.poles, tuple(alphas), rp))
+    cv = loop_cv_matrix(field, CVSpec(params.poles, tuple(alphas), rp))
     mixer = np.eye(len(alphas), dtype=np.int64)
     for g in range(params.batch_size):
         l, k = divmod(g, params.kc)
@@ -296,13 +323,13 @@ def gcsa_paper_matrix(field: PrimeField, params, alphas) -> np.ndarray:
 def confluent_decode_matrix(field: PrimeField, params, listed, power: int,
                             order: int = 1, slots=None) -> np.ndarray:
     """The square decode matrix at the ``listed`` servers with unknowns for
-    the batch entries in ``slots`` (all by default): ``confluent_cv_matrix``
+    the batch entries in ``slots`` (all by default): ``loop_cv_matrix``
     of their poles, every Cauchy column of entry (l, k) multiplied row by
     row by the A-side weight prod_{k' != k}(f_{l,k'} - alpha)^power."""
     slots = range(params.batch_size) if slots is None else slots
     alphas = [params.samples[s] for s in listed]
-    mat = confluent_cv_matrix(field, CVSpec(tuple(params.poles[i] for i in slots),
-                                            tuple(alphas), order))
+    mat = loop_cv_matrix(field, CVSpec(tuple(params.poles[i] for i in slots),
+                                       tuple(alphas), order))
     for col, i in enumerate(slots):
         l, k = divmod(i, params.kc)
         for row, alpha in enumerate(alphas):

@@ -8,7 +8,7 @@ from csacode.ffield import PrimeField, poly_eval
 from csacode.structmat import (CVSpec, confluent_cv_matrix, cv_matrix,
                                matrix_rank, rs_error_correct, solve_any,
                                solve_batch)
-from reference import lt_toeplitz
+from reference import loop_cv_matrix, lt_toeplitz
 
 FIELD = PrimeField(65537)
 # The shared row reduction is checked at a small, the default and a near-2^31
@@ -83,6 +83,21 @@ def test_confluent_order_one_matches_cv():
     rng = np.random.default_rng(7)
     spec = random_spec(rng, FIELD, 3, 6)
     assert np.array_equal(confluent_cv_matrix(FIELD, spec), cv_matrix(FIELD, spec))
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=lambda f: str(f.q))
+def test_confluent_matches_the_entrywise_reference(field):
+    # the library's power tables against entries stepped one by one in Python
+    # integers, over orders 1-3, up to 3 poles and every tail width to 4
+    rng = np.random.default_rng(19)
+    checked = 0
+    for order, L, tail in itertools.product((1, 2, 3), (0, 1, 2, 3), (0, 1, 4)):
+        if order * L + tail == 0 or order * L + L + tail > field.q:
+            continue
+        spec = random_spec(rng, field, L, order * L + tail, order)
+        assert np.array_equal(confluent_cv_matrix(field, spec), loop_cv_matrix(field, spec))
+        checked += 1
+    assert checked >= 30
 
 
 def test_confluent_entries_match_definition():
