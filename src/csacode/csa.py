@@ -27,8 +27,13 @@ from .ffield import _ARENA_MIN_BYTES, PrimeField, _arena, _integer, _shares_out
 # perfbench/tracer.py requires csa.cv_matrix, so it stays importable here.
 from .structmat import _powers, cv_matrix, matrix_rank, solve_batch  # noqa: F401
 
-# Each of csa, gcsa and ep keeps its last 512 decode plans, one LRU per module.
-_plan_cache = functools.lru_cache(maxsize=512)
+_PLANS: tuple = ()  # every builder of a plan (a read-only table of the code alone), LRU 512
+
+
+def _plan_cache(builder):
+    global _PLANS
+    _PLANS += (functools.lru_cache(maxsize=512)(builder),)
+    return _PLANS[-1]
 
 
 class _Groups:
@@ -125,10 +130,15 @@ def csa_encode_b(field: PrimeField, batch_b, params: CSAParams, servers) -> list
 
 def _cauchy_encode(field: PrimeField, batch, params, servers, side: str) -> list:
     """Both encoders: ``side`` "a" or "b" picks the generator weights."""
-    raw = _raw(params)
-    coded = [s for s in _server_list(servers) if s >= raw]
-    return _generator_encode(field, batch, _cauchy_weights(field, params, coded, side),
-                             servers, raw=raw)
+    weights = _weights(field, params, tuple(_server_list(servers)), side)
+    return _generator_encode(field, batch, weights, servers, raw=_raw(params))
+
+
+@_plan_cache
+def _weights(field: PrimeField, params, listed: tuple, side: str) -> np.ndarray:
+    """The encoders' plan: ``_cauchy_weights`` of the coded ``listed`` servers."""
+    coded = [s for s in listed if s >= _raw(params)]
+    return _read_only(_cauchy_weights(field, params, coded, side))
 
 
 def _raw(params) -> int:

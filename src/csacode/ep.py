@@ -93,10 +93,16 @@ def ep_encode_b(field: PrimeField, b, params: EPParams, alpha):
 def _encode(field: PrimeField, mats, grid, exps, alpha):
     """The (points x blocks) generator of alpha^e times the blocks of every
     entry; one matrix and one point give the one share."""
-    gen = _powers(field, _server_list(alpha), max(exps) + 1)[:, exps]
+    gen = _generator(field, tuple(_server_list(alpha)), tuple(exps))
     if isinstance(alpha, numbers.Integral):
         return _generator_encode(field, [mats], gen, alpha, grid)[0]
     return _generator_encode(field, mats, gen, alpha, grid)
+
+
+@_plan_cache
+def _generator(field: PrimeField, alphas: tuple, exps: tuple) -> np.ndarray:
+    """The encoders' plan: the (points x blocks) table of alpha^e."""
+    return _read_only(_powers(field, alphas, max(exps) + 1)[:, list(exps)])
 
 
 def ep_answer(field: PrimeField, coded_a: np.ndarray, coded_b: np.ndarray,

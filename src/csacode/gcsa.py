@@ -99,17 +99,22 @@ def gcsa_encode_a(field: PrimeField, batch_a, params: GCSAParams, servers) -> li
     f_{l,k} - alpha times the cleared-denominator weight
     prod_{k' != k}(f_{l,k'} - alpha)^R'.  ``servers`` is one server index
     (that server's ell shares) or a sequence (one list per server)."""
-    weights = _cauchy_weights(field, params, _server_list(servers), "a",
-                              params.inner_order, _a_exponents(params.ep))
+    weights = _weights(field, params, tuple(_server_list(servers)), "a")
     return _generator_encode(field, batch_a, weights, servers, (params.m, params.p))
 
 
 def gcsa_encode_b(field: PrimeField, batch_b, params: GCSAParams, servers) -> list:
     """B-side shares: the inner B polynomials at f_{l,k} - alpha, weighted by
     1/(f_{l,k} - alpha)^R'; ``servers`` as for ``gcsa_encode_a``."""
-    weights = _cauchy_weights(field, params, _server_list(servers), "b",
-                              params.inner_order, _b_exponents(params.ep))
+    weights = _weights(field, params, tuple(_server_list(servers)), "b")
     return _generator_encode(field, batch_b, weights, servers, (params.p, params.n))
+
+
+@_plan_cache
+def _weights(field: PrimeField, params: GCSAParams, listed: tuple, side: str) -> np.ndarray:
+    """The encoders' plan: the ``listed`` servers' weights on ``side`` "a" or "b"."""
+    exps = (_a_exponents if side == "a" else _b_exponents)(params.ep)
+    return _read_only(_cauchy_weights(field, params, listed, side, params.inner_order, exps))
 
 
 def gcsa_decode(field: PrimeField, answers, params: GCSAParams) -> list[np.ndarray]:

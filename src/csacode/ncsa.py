@@ -16,6 +16,7 @@ the data, and error correction against B forged answers.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import math
 import numbers
@@ -25,8 +26,8 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .csa import (_answer_rows, _Groups, _raw, _server_list, _take_answers,
-                  cauchy_points, csa_decode, csa_encode_a)
+from .csa import (_answer_rows, _Groups, _plan_cache, _raw, _read_only, _server_list,
+                  _take_answers, cauchy_points, csa_decode, csa_encode_a)
 from .errors import DecodingFailureError, ParameterError
 from .ffield import PrimeField
 # perfbench/tracer.py requires ncsa.solve_batch, so it stays importable here.
@@ -140,6 +141,11 @@ class NCSAParams(_Groups):
         return xsb_threshold(self.arity, self.ell, self.kc, self.x_secure,
                              self.byzantine)
 
+    @functools.cached_property
+    def code(self) -> NCSAParams:
+        """The key of every plan: no noise seed, and B = 0 as in the decode."""
+        return replace(self, byzantine=0, noise_seed=0)
+
 
 def ncsa_threshold(arity: int, ell: int, kc: int) -> int:
     return kc * (arity + ell - 1) - arity + 1
@@ -187,7 +193,7 @@ def noise_block(field: PrimeField, seed: int, var: int, l: int, k: int, x: int,
     a short read continues the stream.
     """
     q = field.q
-    n = int(np.prod(shape))
+    n = math.prod(shape)
     limit = np.uint64((2**64 // q) * q)
     xof = hashlib.shake_256(struct.pack("<5q", seed, var, l, k, x))
     words = n + 4  # below 2^31 a word is rejected with probability under 2^-33
@@ -211,38 +217,43 @@ def xs_encode(field: PrimeField, batch, params: NCSAParams, var: int, servers,
     which returns one such list per server.  Either way the data part is one
     ``csa_encode_a`` generator product, each noise block is drawn once, and
     the masks of all listed servers come from one product per group: the
-    (servers x kc*X) mask coefficients times the stacked noise blocks.
+    (servers x kc*X) mask coefficients times the stacked noise blocks.  The
+    weights and coefficients are plans of ``params.code`` and the listed
+    servers, built once; the noise blocks are drawn on every call.
     ``noise`` may override the seeded values: a mapping (l, k, x) -> array
     (1-based x).  The masks are added to the data shares in place.
     """
-    base = csa_encode_a(field, batch, params, servers)
+    base = csa_encode_a(field, batch, params.code, servers)
     if params.x_secure < 1:
         return base
     single = isinstance(servers, numbers.Integral)
     shares = [base] if single else base
-    alphas = [params.samples[s] for s in _server_list(servers)]
     keys = [(k, x) for x in range(1, params.x_secure + 1) for k in range(params.kc)]
     shape = np.shape(batch[0])
-    powers = np.repeat(_powers(field, alphas, params.x_secure), params.kc, axis=1)  # per key
+    coeffs = _mask_coefficients(field, params.code, tuple(_server_list(servers)))
     for l in range(params.ell):
         blocks = [noise[(l, k, x)] if noise is not None else
                   noise_block(field, params.noise_seed, var, l, k, x, shape)
                   for k, x in keys]
-        deltas = np.array([_group_delta(field, params, l, a) for a in alphas], dtype=np.int64)
-        masks = field.matmul(deltas[:, None] * powers % field.q,
-                             field.residues(np.stack(blocks)).reshape(len(keys), -1))
+        masks = field.matmul(coeffs[l], field.residues(np.stack(blocks)).reshape(len(keys), -1))
         for share, mask in zip(shares, masks):
             share[l] += mask.reshape(shape)
             share[l] %= field.q
     return shares[0] if single else shares
 
 
-def _group_delta(field: PrimeField, params: NCSAParams, l: int, alpha: int) -> int:
-    """Delta(l) = prod_k (f_{l,k} - alpha), group l's pole product at alpha."""
-    d = 1
-    for k in range(params.kc):
-        d = d * field.sub(params.pole(l, k), alpha) % field.q
-    return d
+@_plan_cache
+def _mask_coefficients(field: PrimeField, params: NCSAParams, listed: tuple) -> np.ndarray:
+    """``xs_encode``'s plan: (ell, servers, kc * X) Delta_s(l) * alpha_s^(x-1), x-major."""
+    alphas = [params.samples[s] for s in listed]
+    powers = np.repeat(_powers(field, alphas, params.x_secure), params.kc, axis=1)
+    return _read_only(_group_deltas(field, params, alphas).T[..., None] * powers % field.q)
+
+
+def _group_deltas(field: PrimeField, params: NCSAParams, alphas) -> np.ndarray:
+    """(alphas x ell) Delta(l) = prod_k (f_{l,k} - alpha), group l's pole product."""
+    return np.array([[math.prod(params.pole(l, k) - a for k in range(params.kc)) % field.q
+                      for l in range(params.ell)] for a in alphas], dtype=np.int64)
 
 
 # ---- answering ----
@@ -262,15 +273,21 @@ def ncsa_answer(field: PrimeField, shares, omega: NLinearMap, params: NCSAParams
         if counter is not None and omega.mults is not None:
             counter.mults += omega.mults
         return omega(field, *[sh[0] for sh in shares])
-    alpha = params.samples[s]
+    inverses = _inverse_deltas(field, params.code)[s - _raw(params)]
     acc = None
     for l in range(params.ell):
-        term = omega(field, *[sh[l] for sh in shares])
-        term = field.inv(_group_delta(field, params, l, alpha)) * term % field.q
+        term = int(inverses[l]) * omega(field, *[sh[l] for sh in shares]) % field.q
         if counter is not None and omega.mults is not None:
-            counter.mults += omega.mults + int(np.prod(omega.out_shape))
+            counter.mults += omega.mults + math.prod(omega.out_shape)
         acc = term if acc is None else (acc + term) % field.q
     return acc
+
+
+@_plan_cache
+def _inverse_deltas(field: PrimeField, params: NCSAParams) -> np.ndarray:
+    """``ncsa_answer``'s plan: Delta_s(l)^-1, one row per coded server s >= ``_raw``."""
+    deltas = _group_deltas(field, params, params.samples[_raw(params):])
+    return _read_only(np.reshape(field.batch_inv(deltas.ravel().tolist()), deltas.shape))
 
 
 @dataclass(frozen=True)
@@ -331,7 +348,7 @@ def ncsa_decode(field: PrimeField, answers, params: NCSAParams) -> list[np.ndarr
     (straggler-only setting): the CSA decoder, A-side weights to the power N - 1."""
     if params.x_secure or params.byzantine:
         raise ParameterError("use xsb_decode when X or B is nonzero")
-    return csa_decode(field, answers, params)
+    return csa_decode(field, answers, params.code)
 
 
 def xsb_decode(field: PrimeField, answers, params: NCSAParams):
@@ -369,9 +386,8 @@ def xsb_decode(field: PrimeField, answers, params: NCSAParams):
     width = r - 2 * b
     flagged_rows: set[int] = set()
     if b > 0:
-        weights = [math.prod(f - alpha for f in params.poles) % field.q for alpha in alphas]
-        stacked = _answer_rows([y for _, y in answers])
-        scaled = stacked * np.array(weights, dtype=np.int64)[:, None] % field.q
+        weights = _pole_products(field, params.code)[[s for s, _ in answers]]
+        scaled = _answer_rows([y for _, y in answers]) * weights[:, None] % field.q
         located = _locate_rows(field, alphas, scaled, width, b)
         if located is not None:
             flagged_rows = located
@@ -384,15 +400,22 @@ def xsb_decode(field: PrimeField, answers, params: NCSAParams):
                 raise DecodingFailureError("corruptions exceed the Byzantine budget")
     # without the B budget the threshold is width: the CSA decode of clean rows
     clean = [answers[i] for i in range(r) if i not in flagged_rows]
-    evals = csa_decode(field, clean, replace(params, byzantine=0))
+    evals = csa_decode(field, clean, params.code)
     return evals, sorted(answers[i][0] for i in flagged_rows)
 
 
+@_plan_cache
+def _pole_products(field: PrimeField, params: NCSAParams) -> np.ndarray:
+    """``xsb_decode``'s plan: every server's full pole product prod_f (f - alpha_s)."""
+    return _read_only(np.array([math.prod(f - a for f in params.poles) % field.q
+                                for a in params.samples], dtype=np.int64))
+
+
+@_plan_cache
 def _projection_weights(field: PrimeField, cols: int) -> np.ndarray:
     """The fixed seeded weights in [1, q) that project ``cols`` answer
     entries onto the one column ``xsb_decode`` locates forgers in."""
-    return np.random.default_rng(20031).integers(1, field.q, size=cols,
-                                                 dtype=np.int64)
+    return _read_only(np.random.default_rng(20031).integers(1, field.q, size=cols, dtype=np.int64))
 
 
 def _locate_rows(field: PrimeField, alphas, scaled: np.ndarray, width: int,
@@ -423,11 +446,7 @@ def _lagrange_matrix(field: PrimeField, nodes, points) -> np.ndarray:
     q = field.q
 
     def numerator(x: int, i: int) -> int:  # prod_{j != i} (x - nodes[j])
-        w = 1
-        for j, node in enumerate(nodes):
-            if j != i:
-                w = w * field.sub(x, node) % q
-        return w
+        return math.prod(x - node for j, node in enumerate(nodes) if j != i) % q
 
     inv = field.batch_inv([numerator(a, i) for i, a in enumerate(nodes)])
     rows = [[numerator(x, i) * c % q for i, c in enumerate(inv)] for x in points]

@@ -1,14 +1,14 @@
-"""Every test starts with cold decode plans: a plan built by an earlier test
-would otherwise change what a later one counts (solves, products,
-inversions).  A test that decodes one responsive set twice sees its own
-warm plan the second time."""
+"""Every test starts with cold plans, decode and encode: a plan built by an
+earlier test would otherwise change what a later one counts (solves,
+products, inversions).  A test that decodes one responsive set twice sees
+its own warm plan the second time."""
 
 import pytest
 
-from csacode import csa, ep, gcsa
+from csacode import csa, harness  # noqa: F401  (imports every module with plans)
 
 
 @pytest.fixture(autouse=True)
 def cold_plans():
-    for module in (csa, ep, gcsa):
-        module._plan.cache_clear()
+    for plan in csa._PLANS:
+        plan.cache_clear()

@@ -171,11 +171,15 @@ def test_matmul_wide_output_spans_column_blocks():
 
 
 def test_matmul_plain_float_chunk_boundary_at_65537():
-    # at q = 65537 one exact dgemm holds 2^21 - 1 terms; vectors keep it cheap
+    # at q = 65537 one exact dgemm holds 2^21 - 1 terms; vectors keep it
+    # cheap; with and without out=
     field = PrimeField(65537)
     for n in (2**21 - 1, 2**21, 2**21 + 1):
         a, b = worst_case(field.q, (1, n), (n, 1))
         assert field.matmul(a, b).tolist() == [[n % field.q]]
+        out = np.full((1, 1), -1, dtype=np.int64)
+        assert field.matmul(a, b, out=out) is out
+        assert out.tolist() == [[n % field.q]]
 
 
 def test_matmul_vector_and_batched_operands():

@@ -1,14 +1,23 @@
-"""Decode plans: built on a responsive set's first decode, reused after.
+"""Plans: read-only tables of the code alone, built once and reused.
 
-Each case runs one harness round on exactly R responsive servers, keeps the
-answers its decoder saw, and decodes them again directly: cold, warm, then
-in reverse order (a plan of its own), cold and warm.  ``conftest`` clears the
-plan caches before every test.
+Decode plans are built on a responsive set's first decode.  Each decode case
+runs one harness round on exactly R responsive servers, keeps the answers
+its decoder saw, and decodes them again directly: cold, warm, then in
+reverse order (a plan of its own), cold and warm.  Encode plans (generator
+weights, X-secure mask coefficients) are built on an encode's first call
+for its code and listed servers; the answer and Byzantine-decode
+normalisers once per code.  ``conftest`` clears every registered plan cache
+before every test.
 """
+
+import functools
+import importlib
+import pkgutil
 
 import numpy as np
 import pytest
 
+import csacode
 from csacode import csa, ep, gcsa, harness, ncsa, structmat
 from csacode.errors import SingularMatrixError
 from csacode.ffield import PrimeField
@@ -112,3 +121,190 @@ def test_plan_is_built_once_per_answer_order(monkeypatch, q, case):
             assert not array.flags.writeable
             with pytest.raises(ValueError, match="read-only"):
                 array[...] = 0
+
+
+# ---- encode plans and the registry ----
+
+
+def _recorded_tables(monkeypatch):
+    """Record every table a plan returns, as (module.builder, key, table),
+    by rebinding each registered builder in the module that holds it."""
+    tables = []
+    for module in (csa, ep, gcsa, ncsa):
+        for attr, obj in list(vars(module).items()):
+            if any(obj is plan for plan in csa._PLANS):
+                name = f"{module.__name__.split('.')[-1]}.{attr}"
+                monkeypatch.setattr(module, attr, lambda *key, plan=obj, name=name: tables.append(
+                    (name, key, plan(*key))) or tables[-1][2])
+    return tables
+
+
+def _arrays(tables):
+    """Every array of the recorded tables; csa's decode plan is a pair whose
+    known columns may be None."""
+    for _, _, table in tables:
+        for array in (table if isinstance(table, tuple) else (table,)):
+            if array is not None:
+                yield array
+
+
+def _assert_read_only(tables):
+    for array in _arrays(tables):
+        assert not array.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            array[...] = 0
+
+
+def _misses():
+    return sum(plan.cache_info().misses for plan in csa._PLANS)
+
+
+def _encoders():
+    """(id, the builders its encodes use, maker): maker(field) returns a
+    function that encodes fixed batches for every server, both sides, and
+    for one server alone, and returns every share."""
+    rows, inner, cols = _DIMS
+
+    def batches(field, size):
+        rng = np.random.default_rng(field.q + size)
+        return [[field.rand_matrix(rng, *shape) for _ in range(size)]
+                for shape in ((rows, inner), (inner, cols))]
+
+    def cauchy(encode_a, encode_b, make):
+        def maker(field):
+            params = make(field)
+            aa, bb = batches(field, params.batch_size)
+            return lambda: [encode_a(field, aa, params, range(params.servers)),
+                            encode_b(field, bb, params, range(params.servers)),
+                            encode_a(field, aa, params, params.servers - 1)]
+        return maker
+
+    def ep_maker(field):
+        setup = harness.ep_setup(field, 2, 2, 1, 6)
+        aa, bb = batches(field, 3)
+        return lambda: [ep.ep_encode_a(field, aa, setup.params, setup.samples),
+                        ep.ep_encode_b(field, bb, setup.params, setup.samples),
+                        ep.ep_encode_a(field, aa[0], setup.params, setup.samples[0])]
+
+    def ncsa_maker(x):
+        def maker(field):
+            params = ncsa.ncsa_params(field, 2, 2, 1, ncsa.xsb_threshold(2, 2, 1, x, 0) + 1, x)
+            aa, bb = batches(field, params.batch_size)
+            return lambda: [ncsa.xs_encode(field, aa, params, 0, range(params.servers)),
+                            ncsa.xs_encode(field, bb, params, 1, range(params.servers)),
+                            ncsa.xs_encode(field, aa, params, 0, 2)]
+        return maker
+
+    cases = [("ep", {"ep._generator"}, ep_maker),
+             ("csa", {"csa._weights"}, cauchy(csa.csa_encode_a, csa.csa_encode_b,
+                                              lambda f: csa.csa_params(f, 2, 2, 7))),
+             ("csa-systematic", {"csa._weights"}, cauchy(
+                 csa.csa_encode_a, csa.csa_encode_b,
+                 lambda f: csa.csa_params(f, 2, 2, 7, systematic=True))),
+             ("gcsa", {"gcsa._weights"}, cauchy(gcsa.gcsa_encode_a, gcsa.gcsa_encode_b,
+                                                lambda f: gcsa.gcsa_params(f, 1, 2, 2, 1, 1, 8)))]
+    masks = {"ncsa._mask_coefficients"}  # X-secure codes only
+    return cases + [(f"ncsa-x{x}", {"csa._weights"} | (masks if x else set()), ncsa_maker(x))
+                    for x in (0, 1, 2)]
+
+
+def _share_bytes(shares):
+    if isinstance(shares, np.ndarray):
+        return [shares.tobytes()]
+    return [b for share in shares for b in _share_bytes(share)]
+
+
+@pytest.mark.parametrize("q", MODULI)
+@pytest.mark.parametrize("case", _encoders(), ids=lambda case: case[0])
+def test_encode_plan_is_built_once(monkeypatch, q, case):
+    field = PrimeField(q)
+    _, builders, maker = case
+    encode = maker(field)
+    tables = _recorded_tables(monkeypatch)
+    cold = _share_bytes(encode())
+    built, misses = len(tables), _misses()
+    assert {name for name, _, _ in tables} == builders
+    # one build per distinct key: N-CSA's variables share the code's tables
+    assert misses == len({(name, key) for name, key, _ in tables})
+    warm = _share_bytes(encode())
+    assert cold == warm
+    assert _misses() == misses  # the warm encode builds nothing
+    assert [key for _, key, _ in tables[built:]] == [key for _, key, _ in tables[:built]]
+    assert all(w is c for (_, _, w), (_, _, c) in zip(tables[built:], tables[:built]))
+    _assert_read_only(tables)
+
+
+def test_plans_are_keyed_on_the_code_not_the_noise_seed(monkeypatch):
+    field = PrimeField(65537)
+    omega = ncsa.matmul_map(*_DIMS)
+    rng = np.random.default_rng(5)
+    batches = [[field.rand_matrix(rng, *shape) for _ in range(2)] for shape in omega.var_shapes]
+    truth = harness.direct_evaluations(field, omega, batches)
+    solves = []
+    monkeypatch.setattr(csa, "solve_batch", lambda *args, **kw: solves.append(
+        args[1].shape) or structmat.solve_batch(*args, **kw))
+    tables = _recorded_tables(monkeypatch)
+    servers = ncsa.xsb_threshold(2, 2, 1, 1, 1) + 1
+    shares = []
+    for seed in (1, 2):
+        params = ncsa.ncsa_params(field, 2, 2, 1, servers, 1, 1, noise_seed=seed)
+        solves.clear()
+        misses = _misses()
+        got, report = harness.run_nlinear(field, params, omega, batches,
+                                          harness.StragglerModel(count=servers),
+                                          harness.ByzantineModel.seeded(field, (1,)))
+        assert all(np.array_equal(g, t) for g, t in zip(got, truth))
+        assert report.flagged_servers == (1,)
+        if seed == 2:  # the second seed reuses every table of the first
+            assert solves == [] and _misses() == misses
+        shares.append(ncsa.xs_encode(field, batches[0], params, 0, 3))
+    assert any(not np.array_equal(a, b) for a, b in zip(*shares))  # the noise differs
+    assert {name for name, _, _ in tables} == {
+        "csa._weights", "csa._plan", "ncsa._mask_coefficients", "ncsa._inverse_deltas",
+        "ncsa._pole_products", "ncsa._projection_weights"}
+    _assert_read_only(tables)
+
+
+def test_constant_one_shares_get_a_plan_of_their_own(monkeypatch):
+    # a spec's constant-one batch is encoded for the responsive servers
+    # only, so its weights and masks are keyed by the responsive set
+    field = PrimeField(65537)
+    params = ncsa.ncsa_params(field, 2, 1, 2, 8, x_secure=1)
+    omega = ncsa.matmul_map(2, 2, 2)
+    spec = ncsa.PolynomialSpec(2, (ncsa.PolyTerm(1, omega, (0, 1)),
+                                   ncsa.PolyTerm(3, omega, (0, None))))
+    rng = np.random.default_rng(6)
+    batches = [[field.rand_matrix(rng, 2, 2) for _ in range(2)] for _ in range(2)]
+    ones = np.ones((2, 2), dtype=np.int64)
+    truth = [(omega(field, a, b) + 3 * omega(field, a, ones)) % field.q for a, b in zip(*batches)]
+    tables = _recorded_tables(monkeypatch)
+    # the first round builds weights and masks for all servers and for the
+    # responsive set, the answers' inverse deltas and a decode plan; a
+    # repeat builds nothing; a new set its own weights, masks and plan
+    for responsive, builds in (((0, 2, 3, 5, 6, 7), 6), ((0, 2, 3, 5, 6, 7), 0),
+                               ((1, 2, 3, 4, 5, 6), 3)):
+        misses, seen = _misses(), len(tables)
+        got, _ = harness.run_nlinear(field, params, spec, batches,
+                                     harness.StragglerModel(responsive=responsive))
+        assert all(np.array_equal(g, t) for g, t in zip(got, truth))
+        encodes = {(name, key[2]) for name, key, _ in tables[seen:]
+                   if name in ("csa._weights", "ncsa._mask_coefficients")}
+        assert encodes == {(name, listed) for name in ("csa._weights", "ncsa._mask_coefficients")
+                           for listed in (tuple(range(8)), responsive)}
+        assert _misses() - misses == builds
+    _assert_read_only(tables)
+
+
+def test_every_plan_cache_is_registered():
+    # the registry is what conftest clears: a cache missing from it would
+    # carry plans from one test into the next
+    found = {}
+    for info in pkgutil.iter_modules(csacode.__path__):
+        for obj in vars(importlib.import_module(f"csacode.{info.name}")).values():
+            if isinstance(obj, functools._lru_cache_wrapper):
+                found[id(obj)] = obj
+    assert found
+    for plan in found.values():
+        assert any(plan is registered for registered in csa._PLANS), plan.__wrapped__
+        assert plan.cache_parameters()["maxsize"] == 512
+    assert len(found) == len(csa._PLANS)
