@@ -136,8 +136,8 @@ def ep_latency_lower(job_size: int, eta: float, k: float) -> float:
     upload and download while meeting the per-server budget; time is
     normalized by lambda^2 * T_c.
     """
-    if job_size < 1 or not 0 < eta < 1 or k <= 0:
-        raise ParameterError("need J >= 1, 0 < eta < 1, K > 0")
+    if job_size < 1 or not 0 < eta < 1 or not 0 < k < math.inf:
+        raise ParameterError("need J >= 1, 0 < eta < 1 and a finite K > 0")
     m = (eta * job_size * k / 2.0) ** (1.0 / 3.0)
     return job_size * (2 * m**3 / eta + 2 * m / eta - 1) / m**2
 
@@ -150,8 +150,8 @@ def gcsa_latency_upper(job_size: int, eta: float, k: float):
     p*m^2 >= K; below K = 1 no partitioning is needed and the pure batch
     point 2*ceil((2J-1)/eta) applies.  Returns (time, witness).
     """
-    if job_size < 1 or not 0 < eta < 1:
-        raise ParameterError("need J >= 1 and 0 < eta < 1")
+    if job_size < 1 or not 0 < eta < 1 or not math.isfinite(k):
+        raise ParameterError("need J >= 1, 0 < eta < 1 and a finite K")
     if k < 1:
         value = 2.0 * math.ceil((2 * job_size - 1) / eta)
         return value, {"ell": 1, "kc": job_size, "p": 1, "m": 1, "n": 1}

@@ -1,17 +1,16 @@
 """Batch computation of N-linear maps and degree-N polynomial evaluations.
 
 Generalizes the bilinear batch scheme (CSA is the case N = 2): every variable
-batch is Cauchy-coded per group with the CSA A-side encoder
-``csa.csa_encode_a``, servers evaluate the map on coded variables and return
-the prefactor-normalized group sum, and the decoder solves the CSA decode
-matrix with the A-side weights to the power N - 1, whose Vandermonde tail
-absorbs the (kc-1)(N-1) interference dimensions.
-Points, batch checks, the encoder and the decoder (also on ``xsb_decode``'s
-clean rows) are the CSA ones, and so is the systematic layout: its raw
-servers hold their own entries and evaluate the map on them.  Lagrange coded
-computing (LCC) is the special case ell = 1, kc = L, with threshold
-N(L - 1) + 1.  Adds uniform-noise shares that keep any X servers ignorant of
-the data, and error correction against B forged answers.
+batch is Cauchy-coded per group with the CSA A-side weights, servers evaluate
+the map on coded variables and return the prefactor-normalized group sum, and
+the decoder solves the CSA decode matrix with the A-side weights to the power
+N - 1, whose Vandermonde tail absorbs the (kc-1)(N-1) interference dimensions.
+Points, batch checks, the generator product and the decoder (also on
+``xsb_decode``'s clean rows) are the CSA ones, and so is the systematic
+layout.  Lagrange coded computing (LCC) is ell = 1, kc = L, threshold
+N(L - 1) + 1.  X-secure shares carry uniform noise blocks on the generator's
+Vandermonde terms (one data-and-noise product per group), so any X servers
+learn nothing; error correction locates B forged answers.
 """
 
 from __future__ import annotations
@@ -19,15 +18,15 @@ from __future__ import annotations
 import functools
 import hashlib
 import math
-import numbers
 import struct
 from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
 import numpy as np
 
-from .csa import (_answer_rows, _Groups, _plan_cache, _raw, _read_only, _server_list,
-                  _take_answers, cauchy_points, csa_decode, csa_encode_a)
+from .csa import (_answer_rows, _batch_entries, _cauchy_weights, _generator_encode, _Groups,
+                  _plan_cache, _raw, _read_only, _server_list, _take_answers, cauchy_points,
+                  csa_decode, csa_encode_a)
 from .errors import DecodingFailureError, ParameterError
 from .ffield import PrimeField
 # perfbench/tracer.py requires ncsa.solve_batch, so it stays importable here.
@@ -212,42 +211,40 @@ def xs_encode(field: PrimeField, batch, params: NCSAParams, var: int, servers,
     The noise realization z_{l,k,x} is fixed per (var, l, k, x) and shared
     by every server, forming the MDS-coded mask: server s adds
     Delta_s(l) * alpha_s^(x-1) * z_{l,k,x} to its group-l share, where
-    Delta_s(l) = prod_k (f_{l,k} - alpha_s).  ``servers`` is one server
-    index, which returns that server's ell shares, or a sequence of indices,
-    which returns one such list per server.  Either way the data part is one
-    ``csa_encode_a`` generator product, each noise block is drawn once, and
-    the masks of all listed servers come from one product per group: the
-    (servers x kc*X) mask coefficients times the stacked noise blocks.  The
-    weights and coefficients are plans of ``params.code`` and the listed
-    servers, built once; the noise blocks are drawn on every call.
-    ``noise`` may override the seeded values: a mapping (l, k, x) -> array
-    (1-based x).  The masks are added to the data shares in place.
+    Delta_s(l) = prod_k (f_{l,k} - alpha_s).  So group l's kc entries, then
+    its kc * X noise blocks (x-major), times the plan ``_weights`` of
+    ``params.code`` and the listed servers are one generator product
+    (``csa._generator_encode``); X = 0 is ``csa_encode_a``.  ``servers`` is
+    one server index, which returns that server's ell shares, or a sequence
+    of indices, which returns one such list per server.  Each noise block is
+    drawn once a call, from ``params.noise_seed``, ``var`` and (l, k, x)
+    alone: every round of one ``NCSAParams`` adds the same masks, so
+    X-security across rounds needs a fresh ``noise_seed`` per round (no new
+    plan: plans are keyed on ``params.code``).  ``noise`` may override the
+    seeded values: a mapping (l, k, x) -> array (1-based x).
     """
-    base = csa_encode_a(field, batch, params.code, servers)
     if params.x_secure < 1:
-        return base
-    single = isinstance(servers, numbers.Integral)
-    shares = [base] if single else base
-    keys = [(k, x) for x in range(1, params.x_secure + 1) for k in range(params.kc)]
-    shape = np.shape(batch[0])
-    coeffs = _mask_coefficients(field, params.code, tuple(_server_list(servers)))
+        return csa_encode_a(field, batch, params.code, servers)
+    entries = _batch_entries(field, batch, params.batch_size)  # before any noise
+    kc, augmented = params.kc, []
     for l in range(params.ell):
-        blocks = [noise[(l, k, x)] if noise is not None else
-                  noise_block(field, params.noise_seed, var, l, k, x, shape)
-                  for k, x in keys]
-        masks = field.matmul(coeffs[l], field.residues(np.stack(blocks)).reshape(len(keys), -1))
-        for share, mask in zip(shares, masks):
-            share[l] += mask.reshape(shape)
-            share[l] %= field.q
-    return shares[0] if single else shares
+        augmented += entries[l * kc:(l + 1) * kc] + [
+            noise[(l, k, x)] if noise is not None else
+            noise_block(field, params.noise_seed, var, l, k, x, entries[0].shape)
+            for x in range(1, params.x_secure + 1) for k in range(kc)]
+    weights = _weights(field, params.code, tuple(_server_list(servers)))
+    return _generator_encode(field, augmented, weights, servers)
 
 
 @_plan_cache
-def _mask_coefficients(field: PrimeField, params: NCSAParams, listed: tuple) -> np.ndarray:
-    """``xs_encode``'s plan: (ell, servers, kc * X) Delta_s(l) * alpha_s^(x-1), x-major."""
+def _weights(field: PrimeField, params: NCSAParams, listed: tuple) -> np.ndarray:
+    """``xs_encode``'s plan, (servers, ell, kc * (1 + X)): the A-side Cauchy
+    weights, then Delta_s(l) * alpha_s^(x-1) for the noise blocks, x-major."""
     alphas = [params.samples[s] for s in listed]
     powers = np.repeat(_powers(field, alphas, params.x_secure), params.kc, axis=1)
-    return _read_only(_group_deltas(field, params, alphas).T[..., None] * powers % field.q)
+    masks = _group_deltas(field, params, alphas)[..., None] * powers[:, None] % field.q
+    return _read_only(np.concatenate([_cauchy_weights(field, params, listed, "a"), masks],
+                                     axis=2))
 
 
 def _group_deltas(field: PrimeField, params: NCSAParams, alphas) -> np.ndarray:

@@ -12,6 +12,9 @@ library code calls them:
 - ``check_multilinear``: a random linearity probe of an N-linear map;
 - ``naive_combo_threshold``: the threshold GCSA is compared against;
 - ``shake_words`` / ``noise_reference``: X-secure noise drawn word by word;
+- ``xs_share_reference``: one server's X-secure shares entry by entry in
+  Python integers, data Cauchy weights and noise masks written out, so it
+  shares no weight table or generator product with ``ncsa.xs_encode``;
 - ``scaling_constants``, ``scaled_cv_matrix``, ``psi_coeffs``,
   ``lt_toeplitz`` and ``gcsa_paper_matrix``: the paper's decode matrices,
   Cauchy columns scaled by the constants c_{l,k}^(N-1) (CSA, N-CSA and the
@@ -32,6 +35,7 @@ library code calls them:
 from __future__ import annotations
 
 import hashlib
+import math
 import struct
 
 import numpy as np
@@ -229,6 +233,31 @@ def noise_reference(q: int, key: tuple, n: int) -> list[int]:
             return out
         if word < limit:
             out.append(word % q)
+
+
+def xs_share_reference(q: int, params, batch, var: int, s: int, noise=None) -> list:
+    """Server s's ell X-secure shares of ``batch``, entry by entry: group l's
+    share is sum_k prod_{k' != k}(f_{l,k'} - alpha) x_{l,k} plus
+    sum_{k,x} Delta(l) alpha^(x-1) z_{l,k,x}, with Delta(l) =
+    prod_k (f_{l,k} - alpha), alpha = alpha_s, and z the ``noise_reference``
+    words of key (noise_seed, var, l, k, x) unless ``noise`` gives it."""
+    alpha, kc = params.samples[s], params.kc
+    shape = np.shape(batch[0])
+    n = math.prod(shape)
+    shares = []
+    for l in range(params.ell):
+        poles = [params.pole(l, k) for k in range(kc)]
+        delta = math.prod(f - alpha for f in poles)
+        terms = [(math.prod(f - alpha for j, f in enumerate(poles) if j != k),
+                  np.ravel(batch[l * kc + k]).tolist()) for k in range(kc)]
+        for x in range(1, params.x_secure + 1):
+            for k in range(kc):
+                z = (np.ravel(noise[(l, k, x)]).tolist() if noise is not None else
+                     noise_reference(q, (params.noise_seed, var, l, k, x), n))
+                terms.append((delta * alpha ** (x - 1), z))
+        entries = [sum(w * int(v[i]) for w, v in terms) % q for i in range(n)]
+        shares.append(np.array(entries, dtype=np.int64).reshape(shape))
+    return shares
 
 
 # ---- the paper's decode matrices ----

@@ -313,6 +313,18 @@ def test_latency_csv_with_plateau_row(capsys, tmp_path):
         assert float(row["gcsa_upper"]) < float(row["ep_lower"])
 
 
+@pytest.mark.parametrize("bounds", [("nan", "2"), ("1", "inf")])
+def test_latency_refuses_a_non_finite_k(capsys, tmp_path, bounds):
+    # once a ValueError traceback and exit 1, the code of a failed verify
+    out = tmp_path / "lat.csv"
+    code = cli.main(["latency", "--job-size", "100", "--eta", "0.75",
+                     "--k-min", bounds[0], "--k-max", bounds[1], "--steps", "3",
+                     "--output", str(out)])
+    assert code == cli.EXIT_CONFIG
+    assert "finite K" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_verify_known_suite(capsys):
     code, out = run_cli(capsys, "verify", "csa-oracle")
     assert code == 0

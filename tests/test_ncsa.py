@@ -17,7 +17,7 @@ from csacode.ncsa import (PolynomialSpec, PolyTerm, determinant_map,
                           xs_encode, xsb_decode, xsb_threshold)
 from csacode.structmat import CVSpec, rs_error_correct, solve_batch
 from reference import (check_multilinear, lcc_decode, lcc_encode, noise_reference,
-                       scaled_cv_matrix, scaling_constants, shake_words)
+                       scaled_cv_matrix, scaling_constants, shake_words, xs_share_reference)
 
 FIELD = PrimeField(65537)
 
@@ -447,6 +447,47 @@ def test_noise_block_rejection_and_stream_extension_match_reference(monkeypatch)
     assert block.reshape(-1).tolist() == want
 
 
+@pytest.mark.parametrize("q", [31, 65537, 2147483629])
+@pytest.mark.parametrize("x_secure", [1, 2, 3])
+@pytest.mark.parametrize("ell", [1, 2])
+def test_xs_encode_matches_reference_shares(q, x_secure, ell):
+    # every share of both forms (a server list out of order, and one server
+    # alone), seeded and overridden noise, against the entry-by-entry shares
+    # in Python ints: dtype, shape and bytes
+    field = PrimeField(q)
+    rng = np.random.default_rng(100 * x_secure + ell)
+    params = ncsa_params(field, 2, ell, 2, xsb_threshold(2, ell, 2, x_secure, 0) + 1,
+                         x_secure=x_secure, noise_seed=q % 1000)
+    batch = [field.rand_matrix(rng, 3, 2) for _ in range(params.batch_size)]
+    noise = {(l, k, x): field.rand_matrix(rng, 3, 2) for l in range(ell)
+             for k in range(2) for x in range(1, x_secure + 1)}
+    servers = [4, 0, params.servers - 1, 1]
+    for override in (None, noise):
+        together = xs_encode(field, batch, params, 3, servers, noise=override)
+        assert len(together) == len(servers)
+        for s, shares in zip(servers, together):
+            want = [(np.dtype(np.int64), (3, 2), w.tobytes())
+                    for w in xs_share_reference(q, params, batch, 3, s, override)]
+            for got in (shares, xs_encode(field, batch, params, 3, s, noise=override)):
+                assert [(g.dtype, g.shape, g.tobytes()) for g in got] == want
+
+
+def test_xs_encode_is_one_product_per_group(monkeypatch):
+    # data and noise blocks go through one generator product per group for
+    # every listed server: no per-server mask step, cold or warm
+    params = ncsa_params(FIELD, 2, 2, 2, 14, x_secure=2, noise_seed=8)
+    rng = np.random.default_rng(12)
+    batch = [FIELD.rand_matrix(rng, 3, 2) for _ in range(params.batch_size)]
+    calls = []
+    matmul = PrimeField.matmul
+    monkeypatch.setattr(PrimeField, "matmul",
+                        lambda *args, **kw: calls.append(1) or matmul(*args, **kw))
+    for _ in range(2):
+        calls.clear()
+        xs_encode(FIELD, batch, params, 0, range(params.servers))
+        assert len(calls) == params.ell
+
+
 def test_noise_block_is_uniform_at_q13():
     # one fixed 1,300-entry block: every residue appears, and Pearson's
     # statistic stays under 32.91, the 0.999 quantile of chi-square with
@@ -455,38 +496,6 @@ def test_noise_block_is_uniform_at_q13():
     counts = np.bincount(block, minlength=13)
     assert counts.size == 13 and counts.min() > 0
     assert ((counts - 100) ** 2 / 100).sum() < 32.91
-
-
-@pytest.mark.parametrize("x_secure", [1, 2])
-@pytest.mark.parametrize("ell", [1, 2])
-def test_xs_encode_sequence_matches_single_servers(x_secure, ell):
-    rng = np.random.default_rng(10 * x_secure + ell)
-    params = ncsa_params(FIELD, 2, ell, 2, 12, x_secure=x_secure, noise_seed=41)
-    batch = [FIELD.rand_matrix(rng, 3, 2) for _ in range(params.batch_size)]
-    noise = {(l, k, x): FIELD.rand_matrix(rng, 3, 2) for l in range(ell)
-             for k in range(2) for x in range(1, x_secure + 1)}
-    servers = [4, 0, 11, 7]
-    for kwargs in ({}, {"noise": noise}):
-        together = xs_encode(FIELD, batch, params, 1, servers, **kwargs)
-        assert len(together) == len(servers)
-        for s, shares in zip(servers, together):
-            alone = xs_encode(FIELD, batch, params, 1, s, **kwargs)
-            assert len(shares) == len(alone) == ell
-            for a, b in zip(shares, alone):
-                assert a.dtype == b.dtype == np.int64 and a.shape == b.shape
-                assert a.tobytes() == b.tobytes()
-    # the explicit masks, in Python ints: data share + sum Delta alpha^(x-1) z
-    for s, shares in zip(servers, xs_encode(FIELD, batch, params, 1, servers,
-                                            noise=noise)):
-        alpha = params.samples[s]
-        data = csa.csa_encode_a(FIELD, batch, params, s)
-        for l in range(ell):
-            delta = (params.pole(l, 0) - alpha) * (params.pole(l, 1) - alpha)
-            want = data[l].astype(object)
-            for (nl, _, x), z in noise.items():
-                if nl == l:
-                    want = want + delta * alpha ** (x - 1) * z.astype(object)
-            assert np.array_equal(shares[l], (want % FIELD.q).astype(np.int64))
 
 
 def test_xs_decode_without_byzantine():

@@ -4,9 +4,9 @@ Decode plans are built on a responsive set's first decode.  Each decode case
 runs one harness round on exactly R responsive servers, keeps the answers
 its decoder saw, and decodes them again directly: cold, warm, then in
 reverse order (a plan of its own), cold and warm.  Encode plans (generator
-weights, X-secure mask coefficients) are built on an encode's first call
-for its code and listed servers; the answer and Byzantine-decode
-normalisers once per code.  ``conftest`` clears every registered plan cache
+weights, X-secure ones with the noise blocks' columns) are built on an
+encode's first call for its code and listed servers; the answer and
+Byzantine-decode normalisers once per code.  ``conftest`` clears every registered plan cache
 before every test.
 """
 
@@ -203,8 +203,8 @@ def _encoders():
                  lambda f: csa.csa_params(f, 2, 2, 7, systematic=True))),
              ("gcsa", {"gcsa._weights"}, cauchy(gcsa.gcsa_encode_a, gcsa.gcsa_encode_b,
                                                 lambda f: gcsa.gcsa_params(f, 1, 2, 2, 1, 1, 8)))]
-    masks = {"ncsa._mask_coefficients"}  # X-secure codes only
-    return cases + [(f"ncsa-x{x}", {"csa._weights"} | (masks if x else set()), ncsa_maker(x))
+    # an X-secure code's data and noise weights are one plan; X = 0 is csa's
+    return cases + [(f"ncsa-x{x}", {"ncsa._weights" if x else "csa._weights"}, ncsa_maker(x))
                     for x in (0, 1, 2)]
 
 
@@ -260,14 +260,14 @@ def test_plans_are_keyed_on_the_code_not_the_noise_seed(monkeypatch):
         shares.append(ncsa.xs_encode(field, batches[0], params, 0, 3))
     assert any(not np.array_equal(a, b) for a, b in zip(*shares))  # the noise differs
     assert {name for name, _, _ in tables} == {
-        "csa._weights", "csa._plan", "ncsa._mask_coefficients", "ncsa._inverse_deltas",
+        "csa._plan", "ncsa._weights", "ncsa._inverse_deltas",
         "ncsa._pole_products", "ncsa._projection_weights"}
     _assert_read_only(tables)
 
 
 def test_constant_one_shares_get_a_plan_of_their_own(monkeypatch):
     # a spec's constant-one batch is encoded for the responsive servers
-    # only, so its weights and masks are keyed by the responsive set
+    # only, so its weights are keyed by the responsive set
     field = PrimeField(65537)
     params = ncsa.ncsa_params(field, 2, 1, 2, 8, x_secure=1)
     omega = ncsa.matmul_map(2, 2, 2)
@@ -278,19 +278,17 @@ def test_constant_one_shares_get_a_plan_of_their_own(monkeypatch):
     ones = np.ones((2, 2), dtype=np.int64)
     truth = [(omega(field, a, b) + 3 * omega(field, a, ones)) % field.q for a, b in zip(*batches)]
     tables = _recorded_tables(monkeypatch)
-    # the first round builds weights and masks for all servers and for the
-    # responsive set, the answers' inverse deltas and a decode plan; a
-    # repeat builds nothing; a new set its own weights, masks and plan
-    for responsive, builds in (((0, 2, 3, 5, 6, 7), 6), ((0, 2, 3, 5, 6, 7), 0),
-                               ((1, 2, 3, 4, 5, 6), 3)):
+    # the first round builds weights for all servers and for the responsive
+    # set, the answers' inverse deltas and a decode plan; a repeat builds
+    # nothing; a new set its own weights and plan
+    for responsive, builds in (((0, 2, 3, 5, 6, 7), 4), ((0, 2, 3, 5, 6, 7), 0),
+                               ((1, 2, 3, 4, 5, 6), 2)):
         misses, seen = _misses(), len(tables)
         got, _ = harness.run_nlinear(field, params, spec, batches,
                                      harness.StragglerModel(responsive=responsive))
         assert all(np.array_equal(g, t) for g, t in zip(got, truth))
-        encodes = {(name, key[2]) for name, key, _ in tables[seen:]
-                   if name in ("csa._weights", "ncsa._mask_coefficients")}
-        assert encodes == {(name, listed) for name in ("csa._weights", "ncsa._mask_coefficients")
-                           for listed in (tuple(range(8)), responsive)}
+        encodes = {key[2] for name, key, _ in tables[seen:] if name == "ncsa._weights"}
+        assert encodes == {tuple(range(8)), responsive}
         assert _misses() - misses == builds
     _assert_read_only(tables)
 
