@@ -114,9 +114,9 @@ def csa_encode_a(field: PrimeField, batch_a, params: CSAParams, servers) -> list
     Uses the expanded polynomial form prod_{k' != k}(f_{l,k'} - alpha), so no
     inversions are needed on the A side.  ``servers`` is one server index,
     which returns that server's shares, or a sequence of indices, which
-    returns one such list per server, all from one generator product (see
-    ``_generator_encode`` for where the shares live).  In a systematic
-    layout a server s < L holds its own entry s as a one-group share [X_s].
+    returns them row by row, all from one generator product (see
+    ``_generator_encode`` for their layout).  In a systematic layout a
+    server s < L holds its own entry s as a one-group share [X_s].
     """
     return _cauchy_encode(field, batch_a, params, servers, "a")
 
@@ -185,10 +185,12 @@ def _cauchy_weights(field: PrimeField, params, listed, side: str, order: int = 1
 
 def _generator_encode(field: PrimeField, batch, weights: np.ndarray, servers,
                       grid=(1, 1), raw: int = 0) -> list:
-    """The share lists of ``servers`` (one index, or a sequence as for
+    """The shares of ``servers`` (one index, or a sequence as for
     ``csa_encode_a``) from generator products: a listed server s < ``raw``
     holds the residue entry s alone, every other its share of each group,
     from its row of ``weights`` (one row per such server, in listed order).
+    Without raw servers a sequence gets one (servers, groups, ...) view of
+    the products, else a list of rows.
 
     Every batch entry is split into a ``grid`` of rows x cols equal blocks
     (bh x bw), and the L entries form ell groups of kc.  ``weights`` has
@@ -222,17 +224,17 @@ def _generator_encode(field: PrimeField, batch, weights: np.ndarray, servers,
     blocks = arr.reshape(ell, kc, rows, bh, cols, bw)
     if weights.ndim == 2:
         stacked = blocks.transpose(1, 2, 4, 0, 3, 5).reshape(width, -1)
-        out = field.matmul(weights, stacked, out=_shares_out(
-            (coded, stacked.shape[1]))).reshape((coded, ell, -1))
-        groups = [out[:, l].reshape(group_shape) for l in range(ell)]
+        shares = field.matmul(weights, stacked, out=_shares_out((coded, stacked.shape[1])))
+        shares = shares.reshape(group_shape[:1] + (ell,) + group_shape[1:])
     else:
         stacked = blocks.transpose(0, 1, 2, 4, 3, 5).reshape(ell, width, -1)
         out = _shares_out((ell, coded, stacked.shape[-1]))
         for l in range(ell):
             field.matmul(weights[:, l], stacked[l], out=out[l])
-        groups = out.reshape((ell,) + group_shape)
-    by_server = iter(zip(*groups))  # the coded servers' shares, in listed order
-    shares = [[arr[s]] if s < raw else list(next(by_server)) for s in _server_list(servers)]
+        shares = out.reshape((ell,) + group_shape).swapaxes(0, 1)
+    if raw:  # the coded servers' rows, in listed order, among the raw ones
+        coded_rows = iter(shares)
+        shares = [arr[s:s + 1] if s < raw else next(coded_rows) for s in _server_list(servers)]
     return shares[0] if isinstance(servers, numbers.Integral) else shares
 
 
@@ -241,21 +243,26 @@ def csa_answer(field: PrimeField, share_a, share_b, counter=None,
     """Server-side work: Y_s = sum_l A~_l B~_l, as the one product
     [A~_1 | ... | A~_ell] [B~_1; ...; B~_ell], written into ``out`` (a
     C-contiguous int64 array of the answer's shape) when given, else into a
-    fresh array.  The concatenations go to this thread's round-arena
-    buffers ``concat-a`` and ``concat-b`` where large enough."""
+    fresh array.  The shares are one server's ell groups, or n servers'
+    (n, ell, ...) rows of an encode, answered as one stacked product;
+    ``counter`` counts one server's.  The concatenations go to this thread's
+    round-arena buffers ``concat-a`` and ``concat-b`` where large enough."""
+    if share_a[0].ndim > 2:  # a leading server axis: the groups are axis 1
+        share_a, share_b = np.swapaxes(share_a, 0, 1), np.swapaxes(share_b, 0, 1)
+    share_a, share_b = list(share_a), list(share_b)  # iterating an array costs more
     if len(share_a) != len(share_b):
         raise ParameterError("share group counts differ")
     inner = 0
     for a, b in zip(share_a, share_b):
-        if a.shape[1] != b.shape[0]:
+        if a.shape[-1] != b.shape[-2]:
             raise ParameterError("share shapes are not conformable")
         if counter is not None:
-            counter.mults += a.shape[0] * a.shape[1] * b.shape[1]
-        inner += a.shape[1]
-    left = np.concatenate(share_a, axis=1,
-                          out=_arena("concat-a", (share_a[0].shape[0], inner)))
-    right = np.concatenate(share_b, axis=0,
-                           out=_arena("concat-b", (inner, share_b[0].shape[1])))
+            counter.mults += a.shape[-2] * a.shape[-1] * b.shape[-1]
+        inner += a.shape[-1]
+    left = np.concatenate(share_a, axis=-1,
+                          out=_arena("concat-a", share_a[0].shape[:-1] + (inner,)))
+    right = np.concatenate(share_b, axis=-2, out=_arena(
+        "concat-b", share_b[0].shape[:-2] + (inner, share_b[0].shape[-1])))
     return field.matmul(left, right, out=out)
 
 

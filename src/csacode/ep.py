@@ -107,11 +107,13 @@ def _generator(field: PrimeField, alphas: tuple, exps: tuple) -> np.ndarray:
 
 def ep_answer(field: PrimeField, coded_a: np.ndarray, coded_b: np.ndarray,
               counter=None, out: np.ndarray | None = None) -> np.ndarray:
-    """One coded product, into ``out`` when given (as ``PrimeField.matmul``)."""
-    if coded_a.shape[1] != coded_b.shape[0]:
+    """One coded product, or a stack of them (a server's entries, or servers
+    x entries) as one stacked product, into ``out`` when given (as
+    ``PrimeField.matmul``); ``counter`` counts one server's."""
+    if coded_a.shape[-1] != coded_b.shape[-2] or coded_a.shape[:-2] != coded_b.shape[:-2]:
         raise ParameterError("coded shares are not conformable")
     if counter is not None:
-        counter.mults += coded_a.shape[0] * coded_a.shape[1] * coded_b.shape[1]
+        counter.mults += (coded_a[0] if coded_a.ndim > 3 else coded_a).size * coded_b.shape[-1]
     return field.matmul(coded_a, coded_b, out=out)
 
 

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import csa, ep, gcsa, ncsa
 from .errors import InsufficientAnswersError, ParameterError
-from .ffield import _ROUND, PrimeField, _arena, _integer
+from .ffield import _ARENA_MIN_BYTES, _ROUND, _SERVER_BLOCK_BYTES, PrimeField, _arena, _integer
 
 CDBMM_SCHEMES = ("ep", "csa", "csa-systematic", "gcsa")
 
@@ -157,22 +157,15 @@ def run_cdbmm(field: PrimeField, scheme: str, setup, batch_a, batch_b,
         raise ParameterError("inner dimensions of A and B do not match")
     servers = range(setup.servers)
     shape = (batch_a[0].shape[0], batch_b[0].shape[1])  # of one answer
-
-    def answer(s, share, counter, out):  # csa and gcsa: the server work is the CSA answer
-        return csa.csa_answer(field, *share, counter, out)
+    answer = csa.csa_answer  # csa and gcsa: the server work is the CSA answer
 
     if scheme == "ep":  # one call per side: every server and batch entry
         shape = (len(batch_a), shape[0] // setup.params.m, shape[1] // setup.params.n)
+        answer = ep.ep_answer  # every entry of the servers as one stacked product
 
         def encode(responsive):
-            return list(zip(ep.ep_encode_a(field, batch_a, setup.params, setup.samples),
-                            ep.ep_encode_b(field, batch_b, setup.params, setup.samples)))
-
-        def answer(s, share, counter, out):
-            out = np.empty(shape, np.int64) if out is None else out
-            for a, b, y in zip(*share, out):
-                ep.ep_answer(field, a, b, counter, y)
-            return out
+            return [ep.ep_encode_a(field, batch_a, setup.params, setup.samples),
+                    ep.ep_encode_b(field, batch_b, setup.params, setup.samples)]
 
         def decode(answers):  # the whole batch as columns of one plan product
             return list(ep.ep_decode(field, [(setup.samples[s], y) for s, y in answers],
@@ -180,8 +173,8 @@ def run_cdbmm(field: PrimeField, scheme: str, setup, batch_a, batch_b,
     elif scheme in ("csa", "csa-systematic"):  # the layout is the setup's
 
         def encode(responsive):
-            return list(zip(csa.csa_encode_a(field, batch_a, setup, servers),
-                            csa.csa_encode_b(field, batch_b, setup, servers)))
+            return [csa.csa_encode_a(field, batch_a, setup, servers),
+                    csa.csa_encode_b(field, batch_b, setup, servers)]
 
         def decode(answers):
             return csa.csa_decode(field, answers, setup), ()
@@ -189,14 +182,14 @@ def run_cdbmm(field: PrimeField, scheme: str, setup, batch_a, batch_b,
         shape = (shape[0] // setup.m, shape[1] // setup.n)
 
         def encode(responsive):
-            return list(zip(gcsa.gcsa_encode_a(field, batch_a, setup, servers),
-                            gcsa.gcsa_encode_b(field, batch_b, setup, servers)))
+            return [gcsa.gcsa_encode_a(field, batch_a, setup, servers),
+                    gcsa.gcsa_encode_b(field, batch_b, setup, servers)]
 
         def decode(answers):
             return gcsa.gcsa_decode(field, answers, setup), ()
 
-    return _round(scheme, setup, [batch_a, batch_b], straggler, None,
-                  encode, answer, decode, shape)
+    return _round(scheme, setup, [batch_a, batch_b], straggler, None, encode,
+                  lambda s, sh, counter, out: answer(field, *sh, counter, out), decode, shape)
 
 
 def run_nlinear(field: PrimeField, params: ncsa.NCSAParams, job, batches,
@@ -230,23 +223,22 @@ def run_nlinear(field: PrimeField, params: ncsa.NCSAParams, job, batches,
             raise ParameterError(
                 f"variable {v} has entries of shape {batches[v][0].shape}, "
                 f"the map expects {tuple(shape)}")
-    const_shares = {}  # a spec's constant-one shares, by responsive server
+    const = []  # a spec's constant-one shares: the responsive servers, their rows
 
     def encode(responsive):
         by_var = [ncsa.xs_encode(field, batch, params, v, range(params.servers))
                   for v, batch in enumerate(batches)]
         if is_spec and any(slot is None for t in job.terms for slot in t.slots):
             ones = [np.ones(_const_shape(job), dtype=np.int64)] * params.batch_size
-            const_shares.update(zip(responsive, ncsa.xs_encode(
-                field, ones, params, len(batches), responsive)))
-        return [list(row) for row in zip(*by_var)]
+            const[:] = responsive, ncsa.xs_encode(field, ones, params, len(batches), responsive)
+        return by_var
 
     def answer(s, share, counter, out):
         if not is_spec:
             return ncsa.ncsa_answer(field, share, job, params, s, counter)
         shares_by_var = dict(enumerate(share))
-        if const_shares:
-            shares_by_var[None] = const_shares[s]
+        if const:
+            shares_by_var[None] = const[1][np.searchsorted(const[0], s)]
         return ncsa.poly_batch_eval_answer(field, shares_by_var, job, params, s)
 
     def decode(answers):  # with B = 0 it flags nothing: the plain decode
@@ -263,21 +255,27 @@ def _round(scheme: str, setup, operands, straggler: StragglerModel,
     answer (forging the corrupted answers), decode and count the costs.
 
     ``operands`` holds the residue batches, one per variable.
-    ``encode(responsive)`` returns one share per server: a tuple of
-    per-variable share lists.  ``answer(s, share, counter, out)`` is server
-    s's answer, and ``decode(answers)`` returns (results, flagged servers).
+    ``encode(responsive)`` returns per variable the encoder's shares of
+    every server, row s for server s.  ``answer(s, shares, counter, out)``
+    answers server s from its rows, or a list of servers from theirs with a
+    leading server axis, stacking their answers; ``counter`` counts one
+    server's multiplications (``server_mults`` is the largest count).  The
+    responsive servers answer in one call per ``ffield._SERVER_BLOCK_BYTES``
+    of shares, each alone once its shares reach ``ffield._ARENA_MIN_BYTES``.
+    Forgeries then replace answers, and ``decode(answers)`` returns
+    (results, flagged servers).
 
     Large intermediates live in this thread's round arena
     (``ffield._arena``), reused by every round instead of faulting in fresh
     pages.  The round opens this thread's round state (``ffield._ROUND``),
     so during its encode step the i-th encode writes its shares into the
-    buffer "shares-<i>", and with an ``answer_shape`` each responsive
-    server writes its answer into ``out``, its own row of the buffer
-    ``answers``, whose first R rows the decoder reads in place.  Without
-    one, or when the answers are too small for the arena, ``out`` is None.
-    A round run inside another round in this thread (by a map or a forger)
-    uses no arena, so it leaves the outer round's buffers alone.  The
-    decoders return fresh results, so no result views the arena.
+    buffer "shares-<i>", and with an ``answer_shape`` the answers are
+    written into ``out``, their rows of the buffer ``answers``, whose first
+    R rows the decoder reads in place.  Without one, or when the answers
+    are too small for the arena, ``out`` is None.  A round run inside
+    another round in this thread (by a map or a forger) uses no arena, so
+    it leaves the outer round's buffers alone.  The decoders return fresh
+    results, so no result views the arena.
     """
     theory = theoretical_costs(scheme, setup)
     r = theory.threshold
@@ -296,23 +294,23 @@ def _round(scheme: str, setup, operands, straggler: StragglerModel,
     try:
         shares = encode(responsive)
         _ROUND.shares = None  # later encodes, by a map or a forger, allocate
-        uploaded = [0] * len(operands)
-        for share in shares:
-            for v, item in enumerate(share):
-                uploaded[v] += sum(x.size for x in item)
+        uploaded = [sum(share.size for share in stack) for stack in shares]
         rows = (_arena("answers", (len(responsive),) + answer_shape)
                 if answer_shape and not nested else None)
-        if rows is None:
-            rows = [None] * len(responsive)
-        answers = []
-        server_mults = 0
-        for s, out in zip(responsive, rows):
+        one = sum(stack[responsive[-1]].nbytes for stack in shares)
+        # a systematic layout's rows (a list) hold one group or ell: each alone
+        size = (1 if one >= _ARENA_MIN_BYTES or isinstance(shares[0], list)
+                else _SERVER_BLOCK_BYTES // one)
+        answers, server_mults = [], 0
+        for i in range(0, len(responsive), size):
+            pick = i if size == 1 else slice(i, i + size)  # one server, or a list
+            servers = responsive[pick]
             counter = OpCounter()
-            y = answer(s, shares[s], counter, out)
+            y = answer(servers, [stack[servers] for stack in shares], counter,
+                       None if rows is None else rows[pick])
             server_mults = max(server_mults, counter.mults)
-            if s in bad:
-                y = byzantine.forge(s, y)
-            answers.append((s, y))
+            answers += [(servers, y)] if size == 1 else zip(servers, y)
+        answers = [(s, byzantine.forge(s, y) if s in bad else y) for s, y in answers]
         results, flagged = decode(answers)
     finally:
         _ROUND.running, _ROUND.shares = nested, None

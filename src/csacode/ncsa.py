@@ -40,8 +40,10 @@ class NLinearMap:
     """A function of ``arity`` vector variables, linear in each separately.
 
     ``fn`` takes the field followed by one numpy array per variable and
-    returns the output array.  ``mults`` is the field-multiplication count of
-    one evaluation, used by the cost accounting when available.
+    returns the output array; in a round's stacked answers the arrays
+    carry a leading server axis, which the output keeps (the built-in maps
+    take both).  ``mults`` is the field-multiplication count of one
+    evaluation, used by the cost accounting when available.
     """
 
     arity: int
@@ -105,10 +107,11 @@ def elementwise_product_map(arity: int, dim: int) -> NLinearMap:
 def determinant_map(size: int) -> NLinearMap:
     """Determinant of a size x size matrix, multilinear in its columns."""
 
-    def det(field, *cols):
-        m = field.residues(np.stack(cols, axis=1))  # a fresh stack, reduced in place
-        pivots, out = _row_reduce(field, m, size)
-        return np.array([out if len(pivots) == size else 0], dtype=np.int64)
+    def det(field, *cols):  # each matrix of a stack in turn
+        m = field.residues(np.stack(cols, axis=-1))  # a fresh stack, reduced in place
+        dets = [out if len(pivots) == size else 0 for pivots, out in
+                (_row_reduce(field, x, size) for x in m.reshape(-1, size, size))]
+        return np.array(dets, dtype=np.int64).reshape(m.shape[:-2] + (1,))
 
     return NLinearMap(
         arity=size,
@@ -216,7 +219,7 @@ def xs_encode(field: PrimeField, batch, params: NCSAParams, var: int, servers,
     ``params.code`` and the listed servers are one generator product
     (``csa._generator_encode``); X = 0 is ``csa_encode_a``.  ``servers`` is
     one server index, which returns that server's ell shares, or a sequence
-    of indices, which returns one such list per server.  Each noise block is
+    of indices, which returns them row by row.  Each noise block is
     drawn once a call, from ``params.noise_seed``, ``var`` and (l, k, x)
     alone: every round of one ``NCSAParams`` adds the same masks, so
     X-security across rounds needs a fresh ``noise_seed`` per round (no new
@@ -257,23 +260,32 @@ def _group_deltas(field: PrimeField, params: NCSAParams, alphas) -> np.ndarray:
 
 
 def ncsa_answer(field: PrimeField, shares, omega: NLinearMap, params: NCSAParams,
-                s: int, counter=None) -> np.ndarray:
+                s, counter=None) -> np.ndarray:
     """Y_s = sum_l Delta_s^{-1} Omega(coded variables of group l).
 
-    ``shares`` holds one share list (length ell) per variable slot.  A raw
-    server of a systematic layout (s < L) holds one-group shares, its own
-    entries, and returns Omega of them unnormalized: its own result.
+    ``shares`` holds one share list (length ell) per variable slot, or
+    with a sequence ``s`` of n servers their (n, ell, ...) rows of an
+    encode, answered with one map call per group; ``counter`` counts one
+    server's.  A raw server of a systematic layout (s < L) holds one-group
+    shares, its own entries, and returns Omega of them unnormalized: its
+    own result; the servers of one call are all raw or all coded.
     """
     if len(shares) != omega.arity or omega.arity != params.arity:
         raise ParameterError("share count does not match the map arity")
-    if s < _raw(params):
+    listed, raw = _server_list(s), _raw(params)
+    if min(listed) < raw <= max(listed):
+        raise ParameterError("raw and coded servers answer in separate calls")
+    if np.ndim(s):  # servers x groups: iterate the groups
+        shares = [np.swapaxes(sh, 0, 1) for sh in shares]
+    if listed[0] < raw:
         if counter is not None and omega.mults is not None:
             counter.mults += omega.mults
         return omega(field, *[sh[0] for sh in shares])
-    inverses = _inverse_deltas(field, params.code)[s - _raw(params)]
+    inverses = _inverse_deltas(field, params.code)[np.subtract(s, raw)]
     acc = None
     for l in range(params.ell):
-        term = int(inverses[l]) * omega(field, *[sh[l] for sh in shares]) % field.q
+        y, w = omega(field, *[sh[l] for sh in shares]), inverses[..., l]
+        term = w.reshape(w.shape + (1,) * (y.ndim - w.ndim)) * y % field.q
         if counter is not None and omega.mults is not None:
             counter.mults += omega.mults + math.prod(omega.out_shape)
         acc = term if acc is None else (acc + term) % field.q
@@ -325,9 +337,10 @@ class PolynomialSpec:
 
 
 def poly_batch_eval_answer(field: PrimeField, shares_by_var, spec: PolynomialSpec,
-                           params: NCSAParams, s: int) -> np.ndarray:
+                           params: NCSAParams, s) -> np.ndarray:
     """Weighted sum of per-term answers; ``shares_by_var`` maps a variable
-    index (or None for the constant batch) to its share list for server s."""
+    index (or None for the constant batch) to its share list for server s
+    (or servers, as ``ncsa_answer``)."""
     acc = None
     for term in spec.terms:
         shares = [shares_by_var[slot] for slot in term.slots]

@@ -1,3 +1,4 @@
+import math
 import sys
 import threading
 
@@ -250,6 +251,54 @@ def test_small_products_route_by_int64_chunk_count(monkeypatch, q, rows, inner, 
     b = b if cols else b[:, 0]
     assert_matmul_exact(field, a, b)
     assert taken == [kernel]
+
+
+@pytest.mark.parametrize("lead, rows, inner, cols, use_out", [
+    ((1,), 3, 4, 5, False),         # int64, limbs at q near 2^31
+    ((5,), 3, 4, 5, True),
+    ((3,), 2, 1, 3, True),          # one inner term: int64 at every q
+    ((1,), 24, 24, 24, True),       # one slice past FLOAT_MIN_MACS: float
+    ((18,), 16, 16, 16, False),     # the slices together pass it: float
+    ((18,), 16, 16, 16, True),
+    ((2, 3), 4, 70, 9, False),      # two stack axes; 3 limb chunks at q near 2^31
+    ((2,), 2, 65, 8193, True),      # column blocks
+])
+def test_stacked_products_equal_each_slice(monkeypatch, lead, rows, inner, cols, use_out):
+    # a (..., m, k) @ b (..., k, p): every slice is the exact 2-D product, and
+    # a stack takes the float path once all its slices' multiply-adds pass
+    # FLOAT_MIN_MACS (near q = 2^31 the float path always splits limbs)
+    taken = []
+    for name in ("_matmul_int64", "_matmul_float"):
+        fn = getattr(PrimeField, name)
+        monkeypatch.setattr(PrimeField, name,
+                            lambda self, *args, fn=fn, name=name:
+                            taken.append(name) or fn(self, *args))
+    rng = np.random.default_rng(rows * inner + cols)
+    for q in MODULI:
+        field, taken[:] = PrimeField(q), []
+        a = rng.integers(0, q, size=lead + (rows, inner), dtype=np.int64)
+        b = rng.integers(0, q, size=lead + (inner, cols), dtype=np.int64)
+        out = np.full(lead + (rows, cols), -1, dtype=np.int64) if use_out else None
+        got = field.matmul(a, b, out=out)
+        assert got is out or out is None
+        assert got.shape == lead + (rows, cols)
+        for i in np.ndindex(*lead):
+            assert np.array_equal(got[i], reference_matmul(a[i], b[i], q).astype(np.int64))
+        macs = math.prod(lead) * rows * inner * cols
+        exact = inner * (q - 1) ** 2 < 2**62
+        assert taken == ["_matmul_int64" if macs < FLOAT_MIN_MACS and exact
+                         else "_matmul_float"]
+
+
+@pytest.mark.parametrize("shape_a, shape_b", [
+    ((2, 3, 4), (3, 4, 5)),    # leading shapes differ
+    ((3, 4), (2, 4, 5)),       # a 2-D a against a stack
+    ((2, 2, 3, 4), (2, 4, 5)),  # stack ranks differ
+    ((2, 3, 4), (2, 5, 5)),    # inner sizes differ
+])
+def test_stacked_products_refuse_mismatched_stacks(shape_a, shape_b):
+    with pytest.raises(ValueError):
+        PrimeField(13).matmul(np.ones(shape_a, dtype=np.int64), np.ones(shape_b, dtype=np.int64))
 
 
 def test_residues_reduces_only_out_of_range_inputs():

@@ -916,3 +916,139 @@ def test_a_round_inside_a_map_leaves_the_outer_rounds_arena_alone():
                                       harness.ByzantineModel((3,), forge))
     assert all(np.array_equal(g, t) for g, t in zip(got, truth))
     assert report.flagged_servers == (3,)
+
+
+# ---- the answer step: every responsive server in one stacked call ----
+
+
+def _answer_cases(field):
+    """(id, answer(s, shares, counter, out), share stacks (row s: server
+    s's shares, one stack per variable), blocks of servers answered
+    together).  A systematic layout's raw and coded servers are separate
+    blocks of one responsive set; the N-CSA answers ignore ``out``."""
+    rng = np.random.default_rng(field.q % 1000)
+
+    def mats(n, *shape):
+        return [rng.integers(0, field.q, size=shape, dtype=np.int64) for _ in range(n)]
+
+    def cdbmm(answer, encode_a, encode_b, setup, servers, dims, blocks):
+        rows, inner, cols = dims
+        n = 3 if encode_a is ep.ep_encode_a else setup.batch_size
+        return (lambda s, sh, c, out: answer(field, *sh, c, out),
+                [encode_a(field, mats(n, rows, inner), setup, servers),
+                 encode_b(field, mats(n, inner, cols), setup, servers)], blocks)
+
+    ep_setup = harness.ep_setup(field, 2, 2, 1, 9)
+    cases = [
+        ("csa", *cdbmm(csa.csa_answer, csa.csa_encode_a, csa.csa_encode_b,
+                       csa.csa_params(field, 2, 2, 9), range(9), (16, 8, 16),
+                       [[0, 2, 3, 5, 7, 8]])),
+        ("gcsa", *cdbmm(csa.csa_answer, gcsa.gcsa_encode_a, gcsa.gcsa_encode_b,
+                        gcsa.gcsa_params(field, 1, 2, 2, 1, 1, 9), range(9), (8, 4, 6),
+                        [[1, 2, 3, 4, 5, 6, 8]])),
+        ("ep", lambda s, sh, c, out: ep.ep_answer(field, *sh, c, out),
+         [ep.ep_encode_a(field, mats(3, 8, 4), ep_setup.params, ep_setup.samples),
+          ep.ep_encode_b(field, mats(3, 4, 6), ep_setup.params, ep_setup.samples)],
+         [[0, 1, 4, 5, 6, 8]]),
+        ("csa-systematic", *cdbmm(csa.csa_answer, csa.csa_encode_a, csa.csa_encode_b,
+                                  csa.csa_params(field, 2, 2, 7, systematic=True),
+                                  range(7), (4, 4, 2), [[0, 2, 3], [5, 6]])),
+    ]
+    for omega, x, systematic in ((ncsa.matmul_map(16, 16, 16), 2, False),
+                                 (ncsa.matrix_chain_map((2, 3, 4, 2)), 0, False),
+                                 (ncsa.elementwise_product_map(3, 5), 1, False),
+                                 (ncsa.determinant_map(3), 0, False),
+                                 (ncsa.matmul_map(4, 4, 2), 0, True)):
+        params = ncsa.ncsa_params(field, omega.arity, 2, 2, 11 if x < 2 else 12, x,
+                                  systematic=systematic)
+        shares = [ncsa.xs_encode(field, mats(4, *shape), params, v, range(params.servers))
+                  for v, shape in enumerate(omega.var_shapes)]
+        cases.append((f"ncsa-{omega.name}{'-systematic' if systematic else ''}",
+                      lambda s, sh, c, out, omega=omega, params=params:
+                      ncsa.ncsa_answer(field, sh, omega, params, s, c),
+                      shares, [[0, 1, 3], [4, 7, 9]] if systematic else [[0, 1, 3, 4, 7, 9, 10]]))
+    # a polynomial with a constant slot: a b + 5 a
+    omega = ncsa.matmul_map(2, 2, 2)
+    spec = ncsa.PolynomialSpec(2, (ncsa.PolyTerm(1, omega, (0, 1)),
+                                   ncsa.PolyTerm(5, omega, (0, None))))
+    params = ncsa.ncsa_params(field, 2, 1, 2, 7, x_secure=1)
+    batches = [mats(2, 2, 2), mats(2, 2, 2), [np.ones((2, 2), dtype=np.int64)] * 2]
+    shares = [ncsa.xs_encode(field, b, params, v, range(7)) for v, b in enumerate(batches)]
+    cases.append(("ncsa-spec-constant-slot",
+                  lambda s, sh, c, out: ncsa.poly_batch_eval_answer(
+                      field, {0: sh[0], 1: sh[1], None: sh[2]}, spec, params, s),
+                  shares, [[0, 2, 3, 4, 6]]))
+    return cases
+
+
+@pytest.mark.parametrize("q", [65537, 2147483629])
+def test_stacked_answers_equal_each_server_alone(q):
+    # Each block of servers answered in one call, its shares with a leading
+    # server axis, gives every server's own answer and counts one server's
+    # multiplications, on the int64 and float matmul paths alike.
+    field = PrimeField(q)
+    for name, answer, shares, blocks in _answer_cases(field):
+        for servers in blocks:
+            stacked = [np.stack([x[s] for s in servers]) for x in shares]
+            counter = harness.OpCounter()
+            together = answer(servers, stacked, counter, None)
+            assert len(together) == len(servers), name
+            if not name.startswith("ncsa"):  # the CDBMM answers write into out=
+                rows = np.full(together.shape, -1, dtype=np.int64)
+                assert answer(servers, stacked, None, rows) is rows
+                assert np.array_equal(rows, together), name
+            for s, y in zip(servers, together):
+                alone = harness.OpCounter()
+                assert np.array_equal(y, answer(s, [x[s] for x in shares], alone, None)), (name, s)
+                assert alone.mults == counter.mults, (name, s)
+
+
+def test_raw_and_coded_servers_answer_in_separate_calls():
+    field = PrimeField(65537)
+    omega = ncsa.matmul_map(2, 2, 2)
+    # with ell = 1 a raw server's one-group share stacks with a coded one's,
+    # but only the coded answer is normalised
+    params = ncsa.ncsa_params(field, 2, 1, 2, 6, systematic=True)
+    rng = np.random.default_rng(40)
+    shares = [ncsa.xs_encode(field, [field.rand_matrix(rng, 2, 2) for _ in range(2)],
+                             params, v, range(6)) for v in range(2)]
+    stacked = [np.stack([x[s] for s in (1, 3)]) for x in shares]
+    with pytest.raises(ParameterError):
+        ncsa.ncsa_answer(field, stacked, omega, params, [1, 3])
+
+
+def test_answer_step_matmul_count_does_not_grow_with_the_responsive_count(monkeypatch):
+    # An X-secure matmul round answers its responsive servers with one
+    # stacked product per group, so 12 responsive servers make as many
+    # PrimeField.matmul calls in the answer step as 18.
+    field = PrimeField(65537)
+    omega = ncsa.matmul_map(16, 16, 16)
+    params = ncsa.ncsa_params(field, 2, 2, 2, 20, x_secure=2, byzantine=1)
+    rng = np.random.default_rng(41)
+    batches = [[field.rand_matrix(rng, *shape) for _ in range(4)] for shape in omega.var_shapes]
+    truth = harness.direct_evaluations(field, omega, batches)
+    answer, matmul = ncsa.ncsa_answer, PrimeField.matmul
+    calls, answering = [], []
+
+    def counted(self, *args, **kw):
+        calls.append(bool(answering))
+        return matmul(self, *args, **kw)
+
+    def flagged(*args, **kw):
+        answering.append(True)
+        try:
+            return answer(*args, **kw)
+        finally:
+            answering.pop()
+
+    monkeypatch.setattr(PrimeField, "matmul", counted)
+    monkeypatch.setattr(ncsa, "ncsa_answer", flagged)
+    counts = []
+    for responsive in (12, 18):
+        calls.clear()
+        got, report = harness.run_nlinear(field, params, omega, batches,
+                                          harness.StragglerModel(count=responsive, seed=1))
+        assert all(np.array_equal(g, t) for g, t in zip(got, truth))
+        assert report.server_mults == params.ell * (16**3 + 16**2)
+        counts.append(sum(calls))
+    assert counts[0] == counts[1] == params.ell
