@@ -108,7 +108,7 @@ def csa_params(field: PrimeField, ell: int, kc: int, servers: int,
     return CSAParams(ell, kc, servers, poles, samples, systematic)
 
 
-def csa_encode_a(field: PrimeField, batch_a, params: CSAParams, servers) -> list:
+def csa_encode_a(field: PrimeField, batch_a, params: CSAParams, servers) -> np.ndarray | list:
     """A-side shares: ell matrices per server, one per group.
 
     Uses the expanded polynomial form prod_{k' != k}(f_{l,k'} - alpha), so no
@@ -121,14 +121,14 @@ def csa_encode_a(field: PrimeField, batch_a, params: CSAParams, servers) -> list
     return _cauchy_encode(field, batch_a, params, servers, "a")
 
 
-def csa_encode_b(field: PrimeField, batch_b, params: CSAParams, servers) -> list:
+def csa_encode_b(field: PrimeField, batch_b, params: CSAParams, servers) -> np.ndarray | list:
     """B-side shares: bare Cauchy combinations with weights 1/(f_{l,k} - alpha),
     the inverses of all listed servers from one batched inversion.
     ``servers`` and the systematic layout as for ``csa_encode_a``."""
     return _cauchy_encode(field, batch_b, params, servers, "b")
 
 
-def _cauchy_encode(field: PrimeField, batch, params, servers, side: str) -> list:
+def _cauchy_encode(field: PrimeField, batch, params, servers, side: str) -> np.ndarray | list:
     """Both encoders: ``side`` "a" or "b" picks the generator weights."""
     weights = _weights(field, params, tuple(_server_list(servers)), side)
     return _generator_encode(field, batch, weights, servers, raw=_raw(params))
@@ -184,7 +184,7 @@ def _cauchy_weights(field: PrimeField, params, listed, side: str, order: int = 1
 
 
 def _generator_encode(field: PrimeField, batch, weights: np.ndarray, servers,
-                      grid=(1, 1), raw: int = 0) -> list:
+                      grid=(1, 1), raw: int = 0) -> np.ndarray | list:
     """The shares of ``servers`` (one index, or a sequence as for
     ``csa_encode_a``) from generator products: a listed server s < ``raw``
     holds the residue entry s alone, every other its share of each group,
@@ -245,25 +245,28 @@ def csa_answer(field: PrimeField, share_a, share_b, counter=None,
     C-contiguous int64 array of the answer's shape) when given, else into a
     fresh array.  The shares are one server's ell groups, or n servers'
     (n, ell, ...) rows of an encode, answered as one stacked product;
-    ``counter`` counts one server's.  The concatenations go to this thread's
-    round-arena buffers ``concat-a`` and ``concat-b`` where large enough."""
-    if share_a[0].ndim > 2:  # a leading server axis: the groups are axis 1
-        share_a, share_b = np.swapaxes(share_a, 0, 1), np.swapaxes(share_b, 0, 1)
-    share_a, share_b = list(share_a), list(share_b)  # iterating an array costs more
-    if len(share_a) != len(share_b):
-        raise ParameterError("share group counts differ")
-    inner = 0
-    for a, b in zip(share_a, share_b):
-        if a.shape[-1] != b.shape[-2]:
-            raise ParameterError("share shapes are not conformable")
-        if counter is not None:
-            counter.mults += a.shape[-2] * a.shape[-1] * b.shape[-1]
-        inner += a.shape[-1]
-    left = np.concatenate(share_a, axis=-1,
-                          out=_arena("concat-a", share_a[0].shape[:-1] + (inner,)))
-    right = np.concatenate(share_b, axis=-2, out=_arena(
-        "concat-b", share_b[0].shape[:-2] + (inner, share_b[0].shape[-1])))
-    return field.matmul(left, right, out=out)
+    ``counter`` counts one server's.  The A groups are copied side by side
+    into the round-arena buffer ``concat-a``; B's groups in a contiguous
+    row are already stacked, else they are copied into ``concat-b``."""
+    share_a, share_b = np.asarray(share_a), np.asarray(share_b)  # a list of groups stacks
+    lead, (ell, rows, inner), cols = share_a.shape[:-3], share_a.shape[-3:], share_b.shape[-1]
+    if share_b.shape[:-1] != lead + (ell, inner):
+        raise ParameterError("share groups are not conformable")
+    if counter is not None:
+        counter.mults += ell * rows * inner * cols
+    left = _arena_copy("concat-a", np.swapaxes(share_a, -3, -2))
+    right = share_b if share_b.flags.c_contiguous else _arena_copy("concat-b", share_b)
+    return field.matmul(left.reshape(lead + (rows, ell * inner)),
+                        right.reshape(lead + (ell * inner, cols)), out=out)
+
+
+def _arena_copy(name: str, x: np.ndarray) -> np.ndarray:
+    """A C-contiguous copy of ``x``, in this thread's round-arena buffer ``name``."""
+    out = _arena(name, x.shape)
+    if out is None:  # below _ARENA_MIN_BYTES
+        return x.copy()
+    np.copyto(out, x)
+    return out
 
 
 def csa_decode(field: PrimeField, answers, params: CSAParams) -> list[np.ndarray]:

@@ -24,7 +24,7 @@ import numpy as np
 
 from .csa import _answer_rows, _generator_encode, _plan_cache, _read_only, _server_list
 from .errors import InsufficientAnswersError, ParameterError
-from .ffield import PrimeField
+from .ffield import _ARENA_MIN_BYTES, PrimeField
 from .structmat import _powers, solve_batch
 
 
@@ -77,8 +77,8 @@ def ep_encode_a(field: PrimeField, a, params: EPParams, alpha):
     evaluates the same polynomial at the shifted point f_{l,k} - alpha.
 
     With one matrix and one point, returns that share.  With a batch of
-    matrices and a sequence of points, returns one list of shares (one per
-    batch entry) per point, all from one generator product
+    matrices and a sequence of points, returns one (points, entries, ...)
+    array, row i the shares of point i, all from one generator product
     (``csa._generator_encode``).
     """
     return _encode(field, a, (params.m, params.p), _a_exponents(params), alpha)
@@ -107,14 +107,19 @@ def _generator(field: PrimeField, alphas: tuple, exps: tuple) -> np.ndarray:
 
 def ep_answer(field: PrimeField, coded_a: np.ndarray, coded_b: np.ndarray,
               counter=None, out: np.ndarray | None = None) -> np.ndarray:
-    """One coded product, or a stack of them (a server's entries, or servers
-    x entries) as one stacked product, into ``out`` when given (as
-    ``PrimeField.matmul``); ``counter`` counts one server's."""
+    """One coded product, or a stack (entries, or servers x entries), into
+    ``out`` when given (as ``PrimeField.matmul``); ``counter`` counts one server's.
+    A server whose shares reach ``_ARENA_MIN_BYTES`` goes entry by entry."""
     if coded_a.shape[-1] != coded_b.shape[-2] or coded_a.shape[:-2] != coded_b.shape[:-2]:
         raise ParameterError("coded shares are not conformable")
     if counter is not None:
         counter.mults += (coded_a[0] if coded_a.ndim > 3 else coded_a).size * coded_b.shape[-1]
-    return field.matmul(coded_a, coded_b, out=out)
+    if coded_a.ndim != 3 or coded_a.nbytes + coded_b.nbytes < _ARENA_MIN_BYTES:
+        return field.matmul(coded_a, coded_b, out=out)
+    out = np.empty(coded_a.shape[:-1] + coded_b.shape[-1:], np.int64) if out is None else out
+    for a, b, y in zip(coded_a, coded_b, out):
+        field.matmul(a, b, out=y)
+    return out
 
 
 def ep_decode(field: PrimeField, answers, params: EPParams):

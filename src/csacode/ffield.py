@@ -25,7 +25,12 @@ several fields can coexist in one process.
 A stack (``a`` and ``b`` with one leading shape) picks its path by the
 multiply-adds of all its slices; a float chunk is then one batched ``dgemm``.
 18 stacked 16^3 products at q = 65537 took 126 us on the int64 path, 54 us
-on the float path and 250 us as 18 calls (best of 7 timeit repeats).
+on the float path and 250 us as 18 calls.  ``harness._round`` stacks its
+responsive servers' answers, but answers a server whose shares reach
+``_ARENA_MIN_BYTES`` alone, so no buffer grows with the server count: 12
+CSA answers (ell = 2) took 103 vs 553 us stacked vs alone at 8 KiB of
+shares a server, 272 vs 723 us at 32 KiB and 2,294 vs 1,367 us at 128 KiB
+(cdbmm-q31's; q = 65537, best of 7 timeit repeats).
 
 Workspaces: the float path writes its float64 operands, each ``dgemm``
 block and each reduction quotient into scratch arrays that belong to the
@@ -44,7 +49,7 @@ The round arena extends the same store (``_workspace``) to a round's large
 intermediates, under names of their own: ``shares-<i>`` (the shares of the
 i-th encode of a round, written by ``csa._generator_encode``), ``answers``
 (one row per responsive server, which the decoders read in place),
-``concat-a`` and ``concat-b`` (``csa.csa_answer``'s concatenated shares),
+``concat-a`` and ``concat-b`` (``csa.csa_answer``'s joined share groups),
 each once it reaches ``_ARENA_MIN_BYTES``.  Which buffers a round uses
 follows from this thread's round state, ``_ROUND``, which
 ``harness._round`` opens: only the encode step of a top-level round takes
@@ -59,14 +64,6 @@ x86-64 VM), a ``cdbmm-large`` operation took 3,094 to 3,605 minor faults
 and ``cdbmm-q31`` 624 with fresh round temporaries; with the arena they
 take about 1,264 and none.  The faults left are the fresh products of the
 round and of its oracle.
-
-Server blocks (``harness._round``): one stacked answer per
-``_SERVER_BLOCK_BYTES`` of shares, but a server whose shares reach
-``_ARENA_MIN_BYTES`` alone, so no buffer grows with the server count.  12
-CSA answers (ell = 2, q = 65537, best of 7) took 103 vs 553 us stacked vs
-alone at 8 KiB of shares a server, 272 vs 723 us at 32 KiB, 2,294 vs 1,367
-us at 128 KiB (cdbmm-q31's); 150 servers of 25 KiB 2.1 ms in 256 KiB stacks,
-4.6 ms in one and 5.3 ms alone.
 
 Crossover, q = 65537, square products, ``_matmul_int64`` vs
 ``_matmul_float`` (best of 25 timeit repeats, OpenBLAS 0.3.31 with one
@@ -103,7 +100,6 @@ _CHUNK_SUMS = 2**63 // _FLOAT_EXACT - 1  # chunk sums (each < 2^53) an int64 hol
 # 11, one BLAS thread, 2-core x86-64 VM); (11x11)@(11x36864), the decode
 # product, ran in the same order.
 _COLUMN_BLOCK = 4096
-_SERVER_BLOCK_BYTES = 1 << 18  # shares a stacked answer takes (module docstring)
 # The float path's scratch arrays, one set per thread (see the module
 # docstring): x and y (float64 operands, y one column block of b), part
 # (one dgemm block), quot (reduction quotients, and a later chunk's int64
@@ -111,10 +107,10 @@ _SERVER_BLOCK_BYTES = 1 << 18  # shares a stacked answer takes (module docstring
 # round arena's buffers live here too, under the names the module docstring
 # lists.
 _WORKSPACES = threading.local()
-# Smallest array the round arena holds.  Smaller temporaries come from freed
-# heap memory without fresh-page faults (the benchmark's small-mixed and
-# secure-byzantine operations take none), and there an arena lookup (about
-# 0.6 us) costs more than it saves.
+# Smallest array the round arena holds, and the shares from which a server
+# answers alone (module docstring).  Smaller temporaries come from freed heap
+# memory without fresh-page faults (small-mixed and secure-byzantine take
+# none), and there an arena lookup (about 0.6 us) costs more than it saves.
 _ARENA_MIN_BYTES = 1 << 15
 
 
@@ -230,17 +226,14 @@ class PrimeField:
         shape, multiplied slice by slice.  ``out``, if given, is a
         C-contiguous int64 array of the result's shape which receives it and
         is returned; it must not overlap ``a`` or ``b``.  Products (stacks:
-        all slices) below ``FLOAT_MIN_MACS`` multiply-adds that one
-        int64 sum holds exactly take the int64 path; the rest take the
-        float64 path, split into 16-bit limbs where (q-1)^2 alone exceeds
-        what float64 sums exactly (see the module docstring for each path's
-        exactness bound).  Every path returns the same residues whatever
-        order BLAS sums in.
+        all slices) below ``FLOAT_MIN_MACS`` multiply-adds that one int64 sum
+        holds exactly take the int64 path; the rest the float64 path, split
+        into 16-bit limbs where (q-1)^2 alone exceeds what float64 sums
+        exactly (module docstring).  Every path returns the same residues
+        whatever order BLAS sums in.
         """
-        stacked = b.ndim > 2
-        inner = b.shape[-2] if stacked else b.shape[0]
-        if (a.ndim < 1 or a.shape[-1] != inner
-                or stacked and a.shape[:-2] != b.shape[:-2]):
+        stacked, inner = b.ndim > 2, b.shape[max(b.ndim - 2, 0)]
+        if a.ndim < 1 or a.shape[-1] != inner or stacked and a.shape[:-2] != b.shape[:-2]:
             raise ValueError(f"matmul shapes {a.shape} and {b.shape} do not conform")
         shape = a.shape[:-1] + b.shape[max(b.ndim - 1, 1):]
         if out is not None and (out.shape != shape or out.dtype != np.int64

@@ -94,16 +94,17 @@ def gcsa_params(field: PrimeField, ell: int, kc: int, p: int, m: int, n: int,
     return GCSAParams(ell, kc, p, m, n, servers, poles, samples)
 
 
-def gcsa_encode_a(field: PrimeField, batch_a, params: GCSAParams, servers) -> list:
+def gcsa_encode_a(field: PrimeField, batch_a, params: GCSAParams, servers) -> np.ndarray | list:
     """A-side shares: per group, sum over slots of the inner polynomial at
     f_{l,k} - alpha times the cleared-denominator weight
     prod_{k' != k}(f_{l,k'} - alpha)^R'.  ``servers`` is one server index
-    (that server's ell shares) or a sequence (one list per server)."""
+    (that server's ell shares) or a sequence (their rows, as for
+    ``csa_encode_a``)."""
     weights = _weights(field, params, tuple(_server_list(servers)), "a")
     return _generator_encode(field, batch_a, weights, servers, (params.m, params.p))
 
 
-def gcsa_encode_b(field: PrimeField, batch_b, params: GCSAParams, servers) -> list:
+def gcsa_encode_b(field: PrimeField, batch_b, params: GCSAParams, servers) -> np.ndarray | list:
     """B-side shares: the inner B polynomials at f_{l,k} - alpha, weighted by
     1/(f_{l,k} - alpha)^R'; ``servers`` as for ``gcsa_encode_a``."""
     weights = _weights(field, params, tuple(_server_list(servers)), "b")

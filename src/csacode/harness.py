@@ -17,7 +17,7 @@ import numpy as np
 
 from . import csa, ep, gcsa, ncsa
 from .errors import InsufficientAnswersError, ParameterError
-from .ffield import _ARENA_MIN_BYTES, _ROUND, _SERVER_BLOCK_BYTES, PrimeField, _arena, _integer
+from .ffield import _ARENA_MIN_BYTES, _ROUND, PrimeField, _arena, _integer
 
 CDBMM_SCHEMES = ("ep", "csa", "csa-systematic", "gcsa")
 
@@ -260,10 +260,9 @@ def _round(scheme: str, setup, operands, straggler: StragglerModel,
     answers server s from its rows, or a list of servers from theirs with a
     leading server axis, stacking their answers; ``counter`` counts one
     server's multiplications (``server_mults`` is the largest count).  The
-    responsive servers answer in one call per ``ffield._SERVER_BLOCK_BYTES``
-    of shares, each alone once its shares reach ``ffield._ARENA_MIN_BYTES``.
-    Forgeries then replace answers, and ``decode(answers)`` returns
-    (results, flagged servers).
+    responsive servers answer in one call, each alone once its shares reach
+    ``ffield._ARENA_MIN_BYTES``.  Forgeries then replace answers, and
+    ``decode(answers)`` returns (results, flagged servers).
 
     Large intermediates live in this thread's round arena
     (``ffield._arena``), reused by every round instead of faulting in fresh
@@ -298,18 +297,15 @@ def _round(scheme: str, setup, operands, straggler: StragglerModel,
         rows = (_arena("answers", (len(responsive),) + answer_shape)
                 if answer_shape and not nested else None)
         one = sum(stack[responsive[-1]].nbytes for stack in shares)
-        # a systematic layout's rows (a list) hold one group or ell: each alone
-        size = (1 if one >= _ARENA_MIN_BYTES or isinstance(shares[0], list)
-                else _SERVER_BLOCK_BYTES // one)
+        alone = one >= _ARENA_MIN_BYTES or isinstance(shares[0], list)  # raw rows hold one group
         answers, server_mults = [], 0
-        for i in range(0, len(responsive), size):
-            pick = i if size == 1 else slice(i, i + size)  # one server, or a list
-            servers = responsive[pick]
+        for pick in range(len(responsive)) if alone else [slice(None)]:
+            servers = responsive[pick]  # one server, or all of them
             counter = OpCounter()
             y = answer(servers, [stack[servers] for stack in shares], counter,
                        None if rows is None else rows[pick])
             server_mults = max(server_mults, counter.mults)
-            answers += [(servers, y)] if size == 1 else zip(servers, y)
+            answers += [(servers, y)] if alone else zip(servers, y)
         answers = [(s, byzantine.forge(s, y) if s in bad else y) for s, y in answers]
         results, flagged = decode(answers)
     finally:

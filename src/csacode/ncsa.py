@@ -40,10 +40,10 @@ class NLinearMap:
     """A function of ``arity`` vector variables, linear in each separately.
 
     ``fn`` takes the field followed by one numpy array per variable and
-    returns the output array; in a round's stacked answers the arrays
-    carry a leading server axis, which the output keeps (the built-in maps
-    take both).  ``mults`` is the field-multiplication count of one
-    evaluation, used by the cost accounting when available.
+    returns the output array; in a round's stacked answers the arrays carry
+    a leading server axis, which the output must keep (the built-in maps
+    do; a call refuses an output without it).  ``mults`` is the
+    field-multiplication count of one evaluation, for the cost accounting.
     """
 
     arity: int
@@ -56,7 +56,10 @@ class NLinearMap:
     def __call__(self, field: PrimeField, *args) -> np.ndarray:
         if len(args) != self.arity:
             raise ParameterError(f"map {self.name} expects {self.arity} variables")
-        return self.fn(field, *args)
+        y, lead = self.fn(field, *args), np.shape(args[0])[:-len(self.var_shapes[0]) or None]
+        if lead and np.shape(y) != lead + tuple(self.out_shape):
+            raise ParameterError(f"map {self.name} returned {np.shape(y)}: keep the leading axes")
+        return y
 
 
 def matmul_map(rows: int, inner: int, cols: int) -> NLinearMap:
@@ -208,7 +211,7 @@ def noise_block(field: PrimeField, seed: int, var: int, l: int, k: int, x: int,
 
 
 def xs_encode(field: PrimeField, batch, params: NCSAParams, var: int, servers,
-              noise=None) -> list:
+              noise=None) -> np.ndarray | list:
     """Secure shares: data Cauchy terms plus uniform noise along powers of alpha.
 
     The noise realization z_{l,k,x} is fixed per (var, l, k, x) and shared
@@ -263,12 +266,11 @@ def ncsa_answer(field: PrimeField, shares, omega: NLinearMap, params: NCSAParams
                 s, counter=None) -> np.ndarray:
     """Y_s = sum_l Delta_s^{-1} Omega(coded variables of group l).
 
-    ``shares`` holds one share list (length ell) per variable slot, or
-    with a sequence ``s`` of n servers their (n, ell, ...) rows of an
-    encode, answered with one map call per group; ``counter`` counts one
-    server's.  A raw server of a systematic layout (s < L) holds one-group
-    shares, its own entries, and returns Omega of them unnormalized: its
-    own result; the servers of one call are all raw or all coded.
+    ``shares`` holds one share list (length ell) per variable slot, or for
+    a sequence ``s`` of n servers their (n, ell, ...) rows, with one map
+    call per group; ``counter`` counts one server's.  A raw server of a
+    systematic layout (s < L) holds one-group shares, its own entries, and
+    returns Omega of them unnormalized (in a call of raw servers only).
     """
     if len(shares) != omega.arity or omega.arity != params.arity:
         raise ParameterError("share count does not match the map arity")

@@ -1052,3 +1052,59 @@ def test_answer_step_matmul_count_does_not_grow_with_the_responsive_count(monkey
         assert report.server_mults == params.ell * (16**3 + 16**2)
         counts.append(sum(calls))
     assert counts[0] == counts[1] == params.ell
+
+
+def test_a_large_ep_server_multiplies_entry_by_entry():
+    # A server whose shares reach _ARENA_MIN_BYTES is answered alone, and
+    # its batch entries go through the float path one at a time, so this
+    # thread's workspaces hold one entry's product whatever the batch size.
+    field = PrimeField(65537)
+    setup = harness.ep_setup(field, 1, 2, 2, 9)
+    rng = np.random.default_rng(42)
+
+    def answer_in_a_fresh_thread(batch):
+        aa = [field.rand_matrix(rng, 64, 64) for _ in range(batch)]
+        bb = [field.rand_matrix(rng, 64, 64) for _ in range(batch)]
+        share_a = ep.ep_encode_a(field, aa, setup.params, setup.samples)[3]
+        share_b = ep.ep_encode_b(field, bb, setup.params, setup.samples)[3]
+        assert share_a.nbytes + share_b.nbytes >= ffield._ARENA_MIN_BYTES
+        got = {}
+
+        def run():
+            counter = harness.OpCounter()
+            rows = np.full((batch, 32, 32), -1, dtype=np.int64)
+            assert ep.ep_answer(field, share_a, share_b, counter, rows) is rows
+            got.update(rows=rows, mults=counter.mults, sizes={
+                name: buf.size for name, buf in ffield._WORKSPACES.__dict__.items()})
+
+        thread = threading.Thread(target=run)
+        thread.start()
+        thread.join()
+        for a, b, y in zip(share_a, share_b, got["rows"]):
+            assert np.array_equal(y, field.matmul(a, b))
+        assert got["mults"] == batch * 32 * 64 * 32
+        return got["sizes"]
+
+    one = answer_in_a_fresh_thread(1)
+    assert one and one == answer_in_a_fresh_thread(8)
+
+
+def test_a_map_that_drops_the_server_axis_is_refused():
+    # A custom map written for one server alone returns one value for a
+    # whole stack; the stacked answer refuses it instead of broadcasting it
+    # against every server's inverse, and one server alone still takes it.
+    field = PrimeField(65537)
+    dot = ncsa.NLinearMap(2, ((2,), (2,)), (1,),
+                          lambda f, a, b: np.array([np.sum(a * b) % f.q]))
+    params = ncsa.ncsa_params(field, 2, 1, 2, 7)
+    rng = np.random.default_rng(43)
+    batches = [[field.rand_matrix(rng, 2, 1)[:, 0] for _ in range(2)] for _ in range(2)]
+    shares = [ncsa.xs_encode(field, b, params, v, range(7)) for v, b in enumerate(batches)]
+    with pytest.raises(ParameterError, match="leading axes"):
+        ncsa.ncsa_answer(field, shares, dot, params, range(7))
+    with pytest.raises(ParameterError, match="leading axes"):
+        harness.run_nlinear(field, params, dot, batches, harness.StragglerModel(count=7))
+    alone = ncsa.ncsa_answer(field, [x[2] for x in shares], dot, params, 2)
+    stacked = ncsa.ncsa_answer(field, shares, ncsa.elementwise_product_map(2, 2), params,
+                               range(7))
+    assert alone.shape == (1,) and alone[0] == stacked[2].sum() % field.q
