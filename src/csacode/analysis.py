@@ -18,6 +18,7 @@ from typing import Optional
 
 from .errors import ParameterError
 from .gcsa import _gcsa_costs, gcsa_threshold
+from .harness import SCHEMES
 
 
 @dataclass(frozen=True)
@@ -35,10 +36,10 @@ class LatencyPoint:
     witness: dict
 
 
-# The parameters each family leaves free; the rest stay 1.  EP is GCSA with
-# ell = kc = 1 and CSA is GCSA with p = m = n = 1, so one formula costs all.
-_FREE = {"ep": ("p", "m", "n"), "csa": ("ell", "kc"),
-        "gcsa": ("ell", "kc", "p", "m", "n")}
+# Each family's free parameters (its scheme's; the rest stay 1).  EP is GCSA
+# with ell = kc = 1 and CSA is GCSA with p = m = n = 1, so one formula costs all.
+FAMILIES = {name: tuple(row.params) for name, row in SCHEMES.items()
+            if row.calls and not row.systematic}
 
 
 def enumerate_costs(family: str, servers: int, r_max: int,
@@ -49,9 +50,9 @@ def enumerate_costs(family: str, servers: int, r_max: int,
     first value whose least threshold exceeds ``r_max``; ``pmn_bound`` caps
     pmn for ``gcsa`` only.
     """
-    if family not in _FREE:
+    if family not in FAMILIES:
         raise ParameterError(f"unknown code family {family!r}")
-    ps, ms, ns, ells, kcs = (range(1, r_max + 2) if name in _FREE[family] else (1,)
+    ps, ms, ns, ells, kcs = (range(1, r_max + 2) if name in FAMILIES[family] else (1,)
                              for name in ("p", "m", "n", "ell", "kc"))
     bound = pmn_bound if family == "gcsa" and pmn_bound is not None else math.inf
     for p in ps:
@@ -71,7 +72,7 @@ def enumerate_costs(family: str, servers: int, r_max: int,
                         if r > r_max:
                             break
                         w = {"ell": ell, "kc": kc, "p": p, "m": m, "n": n}
-                        yield max(uploads), download, {k: w[k] for k in _FREE[family]}
+                        yield max(uploads), download, {k: w[k] for k in FAMILIES[family]}
 
 
 def _witness_key(w: dict):

@@ -104,25 +104,22 @@ def _build_map(spec: dict) -> ncsa.NLinearMap:
 def _build_setup(field: PrimeField, scheme: str, servers: int, p, arity: int = 2,
                 noise_seed: int = 0):
     """The validated setup of ``scheme`` from its parameters ``p`` (a run
-    config's ``params``, or the ``costs`` options): ell, kc, p, m, n, X, B.
+    config's ``params``, or the ``costs`` options) named in ``harness.SCHEMES``.
     ``arity`` is the map arity N of ncsa and lcc; lcc is N-CSA with ell = 1
     and kc = L, the paper's Lagrange special case."""
-    if scheme == "ep":
-        return harness.ep_setup(field, _int(p, "p"), _int(p, "m"), _int(p, "n"), servers)
-    if scheme == "gcsa":
-        return gcsa.gcsa_params(field, _int(p, "ell"), _int(p, "kc"), _int(p, "p"),
-                                _int(p, "m"), _int(p, "n"), servers)
-    if scheme in ("csa", "csa-systematic"):
-        return csa.csa_params(field, _int(p, "ell"), _int(p, "kc"), servers,
-                              systematic=(scheme == "csa-systematic"))
-    if scheme in ("ncsa", "lcc"):
-        ell = _int(p, "ell", 1)
-        if scheme == "lcc" and ell != 1:
-            raise ParameterError(f"lcc runs N-CSA with ell = 1 and kc = L, got ell = {ell}")
-        return ncsa.ncsa_params(field, arity, ell, _int(p, "kc"), servers,
-                                x_secure=_int(p, "X", 0), byzantine=_int(p, "B", 0),
-                                noise_seed=noise_seed)
-    raise ParameterError(f"unknown scheme {scheme!r}")
+    row = harness.SCHEMES[scheme]
+    values = [_int(p, name, default) for name, default in row.params.items()]
+    if row.setup is harness.EPSetup:
+        return harness.ep_setup(field, *values, servers)
+    if row.setup is gcsa.GCSAParams:
+        return gcsa.gcsa_params(field, *values, servers)
+    if row.setup is csa.CSAParams:
+        return csa.csa_params(field, *values, servers, systematic=row.systematic)
+    ell, kc, x_secure, byzantine = values
+    if scheme == "lcc" and ell != 1:
+        raise ParameterError(f"lcc runs N-CSA with ell = 1 and kc = L, got ell = {ell}")
+    return ncsa.ncsa_params(field, arity, ell, kc, servers, x_secure=x_secure,
+                            byzantine=byzantine, noise_seed=noise_seed)
 
 
 def cmd_run(args) -> int:
@@ -154,12 +151,17 @@ def _fail(args, category: str, message: str, code: int) -> int:
 
 def _run_config(cfg: dict, args) -> dict:
     scheme = _object(cfg, "the config")["scheme"]
+    if not isinstance(scheme, str) or scheme not in harness.SCHEMES:
+        raise ParameterError(f"unknown scheme {scheme!r}")
     field = PrimeField(_int(cfg, "field_modulus", args.field_modulus))
     servers = _int(cfg, "servers")
     seeds = _object(cfg.get("seeds", {}), "seeds")
     rng = np.random.default_rng(_int(seeds, "data", args.seed))
     straggler = _build_straggler(cfg, servers, seeds)
     p = _object(cfg.get("params", {}), "params")
+    for key in p:  # a parameter the scheme does not take would be silently ignored
+        if key not in harness.SCHEMES[scheme].params:
+            raise ParameterError(f"scheme {scheme!r} takes no parameter {key!r}")
 
     if scheme in harness.CDBMM_SCHEMES:
         lam, kap, mu = _dims(cfg)
@@ -183,7 +185,7 @@ def _run_config(cfg: dict, args) -> dict:
         products, report = harness.run_cdbmm(field, scheme, setup, batch_a,
                                              batch_b, straggler)
         digest = _digest(products)
-    elif scheme in ("ncsa", "lcc"):
+    else:
         omega = _build_map(_object(cfg["map"], "map"))
         params = _build_setup(field, scheme, servers, p, omega.arity,
                              noise_seed=_int(seeds, "noise", 0))
@@ -197,8 +199,6 @@ def _run_config(cfg: dict, args) -> dict:
         evals, report = harness.run_nlinear(field, params, omega, batches,
                                             straggler, byz)
         digest = _digest([np.atleast_2d(e) for e in evals])
-    else:
-        raise ParameterError(f"unknown scheme {scheme!r}")
 
     return {
         "scheme": scheme,
@@ -248,8 +248,7 @@ def hull_rows(family: str, servers: int, r_max: int, pmn_bound=None) -> list[lis
             family,
             point.upload.numerator, point.upload.denominator,
             point.download.numerator, point.download.denominator,
-            w.get("ell", ""), w.get("kc", ""),
-            w.get("p", ""), w.get("m", ""), w.get("n", ""),
+            *(w.get(name, "") for name in _HULL_FIELDS[5:]),  # the witness
         ])
     return rows
 
@@ -462,8 +461,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.set_defaults(func=cmd_run)
 
     p_costs = with_output(sub.add_parser("costs", help="closed-form cost table row"))
-    p_costs.add_argument("scheme",
-                         choices=["ep", "csa", "csa-systematic", "gcsa", "ncsa", "lcc"])
+    p_costs.add_argument("scheme", choices=list(harness.SCHEMES))
     p_costs.add_argument("--servers", type=int, required=True)
     p_costs.add_argument("--ell", type=int, default=1)
     p_costs.add_argument("--kc", type=int, default=1)
@@ -476,7 +474,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_costs.set_defaults(func=cmd_costs)
 
     p_hull = with_output(sub.add_parser("hull", help="Pareto hull CSV for a code family"))
-    p_hull.add_argument("family", choices=["ep", "csa", "gcsa"])
+    p_hull.add_argument("family", choices=list(analysis.FAMILIES))
     p_hull.add_argument("--servers", type=int, required=True)
     p_hull.add_argument("--r-max", type=int, required=True)
     p_hull.add_argument("--pmn-bound", type=int, default=None)

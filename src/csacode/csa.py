@@ -72,13 +72,15 @@ def csa_threshold(ell: int, kc: int) -> int:
     return (ell + 1) * kc - 1
 
 
-def cauchy_points(field: PrimeField, batch: int, servers: int, poles, samples,
-                  systematic: bool) -> tuple[tuple, tuple]:
-    """Poles and samples of a Cauchy code, reduced mod q and validated.
+def cauchy_points(field: PrimeField, batch: int, servers: int, threshold: int, poles,
+                  samples, systematic: bool) -> tuple[tuple, tuple]:
+    """Poles and samples of a Cauchy code, reduced mod q and validated (R <= S first).
 
     A missing side takes the canonical layout: poles 1..L, samples
     L+1..L+S (mod q).
     """
+    if threshold > servers:
+        raise ParameterError(f"R <= S violated: threshold {threshold} exceeds {servers} servers")
     if poles is None:
         poles = range(1, batch + 1)
     if samples is None:
@@ -100,11 +102,9 @@ def csa_params(field: PrimeField, ell: int, kc: int, servers: int,
     """Validated parameter bundle; default points follow the canonical layout."""
     if min(ell, kc, servers) < 1:
         raise ParameterError("ell, kc and server count must be positive")
-    r = csa_threshold(ell, kc)
-    if r > servers:
-        raise ParameterError(f"R <= S violated: threshold {r} exceeds {servers} servers")
-    # R = L + kc - 1 >= L, so the systematic layout's S >= L holds here too
-    poles, samples = cauchy_points(field, ell * kc, servers, poles, samples, systematic)
+    # R = L + kc - 1 >= L, so the systematic layout's S >= L follows from R <= S
+    poles, samples = cauchy_points(field, ell * kc, servers, csa_threshold(ell, kc), poles,
+                                   samples, systematic)
     return CSAParams(ell, kc, servers, poles, samples, systematic)
 
 
@@ -414,15 +414,13 @@ def _batch_entries(field: PrimeField, batch, size=None, matrices=False) -> list:
 
 
 def _take_answers(answers, r: int, servers: int):
-    seen = set()
-    taken = []
+    taken = {}  # server -> answer, in answer order
     for s, y in answers:
         if not 0 <= s < servers:
             raise ParameterError(f"server index {s} out of range")
-        if s in seen:
+        if s in taken:
             raise ParameterError(f"duplicate answer from server {s}")
-        seen.add(s)
-        taken.append((s, y))
+        taken[s] = y
         if len(taken) == r:
-            return taken
+            return list(taken.items())
     raise InsufficientAnswersError(f"need {r} answers, got {len(taken)}")

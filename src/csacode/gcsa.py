@@ -87,10 +87,8 @@ def gcsa_params(field: PrimeField, ell: int, kc: int, p: int, m: int, n: int,
                 servers: int, poles=None, samples=None) -> GCSAParams:
     if min(ell, kc, p, m, n, servers) < 1:
         raise ParameterError("all parameters must be positive")
-    r = gcsa_threshold(ell, kc, p, m, n)
-    if r > servers:
-        raise ParameterError(f"R <= S violated: threshold {r} exceeds {servers} servers")
-    poles, samples = cauchy_points(field, ell * kc, servers, poles, samples, False)
+    poles, samples = cauchy_points(field, ell * kc, servers, gcsa_threshold(ell, kc, p, m, n),
+                                   poles, samples, False)
     return GCSAParams(ell, kc, p, m, n, servers, poles, samples)
 
 

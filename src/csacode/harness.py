@@ -11,16 +11,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
 from . import csa, ep, gcsa, ncsa
 from .errors import InsufficientAnswersError, ParameterError
 from .ffield import _ARENA_MIN_BYTES, _ROUND, PrimeField, _arena, _integer
-
-CDBMM_SCHEMES = ("ep", "csa", "csa-systematic", "gcsa")
-
 
 @dataclass
 class OpCounter:
@@ -95,44 +92,74 @@ class EPSetup:
     params: ep.EPParams
     servers: int
     samples: tuple[int, ...]
+    ell = kc = 1  # EP is GCSA with one group of one entry
+
+    @property
+    def ep(self) -> ep.EPParams:  # the partition code, as GCSAParams.ep
+        return self.params
+
+    @property
+    def threshold(self) -> int:
+        return ep.ep_threshold(self.params)
 
 
 def ep_setup(field: PrimeField, p: int, m: int, n: int, servers: int,
              samples=None) -> EPSetup:
     params = ep.EPParams(p, m, n)
-    r = ep.ep_threshold(params)
-    if r > servers:
-        raise ParameterError(f"R <= S violated: threshold {r} exceeds {servers} servers")
-    _, samples = csa.cauchy_points(field, 0, servers, (), samples, False)
+    _, samples = csa.cauchy_points(field, 0, servers, ep.ep_threshold(params), (), samples, False)
     return EPSetup(params, servers, samples)
 
 
-_SETUP_TYPES = {"ep": EPSetup, "csa": csa.CSAParams, "csa-systematic": csa.CSAParams,
-                "gcsa": gcsa.GCSAParams, "ncsa": ncsa.NCSAParams, "lcc": ncsa.NCSAParams}
+class Scheme(NamedTuple):  # a row of SCHEMES
+    setup: type  # the setup type the scheme takes
+    params: dict  # a config's parameters: name -> default (None if required), builder order
+    calls: tuple = ()  # a matrix product's round: encode A, encode B, decode, answer
+    systematic: Optional[bool] = None  # the CSA layout the name fixes
+
+
+_GROUPS, _PARTITION = {"ell": None, "kc": None}, {"p": None, "m": None, "n": None}
+_CSA_CALLS = ((csa, "csa_encode_a"), (csa, "csa_encode_b"), (csa, "csa_decode"),
+              (csa, "csa_answer"))
+_NCSA = {"ell": 1, "kc": None, "X": 0, "B": 0}
+_NO_PARTITION = ep.EPParams()  # CSA's: GCSA with p = m = n = 1
+
+# Every scheme, said once.  A round looks its calls, (module, function name)
+# pairs, up when it runs: perfbench's tracer times a layer by rebinding module
+# attributes, so a function captured here at import would run untraced.
+SCHEMES = {
+    "ep": Scheme(EPSetup, _PARTITION, ((ep, "ep_encode_a"), (ep, "ep_encode_b"),
+                                       (ep, "ep_decode"), (ep, "ep_answer"))),
+    "csa": Scheme(csa.CSAParams, _GROUPS, _CSA_CALLS, systematic=False),
+    "csa-systematic": Scheme(csa.CSAParams, _GROUPS, _CSA_CALLS, systematic=True),
+    "gcsa": Scheme(gcsa.GCSAParams, {**_GROUPS, **_PARTITION}, ((gcsa, "gcsa_encode_a"),
+                   (gcsa, "gcsa_encode_b"), (gcsa, "gcsa_decode"), (csa, "csa_answer"))),
+    "ncsa": Scheme(ncsa.NCSAParams, _NCSA),
+    "lcc": Scheme(ncsa.NCSAParams, _NCSA),  # N-CSA with ell = 1 and kc = L
+}
+CDBMM_SCHEMES = tuple(name for name, row in SCHEMES.items() if row.calls)
 
 
 def _check_setup(scheme: str, setup) -> None:
     """Refuse an unknown scheme, a setup of another family than the
     scheme's, and CSA parameters whose layout the scheme does not name."""
-    kind = _SETUP_TYPES.get(scheme)
-    if kind is None:
+    row = SCHEMES.get(scheme)
+    if row is None:
         raise ParameterError(f"unknown scheme {scheme!r}")
-    if not isinstance(setup, kind):
-        raise ParameterError(f"{scheme!r} takes {kind.__name__}, not {type(setup).__name__}")
-    if kind is csa.CSAParams and setup.systematic != (scheme == "csa-systematic"):
-        raise ParameterError(f"scheme {scheme!r} does not match parameters "
-                             f"built with systematic={setup.systematic}")
+    if not isinstance(setup, row.setup):
+        raise ParameterError(f"{scheme!r} takes {row.setup.__name__}, not {type(setup).__name__}")
+    if row.systematic is not None and setup.systematic != row.systematic:
+        raise ParameterError(f"{scheme!r} takes parameters with systematic={row.systematic}")
 
 
 def theoretical_costs(scheme: str, setup) -> CostSummary:
-    """Closed-form recovery threshold and normalized costs."""
+    """Closed-form recovery threshold and normalized costs: GCSA's for a
+    matrix product (EP is ell = kc = 1, CSA has no partition), else N-CSA's."""
     _check_setup(scheme, setup)
-    if scheme in ("ep", "gcsa"):  # EP is GCSA with ell = kc = 1
-        ell, kc = (1, 1) if scheme == "ep" else (setup.ell, setup.kc)
-        inner = setup.params if scheme == "ep" else setup.ep
-        return CostSummary(*gcsa._gcsa_costs(ell, kc, inner.p, inner.m, inner.n,
+    if SCHEMES[scheme].calls:
+        inner = getattr(setup, "ep", _NO_PARTITION)
+        return CostSummary(*gcsa._gcsa_costs(setup.ell, setup.kc, inner.p, inner.m, inner.n,
                                              setup.servers))
-    r = setup.threshold  # CSA is N-CSA with N = 2
+    r = setup.threshold
     u = Fraction(setup.servers, setup.kc)
     return CostSummary(r, (u,) * setup.arity, Fraction(r, setup.batch_size))
 
@@ -155,38 +182,20 @@ def run_cdbmm(field: PrimeField, scheme: str, setup, batch_a, batch_b,
         raise ParameterError("A and B batches must have equal length")
     if batch_a[0].shape[1] != batch_b[0].shape[0]:
         raise ParameterError("inner dimensions of A and B do not match")
-    servers = range(setup.servers)
-    shape = (batch_a[0].shape[0], batch_b[0].shape[1])  # of one answer
-    answer = csa.csa_answer  # csa and gcsa: the server work is the CSA answer
+    encode_a, encode_b, decoder, answer = [getattr(*call) for call in SCHEMES[scheme].calls]
+    inner = getattr(setup, "ep", _NO_PARTITION)
+    shape = (batch_a[0].shape[0] // inner.m, batch_b[0].shape[1] // inner.n)  # of one answer
+    code, points = setup, range(setup.servers)
+    if isinstance(setup, EPSetup):  # EP's own convention: (params, samples), by point
+        code, points = setup.params, setup.samples
+        shape = (len(batch_a),) + shape  # an EP answer holds every batch entry
 
-    if scheme == "ep":  # one call per side: every server and batch entry
-        shape = (len(batch_a), shape[0] // setup.params.m, shape[1] // setup.params.n)
-        answer = ep.ep_answer  # every entry of the servers as one stacked product
+    def encode(responsive):
+        return [encode_a(field, batch_a, code, points), encode_b(field, batch_b, code, points)]
 
-        def encode(responsive):
-            return [ep.ep_encode_a(field, batch_a, setup.params, setup.samples),
-                    ep.ep_encode_b(field, batch_b, setup.params, setup.samples)]
-
-        def decode(answers):  # the whole batch as columns of one plan product
-            return list(ep.ep_decode(field, [(setup.samples[s], y) for s, y in answers],
-                                     setup.params)), ()
-    elif scheme in ("csa", "csa-systematic"):  # the layout is the setup's
-
-        def encode(responsive):
-            return [csa.csa_encode_a(field, batch_a, setup, servers),
-                    csa.csa_encode_b(field, batch_b, setup, servers)]
-
-        def decode(answers):
-            return csa.csa_decode(field, answers, setup), ()
-    else:
-        shape = (shape[0] // setup.m, shape[1] // setup.n)
-
-        def encode(responsive):
-            return [gcsa.gcsa_encode_a(field, batch_a, setup, servers),
-                    gcsa.gcsa_encode_b(field, batch_b, setup, servers)]
-
-        def decode(answers):
-            return gcsa.gcsa_decode(field, answers, setup), ()
+    def decode(answers):  # EP decodes by sample point
+        pairs = answers if code is setup else [(points[s], y) for s, y in answers]
+        return list(decoder(field, pairs, code)), ()
 
     return _round(scheme, setup, [batch_a, batch_b], straggler, None, encode,
                   lambda s, sh, counter, out: answer(field, *sh, counter, out), decode, shape)
@@ -218,18 +227,23 @@ def run_nlinear(field: PrimeField, params: ncsa.NCSAParams, job, batches,
     uses = ([(slot, t.omega.var_shapes[i]) for t in job.terms
              for i, slot in enumerate(t.slots)] if is_spec
             else enumerate(job.var_shapes))
+    ones_shapes = set()  # of a spec's constant-one slots
     for v, shape in uses:
-        if v is not None and batches[v][0].shape != tuple(shape):
+        if v is None:
+            ones_shapes.add(tuple(shape))
+        elif batches[v][0].shape != tuple(shape):
             raise ParameterError(
                 f"variable {v} has entries of shape {batches[v][0].shape}, "
                 f"the map expects {tuple(shape)}")
+    if len(ones_shapes) > 1:
+        raise ParameterError("constant slots must share one shape")
     const = []  # a spec's constant-one shares: the responsive servers, their rows
 
     def encode(responsive):
         by_var = [ncsa.xs_encode(field, batch, params, v, range(params.servers))
                   for v, batch in enumerate(batches)]
-        if is_spec and any(slot is None for t in job.terms for slot in t.slots):
-            ones = [np.ones(_const_shape(job), dtype=np.int64)] * params.batch_size
+        for shape in ones_shapes:  # one at most
+            ones = [np.ones(shape, dtype=np.int64)] * params.batch_size
             const[:] = responsive, ncsa.xs_encode(field, ones, params, len(batches), responsive)
         return by_var
 
@@ -239,11 +253,10 @@ def run_nlinear(field: PrimeField, params: ncsa.NCSAParams, job, batches,
         shares_by_var = dict(enumerate(share))
         if const:
             shares_by_var[None] = const[1][np.searchsorted(const[0], s)]
-        return ncsa.poly_batch_eval_answer(field, shares_by_var, job, params, s)
+        return ncsa.poly_batch_eval_answer(field, shares_by_var, job, params, s, counter)
 
     def decode(answers):  # with B = 0 it flags nothing: the plain decode
-        evals, found = ncsa.xsb_decode(field, answers, params)
-        return evals, tuple(found)
+        return ncsa.xsb_decode(field, answers, params)
 
     return _round("ncsa", params, batches, straggler, byzantine, encode, answer, decode)
 
@@ -320,15 +333,7 @@ def _round(scheme: str, setup, operands, straggler: StragglerModel,
         scheme=scheme, theory=theory, measured=measured,
         uploaded_elements=tuple(uploaded), downloaded_elements=downloaded,
         server_mults=server_mults, normalized_server_mults=Fraction(server_mults, batch),
-        flagged_servers=flagged)
-
-
-def _const_shape(spec: ncsa.PolynomialSpec):
-    shapes = {t.omega.var_shapes[i]
-              for t in spec.terms for i, slot in enumerate(t.slots) if slot is None}
-    if len(shapes) != 1:
-        raise ParameterError("constant slots must share one shape")
-    return shapes.pop()
+        flagged_servers=tuple(flagged))
 
 
 def direct_products(field: PrimeField, batch_a, batch_b) -> list[np.ndarray]:

@@ -28,7 +28,7 @@ from .csa import (_answer_rows, _batch_entries, _cauchy_weights, _generator_enco
                   _plan_cache, _raw, _read_only, _server_list, _take_answers, cauchy_points,
                   csa_decode, csa_encode_a)
 from .errors import DecodingFailureError, ParameterError
-from .ffield import PrimeField
+from .ffield import PrimeField, _integer
 # perfbench/tracer.py requires ncsa.solve_batch, so it stays importable here.
 from .structmat import _powers, _row_reduce, rs_error_correct, solve_batch  # noqa: F401
 
@@ -174,12 +174,11 @@ def ncsa_params(field: PrimeField, arity: int, ell: int, kc: int, servers: int,
         raise ParameterError("systematic layout cannot be combined with X-security")
     if systematic and byzantine >= 1:
         raise ParameterError("systematic layout cannot be combined with a Byzantine budget B >= 1")
-    if systematic and servers < ell * kc:
-        raise ParameterError("systematic layout needs S >= L")
+    if not -2**63 <= _integer(noise_seed, "noise_seed") < 2**63:  # noise_block packs an int64
+        raise ParameterError(f"noise_seed {noise_seed} lies outside the signed 64-bit range")
+    # R - L = (kc - 1)(N - 1) >= 0, so the systematic layout's S >= L follows from R <= S
     r = xsb_threshold(arity, ell, kc, x_secure, byzantine)
-    if r > servers:
-        raise ParameterError(f"R <= S violated: threshold {r} exceeds {servers} servers")
-    poles, samples = cauchy_points(field, ell * kc, servers, poles, samples, systematic)
+    poles, samples = cauchy_points(field, ell * kc, servers, r, poles, samples, systematic)
     return NCSAParams(arity, ell, kc, servers, x_secure, byzantine,
                       poles, samples, noise_seed, systematic)
 
@@ -339,14 +338,14 @@ class PolynomialSpec:
 
 
 def poly_batch_eval_answer(field: PrimeField, shares_by_var, spec: PolynomialSpec,
-                           params: NCSAParams, s) -> np.ndarray:
+                           params: NCSAParams, s, counter=None) -> np.ndarray:
     """Weighted sum of per-term answers; ``shares_by_var`` maps a variable
     index (or None for the constant batch) to its share list for server s
-    (or servers, as ``ncsa_answer``)."""
+    (or servers, as ``ncsa_answer``), and ``counter`` counts every term's."""
     acc = None
     for term in spec.terms:
         shares = [shares_by_var[slot] for slot in term.slots]
-        y = ncsa_answer(field, shares, term.omega, params, s)
+        y = ncsa_answer(field, shares, term.omega, params, s, counter)
         y = term.weight % field.q * y % field.q
         acc = y if acc is None else (acc + y) % field.q
     return acc

@@ -193,6 +193,12 @@ _BYZANTINE_CFG = {"scheme": "ncsa", "servers": 7, "params": {"kc": 1, "X": 1, "B
                  id="string-map"),
     pytest.param({**_NCSA_CFG, "map": {"type": "elementwise", "arity": 2, "dim": 2},
                   "params": [1]}, "params must be a JSON object, not [1]", id="list-params"),
+    # once ran a CSA round with no security, exit 0
+    pytest.param({**_CSA_CFG, "dims": [2, 2, 2], "params": {"ell": 1, "kc": 2, "X": 1}},
+                 "scheme 'csa' takes no parameter 'X'", id="csa-with-X"),
+    # once a struct.error traceback from the noise stream's key, exit 1
+    pytest.param({**_BYZANTINE_CFG, "seeds": {"noise": 2**70}},
+                 "noise_seed 1180591620717411303424 lies outside", id="huge-noise-seed"),
 ])
 def test_run_never_crashes_on_malformed_configs(capsys, tmp_path, cfg, why):
     # Every malformed input is a typed error with a JSON payload: exit 2 for
@@ -303,7 +309,8 @@ def test_latency_csv_with_plateau_row(capsys, tmp_path):
                      "--k-min", "0.5", "--k-max", "24.5", "--steps", "25",
                      "--output", str(out)])
     assert code == 0
-    rows = list(csv.DictReader(out.open()))
+    with out.open() as fh:
+        rows = list(csv.DictReader(fh))
     assert len(rows) == 25
     first = rows[0]
     assert float(first["K"]) == 0.5

@@ -194,24 +194,40 @@ def _gcsa_setup():
     return gcsa.gcsa_params(FIELD, 1, 2, 1, 2, 1, 8)
 
 
+# The family of every scheme, and a setup of each family
+_FAMILY = {"ep": "ep", "csa": "csa", "csa-systematic": "csa", "gcsa": "gcsa",
+           "ncsa": "ncsa", "lcc": "ncsa"}
+_FAMILY_SETUPS = {"ep": lambda: harness.ep_setup(FIELD, 2, 1, 1, 5), "csa": _csa_setup,
+                  "gcsa": _gcsa_setup, "ncsa": lambda: ncsa.ncsa_params(FIELD, 3, 1, 2, 7)}
+_MISMATCHED = [(scheme, family) for scheme in _FAMILY for family in _FAMILY_SETUPS
+               if family != _FAMILY[scheme]]
+
+
 @pytest.mark.parametrize("call", [
-    lambda: _cdbmm("csa", ncsa.ncsa_params(FIELD, 3, 1, 2, 7)),
-    lambda: _cdbmm("csa", _gcsa_setup()),
-    lambda: _cdbmm("gcsa", _csa_setup()),
-    lambda: _cdbmm("ep", _csa_setup()),
-    lambda: _cdbmm("csa", harness.ep_setup(FIELD, 2, 1, 1, 5)),
-    lambda: harness.theoretical_costs("ep", _csa_setup()),
-    lambda: harness.theoretical_costs("csa", _gcsa_setup()),
-    lambda: harness.run_nlinear(FIELD, _csa_setup(), ncsa.matmul_map(2, 2, 2),
-                                [_matrices(1), _matrices(2)], harness.StragglerModel(count=5)),
-], ids=["ncsa-as-csa", "gcsa-as-csa", "csa-as-gcsa", "csa-as-ep", "ep-as-csa",
-        "costs-csa-as-ep", "costs-gcsa-as-csa", "nlinear-on-csa"])
+    *(pytest.param(lambda s=scheme, f=family: _cdbmm(s, _FAMILY_SETUPS[f]()),
+                   id=f"{family}-as-{scheme}")
+      for scheme, family in _MISMATCHED if _FAMILY[scheme] != "ncsa"),
+    *(pytest.param(lambda s=scheme, f=family: harness.theoretical_costs(s, _FAMILY_SETUPS[f]()),
+                   id=f"costs-{family}-as-{scheme}") for scheme, family in _MISMATCHED),
+    *(pytest.param(lambda f=family: harness.run_nlinear(
+        FIELD, _FAMILY_SETUPS[f](), ncsa.matmul_map(2, 2, 2), [_matrices(1), _matrices(2)],
+        harness.StragglerModel(count=5)), id=f"nlinear-on-{family}")
+      for family in _FAMILY_SETUPS if family != "ncsa"),
+])
 def test_a_setup_of_another_family_is_refused(call):
     # N-CSA parameters under "csa" once decoded wrong products with no error
     # (the arity-3 decode matrix against bilinear shares); the others died
     # with a bare AttributeError
     with pytest.raises(ParameterError, match="takes"):
         call()
+
+
+@pytest.mark.parametrize("scheme, systematic", [("csa", True), ("csa-systematic", False)])
+def test_csa_parameters_of_the_other_layout_are_refused(scheme, systematic):
+    setup = csa.csa_params(FIELD, 1, 2, 5, systematic=systematic)
+    for call in (lambda: _cdbmm(scheme, setup), lambda: harness.theoretical_costs(scheme, setup)):
+        with pytest.raises(ParameterError, match=f"systematic={not systematic}"):
+            call()
 
 
 def test_nlinear_rejects_forgers_without_a_byzantine_budget():
@@ -255,6 +271,25 @@ def test_systematic_nlinear_round_counts_server_mults():
                                             harness.StragglerModel(count=5))
             counts.append(report.server_mults)
         assert counts == [want, want], omega.name
+
+
+def test_polynomial_spec_round_counts_every_term():
+    # spec rounds once reported 0: no term's ncsa_answer got the counter
+    rng = np.random.default_rng(17)
+    params = ncsa.ncsa_params(FIELD, 2, 2, 1, 6)
+    omega = ncsa.matmul_map(2, 2, 2)
+    spec = ncsa.PolynomialSpec(2, (ncsa.PolyTerm(3, omega, (0, 1)),
+                                   ncsa.PolyTerm(5, omega, (1, None))))
+    batches = [[FIELD.rand_matrix(rng, 2, 2) for _ in range(2)] for _ in range(3)]
+    _, report = harness.run_nlinear(FIELD, params, spec, batches[:2],
+                                    harness.StragglerModel(count=6))
+    shares = {v: ncsa.xs_encode(FIELD, b, params, v, 0) for v, b in zip((0, 1, None), batches)}
+    counts = []
+    for term in spec.terms:
+        counter = harness.OpCounter()
+        ncsa.ncsa_answer(FIELD, [shares[v] for v in term.slots], term.omega, params, 0, counter)
+        counts.append(counter.mults)
+    assert report.server_mults == sum(counts) == 2 * counts[0] > 0
 
 
 def test_nlinear_per_variable_upload_cost():

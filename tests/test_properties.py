@@ -1,8 +1,9 @@
 """Property tests: a harness round of every CDBMM scheme, the systematic
 layout included, on any integer input equals the direct product, computed
-here in Python integers; an N-CSA round with X-secure noise and forgers
-within its Byzantine budget equals the direct evaluation and flags exactly
-the forgers, and one with more forgers than the budget fails to decode."""
+here in Python integers, at the closed-form costs; an N-CSA round with
+X-secure noise and forgers within its Byzantine budget equals the direct
+evaluation and flags exactly the forgers, and one with more forgers than
+the budget fails to decode."""
 
 import numpy as np
 import pytest
@@ -68,11 +69,16 @@ def rounds(draw):
 @given(rounds())
 def test_run_cdbmm_equals_the_python_int_product(case):
     field, scheme, setup, aa, bb, responsive = case
-    got, _ = harness.run_cdbmm(field, scheme, setup, aa, bb,
-                               harness.StragglerModel(responsive=tuple(responsive)))
+    got, report = harness.run_cdbmm(field, scheme, setup, aa, bb,
+                                    harness.StragglerModel(responsive=tuple(responsive)))
     for a, b, product in zip(aa, bb, got):
         want = (a.astype(object) % field.q) @ (b.astype(object) % field.q) % field.q
         assert product.tolist() == want.tolist()
+    # a systematic layout's raw servers upload one entry, not one per group
+    measured, theory = report.measured, report.theory
+    assert (measured.threshold, measured.download) == (theory.threshold, theory.download)
+    assert all(u <= t for u, t in zip(measured.uploads, theory.uploads))
+    assert scheme == "csa-systematic" or measured == theory
 
 
 @st.composite

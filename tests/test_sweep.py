@@ -11,15 +11,16 @@ import itertools
 
 import numpy as np
 
-from csacode import csa, gcsa, harness, ncsa
+from csacode import csa, ep, gcsa, harness, ncsa
 from csacode.errors import ParameterError
 from csacode.ffield import PrimeField
 
 MODULI = (13, 257, 65537, 2147483629)
-# (ell, kc) of csa and csa-systematic, (ell, kc, p, m, n) of gcsa
+# (ell, kc) of csa and csa-systematic, (p, m, n) of ep, (ell, kc, p, m, n) of gcsa
 CSA_SHAPES = ((1, 1), (1, 2), (2, 1), (2, 2), (1, 3))
+EP_SHAPES = ((1, 1, 1), (2, 1, 1), (1, 2, 2), (2, 2, 1))
 GCSA_SHAPES = ((2, 1, 2, 1, 1), (1, 2, 1, 2, 1), (1, 1, 2, 1, 2), (1, 1, 1, 2, 2))
-SWEEP_DIGEST = "a871e7e50c6894a0b0655d90ca96db2e6e698d2c8a97ab2e42ee713d9d739fa5"
+SWEEP_DIGEST = "410b403db01b04e2002a6c654ce66463ba3101ebe3da6379154d702e4456ca94"
 
 
 def _setups(field):
@@ -40,6 +41,9 @@ def _setups(field):
     for arity in (2, 3):
         makers.append(("ncsa", lambda arity=arity: ncsa.ncsa_params(
             field, arity, 2, 1, ncsa.ncsa_threshold(arity, 2, 1) + 2, systematic=True)))
+    for dims in EP_SHAPES:
+        makers.append(("ep", lambda dims=dims: harness.ep_setup(
+            field, *dims, ep.ep_threshold(ep.EPParams(*dims)) + 2)))
     for scheme, make in makers:
         try:
             yield scheme, make()
@@ -52,9 +56,10 @@ def _round(field, scheme, setup, rng):
     r = setup.threshold
     count = int(rng.integers(r, setup.servers + 1))
     straggler = harness.StragglerModel(count=count, seed=int(rng.integers(1 << 30)))
-    entries = setup.batch_size
+    entries = 3 if scheme == "ep" else setup.batch_size  # EP codes each entry alone
     if scheme != "ncsa":
-        m, p, n = (setup.m, setup.p, setup.n) if scheme == "gcsa" else (1, 1, 1)
+        inner = setup.ep if scheme in ("ep", "gcsa") else ep.EPParams()  # CSA: no partition
+        m, p, n = inner.m, inner.p, inner.n
         aa = [field.rand_matrix(rng, 2 * m, 3 * p) for _ in range(entries)]
         bb = [field.rand_matrix(rng, 3 * p, 2 * n) for _ in range(entries)]
         got, report = harness.run_cdbmm(field, scheme, setup, aa, bb, straggler)
@@ -90,5 +95,5 @@ def test_seeded_sweep_equals_the_oracle_and_its_digest():
                                     report.uploaded_elements, report.downloaded_elements,
                                     report.server_mults, report.flagged_servers)).encode())
                 rounds += 1
-    assert rounds == 218
+    assert rounds == 250
     assert digest.hexdigest() == SWEEP_DIGEST
