@@ -39,7 +39,7 @@ class LatencyPoint:
 # Each family's free parameters (its scheme's; the rest stay 1).  EP is GCSA
 # with ell = kc = 1 and CSA is GCSA with p = m = n = 1, so one formula costs all.
 FAMILIES = {name: tuple(row.params) for name, row in SCHEMES.items()
-            if row.calls and not row.systematic}
+            if row.calls and not row.fixed.get("systematic")}
 
 
 def enumerate_costs(family: str, servers: int, r_max: int,
@@ -52,6 +52,8 @@ def enumerate_costs(family: str, servers: int, r_max: int,
     """
     if family not in FAMILIES:
         raise ParameterError(f"unknown code family {family!r}")
+    if pmn_bound is not None and pmn_bound < 1:  # no tuple has pmn < 1
+        raise ParameterError(f"the pmn bound must be at least 1, got {pmn_bound}")
     ps, ms, ns, ells, kcs = (range(1, r_max + 2) if name in FAMILIES[family] else (1,)
                              for name in ("p", "m", "n", "ell", "kc"))
     bound = pmn_bound if family == "gcsa" and pmn_bound is not None else math.inf
@@ -150,24 +152,30 @@ def gcsa_latency_upper(job_size: int, eta: float, k: float):
     balancing the upload sides) subject to the latency constraint
     p*m^2 >= K; below K = 1 no partitioning is needed and the pure batch
     point 2*ceil((2J-1)/eta) applies.  Returns (time, witness).
+
+    p*m^2 grows with m, and so does the time ((2J-1)p + (p-1)/m^2: p
+    grows by at least 2/eta - 1 a step while (p-1)/m^2 < 2/(eta*m) falls
+    by less), so the best m is the first that meets K, which a bisection
+    finds in O(log K) steps.
     """
     if job_size < 1 or not 0 < eta < 1 or not math.isfinite(k):
         raise ParameterError("need J >= 1, 0 < eta < 1 and a finite K")
     if k < 1:
         value = 2.0 * math.ceil((2 * job_size - 1) / eta)
         return value, {"ell": 1, "kc": job_size, "p": 1, "m": 1, "n": 1}
-    best = None
-    best_w = None
-    hi = max(1, math.ceil((k * eta / 2.0) ** (1.0 / 3.0))) + 8
-    for m in range(1, hi + 1):
-        p = math.ceil(2 * m / eta)
-        if p * m * m < k:
-            continue
-        value = ((2 * job_size - 1) * p * m * m + p - 1) / (m * m)
-        if best is None or value < best:
-            best = value
-            best_w = {"ell": 1, "kc": job_size, "p": p, "m": m, "n": m}
-    return best, best_w
+
+    def meets(m: int) -> bool:
+        return math.ceil(2 * m / eta) * m * m >= k
+
+    lo, hi = 1, 1
+    while not meets(hi):
+        lo, hi = hi + 1, 2 * hi
+    while lo < hi:  # the first m in [lo, hi] that meets K
+        mid = (lo + hi) // 2
+        lo, hi = (lo, mid) if meets(mid) else (mid + 1, hi)
+    p = math.ceil(2 * lo / eta)
+    return (((2 * job_size - 1) * p * lo * lo + p - 1) / (lo * lo),
+            {"ell": 1, "kc": job_size, "p": p, "m": lo, "n": lo})
 
 
 def latency_curve(job_size: int, eta: float, ks) -> list[LatencyPoint]:

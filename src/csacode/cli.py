@@ -14,6 +14,7 @@ import csv
 import hashlib
 import itertools
 import json
+import math
 import struct
 import sys
 from contextlib import nullcontext
@@ -108,14 +109,11 @@ def _build_setup(field: PrimeField, scheme: str, servers: int, p, arity: int = 2
     ``arity`` is the map arity N of ncsa and lcc; lcc is N-CSA with ell = 1
     and kc = L, the paper's Lagrange special case."""
     row = harness.SCHEMES[scheme]
-    values = [_int(p, name, default) for name, default in row.params.items()]
-    if row.setup is harness.EPSetup:
-        return harness.ep_setup(field, *values, servers)
-    if row.setup is gcsa.GCSAParams:
-        return gcsa.gcsa_params(field, *values, servers)
-    if row.setup is csa.CSAParams:
-        return csa.csa_params(field, *values, servers, systematic=row.systematic)
-    ell, kc, x_secure, byzantine = values
+    values = {name: _int(p, name, default) for name, default in row.params.items()}
+    if row.calls:  # a matrix product: CSA or GCSA parameters, with the fields the name fixes
+        builder = gcsa.gcsa_params if row.setup is gcsa.GCSAParams else csa.csa_params
+        return builder(field, servers=servers, **values, **row.fixed)
+    ell, kc, x_secure, byzantine = values.values()
     if scheme == "lcc" and ell != 1:
         raise ParameterError(f"lcc runs N-CSA with ell = 1 and kc = L, got ell = {ell}")
     return ncsa.ncsa_params(field, arity, ell, kc, servers, x_secure=x_secure,
@@ -159,9 +157,7 @@ def _run_config(cfg: dict, args) -> dict:
     rng = np.random.default_rng(_int(seeds, "data", args.seed))
     straggler = _build_straggler(cfg, servers, seeds)
     p = _object(cfg.get("params", {}), "params")
-    for key in p:  # a parameter the scheme does not take would be silently ignored
-        if key not in harness.SCHEMES[scheme].params:
-            raise ParameterError(f"scheme {scheme!r} takes no parameter {key!r}")
+    _refuse_unknown(scheme, p)
 
     if scheme in harness.CDBMM_SCHEMES:
         lam, kap, mu = _dims(cfg)
@@ -219,11 +215,26 @@ def _run_config(cfg: dict, args) -> dict:
 # ---- costs ----
 
 
+def _refuse_unknown(scheme: str, params, also=()) -> None:
+    """Refuse a parameter ``scheme`` does not take (nor one of ``also``),
+    which would otherwise be silently ignored."""
+    for key in params:
+        if key not in harness.SCHEMES[scheme].params and key not in also:
+            raise ParameterError(f"scheme {scheme!r} takes no parameter {key!r}")
+
+
+# The code parameters of ``costs``, with the value an option left out takes
+_COSTS_OPTIONS = {"ell": 1, "kc": 1, "p": 1, "m": 1, "n": 1, "N": 2, "X": 0, "B": 0}
+
+
 def cmd_costs(args) -> int:
     field = PrimeField(args.field_modulus)
-    # every option is an attribute, so vars(args) reads as run's params
+    given = {name: value for name, value in vars(args).items() if name in _COSTS_OPTIONS}
+    _refuse_unknown(args.scheme, given,
+                    ("N",) if harness.SCHEMES[args.scheme].setup is ncsa.NCSAParams else ())
+    p = {**_COSTS_OPTIONS, **given}
     summary = harness.theoretical_costs(args.scheme, _build_setup(
-        field, args.scheme, args.servers, vars(args), args.N))
+        field, args.scheme, args.servers, p, p["N"]))
     uploads = " ".join(f"{u.numerator}/{u.denominator}" for u in summary.uploads)
     d = summary.download
     row = f"{args.scheme} R={summary.threshold} U={uploads} D={d.numerator}/{d.denominator}"
@@ -268,14 +279,23 @@ def latency_rows(job_size: int, eta: float, k_min: float, k_max: float,
                  steps: int) -> list[list]:
     if steps < 1:
         raise ParameterError("need at least one step")
-    ks = [k_min + (k_max - k_min) * i / (steps - 1) if steps > 1 else k_min
-          for i in range(steps)]
+    ks = [_grid_point(k_min, k_max, i, steps) for i in range(steps)]
     rows = []
     for point in analysis.latency_curve(job_size, eta, ks):
         w = point.witness
         rows.append([repr(point.k), repr(point.ep_lower), repr(point.gcsa_upper),
                      w["ell"], w["kc"], w["p"], w["m"], w["n"]])
     return rows
+
+
+def _grid_point(k_min: float, k_max: float, i: int, steps: int) -> float:
+    """Point i of ``steps`` evenly spaced from k_min to k_max.  Where the
+    float formula overflows between finite bounds (near 1e308), the exact
+    point, rounded once, stands in."""
+    k = k_min + (k_max - k_min) * i / (steps - 1) if steps > 1 else k_min
+    if math.isinf(k) and math.isfinite(k_min) and math.isfinite(k_max):
+        k = float(Fraction(k_min) + (Fraction(k_max) - Fraction(k_min)) * i / (steps - 1))
+    return k
 
 
 def cmd_latency(args) -> int:
@@ -463,14 +483,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_costs = with_output(sub.add_parser("costs", help="closed-form cost table row"))
     p_costs.add_argument("scheme", choices=list(harness.SCHEMES))
     p_costs.add_argument("--servers", type=int, required=True)
-    p_costs.add_argument("--ell", type=int, default=1)
-    p_costs.add_argument("--kc", type=int, default=1)
-    p_costs.add_argument("--p", type=int, default=1)
-    p_costs.add_argument("--m", type=int, default=1)
-    p_costs.add_argument("--n", type=int, default=1)
-    p_costs.add_argument("--N", type=int, default=2, help="map arity for ncsa/lcc")
-    p_costs.add_argument("--X", type=int, default=0)
-    p_costs.add_argument("--B", type=int, default=0)
+    for name, default in _COSTS_OPTIONS.items():  # SUPPRESS: absent unless given
+        p_costs.add_argument(f"--{name}", type=int, default=argparse.SUPPRESS,
+                             help=f"default {default}; only for a scheme that takes it"
+                             + (" (the map arity of ncsa/lcc)" if name == "N" else ""))
     p_costs.set_defaults(func=cmd_costs)
 
     p_hull = with_output(sub.add_parser("hull", help="Pareto hull CSV for a code family"))

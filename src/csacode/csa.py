@@ -197,10 +197,12 @@ def _generator_encode(field: PrimeField, batch, weights: np.ndarray, servers,
     shape (coded servers, ell, kc * blocks): group l's shares are
     ``weights[:, l]`` times the group's blocks stacked as
     (kc * blocks x bh * bw), one product per group.  A 2-D ``weights``
-    (coded servers, blocks) is one row used for every entry alone (kc = 1,
-    ell = L); the blocks of all entries then stack as
-    (blocks x L * bh * bw) and one product yields every share.  On the
-    1 x 1 grid an entry may have any shape, which each share keeps.
+    (coded servers, blocks) is the one row of a code of one group of one
+    entry, used for every entry of a longer batch alone (EP); the blocks
+    of all entries then stack as (blocks x entries * bh * bw), one product
+    yields every share, and a server's share is (entries, 1, bh, bw), one
+    group per entry.  On the 1 x 1 grid an entry may have any shape, which
+    each share keeps.
 
     The batch is checked, stacked and reduced once, into a fresh array that
     the raw shares view.  The products write into one int64 array from
@@ -225,7 +227,7 @@ def _generator_encode(field: PrimeField, batch, weights: np.ndarray, servers,
     if weights.ndim == 2:
         stacked = blocks.transpose(1, 2, 4, 0, 3, 5).reshape(width, -1)
         shares = field.matmul(weights, stacked, out=_shares_out((coded, stacked.shape[1])))
-        shares = shares.reshape(group_shape[:1] + (ell,) + group_shape[1:])
+        shares = shares.reshape((coded, ell, 1) + group_shape[1:])
     else:
         stacked = blocks.transpose(0, 1, 2, 4, 3, 5).reshape(ell, width, -1)
         out = _shares_out((ell, coded, stacked.shape[-1]))
@@ -243,18 +245,20 @@ def csa_answer(field: PrimeField, share_a, share_b, counter=None,
     """Server-side work: Y_s = sum_l A~_l B~_l, as the one product
     [A~_1 | ... | A~_ell] [B~_1; ...; B~_ell], written into ``out`` (a
     C-contiguous int64 array of the answer's shape) when given, else into a
-    fresh array.  The shares are one server's ell groups, or n servers'
-    (n, ell, ...) rows of an encode, answered as one stacked product;
-    ``counter`` counts one server's.  The A groups are copied side by side
-    into the round-arena buffer ``concat-a``; B's groups in a contiguous
-    row are already stacked, else they are copied into ``concat-b``."""
+    fresh array.  The shares are one server's ell groups, with leading axes
+    for a stack: n servers' (n, ell, ...) rows of an encode, the entries of
+    an EP share (entries, 1, ...), or both, answered as one stacked product;
+    ``counter`` counts every product of the call.  More than one A group is
+    copied side by side into the round-arena buffer ``concat-a``; B's
+    groups in a contiguous row are already stacked, else they are copied
+    into ``concat-b``."""
     share_a, share_b = np.asarray(share_a), np.asarray(share_b)  # a list of groups stacks
     lead, (ell, rows, inner), cols = share_a.shape[:-3], share_a.shape[-3:], share_b.shape[-1]
     if share_b.shape[:-1] != lead + (ell, inner):
         raise ParameterError("share groups are not conformable")
     if counter is not None:
-        counter.mults += ell * rows * inner * cols
-    left = _arena_copy("concat-a", np.swapaxes(share_a, -3, -2))
+        counter.mults += share_a.size * cols
+    left = share_a if ell == 1 else _arena_copy("concat-a", np.swapaxes(share_a, -3, -2))
     right = share_b if share_b.flags.c_contiguous else _arena_copy("concat-b", share_b)
     return field.matmul(left.reshape(lead + (rows, ell * inner)),
                         right.reshape(lead + (ell * inner, cols)), out=out)

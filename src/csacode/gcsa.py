@@ -15,10 +15,17 @@ prod_{k' != k}(f_{l,k'} - alpha_s)^R' on the A side and
 1/(f_{l,k} - alpha_s)^R' on the B side (all inverses from one
 ``batch_inv``).  Decoding solves ``csa._decode_matrix`` at order and power
 R' and reassembles products with the inner code's block extraction rule.
+
+EP is the case ell = kc = 1 (``harness.ep_setup``): with one pole and
+S samples it needs S + 1 distinct points, so S <= q - 1.  A code of batch
+size 1 takes a batch of any length and encodes every entry alone with its
+one row of weights; each share and answer then holds every entry, and
+``gcsa_decode`` returns them all from one product with its plan.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -50,8 +57,8 @@ class GCSAParams(_Groups):
         """R' = pmn, the pole multiplicity used throughout."""
         return self.p * self.m * self.n
 
-    @property
-    def ep(self) -> EPParams:
+    @functools.cached_property
+    def ep(self) -> EPParams:  # the partition code; read by every round and plan
         return EPParams(self.p, self.m, self.n)
 
     @property
@@ -97,16 +104,24 @@ def gcsa_encode_a(field: PrimeField, batch_a, params: GCSAParams, servers) -> np
     f_{l,k} - alpha times the cleared-denominator weight
     prod_{k' != k}(f_{l,k'} - alpha)^R'.  ``servers`` is one server index
     (that server's ell shares) or a sequence (their rows, as for
-    ``csa_encode_a``)."""
-    weights = _weights(field, params, tuple(_server_list(servers)), "a")
-    return _generator_encode(field, batch_a, weights, servers, (params.m, params.p))
+    ``csa_encode_a``).  With batch size 1, a longer batch encodes entry by
+    entry: a server's share then holds every entry, as (entries, 1, ...)."""
+    return _encode(field, batch_a, params, servers, "a", (params.m, params.p))
 
 
 def gcsa_encode_b(field: PrimeField, batch_b, params: GCSAParams, servers) -> np.ndarray | list:
     """B-side shares: the inner B polynomials at f_{l,k} - alpha, weighted by
     1/(f_{l,k} - alpha)^R'; ``servers`` as for ``gcsa_encode_a``."""
-    weights = _weights(field, params, tuple(_server_list(servers)), "b")
-    return _generator_encode(field, batch_b, weights, servers, (params.p, params.n))
+    return _encode(field, batch_b, params, servers, "b", (params.p, params.n))
+
+
+def _encode(field: PrimeField, batch, params: GCSAParams, servers, side: str, grid):
+    """Both encoders; a longer batch than L = 1 (EP) takes the 2-D weights of
+    ``csa._generator_encode``, its one row used for every entry alone."""
+    weights = _weights(field, params, tuple(_server_list(servers)), side)
+    if params.batch_size == 1 and len(batch) > 1:
+        weights = weights[:, 0]
+    return _generator_encode(field, batch, weights, servers, grid)
 
 
 @_plan_cache
@@ -122,13 +137,17 @@ def gcsa_decode(field: PrimeField, answers, params: GCSAParams) -> list[np.ndarr
     The decode matrix's Cauchy unknowns are the inner-code coefficient
     matrices per (group, slot), R' pole powers each; one product with
     ``_plan`` solves for just the desired blocks at the entangled-polynomial
-    extraction indices, which are reassembled.
+    extraction indices, which are reassembled.  An answer of a batch-size-1
+    code may hold several entries, (entries, bh, bw): every entry's product
+    comes from the same product with the plan.
     """
     answers = _take_answers(answers, params.threshold, params.servers)
     sol = field.matmul(_plan(field, params, tuple(s for s, _ in answers)),
                        field.residues(_answer_rows([y for _, y in answers])))
-    desired = sol.reshape((params.batch_size, -1) + answers[0][1].shape)
-    return list(_extract_products(params.ep, desired.transpose(1, 0, 2, 3)))
+    bh, bw = answers[0][1].shape[-2:]
+    mn = params.m * params.n  # sol's rows are slot-major, its columns entry-major
+    desired = sol.reshape(params.batch_size, mn, -1, bh, bw).swapaxes(0, 1)
+    return list(_extract_products(params.ep, desired.reshape(mn, -1, bh, bw)))
 
 
 @_plan_cache

@@ -85,41 +85,25 @@ class CostReport:
     flagged_servers: tuple[int, ...] = ()
 
 
-@dataclass(frozen=True)
-class EPSetup:
-    """EP code applied element-wise to a batch, sharing one point table."""
-
-    params: ep.EPParams
-    servers: int
-    samples: tuple[int, ...]
-    ell = kc = 1  # EP is GCSA with one group of one entry
-
-    @property
-    def ep(self) -> ep.EPParams:  # the partition code, as GCSAParams.ep
-        return self.params
-
-    @property
-    def threshold(self) -> int:
-        return ep.ep_threshold(self.params)
-
-
 def ep_setup(field: PrimeField, p: int, m: int, n: int, servers: int,
-             samples=None) -> EPSetup:
-    params = ep.EPParams(p, m, n)
-    _, samples = csa.cauchy_points(field, 0, servers, ep.ep_threshold(params), (), samples, False)
-    return EPSetup(params, servers, samples)
+             samples=None) -> gcsa.GCSAParams:
+    """EP as GCSA with ell = kc = 1: one pole and S samples, so S <= q - 1.
+    Its rounds take a batch of any length, each entry encoded alone."""
+    return gcsa.gcsa_params(field, 1, 1, p, m, n, servers, samples=samples)
 
 
 class Scheme(NamedTuple):  # a row of SCHEMES
     setup: type  # the setup type the scheme takes
     params: dict  # a config's parameters: name -> default (None if required), builder order
     calls: tuple = ()  # a matrix product's round: encode A, encode B, decode, answer
-    systematic: Optional[bool] = None  # the CSA layout the name fixes
+    fixed: dict = {}  # the setup's fields the name fixes: field -> value
 
 
 _GROUPS, _PARTITION = {"ell": None, "kc": None}, {"p": None, "m": None, "n": None}
 _CSA_CALLS = ((csa, "csa_encode_a"), (csa, "csa_encode_b"), (csa, "csa_decode"),
               (csa, "csa_answer"))
+_GCSA_CALLS = ((gcsa, "gcsa_encode_a"), (gcsa, "gcsa_encode_b"), (gcsa, "gcsa_decode"),
+               (csa, "csa_answer"))
 _NCSA = {"ell": 1, "kc": None, "X": 0, "B": 0}
 _NO_PARTITION = ep.EPParams()  # CSA's: GCSA with p = m = n = 1
 
@@ -127,12 +111,10 @@ _NO_PARTITION = ep.EPParams()  # CSA's: GCSA with p = m = n = 1
 # pairs, up when it runs: perfbench's tracer times a layer by rebinding module
 # attributes, so a function captured here at import would run untraced.
 SCHEMES = {
-    "ep": Scheme(EPSetup, _PARTITION, ((ep, "ep_encode_a"), (ep, "ep_encode_b"),
-                                       (ep, "ep_decode"), (ep, "ep_answer"))),
-    "csa": Scheme(csa.CSAParams, _GROUPS, _CSA_CALLS, systematic=False),
-    "csa-systematic": Scheme(csa.CSAParams, _GROUPS, _CSA_CALLS, systematic=True),
-    "gcsa": Scheme(gcsa.GCSAParams, {**_GROUPS, **_PARTITION}, ((gcsa, "gcsa_encode_a"),
-                   (gcsa, "gcsa_encode_b"), (gcsa, "gcsa_decode"), (csa, "csa_answer"))),
+    "ep": Scheme(gcsa.GCSAParams, _PARTITION, _GCSA_CALLS, {"ell": 1, "kc": 1}),
+    "csa": Scheme(csa.CSAParams, _GROUPS, _CSA_CALLS, {"systematic": False}),
+    "csa-systematic": Scheme(csa.CSAParams, _GROUPS, _CSA_CALLS, {"systematic": True}),
+    "gcsa": Scheme(gcsa.GCSAParams, {**_GROUPS, **_PARTITION}, _GCSA_CALLS),
     "ncsa": Scheme(ncsa.NCSAParams, _NCSA),
     "lcc": Scheme(ncsa.NCSAParams, _NCSA),  # N-CSA with ell = 1 and kc = L
 }
@@ -141,14 +123,16 @@ CDBMM_SCHEMES = tuple(name for name, row in SCHEMES.items() if row.calls)
 
 def _check_setup(scheme: str, setup) -> None:
     """Refuse an unknown scheme, a setup of another family than the
-    scheme's, and CSA parameters whose layout the scheme does not name."""
+    scheme's, and parameters that differ from a field the name fixes (the
+    CSA layout, or EP's ell = kc = 1)."""
     row = SCHEMES.get(scheme)
     if row is None:
         raise ParameterError(f"unknown scheme {scheme!r}")
     if not isinstance(setup, row.setup):
         raise ParameterError(f"{scheme!r} takes {row.setup.__name__}, not {type(setup).__name__}")
-    if row.systematic is not None and setup.systematic != row.systematic:
-        raise ParameterError(f"{scheme!r} takes parameters with systematic={row.systematic}")
+    for name, value in row.fixed.items():
+        if getattr(setup, name) != value:
+            raise ParameterError(f"{scheme!r} takes parameters with {name}={value}")
 
 
 def theoretical_costs(scheme: str, setup) -> CostSummary:
@@ -168,6 +152,7 @@ def run_cdbmm(field: PrimeField, scheme: str, setup, batch_a, batch_b,
               straggler: StragglerModel,
               byzantine: Optional[ByzantineModel] = None):
     """Full encode / compute / straggle / decode round for matrix batches.
+    A code of batch size 1 (EP) takes a batch of any length.
 
     Returns (products, CostReport); products equal the direct batch product.
     """
@@ -185,20 +170,29 @@ def run_cdbmm(field: PrimeField, scheme: str, setup, batch_a, batch_b,
     encode_a, encode_b, decoder, answer = [getattr(*call) for call in SCHEMES[scheme].calls]
     inner = getattr(setup, "ep", _NO_PARTITION)
     shape = (batch_a[0].shape[0] // inner.m, batch_b[0].shape[1] // inner.n)  # of one answer
-    code, points = setup, range(setup.servers)
-    if isinstance(setup, EPSetup):  # EP's own convention: (params, samples), by point
-        code, points = setup.params, setup.samples
-        shape = (len(batch_a),) + shape  # an EP answer holds every batch entry
+    entries = len(batch_a) > setup.batch_size  # EP: a share and an answer hold every entry
+    if entries:
+        shape = (len(batch_a),) + shape
 
     def encode(responsive):
-        return [encode_a(field, batch_a, code, points), encode_b(field, batch_b, code, points)]
+        servers = range(setup.servers)
+        return [encode_a(field, batch_a, setup, servers), encode_b(field, batch_b, setup, servers)]
 
-    def decode(answers):  # EP decodes by sample point
-        pairs = answers if code is setup else [(points[s], y) for s, y in answers]
-        return list(decoder(field, pairs, code)), ()
+    def respond(s, shares, counter, out):
+        if not (entries and isinstance(s, int)):
+            return answer(field, *shares, counter, out)
+        # A server alone has reached _ARENA_MIN_BYTES: it answers entry by
+        # entry, as a stack of large products runs slower (see ffield).
+        out = np.empty(shape, np.int64) if out is None else out
+        for a, b, y in zip(*shares, out):
+            answer(field, a, b, counter, y)
+        return out
 
-    return _round(scheme, setup, [batch_a, batch_b], straggler, None, encode,
-                  lambda s, sh, counter, out: answer(field, *sh, counter, out), decode, shape)
+    def decode(answers):
+        return decoder(field, answers, setup), ()
+
+    return _round(scheme, setup, [batch_a, batch_b], straggler, None, encode, respond,
+                  decode, shape)
 
 
 def run_nlinear(field: PrimeField, params: ncsa.NCSAParams, job, batches,
@@ -266,13 +260,16 @@ def _round(scheme: str, setup, operands, straggler: StragglerModel,
            answer_shape: Optional[tuple] = None):
     """One round of any code family: pick the responsive servers, encode,
     answer (forging the corrupted answers), decode and count the costs.
+    Every matrix product is a GCSA code: CSA has p = m = n = 1 and EP
+    ell = kc = 1, its one pole a field point beside the S samples, so EP
+    needs S <= q - 1; an EP share and answer hold every batch entry.
 
     ``operands`` holds the residue batches, one per variable.
     ``encode(responsive)`` returns per variable the encoder's shares of
     every server, row s for server s.  ``answer(s, shares, counter, out)``
     answers server s from its rows, or a list of servers from theirs with a
-    leading server axis, stacking their answers; ``counter`` counts one
-    server's multiplications (``server_mults`` is the largest count).  The
+    leading server axis, stacking their answers; ``counter`` counts the
+    call's multiplications (``server_mults`` is the largest per server).  The
     responsive servers answer in one call, each alone once its shares reach
     ``ffield._ARENA_MIN_BYTES``.  Forgeries then replace answers, and
     ``decode(answers)`` returns (results, flagged servers).
@@ -317,7 +314,7 @@ def _round(scheme: str, setup, operands, straggler: StragglerModel,
             counter = OpCounter()
             y = answer(servers, [stack[servers] for stack in shares], counter,
                        None if rows is None else rows[pick])
-            server_mults = max(server_mults, counter.mults)
+            server_mults = max(server_mults, counter.mults // (1 if alone else len(servers)))
             answers += [(servers, y)] if alone else zip(servers, y)
         answers = [(s, byzantine.forge(s, y) if s in bad else y) for s, y in answers]
         results, flagged = decode(answers)

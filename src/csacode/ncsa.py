@@ -267,7 +267,7 @@ def ncsa_answer(field: PrimeField, shares, omega: NLinearMap, params: NCSAParams
 
     ``shares`` holds one share list (length ell) per variable slot, or for
     a sequence ``s`` of n servers their (n, ell, ...) rows, with one map
-    call per group; ``counter`` counts one server's.  A raw server of a
+    call per group; ``counter`` counts the call's.  A raw server of a
     systematic layout (s < L) holds one-group shares, its own entries, and
     returns Omega of them unnormalized (in a call of raw servers only).
     """
@@ -280,7 +280,7 @@ def ncsa_answer(field: PrimeField, shares, omega: NLinearMap, params: NCSAParams
         shares = [np.swapaxes(sh, 0, 1) for sh in shares]
     if listed[0] < raw:
         if counter is not None and omega.mults is not None:
-            counter.mults += omega.mults
+            counter.mults += len(listed) * omega.mults
         return omega(field, *[sh[0] for sh in shares])
     inverses = _inverse_deltas(field, params.code)[np.subtract(s, raw)]
     acc = None
@@ -288,7 +288,7 @@ def ncsa_answer(field: PrimeField, shares, omega: NLinearMap, params: NCSAParams
         y, w = omega(field, *[sh[l] for sh in shares]), inverses[..., l]
         term = w.reshape(w.shape + (1,) * (y.ndim - w.ndim)) * y % field.q
         if counter is not None and omega.mults is not None:
-            counter.mults += omega.mults + math.prod(omega.out_shape)
+            counter.mults += len(listed) * (omega.mults + math.prod(omega.out_shape))
         acc = term if acc is None else (acc + term) % field.q
     return acc
 
@@ -341,12 +341,15 @@ def poly_batch_eval_answer(field: PrimeField, shares_by_var, spec: PolynomialSpe
                            params: NCSAParams, s, counter=None) -> np.ndarray:
     """Weighted sum of per-term answers; ``shares_by_var`` maps a variable
     index (or None for the constant batch) to its share list for server s
-    (or servers, as ``ncsa_answer``), and ``counter`` counts every term's."""
+    (or servers, as ``ncsa_answer``), and ``counter`` counts every term's
+    answer and its weighting, one multiplication an output element."""
     acc = None
     for term in spec.terms:
         shares = [shares_by_var[slot] for slot in term.slots]
         y = ncsa_answer(field, shares, term.omega, params, s, counter)
         y = term.weight % field.q * y % field.q
+        if counter is not None and term.omega.mults is not None:
+            counter.mults += y.size
         acc = y if acc is None else (acc + y) % field.q
     return acc
 

@@ -9,8 +9,16 @@ library code calls them:
 - ``lagrange_interpolate``: the coefficients of an interpolating polynomial;
 - ``split_blocks`` / ``answer_coefficients``: the EP answer polynomial,
   expanded block product by block product;
+- ``ep_encode_a`` / ``ep_encode_b`` / ``ep_decode``: the entangled
+  polynomial code on one matrix at one point, and its decode by Lagrange
+  interpolation (the basis in Python integers); the library runs EP as GCSA with
+  ell = kc = 1, whose shares and answers are these at z = f - alpha (the B
+  side and the answer divided by z^pmn);
 - ``check_multilinear``: a random linearity probe of an N-linear map;
 - ``naive_combo_threshold``: the threshold GCSA is compared against;
+- ``latency_upper_scan``: GCSA's latency point by a scan of every square
+  partition size up to about (K eta / 2)^(1/3), which
+  ``analysis.gcsa_latency_upper`` must equal;
 - ``shake_words`` / ``noise_reference``: X-secure noise drawn word by word;
 - ``xs_share_reference``: one server's X-secure shares entry by entry in
   Python integers, data Cauchy weights and noise masks written out, so it
@@ -40,7 +48,7 @@ import struct
 
 import numpy as np
 
-from csacode.ep import EPParams, a_exponent, b_exponent, ep_threshold
+from csacode.ep import EPParams, a_exponent, b_exponent, desired_coeff_index, ep_threshold
 from csacode.errors import InsufficientAnswersError, ParameterError
 from csacode.ffield import PrimeField, poly_divmod, poly_eval, poly_trim
 from csacode.ncsa import NLinearMap, _lagrange_matrix, lcc_threshold
@@ -155,7 +163,8 @@ def answer_coefficients(field: PrimeField, a: np.ndarray, b: np.ndarray,
                         params: EPParams) -> list[np.ndarray]:
     """Term-by-term expansion of the answer polynomial (oracle-grade path).
 
-    Returns the R coefficient matrices so ep_answer equals their power sum.
+    Returns the R coefficient matrices, whose power sum at alpha is the
+    product of ``ep_encode_a`` and ``ep_encode_b`` at alpha.
     """
     grid_a = split_blocks(a, params.m, params.p)
     grid_b = split_blocks(b, params.p, params.n)
@@ -172,6 +181,52 @@ def answer_coefficients(field: PrimeField, a: np.ndarray, b: np.ndarray,
                     prod = field.matmul(grid_a[mi][pi], grid_b[pj][ni])
                     coeffs[e] = (coeffs[e] + prod) % field.q
     return coeffs
+
+
+def ep_encode_a(field: PrimeField, a, params: EPParams, alpha: int) -> np.ndarray:
+    """One matrix's A polynomial sum_{mi,pi} A_{mi,pi} alpha^(pi + p*mi)."""
+    grid = split_blocks(np.asarray(a), params.m, params.p)
+    return _block_sum(field, [(a_exponent(params, mi, pi), grid[mi][pi])
+                              for mi in range(params.m) for pi in range(params.p)], alpha)
+
+
+def ep_encode_b(field: PrimeField, b, params: EPParams, alpha: int) -> np.ndarray:
+    """One matrix's B polynomial sum_{pi,ni} B_{pi,ni} alpha^(p-1-pi + p*m*ni)."""
+    grid = split_blocks(np.asarray(b), params.p, params.n)
+    return _block_sum(field, [(b_exponent(params, pi, ni), grid[pi][ni])
+                              for pi in range(params.p) for ni in range(params.n)], alpha)
+
+
+def _block_sum(field: PrimeField, terms, alpha: int) -> np.ndarray:
+    acc = np.zeros_like(terms[0][1], dtype=np.int64)
+    for e, block in terms:
+        acc = (acc + field.pow(alpha, e) * (block % field.q)) % field.q
+    return acc
+
+
+def ep_decode(field: PrimeField, answers, params: EPParams) -> np.ndarray:
+    """The product from the first R of the (alpha, Y) pairs ``answers``, Y
+    an EP answer: every desired coefficient of the answer polynomial is
+    sum_j l_j[e] Y_j, with l_j the Lagrange basis of the points."""
+    r = ep_threshold(params)
+    answers = list(answers)
+    if len(answers) < r:
+        raise InsufficientAnswersError(f"need {r} answers, got {len(answers)}")
+    answers = answers[:r]
+    xs = [x % field.q for x, _ in answers]
+    if len(set(xs)) != len(xs):
+        raise ParameterError("evaluation points must be pairwise distinct")
+    basis = [lagrange_interpolate(field, [(x, int(i == j)) for i, x in enumerate(xs)]) + [0] * r
+             for j in range(r)]
+
+    def coefficient(e: int) -> np.ndarray:
+        acc = np.zeros_like(answers[0][1], dtype=np.int64)
+        for poly, (_, y) in zip(basis, answers):
+            acc = (acc + poly[e] * (np.asarray(y) % field.q)) % field.q
+        return acc
+
+    return np.block([[coefficient(desired_coeff_index(params, mi, ni))
+                      for ni in range(params.n)] for mi in range(params.m)])
 
 
 # ---- N-linear maps and thresholds ----
@@ -207,6 +262,21 @@ def naive_combo_threshold(ell: int, kc: int, servers_inner: int) -> int:
     """Threshold of batch-coding all inner sub-products as one large batch:
     an (ell, kc * S') batch code over the S' * L partitioned tasks."""
     return ell * kc * servers_inner + kc * servers_inner - 1
+
+
+def latency_upper_scan(job_size: int, eta: float, k: float):
+    """(time, witness) of the best m in 1 .. (K eta / 2)^(1/3) + 9 meeting
+    p m^2 >= K, p = ceil(2m / eta), for K >= 1."""
+    best = best_w = None
+    hi = max(1, math.ceil((k * eta / 2.0) ** (1.0 / 3.0))) + 8
+    for m in range(1, hi + 1):
+        p = math.ceil(2 * m / eta)
+        if p * m * m < k:
+            continue
+        value = ((2 * job_size - 1) * p * m * m + p - 1) / (m * m)
+        if best is None or value < best:
+            best, best_w = value, {"ell": 1, "kc": job_size, "p": p, "m": m, "n": m}
+    return best, best_w
 
 
 # ---- X-secure noise ----

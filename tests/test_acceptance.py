@@ -59,14 +59,12 @@ def test_02_decode_oracle_equivalence():
         a = FIELD.rand_matrix(rng, dim_for(m), dim_for(p))
         b = FIELD.rand_matrix(rng, dim_for(p), dim_for(n))
         truth = FIELD.matmul(a, b)
-        answers = [
-            (alpha, ep.ep_answer(FIELD, ep.ep_encode_a(FIELD, a, params, alpha),
-                                 ep.ep_encode_b(FIELD, b, params, alpha)))
-            for alpha in setup.samples
-        ]
+        answers = [(s, csa.csa_answer(FIELD, gcsa.gcsa_encode_a(FIELD, [a], setup, s),
+                                      gcsa.gcsa_encode_b(FIELD, [b], setup, s)))
+                   for s in range(setup.servers)]
         for subset in itertools.combinations(range(setup.servers), r):
             assert np.array_equal(
-                ep.ep_decode(FIELD, [answers[i] for i in subset], params), truth)
+                gcsa.gcsa_decode(FIELD, [answers[i] for i in subset], setup)[0], truth)
 
     # batch code: the declared tuple list
     for ell, kc in [(1, 1), (1, 2), (2, 2), (1, 3), (2, 3)]:
@@ -191,14 +189,20 @@ def test_05_reduction_identities():
     a = FIELD.rand_matrix(rng, 4, 4)
     b = FIELD.rand_matrix(rng, 4, 4)
     rp = params.inner_order
+    ep_answers = []
     for s in range(12):
         z = FIELD.sub(params.poles[0], params.samples[s])
         gy = csa.csa_answer(FIELD, gcsa.gcsa_encode_a(FIELD, [a], params, s),
                               gcsa.gcsa_encode_b(FIELD, [b], params, s))
-        ey = ep.ep_answer(FIELD, ep.ep_encode_a(FIELD, a, epp, z),
-                          ep.ep_encode_b(FIELD, b, epp, z))
+        ey = FIELD.matmul(reference.ep_encode_a(FIELD, a, epp, z),
+                          reference.ep_encode_b(FIELD, b, epp, z))
         # the group prefactor (f - alpha)^R' is the only difference
         assert np.array_equal(FIELD.pow(z, rp) * gy % FIELD.q, ey)
+        ep_answers.append((z, ey))
+    # so the per-entry EP decode of any R of those answers is the product,
+    # and EP's setup is this code
+    assert np.array_equal(reference.ep_decode(FIELD, ep_answers[3:], epp), FIELD.matmul(a, b))
+    assert harness.ep_setup(FIELD, 2, 2, 2, 12) == params
     report(5, "reductions hold: combined code collapses to batch code "
               "byte-exactly and to the partitioning code at shifted points")
 

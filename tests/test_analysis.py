@@ -6,6 +6,7 @@ import pytest
 from csacode import analysis, gcsa, harness
 from csacode.errors import ParameterError
 from csacode.ffield import PrimeField
+from reference import latency_upper_scan
 
 
 def test_csa_hull_contains_big_batch_point():
@@ -113,6 +114,10 @@ def test_hull_rejects_bad_budget():
         analysis.pareto_hull("csa", 10, 10)
     with pytest.raises(ParameterError):
         analysis.pareto_hull("nope", 10, 5)
+    # a bound below 1 once gave an empty hull: no tuple has pmn < 1
+    for bound in (0, -3):
+        with pytest.raises(ParameterError, match="pmn bound"):
+            analysis.pareto_hull("gcsa", 10, 8, pmn_bound=bound)
 
 
 def test_latency_strict_improvement_range():
@@ -120,6 +125,16 @@ def test_latency_strict_improvement_range():
         upper, witness = analysis.gcsa_latency_upper(100, 0.75, k)
         assert upper < analysis.ep_latency_lower(100, 0.75, k)
         assert witness["p"] * witness["m"] * witness["n"] >= k
+
+
+@pytest.mark.parametrize("job_size, eta", [(1, 0.75), (2, 0.75), (100, 0.75), (7, 0.1),
+                                           (3, 0.999), (50, 0.5)])
+def test_latency_search_equals_the_full_scan(job_size, eta):
+    # the search starts where p m^2 >= K can first hold; the scan from m = 1
+    # took about K^(1/3) steps (10^102 at K = 1e308)
+    ks = [1, 1.5, 2, 3, 7.25, 10, 26, 100, 999.9, 1e4, 12345.6, 1e6, 3e7, 1e9]
+    for k in ks:
+        assert analysis.gcsa_latency_upper(job_size, eta, k) == latency_upper_scan(job_size, eta, k)
 
 
 def test_latency_ratio_grows_with_job_size():

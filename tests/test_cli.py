@@ -1,5 +1,6 @@
 import csv
 import json
+import signal
 from pathlib import Path
 
 import numpy as np
@@ -287,6 +288,27 @@ def test_costs_invalid_params(capsys):
     assert code == cli.EXIT_CONFIG
 
 
+@pytest.mark.parametrize("argv, code", [
+    # each option was once ignored when its scheme did not take it
+    ("csa --servers 8 --ell 2 --kc 2 --X 1", cli.EXIT_CONFIG),
+    ("ep --servers 12 --p 2 --m 2 --n 2 --ell 3", cli.EXIT_CONFIG),
+    ("gcsa --servers 30 --ell 1 --kc 2 --p 2 --N 3", cli.EXIT_CONFIG),
+    ("csa-systematic --servers 8 --kc 2 --B 1", cli.EXIT_CONFIG),
+    ("ncsa --servers 20 --kc 2 --m 2", cli.EXIT_CONFIG),
+    ("lcc --servers 9 --kc 4 --p 1", cli.EXIT_CONFIG),
+    # an option the scheme takes, even at its default value
+    ("ep --servers 12 --p 2 --m 2 --n 2", cli.EXIT_OK),
+    ("csa --servers 8 --ell 1 --kc 2", cli.EXIT_OK),
+    ("ncsa --servers 20 --N 3 --ell 2 --kc 2 --X 1 --B 1", cli.EXIT_OK),
+    ("lcc --servers 9 --N 2 --kc 4", cli.EXIT_OK),
+])
+def test_costs_refuses_an_option_its_scheme_does_not_take(capsys, argv, code):
+    assert cli.main(["costs", *argv.split()]) == code
+    out, err = capsys.readouterr()
+    if code == cli.EXIT_CONFIG:
+        assert out == "" and "takes no parameter" in err
+
+
 @pytest.mark.parametrize("name,family,servers,r_max,pmn", [
     ("hull_ep_s30_r25.csv", "ep", 30, 25, None),
     ("hull_csa_s30_r25.csv", "csa", 30, 25, None),
@@ -318,6 +340,34 @@ def test_latency_csv_with_plateau_row(capsys, tmp_path):
     assert first["p"] == "1" and first["m"] == "1"
     for row in rows[1:]:
         assert float(row["gcsa_upper"]) < float(row["ep_lower"])
+
+
+def test_hull_refuses_a_pmn_bound_below_one(capsys):
+    # once printed only the header, with exit 0
+    code = cli.main(["hull", "gcsa", "--servers", "10", "--r-max", "8", "--pmn-bound", "0"])
+    out, err = capsys.readouterr()
+    assert code == cli.EXIT_CONFIG and out == "" and "pmn bound" in err
+
+
+def test_latency_near_the_float_maximum_returns(capsys):
+    # the search for m once ran about 10^102 steps here, and the last grid
+    # point overflowed to inf; SIGALRM bounds the run to 10 s
+    def timeout(signum, frame):
+        raise TimeoutError("latency did not return within 10 s")
+
+    previous = signal.signal(signal.SIGALRM, timeout)
+    signal.alarm(10)
+    try:
+        code = cli.main(["latency", "--job-size", "2", "--k-min", "1", "--k-max", "1e308",
+                         "--steps", "3"])
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    assert code == 0
+    rows = list(csv.DictReader(capsys.readouterr().out.splitlines()))
+    assert [float(r["K"]) for r in rows] == [1.0, 5e307, 1e308]
+    for row in rows:
+        assert int(row["p"]) * int(row["m"]) ** 2 >= float(row["K"])
 
 
 @pytest.mark.parametrize("bounds", [("nan", "2"), ("1", "inf")])

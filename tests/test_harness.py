@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from csacode import csa, ep, ffield, gcsa, harness, ncsa, structmat
+from csacode import csa, ffield, gcsa, harness, ncsa, structmat
 from csacode.errors import InsufficientAnswersError, ParameterError
 from csacode.ffield import PrimeField
 
@@ -194,19 +194,20 @@ def _gcsa_setup():
     return gcsa.gcsa_params(FIELD, 1, 2, 1, 2, 1, 8)
 
 
-# The family of every scheme, and a setup of each family
-_FAMILY = {"ep": "ep", "csa": "csa", "csa-systematic": "csa", "gcsa": "gcsa",
-           "ncsa": "ncsa", "lcc": "ncsa"}
+# The families of setups every scheme takes, and a setup of each family:
+# EP's setup is GCSA's with ell = kc = 1, so "gcsa" takes it too
+_FAMILY = {"ep": ("ep",), "csa": ("csa",), "csa-systematic": ("csa",), "gcsa": ("gcsa", "ep"),
+           "ncsa": ("ncsa",), "lcc": ("ncsa",)}
 _FAMILY_SETUPS = {"ep": lambda: harness.ep_setup(FIELD, 2, 1, 1, 5), "csa": _csa_setup,
                   "gcsa": _gcsa_setup, "ncsa": lambda: ncsa.ncsa_params(FIELD, 3, 1, 2, 7)}
 _MISMATCHED = [(scheme, family) for scheme in _FAMILY for family in _FAMILY_SETUPS
-               if family != _FAMILY[scheme]]
+               if family not in _FAMILY[scheme]]
 
 
 @pytest.mark.parametrize("call", [
     *(pytest.param(lambda s=scheme, f=family: _cdbmm(s, _FAMILY_SETUPS[f]()),
                    id=f"{family}-as-{scheme}")
-      for scheme, family in _MISMATCHED if _FAMILY[scheme] != "ncsa"),
+      for scheme, family in _MISMATCHED if _FAMILY[scheme] != ("ncsa",)),
     *(pytest.param(lambda s=scheme, f=family: harness.theoretical_costs(s, _FAMILY_SETUPS[f]()),
                    id=f"costs-{family}-as-{scheme}") for scheme, family in _MISMATCHED),
     *(pytest.param(lambda f=family: harness.run_nlinear(
@@ -220,6 +221,26 @@ def test_a_setup_of_another_family_is_refused(call):
     # with a bare AttributeError
     with pytest.raises(ParameterError, match="takes"):
         call()
+
+
+def test_ep_is_gcsa_with_one_group_of_one():
+    # "ep" fixes ell = kc = 1 as "csa-systematic" fixes the layout, so it
+    # refuses GCSA parameters with ell * kc > 1; EP's own setup is GCSA's,
+    # which "gcsa" runs to the same products and costs
+    for ell, kc in ((2, 1), (1, 2), (2, 2)):
+        setup = gcsa.gcsa_params(FIELD, ell, kc, 1, 2, 1, 20)
+        for call in (lambda: _cdbmm("ep", setup), lambda: harness.theoretical_costs("ep", setup)):
+            with pytest.raises(ParameterError, match="'ep' takes parameters with"):
+                call()
+    setup = harness.ep_setup(FIELD, 2, 1, 1, 5)
+    assert setup == gcsa.gcsa_params(FIELD, 1, 1, 2, 1, 1, 5)
+    rng = np.random.default_rng(18)
+    aa, bb = ([FIELD.rand_matrix(rng, 2, 2) for _ in range(3)] for _ in range(2))
+    ep_round, gcsa_round = (harness.run_cdbmm(FIELD, scheme, setup, aa, bb,
+                                              harness.StragglerModel(count=4, seed=2))
+                            for scheme in ("ep", "gcsa"))
+    assert all(np.array_equal(e, g) for e, g in zip(ep_round[0], gcsa_round[0]))
+    assert dataclasses.replace(ep_round[1], scheme="gcsa") == gcsa_round[1]
 
 
 @pytest.mark.parametrize("scheme, systematic", [("csa", True), ("csa-systematic", False)])
@@ -289,7 +310,8 @@ def test_polynomial_spec_round_counts_every_term():
         counter = harness.OpCounter()
         ncsa.ncsa_answer(FIELD, [shares[v] for v in term.slots], term.omega, params, 0, counter)
         counts.append(counter.mults)
-    assert report.server_mults == sum(counts) == 2 * counts[0] > 0
+    # and each term's weighting, one multiplication an output element
+    assert report.server_mults == sum(counts) + 2 * 4 == 2 * counts[0] + 8 == 56
 
 
 def test_nlinear_per_variable_upload_cost():
@@ -360,8 +382,7 @@ _TIMED_GROUPS = {
     "cdbmm-q31": _CSA_GROUPS + _ROUND_GROUPS,
     # an X-secure encode is its own generator product, timed in ncsa.encode
     "secure-byzantine": ("structmat.rs_error_correct",) + _NCSA_GROUPS + _ROUND_GROUPS,
-    "small-mixed": ("ep.encode", "ep.answer", "ep.decode", "gcsa.encode", "gcsa.decode")
-                   + _CSA_GROUPS + _NCSA_GROUPS + _ROUND_GROUPS,
+    "small-mixed": ("gcsa.encode", "gcsa.decode") + _CSA_GROUPS + _NCSA_GROUPS + _ROUND_GROUPS,
 }
 
 
@@ -431,7 +452,7 @@ def _entry_points(field: PrimeField) -> dict:
     batch of L = 2 matrices of shape (2, 2)."""
     cparams = csa.csa_params(field, 1, 2, 5)
     gparams = gcsa.gcsa_params(field, 1, 2, 2, 1, 1, 8)  # grids 1x2 and 2x1
-    eparams = ep.EPParams(2, 1, 1)
+    esetup = harness.ep_setup(field, 2, 1, 1, 3)
     xparams = ncsa.ncsa_params(field, 2, 1, 2, 6, x_secure=1)
     sparams = csa.csa_params(field, 1, 2, 5, systematic=True)
     nparams = ncsa.ncsa_params(field, 2, 1, 2, 5, systematic=True)
@@ -444,10 +465,10 @@ def _entry_points(field: PrimeField) -> dict:
         "gcsa_encode_b": lambda b: gcsa.gcsa_encode_b(field, b, gparams, range(8)),
         "gcsa_encode_a-single": lambda b: gcsa.gcsa_encode_a(field, b, gparams, 3),
         "gcsa_encode_b-single": lambda b: gcsa.gcsa_encode_b(field, b, gparams, 3),
-        "ep_encode_a": lambda b: ep.ep_encode_a(field, b, eparams, [3, 4, 5]),
-        "ep_encode_b": lambda b: ep.ep_encode_b(field, b, eparams, [3, 4, 5]),
-        "ep_encode_a-single": lambda b: [ep.ep_encode_a(field, x, eparams, 3) for x in b],
-        "ep_encode_b-single": lambda b: [ep.ep_encode_b(field, x, eparams, 3) for x in b],
+        "gcsa_encode_a-ep": lambda b: gcsa.gcsa_encode_a(field, b, esetup, range(3)),
+        "gcsa_encode_b-ep": lambda b: gcsa.gcsa_encode_b(field, b, esetup, range(3)),
+        "gcsa_encode_a-ep-single": lambda b: gcsa.gcsa_encode_a(field, b, esetup, 2),
+        "gcsa_encode_b-ep-single": lambda b: gcsa.gcsa_encode_b(field, b, esetup, 2),
         "xs_encode": lambda b: ncsa.xs_encode(field, b, xparams, 0, range(6)),
         "xs_encode-single": lambda b: ncsa.xs_encode(field, b, xparams, 1, 4),
         "csa_encode_a-systematic": lambda b: csa.csa_encode_a(field, b, sparams, range(5)),
@@ -463,11 +484,6 @@ def _plain(x):
     if isinstance(x, (list, tuple)):
         return [_plain(y) for y in x]
     return x
-
-
-# EP's single form takes one matrix, not a batch
-_BATCH_FORMS = [name for name in _entry_points(FIELD)
-                if name not in ("ep_encode_a-single", "ep_encode_b-single")]
 
 
 @pytest.mark.parametrize("q", [65537, 2147483629])
@@ -487,7 +503,7 @@ def test_entry_points_reduce_uint64_entries(q, name):
     assert _plain(encode([big[0], residues[1] - q])) == want
 
 
-@pytest.mark.parametrize("name", _BATCH_FORMS)
+@pytest.mark.parametrize("name", list(_entry_points(FIELD)))
 @pytest.mark.parametrize("scheme, batch, why", [
     row for row in _MALFORMED_BATCHES if row[2] not in ("one shape", "matrices")] + [
     ("csa", _matrices(1, count=n), "does not match L") for n in (1, 3)])  # L = 2
@@ -497,8 +513,10 @@ def test_encoders_reject_what_the_harness_rejects(name, scheme, batch, why):
     # encoders always refused mixed shapes, and the Cauchy ones take vectors);
     # X-secure shares check the batch before adding their noise blocks
     encode = _entry_points(FIELD)[name]
-    if why == "does not match L" and name.startswith("ep_"):
-        assert len(encode(batch)) == 3  # EP codes each entry alone, any count of them
+    if why == "does not match L" and name.endswith(("-ep", "-ep-single")):
+        # EP codes each entry alone, any count of them: two elements a
+        # share of each 2x2 entry, at 3 servers or at 1
+        assert encode(batch).size == (3 if name.endswith("-ep") else 1) * len(batch) * 2
         return
     with pytest.raises(ParameterError, match=why):
         encode(batch)
@@ -642,7 +660,7 @@ def test_ep_round_decodes_with_one_solve(monkeypatch):
     aa = [FIELD.rand_matrix(rng, 4, 4) for _ in range(4)]
     bb = [FIELD.rand_matrix(rng, 4, 4) for _ in range(4)]
     solves = []
-    monkeypatch.setattr(ep, "solve_batch", lambda *args, **kw: solves.append(args)
+    monkeypatch.setattr(gcsa, "solve_batch", lambda *args, **kw: solves.append(args)
                         or structmat.solve_batch(*args, **kw))
     harness.run_cdbmm(FIELD, "ep", setup, aa, bb, harness.StragglerModel(count=10, seed=1))
     assert len(solves) == 1
@@ -650,10 +668,10 @@ def test_ep_round_decodes_with_one_solve(monkeypatch):
 
 def test_rounds_call_the_encoders_the_benchmark_times(monkeypatch):
     # perfbench times each family's encode through these public functions
-    # (its ep, gcsa, csa and ncsa "encode" groups); a round that routed
-    # around them would read 0 ms there.  A patched name counts the calls
-    # made through its own module, not through another module's import.
-    encoders = {ep: ("ep_encode_a", "ep_encode_b"), gcsa: ("gcsa_encode_a", "gcsa_encode_b"),
+    # (its gcsa, csa and ncsa "encode" groups; EP runs as GCSA); a round that
+    # routed around them would read 0 ms there.  A patched name counts the
+    # calls made through its own module, not through another module's import.
+    encoders = {gcsa: ("gcsa_encode_a", "gcsa_encode_b"),
                 csa: ("csa_encode_a", "csa_encode_b"), ncsa: ("xs_encode",)}
     calls = collections.Counter()
     for module, names in encoders.items():
@@ -678,7 +696,7 @@ def test_rounds_call_the_encoders_the_benchmark_times(monkeypatch):
 
     rounds = [
         (lambda: cdbmm("ep", harness.ep_setup(FIELD, 2, 2, 2, 10)),
-         {"ep_encode_a": 1, "ep_encode_b": 1}),
+         {"gcsa_encode_a": 1, "gcsa_encode_b": 1}),
         (lambda: cdbmm("gcsa", gcsa.gcsa_params(FIELD, 1, 2, 2, 2, 2, 26)),
          {"gcsa_encode_a": 1, "gcsa_encode_b": 1}),
         (lambda: cdbmm("csa", csa.csa_params(FIELD, 1, 2, 5)),
@@ -699,11 +717,13 @@ def test_rounds_call_the_encoders_the_benchmark_times(monkeypatch):
 # Labels of perfbench/tracer.py's GROUPS whose functions were merged into
 # others; the tracer finds nothing under them.  The systematic layout's
 # five entry points are now the CSA encoder, answer and decoder (and
-# ncsa_answer) on parameters that carry the layout.
+# ncsa_answer) on parameters that carry the layout, and EP runs as GCSA
+# with ell = kc = 1 (the GCSA encoders and decoder, csa_answer).
 _GONE_GROUP_LABELS = {"gcsa.gcsa_answer", "ncsa.ncsa_encode", "ncsa.ncsa_systematic_decode",
                       "csa.systematic_encode", "csa.systematic_answer",
                       "csa.systematic_decode", "ncsa.ncsa_systematic_encode",
-                      "ncsa.ncsa_systematic_answer"}
+                      "ncsa.ncsa_systematic_answer", "ep.ep_encode_a", "ep.ep_encode_b",
+                      "ep.ep_answer", "ep.ep_decode"}
 
 
 def test_benchmark_group_labels_resolve(monkeypatch):
@@ -725,9 +745,10 @@ def test_benchmark_group_labels_resolve(monkeypatch):
         if not (inspect.isfunction(obj) and obj.__module__ == f"csacode.{module}"):
             unresolved.add(label)
     assert unresolved == _GONE_GROUP_LABELS
-    # gcsa answers run csa_answer, so they are timed in csa.answer
+    # gcsa answers run csa_answer, so they are timed in csa.answer; EP
+    # rounds are timed in gcsa.encode, csa.answer and gcsa.decode
     assert [g for g, labels in tracer.GROUPS.items()
-            if set(labels) <= unresolved] == ["gcsa.answer"]
+            if set(labels) <= unresolved] == ["ep.encode", "ep.answer", "ep.decode", "gcsa.answer"]
 
 
 # ---- the round arena ----
@@ -968,7 +989,7 @@ def _answer_cases(field):
 
     def cdbmm(answer, encode_a, encode_b, setup, servers, dims, blocks):
         rows, inner, cols = dims
-        n = 3 if encode_a is ep.ep_encode_a else setup.batch_size
+        n = 3 if setup.batch_size == 1 else setup.batch_size  # EP: any batch
         return (lambda s, sh, c, out: answer(field, *sh, c, out),
                 [encode_a(field, mats(n, rows, inner), setup, servers),
                  encode_b(field, mats(n, inner, cols), setup, servers)], blocks)
@@ -981,10 +1002,8 @@ def _answer_cases(field):
         ("gcsa", *cdbmm(csa.csa_answer, gcsa.gcsa_encode_a, gcsa.gcsa_encode_b,
                         gcsa.gcsa_params(field, 1, 2, 2, 1, 1, 9), range(9), (8, 4, 6),
                         [[1, 2, 3, 4, 5, 6, 8]])),
-        ("ep", lambda s, sh, c, out: ep.ep_answer(field, *sh, c, out),
-         [ep.ep_encode_a(field, mats(3, 8, 4), ep_setup.params, ep_setup.samples),
-          ep.ep_encode_b(field, mats(3, 4, 6), ep_setup.params, ep_setup.samples)],
-         [[0, 1, 4, 5, 6, 8]]),
+        ("ep", *cdbmm(csa.csa_answer, gcsa.gcsa_encode_a, gcsa.gcsa_encode_b, ep_setup,
+                      range(9), (8, 4, 6), [[0, 1, 4, 5, 6, 8]])),
         ("csa-systematic", *cdbmm(csa.csa_answer, csa.csa_encode_a, csa.csa_encode_b,
                                   csa.csa_params(field, 2, 2, 7, systematic=True),
                                   range(7), (4, 4, 2), [[0, 2, 3], [5, 6]])),
@@ -1019,7 +1038,7 @@ def _answer_cases(field):
 @pytest.mark.parametrize("q", [65537, 2147483629])
 def test_stacked_answers_equal_each_server_alone(q):
     # Each block of servers answered in one call, its shares with a leading
-    # server axis, gives every server's own answer and counts one server's
+    # server axis, gives every server's own answer and counts every server's
     # multiplications, on the int64 and float matmul paths alike.
     field = PrimeField(q)
     for name, answer, shares, blocks in _answer_cases(field):
@@ -1035,7 +1054,7 @@ def test_stacked_answers_equal_each_server_alone(q):
             for s, y in zip(servers, together):
                 alone = harness.OpCounter()
                 assert np.array_equal(y, answer(s, [x[s] for x in shares], alone, None)), (name, s)
-                assert alone.mults == counter.mults, (name, s)
+                assert len(servers) * alone.mults == counter.mults, (name, s)
 
 
 def test_raw_and_coded_servers_answer_in_separate_calls():
@@ -1089,39 +1108,31 @@ def test_answer_step_matmul_count_does_not_grow_with_the_responsive_count(monkey
     assert counts[0] == counts[1] == params.ell
 
 
-def test_a_large_ep_server_multiplies_entry_by_entry():
+def test_a_large_ep_server_multiplies_entry_by_entry(monkeypatch):
     # A server whose shares reach _ARENA_MIN_BYTES is answered alone, and
-    # its batch entries go through the float path one at a time, so this
-    # thread's workspaces hold one entry's product whatever the batch size.
+    # its batch entries go through csa_answer one at a time, so no product
+    # stacks them whatever the batch size; small servers' entries stack
+    # with every server's in one call.  server_mults counts every entry.
     field = PrimeField(65537)
     setup = harness.ep_setup(field, 1, 2, 2, 9)
     rng = np.random.default_rng(42)
+    answer, calls = csa.csa_answer, []
 
-    def answer_in_a_fresh_thread(batch):
-        aa = [field.rand_matrix(rng, 64, 64) for _ in range(batch)]
-        bb = [field.rand_matrix(rng, 64, 64) for _ in range(batch)]
-        share_a = ep.ep_encode_a(field, aa, setup.params, setup.samples)[3]
-        share_b = ep.ep_encode_b(field, bb, setup.params, setup.samples)[3]
-        assert share_a.nbytes + share_b.nbytes >= ffield._ARENA_MIN_BYTES
-        got = {}
+    def recorded(field, share_a, share_b, counter=None, out=None):
+        calls.append(np.shape(share_a))
+        return answer(field, share_a, share_b, counter, out)
 
-        def run():
-            counter = harness.OpCounter()
-            rows = np.full((batch, 32, 32), -1, dtype=np.int64)
-            assert ep.ep_answer(field, share_a, share_b, counter, rows) is rows
-            got.update(rows=rows, mults=counter.mults, sizes={
-                name: buf.size for name, buf in ffield._WORKSPACES.__dict__.items()})
-
-        thread = threading.Thread(target=run)
-        thread.start()
-        thread.join()
-        for a, b, y in zip(share_a, share_b, got["rows"]):
-            assert np.array_equal(y, field.matmul(a, b))
-        assert got["mults"] == batch * 32 * 64 * 32
-        return got["sizes"]
-
-    one = answer_in_a_fresh_thread(1)
-    assert one and one == answer_in_a_fresh_thread(8)
+    monkeypatch.setattr(csa, "csa_answer", recorded)
+    for size, batch, want in ((64, 8, [(1, 32, 64)] * 6 * 8), (64, 1, [(1, 32, 64)] * 6),
+                              (8, 8, [(6, 8, 1, 4, 8)])):
+        aa = [field.rand_matrix(rng, size, size) for _ in range(batch)]
+        bb = [field.rand_matrix(rng, size, size) for _ in range(batch)]
+        calls.clear()
+        got, report = harness.run_cdbmm(field, "ep", setup, aa, bb,
+                                        harness.StragglerModel(count=6, seed=1))
+        assert calls == want, (size, batch)
+        assert all(np.array_equal(g, t) for g, t in zip(got, harness.direct_products(field, aa, bb)))
+        assert report.server_mults == batch * (size // 2) * size * (size // 2)
 
 
 def test_a_map_that_drops_the_server_axis_is_refused():

@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 
 import csacode
-from csacode import csa, ep, gcsa, harness, ncsa, structmat
+from csacode import csa, gcsa, harness, ncsa, structmat
 from csacode.errors import SingularMatrixError
 from csacode.ffield import PrimeField
 
@@ -29,7 +29,7 @@ _DIMS = (4, 4, 2)  # rows, inner, cols of every entry: divisible by each grid
 def _cases():
     """(id, the module holding the plan, the decoder the harness calls,
     setup maker, responsive servers, forgers)."""
-    cases = [("ep", ep, "ep_decode", lambda f: harness.ep_setup(f, 2, 2, 1, 6), None, ()),
+    cases = [("ep", gcsa, "gcsa_decode", lambda f: harness.ep_setup(f, 2, 2, 1, 6), None, ()),
              ("csa", csa, "csa_decode", lambda f: csa.csa_params(f, 2, 2, 7), None, ()),
              # raw 0, 2, 3 and coded 5, 6: the plan also holds the known columns
              ("csa-systematic", csa, "csa_decode",
@@ -50,8 +50,7 @@ def _round(monkeypatch, field, case):
     params it was called with, the oracle's results)."""
     name, _, decoder, make, responsive, forgers = case
     setup = make(field)
-    module = ncsa if decoder == "xsb_decode" else {"ep_decode": ep, "csa_decode": csa,
-                                                   "gcsa_decode": gcsa}[decoder]
+    module = {"xsb_decode": ncsa, "csa_decode": csa, "gcsa_decode": gcsa}[decoder]
     decode, seen = getattr(module, decoder), []
     monkeypatch.setattr(module, decoder, lambda f, answers, params: seen.append(
         ([(s, np.array(y)) for s, y in answers], params)) or decode(f, answers, params))
@@ -130,7 +129,7 @@ def _recorded_tables(monkeypatch):
     """Record every table a plan returns, as (module.builder, key, table),
     by rebinding each registered builder in the module that holds it."""
     tables = []
-    for module in (csa, ep, gcsa, ncsa):
+    for module in (csa, gcsa, ncsa):
         for attr, obj in list(vars(module).items()):
             if any(obj is plan for plan in csa._PLANS):
                 name = f"{module.__name__.split('.')[-1]}.{attr}"
@@ -179,12 +178,12 @@ def _encoders():
                             encode_a(field, aa, params, params.servers - 1)]
         return maker
 
-    def ep_maker(field):
+    def ep_maker(field):  # GCSA's weights, each of the 3 entries encoded alone
         setup = harness.ep_setup(field, 2, 2, 1, 6)
         aa, bb = batches(field, 3)
-        return lambda: [ep.ep_encode_a(field, aa, setup.params, setup.samples),
-                        ep.ep_encode_b(field, bb, setup.params, setup.samples),
-                        ep.ep_encode_a(field, aa[0], setup.params, setup.samples[0])]
+        return lambda: [gcsa.gcsa_encode_a(field, aa, setup, range(6)),
+                        gcsa.gcsa_encode_b(field, bb, setup, range(6)),
+                        gcsa.gcsa_encode_a(field, aa, setup, 5)]
 
     def ncsa_maker(x):
         def maker(field):
@@ -195,7 +194,7 @@ def _encoders():
                             ncsa.xs_encode(field, aa, params, 0, 2)]
         return maker
 
-    cases = [("ep", {"ep._generator"}, ep_maker),
+    cases = [("ep", {"gcsa._weights"}, ep_maker),
              ("csa", {"csa._weights"}, cauchy(csa.csa_encode_a, csa.csa_encode_b,
                                               lambda f: csa.csa_params(f, 2, 2, 7))),
              ("csa-systematic", {"csa._weights"}, cauchy(
