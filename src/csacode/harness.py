@@ -137,8 +137,14 @@ def _check_setup(scheme: str, setup) -> None:
 
 def theoretical_costs(scheme: str, setup) -> CostSummary:
     """Closed-form recovery threshold and normalized costs: GCSA's for a
-    matrix product (EP is ell = kc = 1, CSA has no partition), else N-CSA's."""
+    matrix product (EP is ell = kc = 1, CSA has no partition), else N-CSA's.
+    The setup is checked on every call, the costs built once per (scheme, setup)."""
     _check_setup(scheme, setup)
+    return _costs(scheme, setup)
+
+
+@csa._plan_cache
+def _costs(scheme: str, setup) -> CostSummary:
     if SCHEMES[scheme].calls:
         inner = getattr(setup, "ep", _NO_PARTITION)
         return CostSummary(*gcsa._gcsa_costs(setup.ell, setup.kc, inner.p, inner.m, inner.n,

@@ -8,9 +8,9 @@ N - 1, whose Vandermonde tail absorbs the (kc-1)(N-1) interference dimensions.
 Points, batch checks, the generator product and the decoder (also on
 ``xsb_decode``'s clean rows) are the CSA ones, and so is the systematic
 layout.  Lagrange coded computing (LCC) is ell = 1, kc = L, threshold
-N(L - 1) + 1.  X-secure shares carry uniform noise blocks on the generator's
-Vandermonde terms (one data-and-noise product per group), so any X servers
-learn nothing; error correction locates B forged answers.
+N(L - 1) + 1.  X-secure shares add X uniform noise blocks a group, keyed
+(var, l, x), on the generator's Vandermonde terms (one product per group), so
+any X servers learn nothing; error correction locates B forged answers.
 """
 
 from __future__ import annotations
@@ -194,7 +194,8 @@ def noise_block(field: PrimeField, seed: int, var: int, l: int, k: int, x: int,
     stream (FIPS 202) read as little-endian 64-bit words.  Words at or above
     the largest multiple of q below 2^64 are rejected, so there is no modulo
     bias; the first n survivors mod q fill the block in row-major order, and
-    a short read continues the stream.
+    a short read continues the stream.  ``xs_encode`` passes k = 0, which
+    keeps each block's stream and the seven arguments perfbench's tracer unpacks.
     """
     q = field.q
     n = math.prod(shape)
@@ -213,20 +214,18 @@ def xs_encode(field: PrimeField, batch, params: NCSAParams, var: int, servers,
               noise=None) -> np.ndarray | list:
     """Secure shares: data Cauchy terms plus uniform noise along powers of alpha.
 
-    The noise realization z_{l,k,x} is fixed per (var, l, k, x) and shared
-    by every server, forming the MDS-coded mask: server s adds
-    Delta_s(l) * alpha_s^(x-1) * z_{l,k,x} to its group-l share, where
-    Delta_s(l) = prod_k (f_{l,k} - alpha_s).  So group l's kc entries, then
-    its kc * X noise blocks (x-major), times the plan ``_weights`` of
-    ``params.code`` and the listed servers are one generator product
-    (``csa._generator_encode``); X = 0 is ``csa_encode_a``.  ``servers`` is
-    one server index, which returns that server's ell shares, or a sequence
-    of indices, which returns them row by row.  Each noise block is
-    drawn once a call, from ``params.noise_seed``, ``var`` and (l, k, x)
-    alone: every round of one ``NCSAParams`` adds the same masks, so
-    X-security across rounds needs a fresh ``noise_seed`` per round (no new
-    plan: plans are keyed on ``params.code``).  ``noise`` may override the
-    seeded values: a mapping (l, k, x) -> array (1-based x).
+    X noise blocks a group, keyed (var, l, x), as in the paper: every server
+    adds Delta_s(l) * alpha_s^(x-1) * Z_{l,x} to its group-l share, where
+    Delta_s(l) = prod_k (f_{l,k} - alpha_s).  So group l's kc entries and its
+    X noise blocks, times the plan ``_weights`` of ``params.code`` and the
+    listed servers, are one generator product (``csa._generator_encode``);
+    X = 0 is ``csa_encode_a``.  ``servers`` is one server index (its ell
+    shares) or a sequence of indices (their shares row by row).  The noise
+    depends on ``params.noise_seed``, ``var`` and (l, x) alone: every round
+    of one ``NCSAParams`` adds the same masks, so X-security across rounds
+    needs a fresh ``noise_seed`` per round (plans are keyed on
+    ``params.code``, so no new plan).  ``noise`` may override the seeded
+    blocks: a mapping (l, x) -> array (1-based x).
     """
     if params.x_secure < 1:
         return csa_encode_a(field, batch, params.code, servers)
@@ -234,19 +233,19 @@ def xs_encode(field: PrimeField, batch, params: NCSAParams, var: int, servers,
     kc, augmented = params.kc, []
     for l in range(params.ell):
         augmented += entries[l * kc:(l + 1) * kc] + [
-            noise[(l, k, x)] if noise is not None else
-            noise_block(field, params.noise_seed, var, l, k, x, entries[0].shape)
-            for x in range(1, params.x_secure + 1) for k in range(kc)]
+            noise[(l, x)] if noise is not None else
+            noise_block(field, params.noise_seed, var, l, 0, x, entries[0].shape)
+            for x in range(1, params.x_secure + 1)]
     weights = _weights(field, params.code, tuple(_server_list(servers)))
     return _generator_encode(field, augmented, weights, servers)
 
 
 @_plan_cache
 def _weights(field: PrimeField, params: NCSAParams, listed: tuple) -> np.ndarray:
-    """``xs_encode``'s plan, (servers, ell, kc * (1 + X)): the A-side Cauchy
-    weights, then Delta_s(l) * alpha_s^(x-1) for the noise blocks, x-major."""
+    """``xs_encode``'s plan, (servers, ell, kc + X): the A-side Cauchy
+    weights, then Delta_s(l) * alpha_s^(x-1) for the noise blocks."""
     alphas = [params.samples[s] for s in listed]
-    powers = np.repeat(_powers(field, alphas, params.x_secure), params.kc, axis=1)
+    powers = _powers(field, alphas, params.x_secure)
     masks = _group_deltas(field, params, alphas)[..., None] * powers[:, None] % field.q
     return _read_only(np.concatenate([_cauchy_weights(field, params, listed, "a"), masks],
                                      axis=2))

@@ -21,7 +21,7 @@ library code calls them:
   ``analysis.gcsa_latency_upper`` must equal;
 - ``shake_words`` / ``noise_reference``: X-secure noise drawn word by word;
 - ``xs_share_reference``: one server's X-secure shares entry by entry in
-  Python integers, data Cauchy weights and noise masks written out, so it
+  Python integers, from the paper's formula (X noise blocks a group), so it
   shares no weight table or generator product with ``ncsa.xs_encode``;
 - ``scaling_constants``, ``scaled_cv_matrix``, ``psi_coeffs``,
   ``lt_toeplitz`` and ``gcsa_paper_matrix``: the paper's decode matrices,
@@ -306,26 +306,25 @@ def noise_reference(q: int, key: tuple, n: int) -> list[int]:
 
 
 def xs_share_reference(q: int, params, batch, var: int, s: int, noise=None) -> list:
-    """Server s's ell X-secure shares of ``batch``, entry by entry: group l's
-    share is sum_k prod_{k' != k}(f_{l,k'} - alpha) x_{l,k} plus
-    sum_{k,x} Delta(l) alpha^(x-1) z_{l,k,x}, with Delta(l) =
-    prod_k (f_{l,k} - alpha), alpha = alpha_s, and z the ``noise_reference``
-    words of key (noise_seed, var, l, k, x) unless ``noise`` gives it."""
+    """Server s's ell X-secure shares of ``batch``, entry by entry, from the
+    paper's formula: group l's share is
+    Delta(l) [sum_k x_{l,k} / (f_{l,k} - alpha) + sum_x alpha^(x-1) Z_{l,x}]
+    with Delta(l) = prod_k (f_{l,k} - alpha), alpha = alpha_s, the division
+    by Fermat's little theorem, and Z_{l,x} the ``noise_reference`` words of
+    key (noise_seed, var, l, 0, x) unless ``noise`` gives it, keyed (l, x)."""
     alpha, kc = params.samples[s], params.kc
     shape = np.shape(batch[0])
     n = math.prod(shape)
     shares = []
     for l in range(params.ell):
         poles = [params.pole(l, k) for k in range(kc)]
-        delta = math.prod(f - alpha for f in poles)
-        terms = [(math.prod(f - alpha for j, f in enumerate(poles) if j != k),
-                  np.ravel(batch[l * kc + k]).tolist()) for k in range(kc)]
-        for x in range(1, params.x_secure + 1):
-            for k in range(kc):
-                z = (np.ravel(noise[(l, k, x)]).tolist() if noise is not None else
-                     noise_reference(q, (params.noise_seed, var, l, k, x), n))
-                terms.append((delta * alpha ** (x - 1), z))
-        entries = [sum(w * int(v[i]) for w, v in terms) % q for i in range(n)]
+        delta = math.prod(f - alpha for f in poles) % q
+        data = [(pow(f - alpha, q - 2, q), np.ravel(batch[l * kc + k]).tolist())
+                for k, f in enumerate(poles)]
+        masks = [(alpha ** (x - 1), np.ravel(noise[(l, x)]).tolist() if noise is not None else
+                  noise_reference(q, (params.noise_seed, var, l, 0, x), n))
+                 for x in range(1, params.x_secure + 1)]
+        entries = [delta * sum(w * int(v[i]) for w, v in data + masks) % q for i in range(n)]
         shares.append(np.array(entries, dtype=np.int64).reshape(shape))
     return shares
 

@@ -341,7 +341,7 @@ def test_09_x_security_exhaustive():
                 for z in range(13):
                     share = ncsa.xs_encode(
                         field, batch, params, var, s,
-                        noise={(0, 0, 1): np.full((1, 1), z, dtype=np.int64)})
+                        noise={(0, 1): np.full((1, 1), z, dtype=np.int64)})
                     counts[int(share[0][0, 0])] += 1
                 dists[(value, var, s)] = counts
                 assert counts == [1] * 13  # exactly uniform

@@ -15,7 +15,7 @@ from csacode.ncsa import (PolynomialSpec, PolyTerm, determinant_map,
                           ncsa_answer, ncsa_decode, ncsa_params, ncsa_threshold,
                           noise_block, poly_batch_eval_answer,
                           xs_encode, xsb_decode, xsb_threshold)
-from csacode.structmat import CVSpec, rs_error_correct, solve_batch
+from csacode.structmat import CVSpec, matrix_rank, rs_error_correct, solve_batch
 from reference import (check_multilinear, lcc_decode, lcc_encode, noise_reference,
                        scaled_cv_matrix, scaling_constants, shake_words, xs_share_reference)
 
@@ -362,12 +362,12 @@ def test_mixed_arity_spec_rejected():
 def test_xs_share_of_zero_data_is_scaled_noise():
     params = ncsa_params(FIELD, 2, 1, 1, 4, x_secure=1, noise_seed=3)
     zero = [np.zeros((2, 2), dtype=np.int64)]
-    noise = {(0, 0, 1): np.arange(4, dtype=np.int64).reshape(2, 2) + 1}
+    noise = {(0, 1): np.arange(4, dtype=np.int64).reshape(2, 2) + 1}
     for s in range(4):
         alpha = params.samples[s]
         delta = FIELD.sub(params.poles[0], alpha)
         share = xs_encode(FIELD, zero, params, 0, s, noise=noise)[0]
-        assert np.array_equal(share, delta * noise[(0, 0, 1)] % FIELD.q)
+        assert np.array_equal(share, delta * noise[(0, 1)] % FIELD.q)
 
 
 def test_xs_noise_constant_across_servers():
@@ -399,7 +399,7 @@ def test_xs_exhaustive_uniformity_tiny_field():
             for s in range(4):
                 seen = sorted(
                     int(xs_encode(field, batch, params, n, s,
-                                  noise={(0, 0, 1): np.full((1, 1), z, dtype=np.int64)})[0][0, 0])
+                                  noise={(0, 1): np.full((1, 1), z, dtype=np.int64)})[0][0, 0])
                     for z in range(13)
                 )
                 distributions[(value, n, s)] = seen
@@ -459,8 +459,8 @@ def test_xs_encode_matches_reference_shares(q, x_secure, ell):
     params = ncsa_params(field, 2, ell, 2, xsb_threshold(2, ell, 2, x_secure, 0) + 1,
                          x_secure=x_secure, noise_seed=q % 1000)
     batch = [field.rand_matrix(rng, 3, 2) for _ in range(params.batch_size)]
-    noise = {(l, k, x): field.rand_matrix(rng, 3, 2) for l in range(ell)
-             for k in range(2) for x in range(1, x_secure + 1)}
+    noise = {(l, x): field.rand_matrix(rng, 3, 2) for l in range(ell)
+             for x in range(1, x_secure + 1)}
     servers = [4, 0, params.servers - 1, 1]
     for override in (None, noise):
         together = xs_encode(field, batch, params, 3, servers, noise=override)
@@ -470,6 +470,48 @@ def test_xs_encode_matches_reference_shares(q, x_secure, ell):
                     for w in xs_share_reference(q, params, batch, 3, s, override)]
             for got in (shares, xs_encode(field, batch, params, 3, s, noise=override)):
                 assert [(g.dtype, g.shape, g.tobytes()) for g in got] == want
+
+
+# (N, ell, kc, X, S - R): (3, 1, 1, 3) and (2, 1, 2, 3) have R = S
+_SECURE_GRID = [(2, 1, 1, 1, 2), (2, 1, 2, 2, 1), (2, 2, 1, 2, 2), (2, 1, 1, 3, 2),
+                (3, 1, 1, 3, 0), (2, 1, 2, 3, 0)]
+
+
+@pytest.mark.parametrize("q", [13, 65537])
+def test_every_x_servers_see_full_rank_noise(q):
+    # the paper's X-security claim, exactly: for every set of X servers the
+    # noise columns of the generator have rank X in every group, so their
+    # shares are uniform whatever the data
+    field = PrimeField(q)
+    for arity, ell, kc, x_secure, spare in _SECURE_GRID:
+        r = xsb_threshold(arity, ell, kc, x_secure, 0)
+        params = ncsa_params(field, arity, ell, kc, r + spare, x_secure=x_secure)
+        weights = ncsa._weights(field, params.code, tuple(range(params.servers)))
+        assert weights.shape == (params.servers, ell, kc + x_secure)
+        for colluders in itertools.combinations(range(params.servers), x_secure):
+            for l in range(ell):
+                assert matrix_rank(field, weights[list(colluders), l, kc:]) == x_secure
+
+
+@pytest.mark.parametrize("spec", [False, True])
+def test_a_round_draws_x_noise_blocks_a_group(monkeypatch, spec):
+    # X blocks per (variable, group), keyed (var, l, 0, x); a spec's
+    # constant-one slot draws its own ell * X under the next variable index
+    params = ncsa_params(FIELD, 2, 2, 2, xsb_threshold(2, 2, 2, 2, 0) + 1, x_secure=2)
+    omega = matmul_map(2, 2, 2)
+    job = (PolynomialSpec(2, (PolyTerm(1, omega, (0, 1)), PolyTerm(3, omega, (0, None))))
+           if spec else omega)
+    rng = np.random.default_rng(22)
+    batches = [[FIELD.rand_matrix(rng, 2, 2) for _ in range(4)] for _ in range(2)]
+    keys, draw = [], ncsa.noise_block
+    monkeypatch.setattr(ncsa, "noise_block",
+                        lambda *args: keys.append(args[2:6]) or draw(*args))
+    harness.run_nlinear(FIELD, params, job, batches,
+                        harness.StragglerModel(count=params.threshold))
+    variables = 3 if spec else 2
+    assert sorted(keys) == [(v, l, 0, x) for v in range(variables) for l in range(2)
+                            for x in (1, 2)]
+    assert ncsa._weights(FIELD, params.code, (0,)).shape[-1] == params.kc + params.x_secure
 
 
 def test_xs_encode_is_one_product_per_group(monkeypatch):
