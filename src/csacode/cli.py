@@ -361,8 +361,8 @@ def _suite_security(field_unused: PrimeField) -> bool:
     every residue once, whatever the data."""
     field = PrimeField(13)
     params = ncsa.ncsa_params(field, 2, 1, 1, 4, x_secure=1)
-    return all(sorted(int(ncsa.xs_encode(field, [np.full((1, 1), value)], params, 0, s,
-                                         noise={(0, 1): np.full((1, 1), z)})[0][0, 0])
+    return all(sorted(int(ncsa.xs_encode(field, [[np.full((1, 1), value)]], params, s,
+                                         noise={(0, 0, 1): np.full((1, 1), z)})[0][0, 0, 0])
                       for z in range(13)) == list(range(13))
                for value in (0, 7) for s in range(4))
 

@@ -131,7 +131,8 @@ def csa_encode_b(field: PrimeField, batch_b, params: CSAParams, servers) -> np.n
 def _cauchy_encode(field: PrimeField, batch, params, servers, side: str) -> np.ndarray | list:
     """Both encoders: ``side`` "a" or "b" picks the generator weights."""
     weights = _weights(field, params, tuple(_server_list(servers)), side)
-    return _generator_encode(field, batch, weights, servers, raw=_raw(params))
+    arr = field.residues(np.asarray(_batch_entries(field, batch, params.batch_size)))
+    return _generator_encode(field, arr, weights, servers, raw=_raw(params))
 
 
 @_plan_cache
@@ -158,12 +159,14 @@ def _cauchy_weights(field: PrimeField, params, listed, side: str, order: int = 1
 
     With d = f_{l,k} - alpha_s, entry (s, l, k * len(exps) + j) is
     d^exps[j] times prod_{k' != k} d_{k'}^order on the A side (the cleared
-    denominators), or times 1/d^order on the B side, every inverse from one
-    ``batch_inv``.  CSA uses order 1 and the single exponent 0; GCSA puts its
-    inner partition code's exponents on every slot.
+    denominators, all ones when kc = 1), or times 1/d^order on the B side,
+    every inverse from one ``batch_inv``.  CSA uses order 1 and the single
+    exponent 0; GCSA puts its inner partition code's exponents on every slot.
     """
     q = field.q
     alphas = np.array([params.samples[s] for s in listed], dtype=np.int64)
+    if side == "a" and params.kc == 1 and tuple(exps) == (0,):  # no other slot
+        return np.ones((len(alphas), params.ell, 1), dtype=np.int64)
     poles = np.array(params.poles, dtype=np.int64).reshape(params.ell, params.kc)
     d = (poles - alphas[:, None, None]) % q
     powers = [np.ones_like(d), d]
@@ -183,11 +186,12 @@ def _cauchy_weights(field: PrimeField, params, listed, side: str, order: int = 1
     return weights.reshape(len(alphas), params.ell, params.kc * len(exps))
 
 
-def _generator_encode(field: PrimeField, batch, weights: np.ndarray, servers,
+def _generator_encode(field: PrimeField, arr: np.ndarray, weights: np.ndarray, servers,
                       grid=(1, 1), raw: int = 0) -> np.ndarray | list:
     """The shares of ``servers`` (one index, or a sequence as for
-    ``csa_encode_a``) from generator products: a listed server s < ``raw``
-    holds the residue entry s alone, every other its share of each group,
+    ``csa_encode_a``) from generator products of ``arr``, the checked batch
+    (``_batch_entries``) stacked as residues: a listed server s < ``raw``
+    holds entry s alone, a view of ``arr``, every other its share of each group,
     from its row of ``weights`` (one row per such server, in listed order).
     Without raw servers a sequence gets one (servers, groups, ...) view of
     the products, else a list of rows.
@@ -204,18 +208,15 @@ def _generator_encode(field: PrimeField, batch, weights: np.ndarray, servers,
     group per entry.  On the 1 x 1 grid an entry may have any shape, which
     each share keeps.
 
-    The batch is checked, stacked and reduced once, into a fresh array that
-    the raw shares view.  The products write into one int64 array from
-    ``ffield._shares_out``: during a top-level round's encode step, the
-    round-arena buffer ``shares-<i>`` of the i-th encode, which every round
-    reuses instead of faulting in the shares' pages afresh, and valid only
-    until the next round in this thread; else a fresh array.
+    The products write into one int64 array from ``ffield._shares_out``:
+    during a top-level round's encode step, the round-arena buffer
+    ``shares-<i>`` of the i-th encode, which every round reuses instead of
+    faulting in the shares' pages afresh, and valid only until the next
+    round in this thread; else a fresh array.
     """
     rows, cols = grid
     coded, width = weights.shape[0], weights.shape[-1]
     kc = width // (rows * cols)
-    arr = field.residues(np.asarray(_batch_entries(
-        field, batch, None if weights.ndim == 2 else weights.shape[1] * kc, grid != (1, 1))))
     h, w = arr.shape[1:] if arr.ndim == 3 else (1, arr[0].size)
     if h % rows or w % cols:
         raise ParameterError(
@@ -415,6 +416,7 @@ def _batch_entries(field: PrimeField, batch, size=None, matrices=False) -> list:
     if not arrays[0].size:  # no cost of a round could be normalized
         raise ParameterError(f"batch entries of shape {arrays[0].shape} have no elements")
     return arrays if len(dtypes) == 1 else [field.residues(x) for x in arrays]
+
 
 
 def _take_answers(answers, r: int, servers: int):

@@ -31,8 +31,9 @@ from fractions import Fraction
 
 import numpy as np
 
-from .csa import (_answer_rows, _cauchy_weights, _decode_matrix, _generator_encode, _Groups,
-                  _plan_cache, _read_only, _server_list, _take_answers, cauchy_points)
+from .csa import (_answer_rows, _batch_entries, _cauchy_weights, _decode_matrix,
+                  _generator_encode, _Groups, _plan_cache, _read_only, _server_list,
+                  _take_answers, cauchy_points)
 from .ep import (EPParams, _a_exponents, _b_exponents, _desired_indices,
                  _extract_products)
 from .errors import ParameterError
@@ -121,7 +122,9 @@ def _encode(field: PrimeField, batch, params: GCSAParams, servers, side: str, gr
     weights = _weights(field, params, tuple(_server_list(servers)), side)
     if params.batch_size == 1 and len(batch) > 1:
         weights = weights[:, 0]
-    return _generator_encode(field, batch, weights, servers, grid)
+    arr = field.residues(np.asarray(_batch_entries(
+        field, batch, None if weights.ndim == 2 else params.batch_size, grid != (1, 1))))
+    return _generator_encode(field, arr, weights, servers, grid)
 
 
 @_plan_cache

@@ -237,22 +237,20 @@ def run_nlinear(field: PrimeField, params: ncsa.NCSAParams, job, batches,
                 f"the map expects {tuple(shape)}")
     if len(ones_shapes) > 1:
         raise ParameterError("constant slots must share one shape")
-    const = []  # a spec's constant-one shares: the responsive servers, their rows
+    ones = [[np.ones(shape, dtype=np.int64)] * params.batch_size for shape in ones_shapes]
+    const = []  # a spec's constant-one shares, every server's rows
 
-    def encode(responsive):
-        by_var = [ncsa.xs_encode(field, batch, params, v, range(params.servers))
-                  for v, batch in enumerate(batches)]
-        for shape in ones_shapes:  # one at most
-            ones = [np.ones(shape, dtype=np.int64)] * params.batch_size
-            const[:] = responsive, ncsa.xs_encode(field, ones, params, len(batches), responsive)
-        return by_var
+    def encode(responsive):  # the constant-one batch, if any, as the last variable
+        shares = ncsa.xs_encode(field, batches + ones, params, range(params.servers))
+        const[:] = shares[len(batches):]
+        return shares[:len(batches)]
 
     def answer(s, share, counter, out):
         if not is_spec:
             return ncsa.ncsa_answer(field, share, job, params, s, counter)
         shares_by_var = dict(enumerate(share))
         if const:
-            shares_by_var[None] = const[1][np.searchsorted(const[0], s)]
+            shares_by_var[None] = const[0][s]
         return ncsa.poly_batch_eval_answer(field, shares_by_var, job, params, s, counter)
 
     def decode(answers):  # with B = 0 it flags nothing: the plain decode
@@ -272,13 +270,15 @@ def _round(scheme: str, setup, operands, straggler: StragglerModel,
 
     ``operands`` holds the residue batches, one per variable.
     ``encode(responsive)`` returns per variable the encoder's shares of
-    every server, row s for server s.  ``answer(s, shares, counter, out)``
-    answers server s from its rows, or a list of servers from theirs with a
-    leading server axis, stacking their answers; ``counter`` counts the
-    call's multiplications (``server_mults`` is the largest per server).  The
-    responsive servers answer in one call, each alone once its shares reach
-    ``ffield._ARENA_MIN_BYTES``.  Forgeries then replace answers, and
-    ``decode(answers)`` returns (results, flagged servers).
+    every server, row s for server s: one encoder call per side of a matrix
+    product, one ``xs_encode`` for all of an N-CSA round's variables.
+    ``answer(s, shares, counter, out)`` answers server s from its rows, or a
+    list of servers from theirs with a leading server axis, stacking their
+    answers; ``counter`` counts the call's multiplications (``server_mults``
+    is the largest per server).  The responsive servers answer in one call,
+    each alone once its shares reach ``ffield._ARENA_MIN_BYTES``.  Forgeries
+    then replace answers, and ``decode(answers)`` returns (results, flagged
+    servers).
 
     Large intermediates live in this thread's round arena
     (``ffield._arena``), reused by every round instead of faulting in fresh

@@ -9,14 +9,16 @@ Points, batch checks, the generator product and the decoder (also on
 ``xsb_decode``'s clean rows) are the CSA ones, and so is the systematic
 layout.  Lagrange coded computing (LCC) is ell = 1, kc = L, threshold
 N(L - 1) + 1.  X-secure shares add X uniform noise blocks a group, keyed
-(var, l, x), on the generator's Vandermonde terms (one product per group), so
-any X servers learn nothing; error correction locates B forged answers.
+(var, l, x), on the generator's Vandermonde terms, so any X servers learn
+nothing; all of a round's variables are encoded by one product per group.
+Error correction locates B forged answers.
 """
 
 from __future__ import annotations
 
 import functools
 import hashlib
+import itertools
 import math
 import struct
 from dataclasses import dataclass, replace
@@ -26,11 +28,11 @@ import numpy as np
 
 from .csa import (_answer_rows, _batch_entries, _cauchy_weights, _generator_encode, _Groups,
                   _plan_cache, _raw, _read_only, _server_list, _take_answers, cauchy_points,
-                  csa_decode, csa_encode_a)
+                  csa_decode)
 from .errors import DecodingFailureError, ParameterError
 from .ffield import PrimeField, _integer
 # perfbench/tracer.py requires ncsa.solve_batch, so it stays importable here.
-from .structmat import _powers, _row_reduce, rs_error_correct, solve_batch  # noqa: F401
+from .structmat import _determinants, _powers, rs_error_correct, solve_batch  # noqa: F401
 
 # ---- N-linear maps ----
 
@@ -110,11 +112,9 @@ def elementwise_product_map(arity: int, dim: int) -> NLinearMap:
 def determinant_map(size: int) -> NLinearMap:
     """Determinant of a size x size matrix, multilinear in its columns."""
 
-    def det(field, *cols):  # each matrix of a stack in turn
+    def det(field, *cols):  # the whole stack in one elimination
         m = field.residues(np.stack(cols, axis=-1))  # a fresh stack, reduced in place
-        dets = [out if len(pivots) == size else 0 for pivots, out in
-                (_row_reduce(field, x, size) for x in m.reshape(-1, size, size))]
-        return np.array(dets, dtype=np.int64).reshape(m.shape[:-2] + (1,))
+        return _determinants(field, m)[..., None]
 
     return NLinearMap(
         arity=size,
@@ -210,51 +210,69 @@ def noise_block(field: PrimeField, seed: int, var: int, l: int, k: int, x: int,
         words += 2 * (n - kept.size) + 4
 
 
-def xs_encode(field: PrimeField, batch, params: NCSAParams, var: int, servers,
-              noise=None) -> np.ndarray | list:
-    """Secure shares: data Cauchy terms plus uniform noise along powers of alpha.
+def xs_encode(field: PrimeField, batches, params: NCSAParams, servers,
+              noise=None) -> list:
+    """Secure shares of every variable (``batches``, one batch each): data
+    Cauchy terms plus uniform noise along powers of alpha.
 
-    X noise blocks a group, keyed (var, l, x), as in the paper: every server
-    adds Delta_s(l) * alpha_s^(x-1) * Z_{l,x} to its group-l share, where
-    Delta_s(l) = prod_k (f_{l,k} - alpha_s).  So group l's kc entries and its
-    X noise blocks, times the plan ``_weights`` of ``params.code`` and the
-    listed servers, are one generator product (``csa._generator_encode``);
-    X = 0 is ``csa_encode_a``.  ``servers`` is one server index (its ell
-    shares) or a sequence of indices (their shares row by row).  The noise
-    depends on ``params.noise_seed``, ``var`` and (l, x) alone: every round
-    of one ``NCSAParams`` adds the same masks, so X-security across rounds
-    needs a fresh ``noise_seed`` per round (plans are keyed on
-    ``params.code``, so no new plan).  ``noise`` may override the seeded
-    blocks: a mapping (l, x) -> array (1-based x).
+    Variable v draws X noise blocks a group, keyed (v, l, x), as in the
+    paper: every server adds Delta_s(l) * alpha_s^(x-1) * Z_{l,x} to its
+    group-l share, where Delta_s(l) = prod_k (f_{l,k} - alpha_s).  Group l's
+    kc entries and X noise blocks of every variable, flattened side by side,
+    times the plan ``_weights`` of ``params.code`` and the listed servers,
+    are one generator product (``csa._generator_encode``).  Returns per
+    variable views of it in that variable's entry shape: for one server
+    index its ell shares, for a sequence their shares row by row (a list of
+    rows in a systematic layout).  The noise depends on
+    ``params.noise_seed``, v and (l, x) alone: every round of one
+    ``NCSAParams`` adds the same masks, so X-security across rounds needs a
+    fresh ``noise_seed`` per round (plans are keyed on ``params.code``, so
+    no new plan).  ``noise`` may override the seeded blocks: a mapping
+    (v, l, x) -> array (1-based x).
     """
-    if params.x_secure < 1:
-        return csa_encode_a(field, batch, params.code, servers)
-    entries = _batch_entries(field, batch, params.batch_size)  # before any noise
-    kc, augmented = params.kc, []
-    for l in range(params.ell):
-        augmented += entries[l * kc:(l + 1) * kc] + [
-            noise[(l, x)] if noise is not None else
-            noise_block(field, params.noise_seed, var, l, 0, x, entries[0].shape)
-            for x in range(1, params.x_secure + 1)]
+    kc, width = params.kc, params.kc + params.x_secure
+    arrays = [field.residues(np.asarray(_batch_entries(field, batch, params.batch_size)))
+              for batch in batches]  # every batch checked before any noise
+    sizes = [a[0].size for a in arrays]
+    spans = [slice(end - n, end) for n, end in zip(sizes, itertools.accumulate(sizes))]
+    groups = np.empty((params.ell, width, sum(sizes)), dtype=np.int64)
+    for v, (a, span) in enumerate(zip(arrays, spans)):
+        groups[:, :kc, span] = a.reshape(params.ell, kc, -1)
+        for l, x in itertools.product(range(params.ell), range(1, params.x_secure + 1)):
+            groups[l, kc + x - 1, span] = np.ravel(
+                field.residues(noise[(v, l, x)]) if noise is not None else
+                noise_block(field, params.noise_seed, v, l, 0, x, a.shape[1:]))
     weights = _weights(field, params.code, tuple(_server_list(servers)))
-    return _generator_encode(field, augmented, weights, servers)
+    shares = _generator_encode(field, groups.reshape(params.ell * width, -1), weights,
+                               servers, raw=_raw(params))
+
+    def split(rows):  # (..., every variable's entries) -> a view per variable
+        return [rows[..., span].reshape(rows.shape[:-1] + a.shape[1:])
+                for a, span in zip(arrays, spans)]
+
+    if isinstance(shares, list):  # a systematic layout's rows, raw or coded
+        return [list(rows) for rows in zip(*map(split, shares))]
+    return split(shares)
 
 
 @_plan_cache
 def _weights(field: PrimeField, params: NCSAParams, listed: tuple) -> np.ndarray:
-    """``xs_encode``'s plan, (servers, ell, kc + X): the A-side Cauchy
-    weights, then Delta_s(l) * alpha_s^(x-1) for the noise blocks."""
-    alphas = [params.samples[s] for s in listed]
+    """``xs_encode``'s plan, (coded servers, ell, kc + X): the A-side Cauchy
+    weights of the listed servers from ``_raw`` on, then
+    Delta_s(l) * alpha_s^(x-1) for the noise blocks."""
+    coded = [s for s in listed if s >= _raw(params)]
+    alphas = [params.samples[s] for s in coded]
     powers = _powers(field, alphas, params.x_secure)
     masks = _group_deltas(field, params, alphas)[..., None] * powers[:, None] % field.q
-    return _read_only(np.concatenate([_cauchy_weights(field, params, listed, "a"), masks],
+    return _read_only(np.concatenate([_cauchy_weights(field, params, coded, "a"), masks],
                                      axis=2))
 
 
 def _group_deltas(field: PrimeField, params: NCSAParams, alphas) -> np.ndarray:
     """(alphas x ell) Delta(l) = prod_k (f_{l,k} - alpha), group l's pole product."""
     return np.array([[math.prod(params.pole(l, k) - a for k in range(params.kc)) % field.q
-                      for l in range(params.ell)] for a in alphas], dtype=np.int64)
+                      for l in range(params.ell)] for a in alphas],
+                    dtype=np.int64).reshape(len(alphas), params.ell)
 
 
 # ---- answering ----

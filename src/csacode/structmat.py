@@ -4,7 +4,8 @@ Builds Cauchy-Vandermonde matrices (Cauchy entries ``1/(f_j - a_i)``, then
 Vandermonde powers) and their confluent form with pole multiplicities,
 which no decoder uses any more; ``_powers`` builds every table of point
 powers.  One exact row reduction over GF(q) with first-nonzero pivoting
-serves every solver here (batch solves, rectangular systems, rank) and
+serves every solver here (batch solves, rectangular systems, rank);
+``_determinants`` eliminates a whole stack of square matrices at once for
 ``ncsa``'s determinant map; Berlekamp-Welch handles forged answers.
 """
 
@@ -73,21 +74,17 @@ def _powers(field: PrimeField, xs, width: int) -> np.ndarray:
     return table
 
 
-def _row_reduce(field: PrimeField, aug: np.ndarray, cols: int):
+def _row_reduce(field: PrimeField, aug: np.ndarray, cols: int) -> list[int]:
     """Bring ``aug`` in place to reduced row echelon form on its first ``cols``
     columns, the one exact elimination behind every solver here.
 
     Pivoting is first-nonzero; each pivot costs one rank-1 update, which
     scales the pivot row by 1/pivot and clears the column in every other
-    row, and a column without a pivot is skipped.  Returns the pivot
-    columns and the product of the pivots before scaling, negated once per
-    row swap: the determinant when the leading block is square and every
-    column has a pivot.
+    row, and a column without a pivot is skipped.  Returns the pivot columns.
     """
     q = field.q
     rows = aug.shape[0]
     pivots = []
-    det = 1
     for c in range(cols):
         r = len(pivots)
         piv = r
@@ -97,10 +94,7 @@ def _row_reduce(field: PrimeField, aug: np.ndarray, cols: int):
             continue
         if piv != r:
             aug[[r, piv]] = aug[[piv, r]]
-            det = -det
-        pivot = int(aug[r, c])
-        det = det * pivot % q
-        inv = field.inv(pivot)
+        inv = field.inv(int(aug[r, c]))
         factors = aug[:, c] * inv % q
         factors[r] = 1 - inv  # aug[r] - (1 - inv) * aug[r] is aug[r] / pivot
         aug -= factors[:, None] * aug[r]
@@ -108,7 +102,33 @@ def _row_reduce(field: PrimeField, aug: np.ndarray, cols: int):
         pivots.append(c)
         if len(pivots) == rows:
             break
-    return pivots, det
+    return pivots
+
+
+def _determinants(field: PrimeField, mats: np.ndarray) -> np.ndarray:
+    """Determinants (shape (...)) of a C-contiguous (..., n, n) stack of
+    residues, by one forward elimination of the whole stack in place: in
+    column c each matrix pivots on its first nonzero at or below row c
+    (a row swap negates its determinant) and clears the rows below.  The
+    determinant is the signed product of the pivots; a zero pivot makes it
+    0 and is inverted as 1 in the column's one ``batch_inv``."""
+    q, n = field.q, mats.shape[-1]
+    m = mats.reshape(-1, n, n)
+    det = np.ones(len(m), dtype=np.int64)
+    for c in range(n):
+        piv = c + (m[:, c:, c] != 0).argmax(axis=1)
+        swap = np.flatnonzero(piv != c)
+        if swap.size:
+            m[swap, c], m[swap, piv[swap]] = m[swap, piv[swap]], m[swap, c]
+            det[swap] = -det[swap]
+        pivot = m[:, c, c]
+        det = det * pivot % q
+        if c == n - 1:
+            break
+        inv = np.array(field.batch_inv(np.where(pivot == 0, 1, pivot).tolist()), dtype=np.int64)
+        factors = m[:, c + 1:, c] * inv[:, None] % q
+        m[:, c + 1:, c:] = (m[:, c + 1:, c:] - factors[..., None] * m[:, None, c, c:]) % q
+    return det.reshape(mats.shape[:-2])
 
 
 def solve_batch(field: PrimeField, mat: np.ndarray, rhs: np.ndarray,
@@ -128,7 +148,7 @@ def solve_batch(field: PrimeField, mat: np.ndarray, rhs: np.ndarray,
     if mat.shape != (n, n):
         raise ParameterError("solve_batch requires a square matrix")
     aug = np.concatenate([mat, rhs.reshape(n, -1)], axis=1)
-    pivots, _ = _row_reduce(field, aug, n)
+    pivots = _row_reduce(field, aug, n)
     if len(pivots) < n:
         raise SingularMatrixError(min(set(range(n)) - set(pivots)))
     sol = (aug[:, n:] if rows is None else aug[rows, n:]).copy()
@@ -144,7 +164,7 @@ def solve_any(field: PrimeField, mat: np.ndarray, rhs: np.ndarray):
     """
     aug = np.concatenate([field.residues(mat), field.residues(rhs).reshape(-1, 1)], axis=1)
     cols = aug.shape[1] - 1
-    pivots, _ = _row_reduce(field, aug, cols)
+    pivots = _row_reduce(field, aug, cols)
     # Rows of the form 0 = nonzero mean the system is inconsistent.
     if aug[len(pivots) :, cols].any():
         return None
@@ -156,7 +176,7 @@ def solve_any(field: PrimeField, mat: np.ndarray, rhs: np.ndarray):
 def matrix_rank(field: PrimeField, mat: np.ndarray) -> int:
     """Rank over GF(q) by row reduction."""
     m = field.residues(mat).copy()  # the reduction works in place
-    return len(_row_reduce(field, m, m.shape[1])[0])
+    return len(_row_reduce(field, m, m.shape[1]))
 
 
 def rs_error_correct(field: PrimeField, samples, values, degree_bound: int,

@@ -20,9 +20,13 @@ library code calls them:
   partition size up to about (K eta / 2)^(1/3), which
   ``analysis.gcsa_latency_upper`` must equal;
 - ``shake_words`` / ``noise_reference``: X-secure noise drawn word by word;
-- ``xs_share_reference``: one server's X-secure shares entry by entry in
-  Python integers, from the paper's formula (X noise blocks a group), so it
-  shares no weight table or generator product with ``ncsa.xs_encode``;
+- ``xs_share_reference``: one server's X-secure shares of one variable,
+  entry by entry in Python integers, from the paper's formula (X noise
+  blocks a group), so it shares no weight table or generator product with
+  ``ncsa.xs_encode``; ``xs_shares_each`` encodes every variable on its own
+  with it, which ``xs_encode``'s one product for all variables must equal;
+- ``leibniz_det``: a determinant as the signed sum over permutations, in
+  Python integers, which ``ncsa.determinant_map`` must equal;
 - ``scaling_constants``, ``scaled_cv_matrix``, ``psi_coeffs``,
   ``lt_toeplitz`` and ``gcsa_paper_matrix``: the paper's decode matrices,
   Cauchy columns scaled by the constants c_{l,k}^(N-1) (CSA, N-CSA and the
@@ -43,6 +47,7 @@ library code calls them:
 from __future__ import annotations
 
 import hashlib
+import itertools
 import math
 import struct
 
@@ -306,12 +311,17 @@ def noise_reference(q: int, key: tuple, n: int) -> list[int]:
 
 
 def xs_share_reference(q: int, params, batch, var: int, s: int, noise=None) -> list:
-    """Server s's ell X-secure shares of ``batch``, entry by entry, from the
-    paper's formula: group l's share is
+    """Server s's ell X-secure shares of ``batch``, variable ``var``, entry
+    by entry, from the paper's formula: group l's share is
     Delta(l) [sum_k x_{l,k} / (f_{l,k} - alpha) + sum_x alpha^(x-1) Z_{l,x}]
     with Delta(l) = prod_k (f_{l,k} - alpha), alpha = alpha_s, the division
     by Fermat's little theorem, and Z_{l,x} the ``noise_reference`` words of
-    key (noise_seed, var, l, 0, x) unless ``noise`` gives it, keyed (l, x)."""
+    key (noise_seed, var, l, 0, x) unless ``noise`` gives it, keyed
+    (var, l, x).  A raw server s < L of a systematic layout holds its own
+    entry as a one-group share."""
+    if params.systematic and s < params.batch_size:
+        return [np.array([int(v) % q for v in np.ravel(batch[s]).tolist()],
+                         dtype=np.int64).reshape(np.shape(batch[s]))]
     alpha, kc = params.samples[s], params.kc
     shape = np.shape(batch[0])
     n = math.prod(shape)
@@ -321,12 +331,34 @@ def xs_share_reference(q: int, params, batch, var: int, s: int, noise=None) -> l
         delta = math.prod(f - alpha for f in poles) % q
         data = [(pow(f - alpha, q - 2, q), np.ravel(batch[l * kc + k]).tolist())
                 for k, f in enumerate(poles)]
-        masks = [(alpha ** (x - 1), np.ravel(noise[(l, x)]).tolist() if noise is not None else
-                  noise_reference(q, (params.noise_seed, var, l, 0, x), n))
+        masks = [(alpha ** (x - 1), np.ravel(noise[(var, l, x)]).tolist() if noise is not None
+                  else noise_reference(q, (params.noise_seed, var, l, 0, x), n))
                  for x in range(1, params.x_secure + 1)]
         entries = [delta * sum(w * int(v[i]) for w, v in data + masks) % q for i in range(n)]
         shares.append(np.array(entries, dtype=np.int64).reshape(shape))
     return shares
+
+
+def xs_shares_each(q: int, params, batches, servers, noise=None) -> list:
+    """Every variable encoded on its own: per variable, the listed servers'
+    ``xs_share_reference`` shares, variable v keyed v."""
+    return [[xs_share_reference(q, params, batch, v, s, noise) for s in servers]
+            for v, batch in enumerate(batches)]
+
+
+# ---- determinants ----
+
+
+def leibniz_det(q: int, mat) -> int:
+    """det(mat) mod q as sum over permutations p of sign(p) prod_i mat[i, p(i)],
+    every entry a Python integer."""
+    rows = [[int(x) for x in row] for row in np.asarray(mat).tolist()]
+    total = 0
+    for perm in itertools.permutations(range(len(rows))):
+        inversions = sum(perm[i] > perm[j] for i in range(len(perm))
+                         for j in range(i + 1, len(perm)))
+        total += (-1) ** inversions * math.prod(rows[i][p] for i, p in enumerate(perm))
+    return total % q
 
 
 # ---- the paper's decode matrices ----

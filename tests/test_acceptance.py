@@ -340,8 +340,9 @@ def test_09_x_security_exhaustive():
                 counts = [0] * 13
                 for z in range(13):
                     share = ncsa.xs_encode(
-                        field, batch, params, var, s,
-                        noise={(0, 1): np.full((1, 1), z, dtype=np.int64)})
+                        field, [batch, batch], params, s,
+                        noise={(v, 0, 1): np.full((1, 1), z, dtype=np.int64)
+                               for v in range(2)})[var]
                     counts[int(share[0][0, 0])] += 1
                 dists[(value, var, s)] = counts
                 assert counts == [1] * 13  # exactly uniform
@@ -369,8 +370,7 @@ def test_10_byzantine_exhaustive():
     truth = harness.direct_products(FIELD, aa, bb)
     answers = []
     for s in range(7):
-        shares = [ncsa.xs_encode(FIELD, aa, params, 0, s),
-                  ncsa.xs_encode(FIELD, bb, params, 1, s)]
+        shares = ncsa.xs_encode(FIELD, [aa, bb], params, s)
         answers.append((s, ncsa.ncsa_answer(FIELD, shares, omega, params, s)))
     forged_values = [0, 1, 2, 777, 65535, 65536]
     cases = 0

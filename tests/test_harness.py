@@ -304,7 +304,7 @@ def test_polynomial_spec_round_counts_every_term():
     batches = [[FIELD.rand_matrix(rng, 2, 2) for _ in range(2)] for _ in range(3)]
     _, report = harness.run_nlinear(FIELD, params, spec, batches[:2],
                                     harness.StragglerModel(count=6))
-    shares = {v: ncsa.xs_encode(FIELD, b, params, v, 0) for v, b in zip((0, 1, None), batches)}
+    shares = dict(zip((0, 1, None), ncsa.xs_encode(FIELD, batches, params, 0)))
     counts = []
     for term in spec.terms:
         counter = harness.OpCounter()
@@ -469,11 +469,11 @@ def _entry_points(field: PrimeField) -> dict:
         "gcsa_encode_b-ep": lambda b: gcsa.gcsa_encode_b(field, b, esetup, range(3)),
         "gcsa_encode_a-ep-single": lambda b: gcsa.gcsa_encode_a(field, b, esetup, 2),
         "gcsa_encode_b-ep-single": lambda b: gcsa.gcsa_encode_b(field, b, esetup, 2),
-        "xs_encode": lambda b: ncsa.xs_encode(field, b, xparams, 0, range(6)),
-        "xs_encode-single": lambda b: ncsa.xs_encode(field, b, xparams, 1, 4),
+        "xs_encode": lambda b: ncsa.xs_encode(field, [b], xparams, range(6))[0],
+        "xs_encode-single": lambda b: ncsa.xs_encode(field, [b, b], xparams, 4)[1],
         "csa_encode_a-systematic": lambda b: csa.csa_encode_a(field, b, sparams, range(5)),
         "csa_encode_b-systematic": lambda b: csa.csa_encode_b(field, b, sparams, range(5)),
-        "xs_encode-systematic": lambda b: ncsa.xs_encode(field, b, nparams, 0, range(5)),
+        "xs_encode-systematic": lambda b: ncsa.xs_encode(field, [b], nparams, range(5))[0],
     }
 
 
@@ -703,10 +703,10 @@ def test_rounds_call_the_encoders_the_benchmark_times(monkeypatch):
          {"csa_encode_a": 1, "csa_encode_b": 1}),
         (lambda: cdbmm("csa-systematic", csa.csa_params(FIELD, 1, 2, 5, systematic=True)),
          {"csa_encode_a": 1, "csa_encode_b": 1}),
-        (lambda: nlinear(ncsa.ncsa_params(FIELD, 2, 1, 2, 5)), {"xs_encode": 2}),
-        (lambda: nlinear(ncsa.ncsa_params(FIELD, 2, 1, 2, 6, x_secure=1)), {"xs_encode": 2}),
+        (lambda: nlinear(ncsa.ncsa_params(FIELD, 2, 1, 2, 5)), {"xs_encode": 1}),
+        (lambda: nlinear(ncsa.ncsa_params(FIELD, 2, 1, 2, 6, x_secure=1)), {"xs_encode": 1}),
         (lambda: nlinear(ncsa.ncsa_params(FIELD, 2, 1, 2, 5, systematic=True)),
-         {"xs_encode": 2}),
+         {"xs_encode": 1}),
     ]
     for run, want in rounds:
         calls.clear()
@@ -1015,8 +1015,8 @@ def _answer_cases(field):
                                  (ncsa.matmul_map(4, 4, 2), 0, True)):
         params = ncsa.ncsa_params(field, omega.arity, 2, 2, 11 if x < 2 else 12, x,
                                   systematic=systematic)
-        shares = [ncsa.xs_encode(field, mats(4, *shape), params, v, range(params.servers))
-                  for v, shape in enumerate(omega.var_shapes)]
+        shares = ncsa.xs_encode(field, [mats(4, *shape) for shape in omega.var_shapes],
+                                params, range(params.servers))
         cases.append((f"ncsa-{omega.name}{'-systematic' if systematic else ''}",
                       lambda s, sh, c, out, omega=omega, params=params:
                       ncsa.ncsa_answer(field, sh, omega, params, s, c),
@@ -1027,7 +1027,7 @@ def _answer_cases(field):
                                    ncsa.PolyTerm(5, omega, (0, None))))
     params = ncsa.ncsa_params(field, 2, 1, 2, 7, x_secure=1)
     batches = [mats(2, 2, 2), mats(2, 2, 2), [np.ones((2, 2), dtype=np.int64)] * 2]
-    shares = [ncsa.xs_encode(field, b, params, v, range(7)) for v, b in enumerate(batches)]
+    shares = ncsa.xs_encode(field, batches, params, range(7))
     cases.append(("ncsa-spec-constant-slot",
                   lambda s, sh, c, out: ncsa.poly_batch_eval_answer(
                       field, {0: sh[0], 1: sh[1], None: sh[2]}, spec, params, s),
@@ -1064,8 +1064,8 @@ def test_raw_and_coded_servers_answer_in_separate_calls():
     # but only the coded answer is normalised
     params = ncsa.ncsa_params(field, 2, 1, 2, 6, systematic=True)
     rng = np.random.default_rng(40)
-    shares = [ncsa.xs_encode(field, [field.rand_matrix(rng, 2, 2) for _ in range(2)],
-                             params, v, range(6)) for v in range(2)]
+    shares = ncsa.xs_encode(field, [[field.rand_matrix(rng, 2, 2) for _ in range(2)]
+                                    for _ in range(2)], params, range(6))
     stacked = [np.stack([x[s] for s in (1, 3)]) for x in shares]
     with pytest.raises(ParameterError):
         ncsa.ncsa_answer(field, stacked, omega, params, [1, 3])
@@ -1145,7 +1145,7 @@ def test_a_map_that_drops_the_server_axis_is_refused():
     params = ncsa.ncsa_params(field, 2, 1, 2, 7)
     rng = np.random.default_rng(43)
     batches = [[field.rand_matrix(rng, 2, 1)[:, 0] for _ in range(2)] for _ in range(2)]
-    shares = [ncsa.xs_encode(field, b, params, v, range(7)) for v, b in enumerate(batches)]
+    shares = ncsa.xs_encode(field, batches, params, range(7))
     with pytest.raises(ParameterError, match="leading axes"):
         ncsa.ncsa_answer(field, shares, dot, params, range(7))
     with pytest.raises(ParameterError, match="leading axes"):

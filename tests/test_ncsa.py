@@ -1,5 +1,6 @@
 import hashlib
 import itertools
+import math
 import types
 from fractions import Fraction
 
@@ -15,9 +16,10 @@ from csacode.ncsa import (PolynomialSpec, PolyTerm, determinant_map,
                           ncsa_answer, ncsa_decode, ncsa_params, ncsa_threshold,
                           noise_block, poly_batch_eval_answer,
                           xs_encode, xsb_decode, xsb_threshold)
+from csacode import structmat
 from csacode.structmat import CVSpec, matrix_rank, rs_error_correct, solve_batch
-from reference import (check_multilinear, lcc_decode, lcc_encode, noise_reference,
-                       scaled_cv_matrix, scaling_constants, shake_words, xs_share_reference)
+from reference import (check_multilinear, lcc_decode, lcc_encode, leibniz_det, noise_reference,
+                       scaled_cv_matrix, scaling_constants, shake_words, xs_shares_each)
 
 FIELD = PrimeField(65537)
 
@@ -31,20 +33,38 @@ def test_builtin_maps_are_multilinear():
         assert check_multilinear(FIELD, omega, rng, trials=100)
 
 
-def test_determinant_map_against_cofactor_expansion():
-    rng = np.random.default_rng(1)
-    omega = determinant_map(3)
-    for field in (PrimeField(13), FIELD, PrimeField(2147483629)):
-        for _ in range(20):
-            m = field.rand_matrix(rng, 3, 3)
-            cols = [m[:, j] for j in range(3)]
-            got = int(omega(field, *cols)[0])
-            det = (
-                int(m[0, 0]) * (int(m[1, 1]) * int(m[2, 2]) - int(m[1, 2]) * int(m[2, 1]))
-                - int(m[0, 1]) * (int(m[1, 0]) * int(m[2, 2]) - int(m[1, 2]) * int(m[2, 0]))
-                + int(m[0, 2]) * (int(m[1, 0]) * int(m[2, 1]) - int(m[1, 1]) * int(m[2, 0]))
-            ) % field.q
-            assert got == det
+def _determinant_stacks(rng, q, size):
+    """(name, stack of size x size matrices) rows of the determinant table."""
+    def draw(*lead):
+        return rng.integers(0, q, size=lead + (size, size), dtype=np.int64)
+
+    singular, swapped, zero_lead = draw(6), draw(6), draw(2, 3)
+    singular[:2, 0] = 0  # a zero row; then a repeated column, and a row combining rows
+    singular[2:4, :, -1] = singular[2:4, :, 0]
+    singular[4:, -1] = (2 * singular[4:, 0] + (size > 2) * singular[4:, min(1, size - 1)]) % q
+    swapped[:, 0, 0] = 0  # column 0's pivot lies lower, so rows swap
+    zero_lead[..., 0] = 0
+    zero_lead[..., size - 1, 0] = 1 + rng.integers(0, q - 1, size=(2, 3))
+    return [("random", draw(8)), ("singular", singular), ("swapped", swapped),
+            ("zero-column-but-last", zero_lead),  # servers x groups leading axes
+            ("servers x groups", draw(3, 2)), ("zero", np.zeros((1, size, size), np.int64))]
+
+
+@pytest.mark.parametrize("q", [13, 65537, 2147483629])
+@pytest.mark.parametrize("size", [1, 2, 3, 4, 5])
+def test_determinant_map_against_leibniz_formula(q, size):
+    # the whole stack's determinants, one elimination, against the signed
+    # sum over permutations in Python ints, with the stack's leading axes
+    field = PrimeField(q)
+    omega = determinant_map(size)
+    rng = np.random.default_rng(1000 * size + q % 1000)
+    for name, mats in _determinant_stacks(rng, q, size):
+        got = omega(field, *[mats[..., j] for j in range(size)])
+        assert got.shape == mats.shape[:-2] + (1,) and got.dtype == np.int64, name
+        want = [leibniz_det(q, m) for m in mats.reshape(-1, size, size)]
+        assert got.reshape(-1).tolist() == want, name
+        if name == "singular" and size > 1:
+            assert not got.any(), name
 
 
 @pytest.mark.parametrize("q", [65537, 2147483629])
@@ -152,7 +172,7 @@ def test_lcc_run_is_the_lagrange_code(q):
         for v, entries in enumerate(batches):
             scaled = [c * x % q for c, x in zip(consts, entries)]
             for s in range(servers):
-                assert np.array_equal(ncsa.xs_encode(field, entries, params, v, s)[0],
+                assert np.array_equal(ncsa.xs_encode(field, [entries], params, s)[0][0],
                                       lcc_encode(field, scaled, betas, params.samples[s]))
 
 
@@ -362,12 +382,12 @@ def test_mixed_arity_spec_rejected():
 def test_xs_share_of_zero_data_is_scaled_noise():
     params = ncsa_params(FIELD, 2, 1, 1, 4, x_secure=1, noise_seed=3)
     zero = [np.zeros((2, 2), dtype=np.int64)]
-    noise = {(0, 1): np.arange(4, dtype=np.int64).reshape(2, 2) + 1}
+    noise = {(0, 0, 1): np.arange(4, dtype=np.int64).reshape(2, 2) + 1}
     for s in range(4):
         alpha = params.samples[s]
         delta = FIELD.sub(params.poles[0], alpha)
-        share = xs_encode(FIELD, zero, params, 0, s, noise=noise)[0]
-        assert np.array_equal(share, delta * noise[(0, 1)] % FIELD.q)
+        share = xs_encode(FIELD, [zero], params, s, noise=noise)[0][0]
+        assert np.array_equal(share, delta * noise[(0, 0, 1)] % FIELD.q)
 
 
 def test_xs_noise_constant_across_servers():
@@ -375,7 +395,7 @@ def test_xs_noise_constant_across_servers():
     params = ncsa_params(FIELD, 2, 1, 2, 6, x_secure=1, noise_seed=99)
     batch = [FIELD.rand_matrix(rng, 2, 2) for _ in range(2)]
     base = [csa.csa_encode_a(FIELD, batch, params, s) for s in range(6)]
-    secure = [xs_encode(FIELD, batch, params, 0, s) for s in range(6)]
+    secure = [xs_encode(FIELD, [batch], params, s)[0] for s in range(6)]
     # X = 1: the noise polynomial is a constant per group, so the masked part
     # is delta_s times one fixed matrix
     zs = []
@@ -395,13 +415,13 @@ def test_xs_exhaustive_uniformity_tiny_field():
     distributions = {}
     for value in (0, 7):
         batch = [np.full((1, 1), value, dtype=np.int64)]
-        for n in range(2):
-            for s in range(4):
-                seen = sorted(
-                    int(xs_encode(field, batch, params, n, s,
-                                  noise={(0, 1): np.full((1, 1), z, dtype=np.int64)})[0][0, 0])
-                    for z in range(13)
-                )
+        for s in range(4):
+            shares = [xs_encode(field, [batch, batch], params, s,
+                                noise={(v, 0, 1): np.full((1, 1), z, dtype=np.int64)
+                                       for v in range(2)})
+                      for z in range(13)]
+            for n in range(2):
+                seen = sorted(int(sh[n][0][0, 0]) for sh in shares)
                 distributions[(value, n, s)] = seen
                 assert seen == list(range(13))
     # identical distributions across the two data values: TV distance zero
@@ -447,29 +467,76 @@ def test_noise_block_rejection_and_stream_extension_match_reference(monkeypatch)
     assert block.reshape(-1).tolist() == want
 
 
-@pytest.mark.parametrize("q", [31, 65537, 2147483629])
-@pytest.mark.parametrize("x_secure", [1, 2, 3])
-@pytest.mark.parametrize("ell", [1, 2])
-def test_xs_encode_matches_reference_shares(q, x_secure, ell):
-    # every share of both forms (a server list out of order, and one server
-    # alone), seeded and overridden noise, against the entry-by-entry shares
-    # in Python ints: dtype, shape and bytes
+_SHAPES = ((3, 2), (2,), (1, 2, 2), (4, 1))  # a variable's entry shape, mixed
+
+
+def _assert_shares_equal(got, want):
+    """Per variable, one share stack (or list of rows) against the
+    reference's per-server shares: dtype, shape and bytes."""
+    assert len(got) == len(want)
+    for stack, rows in zip(got, want):
+        assert len(stack) == len(rows)
+        for g, w in zip(stack, rows):
+            w = np.stack(w)
+            assert (g.dtype, g.shape, g.tobytes()) == (np.dtype(np.int64), w.shape, w.tobytes())
+
+
+@pytest.mark.parametrize("q", [257, 65537, 2147483629])
+@pytest.mark.parametrize("x_secure", [0, 1, 2, 3])
+@pytest.mark.parametrize("arity", [2, 3, 4])
+def test_xs_encode_matches_reference_shares(q, x_secure, arity):
+    # one product for every variable gives exactly the shares of encoding
+    # each variable on its own, entry by entry in Python ints: a server
+    # list out of order and one server alone, seeded and overridden noise,
+    # variables of mixed entry shapes
     field = PrimeField(q)
-    rng = np.random.default_rng(100 * x_secure + ell)
-    params = ncsa_params(field, 2, ell, 2, xsb_threshold(2, ell, 2, x_secure, 0) + 1,
+    ell = 1 + (x_secure + arity) % 2
+    rng = np.random.default_rng(100 * x_secure + 10 * arity + ell)
+    params = ncsa_params(field, arity, ell, 2,
+                         xsb_threshold(arity, ell, 2, x_secure, 0) + 1,
                          x_secure=x_secure, noise_seed=q % 1000)
-    batch = [field.rand_matrix(rng, 3, 2) for _ in range(params.batch_size)]
-    noise = {(l, x): field.rand_matrix(rng, 3, 2) for l in range(ell)
+    batches = [[field.rand_matrix(rng, math.prod(shape), 1).reshape(shape)
+                for _ in range(params.batch_size)] for shape in _SHAPES[:arity]]
+    noise = {(v, l, x): field.rand_matrix(rng, math.prod(shape), 1).reshape(shape)
+             for v, shape in enumerate(_SHAPES[:arity]) for l in range(ell)
              for x in range(1, x_secure + 1)}
-    servers = [4, 0, params.servers - 1, 1]
+    servers = [params.servers - 2, 0, params.servers - 1, 1]
     for override in (None, noise):
-        together = xs_encode(field, batch, params, 3, servers, noise=override)
-        assert len(together) == len(servers)
-        for s, shares in zip(servers, together):
-            want = [(np.dtype(np.int64), (3, 2), w.tobytes())
-                    for w in xs_share_reference(q, params, batch, 3, s, override)]
-            for got in (shares, xs_encode(field, batch, params, 3, s, noise=override)):
-                assert [(g.dtype, g.shape, g.tobytes()) for g in got] == want
+        want = xs_shares_each(q, params, batches, servers, override)
+        _assert_shares_equal(xs_encode(field, batches, params, servers, noise=override), want)
+        for i, s in enumerate(servers):
+            alone = xs_encode(field, batches, params, s, noise=override)
+            _assert_shares_equal([[share] for share in alone], [[rows[i]] for rows in want])
+
+
+@pytest.mark.parametrize("q", [257, 65537, 2147483629])
+def test_xs_encode_systematic_and_constant_slot_match_reference(q, monkeypatch):
+    # the systematic layout: raw rows (one-group shares) and coded rows of
+    # every variable from one product; and a spec round, whose constant-one
+    # batch is the last variable of the round's one encode over all servers
+    field = PrimeField(q)
+    rng = np.random.default_rng(q)
+    params = ncsa_params(field, 3, 2, 2, 12, systematic=True)
+    batches = [[field.rand_matrix(rng, math.prod(shape), 1).reshape(shape)
+                for _ in range(params.batch_size)] for shape in _SHAPES[:3]]
+    servers = [5, 0, 11, 3, 4]  # raw servers are 0..3
+    got = xs_encode(field, batches, params, servers)
+    assert all(isinstance(rows, list) for rows in got)
+    _assert_shares_equal(got, xs_shares_each(q, params, batches, servers))
+
+    params = ncsa_params(field, 2, 1, 2, 8, x_secure=1, noise_seed=5)
+    omega = matmul_map(2, 2, 2)
+    spec = PolynomialSpec(2, (PolyTerm(1, omega, (0, 1)), PolyTerm(3, omega, (1, None))))
+    batches = [[field.rand_matrix(rng, 2, 2) for _ in range(2)] for _ in range(2)]
+    seen, encode = [], ncsa.xs_encode
+    monkeypatch.setattr(ncsa, "xs_encode", lambda *args, **kw: seen.append(
+        (args, encode(*args, **kw))) or seen[-1][1])
+    harness.run_nlinear(field, params, spec, batches,
+                        harness.StragglerModel(responsive=(0, 2, 3, 5, 6, 7)))
+    (args, shares), = seen
+    ones = [np.ones((2, 2), dtype=np.int64)] * 2
+    assert [len(b) for b in args[1]] == [2, 2, 2] and list(args[3]) == list(range(8))
+    _assert_shares_equal(shares, xs_shares_each(q, params, batches + [ones], range(8)))
 
 
 # (N, ell, kc, X, S - R): (3, 1, 1, 3) and (2, 1, 2, 3) have R = S
@@ -514,20 +581,29 @@ def test_a_round_draws_x_noise_blocks_a_group(monkeypatch, spec):
     assert ncsa._weights(FIELD, params.code, (0,)).shape[-1] == params.kc + params.x_secure
 
 
-def test_xs_encode_is_one_product_per_group(monkeypatch):
-    # data and noise blocks go through one generator product per group for
-    # every listed server: no per-server mask step, cold or warm
-    params = ncsa_params(FIELD, 2, 2, 2, 14, x_secure=2, noise_seed=8)
+def test_small_rounds_pay_once_per_group_and_once_per_stack(monkeypatch):
+    # every variable's data and noise blocks go through one generator
+    # product per group for every listed server, cold or warm: ell products,
+    # not N * ell; and a determinant stack is one elimination, no
+    # _row_reduce per matrix
+    params = ncsa_params(FIELD, 3, 2, 2, 20, x_secure=2, noise_seed=8)
     rng = np.random.default_rng(12)
-    batch = [FIELD.rand_matrix(rng, 3, 2) for _ in range(params.batch_size)]
-    calls = []
+    batches = [[FIELD.rand_matrix(rng, *shape) for _ in range(params.batch_size)]
+               for shape in ((3, 2), (2, 4), (4, 1))]
+    calls, reductions = [], []
     matmul = PrimeField.matmul
     monkeypatch.setattr(PrimeField, "matmul",
                         lambda *args, **kw: calls.append(1) or matmul(*args, **kw))
+    for module in (structmat, ncsa):
+        monkeypatch.setattr(module, "_row_reduce", lambda *args: reductions.append(1),
+                            raising=False)
     for _ in range(2):
         calls.clear()
-        xs_encode(FIELD, batch, params, 0, range(params.servers))
-        assert len(calls) == params.ell
+        shares = xs_encode(FIELD, batches, params, range(params.servers))
+        assert len(calls) == params.ell and len(shares) == len(batches)
+    cols = [FIELD.rand_matrix(rng, 10, 4) for _ in range(4)]
+    assert determinant_map(4)(FIELD, *cols).shape == (10, 1)
+    assert reductions == []
 
 
 def test_noise_block_is_uniform_at_q13():
@@ -550,8 +626,7 @@ def test_xs_decode_without_byzantine():
     truth = harness.direct_products(FIELD, aa, bb)
     answers = []
     for s in range(8):
-        shares = [xs_encode(FIELD, aa, params, 0, s),
-                  xs_encode(FIELD, bb, params, 1, s)]
+        shares = xs_encode(FIELD, [aa, bb], params, s)
         answers.append((s, ncsa_answer(FIELD, shares, omega, params, s)))
     for subset in itertools.combinations(range(8), 5):
         evals, flagged = xsb_decode(FIELD, [answers[s] for s in subset], params)
@@ -569,8 +644,7 @@ def test_xsb_exhaustive_single_corruptions():
     truth = harness.direct_products(FIELD, aa, bb)
     answers = []
     for s in range(7):
-        shares = [xs_encode(FIELD, aa, params, 0, s),
-                  xs_encode(FIELD, bb, params, 1, s)]
+        shares = xs_encode(FIELD, [aa, bb], params, s)
         answers.append((s, ncsa_answer(FIELD, shares, omega, params, s)))
     forgeries = [0, 1, 5, 4321, 65536]
     for subset in itertools.combinations(range(7), 5):
@@ -599,8 +673,7 @@ def test_xs_decode_with_two_noise_layers():
     truth = harness.direct_products(FIELD, aa, bb)
     answers = []
     for s in range(9):
-        shares = [xs_encode(FIELD, aa, params, 0, s),
-                  xs_encode(FIELD, bb, params, 1, s)]
+        shares = xs_encode(FIELD, [aa, bb], params, s)
         answers.append((s, ncsa_answer(FIELD, shares, omega, params, s)))
     for subset in itertools.combinations(range(9), 7):
         evals, flagged = xsb_decode(FIELD, [answers[s] for s in subset], params)
@@ -619,8 +692,7 @@ def test_xsb_two_corruptions_with_budget_two():
     truth = harness.direct_products(FIELD, aa, bb)
     answers = []
     for s in range(9):
-        shares = [xs_encode(FIELD, aa, params, 0, s),
-                  xs_encode(FIELD, bb, params, 1, s)]
+        shares = xs_encode(FIELD, [aa, bb], params, s)
         answers.append((s, ncsa_answer(FIELD, shares, omega, params, s)))
     for bad in [(0, 5), (2, 3), (7, 8)]:
         tampered = []
@@ -656,8 +728,7 @@ def test_xsb_over_budget_detected():
     bb = [FIELD.rand_matrix(rng, 1, 1)]
     answers = []
     for s in range(5):
-        shares = [xs_encode(FIELD, aa, params, 0, s),
-                  xs_encode(FIELD, bb, params, 1, s)]
+        shares = xs_encode(FIELD, [aa, bb], params, s)
         answers.append((s, ncsa_answer(FIELD, shares, omega, params, s)))
     tampered = [(s, (y + 1 + s) % FIELD.q if s < 2 else y) for s, y in answers]
     with pytest.raises(DecodingFailureError):
@@ -674,8 +745,7 @@ def _xsb_round(field, params, seed):
     omega = matmul_map(2, 2, 3)
     batches = [[field.rand_matrix(rng, *shape) for _ in range(params.batch_size)]
                for shape in omega.var_shapes]
-    shares = [xs_encode(field, batch, params, v, range(params.servers))
-              for v, batch in enumerate(batches)]
+    shares = xs_encode(field, batches, params, range(params.servers))
     answers = [(s, ncsa_answer(field, [sh[s] for sh in shares], omega, params, s))
                for s in range(params.servers)]
     return answers, harness.direct_evaluations(field, omega, batches)
@@ -848,7 +918,7 @@ def test_systematic_layout_parity():
     plain_params = ncsa_params(FIELD, 2, 1, 2, 5)
 
     def answers(p):  # raw servers hold one-group shares and answer Omega of them
-        shares = [xs_encode(FIELD, batch, p, v, range(5)) for v, batch in enumerate((aa, bb))]
+        shares = xs_encode(FIELD, [aa, bb], p, range(5))
         return [(s, ncsa_answer(FIELD, [shares[0][s], shares[1][s]], omega, p, s))
                 for s in range(5)]
 

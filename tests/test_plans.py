@@ -189,9 +189,8 @@ def _encoders():
         def maker(field):
             params = ncsa.ncsa_params(field, 2, 2, 1, ncsa.xsb_threshold(2, 2, 1, x, 0) + 1, x)
             aa, bb = batches(field, params.batch_size)
-            return lambda: [ncsa.xs_encode(field, aa, params, 0, range(params.servers)),
-                            ncsa.xs_encode(field, bb, params, 1, range(params.servers)),
-                            ncsa.xs_encode(field, aa, params, 0, 2)]
+            return lambda: [ncsa.xs_encode(field, [aa, bb], params, range(params.servers)),
+                            ncsa.xs_encode(field, [aa], params, 2)]
         return maker
 
     cases = [("ep", {"gcsa._weights"}, ep_maker),
@@ -202,9 +201,8 @@ def _encoders():
                  lambda f: csa.csa_params(f, 2, 2, 7, systematic=True))),
              ("gcsa", {"gcsa._weights"}, cauchy(gcsa.gcsa_encode_a, gcsa.gcsa_encode_b,
                                                 lambda f: gcsa.gcsa_params(f, 1, 2, 2, 1, 1, 8)))]
-    # an X-secure code's data and noise weights are one plan; X = 0 is csa's
-    return cases + [(f"ncsa-x{x}", {"ncsa._weights" if x else "csa._weights"}, ncsa_maker(x))
-                    for x in (0, 1, 2)]
+    # an N-CSA code's data and noise weights are one plan, for every X
+    return cases + [(f"ncsa-x{x}", {"ncsa._weights"}, ncsa_maker(x)) for x in (0, 1, 2)]
 
 
 def _share_bytes(shares):
@@ -258,7 +256,7 @@ def test_plans_are_keyed_on_the_code_not_the_noise_seed(monkeypatch):
             # the round's cost summary, keyed on the whole setup, is built again
             assert solves == [] and _misses() == misses + 1
             assert harness._costs.cache_info().misses == 2
-        shares.append(ncsa.xs_encode(field, batches[0], params, 0, 3))
+        shares.append(ncsa.xs_encode(field, batches[:1], params, 3)[0])
     assert any(not np.array_equal(a, b) for a, b in zip(*shares))  # the noise differs
     assert {name for name, _, _ in tables} == {
         "csa._plan", "ncsa._weights", "ncsa._inverse_deltas",
@@ -266,9 +264,9 @@ def test_plans_are_keyed_on_the_code_not_the_noise_seed(monkeypatch):
     _assert_read_only(tables)
 
 
-def test_constant_one_shares_get_a_plan_of_their_own(monkeypatch):
-    # a spec's constant-one batch is encoded for the responsive servers
-    # only, so its weights are keyed by the responsive set
+def test_constant_one_shares_share_the_round_plan(monkeypatch):
+    # a spec's constant-one batch is the last variable of the round's one
+    # encode over all servers, so it takes no weights of its own
     field = PrimeField(65537)
     params = ncsa.ncsa_params(field, 2, 1, 2, 8, x_secure=1)
     omega = ncsa.matmul_map(2, 2, 2)
@@ -279,17 +277,17 @@ def test_constant_one_shares_get_a_plan_of_their_own(monkeypatch):
     ones = np.ones((2, 2), dtype=np.int64)
     truth = [(omega(field, a, b) + 3 * omega(field, a, ones)) % field.q for a, b in zip(*batches)]
     tables = _recorded_tables(monkeypatch)
-    # the first round builds weights for all servers and for the responsive
-    # set, the answers' inverse deltas, a decode plan and the cost summary; a
-    # repeat builds nothing; a new set its own weights and plan
-    for responsive, builds in (((0, 2, 3, 5, 6, 7), 5), ((0, 2, 3, 5, 6, 7), 0),
-                               ((1, 2, 3, 4, 5, 6), 2)):
+    # the first round builds the weights of all servers, the answers'
+    # inverse deltas, a decode plan and the cost summary; a repeat builds
+    # nothing; a new responsive set only its decode plan
+    for responsive, builds in (((0, 2, 3, 5, 6, 7), 4), ((0, 2, 3, 5, 6, 7), 0),
+                               ((1, 2, 3, 4, 5, 6), 1)):
         misses, seen = _misses(), len(tables)
         got, _ = harness.run_nlinear(field, params, spec, batches,
                                      harness.StragglerModel(responsive=responsive))
         assert all(np.array_equal(g, t) for g, t in zip(got, truth))
         encodes = {key[2] for name, key, _ in tables[seen:] if name == "ncsa._weights"}
-        assert encodes == {tuple(range(8)), responsive}
+        assert encodes == {tuple(range(8))}
         assert _misses() - misses == builds
     _assert_read_only(tables)
 
