@@ -142,7 +142,7 @@ def ep_latency_lower(job_size: int, eta: float, k: float) -> float:
     if job_size < 1 or not 0 < eta < 1 or not 0 < k < math.inf:
         raise ParameterError("need J >= 1, 0 < eta < 1 and a finite K > 0")
     m = (eta * job_size * k / 2.0) ** (1.0 / 3.0)
-    return job_size * (2 * m**3 / eta + 2 * m / eta - 1) / m**2
+    return job_size * (2 * m / eta + 2 / (eta * m) - 1 / m**2)  # no m^3: finite at K = 1e308
 
 
 def gcsa_latency_upper(job_size: int, eta: float, k: float):

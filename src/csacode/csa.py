@@ -12,6 +12,11 @@ In the systematic layout (``systematic=True`` on the parameters) servers
 0..L-1 hold their own entries uncoded, as one-group shares, so their
 answers are desired products: known Cauchy coordinates, which the one
 decoder subtracts from the coded answers before solving for the rest.
+
+GCSA and N-CSA share this code and its batch layout.  Each entry may be
+split by an ``ep`` partition (GCSA's; CSA's and N-CSA's is 1 x 1 x 1), whose
+block exponents and order R' = pmn set the weights, the encode path's block
+grid and the decode plan.
 """
 
 from __future__ import annotations
@@ -22,6 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .ep import EPParams, _a_exponents, _b_exponents, _desired_indices
 from .errors import InsufficientAnswersError, ParameterError
 from .ffield import _ARENA_MIN_BYTES, PrimeField, _arena, _integer, _shares_out
 # perfbench/tracer.py requires csa.cv_matrix, so it stays importable here.
@@ -38,11 +44,20 @@ def _plan_cache(builder):
 
 class _Groups:
     """The batch layout of every Cauchy code's parameters (CSA, GCSA, N-CSA):
-    L = ell * kc entries in ell groups of kc, with one pole each."""
+    L = ell * kc entries in ell groups of kc, with one pole each, split by the
+    partition ``ep`` (GCSA's alone), and raw servers only if ``systematic``."""
+
+    ep = EPParams()
+    systematic = False
 
     @property
     def batch_size(self) -> int:
         return self.ell * self.kc
+
+    @property
+    def inner_order(self) -> int:
+        """R' = pmn, the pole multiplicity of the partition."""
+        return self.ep.p * self.ep.m * self.ep.n
 
     def pole(self, l: int, k: int) -> int:
         """f_{l,k} with 0-based group and slot indices."""
@@ -77,10 +92,12 @@ def cauchy_points(field: PrimeField, batch: int, servers: int, threshold: int, p
     """Poles and samples of a Cauchy code, reduced mod q and validated (R <= S first).
 
     A missing side takes the canonical layout: poles 1..L, samples
-    L+1..L+S (mod q).
+    L+1..L+S (mod q).  More points than GF(q) holds are refused unbuilt.
     """
     if threshold > servers:
         raise ParameterError(f"R <= S violated: threshold {threshold} exceeds {servers} servers")
+    if (servers if systematic else batch + servers) > field.q:
+        raise ParameterError("evaluation points must be pairwise distinct")
     if poles is None:
         poles = range(1, batch + 1)
     if samples is None:
@@ -128,18 +145,28 @@ def csa_encode_b(field: PrimeField, batch_b, params: CSAParams, servers) -> np.n
     return _cauchy_encode(field, batch_b, params, servers, "b")
 
 
-def _cauchy_encode(field: PrimeField, batch, params, servers, side: str) -> np.ndarray | list:
-    """Both encoders: ``side`` "a" or "b" picks the generator weights."""
+def _cauchy_encode(field: PrimeField, batch, params, servers, side: str,
+                   entries: bool = False) -> np.ndarray | list:
+    """Every matrix product's encoders: ``side`` "a" or "b" picks the weights
+    and the partition's block grid (m x p, or p x n).  With ``entries`` (GCSA's
+    rule for L = 1) a longer batch encodes each entry alone with the one row."""
+    inner = params.ep
+    grid = (inner.m, inner.p) if side == "a" else (inner.p, inner.n)
     weights = _weights(field, params, tuple(_server_list(servers)), side)
-    arr = field.residues(np.asarray(_batch_entries(field, batch, params.batch_size)))
-    return _generator_encode(field, arr, weights, servers, raw=_raw(params))
+    if entries and len(batch) > 1:
+        weights = weights[:, 0]
+    arr = field.residues(np.asarray(_batch_entries(
+        field, batch, None if weights.ndim == 2 else params.batch_size, grid != (1, 1))))
+    return _generator_encode(field, arr, weights, servers, grid, _raw(params))
 
 
 @_plan_cache
 def _weights(field: PrimeField, params, listed: tuple, side: str) -> np.ndarray:
-    """The encoders' plan: ``_cauchy_weights`` of the coded ``listed`` servers."""
+    """The encoders' plan: ``_cauchy_weights`` of the coded ``listed`` servers,
+    at the partition's order R' and block exponents."""
     coded = [s for s in listed if s >= _raw(params)]
-    return _read_only(_cauchy_weights(field, params, coded, side))
+    exps = (_a_exponents if side == "a" else _b_exponents)(params.ep)
+    return _read_only(_cauchy_weights(field, params, coded, side, params.inner_order, exps))
 
 
 def _raw(params) -> int:
@@ -284,37 +311,45 @@ def csa_decode(field: PrimeField, answers, params: CSAParams) -> list[np.ndarray
     read off and removed from the coded answers through its own Cauchy
     column of ``_decode_matrix``, the exact coefficient it carries there.
     The reduced system keeps the unknown results' Cauchy columns plus the
-    (kc-1)(N-1) tail columns; its solution is one product with ``_plan``.
+    (kc-1)(N-1) tail columns; ``_solve`` returns the rest.
     Returned raw results are copies, never the answers themselves.
     """
     batch = params.batch_size
     answers = _take_answers(answers, params.threshold, params.servers)
-    raw = _raw(params)
-    known = {s: y for s, y in answers if s < raw}
+    known = {s: y for s, y in answers if s < _raw(params)}
     if len(known) == batch:
         return [np.array(known[i]) for i in range(batch)]
-    rows, known_cols = _plan(field, params, tuple(s for s, _ in answers))
-    rhs = field.residues(_answer_rows([y for s, y in answers if s >= raw]))
-    if known:
-        rhs = (rhs - field.matmul(known_cols, _answer_rows(list(known.values())))) % field.q
-    solved = iter(field.matmul(rows, rhs))
+    solved = iter(_solve(field, answers, params, known))
     shape = answers[0][1].shape
     return [np.array(known[i]) if i in known else next(solved).reshape(shape)
             for i in range(batch)]
 
 
+def _solve(field: PrimeField, answers, params, known=()) -> np.ndarray:
+    """The desired blocks of each unknown entry, entry-major, from the taken
+    ``answers``: one product with ``_plan``, once the ``known`` raw answers'
+    columns are removed."""
+    rows, known_cols = _plan(field, params, tuple(s for s, _ in answers))
+    rhs = field.residues(_answer_rows([y for s, y in answers if s not in known]))
+    if known:
+        rhs = (rhs - field.matmul(known_cols, _answer_rows(list(known.values())))) % field.q
+    return field.matmul(rows, rhs)
+
+
 @_plan_cache
 def _plan(field: PrimeField, params, listed: tuple) -> tuple:
-    """``csa_decode``'s plan for the ``listed`` servers in answer order: the unknown
-    results' rows of the reduced inverse, and the known results' columns (or None)."""
-    raw = _raw(params)
+    """Every Cauchy decoder's plan for the ``listed`` servers in answer order:
+    the reduced inverse's rows of each unknown entry's desired blocks (power
+    (N - 1) R', order R'), and the known results' columns (or None)."""
+    raw, rp = _raw(params), params.inner_order
     known = [s for s in listed if s < raw]
     mat = _decode_matrix(field, params, [s for s in listed if s >= raw],
-                         params.arity - 1, params.threshold)
+                         (params.arity - 1) * rp, params.threshold, rp)
     cols = _read_only(mat[:, known]) if known else None
+    desired = [j * rp + i for j in range(params.batch_size - len(known))
+               for i in _desired_indices(params.ep)]
     rows = solve_batch(field, np.delete(mat, known, axis=1) if known else mat,
-                       np.eye(len(mat), dtype=np.int64),
-                       rows=slice(params.batch_size - len(known)))
+                       np.eye(len(mat), dtype=np.int64), rows=desired)
     return _read_only(rows), cols
 
 
@@ -354,8 +389,8 @@ def _decode_matrix(field: PrimeField, params, listed, power: int, width: int,
 
     A Cauchy column holds the coefficient its unknown carries in the
     answers, the encoders' own weights: the A-side w(alpha) =
-    prod_{k' != k}(f_{l,k'} - alpha)^power (N - 1 for CSA and N-CSA, R' for
-    GCSA) times the B-side 1/(f_{l,k} - alpha)^j, j = order, ..., 1.  The
+    prod_{k' != k}(f_{l,k'} - alpha)^power ((N - 1) R': N - 1 for CSA and
+    N-CSA, R' for GCSA) times the B-side 1/(f_{l,k} - alpha)^j, j = order, ..., 1.  The
     paper's column is its pole part (c_{l,k} / (f_{l,k} - alpha), or GCSA's
     Toeplitz-mixed pole powers); the rest is a polynomial in alpha of degree
     below power * (kc - 1), within the tail.  So this is the paper's matrix

@@ -6,12 +6,12 @@ answer polynomial has degree pmn + p - 2, so any R = pmn + p - 1 answers
 determine all its coefficients, and the mn desired block sums sit at known
 coefficient positions.
 
-EP is GCSA with ell = kc = 1 (``harness.ep_setup``): GCSA evaluates the same
-polynomials at f - alpha for its one pole f, so an EP round runs through the
-GCSA encoders, ``csa.csa_answer`` and ``gcsa.gcsa_decode``, every batch
-entry encoded alone with the one code.  The pole takes a field point, so EP
-needs S <= q - 1.  This module keeps the partition code's parameters, its
-exponent layout and its block extraction, which GCSA reads.
+EP is GCSA with ell = kc = 1 (``harness.ep_setup``; its one pole needs
+S <= q - 1): a round runs the GCSA encoders, ``csa.csa_answer`` and
+``gcsa.gcsa_decode``, every batch entry encoded alone.  This module keeps
+the partition's parameters, its exponent layout and desired indices, which
+``csa`` reads for every Cauchy code, and its block extraction, which GCSA's
+decoder applies.
 """
 
 from __future__ import annotations

@@ -4,17 +4,14 @@ Every constituent matrix pair is first encoded with the entangled-polynomial
 partition code of ``ep``, evaluated at the shifted point (f_{l,k} - alpha).
 The group prefactor is raised to the power R' = pmn, so a server's answer
 expands into pole powers 1/(f - alpha)^R' .. 1/(f - alpha) carrying the
-inner code's coefficients, plus a shared Vandermonde tail.  Points, batch
-checks and the server answer (``csa.csa_answer``) are the CSA ones.
+inner code's coefficients, plus a shared Vandermonde tail.
 
-Both nestings fold into one linear code, so each side encodes every listed
-server with one generator product per group (``csa._generator_encode``).
-Weight (s, l; k, block) is w_{l,k}(alpha_s) * (f_{l,k} - alpha_s)^e, e the
-block's EP exponent, w the cleared-denominator weight
-prod_{k' != k}(f_{l,k'} - alpha_s)^R' on the A side and
-1/(f_{l,k} - alpha_s)^R' on the B side (all inverses from one
-``batch_inv``).  Decoding solves ``csa._decode_matrix`` at order and power
-R' and reassembles products with the inner code's block extraction rule.
+Both nestings fold into one linear code, the Cauchy code of ``csa`` with
+the partition ``GCSAParams.ep`` (CSA is p = m = n = 1): its weights, encode
+path, decode plan, points, batch checks and server answer are csa's.  Weight
+(s, l; k, block) is d^e times prod_{k' != k} d_{k'}^R' on the A side and
+1/d^R' on the B side, d = f_{l,k} - alpha_s and e the block's EP exponent.
+``gcsa_decode`` reassembles the desired blocks with ``ep._extract_products``.
 
 EP is the case ell = kc = 1 (``harness.ep_setup``): with one pole and
 S samples it needs S + 1 distinct points, so S <= q - 1.  A code of batch
@@ -31,14 +28,11 @@ from fractions import Fraction
 
 import numpy as np
 
-from .csa import (_answer_rows, _batch_entries, _cauchy_weights, _decode_matrix,
-                  _generator_encode, _Groups, _plan_cache, _read_only, _server_list,
-                  _take_answers, cauchy_points)
-from .ep import (EPParams, _a_exponents, _b_exponents, _desired_indices,
-                 _extract_products)
+from .csa import _cauchy_encode, _Groups, _solve, _take_answers, cauchy_points
+from .ep import EPParams, _extract_products
 from .errors import ParameterError
 from .ffield import PrimeField
-# perfbench/tracer.py requires gcsa.confluent_cv_matrix, so it stays importable here.
+# perfbench/tracer.py alone needs these names here; this module calls neither.
 from .structmat import confluent_cv_matrix, solve_batch  # noqa: F401
 
 
@@ -54,9 +48,9 @@ class GCSAParams(_Groups):
     samples: tuple[int, ...]
 
     @property
-    def inner_order(self) -> int:
-        """R' = pmn, the pole multiplicity used throughout."""
-        return self.p * self.m * self.n
+    def arity(self) -> int:
+        """GCSA's server computes a matrix product, a bilinear map (N = 2)."""
+        return 2
 
     @functools.cached_property
     def ep(self) -> EPParams:  # the partition code; read by every round and plan
@@ -107,56 +101,28 @@ def gcsa_encode_a(field: PrimeField, batch_a, params: GCSAParams, servers) -> np
     (that server's ell shares) or a sequence (their rows, as for
     ``csa_encode_a``).  With batch size 1, a longer batch encodes entry by
     entry: a server's share then holds every entry, as (entries, 1, ...)."""
-    return _encode(field, batch_a, params, servers, "a", (params.m, params.p))
+    return _cauchy_encode(field, batch_a, params, servers, "a", params.batch_size == 1)
 
 
 def gcsa_encode_b(field: PrimeField, batch_b, params: GCSAParams, servers) -> np.ndarray | list:
     """B-side shares: the inner B polynomials at f_{l,k} - alpha, weighted by
     1/(f_{l,k} - alpha)^R'; ``servers`` as for ``gcsa_encode_a``."""
-    return _encode(field, batch_b, params, servers, "b", (params.p, params.n))
-
-
-def _encode(field: PrimeField, batch, params: GCSAParams, servers, side: str, grid):
-    """Both encoders; a longer batch than L = 1 (EP) takes the 2-D weights of
-    ``csa._generator_encode``, its one row used for every entry alone."""
-    weights = _weights(field, params, tuple(_server_list(servers)), side)
-    if params.batch_size == 1 and len(batch) > 1:
-        weights = weights[:, 0]
-    arr = field.residues(np.asarray(_batch_entries(
-        field, batch, None if weights.ndim == 2 else params.batch_size, grid != (1, 1))))
-    return _generator_encode(field, arr, weights, servers, grid)
-
-
-@_plan_cache
-def _weights(field: PrimeField, params: GCSAParams, listed: tuple, side: str) -> np.ndarray:
-    """The encoders' plan: the ``listed`` servers' weights on ``side`` "a" or "b"."""
-    exps = (_a_exponents if side == "a" else _b_exponents)(params.ep)
-    return _read_only(_cauchy_weights(field, params, listed, side, params.inner_order, exps))
+    return _cauchy_encode(field, batch_b, params, servers, "b", params.batch_size == 1)
 
 
 def gcsa_decode(field: PrimeField, answers, params: GCSAParams) -> list[np.ndarray]:
     """Recover the L full products from any R answers.
 
     The decode matrix's Cauchy unknowns are the inner-code coefficient
-    matrices per (group, slot), R' pole powers each; one product with
-    ``_plan`` solves for just the desired blocks at the entangled-polynomial
-    extraction indices, which are reassembled.  An answer of a batch-size-1
-    code may hold several entries, (entries, bh, bw): every entry's product
-    comes from the same product with the plan.
+    matrices per (group, slot), R' pole powers each; ``csa._solve`` returns
+    just the desired blocks at the entangled-polynomial extraction indices,
+    which are reassembled.  An answer of a batch-size-1 code may hold
+    several entries, (entries, bh, bw): every entry's product comes from
+    the same product with the plan.
     """
     answers = _take_answers(answers, params.threshold, params.servers)
-    sol = field.matmul(_plan(field, params, tuple(s for s, _ in answers)),
-                       field.residues(_answer_rows([y for _, y in answers])))
+    sol = _solve(field, answers, params)
     bh, bw = answers[0][1].shape[-2:]
     mn = params.m * params.n  # sol's rows are slot-major, its columns entry-major
     desired = sol.reshape(params.batch_size, mn, -1, bh, bw).swapaxes(0, 1)
     return list(_extract_products(params.ep, desired.reshape(mn, -1, bh, bw)))
-
-
-@_plan_cache
-def _plan(field: PrimeField, params: GCSAParams, listed: tuple) -> np.ndarray:
-    """``gcsa_decode``'s plan: the desired blocks' rows of the inverse, slot-major."""
-    rp = params.inner_order
-    mat = _decode_matrix(field, params, listed, rp, params.threshold, rp)
-    rows = [j * rp + i for j in range(params.batch_size) for i in _desired_indices(params.ep)]
-    return _read_only(solve_batch(field, mat, np.eye(len(listed), dtype=np.int64), rows=rows))

@@ -15,7 +15,7 @@ from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
-from . import csa, ep, gcsa, ncsa
+from . import csa, gcsa, ncsa
 from .errors import InsufficientAnswersError, ParameterError
 from .ffield import _ARENA_MIN_BYTES, _ROUND, PrimeField, _arena, _integer
 
@@ -95,21 +95,19 @@ def ep_setup(field: PrimeField, p: int, m: int, n: int, servers: int,
 class Scheme(NamedTuple):  # a row of SCHEMES
     setup: type  # the setup type the scheme takes
     params: dict  # a config's parameters: name -> default (None if required), builder order
-    calls: tuple = ()  # a matrix product's round: encode A, encode B, decode, answer
+    calls: tuple = ()  # a matrix product's round: encode A, encode B, decode
     fixed: dict = {}  # the setup's fields the name fixes: field -> value
 
 
 _GROUPS, _PARTITION = {"ell": None, "kc": None}, {"p": None, "m": None, "n": None}
-_CSA_CALLS = ((csa, "csa_encode_a"), (csa, "csa_encode_b"), (csa, "csa_decode"),
-              (csa, "csa_answer"))
-_GCSA_CALLS = ((gcsa, "gcsa_encode_a"), (gcsa, "gcsa_encode_b"), (gcsa, "gcsa_decode"),
-               (csa, "csa_answer"))
+_CSA_CALLS = ((csa, "csa_encode_a"), (csa, "csa_encode_b"), (csa, "csa_decode"))
+_GCSA_CALLS = ((gcsa, "gcsa_encode_a"), (gcsa, "gcsa_encode_b"), (gcsa, "gcsa_decode"))
 _NCSA = {"ell": 1, "kc": None, "X": 0, "B": 0}
-_NO_PARTITION = ep.EPParams()  # CSA's: GCSA with p = m = n = 1
 
 # Every scheme, said once.  A round looks its calls, (module, function name)
 # pairs, up when it runs: perfbench's tracer times a layer by rebinding module
-# attributes, so a function captured here at import would run untraced.
+# attributes, so a function captured here at import would run untraced.  Every
+# matrix product's servers answer with ``csa.csa_answer``.
 SCHEMES = {
     "ep": Scheme(gcsa.GCSAParams, _PARTITION, _GCSA_CALLS, {"ell": 1, "kc": 1}),
     "csa": Scheme(csa.CSAParams, _GROUPS, _CSA_CALLS, {"systematic": False}),
@@ -146,9 +144,8 @@ def theoretical_costs(scheme: str, setup) -> CostSummary:
 @csa._plan_cache
 def _costs(scheme: str, setup) -> CostSummary:
     if SCHEMES[scheme].calls:
-        inner = getattr(setup, "ep", _NO_PARTITION)
-        return CostSummary(*gcsa._gcsa_costs(setup.ell, setup.kc, inner.p, inner.m, inner.n,
-                                             setup.servers))
+        e = setup.ep
+        return CostSummary(*gcsa._gcsa_costs(setup.ell, setup.kc, e.p, e.m, e.n, setup.servers))
     r = setup.threshold
     u = Fraction(setup.servers, setup.kc)
     return CostSummary(r, (u,) * setup.arity, Fraction(r, setup.batch_size))
@@ -173,8 +170,8 @@ def run_cdbmm(field: PrimeField, scheme: str, setup, batch_a, batch_b,
         raise ParameterError("A and B batches must have equal length")
     if batch_a[0].shape[1] != batch_b[0].shape[0]:
         raise ParameterError("inner dimensions of A and B do not match")
-    encode_a, encode_b, decoder, answer = [getattr(*call) for call in SCHEMES[scheme].calls]
-    inner = getattr(setup, "ep", _NO_PARTITION)
+    encode_a, encode_b, decoder = [getattr(*call) for call in SCHEMES[scheme].calls]
+    inner = setup.ep
     shape = (batch_a[0].shape[0] // inner.m, batch_b[0].shape[1] // inner.n)  # of one answer
     entries = len(batch_a) > setup.batch_size  # EP: a share and an answer hold every entry
     if entries:
@@ -186,12 +183,12 @@ def run_cdbmm(field: PrimeField, scheme: str, setup, batch_a, batch_b,
 
     def respond(s, shares, counter, out):
         if not (entries and isinstance(s, int)):
-            return answer(field, *shares, counter, out)
+            return csa.csa_answer(field, *shares, counter, out)
         # A server alone has reached _ARENA_MIN_BYTES: it answers entry by
         # entry, as a stack of large products runs slower (see ffield).
         out = np.empty(shape, np.int64) if out is None else out
         for a, b, y in zip(*shares, out):
-            answer(field, a, b, counter, y)
+            csa.csa_answer(field, a, b, counter, y)
         return out
 
     def decode(answers):
@@ -309,7 +306,8 @@ def _round(scheme: str, setup, operands, straggler: StragglerModel,
     try:
         shares = encode(responsive)
         _ROUND.shares = None  # later encodes, by a map or a forger, allocate
-        uploaded = [sum(share.size for share in stack) for stack in shares]
+        uploaded = [stack.size if isinstance(stack, np.ndarray)
+                    else sum(share.size for share in stack) for stack in shares]
         rows = (_arena("answers", (len(responsive),) + answer_shape)
                 if answer_shape and not nested else None)
         one = sum(stack[responsive[-1]].nbytes for stack in shares)

@@ -1,5 +1,7 @@
+import contextlib
 import csv
 import json
+import math
 import signal
 from pathlib import Path
 
@@ -349,25 +351,34 @@ def test_hull_refuses_a_pmn_bound_below_one(capsys):
     assert code == cli.EXIT_CONFIG and out == "" and "pmn bound" in err
 
 
-def test_latency_near_the_float_maximum_returns(capsys):
-    # the search for m once ran about 10^102 steps here, and the last grid
-    # point overflowed to inf; SIGALRM bounds the run to 10 s
+@contextlib.contextmanager
+def _within_10_s():
+    """SIGALRM bounds the block to 10 s: a command that does not return fails
+    the test (a BaseException, which no handler of the cli catches)."""
     def timeout(signum, frame):
-        raise TimeoutError("latency did not return within 10 s")
+        pytest.fail("the command did not return within 10 s")
 
     previous = signal.signal(signal.SIGALRM, timeout)
     signal.alarm(10)
     try:
-        code = cli.main(["latency", "--job-size", "2", "--k-min", "1", "--k-max", "1e308",
-                         "--steps", "3"])
+        yield
     finally:
         signal.alarm(0)
         signal.signal(signal.SIGALRM, previous)
+
+
+def test_latency_near_the_float_maximum_returns(capsys):
+    # the search for m once ran about 10^102 steps here, and the last grid
+    # point overflowed to inf
+    with _within_10_s():
+        code = cli.main(["latency", "--job-size", "2", "--k-min", "1", "--k-max", "1e308",
+                         "--steps", "3"])
     assert code == 0
     rows = list(csv.DictReader(capsys.readouterr().out.splitlines()))
     assert [float(r["K"]) for r in rows] == [1.0, 5e307, 1e308]
     for row in rows:
         assert int(row["p"]) * int(row["m"]) ** 2 >= float(row["K"])
+        assert math.isfinite(float(row["ep_lower"]))  # once inf from an m^3 term
 
 
 @pytest.mark.parametrize("bounds", [("nan", "2"), ("1", "inf")])
@@ -437,3 +448,42 @@ def test_verify_failure_outranks_error(capsys, monkeypatch):
     del cli.SUITES["fails"]
     code, _ = run_cli(capsys, "verify", "all")
     assert code == cli.EXIT_CONFIG
+
+
+_HUGE = 99999999999999999999  # servers: far more evaluation points than GF(q) holds
+
+
+@pytest.mark.parametrize("argv, code", [
+    # once built every default sample as a Python int, and did not return
+    (f"costs csa --servers {_HUGE}", cli.EXIT_CONFIG),
+    (f"costs ncsa --servers {_HUGE} --kc 2", cli.EXIT_CONFIG),
+    ("run {tmp}/huge-csa.json", cli.EXIT_CONFIG),
+    ("run {tmp}/huge-ncsa.json", cli.EXIT_CONFIG),
+    ("run {tmp}/missing.json", cli.EXIT_IO),
+    ("--field-modulus 65536 costs csa --servers 8", cli.EXIT_CONFIG),  # not a prime
+    ("costs csa --servers 0", cli.EXIT_CONFIG),
+    ("costs csa --servers 8 --ell 2 --kc 2", cli.EXIT_OK),
+    ("hull csa --servers 5 --r-max 5", cli.EXIT_CONFIG),
+    ("hull nope --servers 10 --r-max 5", cli.EXIT_CONFIG),
+    (f"hull gcsa --servers {_HUGE} --r-max 8", cli.EXIT_OK),
+    ("latency --job-size 2 --k-min 1 --k-max 2 --steps 0", cli.EXIT_CONFIG),
+    ("latency --job-size 2 --eta 1.5 --k-min 1 --k-max 2 --steps 3", cli.EXIT_CONFIG),
+    ("latency --job-size 0 --k-min 1 --k-max 2 --steps 3", cli.EXIT_CONFIG),
+    ("verify", cli.EXIT_CONFIG),  # no suite
+    ("verify nope", cli.EXIT_CONFIG),
+    ("verify interference-rank", cli.EXIT_OK),
+    ("--field-modulus 13 verify interference-rank", cli.EXIT_CONFIG),  # too few points
+])
+def test_every_command_line_ends_with_its_documented_exit_code(capsys, tmp_path, argv, code):
+    # the exit codes of the cli module docstring, argparse's usage errors
+    # (exit 2) included, within 10 s and without a traceback
+    for name, cfg in (("huge-csa", {**_CSA_CFG, "dims": [2, 2, 2]}),
+                      ("huge-ncsa", {**_BYZANTINE_CFG, "byzantine": {"servers": [3]}})):
+        (tmp_path / f"{name}.json").write_text(json.dumps({**cfg, "servers": _HUGE}))
+    with _within_10_s():
+        try:
+            got = cli.main([word.format(tmp=tmp_path) for word in argv.split()])
+        except SystemExit as exc:  # argparse refused the command line
+            got = exc.code
+    assert got == code
+    assert "Traceback" not in "".join(capsys.readouterr())

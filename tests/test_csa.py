@@ -48,6 +48,9 @@ def test_params_validation():
     small = PrimeField(13)
     with pytest.raises(ParameterError):
         csa_params(small, 2, 4, 8)  # L = 8 > q - S
+    for systematic in (False, True):  # refused before any of 10^20 points is built
+        with pytest.raises(ParameterError, match="pairwise distinct"):
+            csa_params(FIELD, 1, 1, 10**20, systematic=systematic)
 
 
 def test_encode_a_single_slot_is_plain_copy():
@@ -245,6 +248,20 @@ def test_encode_multiplies_each_group_by_its_own_weights(monkeypatch):
         for s in (0, servers - 1):
             assert all(np.array_equal(x, y)
                        for x, y in zip(shares[s], csa_encode_a(FIELD, aa, params, s)))
+
+
+def test_only_gcsa_takes_any_batch_length_at_batch_size_one():
+    # CSA, GCSA and EP share one encode path; the any-length rule of a
+    # batch-size-1 code is GCSA's (so EP's), and a CSA code of L = 1 still
+    # refuses a batch of two
+    batch = [np.ones((2, 2), dtype=np.int64)] * 2
+    params = csa_params(FIELD, 1, 1, 3)
+    for encode in (csa_encode_a, csa_encode_b):
+        with pytest.raises(ParameterError, match="does not match L = 1"):
+            encode(FIELD, batch, params, range(3))
+    setup = gcsa.gcsa_params(FIELD, 1, 1, 1, 1, 1, 3)
+    for encode in (gcsa.gcsa_encode_a, gcsa.gcsa_encode_b):
+        assert encode(FIELD, batch, setup, range(3)).shape == (3, 2, 1, 2, 2)
 
 
 def test_float_batch_rejected():
@@ -509,30 +526,30 @@ def test_systematic_nlinear_reusing_poles_equals_the_oracle():
 
 
 def _decoder_cases(field):
-    """(module whose solve_batch the decoder calls, decoder, params, the
-    responding servers, or None for a random threshold-sized subset) of
-    every Cauchy decoder, skipping the cases GF(q) has too few points for."""
-    cases = [(csa, csa_decode, lambda ell=ell, kc=kc: csa_params(
+    """(decoder, params, the responding servers, or None for a random
+    threshold-sized subset) of every Cauchy decoder, skipping the cases
+    GF(q) has too few points for.  Every one solves through ``csa._plan``."""
+    cases = [(csa_decode, lambda ell=ell, kc=kc: csa_params(
                  field, ell, kc, csa_threshold(ell, kc) + 1), None)
              for ell, kc in [(1, 1), (1, 3), (2, 2)]]
-    cases += [(csa, ncsa.xsb_decode if x else ncsa.ncsa_decode,
+    cases += [(ncsa.xsb_decode if x else ncsa.ncsa_decode,
                lambda arity=arity, x=x: ncsa.ncsa_params(
                    field, arity, 2, 2, ncsa.xsb_threshold(arity, 2, 2, x, 0) + 1, x), None)
               for arity, x in itertools.product((2, 3), (0, 1, 2))]
-    cases += [(gcsa, gcsa.gcsa_decode, lambda dims=dims: gcsa.gcsa_params(
+    cases += [(gcsa.gcsa_decode, lambda dims=dims: gcsa.gcsa_params(
                    field, *dims, gcsa.gcsa_threshold(*dims) + 1), None)
               for dims in [(2, 1, 2, 1, 1), (1, 2, 2, 2, 1)]]
     # systematic subsets with known results: servers below L answer raw
-    cases += [(csa, csa_decode,
+    cases += [(csa_decode,
                lambda: csa_params(field, 2, 2, 8, systematic=True), (1, 3, 4, 6, 7)),
-              (csa, ncsa.ncsa_decode,
+              (ncsa.ncsa_decode,
                lambda: ncsa.ncsa_params(field, 3, 1, 2, 6, systematic=True), (0, 3, 4, 5))]
-    for module, decode, make, servers in cases:
+    for decode, make, servers in cases:
         try:
             params = make()
         except ParameterError:  # the field holds too few distinct points
             continue
-        yield module, decode, params, servers
+        yield decode, params, servers
 
 
 def _paper_matrix(field, decode, params, servers):
@@ -560,15 +577,14 @@ def test_decode_matrix_matches_the_papers_on_desired_unknowns(monkeypatch, q):
     # the desired unknowns.
     field = PrimeField(q)
     rng = np.random.default_rng(q)
-    checked = 0
-    for module, decode, params, servers in _decoder_cases(field):
+    checked, mats = 0, []
+    monkeypatch.setattr(csa, "solve_batch", lambda f, mat, rhs, **kw: mats.append(mat)
+                        or solve_batch(f, mat, rhs, **kw))
+    for decode, params, servers in _decoder_cases(field):
         if servers is None:
             servers = sorted(int(s) for s in rng.choice(params.servers, params.threshold,
                                                         replace=False))
-        mats = []
-        monkeypatch.setattr(module, "solve_batch",
-                            lambda f, mat, rhs, **kw: mats.append(mat)
-                            or solve_batch(f, mat, rhs, **kw))
+        mats.clear()
         decode(field, [(s, field.rand_matrix(rng, 2, 3)) for s in servers], params)
         [mat] = mats
         paper, desired = _paper_matrix(field, decode, params, servers)

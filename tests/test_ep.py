@@ -12,7 +12,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from csacode import gcsa, harness
+from csacode import csa, gcsa, harness
 from csacode.csa import csa_answer
 from csacode.ep import EPParams, desired_coeff_index, ep_threshold
 from csacode.errors import InsufficientAnswersError, ParameterError
@@ -346,7 +346,7 @@ def test_decode_whole_batch_in_one_solve(monkeypatch):
     batch_b = [FIELD.rand_matrix(rng, 4, 2) for _ in range(3)]
     answers = server_answers(FIELD, batch_a, batch_b, setup)
     solves = []
-    monkeypatch.setattr(gcsa, "solve_batch",
+    monkeypatch.setattr(csa, "solve_batch",
                         lambda *args, **kw: solves.append(args) or solve_batch(*args, **kw))
     got = gcsa_decode(FIELD, answers[1:], setup)
     assert len(solves) == 1

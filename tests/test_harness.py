@@ -660,7 +660,7 @@ def test_ep_round_decodes_with_one_solve(monkeypatch):
     aa = [FIELD.rand_matrix(rng, 4, 4) for _ in range(4)]
     bb = [FIELD.rand_matrix(rng, 4, 4) for _ in range(4)]
     solves = []
-    monkeypatch.setattr(gcsa, "solve_batch", lambda *args, **kw: solves.append(args)
+    monkeypatch.setattr(csa, "solve_batch", lambda *args, **kw: solves.append(args)
                         or structmat.solve_batch(*args, **kw))
     harness.run_cdbmm(FIELD, "ep", setup, aa, bb, harness.StragglerModel(count=10, seed=1))
     assert len(solves) == 1

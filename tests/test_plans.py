@@ -27,19 +27,19 @@ _DIMS = (4, 4, 2)  # rows, inner, cols of every entry: divisible by each grid
 
 
 def _cases():
-    """(id, the module holding the plan, the decoder the harness calls,
-    setup maker, responsive servers, forgers)."""
-    cases = [("ep", gcsa, "gcsa_decode", lambda f: harness.ep_setup(f, 2, 2, 1, 6), None, ()),
-             ("csa", csa, "csa_decode", lambda f: csa.csa_params(f, 2, 2, 7), None, ()),
+    """(id, the decoder the harness calls, setup maker, responsive servers,
+    forgers); every decoder's plan is ``csa._plan``."""
+    cases = [("ep", "gcsa_decode", lambda f: harness.ep_setup(f, 2, 2, 1, 6), None, ()),
+             ("csa", "csa_decode", lambda f: csa.csa_params(f, 2, 2, 7), None, ()),
              # raw 0, 2, 3 and coded 5, 6: the plan also holds the known columns
-             ("csa-systematic", csa, "csa_decode",
+             ("csa-systematic", "csa_decode",
               lambda f: csa.csa_params(f, 2, 2, 7, systematic=True), (0, 2, 3, 5, 6), ()),
-             ("gcsa", gcsa, "gcsa_decode",
+             ("gcsa", "gcsa_decode",
               lambda f: gcsa.gcsa_params(f, 1, 2, 2, 1, 1, 8), None, ())]
     for x in (0, 1, 2):
         for b in (0, 1):
             r = ncsa.xsb_threshold(2, 1, 2, x, b)
-            cases.append((f"ncsa-x{x}-b{b}", csa, "xsb_decode",
+            cases.append((f"ncsa-x{x}-b{b}", "xsb_decode",
                           lambda f, x=x, b=b, r=r: ncsa.ncsa_params(f, 2, 1, 2, r + 1, x, b),
                           None, (1,) * b))
     return cases
@@ -48,7 +48,7 @@ def _cases():
 def _round(monkeypatch, field, case):
     """One harness round of ``case``; returns (decode, the answers and
     params it was called with, the oracle's results)."""
-    name, _, decoder, make, responsive, forgers = case
+    name, decoder, make, responsive, forgers = case
     setup = make(field)
     module = {"xsb_decode": ncsa, "csa_decode": csa, "gcsa_decode": gcsa}[decoder]
     decode, seen = getattr(module, decoder), []
@@ -82,27 +82,27 @@ def _round(monkeypatch, field, case):
 def test_plan_is_built_once_per_answer_order(monkeypatch, q, case):
     field = PrimeField(q)
     decode, answers, params, truth = _round(monkeypatch, field, case)
-    module, forgers = case[1], case[5]
-    module._plan.cache_clear()
+    forgers = case[4]
+    plan = csa._plan
+    plan.cache_clear()
     solves, plans = [], []
-    plan = module._plan
 
     def failing(*args, **kw):
         raise SingularMatrixError(0)
 
     # a builder that raises caches nothing, so the next decode builds again
-    monkeypatch.setattr(module, "solve_batch", failing)
+    monkeypatch.setattr(csa, "solve_batch", failing)
     with pytest.raises(SingularMatrixError):
         decode(field, answers, params)
     assert plan.cache_info().currsize == 0
-    monkeypatch.setattr(module, "solve_batch", lambda *args, **kw: solves.append(
+    monkeypatch.setattr(csa, "solve_batch", lambda *args, **kw: solves.append(
         args[1].shape) or structmat.solve_batch(*args, **kw))
-    monkeypatch.setattr(module, "_plan", lambda *key: plans.append(plan(*key)) or plans[-1])
+    monkeypatch.setattr(csa, "_plan", lambda *key: plans.append(plan(*key)) or plans[-1])
     results = []
     for order, builds in ((answers, 1), (answers, 0), (answers[::-1], 1), (answers[::-1], 0)):
         solves.clear()
         got = decode(field, order, params)
-        got, flagged = got if case[2] == "xsb_decode" else (got, [])
+        got, flagged = got if case[1] == "xsb_decode" else (got, [])
         assert len(solves) == builds  # a warm decode runs no solve at all
         assert all(np.array_equal(g, t) for g, t in zip(got, truth))
         assert list(flagged) == list(forgers)
@@ -113,8 +113,8 @@ def test_plan_is_built_once_per_answer_order(monkeypatch, q, case):
     info = plan.cache_info()
     assert (info.currsize, info.hits) == (2, 2)
     assert plans[0] is plans[1] and plans[2] is plans[3] and plans[0] is not plans[2]
-    for built in plans:  # csa's known columns are None without a known result
-        for array in (built if isinstance(built, tuple) else (built,)):
+    for built in plans:  # the known columns are None without a known result
+        for array in built:
             if array is None:
                 continue
             assert not array.flags.writeable
@@ -129,7 +129,7 @@ def _recorded_tables(monkeypatch):
     """Record every table a plan returns, as (module.builder, key, table),
     by rebinding each registered builder in the module that holds it."""
     tables = []
-    for module in (csa, gcsa, ncsa):
+    for module in (csa, ncsa):
         for attr, obj in list(vars(module).items()):
             if any(obj is plan for plan in csa._PLANS):
                 name = f"{module.__name__.split('.')[-1]}.{attr}"
@@ -193,13 +193,13 @@ def _encoders():
                             ncsa.xs_encode(field, [aa], params, 2)]
         return maker
 
-    cases = [("ep", {"gcsa._weights"}, ep_maker),
+    cases = [("ep", {"csa._weights"}, ep_maker),
              ("csa", {"csa._weights"}, cauchy(csa.csa_encode_a, csa.csa_encode_b,
                                               lambda f: csa.csa_params(f, 2, 2, 7))),
              ("csa-systematic", {"csa._weights"}, cauchy(
                  csa.csa_encode_a, csa.csa_encode_b,
                  lambda f: csa.csa_params(f, 2, 2, 7, systematic=True))),
-             ("gcsa", {"gcsa._weights"}, cauchy(gcsa.gcsa_encode_a, gcsa.gcsa_encode_b,
+             ("gcsa", {"csa._weights"}, cauchy(gcsa.gcsa_encode_a, gcsa.gcsa_encode_b,
                                                 lambda f: gcsa.gcsa_params(f, 1, 2, 2, 1, 1, 8)))]
     # an N-CSA code's data and noise weights are one plan, for every X
     return cases + [(f"ncsa-x{x}", {"ncsa._weights"}, ncsa_maker(x)) for x in (0, 1, 2)]
@@ -294,7 +294,9 @@ def test_constant_one_shares_share_the_round_plan(monkeypatch):
 
 def test_every_plan_cache_is_registered():
     # the registry is what conftest clears: a cache missing from it would
-    # carry plans from one test into the next
+    # carry plans from one test into the next.  Every Cauchy code (CSA, its
+    # systematic layout, GCSA, EP and N-CSA's decode) shares csa's encode and
+    # decode plans; N-CSA adds its noise weights and normalisers
     found = {}
     for info in pkgutil.iter_modules(csacode.__path__):
         for obj in vars(importlib.import_module(f"csacode.{info.name}")).values():
@@ -305,3 +307,7 @@ def test_every_plan_cache_is_registered():
         assert any(plan is registered for registered in csa._PLANS), plan.__wrapped__
         assert plan.cache_parameters()["maxsize"] == 512
     assert len(found) == len(csa._PLANS)
+    assert {plan.__wrapped__.__module__.split(".")[-1] + "." + plan.__wrapped__.__name__
+            for plan in csa._PLANS} == {
+        "csa._weights", "csa._plan", "ncsa._weights", "ncsa._inverse_deltas",
+        "ncsa._pole_products", "ncsa._projection_weights", "harness._costs"}
