@@ -110,8 +110,8 @@ def _build_setup(field: PrimeField, scheme: str, servers: int, p, arity: int = 2
     and kc = L, the paper's Lagrange special case."""
     row = harness.SCHEMES[scheme]
     values = {name: _int(p, name, default) for name, default in row.params.items()}
-    if row.calls:  # a matrix product: CSA or GCSA parameters, with the fields the name fixes
-        builder = gcsa.gcsa_params if row.setup is gcsa.GCSAParams else csa.csa_params
+    if row.setup is csa.CSAParams:  # a matrix product, with the fields the name fixes
+        builder = gcsa.gcsa_params if "p" in row.params else csa.csa_params
         return builder(field, servers=servers, **values, **row.fixed)
     ell, kc, x_secure, byzantine = values.values()
     if scheme == "lcc" and ell != 1:
@@ -486,7 +486,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_hull = with_output(sub.add_parser("hull", help="Pareto hull CSV for a code family"))
     p_hull.add_argument("family", choices=list(analysis.FAMILIES))
     p_hull.add_argument("--servers", type=int, required=True)
-    p_hull.add_argument("--r-max", type=int, required=True)
+    p_hull.add_argument("--r-max", type=int, required=True,
+                        help=f"the threshold budget, at most {analysis.R_MAX_LIMIT}")
     p_hull.add_argument("--pmn-bound", type=int, default=None)
     p_hull.set_defaults(func=cmd_hull)
 

@@ -1,4 +1,4 @@
-"""Cross-subspace alignment codes for batch matrix multiplication.
+"""Cross-subspace alignment codes: one code for every matrix product.
 
 A batch of L = ell * kc products is split into ell groups of kc.  Within a
 group, A matrices are combined along Cauchy terms 1/(f - alpha) with the
@@ -8,15 +8,18 @@ coded products; desired products stay separable along the Cauchy coordinates
 while all cross terms collapse into a kc - 1 dimensional Vandermonde tail,
 giving recovery threshold (ell + 1) * kc - 1.
 
+Each entry may also be split by an ``ep`` partition (p, m, n on the
+parameters), whose block exponents and order R' = pmn set the weights, the
+encode path's block grid and the decode plan: that is GCSA, of which CSA is
+the case p = m = n = 1 and EP (``harness.ep_setup``) ell = kc = 1.  A code
+of batch size 1 encodes each entry of a longer batch alone.
+
 In the systematic layout (``systematic=True`` on the parameters) servers
 0..L-1 hold their own entries uncoded, as one-group shares, so their
 answers are desired products: known Cauchy coordinates, which the one
 decoder subtracts from the coded answers before solving for the rest.
 
-GCSA and N-CSA share this code and its batch layout.  Each entry may be
-split by an ``ep`` partition (GCSA's; CSA's and N-CSA's is 1 x 1 x 1), whose
-block exponents and order R' = pmn set the weights, the encode path's block
-grid and the decode plan.
+N-CSA shares this code's batch layout, weights and decoder, unpartitioned.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ep import EPParams, _a_exponents, _b_exponents, _desired_indices
+from .ep import EPParams, _a_exponents, _b_exponents, _desired_indices, _extract_products
 from .errors import InsufficientAnswersError, ParameterError
 from .ffield import _ARENA_MIN_BYTES, PrimeField, _arena, _integer, _shares_out
 # perfbench/tracer.py requires csa.cv_matrix, so it stays importable here.
@@ -43,9 +46,10 @@ def _plan_cache(builder):
 
 
 class _Groups:
-    """The batch layout of every Cauchy code's parameters (CSA, GCSA, N-CSA):
-    L = ell * kc entries in ell groups of kc, with one pole each, split by the
-    partition ``ep`` (GCSA's alone), and raw servers only if ``systematic``."""
+    """The batch layout of every Cauchy code's parameters (``CSAParams``,
+    ``NCSAParams``): L = ell * kc entries in ell groups of kc, with one pole
+    each, split by the partition ``ep`` (1 x 1 x 1 but in a partitioned
+    matrix product), and raw servers only if ``systematic``."""
 
     ep = EPParams()
     systematic = False
@@ -72,19 +76,31 @@ class CSAParams(_Groups):
     poles: tuple[int, ...]    # f values, group-major, length ell * kc
     samples: tuple[int, ...]  # alpha values, one per server
     systematic: bool = False  # servers 0..L-1 hold their own entry, uncoded
+    p: int = 1  # GCSA's partition (``gcsa.gcsa_params``), EP's with ell = kc = 1
+    m: int = 1
+    n: int = 1
 
     @property
     def arity(self) -> int:
         """CSA is N-CSA with N = 2: the matrix product is a bilinear map."""
         return 2
 
+    @functools.cached_property
+    def ep(self) -> EPParams:  # the partition code; read by every round and plan
+        return EPParams(self.p, self.m, self.n)
+
     @property
     def threshold(self) -> int:
-        return csa_threshold(self.ell, self.kc)
+        return gcsa_threshold(self.ell, self.kc, self.p, self.m, self.n)
 
 
 def csa_threshold(ell: int, kc: int) -> int:
     return (ell + 1) * kc - 1
+
+
+def gcsa_threshold(ell: int, kc: int, p: int, m: int, n: int) -> int:
+    """pmn((ell + 1) kc - 1) + p - 1: CSA's at p = m = n = 1, EP's at ell = kc = 1."""
+    return p * m * n * csa_threshold(ell, kc) + p - 1
 
 
 def cauchy_points(field: PrimeField, batch: int, servers: int, threshold: int, poles,
@@ -129,11 +145,13 @@ def csa_encode_a(field: PrimeField, batch_a, params: CSAParams, servers) -> np.n
     """A-side shares: ell matrices per server, one per group.
 
     Uses the expanded polynomial form prod_{k' != k}(f_{l,k'} - alpha), so no
-    inversions are needed on the A side.  ``servers`` is one server index,
-    which returns that server's shares, or a sequence of indices, which
-    returns them row by row, all from one generator product (see
-    ``_generator_encode`` for their layout).  In a systematic layout a
-    server s < L holds its own entry s as a one-group share [X_s].
+    inversions are needed on the A side (GCSA: the inner polynomial at
+    f_{l,k} - alpha, the prefactor to the power R').  ``servers`` is one
+    server index, which returns that server's shares, or a sequence of
+    indices, which returns them row by row, all from one generator product
+    (see ``_generator_encode`` for their layout).  In a systematic layout a
+    server s < L holds its own entry s as a one-group share [X_s].  At L = 1
+    a share holds every entry of a longer batch, as (entries, 1, ...).
     """
     return _cauchy_encode(field, batch_a, params, servers, "a")
 
@@ -145,19 +163,18 @@ def csa_encode_b(field: PrimeField, batch_b, params: CSAParams, servers) -> np.n
     return _cauchy_encode(field, batch_b, params, servers, "b")
 
 
-def _cauchy_encode(field: PrimeField, batch, params, servers, side: str,
-                   entries: bool = False) -> np.ndarray | list:
+def _cauchy_encode(field: PrimeField, batch, params, servers, side: str) -> np.ndarray | list:
     """Every matrix product's encoders: ``side`` "a" or "b" picks the weights
-    and the partition's block grid (m x p, or p x n).  With ``entries`` (GCSA's
-    rule for L = 1) a longer batch encodes each entry alone with the one row."""
+    and the partition's block grid (m x p, or p x n).  A code of batch size 1
+    takes a batch of any length, each entry encoded alone with the one row."""
     inner = params.ep
     grid = (inner.m, inner.p) if side == "a" else (inner.p, inner.n)
-    weights = _weights(field, params, tuple(_server_list(servers)), side)
-    if entries and len(batch) > 1:
-        weights = weights[:, 0]
+    one = params.batch_size == 1
     arr = field.residues(np.asarray(_batch_entries(
-        field, batch, None if weights.ndim == 2 else params.batch_size, grid != (1, 1))))
-    return _generator_encode(field, arr, weights, servers, grid, _raw(params))
+        field, batch, None if one else params.batch_size, grid != (1, 1))))
+    weights = _weights(field, params, tuple(_server_list(servers)), side)
+    return _generator_encode(field, arr, weights[:, 0] if one and len(arr) > 1 else weights,
+                             servers, grid, _raw(params))
 
 
 @_plan_cache
@@ -218,7 +235,8 @@ def _generator_encode(field: PrimeField, arr: np.ndarray, weights: np.ndarray, s
     """The shares of ``servers`` (one index, or a sequence as for
     ``csa_encode_a``) from generator products of ``arr``, the checked batch
     (``_batch_entries``) stacked as residues: a listed server s < ``raw``
-    holds entry s alone, a view of ``arr``, every other its share of each group,
+    holds entry s alone (every entry, with a 2-D ``weights``), a view of
+    ``arr``, every other its share of each group,
     from its row of ``weights`` (one row per such server, in listed order).
     Without raw servers a sequence gets one (servers, groups, ...) view of
     the products, else a list of rows.
@@ -263,8 +281,9 @@ def _generator_encode(field: PrimeField, arr: np.ndarray, weights: np.ndarray, s
             field.matmul(weights[:, l], stacked[l], out=out[l])
         shares = out.reshape((ell,) + group_shape).swapaxes(0, 1)
     if raw:  # the coded servers' rows, in listed order, among the raw ones
-        coded_rows = iter(shares)
-        shares = [arr[s:s + 1] if s < raw else next(coded_rows) for s in _server_list(servers)]
+        coded_rows, own = iter(shares), arr[:, None]  # own[s]: entry s as one group
+        shares = [(own if weights.ndim == 2 else own[s]) if s < raw else next(coded_rows)
+                  for s in _server_list(servers)]
     return shares[0] if isinstance(servers, numbers.Integral) else shares
 
 
@@ -302,27 +321,33 @@ def _arena_copy(name: str, x: np.ndarray) -> np.ndarray:
 
 
 def csa_decode(field: PrimeField, answers, params: CSAParams) -> list[np.ndarray]:
-    """Recover the L results from any R answers of a CSA code, or of an
-    N-CSA code without Byzantine servers (X-security's noise lies in the
-    Vandermonde tail).
+    """Recover the L results from any R answers of a matrix product's code,
+    or of an N-CSA code without Byzantine servers (X-security's noise lies
+    in the Vandermonde tail).
 
     ``answers`` is an iterable of (server_index, Y) pairs, 0-based indices.
     In a systematic layout a raw server's answer is its own result: it is
     read off and removed from the coded answers through its own Cauchy
     column of ``_decode_matrix``, the exact coefficient it carries there.
     The reduced system keeps the unknown results' Cauchy columns plus the
-    (kc-1)(N-1) tail columns; ``_solve`` returns the rest.
+    (kc-1)(N-1) tail columns; ``_solve`` returns the rest (GCSA: the
+    desired blocks, which ``ep._extract_products`` reassembles).  At L = 1
+    an answer and the one result may hold every entry, (entries, ...).
     Returned raw results are copies, never the answers themselves.
     """
-    batch = params.batch_size
+    batch, raw = params.batch_size, _raw(params)
     answers = _take_answers(answers, params.threshold, params.servers)
-    known = {s: y for s, y in answers if s < _raw(params)}
+    known = {s: y for s, y in answers if s < raw}
     if len(known) == batch:
         return [np.array(known[i]) for i in range(batch)]
-    solved = iter(_solve(field, answers, params, known))
-    shape = answers[0][1].shape
-    return [np.array(known[i]) if i in known else next(solved).reshape(shape)
-            for i in range(batch)]
+    solved, shape, inner = _solve(field, answers, params, known), answers[0][1].shape, params.ep
+    if (inner.m, inner.n) == (1, 1):
+        solved = solved.reshape((-1,) + shape)
+    else:  # rows entry-major, mn desired blocks each, beside the block axes
+        solved = _extract_products(inner, solved.reshape(
+            (-1, inner.m * inner.n) + shape).swapaxes(1, -3))
+    solved = iter(solved)
+    return [np.array(known[i]) if i in known else next(solved) for i in range(batch)]
 
 
 def _solve(field: PrimeField, answers, params, known=()) -> np.ndarray:

@@ -7,11 +7,10 @@ determine all its coefficients, and the mn desired block sums sit at known
 coefficient positions.
 
 EP is GCSA with ell = kc = 1 (``harness.ep_setup``; its one pole needs
-S <= q - 1): a round runs the GCSA encoders, ``csa.csa_answer`` and
-``gcsa.gcsa_decode``, every batch entry encoded alone.  This module keeps
-the partition's parameters, its exponent layout and desired indices, which
-``csa`` reads for every Cauchy code, and its block extraction, which GCSA's
-decoder applies.
+S <= q - 1): a round runs ``csa``'s encoders, answer and decoder, every
+batch entry encoded alone.  This module keeps the partition's parameters,
+its exponent layout and desired indices, which ``csa`` reads for every
+Cauchy code, and its block extraction, which ``csa.csa_decode`` applies.
 """
 
 from __future__ import annotations
@@ -76,10 +75,9 @@ def _desired_indices(params: EPParams) -> list[int]:
 
 
 def _extract_products(params: EPParams, desired: np.ndarray) -> np.ndarray:
-    """Products from the desired coefficients, shape (m * n, entries, bh, bw)
-    in ``_desired_indices`` order: output block (mi, ni) of every entry is
-    its coefficient; returns (entries, m * bh, n * bw)."""
-    m, n = params.m, params.n
-    _, entries, bh, bw = desired.shape
-    grid = desired.reshape(m, n, entries, bh, bw)
-    return grid.transpose(2, 0, 3, 1, 4).reshape(entries, m * bh, n * bw)
+    """Products from the desired coefficients, shape (..., m * n, bh, bw)
+    in ``_desired_indices`` order: output block (mi, ni) of a product is
+    its coefficient; returns (..., m * bh, n * bw)."""
+    *lead, _, bh, bw = desired.shape
+    grid = desired.reshape(*lead, params.m, params.n, bh, bw)
+    return np.swapaxes(grid, -3, -2).reshape(*lead, params.m * bh, params.n * bw)

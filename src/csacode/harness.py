@@ -5,6 +5,9 @@ model withholds responses and an optional Byzantine model forges them, and
 the sink decodes from the survivors.  Communication costs are measured by
 counting actual field elements and normalized exactly (fractions, never
 floats); server computation is counted in field multiplications.
+
+Every matrix product (EP, CSA, its systematic layout, GCSA) is one code on
+``csa.CSAParams``, run by csa's encoders, answer and decoder.
 """
 
 from __future__ import annotations
@@ -86,7 +89,7 @@ class CostReport:
 
 
 def ep_setup(field: PrimeField, p: int, m: int, n: int, servers: int,
-             samples=None) -> gcsa.GCSAParams:
+             samples=None) -> csa.CSAParams:
     """EP as GCSA with ell = kc = 1: one pole and S samples, so S <= q - 1.
     Its rounds take a batch of any length, each entry encoded alone."""
     return gcsa.gcsa_params(field, 1, 1, p, m, n, servers, samples=samples)
@@ -95,40 +98,42 @@ def ep_setup(field: PrimeField, p: int, m: int, n: int, servers: int,
 class Scheme(NamedTuple):  # a row of SCHEMES
     setup: type  # the setup type the scheme takes
     params: dict  # a config's parameters: name -> default (None if required), builder order
-    calls: tuple = ()  # a matrix product's round: encode A, encode B, decode
     fixed: dict = {}  # the setup's fields the name fixes: field -> value
 
 
 _GROUPS, _PARTITION = {"ell": None, "kc": None}, {"p": None, "m": None, "n": None}
-_CSA_CALLS = ((csa, "csa_encode_a"), (csa, "csa_encode_b"), (csa, "csa_decode"))
-_GCSA_CALLS = ((gcsa, "gcsa_encode_a"), (gcsa, "gcsa_encode_b"), (gcsa, "gcsa_decode"))
 _NCSA = {"ell": 1, "kc": None, "X": 0, "B": 0}
 
-# Every scheme, said once.  A round looks its calls, (module, function name)
-# pairs, up when it runs: perfbench's tracer times a layer by rebinding module
-# attributes, so a function captured here at import would run untraced.  Every
-# matrix product's servers answer with ``csa.csa_answer``.
+# Every scheme, said once.  A matrix product is a scheme whose setup is
+# ``csa.CSAParams``; its rounds run csa's encoders, answer and decoder.
 SCHEMES = {
-    "ep": Scheme(gcsa.GCSAParams, _PARTITION, _GCSA_CALLS, {"ell": 1, "kc": 1}),
-    "csa": Scheme(csa.CSAParams, _GROUPS, _CSA_CALLS, {"systematic": False}),
-    "csa-systematic": Scheme(csa.CSAParams, _GROUPS, _CSA_CALLS, {"systematic": True}),
-    "gcsa": Scheme(gcsa.GCSAParams, {**_GROUPS, **_PARTITION}, _GCSA_CALLS),
+    "ep": Scheme(csa.CSAParams, _PARTITION, {"ell": 1, "kc": 1}),
+    "csa": Scheme(csa.CSAParams, _GROUPS),
+    "csa-systematic": Scheme(csa.CSAParams, _GROUPS, {"systematic": True}),
+    "gcsa": Scheme(csa.CSAParams, {**_GROUPS, **_PARTITION}),
     "ncsa": Scheme(ncsa.NCSAParams, _NCSA),
     "lcc": Scheme(ncsa.NCSAParams, _NCSA),  # N-CSA with ell = 1 and kc = L
 }
-CDBMM_SCHEMES = tuple(name for name, row in SCHEMES.items() if row.calls)
+CDBMM_SCHEMES = tuple(name for name, row in SCHEMES.items() if row.setup is csa.CSAParams)
+# A matrix product's setup fields with their defaults, in the order checked;
+# per scheme, the (field, value) pairs a setup must hold: a field its name
+# fixes at that value, and one it neither takes nor fixes at its default
+_CSA_DEFAULTS = {"ell": 1, "kc": 1, "p": 1, "m": 1, "n": 1, "systematic": False}
+_REQUIRED = {scheme: [(name, row.fixed.get(name, value)) for name, value in
+                      (_CSA_DEFAULTS if row.setup is csa.CSAParams else row.fixed).items()
+                      if name not in row.params] for scheme, row in SCHEMES.items()}
 
 
 def _check_setup(scheme: str, setup) -> None:
     """Refuse an unknown scheme, a setup of another family than the
-    scheme's, and parameters that differ from a field the name fixes (the
-    CSA layout, or EP's ell = kc = 1)."""
+    scheme's, and a field that differs from its value in ``_REQUIRED`` (the
+    CSA layout, EP's ell = kc = 1, no partition under "csa")."""
     row = SCHEMES.get(scheme)
     if row is None:
         raise ParameterError(f"unknown scheme {scheme!r}")
     if not isinstance(setup, row.setup):
         raise ParameterError(f"{scheme!r} takes {row.setup.__name__}, not {type(setup).__name__}")
-    for name, value in row.fixed.items():
+    for name, value in _REQUIRED[scheme]:
         if getattr(setup, name) != value:
             raise ParameterError(f"{scheme!r} takes parameters with {name}={value}")
 
@@ -143,7 +148,7 @@ def theoretical_costs(scheme: str, setup) -> CostSummary:
 
 @csa._plan_cache
 def _costs(scheme: str, setup) -> CostSummary:
-    if SCHEMES[scheme].calls:
+    if scheme in CDBMM_SCHEMES:
         e = setup.ep
         return CostSummary(*gcsa._gcsa_costs(setup.ell, setup.kc, e.p, e.m, e.n, setup.servers))
     r = setup.threshold
@@ -155,7 +160,7 @@ def run_cdbmm(field: PrimeField, scheme: str, setup, batch_a, batch_b,
               straggler: StragglerModel,
               byzantine: Optional[ByzantineModel] = None):
     """Full encode / compute / straggle / decode round for matrix batches.
-    A code of batch size 1 (EP) takes a batch of any length.
+    A code of batch size 1 (EP, or CSA with L = 1) takes a batch of any length.
 
     Returns (products, CostReport); products equal the direct batch product.
     """
@@ -170,16 +175,15 @@ def run_cdbmm(field: PrimeField, scheme: str, setup, batch_a, batch_b,
         raise ParameterError("A and B batches must have equal length")
     if batch_a[0].shape[1] != batch_b[0].shape[0]:
         raise ParameterError("inner dimensions of A and B do not match")
-    encode_a, encode_b, decoder = [getattr(*call) for call in SCHEMES[scheme].calls]
-    inner = setup.ep
-    shape = (batch_a[0].shape[0] // inner.m, batch_b[0].shape[1] // inner.n)  # of one answer
-    entries = len(batch_a) > setup.batch_size  # EP: a share and an answer hold every entry
+    shape = (batch_a[0].shape[0] // setup.m, batch_b[0].shape[1] // setup.n)  # of one answer
+    entries = len(batch_a) > setup.batch_size  # L = 1: shares, answers, result hold every entry
     if entries:
         shape = (len(batch_a),) + shape
 
-    def encode(responsive):
+    def encode():
         servers = range(setup.servers)
-        return [encode_a(field, batch_a, setup, servers), encode_b(field, batch_b, setup, servers)]
+        return [csa.csa_encode_a(field, batch_a, setup, servers),
+                csa.csa_encode_b(field, batch_b, setup, servers)]
 
     def respond(s, shares, counter, out):
         if not (entries and isinstance(s, int)):
@@ -191,8 +195,9 @@ def run_cdbmm(field: PrimeField, scheme: str, setup, batch_a, batch_b,
             csa.csa_answer(field, a, b, counter, y)
         return out
 
-    def decode(answers):
-        return decoder(field, answers, setup), ()
+    def decode(answers):  # the one result of every entry, split
+        results = csa.csa_decode(field, answers, setup)
+        return (list(results[0]) if entries else results), ()
 
     return _round(scheme, setup, [batch_a, batch_b], straggler, None, encode, respond,
                   decode, shape)
@@ -237,7 +242,7 @@ def run_nlinear(field: PrimeField, params: ncsa.NCSAParams, job, batches,
     ones = [[np.ones(shape, dtype=np.int64)] * params.batch_size for shape in ones_shapes]
     const = []  # a spec's constant-one shares, every server's rows
 
-    def encode(responsive):  # the constant-one batch, if any, as the last variable
+    def encode():  # the constant-one batch, if any, as the last variable
         shares = ncsa.xs_encode(field, batches + ones, params, range(params.servers))
         const[:] = shares[len(batches):]
         return shares[:len(batches)]
@@ -261,14 +266,15 @@ def _round(scheme: str, setup, operands, straggler: StragglerModel,
            answer_shape: Optional[tuple] = None):
     """One round of any code family: pick the responsive servers, encode,
     answer (forging the corrupted answers), decode and count the costs.
-    Every matrix product is a GCSA code: CSA has p = m = n = 1 and EP
-    ell = kc = 1, its one pole a field point beside the S samples, so EP
-    needs S <= q - 1; an EP share and answer hold every batch entry.
+    Every matrix product is one code (``csa.CSAParams``): CSA has
+    p = m = n = 1 and EP ell = kc = 1, its one pole a field point beside the
+    S samples, so EP needs S <= q - 1; a share and an answer of a code of
+    batch size 1 hold every batch entry.
 
     ``operands`` holds the residue batches, one per variable.
-    ``encode(responsive)`` returns per variable the encoder's shares of
-    every server, row s for server s: one encoder call per side of a matrix
-    product, one ``xs_encode`` for all of an N-CSA round's variables.
+    ``encode()`` returns per variable the encoder's shares of every server
+    (responsive or not), row s for server s: one encoder call per side of a
+    matrix product, one ``xs_encode`` for all of an N-CSA round's variables.
     ``answer(s, shares, counter, out)`` answers server s from its rows, or a
     list of servers from theirs with a leading server axis, stacking their
     answers; ``counter`` counts the call's multiplications (``server_mults``
@@ -304,7 +310,7 @@ def _round(scheme: str, setup, operands, straggler: StragglerModel,
     nested = _ROUND.running
     _ROUND.running, _ROUND.shares = True, None if nested else 0
     try:
-        shares = encode(responsive)
+        shares = encode()
         _ROUND.shares = None  # later encodes, by a map or a forger, allocate
         uploaded = [stack.size if isinstance(stack, np.ndarray)
                     else sum(share.size for share in stack) for stack in shares]

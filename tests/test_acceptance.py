@@ -59,12 +59,12 @@ def test_02_decode_oracle_equivalence():
         a = FIELD.rand_matrix(rng, dim_for(m), dim_for(p))
         b = FIELD.rand_matrix(rng, dim_for(p), dim_for(n))
         truth = FIELD.matmul(a, b)
-        answers = [(s, csa.csa_answer(FIELD, gcsa.gcsa_encode_a(FIELD, [a], setup, s),
-                                      gcsa.gcsa_encode_b(FIELD, [b], setup, s)))
+        answers = [(s, csa.csa_answer(FIELD, csa.csa_encode_a(FIELD, [a], setup, s),
+                                      csa.csa_encode_b(FIELD, [b], setup, s)))
                    for s in range(setup.servers)]
         for subset in itertools.combinations(range(setup.servers), r):
             assert np.array_equal(
-                gcsa.gcsa_decode(FIELD, [answers[i] for i in subset], setup)[0], truth)
+                csa.csa_decode(FIELD, [answers[i] for i in subset], setup)[0], truth)
 
     # batch code: the declared tuple list
     for ell, kc in [(1, 1), (1, 2), (2, 2), (1, 3), (2, 3)]:
@@ -98,11 +98,11 @@ def test_02_decode_oracle_equivalence():
         truth = harness.direct_products(FIELD, aa, bb)
         answers = []
         for s in range(params.servers):
-            sa = gcsa.gcsa_encode_a(FIELD, aa, params, s)
-            sb = gcsa.gcsa_encode_b(FIELD, bb, params, s)
+            sa = csa.csa_encode_a(FIELD, aa, params, s)
+            sb = csa.csa_encode_b(FIELD, bb, params, s)
             answers.append((s, csa.csa_answer(FIELD, sa, sb)))
         for subset in itertools.combinations(range(params.servers), r):
-            got = gcsa.gcsa_decode(FIELD, [answers[s] for s in subset], params)
+            got = csa.csa_decode(FIELD, [answers[s] for s in subset], params)
             assert all(np.array_equal(g, t) for g, t in zip(got, truth))
 
     # trilinear batch
@@ -175,8 +175,8 @@ def test_05_reduction_identities():
     aa = [FIELD.rand_matrix(rng, 3, 3) for _ in range(4)]
     bb = [FIELD.rand_matrix(rng, 3, 3) for _ in range(4)]
     for s in range(8):
-        ga = gcsa.gcsa_encode_a(FIELD, aa, params_g, s)
-        gb = gcsa.gcsa_encode_b(FIELD, bb, params_g, s)
+        ga = csa.csa_encode_a(FIELD, aa, params_g, s)
+        gb = csa.csa_encode_b(FIELD, bb, params_g, s)
         ca = csa.csa_encode_a(FIELD, aa, params_c, s)
         cb = csa.csa_encode_b(FIELD, bb, params_c, s)
         assert all(np.array_equal(x, y) for x, y in zip(ga, ca))
@@ -192,8 +192,8 @@ def test_05_reduction_identities():
     ep_answers = []
     for s in range(12):
         z = FIELD.sub(params.poles[0], params.samples[s])
-        gy = csa.csa_answer(FIELD, gcsa.gcsa_encode_a(FIELD, [a], params, s),
-                              gcsa.gcsa_encode_b(FIELD, [b], params, s))
+        gy = csa.csa_answer(FIELD, csa.csa_encode_a(FIELD, [a], params, s),
+                            csa.csa_encode_b(FIELD, [b], params, s))
         ey = FIELD.matmul(reference.ep_encode_a(FIELD, a, epp, z),
                           reference.ep_encode_b(FIELD, b, epp, z))
         # the group prefactor (f - alpha)^R' is the only difference

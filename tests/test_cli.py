@@ -466,6 +466,11 @@ _HUGE = 99999999999999999999  # servers: far more evaluation points than GF(q) h
     ("hull csa --servers 5 --r-max 5", cli.EXIT_CONFIG),
     ("hull nope --servers 10 --r-max 5", cli.EXIT_CONFIG),
     (f"hull gcsa --servers {_HUGE} --r-max 8", cli.EXIT_OK),
+    # R_max above analysis.R_MAX_LIMIT: these once enumerated for minutes
+    ("hull ep --servers 100000 --r-max 99999", cli.EXIT_CONFIG),
+    ("hull csa --servers 100000 --r-max 99999", cli.EXIT_CONFIG),
+    ("hull gcsa --servers 3001 --r-max 3000", cli.EXIT_CONFIG),
+    ("hull csa --servers 1001 --r-max 1000", cli.EXIT_OK),  # the maximum itself
     ("latency --job-size 2 --k-min 1 --k-max 2 --steps 0", cli.EXIT_CONFIG),
     ("latency --job-size 2 --eta 1.5 --k-min 1 --k-max 2 --steps 3", cli.EXIT_CONFIG),
     ("latency --job-size 0 --k-min 1 --k-max 2 --steps 3", cli.EXIT_CONFIG),

@@ -250,18 +250,26 @@ def test_encode_multiplies_each_group_by_its_own_weights(monkeypatch):
                        for x, y in zip(shares[s], csa_encode_a(FIELD, aa, params, s)))
 
 
-def test_only_gcsa_takes_any_batch_length_at_batch_size_one():
-    # CSA, GCSA and EP share one encode path; the any-length rule of a
-    # batch-size-1 code is GCSA's (so EP's), and a CSA code of L = 1 still
-    # refuses a batch of two
-    batch = [np.ones((2, 2), dtype=np.int64)] * 2
-    params = csa_params(FIELD, 1, 1, 3)
+def test_every_code_of_batch_size_one_takes_any_batch_length():
+    # CSA, GCSA and EP are one code on one encode path, so a CSA code of
+    # L = 1 encodes each entry of a longer batch alone, as EP does: its
+    # round on a batch of 3 equals the direct products, in the systematic
+    # layout too (its raw server holds every entry); L = 2 still refuses 3
+    rng = np.random.default_rng(41)
+    aa, bb = ([FIELD.rand_matrix(rng, 2, 2) for _ in range(3)] for _ in range(2))
+    truth = harness.direct_products(FIELD, aa, bb)
+    for scheme, params in (("csa", csa_params(FIELD, 1, 1, 3)),
+                           ("csa-systematic", csa_params(FIELD, 1, 1, 3, systematic=True))):
+        assert csa_encode_a(FIELD, aa, params, range(3))[-1].shape == (3, 1, 2, 2)
+        for responsive in ((0,), (1,), (2,)):
+            got, report = harness.run_cdbmm(FIELD, scheme, params, aa, bb,
+                                            harness.StragglerModel(responsive=responsive))
+            assert len(got) == 3
+            assert all(np.array_equal(g, t) for g, t in zip(got, truth))
+            assert report.measured == report.theory
     for encode in (csa_encode_a, csa_encode_b):
-        with pytest.raises(ParameterError, match="does not match L = 1"):
-            encode(FIELD, batch, params, range(3))
-    setup = gcsa.gcsa_params(FIELD, 1, 1, 1, 1, 1, 3)
-    for encode in (gcsa.gcsa_encode_a, gcsa.gcsa_encode_b):
-        assert encode(FIELD, batch, setup, range(3)).shape == (3, 2, 1, 2, 2)
+        with pytest.raises(ParameterError, match="does not match L = 2"):
+            encode(FIELD, aa, csa_params(FIELD, 1, 2, 3), range(3))
 
 
 def test_float_batch_rejected():
@@ -536,7 +544,7 @@ def _decoder_cases(field):
                lambda arity=arity, x=x: ncsa.ncsa_params(
                    field, arity, 2, 2, ncsa.xsb_threshold(arity, 2, 2, x, 0) + 1, x), None)
               for arity, x in itertools.product((2, 3), (0, 1, 2))]
-    cases += [(gcsa.gcsa_decode, lambda dims=dims: gcsa.gcsa_params(
+    cases += [(csa_decode, lambda dims=dims: gcsa.gcsa_params(
                    field, *dims, gcsa.gcsa_threshold(*dims) + 1), None)
               for dims in [(2, 1, 2, 1, 1), (1, 2, 2, 2, 1)]]
     # systematic subsets with known results: servers below L answer raw
@@ -555,7 +563,7 @@ def _decoder_cases(field):
 def _paper_matrix(field, decode, params, servers):
     """The paper's decode matrix for the responding servers and the number
     of its leading unknowns that carry desired coefficients."""
-    if decode is gcsa.gcsa_decode:
+    if params.inner_order > 1:  # GCSA's
         alphas = [params.samples[s] for s in servers]
         return (gcsa_paper_matrix(field, params, alphas),
                 params.batch_size * params.inner_order)

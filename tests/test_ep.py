@@ -13,11 +13,10 @@ import numpy as np
 import pytest
 
 from csacode import csa, gcsa, harness
-from csacode.csa import csa_answer
+from csacode.csa import csa_answer, csa_decode, csa_encode_a, csa_encode_b
 from csacode.ep import EPParams, desired_coeff_index, ep_threshold
 from csacode.errors import InsufficientAnswersError, ParameterError
 from csacode.ffield import PrimeField
-from csacode.gcsa import gcsa_decode, gcsa_encode_a, gcsa_encode_b
 from csacode.structmat import solve_batch
 from reference import (answer_coefficients, ep_decode, ep_encode_a, ep_encode_b,
                        split_blocks)
@@ -42,8 +41,8 @@ def unscale(field, setup, s, x):
 
 def server_answers(field, batch_a, batch_b, setup):
     """(s, Y_s) of every server, through the library's encoders and answer."""
-    shares_a = gcsa_encode_a(field, batch_a, setup, range(setup.servers))
-    shares_b = gcsa_encode_b(field, batch_b, setup, range(setup.servers))
+    shares_a = csa_encode_a(field, batch_a, setup, range(setup.servers))
+    shares_b = csa_encode_b(field, batch_b, setup, range(setup.servers))
     return [(s, csa_answer(field, a, b)) for s, (a, b) in enumerate(zip(shares_a, shares_b))]
 
 
@@ -70,8 +69,8 @@ def test_single_block_encoding_is_identity():
         assert np.array_equal(ep_encode_b(FIELD, a, params, alpha), a)
     setup = harness.ep_setup(FIELD, 1, 1, 1, 3)
     for s in range(3):
-        assert np.array_equal(gcsa_encode_a(FIELD, [a], setup, s)[0], a)
-        assert np.array_equal(unscale(FIELD, setup, s, gcsa_encode_b(FIELD, [a], setup, s)[0]), a)
+        assert np.array_equal(csa_encode_a(FIELD, [a], setup, s)[0], a)
+        assert np.array_equal(unscale(FIELD, setup, s, csa_encode_b(FIELD, [a], setup, s)[0]), a)
 
 
 def test_exponent_layout_2x2x2():
@@ -95,8 +94,8 @@ def test_exponent_layout_2x2x2():
         ) % FIELD.q
         assert np.array_equal(ep_encode_a(FIELD, a, params, alpha), want_a)
         assert np.array_equal(ep_encode_b(FIELD, b, params, alpha), want_b)
-        assert np.array_equal(gcsa_encode_a(FIELD, [a], setup, s)[0], want_a)
-        assert np.array_equal(unscale(FIELD, setup, s, gcsa_encode_b(FIELD, [b], setup, s)[0]),
+        assert np.array_equal(csa_encode_a(FIELD, [a], setup, s)[0], want_a)
+        assert np.array_equal(unscale(FIELD, setup, s, csa_encode_b(FIELD, [b], setup, s)[0]),
                               want_b)
 
 
@@ -114,7 +113,7 @@ def test_encode_matches_term_by_term_oracle():
             for pi in range(p):
                 acc = (acc + FIELD.pow(alpha, pi + p * mi) * grid[mi][pi]) % FIELD.q
         assert np.array_equal(ep_encode_a(FIELD, a, params, alpha), acc)
-        assert np.array_equal(gcsa_encode_a(FIELD, [a], setup, s)[0], acc)
+        assert np.array_equal(csa_encode_a(FIELD, [a], setup, s)[0], acc)
 
 
 def test_answer_equals_coefficient_expansion():
@@ -193,7 +192,7 @@ def test_decode_single_server():
     b = FIELD.rand_matrix(rng, 2, 2)
     setup = harness.ep_setup(FIELD, 1, 1, 1, 1)
     y = FIELD.matmul(a, b)
-    assert np.array_equal(gcsa_decode(FIELD, server_answers(FIELD, [a], [b], setup), setup)[0], y)
+    assert np.array_equal(csa_decode(FIELD, server_answers(FIELD, [a], [b], setup), setup)[0], y)
     assert np.array_equal(ep_decode(FIELD, [(5, y)], EPParams(1, 1, 1)), y)
 
 
@@ -214,7 +213,7 @@ def test_decode_all_triples_all_subsets():
         truth = harness.direct_products(FIELD, aa, bb)
         answers = server_answers(FIELD, aa, bb, setup)
         for i, subset in enumerate(itertools.combinations(range(setup.servers), r)):
-            got = gcsa_decode(FIELD, [answers[s] for s in subset], setup)
+            got = csa_decode(FIELD, [answers[s] for s in subset], setup)[0]  # every entry
             assert all(np.array_equal(g, t) for g, t in zip(got, truth))
             if i == 0:
                 ep_answers = [(shift(FIELD, setup, s), unscale(FIELD, setup, s, answers[s][1][0]))
@@ -226,7 +225,7 @@ def test_decode_insufficient_answers():
     setup = harness.ep_setup(FIELD, 2, 2, 2, 12)
     y = np.zeros((1, 1), dtype=np.int64)
     with pytest.raises(InsufficientAnswersError):
-        gcsa_decode(FIELD, [(s, y) for s in range(5)], setup)
+        csa_decode(FIELD, [(s, y) for s in range(5)], setup)
     with pytest.raises(InsufficientAnswersError):
         ep_decode(FIELD, [(1, y)] * 5, EPParams(2, 2, 2))
 
@@ -238,7 +237,7 @@ def test_decode_duplicate_points_rejected():
     with pytest.raises(ParameterError):  # the one pole is a field point too
         harness.ep_setup(FIELD, 1, 2, 1, 3, samples=[1, 5, 6])
     with pytest.raises(ParameterError):
-        gcsa_decode(FIELD, [(1, y), (1, y)], harness.ep_setup(FIELD, 1, 2, 1, 3))
+        csa_decode(FIELD, [(1, y), (1, y)], harness.ep_setup(FIELD, 1, 2, 1, 3))
     with pytest.raises(ParameterError):
         ep_decode(FIELD, [(1, y), (1, y)], EPParams(1, 2, 1))
 
@@ -261,7 +260,7 @@ def test_divisibility_enforced():
     rng = np.random.default_rng(8)
     a = FIELD.rand_matrix(rng, 3, 3)
     with pytest.raises(ParameterError):
-        gcsa_encode_a(FIELD, [a], harness.ep_setup(FIELD, 2, 2, 1, 8), 5)
+        csa_encode_a(FIELD, [a], harness.ep_setup(FIELD, 2, 2, 1, 8), 5)
     with pytest.raises(ParameterError):
         ep_encode_a(FIELD, a, EPParams(2, 2, 1), 5)
 
@@ -309,8 +308,8 @@ def test_all_point_encode_equals_per_point_and_polynomial(q, p, m, n):
     # A block (mi, pi) carries pi + p*mi, B block (pi, ni) carries p-1-pi + p*m*ni
     exps_a = [pi + p * mi for mi in range(m) for pi in range(p)]
     exps_b = [p - 1 - pi + p * m * ni for pi in range(p) for ni in range(n)]
-    for encode, batch, grid, exps, side in ((gcsa_encode_a, batch_a, (m, p), exps_a, "a"),
-                                            (gcsa_encode_b, batch_b, (p, n), exps_b, "b")):
+    for encode, batch, grid, exps, side in ((csa_encode_a, batch_a, (m, p), exps_a, "a"),
+                                            (csa_encode_b, batch_b, (p, n), exps_b, "b")):
         shares = encode(field, batch, setup, range(setup.servers))
         assert shares.shape[:3] == (setup.servers, len(batch), 1)
         for s, per_server in enumerate(shares):
@@ -328,15 +327,15 @@ def test_all_point_encode_rejects_bad_batches():
     setup = harness.ep_setup(FIELD, 2, 3, 1, 8)
     good = [np.ones((3, 2), dtype=np.int64)] * 2
     with pytest.raises(ParameterError):  # 4 rows do not split into m = 3
-        gcsa_encode_a(FIELD, [np.ones((4, 2), dtype=np.int64)] * 2, setup, [1, 2])
+        csa_encode_a(FIELD, [np.ones((4, 2), dtype=np.int64)] * 2, setup, [1, 2])
     with pytest.raises(ParameterError):
-        gcsa_encode_a(FIELD, [np.full((3, 2), 1.5)] * 2, setup, [1, 2])
+        csa_encode_a(FIELD, [np.full((3, 2), 1.5)] * 2, setup, [1, 2])
     with pytest.raises(ParameterError):
-        gcsa_encode_b(FIELD, [np.ones((2, 2), dtype=np.int64), np.ones((4, 2), dtype=np.int64)],
+        csa_encode_b(FIELD, [np.ones((2, 2), dtype=np.int64), np.ones((4, 2), dtype=np.int64)],
                       setup, [1, 2])
     with pytest.raises(ParameterError):  # one matrix is not a batch of matrices
-        gcsa_encode_a(FIELD, good[0], setup, [1, 2])
-    assert len(gcsa_encode_a(FIELD, good, setup, [1, 2, 3])) == 3
+        csa_encode_a(FIELD, good[0], setup, [1, 2])
+    assert len(csa_encode_a(FIELD, good, setup, [1, 2, 3])) == 3
 
 
 def test_decode_whole_batch_in_one_solve(monkeypatch):
@@ -348,9 +347,9 @@ def test_decode_whole_batch_in_one_solve(monkeypatch):
     solves = []
     monkeypatch.setattr(csa, "solve_batch",
                         lambda *args, **kw: solves.append(args) or solve_batch(*args, **kw))
-    got = gcsa_decode(FIELD, answers[1:], setup)
+    got = csa_decode(FIELD, answers[1:], setup)[0]  # the one result holds every entry
     assert len(solves) == 1
     for l, (a, b) in enumerate(zip(batch_a, batch_b)):
         assert np.array_equal(got[l], FIELD.matmul(a, b))
-        one = gcsa_decode(FIELD, [(s, y[l]) for s, y in answers[1:]], setup)[0]
+        one = csa_decode(FIELD, [(s, y[l]) for s, y in answers[1:]], setup)[0]
         assert one.tobytes() == got[l].tobytes()

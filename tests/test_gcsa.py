@@ -7,9 +7,7 @@ import pytest
 from csacode import csa, ep, harness
 from csacode.errors import ParameterError
 from csacode.ffield import PrimeField, poly_eval
-from csacode.gcsa import (gcsa_decode, gcsa_encode_a,
-                          gcsa_encode_b, gcsa_params, gcsa_threshold,
-                          grid_naive_threshold)
+from csacode.gcsa import gcsa_params, gcsa_threshold, grid_naive_threshold
 import reference
 from reference import naive_combo_threshold, psi_coeffs
 
@@ -19,8 +17,8 @@ FIELD = PrimeField(65537)
 def build_answers(field, params, aa, bb):
     answers = []
     for s in range(params.servers):
-        sa = gcsa_encode_a(field, aa, params, s)
-        sb = gcsa_encode_b(field, bb, params, s)
+        sa = csa.csa_encode_a(field, aa, params, s)
+        sb = csa.csa_encode_b(field, bb, params, s)
         answers.append((s, csa.csa_answer(field, sa, sb)))
     return answers
 
@@ -93,7 +91,7 @@ def test_encode_a_printed_display():
     f11, f12 = params.poles
     for s in (0, 7):
         alpha = params.samples[s]
-        share = gcsa_encode_a(FIELD, aa, params, s)[0]
+        share = csa.csa_encode_a(FIELD, aa, params, s)[0]
         want = np.zeros_like(share)
         for k, f in enumerate((f11, f12)):
             z = FIELD.sub(f, alpha)
@@ -111,7 +109,7 @@ def test_encode_b_printed_inner_polynomial():
     bb = [FIELD.rand_matrix(rng, 4, 2) for _ in range(2)]
     for s in (0, 3):
         alpha = params.samples[s]
-        share = gcsa_encode_b(FIELD, bb, params, s)[0]
+        share = csa.csa_encode_b(FIELD, bb, params, s)[0]
         want = np.zeros_like(share)
         for k in range(2):
             z = FIELD.sub(params.pole(0, k), alpha)
@@ -129,8 +127,8 @@ def test_answer_matches_rational_expansion():
     bb = [FIELD.rand_matrix(rng, 4, 4) for _ in range(2)]
     for s in (2, 9):
         alpha = params.samples[s]
-        y = csa.csa_answer(FIELD, gcsa_encode_a(FIELD, aa, params, s),
-                        gcsa_encode_b(FIELD, bb, params, s))
+        y = csa.csa_answer(FIELD, csa.csa_encode_a(FIELD, aa, params, s),
+                           csa.csa_encode_b(FIELD, bb, params, s))
         acc = np.zeros_like(y)
         rp = params.inner_order
         for k in range(2):
@@ -153,12 +151,13 @@ def test_reduction_to_csa_byte_equal():
     rng = np.random.default_rng(4)
     params_g = gcsa_params(FIELD, 2, 2, 1, 1, 1, 8)
     params_c = csa.csa_params(FIELD, 2, 2, 8)
+    assert params_g == params_c  # CSA is GCSA with p = m = n = 1
     aa = [FIELD.rand_matrix(rng, 3, 3) for _ in range(4)]
     bb = [FIELD.rand_matrix(rng, 3, 3) for _ in range(4)]
     answers = []
     for s in range(8):
-        ga = gcsa_encode_a(FIELD, aa, params_g, s)
-        gb = gcsa_encode_b(FIELD, bb, params_g, s)
+        ga = csa.csa_encode_a(FIELD, aa, params_g, s)
+        gb = csa.csa_encode_b(FIELD, bb, params_g, s)
         ca = csa.csa_encode_a(FIELD, aa, params_c, s)
         cb = csa.csa_encode_b(FIELD, bb, params_c, s)
         assert all(np.array_equal(x, y) for x, y in zip(ga, ca))
@@ -166,7 +165,7 @@ def test_reduction_to_csa_byte_equal():
         y = csa.csa_answer(FIELD, ga, gb)
         assert np.array_equal(y, csa.csa_answer(FIELD, ca, cb))
         answers.append((s, y))
-    got_g = gcsa_decode(FIELD, answers[:5], params_g)
+    got_g = csa.csa_decode(FIELD, answers[:5], params_g)
     got_c = csa.csa_decode(FIELD, answers[:5], params_c)
     assert all(np.array_equal(x, y) for x, y in zip(got_g, got_c))
 
@@ -182,8 +181,8 @@ def test_reduction_to_ep_at_shifted_points():
     rp = params.inner_order
     for s in range(12):
         z = FIELD.sub(params.poles[0], params.samples[s])
-        ga = gcsa_encode_a(FIELD, [a], params, s)[0]
-        gb = gcsa_encode_b(FIELD, [b], params, s)[0]
+        ga = csa.csa_encode_a(FIELD, [a], params, s)[0]
+        gb = csa.csa_encode_b(FIELD, [b], params, s)[0]
         assert np.array_equal(ga, reference.ep_encode_a(FIELD, a, epp, z))
         assert np.array_equal(FIELD.pow(z, rp) * gb % FIELD.q,
                               reference.ep_encode_b(FIELD, b, epp, z))
@@ -192,7 +191,7 @@ def test_reduction_to_ep_at_shifted_points():
                           reference.ep_encode_b(FIELD, b, epp, z))
         assert np.array_equal(FIELD.pow(z, rp) * gy % FIELD.q, ey)
     answers = build_answers(FIELD, params, [a], [b])
-    got = gcsa_decode(FIELD, answers, params)
+    got = csa.csa_decode(FIELD, answers, params)
     assert np.array_equal(got[0], FIELD.matmul(a, b))
 
 
@@ -208,7 +207,7 @@ def test_decode_block_grid_example():
     subsets = list(itertools.combinations(range(15), 12))
     for i in rng2.choice(len(subsets), size=40, replace=False):
         subset = subsets[int(i)]
-        got = gcsa_decode(FIELD, [answers[s] for s in subset], params)
+        got = csa.csa_decode(FIELD, [answers[s] for s in subset], params)
         assert all(np.array_equal(g, t) for g, t in zip(got, truth))
 
 
@@ -221,7 +220,7 @@ def test_decode_inner_sum_example():
     truth = harness.direct_products(FIELD, aa, bb)
     answers = build_answers(FIELD, params, aa, bb)
     for subset in itertools.combinations(range(9), 7):
-        got = gcsa_decode(FIELD, [answers[s] for s in subset], params)
+        got = csa.csa_decode(FIELD, [answers[s] for s in subset], params)
         assert all(np.array_equal(g, t) for g, t in zip(got, truth))
 
 
@@ -231,7 +230,7 @@ def test_divisibility_and_point_validation():
     params = gcsa_params(FIELD, 1, 1, 2, 2, 2, 12)
     rng = np.random.default_rng(9)
     with pytest.raises(ParameterError):
-        gcsa_encode_a(FIELD, [FIELD.rand_matrix(rng, 3, 3)], params, 0)
+        csa.csa_encode_a(FIELD, [FIELD.rand_matrix(rng, 3, 3)], params, 0)
 
 
 def test_cost_counters():
@@ -302,8 +301,8 @@ def test_all_server_encode_equals_per_server_and_polynomial(q, ell, kc, p, m, n)
     rng = np.random.default_rng(q % 1000 + ell + 3 * kc + 5 * m)
     batch_a = [field.rand_matrix(rng, 2 * m, 2 * p) for _ in range(ell * kc)]
     batch_b = [field.rand_matrix(rng, 2 * p, 3 * n) for _ in range(ell * kc)]
-    for encode, batch, side in ((gcsa_encode_a, batch_a, "a"),
-                                (gcsa_encode_b, batch_b, "b")):
+    for encode, batch, side in ((csa.csa_encode_a, batch_a, "a"),
+                                (csa.csa_encode_b, batch_b, "b")):
         shares = encode(field, batch, params, range(servers))
         assert len(shares) == servers
         for s, per_server in enumerate(shares):
@@ -319,10 +318,10 @@ def test_all_server_encode_equals_per_server_and_polynomial(q, ell, kc, p, m, n)
 def test_all_server_encode_rejects_bad_batches():
     params = gcsa_params(FIELD, 1, 2, 2, 3, 1, 20)
     with pytest.raises(ParameterError):  # 4 rows do not split into m = 3
-        gcsa_encode_a(FIELD, [np.ones((4, 2), dtype=np.int64)] * 2, params, range(20))
+        csa.csa_encode_a(FIELD, [np.ones((4, 2), dtype=np.int64)] * 2, params, range(20))
     with pytest.raises(ParameterError):
-        gcsa_encode_a(FIELD, [np.full((3, 2), 1.5)] * 2, params, range(20))
+        csa.csa_encode_a(FIELD, [np.full((3, 2), 1.5)] * 2, params, range(20))
     with pytest.raises(ParameterError):  # 3 rows do not split into p = 2
-        gcsa_encode_b(FIELD, [np.ones((3, 2), dtype=np.int64)] * 2, params, [0, 1])
+        csa.csa_encode_b(FIELD, [np.ones((3, 2), dtype=np.int64)] * 2, params, [0, 1])
     with pytest.raises(ParameterError):
-        gcsa_encode_b(FIELD, [np.ones((2, 2), dtype=bool)] * 2, params, [0, 1])
+        csa.csa_encode_b(FIELD, [np.ones((2, 2), dtype=bool)] * 2, params, [0, 1])

@@ -195,8 +195,10 @@ def _gcsa_setup():
 
 
 # The families of setups every scheme takes, and a setup of each family:
-# EP's setup is GCSA's with ell = kc = 1, so "gcsa" takes it too
-_FAMILY = {"ep": ("ep",), "csa": ("csa",), "csa-systematic": ("csa",), "gcsa": ("gcsa", "ep"),
+# EP's setup is GCSA's with ell = kc = 1 and CSA's GCSA's with p = m = n = 1,
+# so "gcsa" takes both
+_FAMILY = {"ep": ("ep",), "csa": ("csa",), "csa-systematic": ("csa",),
+           "gcsa": ("gcsa", "ep", "csa"),
            "ncsa": ("ncsa",), "lcc": ("ncsa",)}
 _FAMILY_SETUPS = {"ep": lambda: harness.ep_setup(FIELD, 2, 1, 1, 5), "csa": _csa_setup,
                   "gcsa": _gcsa_setup, "ncsa": lambda: ncsa.ncsa_params(FIELD, 3, 1, 2, 7)}
@@ -243,11 +245,35 @@ def test_ep_is_gcsa_with_one_group_of_one():
     assert dataclasses.replace(ep_round[1], scheme="gcsa") == gcsa_round[1]
 
 
-@pytest.mark.parametrize("scheme, systematic", [("csa", True), ("csa-systematic", False)])
-def test_csa_parameters_of_the_other_layout_are_refused(scheme, systematic):
-    setup = csa.csa_params(FIELD, 1, 2, 5, systematic=systematic)
+def test_csa_is_gcsa_with_no_partition():
+    # a CSA setup is GCSA's with p = m = n = 1, which "gcsa" runs to the
+    # same products and costs as "csa"
+    setup = _csa_setup()
+    assert setup == gcsa.gcsa_params(FIELD, 1, 2, 1, 1, 1, 5)
+    rng = np.random.default_rng(19)
+    aa, bb = ([FIELD.rand_matrix(rng, 2, 2) for _ in range(2)] for _ in range(2))
+    csa_round, gcsa_round = (harness.run_cdbmm(FIELD, scheme, setup, aa, bb,
+                                               harness.StragglerModel(count=4, seed=3))
+                             for scheme in ("csa", "gcsa"))
+    assert all(c.tobytes() == g.tobytes() for c, g in zip(csa_round[0], gcsa_round[0]))
+    assert dataclasses.replace(csa_round[1], scheme="gcsa") == gcsa_round[1]
+
+
+@pytest.mark.parametrize("scheme, make, why", [
+    ("csa", lambda: csa.csa_params(FIELD, 1, 2, 5, systematic=True), "systematic=False"),
+    ("csa-systematic", lambda: csa.csa_params(FIELD, 1, 2, 5), "systematic=True"),
+    ("csa", lambda: gcsa.gcsa_params(FIELD, 1, 2, 1, 2, 1, 8), "m=1"),
+    ("csa-systematic", lambda: gcsa.gcsa_params(FIELD, 1, 2, 2, 1, 1, 8), "p=1"),
+    ("ep", lambda: csa.csa_params(FIELD, 1, 1, 5, systematic=True), "systematic=False"),
+    ("gcsa", lambda: csa.csa_params(FIELD, 1, 2, 5, systematic=True), "systematic=False"),
+], ids=["csa-True", "csa-systematic-False", "csa-partitioned", "csa-systematic-partitioned",
+        "ep-systematic", "gcsa-systematic"])
+def test_csa_parameters_of_the_other_layout_are_refused(scheme, make, why):
+    # every matrix product's setup is CSAParams: a name refuses a field it
+    # neither takes nor fixes unless that field holds its default
+    setup = make()
     for call in (lambda: _cdbmm(scheme, setup), lambda: harness.theoretical_costs(scheme, setup)):
-        with pytest.raises(ParameterError, match=f"systematic={not systematic}"):
+        with pytest.raises(ParameterError, match=f"{scheme!r} takes parameters with {why}"):
             call()
 
 
@@ -382,7 +408,7 @@ _TIMED_GROUPS = {
     "cdbmm-q31": _CSA_GROUPS + _ROUND_GROUPS,
     # an X-secure encode is its own generator product, timed in ncsa.encode
     "secure-byzantine": ("structmat.rs_error_correct",) + _NCSA_GROUPS + _ROUND_GROUPS,
-    "small-mixed": ("gcsa.encode", "gcsa.decode") + _CSA_GROUPS + _NCSA_GROUPS + _ROUND_GROUPS,
+    "small-mixed": _CSA_GROUPS + _NCSA_GROUPS + _ROUND_GROUPS,
 }
 
 
@@ -461,14 +487,14 @@ def _entry_points(field: PrimeField) -> dict:
         "csa_encode_b": lambda b: csa.csa_encode_b(field, b, cparams, range(5)),
         "csa_encode_a-single": lambda b: csa.csa_encode_a(field, b, cparams, 3),
         "csa_encode_b-single": lambda b: csa.csa_encode_b(field, b, cparams, 3),
-        "gcsa_encode_a": lambda b: gcsa.gcsa_encode_a(field, b, gparams, range(8)),
-        "gcsa_encode_b": lambda b: gcsa.gcsa_encode_b(field, b, gparams, range(8)),
-        "gcsa_encode_a-single": lambda b: gcsa.gcsa_encode_a(field, b, gparams, 3),
-        "gcsa_encode_b-single": lambda b: gcsa.gcsa_encode_b(field, b, gparams, 3),
-        "gcsa_encode_a-ep": lambda b: gcsa.gcsa_encode_a(field, b, esetup, range(3)),
-        "gcsa_encode_b-ep": lambda b: gcsa.gcsa_encode_b(field, b, esetup, range(3)),
-        "gcsa_encode_a-ep-single": lambda b: gcsa.gcsa_encode_a(field, b, esetup, 2),
-        "gcsa_encode_b-ep-single": lambda b: gcsa.gcsa_encode_b(field, b, esetup, 2),
+        "csa_encode_a-gcsa": lambda b: csa.csa_encode_a(field, b, gparams, range(8)),
+        "csa_encode_b-gcsa": lambda b: csa.csa_encode_b(field, b, gparams, range(8)),
+        "csa_encode_a-gcsa-single": lambda b: csa.csa_encode_a(field, b, gparams, 3),
+        "csa_encode_b-gcsa-single": lambda b: csa.csa_encode_b(field, b, gparams, 3),
+        "csa_encode_a-ep": lambda b: csa.csa_encode_a(field, b, esetup, range(3)),
+        "csa_encode_b-ep": lambda b: csa.csa_encode_b(field, b, esetup, range(3)),
+        "csa_encode_a-ep-single": lambda b: csa.csa_encode_a(field, b, esetup, 2),
+        "csa_encode_b-ep-single": lambda b: csa.csa_encode_b(field, b, esetup, 2),
         "xs_encode": lambda b: ncsa.xs_encode(field, [b], xparams, range(6))[0],
         "xs_encode-single": lambda b: ncsa.xs_encode(field, [b, b], xparams, 4)[1],
         "csa_encode_a-systematic": lambda b: csa.csa_encode_a(field, b, sparams, range(5)),
@@ -668,11 +694,11 @@ def test_ep_round_decodes_with_one_solve(monkeypatch):
 
 def test_rounds_call_the_encoders_the_benchmark_times(monkeypatch):
     # perfbench times each family's encode through these public functions
-    # (its gcsa, csa and ncsa "encode" groups; EP runs as GCSA); a round that
-    # routed around them would read 0 ms there.  A patched name counts the
-    # calls made through its own module, not through another module's import.
-    encoders = {gcsa: ("gcsa_encode_a", "gcsa_encode_b"),
-                csa: ("csa_encode_a", "csa_encode_b"), ncsa: ("xs_encode",)}
+    # (its csa and ncsa "encode" groups; EP and GCSA run csa's encoders); a
+    # round that routed around them would read 0 ms there.  A patched name
+    # counts the calls made through its own module, not through another
+    # module's import.
+    encoders = {csa: ("csa_encode_a", "csa_encode_b"), ncsa: ("xs_encode",)}
     calls = collections.Counter()
     for module, names in encoders.items():
         for name in names:
@@ -696,9 +722,9 @@ def test_rounds_call_the_encoders_the_benchmark_times(monkeypatch):
 
     rounds = [
         (lambda: cdbmm("ep", harness.ep_setup(FIELD, 2, 2, 2, 10)),
-         {"gcsa_encode_a": 1, "gcsa_encode_b": 1}),
+         {"csa_encode_a": 1, "csa_encode_b": 1}),
         (lambda: cdbmm("gcsa", gcsa.gcsa_params(FIELD, 1, 2, 2, 2, 2, 26)),
-         {"gcsa_encode_a": 1, "gcsa_encode_b": 1}),
+         {"csa_encode_a": 1, "csa_encode_b": 1}),
         (lambda: cdbmm("csa", csa.csa_params(FIELD, 1, 2, 5)),
          {"csa_encode_a": 1, "csa_encode_b": 1}),
         (lambda: cdbmm("csa-systematic", csa.csa_params(FIELD, 1, 2, 5, systematic=True)),
@@ -717,13 +743,14 @@ def test_rounds_call_the_encoders_the_benchmark_times(monkeypatch):
 # Labels of perfbench/tracer.py's GROUPS whose functions were merged into
 # others; the tracer finds nothing under them.  The systematic layout's
 # five entry points are now the CSA encoder, answer and decoder (and
-# ncsa_answer) on parameters that carry the layout, and EP runs as GCSA
-# with ell = kc = 1 (the GCSA encoders and decoder, csa_answer).
+# ncsa_answer) on parameters that carry the layout, and EP and GCSA are one
+# code with CSA (csa's encoders, answer and decoder).
 _GONE_GROUP_LABELS = {"gcsa.gcsa_answer", "ncsa.ncsa_encode", "ncsa.ncsa_systematic_decode",
                       "csa.systematic_encode", "csa.systematic_answer",
                       "csa.systematic_decode", "ncsa.ncsa_systematic_encode",
                       "ncsa.ncsa_systematic_answer", "ep.ep_encode_a", "ep.ep_encode_b",
-                      "ep.ep_answer", "ep.ep_decode"}
+                      "ep.ep_answer", "ep.ep_decode", "gcsa.gcsa_encode_a",
+                      "gcsa.gcsa_encode_b", "gcsa.gcsa_decode"}
 
 
 def test_benchmark_group_labels_resolve(monkeypatch):
@@ -745,10 +772,10 @@ def test_benchmark_group_labels_resolve(monkeypatch):
         if not (inspect.isfunction(obj) and obj.__module__ == f"csacode.{module}"):
             unresolved.add(label)
     assert unresolved == _GONE_GROUP_LABELS
-    # gcsa answers run csa_answer, so they are timed in csa.answer; EP
-    # rounds are timed in gcsa.encode, csa.answer and gcsa.decode
-    assert [g for g, labels in tracer.GROUPS.items()
-            if set(labels) <= unresolved] == ["ep.encode", "ep.answer", "ep.decode", "gcsa.answer"]
+    # EP and GCSA rounds run csa's encoders, answer and decoder, so they are
+    # timed in csa.encode, csa.answer and csa.decode
+    assert [g for g, labels in tracer.GROUPS.items() if set(labels) <= unresolved] == [
+        "ep.encode", "ep.answer", "ep.decode", "gcsa.encode", "gcsa.answer", "gcsa.decode"]
 
 
 # ---- the round arena ----
@@ -999,10 +1026,10 @@ def _answer_cases(field):
         ("csa", *cdbmm(csa.csa_answer, csa.csa_encode_a, csa.csa_encode_b,
                        csa.csa_params(field, 2, 2, 9), range(9), (16, 8, 16),
                        [[0, 2, 3, 5, 7, 8]])),
-        ("gcsa", *cdbmm(csa.csa_answer, gcsa.gcsa_encode_a, gcsa.gcsa_encode_b,
+        ("gcsa", *cdbmm(csa.csa_answer, csa.csa_encode_a, csa.csa_encode_b,
                         gcsa.gcsa_params(field, 1, 2, 2, 1, 1, 9), range(9), (8, 4, 6),
                         [[1, 2, 3, 4, 5, 6, 8]])),
-        ("ep", *cdbmm(csa.csa_answer, gcsa.gcsa_encode_a, gcsa.gcsa_encode_b, ep_setup,
+        ("ep", *cdbmm(csa.csa_answer, csa.csa_encode_a, csa.csa_encode_b, ep_setup,
                       range(9), (8, 4, 6), [[0, 1, 4, 5, 6, 8]])),
         ("csa-systematic", *cdbmm(csa.csa_answer, csa.csa_encode_a, csa.csa_encode_b,
                                   csa.csa_params(field, 2, 2, 7, systematic=True),

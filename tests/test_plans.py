@@ -29,12 +29,12 @@ _DIMS = (4, 4, 2)  # rows, inner, cols of every entry: divisible by each grid
 def _cases():
     """(id, the decoder the harness calls, setup maker, responsive servers,
     forgers); every decoder's plan is ``csa._plan``."""
-    cases = [("ep", "gcsa_decode", lambda f: harness.ep_setup(f, 2, 2, 1, 6), None, ()),
+    cases = [("ep", "csa_decode", lambda f: harness.ep_setup(f, 2, 2, 1, 6), None, ()),
              ("csa", "csa_decode", lambda f: csa.csa_params(f, 2, 2, 7), None, ()),
              # raw 0, 2, 3 and coded 5, 6: the plan also holds the known columns
              ("csa-systematic", "csa_decode",
               lambda f: csa.csa_params(f, 2, 2, 7, systematic=True), (0, 2, 3, 5, 6), ()),
-             ("gcsa", "gcsa_decode",
+             ("gcsa", "csa_decode",
               lambda f: gcsa.gcsa_params(f, 1, 2, 2, 1, 1, 8), None, ())]
     for x in (0, 1, 2):
         for b in (0, 1):
@@ -47,10 +47,11 @@ def _cases():
 
 def _round(monkeypatch, field, case):
     """One harness round of ``case``; returns (decode, the answers and
-    params it was called with, the oracle's results)."""
+    params it was called with, the oracle's results as the decoder returns
+    them: EP's one result holds every entry)."""
     name, decoder, make, responsive, forgers = case
     setup = make(field)
-    module = {"xsb_decode": ncsa, "csa_decode": csa, "gcsa_decode": gcsa}[decoder]
+    module = {"xsb_decode": ncsa, "csa_decode": csa}[decoder]
     decode, seen = getattr(module, decoder), []
     monkeypatch.setattr(module, decoder, lambda f, answers, params: seen.append(
         ([(s, np.array(y)) for s, y in answers], params)) or decode(f, answers, params))
@@ -72,6 +73,7 @@ def _round(monkeypatch, field, case):
         bb = [field.rand_matrix(rng, inner, cols) for _ in range(entries)]
         harness.run_cdbmm(field, name, setup, aa, bb, straggler)
         truth = harness.direct_products(field, aa, bb)
+        truth = [np.stack(truth)] if name == "ep" else truth
     monkeypatch.undo()
     [(answers, params)] = seen
     return decode, answers, params, truth
@@ -181,9 +183,9 @@ def _encoders():
     def ep_maker(field):  # GCSA's weights, each of the 3 entries encoded alone
         setup = harness.ep_setup(field, 2, 2, 1, 6)
         aa, bb = batches(field, 3)
-        return lambda: [gcsa.gcsa_encode_a(field, aa, setup, range(6)),
-                        gcsa.gcsa_encode_b(field, bb, setup, range(6)),
-                        gcsa.gcsa_encode_a(field, aa, setup, 5)]
+        return lambda: [csa.csa_encode_a(field, aa, setup, range(6)),
+                        csa.csa_encode_b(field, bb, setup, range(6)),
+                        csa.csa_encode_a(field, aa, setup, 5)]
 
     def ncsa_maker(x):
         def maker(field):
@@ -199,7 +201,7 @@ def _encoders():
              ("csa-systematic", {"csa._weights"}, cauchy(
                  csa.csa_encode_a, csa.csa_encode_b,
                  lambda f: csa.csa_params(f, 2, 2, 7, systematic=True))),
-             ("gcsa", {"csa._weights"}, cauchy(gcsa.gcsa_encode_a, gcsa.gcsa_encode_b,
+             ("gcsa", {"csa._weights"}, cauchy(csa.csa_encode_a, csa.csa_encode_b,
                                                 lambda f: gcsa.gcsa_params(f, 1, 2, 2, 1, 1, 8)))]
     # an N-CSA code's data and noise weights are one plan, for every X
     return cases + [(f"ncsa-x{x}", {"ncsa._weights"}, ncsa_maker(x)) for x in (0, 1, 2)]
