@@ -120,20 +120,6 @@ def _cross(o, a, b) -> Fraction:
     return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
 
 
-def min_max_cost(family: str, servers: int, r_max: int,
-                 pmn_bound: Optional[int] = None):
-    """Minimum over the family of max(U, D), with a witness tuple."""
-    best = None
-    best_w = None
-    for u, d, w in enumerate_costs(family, servers, r_max, pmn_bound):
-        cost = max(u, d)
-        if best is None or cost < best or (cost == best and _witness_key(w) < _witness_key(best_w)):
-            best, best_w = cost, w
-    if best is None:
-        raise ParameterError("empty feasible set")
-    return best, best_w
-
-
 # ---- latency under a per-server computation budget ----
 
 

@@ -325,7 +325,7 @@ def csa_decode(field: PrimeField, answers, params: CSAParams) -> list[np.ndarray
     or of an N-CSA code without Byzantine servers (X-security's noise lies
     in the Vandermonde tail).
 
-    ``answers`` is an iterable of (server_index, Y) pairs, 0-based indices.
+    ``answers`` is an iterable of (0-based int index, integer array) pairs.
     In a systematic layout a raw server's answer is its own result: it is
     read off and removed from the coded answers through its own Cauchy
     column of ``_decode_matrix``, the exact coefficient it carries there.
@@ -478,10 +478,15 @@ def _batch_entries(field: PrimeField, batch, size=None, matrices=False) -> list:
     return arrays if len(dtypes) == 1 else [field.residues(x) for x in arrays]
 
 
-
 def _take_answers(answers, r: int, servers: int):
+    """The first ``r`` (server, answer) pairs of distinct servers: an index by
+    ``ffield._integer``'s rule, an answer an integer numpy array."""
     taken = {}  # server -> answer, in answer order
     for s, y in answers:
+        if type(s) is not int:  # the common case skips the full rule
+            s = _integer(s, "a server index")
+        if not isinstance(y, np.ndarray) or y.dtype.kind not in "iu":
+            raise ParameterError(f"the answer of server {s} must be an integer array")
         if not 0 <= s < servers:
             raise ParameterError(f"server index {s} out of range")
         if s in taken:

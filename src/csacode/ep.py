@@ -35,11 +35,6 @@ class EPParams:
             raise ParameterError("partition parameters must be positive")
 
 
-def ep_threshold(params: EPParams) -> int:
-    """Recovery threshold pmn + p - 1."""
-    return params.p * params.m * params.n + params.p - 1
-
-
 def a_exponent(params: EPParams, mi: int, pi: int) -> int:
     """Power of the evaluation point carried by A block (mi, pi), 0-based."""
     return pi + params.p * mi

@@ -12,7 +12,7 @@ p = m = n = 1), and its rounds run csa's encoders, answer and decoder.
 Weight (s, l; k, block) is d^e times prod_{k' != k} d_{k'}^R' on the A side
 and 1/d^R' on the B side, d = f_{l,k} - alpha_s and e the block's EP
 exponent.  EP is the case ell = kc = 1 (``harness.ep_setup``).  This module
-keeps GCSA's builder, costs and the naive two-layer threshold.
+keeps GCSA's builder and costs.
 """
 
 from __future__ import annotations
@@ -33,17 +33,6 @@ def _gcsa_costs(ell: int, kc: int, p: int, m: int, n: int, servers: int):
     r = gcsa_threshold(ell, kc, p, m, n)
     return (r, (Fraction(servers, kc * p * m), Fraction(servers, kc * p * n)),
             Fraction(r, m * n * ell * kc))
-
-
-def grid_naive_threshold(s_outer: int, r_outer: int, s_inner: int, r_inner: int) -> int:
-    """Worst-case threshold of the column-wise two-layer composition.
-
-    Each of the s_outer partitioned sub-tasks is farmed out to its own group
-    of s_inner servers; recovery needs r_outer groups with r_inner responses.
-    The adversary wastes whole groups first, then stalls the rest just below
-    their local threshold.
-    """
-    return (r_outer - 1) * s_inner + (s_outer - r_outer + 1) * (r_inner - 1) + 1
 
 
 def gcsa_params(field: PrimeField, ell: int, kc: int, p: int, m: int, n: int,

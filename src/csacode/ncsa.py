@@ -11,7 +11,7 @@ layout.  Lagrange coded computing (LCC) is ell = 1, kc = L, threshold
 N(L - 1) + 1.  X-secure shares add X uniform noise blocks a group, keyed
 (var, l, x), on the generator's Vandermonde terms, so any X servers learn
 nothing; all of a round's variables are encoded by one product per group.
-Error correction locates B forged answers.
+Up to B forged answers are located from the answers' syndromes at once.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from .csa import (_answer_rows, _batch_entries, _cauchy_weights, _generator_enco
                   _plan_cache, _raw, _read_only, _server_list, _take_answers, cauchy_points,
                   csa_decode)
 from .errors import DecodingFailureError, ParameterError
-from .ffield import PrimeField, _integer
+from .ffield import PrimeField, _integer, poly_eval
 # perfbench/tracer.py requires ncsa.solve_batch, so it stays importable here.
 from .structmat import _determinants, _powers, rs_error_correct, solve_batch  # noqa: F401
 
@@ -385,47 +385,56 @@ def ncsa_decode(field: PrimeField, answers, params: NCSAParams) -> list[np.ndarr
 def xsb_decode(field: PrimeField, answers, params: NCSAParams):
     """Decode under X-security and up to B forged answers.
 
-    Three stages: scale each answer by the full pole product at its sample
-    (turning clean answers into evaluations of one polynomial of degree
-    < width = R - 2B per entry), locate the forged answers, then drop the
-    flagged servers and solve the reduced Cauchy-Vandermonde system.
-    Returns (evaluations, flagged server indices).
-
-    The clean answers form one interleaved Reed-Solomon codeword whose
+    Returns (evaluations, flagged server indices).  Scaled by the full pole
+    product P(alpha) = prod_f (f - alpha), the R taken answers are one
+    interleaved Reed-Solomon codeword of dimension width = R - 2B, whose
     entries share their error positions (Bleichenbacher, Kiayias and Yung,
-    ICALP 2003), so the locator runs once: ``rs_error_correct`` on a fixed
-    seeded projection of the entries gives a row set E, and one batched
-    product checks that every row outside E lies on a polynomial of degree
-    < width in every entry.  If the locator fails or the check does, the
-    per-entry Berlekamp-Welch loop decides, result or exception.
+    ICALP 2003): the forgers are located once, then the CSA decoder runs.
+
+    Syndromes: as sum_i v_i g(alpha_i) = 0 for every g of degree <= R - 2,
+    with the dual multipliers v_i = 1/prod_{k != i}(alpha_i - alpha_k), one
+    product with the plan ``_parity_checks``, (j, i) = v_i P(alpha_i)
+    alpha_i^j for j < 2B, gives each entry's syndromes S_j = sum_i v_i e_i
+    alpha_i^j, those of its error e alone.  Locator: ``_error_locator``
+    runs Berlekamp-Massey on a fixed seeded projection of them.  If the
+    shortest recurrence has length L <= B and its characteristic polynomial
+    has L roots among the taken alphas, E is the rows at them: the projected
+    syndromes are those of an error on E, nonzero on every row of E (else a
+    shorter recurrence exists), so the projected column lies within L of
+    the one codeword within B, and ``rs_error_correct`` flags E on it; its
+    success in turn gives such a recurrence.  Check: every entry's
+    syndromes obey the recurrence (one banded product), exactly when its
+    rows outside E lie on one polynomial of degree < width.  If the locator
+    or the check fails, the per-entry Berlekamp-Welch loop decides, result
+    or exception.
 
     The fast path returns what that loop would.  The locator flags at most
     B rows, so the rows outside E number at least width + B.  Once they lie
     on a polynomial P_c of degree < width in every entry c, each entry has
     at most B rows off P_c, and P_c is its only codeword within distance B
     (two such codewords would agree on width rows).  So the loop decodes
-    entry c to P_c and flags the rows of E where entry c is off P_c.  The
-    locator decoded the projection to sum_c w_c P_c by the same uniqueness,
-    so every row of E is off that sum and hence off some P_c.  The loop
-    therefore flags exactly E, whether or not the forgers stayed within
-    the budget, and decodes from the same clean rows.
+    entry c to P_c and flags the rows of E where entry c is off P_c.  Every
+    row of E is off the projection sum_c w_c P_c, hence off some P_c.  The
+    loop therefore flags exactly E, whether or not the forgers stayed
+    within the budget, and decodes from the same clean rows.
     """
-    r = params.threshold
-    b = params.byzantine
+    r, b = params.threshold, params.byzantine
     answers = _take_answers(answers, r, params.servers)
-    alphas = [params.samples[s] for s, _ in answers]
-    width = r - 2 * b
     flagged_rows: set[int] = set()
     if b > 0:
-        weights = _pole_products(field, params.code)[[s for s, _ in answers]]
-        scaled = _answer_rows([y for _, y in answers]) * weights[:, None] % field.q
-        located = _locate_rows(field, alphas, scaled, width, b)
-        if located is not None:
-            flagged_rows = located
+        listed = [s for s, _ in answers]
+        alphas = [params.samples[s] for s in listed]
+        rows = field.residues(_answer_rows([y for _, y in answers]))
+        syndromes = field.matmul(_parity_checks(field, params.code, tuple(listed)), rows)
+        located = _error_locator(field, alphas, field.matmul(
+            syndromes, _projection_weights(field, rows.shape[1])).tolist())
+        if located is not None and not field.matmul(located[1], syndromes).any():
+            flagged_rows = set(located[0])
         else:  # the per-entry loop decides, result or exception
+            scaled = rows * _pole_products(field, params.code)[listed, None] % field.q
             for col in range(scaled.shape[1]):
                 _, positions = rs_error_correct(field, alphas, scaled[:, col].tolist(),
-                                                degree_bound=width, max_errors=b)
+                                                degree_bound=r - 2 * b, max_errors=b)
                 flagged_rows.update(positions)
             if len(flagged_rows) > b:
                 raise DecodingFailureError("corruptions exceed the Byzantine budget")
@@ -443,42 +452,48 @@ def _pole_products(field: PrimeField, params: NCSAParams) -> np.ndarray:
 
 
 @_plan_cache
+def _parity_checks(field: PrimeField, params: NCSAParams, listed: tuple) -> np.ndarray:
+    """``xsb_decode``'s plan, (2B x listed) for the ``listed`` servers in answer
+    order, 2B their count past the B = 0 threshold: entry (j, i) is the dual
+    multiplier v_i times the pole product P(alpha_i) times alpha_i^j."""
+    alphas = [params.samples[s] for s in listed]
+    duals = field.batch_inv([math.prod(a - x for x in alphas if x != a) for a in alphas])
+    scale = np.array(duals, dtype=np.int64) * _pole_products(field, params)[list(listed)]
+    powers = _powers(field, alphas, len(listed) - params.threshold)
+    return _read_only(np.ascontiguousarray(powers.T * (scale % field.q) % field.q))
+
+
+@_plan_cache
 def _projection_weights(field: PrimeField, cols: int) -> np.ndarray:
     """The fixed seeded weights in [1, q) that project ``cols`` answer
     entries onto the one column ``xsb_decode`` locates forgers in."""
     return _read_only(np.random.default_rng(20031).integers(1, field.q, size=cols, dtype=np.int64))
 
 
-def _locate_rows(field: PrimeField, alphas, scaled: np.ndarray, width: int,
-                 b: int) -> Optional[set[int]]:
-    """The rows of ``scaled`` off a degree < width codeword in every column,
-    found with one Reed-Solomon decode of a projected column, or None when
-    that decode fails or some column disagrees with its result."""
-    column = field.matmul(scaled, _projection_weights(field, scaled.shape[1]))
-    try:
-        _, positions = rs_error_correct(field, alphas, column.tolist(),
-                                        degree_bound=width, max_errors=b)
-    except DecodingFailureError:
-        return None
-    clean = [i for i in range(len(alphas)) if i not in positions]
-    nodes, rest = clean[:width], clean[width:]
-    lagrange = _lagrange_matrix(field, [alphas[i] for i in nodes],
-                                [alphas[i] for i in rest])
-    if not np.array_equal(field.matmul(lagrange, scaled[nodes]), scaled[rest]):
-        return None
-    return set(positions)
-
-
-def _lagrange_matrix(field: PrimeField, nodes, points) -> np.ndarray:
-    """(points x nodes) values of the Lagrange basis of ``nodes``: entry (j, i)
-    is the i-th basis polynomial at points[j], so the matrix maps values at
-    the nodes to values of their interpolant at the points.  The
-    denominators take one batched inversion."""
+def _error_locator(field: PrimeField, alphas, syndromes: list) -> Optional[tuple]:
+    """Berlekamp-Massey on the 2B ``syndromes`` (Python ints) gives the
+    shortest recurrence s_n = -sum_k c_k s_(n-k), c = [1, c_1, ..., c_L]:
+    the rows whose alphas are roots of sum_k c_k x^(L-k), and the (2B - L)
+    x 2B band whose row j holds c_L, ..., c_0 from column j (times the
+    syndromes, their residuals); None when L > B or fewer than L roots."""
     q = field.q
-
-    def numerator(x: int, i: int) -> int:  # prod_{j != i} (x - nodes[j])
-        return math.prod(x - node for j, node in enumerate(nodes) if j != i) % q
-
-    inv = field.batch_inv([numerator(a, i) for i, a in enumerate(nodes)])
-    rows = [[numerator(x, i) * c % q for i, c in enumerate(inv)] for x in points]
-    return np.array(rows, dtype=np.int64).reshape(len(points), len(nodes))
+    c, prev, length, shift, last = [1], [1], 0, 1, 1
+    for n in range(len(syndromes)):
+        d = sum(ci * syndromes[n - i] for i, ci in enumerate(c)) % q
+        if not d:
+            shift += 1
+            continue
+        coef, new = d * field.inv(last) % q, c + [0] * (len(prev) + shift - len(c))
+        for i, p in enumerate(prev):
+            new[i + shift] = (new[i + shift] - coef * p) % q
+        if 2 * length <= n:
+            prev, last, length, shift = c, d, n + 1 - length, 1
+        else:
+            shift += 1
+        c = (new + [0] * length)[:length + 1]  # no term past x^L is nonzero
+    rows = [i for i, a in enumerate(alphas) if not poly_eval(field, c[::-1], a)]
+    if 2 * length > len(syndromes) or len(rows) != length:
+        return None
+    checks = len(syndromes) - length
+    return rows, np.array([[0] * j + c[::-1] + [0] * (checks - 1 - j) for j in range(checks)],
+                          dtype=np.int64)

@@ -15,7 +15,13 @@ library code calls them:
   ell = kc = 1, whose shares and answers are these at z = f - alpha (the B
   side and the answer divided by z^pmn);
 - ``check_multilinear``: a random linearity probe of an N-linear map;
-- ``naive_combo_threshold``: the threshold GCSA is compared against;
+- ``naive_combo_threshold`` and ``grid_naive_threshold``: the thresholds
+  GCSA is compared against;
+- ``ep_threshold``: EP's recovery threshold pmn + p - 1, which
+  ``csa.gcsa_threshold`` must equal at ell = kc = 1;
+- ``min_max_cost``: the least max(U, D) of a family's enumerated costs;
+- ``lagrange_matrix``: the Lagrange basis of some nodes at some points,
+  behind ``lcc_encode`` / ``lcc_decode``;
 - ``latency_upper_scan``: GCSA's latency point by a scan of every square
   partition size up to about (K eta / 2)^(1/3), which
   ``analysis.gcsa_latency_upper`` must equal;
@@ -53,13 +59,29 @@ import struct
 
 import numpy as np
 
-from csacode.ep import EPParams, a_exponent, b_exponent, desired_coeff_index, ep_threshold
+from csacode.analysis import _witness_key, enumerate_costs
+from csacode.ep import EPParams, a_exponent, b_exponent, desired_coeff_index
 from csacode.errors import InsufficientAnswersError, ParameterError
 from csacode.ffield import PrimeField, poly_divmod, poly_eval, poly_trim
-from csacode.ncsa import NLinearMap, _lagrange_matrix, lcc_threshold
+from csacode.ncsa import NLinearMap, lcc_threshold
 from csacode.structmat import CVSpec
 
 # ---- Lagrange coded computing ----
+
+
+def lagrange_matrix(field: PrimeField, nodes, points) -> np.ndarray:
+    """(points x nodes) values of the Lagrange basis of ``nodes``: entry (j, i)
+    is the i-th basis polynomial at points[j], so the matrix maps values at
+    the nodes to values of their interpolant at the points.  The
+    denominators take one batched inversion."""
+    q = field.q
+
+    def numerator(x: int, i: int) -> int:  # prod_{j != i} (x - nodes[j])
+        return math.prod(x - node for j, node in enumerate(nodes) if j != i) % q
+
+    inv = field.batch_inv([numerator(a, i) for i, a in enumerate(nodes)])
+    rows = [[numerator(x, i) * c % q for i, c in enumerate(inv)] for x in points]
+    return np.array(rows, dtype=np.int64).reshape(len(points), len(nodes))
 
 
 def lcc_encode(field: PrimeField, batch, betas, alpha: int) -> np.ndarray:
@@ -68,7 +90,7 @@ def lcc_encode(field: PrimeField, batch, betas, alpha: int) -> np.ndarray:
     alpha %= field.q
     if len(set(betas)) != len(betas):
         raise ParameterError("anchor points must be pairwise distinct")
-    weights = _lagrange_matrix(field, betas, [alpha])[0]
+    weights = lagrange_matrix(field, betas, [alpha])[0]
     acc = np.zeros_like(batch[0])
     for w, x in zip(weights, batch):
         acc = (acc + int(w) * x) % field.q
@@ -88,7 +110,7 @@ def lcc_decode(field: PrimeField, answers, betas, arity: int) -> list[np.ndarray
     if len(set(alphas)) != len(alphas):
         raise ParameterError("duplicate evaluation points in answers")
     out = []
-    for weights in _lagrange_matrix(field, alphas, betas):
+    for weights in lagrange_matrix(field, alphas, betas):
         acc = np.zeros_like(answers[0][1])
         for w, (_, y) in zip(weights, answers):
             acc = (acc + int(w) * y) % field.q
@@ -261,6 +283,35 @@ def _as2d(shape):
     if len(shape) == 1:
         return (shape[0], 1)
     return shape
+
+
+def ep_threshold(params: EPParams) -> int:
+    """Recovery threshold pmn + p - 1."""
+    return params.p * params.m * params.n + params.p - 1
+
+
+def grid_naive_threshold(s_outer: int, r_outer: int, s_inner: int, r_inner: int) -> int:
+    """Worst-case threshold of the column-wise two-layer composition.
+
+    Each of the s_outer partitioned sub-tasks is farmed out to its own group
+    of s_inner servers; recovery needs r_outer groups with r_inner responses.
+    The adversary wastes whole groups first, then stalls the rest just below
+    their local threshold.
+    """
+    return (r_outer - 1) * s_inner + (s_outer - r_outer + 1) * (r_inner - 1) + 1
+
+
+def min_max_cost(family: str, servers: int, r_max: int, pmn_bound=None):
+    """Minimum over the family of max(U, D), with a witness tuple."""
+    best = None
+    best_w = None
+    for u, d, w in enumerate_costs(family, servers, r_max, pmn_bound):
+        cost = max(u, d)
+        if best is None or cost < best or (cost == best and _witness_key(w) < _witness_key(best_w)):
+            best, best_w = cost, w
+    if best is None:
+        raise ParameterError("empty feasible set")
+    return best, best_w
 
 
 def naive_combo_threshold(ell: int, kc: int, servers_inner: int) -> int:

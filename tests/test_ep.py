@@ -14,11 +14,11 @@ import pytest
 
 from csacode import csa, gcsa, harness
 from csacode.csa import csa_answer, csa_decode, csa_encode_a, csa_encode_b
-from csacode.ep import EPParams, desired_coeff_index, ep_threshold
+from csacode.ep import EPParams, desired_coeff_index
 from csacode.errors import InsufficientAnswersError, ParameterError
 from csacode.ffield import PrimeField
 from csacode.structmat import solve_batch
-from reference import (answer_coefficients, ep_decode, ep_encode_a, ep_encode_b,
+from reference import (answer_coefficients, ep_decode, ep_encode_a, ep_encode_b, ep_threshold,
                        split_blocks)
 
 FIELD = PrimeField(65537)

@@ -7,9 +7,9 @@ import pytest
 from csacode import csa, ep, harness
 from csacode.errors import ParameterError
 from csacode.ffield import PrimeField, poly_eval
-from csacode.gcsa import gcsa_params, gcsa_threshold, grid_naive_threshold
+from csacode.gcsa import gcsa_params, gcsa_threshold
 import reference
-from reference import naive_combo_threshold, psi_coeffs
+from reference import grid_naive_threshold, naive_combo_threshold, psi_coeffs
 
 FIELD = PrimeField(65537)
 

@@ -407,7 +407,7 @@ _TIMED_GROUPS = {
     "cdbmm-large": _CSA_GROUPS + _ROUND_GROUPS,
     "cdbmm-q31": _CSA_GROUPS + _ROUND_GROUPS,
     # an X-secure encode is its own generator product, timed in ncsa.encode
-    "secure-byzantine": ("structmat.rs_error_correct",) + _NCSA_GROUPS + _ROUND_GROUPS,
+    "secure-byzantine": _NCSA_GROUPS + _ROUND_GROUPS,
     "small-mixed": _CSA_GROUPS + _NCSA_GROUPS + _ROUND_GROUPS,
 }
 

@@ -791,8 +791,9 @@ def _outcome(decode, *args):
 
 @pytest.fixture
 def locator_calls(monkeypatch):
-    """Calls of ncsa's rs_error_correct: one on the fast path, one plus one
-    per answer entry when the per-entry loop decides."""
+    """Calls of ncsa's rs_error_correct: none on the syndrome fast path, one
+    per answer entry when the per-entry loop decides (up to the entry where
+    it raises)."""
     calls = []
 
     def counted(*args, **kwargs):
@@ -821,7 +822,7 @@ def test_xsb_locator_one_forged_entry(locator_calls):
     used = [answers[s] for s in (1, 2, 3, 5, 6, 8, 9)]
     tampered = _forge(used, 3, [4], [1], FIELD.q)
     evals, flagged = xsb_decode(FIELD, tampered, params)
-    assert len(locator_calls) == 1
+    assert len(locator_calls) == 0
     assert flagged == [3]
     assert all(np.array_equal(e, t) for e, t in zip(evals, truth))
     assert _outcome(xsb_decode, FIELD, tampered, params) == \
@@ -834,7 +835,7 @@ def test_xsb_locator_one_forged_entry_on_each_of_two_servers(locator_calls):
     used = [answers[s] for s in range(1, 10)]
     tampered = _forge(_forge(used, 2, [0], [5], FIELD.q), 6, [5], [65536], FIELD.q)
     evals, flagged = xsb_decode(FIELD, tampered, params)
-    assert len(locator_calls) == 1
+    assert len(locator_calls) == 0
     assert flagged == [2, 6]
     assert all(np.array_equal(e, t) for e, t in zip(evals, truth))
     assert _outcome(xsb_decode, FIELD, tampered, params) == \
@@ -852,7 +853,7 @@ def test_xsb_forgery_cancelling_under_the_projection_takes_the_fallback(
     tampered = _forge(used, 4, [1, 3], [int(w[3]), FIELD.q - int(w[1])], FIELD.q)
     assert (int(w[1]) * int(w[3]) - int(w[3]) * int(w[1])) % FIELD.q == 0
     evals, flagged = xsb_decode(FIELD, tampered, params)
-    assert len(locator_calls) == 1 + entries
+    assert len(locator_calls) == entries
     assert flagged == [4]
     assert all(np.array_equal(e, t) for e, t in zip(evals, truth))
     assert _outcome(xsb_decode, FIELD, tampered, params) == \
@@ -866,7 +867,7 @@ def test_xsb_locator_over_budget_still_raises(locator_calls):
                       [1, 2], FIELD.q)
     with pytest.raises(DecodingFailureError):
         xsb_decode(FIELD, tampered, params)
-    assert len(locator_calls) > 1
+    assert len(locator_calls) >= 1  # the per-entry loop raised
     with pytest.raises(DecodingFailureError):
         _per_entry_decode(FIELD, tampered, params)
 
@@ -900,12 +901,68 @@ def test_xsb_locator_matches_per_entry_decoding_sweep(q, monkeypatch):
             used = _forge(used, s, entries, rng.integers(1, q, size=len(entries)), q)
         del calls[:]
         got = _outcome(xsb_decode, field, used, params)
-        paths["fast" if len(calls) == 1 else "fallback"] += 1
+        paths["fallback" if calls else "fast"] += 1
         assert got == _outcome(_per_entry_decode, field, used, params)
         if len(forgers) <= b:
             assert got[1] == sorted(int(s) for s in forgers)
             assert got[0] == [t.tobytes() for t in truth]
     assert paths["fast"] and paths["fallback"]
+
+
+def _locator_case(field, rng, b, forged, entries, cancel=False):
+    """(located rows or None, rs_error_correct's rows or None) on one drawn
+    round: R answers of a random responsive order whose scaled entries lie
+    on polynomials of degree < width, ``forged`` rows off them, and the
+    locator on the plan's projected syndromes against Berlekamp-Welch on
+    the same projected column.  ``cancel`` forges one row by offsets the
+    projection cancels."""
+    q = field.q
+    ell, kc, x = [(1, 1, 0), (1, 1, 1), (1, 2, 1)][int(rng.integers(3))]
+    r = xsb_threshold(2, ell, kc, x, b)
+    servers = int(rng.integers(r, min(r + 3, q - ell * kc) + 1))
+    params = ncsa_params(field, 2, ell, kc, servers, x_secure=x, byzantine=b)
+    listed = tuple(int(s) for s in rng.permutation(servers)[:r])
+    alphas = [params.samples[s] for s in listed]
+    width = r - 2 * b
+    coeffs = rng.integers(0, q, size=(width, entries)) * int(rng.integers(2))  # or zero
+    scaled = np.array([[sum(int(c) * pow(a, j, q) for j, c in enumerate(coeffs[:, e])) % q
+                        for e in range(entries)] for a in alphas], dtype=np.int64)
+    w = ncsa._projection_weights(field, entries)
+    for i in rng.choice(r, size=min(forged, r), replace=False):
+        scaled[i] = (scaled[i] + rng.integers(1, q, size=entries)) % q
+    if cancel:  # w . d = 0: the projected column shows no error at all
+        i = int(rng.integers(r))
+        scaled[i, :2] = (scaled[i, :2] + [int(w[1]), q - int(w[0])]) % q
+    poles = [math.prod(f - a for f in params.poles) % q for a in alphas]
+    raw = np.array([[int(v) * pow(p, -1, q) % q for v in row] for row, p in zip(scaled, poles)],
+                   dtype=np.int64)
+    syndromes = field.matmul(ncsa._parity_checks(field, params.code, listed), raw)
+    located = ncsa._error_locator(field, alphas, field.matmul(syndromes, w).tolist())
+    column = [sum(int(v) * int(c) for v, c in zip(row, w)) % q for row in scaled]
+    try:
+        _, expected = rs_error_correct(field, alphas, column, degree_bound=width, max_errors=b)
+    except DecodingFailureError:
+        expected = None
+    return None if located is None else sorted(located[0]), expected
+
+
+@pytest.mark.parametrize("q", [13, 257, 65537, 2147483629])
+def test_error_locator_matches_berlekamp_welch_on_the_projected_column(q):
+    # the syndrome locator flags the rows that Berlekamp-Welch corrects on
+    # the same projected column, or fails where it fails: within the budget,
+    # past it (up to B + 2 forged rows), on zero syndromes and on a
+    # forgery the projection cancels
+    field = PrimeField(q)
+    rng = np.random.default_rng(q)
+    seen = {"clean": 0, "located": 0, "failed": 0}
+    for trial in range(90):
+        b = 1 + trial % 3
+        forged = trial // 3 % (b + 3)  # 0 to B + 2
+        cancel = trial % 10 == 9
+        located, expected = _locator_case(field, rng, b, forged, int(rng.integers(2, 5)), cancel)
+        assert located == expected, (trial, b, forged)
+        seen["failed" if expected is None else "located" if expected else "clean"] += 1
+    assert all(seen.values()), seen
 
 
 def test_systematic_layout_parity():

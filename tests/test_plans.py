@@ -6,8 +6,9 @@ its decoder saw, and decodes them again directly: cold, warm, then in
 reverse order (a plan of its own), cold and warm.  Encode plans (generator
 weights, X-secure ones with the noise blocks' columns) are built on an
 encode's first call for its code and listed servers; the answer and
-Byzantine-decode normalisers once per code.  ``conftest`` clears every registered plan cache
-before every test.
+Byzantine-decode normalisers once per code, and the Byzantine decode's parity
+checks once per responsive set.  ``conftest`` clears every registered plan
+cache before every test.
 """
 
 import functools
@@ -85,8 +86,9 @@ def test_plan_is_built_once_per_answer_order(monkeypatch, q, case):
     field = PrimeField(q)
     decode, answers, params, truth = _round(monkeypatch, field, case)
     forgers = case[4]
-    plan = csa._plan
+    plan, parity = csa._plan, ncsa._parity_checks
     plan.cache_clear()
+    parity.cache_clear()
     solves, plans = [], []
 
     def failing(*args, **kw):
@@ -115,6 +117,8 @@ def test_plan_is_built_once_per_answer_order(monkeypatch, q, case):
     info = plan.cache_info()
     assert (info.currsize, info.hits) == (2, 2)
     assert plans[0] is plans[1] and plans[2] is plans[3] and plans[0] is not plans[2]
+    # a Byzantine decode's parity checks are keyed on the answer order too
+    assert parity.cache_info().currsize == (2 if forgers else 0)
     for built in plans:  # the known columns are None without a known result
         for array in built:
             if array is None:
@@ -262,7 +266,7 @@ def test_plans_are_keyed_on_the_code_not_the_noise_seed(monkeypatch):
     assert any(not np.array_equal(a, b) for a, b in zip(*shares))  # the noise differs
     assert {name for name, _, _ in tables} == {
         "csa._plan", "ncsa._weights", "ncsa._inverse_deltas",
-        "ncsa._pole_products", "ncsa._projection_weights"}
+        "ncsa._parity_checks", "ncsa._pole_products", "ncsa._projection_weights"}
     _assert_read_only(tables)
 
 
@@ -298,7 +302,7 @@ def test_every_plan_cache_is_registered():
     # the registry is what conftest clears: a cache missing from it would
     # carry plans from one test into the next.  Every Cauchy code (CSA, its
     # systematic layout, GCSA, EP and N-CSA's decode) shares csa's encode and
-    # decode plans; N-CSA adds its noise weights and normalisers
+    # decode plans; N-CSA adds its noise weights, normalisers and parity checks
     found = {}
     for info in pkgutil.iter_modules(csacode.__path__):
         for obj in vars(importlib.import_module(f"csacode.{info.name}")).values():
@@ -312,4 +316,5 @@ def test_every_plan_cache_is_registered():
     assert {plan.__wrapped__.__module__.split(".")[-1] + "." + plan.__wrapped__.__name__
             for plan in csa._PLANS} == {
         "csa._weights", "csa._plan", "ncsa._weights", "ncsa._inverse_deltas",
-        "ncsa._pole_products", "ncsa._projection_weights", "harness._costs"}
+        "ncsa._parity_checks", "ncsa._pole_products", "ncsa._projection_weights",
+        "harness._costs"}

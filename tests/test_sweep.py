@@ -14,6 +14,7 @@ import numpy as np
 from csacode import csa, ep, gcsa, harness, ncsa
 from csacode.errors import ParameterError
 from csacode.ffield import PrimeField
+from reference import ep_threshold
 
 MODULI = (13, 257, 65537, 2147483629)
 # (ell, kc) of csa and csa-systematic, (p, m, n) of ep, (ell, kc, p, m, n) of gcsa
@@ -43,7 +44,7 @@ def _setups(field):
             field, arity, 2, 1, ncsa.ncsa_threshold(arity, 2, 1) + 2, systematic=True)))
     for dims in EP_SHAPES:
         makers.append(("ep", lambda dims=dims: harness.ep_setup(
-            field, *dims, ep.ep_threshold(ep.EPParams(*dims)) + 2)))
+            field, *dims, ep_threshold(ep.EPParams(*dims)) + 2)))
     for scheme, make in makers:
         try:
             yield scheme, make()
