@@ -17,8 +17,8 @@ from fractions import Fraction
 from typing import Optional
 
 from .errors import ParameterError
-from .gcsa import _gcsa_costs, gcsa_threshold
-from .harness import CDBMM_SCHEMES, SCHEMES
+from .csa import gcsa_threshold
+from .harness import CDBMM_SCHEMES, SCHEMES, _closed_costs
 
 
 @dataclass(frozen=True)
@@ -76,9 +76,10 @@ def enumerate_costs(family: str, servers: int, r_max: int,
                     if gcsa_threshold(ell, 1, p, m, n) > r_max:
                         break
                     for kc in kcs:
-                        r, uploads, download = _gcsa_costs(ell, kc, p, m, n, servers)
+                        r = gcsa_threshold(ell, kc, p, m, n)
                         if r > r_max:
                             break
+                        uploads, download = _closed_costs(r, servers, ell, kc, p, m, n)
                         w = {"ell": ell, "kc": kc, "p": p, "m": m, "n": n}
                         yield max(uploads), download, {k: w[k] for k in FAMILIES[family]}
 

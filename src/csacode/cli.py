@@ -22,7 +22,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from . import analysis, csa, gcsa, harness, matfile, ncsa
+from . import analysis, csa, harness, matfile, ncsa
 from .errors import (DecodingFailureError, InsufficientAnswersError,
                      ParameterError)
 from .ffield import DEFAULT_MODULUS, PrimeField, _integer
@@ -102,22 +102,24 @@ def _build_map(spec: dict) -> ncsa.NLinearMap:
     raise ParameterError(f"unknown map type {kind!r}")
 
 
+# Config parameters that set a field of another name
+_FIELDS = {"X": "x_secure", "B": "byzantine"}
+
+
 def _build_setup(field: PrimeField, scheme: str, servers: int, p, arity: int = 2,
-                noise_seed: int = 0):
+                 noise_seed: int = 0) -> csa.CSAParams:
     """The validated setup of ``scheme`` from its parameters ``p`` (a run
-    config's ``params``, or the ``costs`` options) named in ``harness.SCHEMES``.
-    ``arity`` is the map arity N of ncsa and lcc; lcc is N-CSA with ell = 1
-    and kc = L, the paper's Lagrange special case."""
+    config's ``params``, or the ``costs`` options) named in ``harness.SCHEMES``,
+    with the fields its name fixes.  ``arity`` is the map arity N of ncsa
+    and lcc; lcc is N-CSA with ell = 1 and kc = L, the paper's Lagrange
+    special case."""
     row = harness.SCHEMES[scheme]
-    values = {name: _int(p, name, default) for name, default in row.params.items()}
-    if row.setup is csa.CSAParams:  # a matrix product, with the fields the name fixes
-        builder = gcsa.gcsa_params if "p" in row.params else csa.csa_params
-        return builder(field, servers=servers, **values, **row.fixed)
-    ell, kc, x_secure, byzantine = values.values()
-    if scheme == "lcc" and ell != 1:
-        raise ParameterError(f"lcc runs N-CSA with ell = 1 and kc = L, got ell = {ell}")
-    return ncsa.ncsa_params(field, arity, ell, kc, servers, x_secure=x_secure,
-                            byzantine=byzantine, noise_seed=noise_seed)
+    values = {_FIELDS.get(name, name): _int(p, name, default)
+              for name, default in row.params.items()}
+    setup = csa.csa_params(field, servers=servers, **{
+        "arity": arity, "noise_seed": noise_seed, **row.fixed, **values})
+    harness._check_setup(scheme, setup)
+    return setup
 
 
 def cmd_run(args) -> int:
@@ -231,7 +233,7 @@ def cmd_costs(args) -> int:
     field = PrimeField(args.field_modulus)
     given = {name: value for name, value in vars(args).items() if name in _COSTS_OPTIONS}
     _refuse_unknown(args.scheme, given,
-                    ("N",) if harness.SCHEMES[args.scheme].setup is ncsa.NCSAParams else ())
+                    ("N",) if args.scheme not in harness.CDBMM_SCHEMES else ())
     p = {**_COSTS_OPTIONS, **given}
     summary = harness.theoretical_costs(args.scheme, _build_setup(
         field, args.scheme, args.servers, p, p["N"]))
@@ -335,7 +337,7 @@ def _oracle_suite(scheme: str, seed: int, cases, size: int, sampled: bool = Fals
         rng = np.random.default_rng(seed)
         for case in cases:
             full = {"ell": 1, "kc": 1, "p": 1, "m": 1, "n": 1, **case}
-            r = gcsa.gcsa_threshold(**full)
+            r = csa.gcsa_threshold(**full)
             setup = _build_setup(field, scheme, r + 2, full)
             batch = full["ell"] * full["kc"]
             aa = [field.rand_matrix(rng, size, size) for _ in range(batch)]

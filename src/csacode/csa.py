@@ -19,14 +19,16 @@ In the systematic layout (``systematic=True`` on the parameters) servers
 answers are desired products: known Cauchy coordinates, which the one
 decoder subtracts from the coded answers before solving for the rest.
 
-N-CSA shares this code's batch layout, weights and decoder, unpartitioned.
+N-CSA is this code for an N-linear map, unpartitioned: ``CSAParams``
+carries its N (``arity``), X and B, and it shares the batch layout, the
+weights and the decoder.  CSA is its case N = 2.
 """
 
 from __future__ import annotations
 
 import functools
 import numbers
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -45,31 +47,15 @@ def _plan_cache(builder):
     return _PLANS[-1]
 
 
-class _Groups:
-    """The batch layout of every Cauchy code's parameters (``CSAParams``,
-    ``NCSAParams``): L = ell * kc entries in ell groups of kc, with one pole
-    each, split by the partition ``ep`` (1 x 1 x 1 but in a partitioned
-    matrix product), and raw servers only if ``systematic``."""
-
-    ep = EPParams()
-    systematic = False
-
-    @property
-    def batch_size(self) -> int:
-        return self.ell * self.kc
-
-    @property
-    def inner_order(self) -> int:
-        """R' = pmn, the pole multiplicity of the partition."""
-        return self.ep.p * self.ep.m * self.ep.n
-
-    def pole(self, l: int, k: int) -> int:
-        """f_{l,k} with 0-based group and slot indices."""
-        return self.poles[l * self.kc + k]
-
-
 @dataclass(frozen=True)
-class CSAParams(_Groups):
+class CSAParams:
+    """The parameters of every Cauchy code: L = ell * kc entries in ell
+    groups of kc, one pole each, and raw servers only if ``systematic``.
+    N-CSA evaluates an N-linear map (``arity``), with X-secure shares and up
+    to B Byzantine servers; CSA is its N = 2.  A matrix product (N = 2, no
+    X or B) may split each entry by the partition ``ep``: GCSA, whose cases
+    are CSA (p = m = n = 1) and EP (ell = kc = 1)."""
+
     ell: int
     kc: int
     servers: int
@@ -79,11 +65,23 @@ class CSAParams(_Groups):
     p: int = 1  # GCSA's partition (``gcsa.gcsa_params``), EP's with ell = kc = 1
     m: int = 1
     n: int = 1
+    arity: int = 2  # N; a matrix product is the bilinear map
+    x_secure: int = 0
+    byzantine: int = 0
+    noise_seed: int = 0
 
     @property
-    def arity(self) -> int:
-        """CSA is N-CSA with N = 2: the matrix product is a bilinear map."""
-        return 2
+    def batch_size(self) -> int:
+        return self.ell * self.kc
+
+    @property
+    def inner_order(self) -> int:
+        """R' = pmn, the pole multiplicity of the partition."""
+        return self.p * self.m * self.n
+
+    def pole(self, l: int, k: int) -> int:
+        """f_{l,k} with 0-based group and slot indices."""
+        return self.poles[l * self.kc + k]
 
     @functools.cached_property
     def ep(self) -> EPParams:  # the partition code; read by every round and plan
@@ -91,7 +89,16 @@ class CSAParams(_Groups):
 
     @property
     def threshold(self) -> int:
-        return gcsa_threshold(self.ell, self.kc, self.p, self.m, self.n)
+        """pmn(kc(N + ell - 1) + N(X - 1) + 2B + 1) + p - 1: GCSA's at N = 2
+        and X = B = 0, N-CSA's at p = m = n = 1."""
+        n = self.arity
+        return self.inner_order * (self.kc * (n + self.ell - 1) + n * (self.x_secure - 1)
+                                   + 2 * self.byzantine + 1) + self.p - 1
+
+    @functools.cached_property
+    def code(self) -> CSAParams:
+        """The key of every plan: no noise seed, and B = 0 as in the decode."""
+        return replace(self, byzantine=0, noise_seed=0)
 
 
 def csa_threshold(ell: int, kc: int) -> int:
@@ -130,15 +137,34 @@ def cauchy_points(field: PrimeField, batch: int, servers: int, threshold: int, p
     return poles, samples
 
 
-def csa_params(field: PrimeField, ell: int, kc: int, servers: int,
-               poles=None, samples=None, systematic: bool = False) -> CSAParams:
-    """Validated parameter bundle; default points follow the canonical layout."""
-    if min(ell, kc, servers) < 1:
-        raise ParameterError("ell, kc and server count must be positive")
-    # R = L + kc - 1 >= L, so the systematic layout's S >= L follows from R <= S
-    poles, samples = cauchy_points(field, ell * kc, servers, csa_threshold(ell, kc), poles,
-                                   samples, systematic)
-    return CSAParams(ell, kc, servers, poles, samples, systematic)
+def csa_params(field: PrimeField, ell: int, kc: int, servers: int, poles=None, samples=None,
+               systematic: bool = False, *, p: int = 1, m: int = 1, n: int = 1,
+               arity: int = 2, x_secure: int = 0, byzantine: int = 0,
+               noise_seed: int = 0) -> CSAParams:
+    """The validated parameters of any Cauchy code, every count an integer;
+    default points follow the canonical layout.  A partition (GCSA's p, m,
+    n) takes a coded matrix product (N = 2, no X or B, no systematic
+    layout), and the systematic layout no X or B."""
+    ell, kc, servers, p, m, n, arity, x_secure, byzantine, noise_seed = (
+        _integer(value, what) for value, what in zip(
+            (ell, kc, servers, p, m, n, arity, x_secure, byzantine, noise_seed),
+            ("ell", "kc", "servers", "p", "m", "n", "N", "X", "B", "noise_seed")))
+    if min(ell, kc, servers, p, m, n, arity) < 1 or min(x_secure, byzantine) < 0:
+        raise ParameterError("ell, kc, p, m, n, N and the server count must be positive, "
+                             "X and B non-negative")
+    if (p, m, n) != (1, 1, 1) and (arity, x_secure, byzantine, systematic) != (2, 0, 0, False):
+        raise ParameterError("a partition takes a coded matrix product: N = 2, X = B = 0 and "
+                             "no systematic layout")
+    if systematic and x_secure + byzantine:
+        raise ParameterError("the systematic layout takes no X-security and no Byzantine budget")
+    if not -2**63 <= noise_seed < 2**63:  # noise_block packs an int64
+        raise ParameterError(f"noise_seed {noise_seed} lies outside the signed 64-bit range")
+    params = CSAParams(ell, kc, servers, (), (), systematic, p, m, n, arity, x_secure,
+                       byzantine, noise_seed)
+    # R - L = (kc - 1)(N - 1) >= 0, so the systematic layout's S >= L follows from R <= S
+    poles, samples = cauchy_points(field, ell * kc, servers, params.threshold, poles, samples,
+                                   systematic)
+    return replace(params, poles=poles, samples=samples)
 
 
 def csa_encode_a(field: PrimeField, batch_a, params: CSAParams, servers) -> np.ndarray | list:
@@ -330,35 +356,39 @@ def csa_decode(field: PrimeField, answers, params: CSAParams) -> list[np.ndarray
     read off and removed from the coded answers through its own Cauchy
     column of ``_decode_matrix``, the exact coefficient it carries there.
     The reduced system keeps the unknown results' Cauchy columns plus the
-    (kc-1)(N-1) tail columns; ``_solve`` returns the rest (GCSA: the
-    desired blocks, which ``ep._extract_products`` reassembles).  At L = 1
-    an answer and the one result may hold every entry, (entries, ...).
-    Returned raw results are copies, never the answers themselves.
+    (kc-1)(N-1) tail columns; ``_results`` solves it.  At L = 1 an answer
+    and the one result may hold every entry, (entries, ...).  Returned raw
+    results are copies, never the answers themselves.
     """
     batch, raw = params.batch_size, _raw(params)
     answers = _take_answers(answers, params.threshold, params.servers)
     known = {s: y for s, y in answers if s < raw}
     if len(known) == batch:
         return [np.array(known[i]) for i in range(batch)]
-    solved, shape, inner = _solve(field, answers, params, known), answers[0][1].shape, params.ep
+    rhs = field.residues(_answer_rows([y for s, y in answers if s not in known]))
+    return _results(field, params, tuple(s for s, _ in answers), rhs, answers[0][1].shape, known)
+
+
+def _results(field: PrimeField, params, listed: tuple, rhs: np.ndarray, shape,
+             known=()) -> list[np.ndarray]:
+    """The L results from the taken answers of the ``listed`` servers, in
+    answer order: ``rhs`` stacks the coded ones as residues, one row each of
+    ``shape``, and ``known`` maps a raw server to its own result.  One
+    product with ``_plan`` gives each unknown entry's desired blocks,
+    entry-major, once the known answers' columns are removed (GCSA's blocks
+    ``ep._extract_products`` reassembles)."""
+    rows, known_cols = _plan(field, params, listed)
+    if known:
+        rhs = (rhs - field.matmul(known_cols, _answer_rows(list(known.values())))) % field.q
+    solved, inner = field.matmul(rows, rhs), params.ep
     if (inner.m, inner.n) == (1, 1):
         solved = solved.reshape((-1,) + shape)
     else:  # rows entry-major, mn desired blocks each, beside the block axes
         solved = _extract_products(inner, solved.reshape(
             (-1, inner.m * inner.n) + shape).swapaxes(1, -3))
     solved = iter(solved)
-    return [np.array(known[i]) if i in known else next(solved) for i in range(batch)]
-
-
-def _solve(field: PrimeField, answers, params, known=()) -> np.ndarray:
-    """The desired blocks of each unknown entry, entry-major, from the taken
-    ``answers``: one product with ``_plan``, once the ``known`` raw answers'
-    columns are removed."""
-    rows, known_cols = _plan(field, params, tuple(s for s, _ in answers))
-    rhs = field.residues(_answer_rows([y for s, y in answers if s not in known]))
-    if known:
-        rhs = (rhs - field.matmul(known_cols, _answer_rows(list(known.values())))) % field.q
-    return field.matmul(rows, rhs)
+    return [np.array(known[i]) if i in known else next(solved)
+            for i in range(params.batch_size)]
 
 
 @_plan_cache

@@ -6,8 +6,9 @@ the sink decodes from the survivors.  Communication costs are measured by
 counting actual field elements and normalized exactly (fractions, never
 floats); server computation is counted in field multiplications.
 
-Every matrix product (EP, CSA, its systematic layout, GCSA) is one code on
-``csa.CSAParams``, run by csa's encoders, answer and decoder.
+Every code takes one parameter type, ``csa.CSAParams``.  Every matrix
+product (EP, CSA, its systematic layout, GCSA) is one code, run by csa's
+encoders, answer and decoder; N-CSA and LCC rounds run ncsa's.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
-from . import csa, gcsa, ncsa
+from . import csa, ncsa
 from .errors import InsufficientAnswersError, ParameterError
 from .ffield import _ARENA_MIN_BYTES, _ROUND, PrimeField, _arena, _integer
 
@@ -92,68 +93,71 @@ def ep_setup(field: PrimeField, p: int, m: int, n: int, servers: int,
              samples=None) -> csa.CSAParams:
     """EP as GCSA with ell = kc = 1: one pole and S samples, so S <= q - 1.
     Its rounds take a batch of any length, each entry encoded alone."""
-    return gcsa.gcsa_params(field, 1, 1, p, m, n, servers, samples=samples)
+    return csa.csa_params(field, 1, 1, servers, samples=samples, p=p, m=m, n=n)
 
 
 class Scheme(NamedTuple):  # a row of SCHEMES
-    setup: type  # the setup type the scheme takes
-    params: dict  # a config's parameters: name -> default (None if required), builder order
-    fixed: dict = {}  # the setup's fields the name fixes: field -> value
+    params: dict  # a config's parameters: name -> default (None if required)
+    fixed: dict  # the setup's fields the name fixes: field -> value, in the order checked
 
 
 _GROUPS, _PARTITION = {"ell": None, "kc": None}, {"p": None, "m": None, "n": None}
-_NCSA = {"ell": 1, "kc": None, "X": 0, "B": 0}
+_NCSA = {"ell": 1, "kc": None, "X": 0, "B": 0}  # X and B set x_secure and byzantine
+_BILINEAR = {"arity": 2, "x_secure": 0, "byzantine": 0, "noise_seed": 0}  # a matrix product's
+_UNSPLIT = {"p": 1, "m": 1, "n": 1}
 
-# Every scheme, said once.  A matrix product is a scheme whose setup is
-# ``csa.CSAParams``; its rounds run csa's encoders, answer and decoder.
+# Every scheme, said once: the parameters its name takes, and the fields of
+# its ``csa.CSAParams`` setup it fixes.  A matrix product fixes N = 2 and no
+# X, B or noise seed, and its rounds run csa's encoders, answer and decoder;
+# N-CSA fixes no partition, and LCC is N-CSA with ell = 1 and kc = L.
 SCHEMES = {
-    "ep": Scheme(csa.CSAParams, _PARTITION, {"ell": 1, "kc": 1}),
-    "csa": Scheme(csa.CSAParams, _GROUPS),
-    "csa-systematic": Scheme(csa.CSAParams, _GROUPS, {"systematic": True}),
-    "gcsa": Scheme(csa.CSAParams, {**_GROUPS, **_PARTITION}),
-    "ncsa": Scheme(ncsa.NCSAParams, _NCSA),
-    "lcc": Scheme(ncsa.NCSAParams, _NCSA),  # N-CSA with ell = 1 and kc = L
+    "ep": Scheme(_PARTITION, {"ell": 1, "kc": 1, "systematic": False, **_BILINEAR}),
+    "csa": Scheme(_GROUPS, {**_UNSPLIT, "systematic": False, **_BILINEAR}),
+    "csa-systematic": Scheme(_GROUPS, {**_UNSPLIT, "systematic": True, **_BILINEAR}),
+    "gcsa": Scheme({**_GROUPS, **_PARTITION}, {"systematic": False, **_BILINEAR}),
+    "ncsa": Scheme(_NCSA, _UNSPLIT),
+    "lcc": Scheme(_NCSA, {"ell": 1, **_UNSPLIT}),
 }
-CDBMM_SCHEMES = tuple(name for name, row in SCHEMES.items() if row.setup is csa.CSAParams)
-# A matrix product's setup fields with their defaults, in the order checked;
-# per scheme, the (field, value) pairs a setup must hold: a field its name
-# fixes at that value, and one it neither takes nor fixes at its default
-_CSA_DEFAULTS = {"ell": 1, "kc": 1, "p": 1, "m": 1, "n": 1, "systematic": False}
-_REQUIRED = {scheme: [(name, row.fixed.get(name, value)) for name, value in
-                      (_CSA_DEFAULTS if row.setup is csa.CSAParams else row.fixed).items()
-                      if name not in row.params] for scheme, row in SCHEMES.items()}
+CDBMM_SCHEMES = tuple(name for name, row in SCHEMES.items() if row.fixed.get("arity") == 2)
 
 
 def _check_setup(scheme: str, setup) -> None:
-    """Refuse an unknown scheme, a setup of another family than the
-    scheme's, and a field that differs from its value in ``_REQUIRED`` (the
-    CSA layout, EP's ell = kc = 1, no partition under "csa")."""
+    """Refuse an unknown scheme, a setup that is not ``csa.CSAParams``, and
+    a field that differs from its value in the scheme's row of ``SCHEMES``
+    (the CSA layout, EP's ell = kc = 1, a matrix product's N = 2 without X,
+    B or noise seed, no partition under "csa" or N-CSA, LCC's ell = 1)."""
     row = SCHEMES.get(scheme)
     if row is None:
         raise ParameterError(f"unknown scheme {scheme!r}")
-    if not isinstance(setup, row.setup):
-        raise ParameterError(f"{scheme!r} takes {row.setup.__name__}, not {type(setup).__name__}")
-    for name, value in _REQUIRED[scheme]:
+    if not isinstance(setup, csa.CSAParams):
+        raise ParameterError(f"{scheme!r} takes CSAParams, not {type(setup).__name__}")
+    for name, value in row.fixed.items():
         if getattr(setup, name) != value:
             raise ParameterError(f"{scheme!r} takes parameters with {name}={value}")
 
 
 def theoretical_costs(scheme: str, setup) -> CostSummary:
-    """Closed-form recovery threshold and normalized costs: GCSA's for a
-    matrix product (EP is ell = kc = 1, CSA has no partition), else N-CSA's.
-    The setup is checked on every call, the costs built once per (scheme, setup)."""
+    """Closed-form recovery threshold and normalized costs (``_closed_costs``).
+    The setup is checked on every call, the costs built once per setup."""
     _check_setup(scheme, setup)
-    return _costs(scheme, setup)
+    return _costs(setup)
 
 
 @csa._plan_cache
-def _costs(scheme: str, setup) -> CostSummary:
-    if scheme in CDBMM_SCHEMES:
-        e = setup.ep
-        return CostSummary(*gcsa._gcsa_costs(setup.ell, setup.kc, e.p, e.m, e.n, setup.servers))
-    r = setup.threshold
-    u = Fraction(setup.servers, setup.kc)
-    return CostSummary(r, (u,) * setup.arity, Fraction(r, setup.batch_size))
+def _costs(setup) -> CostSummary:
+    return CostSummary(setup.threshold, *_closed_costs(
+        setup.threshold, setup.servers, setup.ell, setup.kc, setup.p, setup.m, setup.n,
+        setup.arity))
+
+
+def _closed_costs(threshold: int, servers: int, ell: int, kc: int, p: int, m: int, n: int,
+                  arity: int = 2) -> tuple:
+    """(uploads, D) of a code of threshold R on S ``servers``: the normalized
+    upload S/(kc p m) of each variable but the last, S/(kc p n) of the
+    last, and the normalized download R/(mn ell kc).  GCSA's at N = 2 (EP at
+    ell = kc = 1, CSA at p = m = n = 1), N-CSA's at p = m = n = 1."""
+    return ((Fraction(servers, kc * p * m),) * (arity - 1) + (Fraction(servers, kc * p * n),),
+            Fraction(threshold, m * n * ell * kc))
 
 
 def run_cdbmm(field: PrimeField, scheme: str, setup, batch_a, batch_b,
@@ -203,7 +207,7 @@ def run_cdbmm(field: PrimeField, scheme: str, setup, batch_a, batch_b,
                   decode, shape)
 
 
-def run_nlinear(field: PrimeField, params: ncsa.NCSAParams, job, batches,
+def run_nlinear(field: PrimeField, params: csa.CSAParams, job, batches,
                 straggler: StragglerModel,
                 byzantine: Optional[ByzantineModel] = None):
     """N-linear (or degree-N polynomial) batch round.

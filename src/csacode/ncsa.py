@@ -5,6 +5,8 @@ batch is Cauchy-coded per group with the CSA A-side weights, servers evaluate
 the map on coded variables and return the prefactor-normalized group sum, and
 the decoder solves the CSA decode matrix with the A-side weights to the power
 N - 1, whose Vandermonde tail absorbs the (kc-1)(N-1) interference dimensions.
+The parameters are ``csa.CSAParams`` with N = ``arity``, X and B
+(``ncsa_params``), so an N = 2 setup without X or B is the CSA setup.
 Points, batch checks, the generator product and the decoder (also on
 ``xsb_decode``'s clean rows) are the CSA ones, and so is the systematic
 layout.  Lagrange coded computing (LCC) is ell = 1, kc = L, threshold
@@ -16,7 +18,6 @@ Up to B forged answers are located from the answers' syndromes at once.
 
 from __future__ import annotations
 
-import functools
 import hashlib
 import itertools
 import math
@@ -26,11 +27,11 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .csa import (_answer_rows, _batch_entries, _cauchy_weights, _generator_encode, _Groups,
-                  _plan_cache, _raw, _read_only, _server_list, _take_answers, cauchy_points,
-                  csa_decode)
+from .csa import (CSAParams, _answer_rows, _batch_entries, _cauchy_weights, _generator_encode,
+                  _plan_cache, _raw, _read_only, _results, _server_list, _take_answers,
+                  csa_decode, csa_params)
 from .errors import DecodingFailureError, ParameterError
-from .ffield import PrimeField, _integer, poly_eval
+from .ffield import PrimeField, poly_eval
 # perfbench/tracer.py requires ncsa.solve_batch, so it stays importable here.
 from .structmat import _determinants, _powers, rs_error_correct, solve_batch  # noqa: F401
 
@@ -128,30 +129,6 @@ def determinant_map(size: int) -> NLinearMap:
 # ---- N-CSA parameters ----
 
 
-@dataclass(frozen=True)
-class NCSAParams(_Groups):
-    arity: int  # N
-    ell: int
-    kc: int
-    servers: int
-    x_secure: int = 0
-    byzantine: int = 0
-    poles: tuple[int, ...] = ()
-    samples: tuple[int, ...] = ()
-    noise_seed: int = 0
-    systematic: bool = False  # servers 0..L-1 hold their own entries, uncoded
-
-    @property
-    def threshold(self) -> int:
-        return xsb_threshold(self.arity, self.ell, self.kc, self.x_secure,
-                             self.byzantine)
-
-    @functools.cached_property
-    def code(self) -> NCSAParams:
-        """The key of every plan: no noise seed, and B = 0 as in the decode."""
-        return replace(self, byzantine=0, noise_seed=0)
-
-
 def ncsa_threshold(arity: int, ell: int, kc: int) -> int:
     return kc * (arity + ell - 1) - arity + 1
 
@@ -167,20 +144,10 @@ def xsb_threshold(arity: int, ell: int, kc: int, x_secure: int, byzantine: int) 
 
 def ncsa_params(field: PrimeField, arity: int, ell: int, kc: int, servers: int,
                 x_secure: int = 0, byzantine: int = 0, poles=None, samples=None,
-                noise_seed: int = 0, systematic: bool = False) -> NCSAParams:
-    if min(arity, ell, kc, servers) < 1 or min(x_secure, byzantine) < 0:
-        raise ParameterError("invalid scheme parameters")
-    if systematic and x_secure >= 1:
-        raise ParameterError("systematic layout cannot be combined with X-security")
-    if systematic and byzantine >= 1:
-        raise ParameterError("systematic layout cannot be combined with a Byzantine budget B >= 1")
-    if not -2**63 <= _integer(noise_seed, "noise_seed") < 2**63:  # noise_block packs an int64
-        raise ParameterError(f"noise_seed {noise_seed} lies outside the signed 64-bit range")
-    # R - L = (kc - 1)(N - 1) >= 0, so the systematic layout's S >= L follows from R <= S
-    r = xsb_threshold(arity, ell, kc, x_secure, byzantine)
-    poles, samples = cauchy_points(field, ell * kc, servers, r, poles, samples, systematic)
-    return NCSAParams(arity, ell, kc, servers, x_secure, byzantine,
-                      poles, samples, noise_seed, systematic)
+                noise_seed: int = 0, systematic: bool = False) -> CSAParams:
+    """N-CSA's validated parameters: ``csa.csa_params`` with N = ``arity``."""
+    return csa_params(field, ell, kc, servers, poles, samples, systematic, arity=arity,
+                      x_secure=x_secure, byzantine=byzantine, noise_seed=noise_seed)
 
 
 # ---- encoding ----
@@ -210,7 +177,7 @@ def noise_block(field: PrimeField, seed: int, var: int, l: int, k: int, x: int,
         words += 2 * (n - kept.size) + 4
 
 
-def xs_encode(field: PrimeField, batches, params: NCSAParams, servers,
+def xs_encode(field: PrimeField, batches, params: CSAParams, servers,
               noise=None) -> list:
     """Secure shares of every variable (``batches``, one batch each): data
     Cauchy terms plus uniform noise along powers of alpha.
@@ -225,7 +192,7 @@ def xs_encode(field: PrimeField, batches, params: NCSAParams, servers,
     index its ell shares, for a sequence their shares row by row (a list of
     rows in a systematic layout).  The noise depends on
     ``params.noise_seed``, v and (l, x) alone: every round of one
-    ``NCSAParams`` adds the same masks, so X-security across rounds needs a
+    ``CSAParams`` adds the same masks, so X-security across rounds needs a
     fresh ``noise_seed`` per round (plans are keyed on ``params.code``, so
     no new plan).  ``noise`` may override the seeded blocks: a mapping
     (v, l, x) -> array (1-based x).
@@ -256,7 +223,7 @@ def xs_encode(field: PrimeField, batches, params: NCSAParams, servers,
 
 
 @_plan_cache
-def _weights(field: PrimeField, params: NCSAParams, listed: tuple) -> np.ndarray:
+def _weights(field: PrimeField, params: CSAParams, listed: tuple) -> np.ndarray:
     """``xs_encode``'s plan, (coded servers, ell, kc + X): the A-side Cauchy
     weights of the listed servers from ``_raw`` on, then
     Delta_s(l) * alpha_s^(x-1) for the noise blocks."""
@@ -268,7 +235,7 @@ def _weights(field: PrimeField, params: NCSAParams, listed: tuple) -> np.ndarray
                                      axis=2))
 
 
-def _group_deltas(field: PrimeField, params: NCSAParams, alphas) -> np.ndarray:
+def _group_deltas(field: PrimeField, params: CSAParams, alphas) -> np.ndarray:
     """(alphas x ell) Delta(l) = prod_k (f_{l,k} - alpha), group l's pole product."""
     return np.array([[math.prod(params.pole(l, k) - a for k in range(params.kc)) % field.q
                       for l in range(params.ell)] for a in alphas],
@@ -278,7 +245,7 @@ def _group_deltas(field: PrimeField, params: NCSAParams, alphas) -> np.ndarray:
 # ---- answering ----
 
 
-def ncsa_answer(field: PrimeField, shares, omega: NLinearMap, params: NCSAParams,
+def ncsa_answer(field: PrimeField, shares, omega: NLinearMap, params: CSAParams,
                 s, counter=None) -> np.ndarray:
     """Y_s = sum_l Delta_s^{-1} Omega(coded variables of group l).
 
@@ -311,7 +278,7 @@ def ncsa_answer(field: PrimeField, shares, omega: NLinearMap, params: NCSAParams
 
 
 @_plan_cache
-def _inverse_deltas(field: PrimeField, params: NCSAParams) -> np.ndarray:
+def _inverse_deltas(field: PrimeField, params: CSAParams) -> np.ndarray:
     """``ncsa_answer``'s plan: Delta_s(l)^-1, one row per coded server s >= ``_raw``."""
     deltas = _group_deltas(field, params, params.samples[_raw(params):])
     return _read_only(np.reshape(field.batch_inv(deltas.ravel().tolist()), deltas.shape))
@@ -355,7 +322,7 @@ class PolynomialSpec:
 
 
 def poly_batch_eval_answer(field: PrimeField, shares_by_var, spec: PolynomialSpec,
-                           params: NCSAParams, s, counter=None) -> np.ndarray:
+                           params: CSAParams, s, counter=None) -> np.ndarray:
     """Weighted sum of per-term answers; ``shares_by_var`` maps a variable
     index (or None for the constant batch) to its share list for server s
     (or servers, as ``ncsa_answer``), and ``counter`` counts every term's
@@ -374,7 +341,7 @@ def poly_batch_eval_answer(field: PrimeField, shares_by_var, spec: PolynomialSpe
 # ---- decoding ----
 
 
-def ncsa_decode(field: PrimeField, answers, params: NCSAParams) -> list[np.ndarray]:
+def ncsa_decode(field: PrimeField, answers, params: CSAParams) -> list[np.ndarray]:
     """Recover the L evaluations from R = kc(N + ell - 1) - N + 1 answers
     (straggler-only setting): the CSA decoder, A-side weights to the power N - 1."""
     if params.x_secure or params.byzantine:
@@ -382,14 +349,16 @@ def ncsa_decode(field: PrimeField, answers, params: NCSAParams) -> list[np.ndarr
     return csa_decode(field, answers, params.code)
 
 
-def xsb_decode(field: PrimeField, answers, params: NCSAParams):
+def xsb_decode(field: PrimeField, answers, params: CSAParams):
     """Decode under X-security and up to B forged answers.
 
     Returns (evaluations, flagged server indices).  Scaled by the full pole
     product P(alpha) = prod_f (f - alpha), the R taken answers are one
     interleaved Reed-Solomon codeword of dimension width = R - 2B, whose
     entries share their error positions (Bleichenbacher, Kiayias and Yung,
-    ICALP 2003): the forgers are located once, then the CSA decoder runs.
+    ICALP 2003): the forgers are located once, then the CSA decoder's solve
+    runs on the first width clean rows of the answers stacked for the
+    syndromes.  At B = 0 there is nothing to locate: it is ``csa_decode``.
 
     Syndromes: as sum_i v_i g(alpha_i) = 0 for every g of degree <= R - 2,
     with the dual multipliers v_i = 1/prod_{k != i}(alpha_i - alpha_k), one
@@ -418,41 +387,44 @@ def xsb_decode(field: PrimeField, answers, params: NCSAParams):
     loop therefore flags exactly E, whether or not the forgers stayed
     within the budget, and decodes from the same clean rows.
     """
-    r, b = params.threshold, params.byzantine
+    r, b, code = params.threshold, params.byzantine, params.code
+    if not b:  # nothing to locate: the CSA decode
+        return csa_decode(field, answers, code), []
     answers = _take_answers(answers, r, params.servers)
-    flagged_rows: set[int] = set()
-    if b > 0:
-        listed = [s for s, _ in answers]
-        alphas = [params.samples[s] for s in listed]
-        rows = field.residues(_answer_rows([y for _, y in answers]))
-        syndromes = field.matmul(_parity_checks(field, params.code, tuple(listed)), rows)
-        located = _error_locator(field, alphas, field.matmul(
-            syndromes, _projection_weights(field, rows.shape[1])).tolist())
-        if located is not None and not field.matmul(located[1], syndromes).any():
-            flagged_rows = set(located[0])
-        else:  # the per-entry loop decides, result or exception
-            scaled = rows * _pole_products(field, params.code)[listed, None] % field.q
-            for col in range(scaled.shape[1]):
-                _, positions = rs_error_correct(field, alphas, scaled[:, col].tolist(),
-                                                degree_bound=r - 2 * b, max_errors=b)
-                flagged_rows.update(positions)
-            if len(flagged_rows) > b:
-                raise DecodingFailureError("corruptions exceed the Byzantine budget")
-    # without the B budget the threshold is width: the CSA decode of clean rows
-    clean = [answers[i] for i in range(r) if i not in flagged_rows]
-    evals = csa_decode(field, clean, params.code)
-    return evals, sorted(answers[i][0] for i in flagged_rows)
+    listed = [s for s, _ in answers]
+    alphas = [params.samples[s] for s in listed]
+    rows = field.residues(_answer_rows([y for _, y in answers]))
+    syndromes = field.matmul(_parity_checks(field, code, tuple(listed)), rows)
+    located = _error_locator(field, alphas, field.matmul(
+        syndromes, _projection_weights(field, rows.shape[1])).tolist())
+    if located is not None and not field.matmul(located[1], syndromes).any():
+        flagged = set(located[0])
+    else:  # the per-entry loop decides, result or exception
+        flagged = set()
+        scaled = rows * _pole_products(field, code)[listed, None] % field.q
+        for col in range(scaled.shape[1]):
+            _, positions = rs_error_correct(field, alphas, scaled[:, col].tolist(),
+                                            degree_bound=r - 2 * b, max_errors=b)
+            flagged.update(positions)
+        if len(flagged) > b:
+            raise DecodingFailureError("corruptions exceed the Byzantine budget")
+    # without the B budget the threshold is width: the CSA decode of the
+    # first width clean rows, already stacked
+    clean = [i for i in range(r) if i not in flagged][:code.threshold]
+    evals = _results(field, code, tuple(listed[i] for i in clean), rows[clean],
+                     answers[0][1].shape)
+    return evals, sorted(listed[i] for i in flagged)
 
 
 @_plan_cache
-def _pole_products(field: PrimeField, params: NCSAParams) -> np.ndarray:
+def _pole_products(field: PrimeField, params: CSAParams) -> np.ndarray:
     """``xsb_decode``'s plan: every server's full pole product prod_f (f - alpha_s)."""
     return _read_only(np.array([math.prod(f - a for f in params.poles) % field.q
                                 for a in params.samples], dtype=np.int64))
 
 
 @_plan_cache
-def _parity_checks(field: PrimeField, params: NCSAParams, listed: tuple) -> np.ndarray:
+def _parity_checks(field: PrimeField, params: CSAParams, listed: tuple) -> np.ndarray:
     """``xsb_decode``'s plan, (2B x listed) for the ``listed`` servers in answer
     order, 2B their count past the B = 0 threshold: entry (j, i) is the dual
     multiplier v_i times the pole product P(alpha_i) times alpha_i^j."""

@@ -103,6 +103,10 @@ def test_run_lcc_has_the_lagrange_threshold(capsys, tmp_path):
     code, out = run_cli(capsys, "run", str(path))
     assert code == 0
     assert json.loads(out)["threshold"] == lcc_threshold(2, 4) == 7
+    cfg["params"] = {"ell": 1, "kc": 4}  # the one ell LCC takes, given
+    path.write_text(json.dumps(cfg))
+    code, given = run_cli(capsys, "run", str(path))
+    assert code == 0 and given == out
     cfg["params"] = {"ell": 2, "kc": 2}  # L = 4 again, but not the LCC layout
     path.write_text(json.dumps(cfg))
     code, out = run_cli(capsys, "run", str(path))
@@ -112,7 +116,7 @@ def test_run_lcc_has_the_lagrange_threshold(capsys, tmp_path):
     code = cli.main(["costs", "lcc", "--servers", "12", "--ell", "3", "--kc", "3"])
     captured = capsys.readouterr()
     assert code == cli.EXIT_CONFIG and captured.out == ""
-    assert "ell = 1" in captured.err
+    assert "'lcc' takes parameters with ell=1" in captured.err
 
 
 @pytest.mark.parametrize("modulus", [65536, 2**31 + 11])
@@ -463,6 +467,8 @@ _HUGE = 99999999999999999999  # servers: far more evaluation points than GF(q) h
     ("--field-modulus 65536 costs csa --servers 8", cli.EXIT_CONFIG),  # not a prime
     ("costs csa --servers 0", cli.EXIT_CONFIG),
     ("costs csa --servers 8 --ell 2 --kc 2", cli.EXIT_OK),
+    ("costs lcc --servers 9 --kc 2 --ell 2", cli.EXIT_CONFIG),  # LCC is N-CSA with ell = 1
+    ("costs lcc --servers 9 --kc 4 --ell 1", cli.EXIT_OK),
     ("hull csa --servers 5 --r-max 5", cli.EXIT_CONFIG),
     ("hull nope --servers 10 --r-max 5", cli.EXIT_CONFIG),
     (f"hull gcsa --servers {_HUGE} --r-max 8", cli.EXIT_OK),

@@ -372,6 +372,18 @@ def test_builders_refuse_non_integer_points(builder, case):
         _BUILDERS[builder](FIELD, **points)
 
 
+@pytest.mark.parametrize("field_value, what", [
+    ({"ell": 1.5}, "ell"), ({"kc": True}, "kc"), ({"servers": 9.0}, "servers"),
+    ({"p": 2.0}, "p"), ({"arity": 2.5}, "N"), ({"x_secure": 0.5}, "X"),
+    ({"byzantine": True}, "B"), ({"noise_seed": 1.5}, "noise_seed")])
+def test_the_one_builder_refuses_non_integer_fields(field_value, what):
+    # X = 0.5 once built a setup of threshold 4.0, ell = True one of ell =
+    # True, and ell = 1.5 died with a bare TypeError from range()
+    kwargs = {"ell": 1, "kc": 2, "servers": 9, **field_value}
+    with pytest.raises(ParameterError, match=f"{what} must be an integer"):
+        csa_params(FIELD, **kwargs)
+
+
 # ---- systematic construction ----
 
 

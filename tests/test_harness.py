@@ -196,26 +196,53 @@ def _gcsa_setup():
 
 # The families of setups every scheme takes, and a setup of each family:
 # EP's setup is GCSA's with ell = kc = 1 and CSA's GCSA's with p = m = n = 1,
-# so "gcsa" takes both
+# so "gcsa" takes both; CSA's is also N-CSA's with N = 2 and ell = 1, so
+# "ncsa" and "lcc" take it
 _FAMILY = {"ep": ("ep",), "csa": ("csa",), "csa-systematic": ("csa",),
            "gcsa": ("gcsa", "ep", "csa"),
-           "ncsa": ("ncsa",), "lcc": ("ncsa",)}
+           "ncsa": ("ncsa", "csa"), "lcc": ("ncsa", "csa")}
 _FAMILY_SETUPS = {"ep": lambda: harness.ep_setup(FIELD, 2, 1, 1, 5), "csa": _csa_setup,
                   "gcsa": _gcsa_setup, "ncsa": lambda: ncsa.ncsa_params(FIELD, 3, 1, 2, 7)}
 _MISMATCHED = [(scheme, family) for scheme in _FAMILY for family in _FAMILY_SETUPS
                if family not in _FAMILY[scheme]]
+# N-CSA setups a matrix product's name refuses: X, B, a noise seed, N = 3
+_NCSA_SETUPS = {"x": lambda: ncsa.ncsa_params(FIELD, 2, 1, 1, 7, x_secure=1),
+                "b": lambda: ncsa.ncsa_params(FIELD, 2, 1, 2, 9, byzantine=1),
+                "seed": lambda: ncsa.ncsa_params(FIELD, 2, 1, 2, 5, noise_seed=3),
+                "n3": lambda: ncsa.ncsa_params(FIELD, 3, 1, 1, 5)}
 
 
 @pytest.mark.parametrize("call", [
     *(pytest.param(lambda s=scheme, f=family: _cdbmm(s, _FAMILY_SETUPS[f]()),
                    id=f"{family}-as-{scheme}")
-      for scheme, family in _MISMATCHED if _FAMILY[scheme] != ("ncsa",)),
+      for scheme, family in _MISMATCHED if scheme in harness.CDBMM_SCHEMES),
     *(pytest.param(lambda s=scheme, f=family: harness.theoretical_costs(s, _FAMILY_SETUPS[f]()),
                    id=f"costs-{family}-as-{scheme}") for scheme, family in _MISMATCHED),
     *(pytest.param(lambda f=family: harness.run_nlinear(
         FIELD, _FAMILY_SETUPS[f](), ncsa.matmul_map(2, 2, 2), [_matrices(1), _matrices(2)],
         harness.StragglerModel(count=5)), id=f"nlinear-on-{family}")
-      for family in _FAMILY_SETUPS if family != "ncsa"),
+      for family in _FAMILY_SETUPS if family not in _FAMILY["ncsa"]),
+    # N = 2 without X, B or noise seed is all a matrix product's name takes
+    *(pytest.param(lambda s=scheme, k=kind: _cdbmm(s, _NCSA_SETUPS[k]()),
+                   id=f"ncsa-{kind}-as-{scheme}")
+      for scheme, kind in [("csa", "x"), ("gcsa", "b"), ("csa", "seed"), ("ep", "n3")]),
+    *(pytest.param(lambda s=scheme, k=kind: harness.theoretical_costs(s, _NCSA_SETUPS[k]()),
+                   id=f"costs-ncsa-{kind}-as-{scheme}")
+      for scheme, kind in [("ep", "x"), ("csa", "b"), ("gcsa", "seed"), ("csa", "n3")]),
+    # a partition takes no N = 3, no X and no B, and ncsa and lcc no partition
+    pytest.param(lambda: csa.csa_params(FIELD, 1, 2, 20, p=2, arity=3), id="partition-n3"),
+    pytest.param(lambda: csa.csa_params(FIELD, 1, 2, 20, m=2, x_secure=1), id="partition-x"),
+    pytest.param(lambda: csa.csa_params(FIELD, 1, 2, 20, n=2, byzantine=1), id="partition-b"),
+    pytest.param(lambda: csa.csa_params(FIELD, 1, 2, 20, p=2, systematic=True),
+                 id="partition-systematic"),
+    pytest.param(lambda: harness.run_nlinear(
+        FIELD, gcsa.gcsa_params(FIELD, 1, 1, 1, 2, 1, 8), ncsa.matmul_map(2, 2, 2),
+        [_matrices(1), _matrices(2)], harness.StragglerModel(count=8)), id="nlinear-on-m2"),
+    pytest.param(lambda: harness.theoretical_costs("lcc", gcsa.gcsa_params(
+        FIELD, 1, 2, 1, 1, 2, 12)), id="costs-n2-as-lcc"),
+    # LCC is N-CSA with ell = 1: ell = 2 once costed as N-CSA's R = 5, not LCC's 7
+    pytest.param(lambda: harness.theoretical_costs("lcc", ncsa.ncsa_params(FIELD, 2, 2, 2, 9)),
+                 id="costs-ell2-as-lcc"),
 ])
 def test_a_setup_of_another_family_is_refused(call):
     # N-CSA parameters under "csa" once decoded wrong products with no error
@@ -223,6 +250,36 @@ def test_a_setup_of_another_family_is_refused(call):
     # with a bare AttributeError
     with pytest.raises(ParameterError, match="takes"):
         call()
+
+
+@pytest.mark.parametrize("q", [13, 65537, 2147483629])
+def test_an_n_csa_setup_with_n_2_is_the_csa_setup(q):
+    # CSA is N-CSA with N = 2: one setup, one threshold formula, and an
+    # N-CSA round of the matrix product gives the CSA round's products and costs
+    field = PrimeField(q)
+    rng = np.random.default_rng(q)
+    for ell, kc, extra in ((1, 1, 0), (1, 3, 2), (2, 2, 1), (3, 1, 2)):
+        servers = csa.csa_threshold(ell, kc) + extra
+        setup = csa.csa_params(field, ell, kc, servers)
+        assert ncsa.ncsa_params(field, 2, ell, kc, servers) == setup
+        assert setup.threshold == gcsa.gcsa_threshold(ell, kc, 1, 1, 1)
+        assert setup.threshold == ncsa.xsb_threshold(2, ell, kc, 0, 0)
+        aa = [field.rand_matrix(rng, 2, 3) for _ in range(ell * kc)]
+        bb = [field.rand_matrix(rng, 3, 2) for _ in range(ell * kc)]
+        straggler = harness.StragglerModel(count=int(rng.integers(setup.threshold, servers + 1)),
+                                           seed=ell + kc)
+        products, report = harness.run_cdbmm(field, "csa", setup, aa, bb, straggler)
+        evals, n_report = harness.run_nlinear(field, setup, ncsa.matmul_map(2, 3, 2), [aa, bb],
+                                              straggler)
+        assert all(np.array_equal(e, p) for e, p in zip(evals, products, strict=True))
+        assert (n_report.theory, n_report.measured) == (report.theory, report.measured)
+    # the one formula is GCSA's wherever a partition is, N-CSA's wherever N, X or B is
+    for ell, kc, p, m, n in itertools.product((1, 2), (1, 3), (1, 2), (1, 3), (1, 2)):
+        r = gcsa.gcsa_threshold(ell, kc, p, m, n)
+        assert csa.csa_params(PrimeField(2147483629), ell, kc, r, p=p, m=m, n=n).threshold == r
+    for arity, ell, kc, x, b in itertools.product((2, 3, 4), (1, 2), (1, 3), (0, 2), (0, 1)):
+        r = ncsa.xsb_threshold(arity, ell, kc, x, b)
+        assert ncsa.ncsa_params(PrimeField(2147483629), arity, ell, kc, r, x, b).threshold == r
 
 
 def test_ep_is_gcsa_with_one_group_of_one():
