@@ -196,8 +196,7 @@ def _cauchy_encode(field: PrimeField, batch, params, servers, side: str) -> np.n
     inner = params.ep
     grid = (inner.m, inner.p) if side == "a" else (inner.p, inner.n)
     one = params.batch_size == 1
-    arr = field.residues(np.asarray(_batch_entries(
-        field, batch, None if one else params.batch_size, grid != (1, 1))))
+    arr = _batch_entries(field, batch, None if one else params.batch_size, grid != (1, 1))
     weights = _weights(field, params, tuple(_server_list(servers)), side)
     return _generator_encode(field, arr, weights[:, 0] if one and len(arr) > 1 else weights,
                              servers, grid, _raw(params))
@@ -271,10 +270,10 @@ def _generator_encode(field: PrimeField, arr: np.ndarray, weights: np.ndarray, s
     (bh x bw), and the L entries form ell groups of kc.  ``weights`` has
     shape (coded servers, ell, kc * blocks): group l's shares are
     ``weights[:, l]`` times the group's blocks stacked as
-    (kc * blocks x bh * bw), one product per group.  A 2-D ``weights``
-    (coded servers, blocks) is the one row of a code of one group of one
-    entry, used for every entry of a longer batch alone (EP); the blocks
-    of all entries then stack as (blocks x entries * bh * bw), one product
+    (kc * blocks x bh * bw), all ell groups in one stacked product.  A 2-D
+    ``weights`` (coded servers, blocks) is the one row of a code of one group
+    of one entry, used for every entry of a longer batch alone (EP); the
+    blocks of all entries then stack as (blocks x entries * bh * bw), one product
     yields every share, and a server's share is (entries, 1, bh, bw), one
     group per entry.  On the 1 x 1 grid an entry may have any shape, which
     each share keeps.
@@ -302,9 +301,8 @@ def _generator_encode(field: PrimeField, arr: np.ndarray, weights: np.ndarray, s
         shares = shares.reshape((coded, ell, 1) + group_shape[1:])
     else:
         stacked = blocks.transpose(0, 1, 2, 4, 3, 5).reshape(ell, width, -1)
-        out = _shares_out((ell, coded, stacked.shape[-1]))
-        for l in range(ell):
-            field.matmul(weights[:, l], stacked[l], out=out[l])
+        out = field.matmul(np.swapaxes(weights, 0, 1), stacked,
+                           out=_shares_out((ell, coded, stacked.shape[-1])))
         shares = out.reshape((ell,) + group_shape).swapaxes(0, 1)
     if raw:  # the coded servers' rows, in listed order, among the raw ones
         coded_rows, own = iter(shares), arr[:, None]  # own[s]: entry s as one group
@@ -484,28 +482,37 @@ def interference_rank(field: PrimeField, params: CSAParams) -> int:
 # ---- shared helpers ----
 
 
-def _batch_entries(field: PrimeField, batch, size=None, matrices=False) -> list:
-    """The checked entry arrays of one input batch, for every encoder and the
-    harness: rectangular, ``size`` of them if given (L), integer, one shape.
-    Entries of mixed dtypes come as residues, so that they stack as int64."""
-    try:
-        arrays = [np.asarray(x) for x in batch]
-    except ValueError as exc:  # a ragged nested list
-        raise ParameterError(f"batch entries must be rectangular arrays: {exc}") from None
-    if not arrays:
+def _batch_entries(field: PrimeField, batch, size=None, matrices=False, stack_large=True):
+    """One input batch, checked for every encoder and the harness
+    (rectangular, ``size`` entries if given (L), integer, one shape), as one
+    int64 residue stack, which passes again without a copy.  Without
+    ``stack_large`` (a round), a list of ``_ARENA_MIN_BYTES`` or more stays
+    a list of residues, for its encoder to stack: one such stack at a time."""
+    if isinstance(batch, np.ndarray) and batch.ndim:  # one shape and one dtype already
+        arrays, dtypes, shapes = batch, {batch.dtype}, {batch.shape[1:]}
+    else:
+        try:
+            arrays = [np.asarray(x) for x in batch]
+        except ValueError as exc:  # a ragged nested list
+            raise ParameterError(f"batch entries must be rectangular arrays: {exc}") from None
+        dtypes, shapes = {x.dtype for x in arrays}, {x.shape for x in arrays}
+    if not len(arrays):
         raise ParameterError("batch is empty")
     if size is not None and len(arrays) != size:
         raise ParameterError(f"batch of {len(arrays)} entries does not match L = {size}")
-    dtypes = {x.dtype for x in arrays}
     if any(d.kind not in "iu" for d in dtypes):
         raise ParameterError("batch entries must hold integers")
-    if len({x.shape for x in arrays}) != 1:
+    if len(shapes) != 1:
         raise ParameterError("batch entries must share one shape")
     if matrices and arrays[0].ndim != 2:
         raise ParameterError("batch entries must be matrices")
     if not arrays[0].size:  # no cost of a round could be normalized
         raise ParameterError(f"batch entries of shape {arrays[0].shape} have no elements")
-    return arrays if len(dtypes) == 1 else [field.residues(x) for x in arrays]
+    if not (stack_large or isinstance(arrays, np.ndarray)
+            or 8 * len(arrays) * arrays[0].size < _ARENA_MIN_BYTES):
+        return [field.residues(x) for x in arrays]
+    # entries of mixed dtypes come as residues, so that they stack as int64
+    return field.residues(arrays if len(dtypes) == 1 else [field.residues(x) for x in arrays])
 
 
 def _take_answers(answers, r: int, servers: int):

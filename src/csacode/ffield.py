@@ -23,14 +23,14 @@ several fields can coexist in one process.
   this form too wherever it needs fewer chunks than plain residues.
 
 A stack (``a`` and ``b`` with one leading shape) picks its path by the
-multiply-adds of all its slices; a float chunk is then one batched ``dgemm``.
-18 stacked 16^3 products at q = 65537 took 126 us on the int64 path, 54 us
-on the float path and 250 us as 18 calls.  ``harness._round`` stacks its
-responsive servers' answers, but answers a server whose shares reach
-``_ARENA_MIN_BYTES`` alone, so no buffer grows with the server count: 12
-CSA answers (ell = 2) took 103 vs 553 us stacked vs alone at 8 KiB of
-shares a server, 272 vs 723 us at 32 KiB and 2,294 vs 1,367 us at 128 KiB
-(cdbmm-q31's; q = 65537, best of 7 timeit repeats).
+multiply-adds of all its slices; a float chunk is then one batched ``dgemm``
+below a column block wide.  18 stacked 16^3 products at q = 65537 took 126 us
+on the int64 path, 54 us on the float path and 250 us as 18 calls.
+``harness._round`` stacks its responsive servers' answers, but answers a
+server whose shares reach ``_ARENA_MIN_BYTES`` alone, so no buffer grows
+with the server count: 12 CSA answers (ell = 2) took 103 vs 553 us stacked
+vs alone at 8 KiB of shares a server, 272 vs 723 us at 32 KiB and 2,294 vs
+1,367 us at 128 KiB (cdbmm-q31's; q = 65537, best of 7 timeit repeats).
 
 Workspaces: the float path writes its float64 operands, each ``dgemm``
 block and each reduction quotient into scratch arrays that belong to the
@@ -242,8 +242,9 @@ class PrimeField:
         cols = b.shape[-1] if b.ndim > 1 else 1
         if a.size * cols < FLOAT_MIN_MACS and inner * (self.q - 1) ** 2 < 2**62:
             return self._matmul_int64(a, b, out)
-        a = a.reshape((-1, a.shape[-2], inner) if stacked else (-1, inner))
-        b = b.reshape((-1, inner, cols) if stacked else (inner, cols))
+        lead = math.prod(a.shape[:-2] if stacked else a.shape[:-1])  # explicit: a size may be 0
+        a = a.reshape((lead, a.shape[-2], inner) if stacked else (lead, inner))
+        b = b.reshape((lead, inner, cols) if stacked else (inner, cols))
         flat = None if out is None else out.reshape(a.shape[:-1] + (cols,))
         result = self._matmul_float(a, b, flat)
         return result.reshape(shape) if out is None else out
@@ -258,22 +259,24 @@ class PrimeField:
         """float64 BLAS product of 2-D residue arrays (or 3-D stacks), one
         ``dgemm`` per chunk of inner terms, each chunk short enough that its
         float64 sums stay below 2^53 and so are exact integers.  Output
-        columns go in blocks of ``_COLUMN_BLOCK``: each block of ``b`` is
-        cast into the ``y`` workspace, and each chunk's ``dgemm`` writes into
-        the ``part`` workspace, which is added into ``out`` while it is still
-        in cache, reduced once a block and after every ``_CHUNK_SUMS`` added
+        columns go in blocks of ``_COLUMN_BLOCK``, slice by slice in a stack
+        at least one wide (3-D blocks run slower): each block of ``b`` is cast
+        into the ``y`` workspace, and each chunk's ``dgemm`` writes into the
+        ``part`` workspace, which is added into ``out`` while it is still in
+        cache, reduced once a block and after every ``_CHUNK_SUMS`` added
         chunks.  ``out`` is allocated when not given, and nothing else is."""
         q = self.q
         x, chunk = self._float_a(a)
         if out is None:
             out = np.empty(a.shape[:-1] + b.shape[-1:], dtype=np.int64)
-        for col in range(0, out.shape[-1], _COLUMN_BLOCK):
+        rows = range(len(out)) if out.ndim == 3 and out.shape[-1] >= _COLUMN_BLOCK else [...]
+        for row, col in ((r, c) for r in rows for c in range(0, out.shape[-1], _COLUMN_BLOCK)):
             cols = slice(col, col + _COLUMN_BLOCK)
-            block = out[..., cols]
-            y = self._float_b(b[..., cols], x.shape[-1])
+            block, xs = out[row][..., cols], x[row]
+            y = self._float_b(b[row][..., cols], x.shape[-1])
             part = _workspace("part", block.shape, np.float64)
             for i, lo in enumerate(range(0, x.shape[-1], chunk)):
-                np.matmul(x[..., lo : lo + chunk], y[..., lo : lo + chunk, :], out=part)
+                np.matmul(xs[..., lo : lo + chunk], y[..., lo : lo + chunk, :], out=part)
                 if i == 0:
                     np.copyto(block, part, casting="unsafe")
                     continue

@@ -173,7 +173,7 @@ def run_cdbmm(field: PrimeField, scheme: str, setup, batch_a, batch_b,
     _check_setup(scheme, setup)
     if byzantine is not None:
         raise ParameterError("the CDBMM decoders assume honest answers (B = 0)")
-    batch_a, batch_b = ([field.residues(x) for x in csa._batch_entries(field, b, matrices=True)]
+    batch_a, batch_b = (csa._batch_entries(field, b, matrices=True, stack_large=False)
                         for b in (batch_a, batch_b))
     if len(batch_a) != len(batch_b):
         raise ParameterError("A and B batches must have equal length")
@@ -229,7 +229,7 @@ def run_nlinear(field: PrimeField, params: csa.CSAParams, job, batches,
         raise ParameterError(
             f"need one variable batch per slot: got {len(batches)}, "
             f"expected {want_batches}")
-    batches = [[field.residues(x) for x in csa._batch_entries(field, b)] for b in batches]
+    batches = [csa._batch_entries(field, b, stack_large=False) for b in batches]
     uses = ([(slot, t.omega.var_shapes[i]) for t in job.terms
              for i, slot in enumerate(t.slots)] if is_spec
             else enumerate(job.var_shapes))
@@ -243,7 +243,7 @@ def run_nlinear(field: PrimeField, params: csa.CSAParams, job, batches,
                 f"the map expects {tuple(shape)}")
     if len(ones_shapes) > 1:
         raise ParameterError("constant slots must share one shape")
-    ones = [[np.ones(shape, dtype=np.int64)] * params.batch_size for shape in ones_shapes]
+    ones = [np.ones((params.batch_size,) + shape, dtype=np.int64) for shape in ones_shapes]
     const = []  # a spec's constant-one shares, every server's rows
 
     def encode():  # the constant-one batch, if any, as the last variable
@@ -275,7 +275,8 @@ def _round(scheme: str, setup, operands, straggler: StragglerModel,
     S samples, so EP needs S <= q - 1; a share and an answer of a code of
     batch size 1 hold every batch entry.
 
-    ``operands`` holds the residue batches, one per variable.
+    ``operands`` holds the checked residue batches (``csa._batch_entries``),
+    one per variable, which the encoders take again: a stack without a copy.
     ``encode()`` returns per variable the encoder's shares of every server
     (responsive or not), row s for server s: one encoder call per side of a
     matrix product, one ``xs_encode`` for all of an N-CSA round's variables.

@@ -10,9 +10,9 @@ The parameters are ``csa.CSAParams`` with N = ``arity``, X and B
 Points, batch checks, the generator product and the decoder (also on
 ``xsb_decode``'s clean rows) are the CSA ones, and so is the systematic
 layout.  Lagrange coded computing (LCC) is ell = 1, kc = L, threshold
-N(L - 1) + 1.  X-secure shares add X uniform noise blocks a group, keyed
-(var, l, x), on the generator's Vandermonde terms, so any X servers learn
-nothing; all of a round's variables are encoded by one product per group.
+N(L - 1) + 1.  X-secure shares add X uniform noise blocks a group, one
+draw a variable, on the generator's Vandermonde terms, so any X servers
+learn nothing; all of a round's variables and groups are one product.
 Up to B forged answers are located from the answers' syndromes at once.
 """
 
@@ -31,7 +31,7 @@ from .csa import (CSAParams, _answer_rows, _batch_entries, _cauchy_weights, _gen
                   _plan_cache, _raw, _read_only, _results, _server_list, _take_answers,
                   csa_decode, csa_params)
 from .errors import DecodingFailureError, ParameterError
-from .ffield import PrimeField, poly_eval
+from .ffield import PrimeField, _reduce, poly_eval
 # perfbench/tracer.py requires ncsa.solve_batch, so it stays importable here.
 from .structmat import _determinants, _powers, rs_error_correct, solve_batch  # noqa: F401
 
@@ -158,22 +158,23 @@ def noise_block(field: PrimeField, seed: int, var: int, l: int, k: int, x: int,
     """Uniform noise block keyed by (seed, var, l, k, x): one SHAKE-256 stream.
 
     Counter-based (Salmon et al., SC 2011): the packed key seeds a SHAKE-256
-    stream (FIPS 202) read as little-endian 64-bit words.  Words at or above
-    the largest multiple of q below 2^64 are rejected, so there is no modulo
+    stream (FIPS 202) read as little-endian words, 32-bit up to q = 2^32
+    (every ``PrimeField``) and 64-bit above.  Words at or above the largest
+    multiple of q below 2^32 (2^64) are rejected, so there is no modulo
     bias; the first n survivors mod q fill the block in row-major order, and
-    a short read continues the stream.  ``xs_encode`` passes k = 0, which
-    keeps each block's stream and the seven arguments perfbench's tracer unpacks.
-    """
-    q = field.q
-    n = math.prod(shape)
-    limit = np.uint64((2**64 // q) * q)
+    a short read continues the stream.  ``xs_encode`` draws a variable's ell
+    * X blocks as one, keyed (seed, var, 0, 0, 0): the seven arguments
+    perfbench's tracer unpacks stay."""
+    q, n = field.q, math.prod(shape)
+    bits = 32 if q <= 2**32 else 64
+    limit = (2**bits // q) * q
     xof = hashlib.shake_256(struct.pack("<5q", seed, var, l, k, x))
-    words = n + 4  # below 2^31 a word is rejected with probability under 2^-33
+    words = n * 2**bits // limit + 4  # the expected read, and a little more
     while True:
-        stream = np.frombuffer(xof.digest(8 * words), dtype="<u8")
+        stream = np.frombuffer(xof.digest(bits // 8 * words), dtype=f"<u{bits // 8}")
         kept = stream[stream < limit]
         if kept.size >= n:
-            return (kept[:n] % np.uint64(q)).astype(np.int64).reshape(shape)
+            return (kept[:n] % q).astype(np.int64).reshape(shape)
         words += 2 * (n - kept.size) + 4
 
 
@@ -182,35 +183,36 @@ def xs_encode(field: PrimeField, batches, params: CSAParams, servers,
     """Secure shares of every variable (``batches``, one batch each): data
     Cauchy terms plus uniform noise along powers of alpha.
 
-    Variable v draws X noise blocks a group, keyed (v, l, x), as in the
-    paper: every server adds Delta_s(l) * alpha_s^(x-1) * Z_{l,x} to its
-    group-l share, where Delta_s(l) = prod_k (f_{l,k} - alpha_s).  Group l's
-    kc entries and X noise blocks of every variable, flattened side by side,
-    times the plan ``_weights`` of ``params.code`` and the listed servers,
-    are one generator product (``csa._generator_encode``).  Returns per
-    variable views of it in that variable's entry shape: for one server
-    index its ell shares, for a sequence their shares row by row (a list of
-    rows in a systematic layout).  The noise depends on
-    ``params.noise_seed``, v and (l, x) alone: every round of one
-    ``CSAParams`` adds the same masks, so X-security across rounds needs a
-    fresh ``noise_seed`` per round (plans are keyed on ``params.code``, so
-    no new plan).  ``noise`` may override the seeded blocks: a mapping
-    (v, l, x) -> array (1-based x).
+    Variable v draws X noise blocks a group, as in the paper: every server
+    adds Delta_s(l) * alpha_s^(x-1) * Z_{l,x} to its group-l share, where
+    Delta_s(l) = prod_k (f_{l,k} - alpha_s), and Z_{l,x} is row (l, x - 1)
+    of one ``noise_block`` (ell, X, entry size) keyed (v, 0, 0, 0).  Group
+    l's kc entries and X noise blocks of every variable, flattened side by
+    side, times the plan ``_weights`` of ``params.code`` and the listed
+    servers, are one generator product for all groups
+    (``csa._generator_encode``).  Returns per variable views of it in that
+    variable's entry shape: for one server index its ell shares, for a
+    sequence their shares row by row (a list of rows in a systematic
+    layout).  The noise depends on ``params.noise_seed`` and v alone: every
+    round of one ``CSAParams`` adds the same masks, so X-security across
+    rounds needs a fresh ``noise_seed`` per round (plans are keyed on
+    ``params.code``, so no new plan).  ``noise`` may override the seeded
+    blocks: a mapping (v, l, x) -> array (1-based x).
     """
-    kc, width = params.kc, params.kc + params.x_secure
-    arrays = [field.residues(np.asarray(_batch_entries(field, batch, params.batch_size)))
-              for batch in batches]  # every batch checked before any noise
+    kc, ell, x_secure = params.kc, params.ell, params.x_secure
+    arrays = [_batch_entries(field, b, params.batch_size) for b in batches]  # before any noise
     sizes = [a[0].size for a in arrays]
     spans = [slice(end - n, end) for n, end in zip(sizes, itertools.accumulate(sizes))]
-    groups = np.empty((params.ell, width, sum(sizes)), dtype=np.int64)
-    for v, (a, span) in enumerate(zip(arrays, spans)):
-        groups[:, :kc, span] = a.reshape(params.ell, kc, -1)
-        for l, x in itertools.product(range(params.ell), range(1, params.x_secure + 1)):
-            groups[l, kc + x - 1, span] = np.ravel(
-                field.residues(noise[(v, l, x)]) if noise is not None else
-                noise_block(field, params.noise_seed, v, l, 0, x, a.shape[1:]))
+    groups = np.empty((ell, kc + x_secure, sum(sizes)), dtype=np.int64)
+    for v, (a, n, span) in enumerate(zip(arrays, sizes, spans)):
+        groups[:, :kc, span] = a.reshape(ell, kc, n)
+        if x_secure:
+            groups[:, kc:, span] = (noise_block(
+                field, params.noise_seed, v, 0, 0, 0, (ell, x_secure, n)) if noise is None
+                else [[np.ravel(field.residues(noise[(v, l, x)]))
+                       for x in range(1, x_secure + 1)] for l in range(ell)])
     weights = _weights(field, params.code, tuple(_server_list(servers)))
-    shares = _generator_encode(field, groups.reshape(params.ell * width, -1), weights,
+    shares = _generator_encode(field, groups.reshape(ell * (kc + x_secure), -1), weights,
                                servers, raw=_raw(params))
 
     def split(rows):  # (..., every variable's entries) -> a view per variable
@@ -249,9 +251,10 @@ def ncsa_answer(field: PrimeField, shares, omega: NLinearMap, params: CSAParams,
                 s, counter=None) -> np.ndarray:
     """Y_s = sum_l Delta_s^{-1} Omega(coded variables of group l).
 
-    ``shares`` holds one share list (length ell) per variable slot, or for
-    a sequence ``s`` of n servers their (n, ell, ...) rows, with one map
-    call per group; ``counter`` counts the call's.  A raw server of a
+    ``shares`` holds one share list (length ell) per variable slot, with one
+    map call per group, or for a sequence ``s`` of n servers their (n, ell,
+    ...) rows, with one map call on their (n * ell)-long stack, the map's
+    one leading axis; ``counter`` counts the call's.  A raw server of a
     systematic layout (s < L) holds one-group shares, its own entries, and
     returns Omega of them unnormalized (in a call of raw servers only).
     """
@@ -260,21 +263,21 @@ def ncsa_answer(field: PrimeField, shares, omega: NLinearMap, params: CSAParams,
     listed, raw = _server_list(s), _raw(params)
     if min(listed) < raw <= max(listed):
         raise ParameterError("raw and coded servers answer in separate calls")
-    if np.ndim(s):  # servers x groups: iterate the groups
-        shares = [np.swapaxes(sh, 0, 1) for sh in shares]
-    if listed[0] < raw:
+    if listed[0] < raw:  # one-group shares
         if counter is not None and omega.mults is not None:
             counter.mults += len(listed) * omega.mults
-        return omega(field, *[sh[0] for sh in shares])
-    inverses = _inverse_deltas(field, params.code)[np.subtract(s, raw)]
-    acc = None
-    for l in range(params.ell):
-        y, w = omega(field, *[sh[l] for sh in shares]), inverses[..., l]
-        term = w.reshape(w.shape + (1,) * (y.ndim - w.ndim)) * y % field.q
-        if counter is not None and omega.mults is not None:
-            counter.mults += len(listed) * (omega.mults + math.prod(omega.out_shape))
-        acc = term if acc is None else (acc + term) % field.q
-    return acc
+        return omega(field, *[np.asarray(sh)[:, 0] if np.ndim(s) else sh[0] for sh in shares])
+    if np.ndim(s):  # (n, ell, ...) rows: one map call on their (n * ell, ...) stack
+        ys = omega(field, *[np.reshape(sh, (len(listed) * params.ell,) + np.shape(sh)[2:])
+                            for sh in shares])
+        ys = np.reshape(ys, (len(listed), params.ell) + np.shape(ys)[1:])
+    else:  # one server's ell groups, as the map takes no leading axis
+        ys = np.stack([omega(field, *[sh[l] for sh in shares]) for l in range(params.ell)])
+    if counter is not None and omega.mults is not None:
+        counter.mults += len(listed) * params.ell * (omega.mults + math.prod(omega.out_shape))
+    w = _inverse_deltas(field, params.code)[np.subtract(s, raw)]  # (n, ell) or (ell,)
+    ys = _reduce(w.reshape(w.shape + (1,) * (ys.ndim - w.ndim)) * ys, field.q)
+    return _reduce(ys.sum(axis=w.ndim - 1), field.q)  # Delta^-1 each group, then the sum
 
 
 @_plan_cache

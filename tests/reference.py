@@ -25,7 +25,8 @@ library code calls them:
 - ``latency_upper_scan``: GCSA's latency point by a scan of every square
   partition size up to about (K eta / 2)^(1/3), which
   ``analysis.gcsa_latency_upper`` must equal;
-- ``shake_words`` / ``noise_reference``: X-secure noise drawn word by word;
+- ``shake_words`` / ``noise_reference``: X-secure noise drawn word by word,
+  4-byte words up to q = 2^32 and 8-byte words above;
 - ``xs_share_reference``: one server's X-secure shares of one variable,
   entry by entry in Python integers, from the paper's formula (X noise
   blocks a group), so it shares no weight table or generator product with
@@ -338,23 +339,25 @@ def latency_upper_scan(job_size: int, eta: float, k: float):
 # ---- X-secure noise ----
 
 
-def shake_words(key: tuple):
-    """The 64-bit little-endian words of the SHAKE-256 stream of the packed
-    (seed, var, l, k, x) key, read 8 bytes at a time."""
+def shake_words(key: tuple, width: int = 8):
+    """The little-endian words of ``width`` bytes of the SHAKE-256 stream of
+    the packed (seed, var, l, k, x) key, read one word at a time."""
     xof = hashlib.shake_256(struct.pack("<5q", *key))
     stream, i = b"", 0
     while True:
-        if 8 * (i + 1) > len(stream):
+        if width * (i + 1) > len(stream):
             stream = xof.digest(max(64, 2 * len(stream)))
-        yield int.from_bytes(stream[8 * i:8 * i + 8], "little")
+        yield int.from_bytes(stream[width * i:width * (i + 1)], "little")
         i += 1
 
 
 def noise_reference(q: int, key: tuple, n: int) -> list[int]:
-    """The first n words below the largest multiple of q under 2^64, mod q."""
-    limit = (2**64 // q) * q
+    """The first n words below the largest multiple of q under 2^32 (4-byte
+    words, up to q = 2^32) or 2^64 (8-byte words, above), mod q."""
+    width = 4 if q <= 2**32 else 8
+    limit = (2**(8 * width) // q) * q
     out = []
-    for word in shake_words(key):
+    for word in shake_words(key, width):
         if len(out) == n:
             return out
         if word < limit:
@@ -366,16 +369,19 @@ def xs_share_reference(q: int, params, batch, var: int, s: int, noise=None) -> l
     by entry, from the paper's formula: group l's share is
     Delta(l) [sum_k x_{l,k} / (f_{l,k} - alpha) + sum_x alpha^(x-1) Z_{l,x}]
     with Delta(l) = prod_k (f_{l,k} - alpha), alpha = alpha_s, the division
-    by Fermat's little theorem, and Z_{l,x} the ``noise_reference`` words of
-    key (noise_seed, var, l, 0, x) unless ``noise`` gives it, keyed
-    (var, l, x).  A raw server s < L of a systematic layout holds its own
-    entry as a one-group share."""
+    by Fermat's little theorem, and Z_{l,x} block (l, x - 1) of the
+    variable's ell * X blocks of n entries, the ``noise_reference`` words of
+    key (noise_seed, var, 0, 0, 0) in that order, unless ``noise`` gives it,
+    keyed (var, l, x).  A raw server s < L of a systematic layout holds its
+    own entry as a one-group share."""
     if params.systematic and s < params.batch_size:
         return [np.array([int(v) % q for v in np.ravel(batch[s]).tolist()],
                          dtype=np.int64).reshape(np.shape(batch[s]))]
     alpha, kc = params.samples[s], params.kc
     shape = np.shape(batch[0])
     n = math.prod(shape)
+    drawn = noise_reference(q, (params.noise_seed, var, 0, 0, 0),
+                            params.ell * params.x_secure * n)  # blocks (l, x - 1), row-major
     shares = []
     for l in range(params.ell):
         poles = [params.pole(l, k) for k in range(kc)]
@@ -383,7 +389,7 @@ def xs_share_reference(q: int, params, batch, var: int, s: int, noise=None) -> l
         data = [(pow(f - alpha, q - 2, q), np.ravel(batch[l * kc + k]).tolist())
                 for k, f in enumerate(poles)]
         masks = [(alpha ** (x - 1), np.ravel(noise[(var, l, x)]).tolist() if noise is not None
-                  else noise_reference(q, (params.noise_seed, var, l, 0, x), n))
+                  else drawn[(l * params.x_secure + x - 1) * n:(l * params.x_secure + x) * n])
                  for x in range(1, params.x_secure + 1)]
         entries = [delta * sum(w * int(v[i]) for w, v in data + masks) % q for i in range(n)]
         shares.append(np.array(entries, dtype=np.int64).reshape(shape))

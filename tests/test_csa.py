@@ -233,18 +233,19 @@ def test_answer_is_the_sum_of_group_products(q, ell):
 
 
 def test_encode_multiplies_each_group_by_its_own_weights(monkeypatch):
-    # one product per group: no block-diagonal zeros in the generator
+    # one stacked product of every group by its own weights: no
+    # block-diagonal zeros in the generator
     rng = np.random.default_rng(32)
     matmul = PrimeField.matmul
     macs = []
     monkeypatch.setattr(PrimeField, "matmul", lambda self, a, b, **kw: macs.append(
-        a.size * (b.size // b.shape[0])) or matmul(self, a, b, **kw))
+        a.size * b.shape[-1]) or matmul(self, a, b, **kw))
     for ell, kc, servers in ((1, 3, 6), (2, 2, 7), (3, 2, 9)):
         params = csa_params(FIELD, ell, kc, servers)
         aa = [FIELD.rand_matrix(rng, 6, 5) for _ in range(ell * kc)]
         macs.clear()
         shares = csa_encode_a(FIELD, aa, params, range(servers))
-        assert sum(macs) == servers * ell * kc * 6 * 5
+        assert len(macs) == 1 and sum(macs) == servers * ell * kc * 6 * 5
         for s in (0, servers - 1):
             assert all(np.array_equal(x, y)
                        for x, y in zip(shares[s], csa_encode_a(FIELD, aa, params, s)))

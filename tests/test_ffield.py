@@ -290,6 +290,31 @@ def test_stacked_products_equal_each_slice(monkeypatch, lead, rows, inner, cols,
                          else "_matmul_float"]
 
 
+@pytest.mark.parametrize("q", MODULI)
+@pytest.mark.parametrize("shape_a, shape_b", [
+    ((2, 0, 3), (2, 3, 4)),     # zero rows in every slice of a stack
+    ((0, 2, 3), (0, 3, 4)),     # a stack of no slices
+    ((0, 2, 3), (0, 3, 0)),
+    ((2, 3, 2, 3), (2, 3, 3, 4)),  # two stack axes, every slice nonempty
+    ((2, 0, 2, 3), (2, 0, 3, 4)),  # two stack axes, none along one
+    ((0, 3), (3, 4)),           # a 2-D product of no rows
+    ((2, 3), (3, 0)),           # and of no columns
+    ((2, 0), (0, 4)),           # and of no inner terms: all zero
+])
+def test_zero_size_products_keep_their_shape(q, shape_a, shape_b):
+    # an empty server list makes zero-row stacks; near q = 2^31 they take the
+    # float path, whose reshapes must not infer a size from no entries
+    field, rng = PrimeField(q), np.random.default_rng(len(shape_a))
+    a = rng.integers(0, q, size=shape_a, dtype=np.int64)
+    b = rng.integers(0, q, size=shape_b, dtype=np.int64)
+    want = (np.asarray(a, dtype=object) @ np.asarray(b, dtype=object)) % q
+    for out in (None, np.full(want.shape, -1, dtype=np.int64)):
+        got = field.matmul(a, b, out=out)
+        assert got is out or out is None
+        assert (got.dtype, got.shape) == (np.dtype(np.int64), want.shape)
+        assert np.array_equal(got, want.astype(np.int64))
+
+
 @pytest.mark.parametrize("shape_a, shape_b", [
     ((2, 3, 4), (3, 4, 5)),    # leading shapes differ
     ((3, 4), (2, 4, 5)),       # a 2-D a against a stack

@@ -5,6 +5,7 @@ import importlib.util
 import inspect
 import itertools
 import json
+import math
 import os
 import subprocess
 import sys
@@ -1157,8 +1158,8 @@ def test_raw_and_coded_servers_answer_in_separate_calls():
 
 def test_answer_step_matmul_count_does_not_grow_with_the_responsive_count(monkeypatch):
     # An X-secure matmul round answers its responsive servers with one
-    # stacked product per group, so 12 responsive servers make as many
-    # PrimeField.matmul calls in the answer step as 18.
+    # stacked product for all of their groups, so 12 responsive servers
+    # make as many PrimeField.matmul calls in the answer step as 18: one.
     field = PrimeField(65537)
     omega = ncsa.matmul_map(16, 16, 16)
     params = ncsa.ncsa_params(field, 2, 2, 2, 20, x_secure=2, byzantine=1)
@@ -1189,7 +1190,86 @@ def test_answer_step_matmul_count_does_not_grow_with_the_responsive_count(monkey
         assert all(np.array_equal(g, t) for g, t in zip(got, truth))
         assert report.server_mults == params.ell * (16**3 + 16**2)
         counts.append(sum(calls))
-    assert counts[0] == counts[1] == params.ell
+    assert counts[0] == counts[1] == 1
+
+
+@pytest.mark.parametrize("as_array", [False, True])
+def test_a_round_never_writes_into_the_callers_batches(as_array):
+    # A batch of int64 residues is checked as it is, without a copy, so a
+    # round's stacks may be the caller's own arrays and a systematic
+    # layout's raw shares views of them: after a round of every scheme the
+    # caller's batches are byte-identical, and no result shares their memory.
+    rng = np.random.default_rng(61)
+    omega, square = ncsa.matrix_chain_map((2, 3, 2, 2)), ncsa.matmul_map(2, 2, 2)
+    spec = ncsa.PolynomialSpec(2, (ncsa.PolyTerm(1, square, (0, 1)),
+                                   ncsa.PolyTerm(5, square, (1, None))))
+    cdbmm = [("ep", harness.ep_setup(FIELD, 2, 1, 2, 8), 3),
+             ("csa", csa.csa_params(FIELD, 2, 2, 8), 4),
+             ("csa-systematic", csa.csa_params(FIELD, 2, 2, 9, systematic=True), 4),
+             ("gcsa", gcsa.gcsa_params(FIELD, 1, 2, 2, 1, 2, 14), 2)]
+    nlinear = [(square, ncsa.ncsa_params(FIELD, 2, 2, 2, 8), None),
+               (square, ncsa.ncsa_params(FIELD, 2, 2, 2, 12, x_secure=2, byzantine=1), (0,)),
+               (omega, ncsa.ncsa_params(FIELD, 3, 2, 1, 6, systematic=True), None),
+               (spec, ncsa.ncsa_params(FIELD, 2, 1, 2, 8, x_secure=1, noise_seed=4), None),
+               (ncsa.determinant_map(3), ncsa.ncsa_params(FIELD, 3, 1, 2, 9, x_secure=1), None)]
+
+    def draw(count, shape):
+        entries = [rng.integers(0, FIELD.q, size=shape, dtype=np.int64) for _ in range(count)]
+        return np.stack(entries) if as_array else entries
+
+    rounds = []
+    for scheme, setup, count in cdbmm:
+        batches = [draw(count, (4, 4)), draw(count, (4, 2))]
+        straggler = harness.StragglerModel(count=setup.threshold + 1, seed=2)
+        rounds.append((batches, harness.direct_products(FIELD, *batches),
+                       lambda b=batches, scheme=scheme, setup=setup, st=straggler:
+                       harness.run_cdbmm(FIELD, scheme, setup, *b, st)))
+    for job, params, forged in nlinear:
+        shapes = square.var_shapes if job is spec else job.var_shapes
+        batches = [draw(params.batch_size, shape) for shape in shapes]
+        straggler = harness.StragglerModel(responsive=tuple(range(params.threshold + 1)))
+        byzantine = forged and harness.ByzantineModel.seeded(FIELD, forged, seed=3)
+        truth = None if job is spec else harness.direct_evaluations(FIELD, job, batches)
+        rounds.append((batches, truth, lambda b=batches, job=job, params=params, st=straggler,
+                       byz=byzantine: harness.run_nlinear(FIELD, params, job, b, st, byz)))
+    for batches, truth, run in rounds:
+        before = [[np.array(x) for x in b] for b in batches]
+        results, _ = run()
+        assert [[x.tobytes() for x in b] for b in batches] == [
+            [x.tobytes() for x in b] for b in before]
+        assert not any(np.shares_memory(r, x) for r in results for b in batches for x in b)
+        assert truth is None or all(np.array_equal(r, t) for r, t in zip(results, truth))
+
+
+@pytest.mark.parametrize("entry", [(4, 4), (64, 64)])
+def test_a_round_checks_each_batch_once(monkeypatch, entry):
+    # A round checks each caller list once and hands the residue stack on,
+    # which the encoders take again as it is.  A list of _ARENA_MIN_BYTES or
+    # more stays a list of checked entries that its encoder stacks, so the
+    # round never holds two such stacks at once.
+    calls, check = [], csa._batch_entries
+
+    def recorded(field, batch, *args, **kw):
+        calls.append((batch, check(field, batch, *args, **kw)))
+        return calls[-1][1]
+
+    monkeypatch.setattr(csa, "_batch_entries", recorded)
+    monkeypatch.setattr(ncsa, "_batch_entries", recorded)
+    rng = np.random.default_rng(62)
+    draw = lambda: [rng.integers(0, FIELD.q, size=entry, dtype=np.int64) for _ in range(4)]
+    large = 8 * 4 * math.prod(entry) >= ffield._ARENA_MIN_BYTES
+    params = ncsa.ncsa_params(FIELD, 2, 2, 2, 12, x_secure=1)
+    for run in (lambda a, b: harness.run_cdbmm(FIELD, "csa", csa.csa_params(FIELD, 2, 2, 8), a, b,
+                                               harness.StragglerModel(count=7, seed=3)),
+                lambda a, b: harness.run_nlinear(FIELD, params, ncsa.matmul_map(*entry, entry[1]),
+                                                 [a, b], harness.StragglerModel(count=11))):
+        calls.clear()
+        run(draw(), draw())
+        (given_a, held_a), (given_b, held_b), (took_a, out_a), (took_b, out_b) = calls
+        assert isinstance(given_a, list) and isinstance(given_b, list)
+        assert took_a is held_a and took_b is held_b  # handed on
+        assert isinstance(held_a, list) == large and isinstance(held_b, list) == large
+        assert isinstance(out_a, np.ndarray) and (large or out_a is took_a)
 
 
 def test_a_large_ep_server_multiplies_entry_by_entry(monkeypatch):

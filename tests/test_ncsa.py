@@ -268,6 +268,68 @@ def test_answer_matches_rational_expansion():
         assert np.array_equal(y, acc)
 
 
+def _one_axis_matmul(rows, cols):
+    """A (rows x 1) @ (1 x cols) map whose fn takes exactly one leading axis,
+    as the NLinearMap contract allows: only a server sequence can call it.
+    One inner term keeps einsum's int64 sums exact near q = 2^31."""
+    return ncsa.NLinearMap(2, ((rows, 1), (1, cols)), (rows, cols),
+                           lambda field, a, b: np.einsum("sij,sjk->sik", a, b) % field.q,
+                           "one-axis", rows * cols)
+
+
+@pytest.mark.parametrize("q", [13, 65537, 2147483629])
+@pytest.mark.parametrize("ell", [1, 2, 3])
+@pytest.mark.parametrize("x_secure", [0, 2])
+def test_a_server_sequence_answers_like_each_server_alone(q, ell, x_secure):
+    # a sequence of servers answers with one map call on its groups' stack;
+    # its rows equal each server answering alone (one call per group) and
+    # sum_l Delta_s(l)^-1 Omega(group l) in Python ints, and it counts the
+    # same multiplications
+    field, kc = PrimeField(q), 1 if q == 13 else 2
+    rng = np.random.default_rng([q % 1000, ell, x_secure])
+    square = matmul_map(2, 2, 2)
+    spec = PolynomialSpec(2, (PolyTerm(1, square, (0, 1)), PolyTerm(3, square, (1, None))))
+    jobs = [(matmul_map(2, 3, 2),) * 2, (matrix_chain_map((2, 3, 1, 2)),) * 2,
+            (elementwise_product_map(3, 4),) * 2, (determinant_map(3),) * 2,
+            (spec, spec), (_one_axis_matmul(2, 3), matmul_map(2, 1, 3))]
+    for job, alone_job in jobs:
+        arity, shapes = job.arity, square.var_shapes if job is spec else job.var_shapes
+        terms = ([(t.weight, t.omega, t.slots) for t in spec.terms] if job is spec
+                 else [(1, alone_job, range(arity))])
+        servers = xsb_threshold(arity, ell, kc, x_secure, 0) + 1
+        params = ncsa_params(field, arity, ell, kc, servers, x_secure=x_secure, noise_seed=3)
+        batches = [[rng.integers(0, q, size=shape, dtype=np.int64)
+                    for _ in range(params.batch_size)] for shape in shapes]
+        ones = [[np.ones(shapes[0], dtype=np.int64)] * params.batch_size] if job is spec else []
+        shares = xs_encode(field, batches + ones, params, range(servers))
+        listed = [servers - 1, 0, servers // 2]
+
+        def answer(j, s, counter):
+            by_var = {v: sh[s] for v, sh in enumerate(shares)}
+            by_var[None] = by_var.get(len(batches))
+            if isinstance(j, PolynomialSpec):
+                return poly_batch_eval_answer(field, by_var, j, params, s, counter)
+            return ncsa_answer(field, [by_var[v] for v in range(arity)], j, params, s, counter)
+
+        together, alone = harness.OpCounter(), harness.OpCounter()
+        rows = answer(job, listed, together)
+        assert len(rows) == len(listed) and rows.dtype == np.int64
+        for i, s in enumerate(listed):
+            y = answer(alone_job, s, alone)
+            assert np.array_equal(rows[i], y)
+            want = 0
+            for l in range(ell):
+                delta = math.prod(params.pole(l, k) - params.samples[s] for k in range(kc))
+                for weight, term, slots in terms:
+                    args = [shares[len(batches) if v is None else v][s][l] for v in slots]
+                    want = want + pow(delta, q - 2, q) * weight * term(field, *args).astype(object)
+            assert np.array_equal(y, (want % q).astype(np.int64))
+        assert together.mults == alone.mults
+        if job is not spec:  # the map and its Delta^-1 scaling, every server and group
+            assert together.mults == (job.mults is not None and len(listed) * ell * (
+                job.mults + math.prod(job.out_shape)))
+
+
 def test_trilinear_decode_all_subsets():
     rng = np.random.default_rng(10)
     params = ncsa_params(FIELD, 3, 1, 2, 7)
@@ -440,15 +502,15 @@ def test_noise_block_matches_reference(q):
         assert block.reshape(-1).tolist() == noise_reference(q, key, block.size)
 
 
-def test_noise_block_rejection_and_stream_extension_match_reference(monkeypatch):
-    # Below 2^31 a word is rejected with probability under 2^-33.  A stand-in
-    # modulus just above 2^62 (noise_block reads only .q) rejects about one
-    # word in four, so an 8x8 block both rejects words and reads its stream
-    # further than the first digest.
-    field = types.SimpleNamespace(q=2**62 + 1)
+def _check_rejection_and_stream_extension(monkeypatch, q, width):
+    """An 8x8 block at a stand-in modulus (noise_block reads only .q) that
+    rejects about one word in four, so the block both rejects words and
+    reads its stream further than the first digest, in words of ``width``
+    bytes, against the reference's words."""
+    field = types.SimpleNamespace(q=q)
     key = (5, 1, 0, 1, 2)
-    limit = (2**64 // field.q) * field.q
-    assert any(w >= limit for w in itertools.islice(shake_words(key), 64))
+    limit = (2**(8 * width) // field.q) * field.q
+    assert any(w >= limit for w in itertools.islice(shake_words(key, width), 64))
     want = noise_reference(field.q, key, 64)
     reads = []
     shake = hashlib.shake_256
@@ -463,8 +525,20 @@ def test_noise_block_rejection_and_stream_extension_match_reference(monkeypatch)
 
     monkeypatch.setattr(hashlib, "shake_256", Recorded)
     block = noise_block(field, *key, (8, 8))
-    assert len(reads) >= 2
+    assert len(reads) >= 2 and all(n % width == 0 for n in reads)
     assert block.reshape(-1).tolist() == want
+
+
+def test_noise_block_rejection_and_stream_extension_match_reference(monkeypatch):
+    # At the benchmark moduli a word is rejected with probability under
+    # 2^-26; a modulus just above 2^62 is read in 8-byte words
+    _check_rejection_and_stream_extension(monkeypatch, 2**62 + 1, 8)
+
+
+def test_noise_block_reads_4_byte_words_up_to_2_32(monkeypatch):
+    # every PrimeField modulus lies below 2^31: its words are 4 bytes, the
+    # rejection limit the largest multiple of q below 2^32
+    _check_rejection_and_stream_extension(monkeypatch, 3 * 2**30 + 1, 4)
 
 
 _SHAPES = ((3, 2), (2,), (1, 2, 2), (4, 1))  # a variable's entry shape, mixed
@@ -562,8 +636,9 @@ def test_every_x_servers_see_full_rank_noise(q):
 
 @pytest.mark.parametrize("spec", [False, True])
 def test_a_round_draws_x_noise_blocks_a_group(monkeypatch, spec):
-    # X blocks per (variable, group), keyed (var, l, 0, x); a spec's
-    # constant-one slot draws its own ell * X under the next variable index
+    # X blocks per (variable, group), drawn as one (ell, X, entry size)
+    # block a variable, keyed (var, 0, 0, 0); a spec's constant-one slot
+    # draws its own under the next variable index
     params = ncsa_params(FIELD, 2, 2, 2, xsb_threshold(2, 2, 2, 2, 0) + 1, x_secure=2)
     omega = matmul_map(2, 2, 2)
     job = (PolynomialSpec(2, (PolyTerm(1, omega, (0, 1)), PolyTerm(3, omega, (0, None))))
@@ -572,19 +647,18 @@ def test_a_round_draws_x_noise_blocks_a_group(monkeypatch, spec):
     batches = [[FIELD.rand_matrix(rng, 2, 2) for _ in range(4)] for _ in range(2)]
     keys, draw = [], ncsa.noise_block
     monkeypatch.setattr(ncsa, "noise_block",
-                        lambda *args: keys.append(args[2:6]) or draw(*args))
+                        lambda *args: keys.append(args[2:]) or draw(*args))
     harness.run_nlinear(FIELD, params, job, batches,
                         harness.StragglerModel(count=params.threshold))
     variables = 3 if spec else 2
-    assert sorted(keys) == [(v, l, 0, x) for v in range(variables) for l in range(2)
-                            for x in (1, 2)]
+    assert keys == [(v, 0, 0, 0, (2, 2, 4)) for v in range(variables)]
     assert ncsa._weights(FIELD, params.code, (0,)).shape[-1] == params.kc + params.x_secure
 
 
 def test_small_rounds_pay_once_per_group_and_once_per_stack(monkeypatch):
     # every variable's data and noise blocks go through one generator
-    # product per group for every listed server, cold or warm: ell products,
-    # not N * ell; and a determinant stack is one elimination, no
+    # product for all groups and every listed server, cold or warm: one
+    # product, not N * ell; and a determinant stack is one elimination, no
     # _row_reduce per matrix
     params = ncsa_params(FIELD, 3, 2, 2, 20, x_secure=2, noise_seed=8)
     rng = np.random.default_rng(12)
@@ -600,7 +674,7 @@ def test_small_rounds_pay_once_per_group_and_once_per_stack(monkeypatch):
     for _ in range(2):
         calls.clear()
         shares = xs_encode(FIELD, batches, params, range(params.servers))
-        assert len(calls) == params.ell and len(shares) == len(batches)
+        assert len(calls) == 1 and len(shares) == len(batches)
     cols = [FIELD.rand_matrix(rng, 10, 4) for _ in range(4)]
     assert determinant_map(4)(FIELD, *cols).shape == (10, 1)
     assert reductions == []
