@@ -1,10 +1,10 @@
 """Command-line front end: run configured experiments, print cost tables,
 emit plot-ready CSVs, and drive the invariant suites.
 
-Exit codes: 0 success, 2 configuration/usage error, 3 decode failure,
-4 I/O error (unreadable config, malformed matrix file, unwritable output),
-1 failed verification suite (2 when no suite failed but one could not run
-at this field modulus).
+Exit codes: 0 success, 2 configuration/usage error (a configuration too
+large to allocate included), 3 decode failure, 4 I/O error (unreadable
+config, malformed matrix file, unwritable output), 1 failed verification
+suite (2 when no suite failed but one could not run at this field modulus).
 """
 
 from __future__ import annotations
@@ -134,6 +134,8 @@ def cmd_run(args) -> int:
         return _fail(args, "decode-failure", str(exc), EXIT_DECODE)
     except (ValueError, KeyError, TypeError) as exc:  # ParameterError included
         return _fail(args, "validation", str(exc), EXIT_CONFIG)
+    except MemoryError as exc:
+        return _fail(args, "memory", _out_of_memory(exc), EXIT_CONFIG)
     out = args.output or cfg.get("output")
     text = json.dumps(result, indent=2, sort_keys=True)
     if out:
@@ -141,6 +143,10 @@ def cmd_run(args) -> int:
             fh.write(text + "\n")
     print(text)
     return EXIT_OK
+
+
+def _out_of_memory(exc: MemoryError) -> str:
+    return "out of memory" + (f": {exc}" if str(exc) else "")
 
 
 def _fail(args, category: str, message: str, code: int) -> int:
@@ -518,6 +524,9 @@ def main(argv=None) -> int:
         return EXIT_CONFIG
     except OSError as exc:  # e.g. an unwritable --output
         return _fail(args, "io", str(exc), EXIT_IO)
+    except MemoryError as exc:  # e.g. costs at billions of servers
+        print(f"error: {_out_of_memory(exc)}", file=sys.stderr)
+        return EXIT_CONFIG
 
 
 if __name__ == "__main__":

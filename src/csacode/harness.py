@@ -306,9 +306,9 @@ def _round(scheme: str, setup, operands, straggler: StragglerModel,
     if len(responsive) < r:
         raise InsufficientAnswersError(f"{len(responsive)} responsive servers, threshold is {r}")
     bad = set() if byzantine is None else set(byzantine.corrupted)
-    # Not rejected here: xsb_decode corrects up to B forgeries among the first R
-    # answers, but past B it fails only with high probability at large q; at
-    # small q an over-budget forgery can decode to wrong values, unflagged.
+    # Not rejected here: xsb_decode corrects up to B forgers among the first R
+    # answers.  Past B nothing is promised: random offsets (ByzantineModel.seeded)
+    # are usually refused, but a forgery that adds a codeword decodes wrong.
     if not bad <= set(responsive):
         raise ParameterError("corrupted servers must be responsive")
 

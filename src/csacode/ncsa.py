@@ -32,7 +32,8 @@ from .csa import (CSAParams, _answer_rows, _batch_entries, _cauchy_weights, _gen
                   csa_decode, csa_params)
 from .errors import DecodingFailureError, ParameterError
 from .ffield import PrimeField, _reduce, poly_eval
-# perfbench/tracer.py requires ncsa.solve_batch, so it stays importable here.
+# perfbench/tracer.py requires ncsa.solve_batch and ncsa.rs_error_correct, so
+# they stay importable here; no ncsa code calls either.
 from .structmat import _determinants, _powers, rs_error_correct, solve_batch  # noqa: F401
 
 # ---- N-linear maps ----
@@ -127,19 +128,6 @@ def determinant_map(size: int) -> NLinearMap:
 
 
 # ---- N-CSA parameters ----
-
-
-def ncsa_threshold(arity: int, ell: int, kc: int) -> int:
-    return kc * (arity + ell - 1) - arity + 1
-
-
-def lcc_threshold(arity: int, batch: int) -> int:
-    """N(L - 1) + 1: Lagrange coded computing is N-CSA with ell = 1, kc = L."""
-    return ncsa_threshold(arity, 1, batch)
-
-
-def xsb_threshold(arity: int, ell: int, kc: int, x_secure: int, byzantine: int) -> int:
-    return kc * (arity + ell - 1) + arity * (x_secure - 1) + 2 * byzantine + 1
 
 
 def ncsa_params(field: PrimeField, arity: int, ell: int, kc: int, servers: int,
@@ -356,39 +344,32 @@ def xsb_decode(field: PrimeField, answers, params: CSAParams):
     """Decode under X-security and up to B forged answers.
 
     Returns (evaluations, flagged server indices).  Scaled by the full pole
-    product P(alpha) = prod_f (f - alpha), the R taken answers are one
-    interleaved Reed-Solomon codeword of dimension width = R - 2B, whose
-    entries share their error positions (Bleichenbacher, Kiayias and Yung,
-    ICALP 2003): the forgers are located once, then the CSA decoder's solve
-    runs on the first width clean rows of the answers stacked for the
-    syndromes.  At B = 0 there is nothing to locate: it is ``csa_decode``.
+    product P(alpha) = prod_f (f - alpha), the R taken answers (the first R
+    given) are one interleaved Reed-Solomon codeword of dimension width =
+    R - 2B, whose entries share their error positions (Bleichenbacher,
+    Kiayias and Yung, ICALP 2003): the forgers are located once, then the
+    CSA decoder's solve runs on the first width clean rows of the answers
+    stacked for the syndromes.  At B = 0 there is nothing to locate: it is
+    ``csa_decode``.
 
     Syndromes: as sum_i v_i g(alpha_i) = 0 for every g of degree <= R - 2,
     with the dual multipliers v_i = 1/prod_{k != i}(alpha_i - alpha_k), one
     product with the plan ``_parity_checks``, (j, i) = v_i P(alpha_i)
     alpha_i^j for j < 2B, gives each entry's syndromes S_j = sum_i v_i e_i
-    alpha_i^j, those of its error e alone.  Locator: ``_error_locator``
-    runs Berlekamp-Massey on a fixed seeded projection of them.  If the
-    shortest recurrence has length L <= B and its characteristic polynomial
-    has L roots among the taken alphas, E is the rows at them: the projected
-    syndromes are those of an error on E, nonzero on every row of E (else a
-    shorter recurrence exists), so the projected column lies within L of
-    the one codeword within B, and ``rs_error_correct`` flags E on it; its
-    success in turn gives such a recurrence.  Check: every entry's
-    syndromes obey the recurrence (one banded product), exactly when its
-    rows outside E lie on one polynomial of degree < width.  If the locator
-    or the check fails, the per-entry Berlekamp-Welch loop decides, result
-    or exception.
+    alpha_i^j, those of its error e alone.  One locator, ``_error_locator``
+    (Berlekamp-Massey), finds from 2B syndromes the rows of the one error of
+    weight <= B that has them, or fails.  It runs first on a fixed seeded
+    projection of every entry's syndromes, and its rows E stand if every
+    entry's syndromes obey its recurrence (one banded product).  Else it
+    runs on each entry's own syndromes, and E is the union of their rows;
+    an entry it fails on, or more than B rows, raise.  Both paths flag the
+    same E: past the check each entry's error lies on E, and each row of E
+    carries some entry's error, as the projection's does.
 
-    The fast path returns what that loop would.  The locator flags at most
-    B rows, so the rows outside E number at least width + B.  Once they lie
-    on a polynomial P_c of degree < width in every entry c, each entry has
-    at most B rows off P_c, and P_c is its only codeword within distance B
-    (two such codewords would agree on width rows).  So the loop decodes
-    entry c to P_c and flags the rows of E where entry c is off P_c.  Every
-    row of E is off the projection sum_c w_c P_c, hence off some P_c.  The
-    loop therefore flags exactly E, whether or not the forgers stayed
-    within the budget, and decodes from the same clean rows.
+    Up to B forgers among the first R answers are corrected and flagged, at
+    every q.  Past B nothing is promised: a forgery that adds a codeword
+    decodes to wrong values and flags honest servers.  Random offsets, such
+    as ``harness.ByzantineModel.seeded`` adds, are usually refused.
     """
     r, b, code = params.threshold, params.byzantine, params.code
     if not b:  # nothing to locate: the CSA decode
@@ -402,13 +383,13 @@ def xsb_decode(field: PrimeField, answers, params: CSAParams):
         syndromes, _projection_weights(field, rows.shape[1])).tolist())
     if located is not None and not field.matmul(located[1], syndromes).any():
         flagged = set(located[0])
-    else:  # the per-entry loop decides, result or exception
+    else:  # each entry's own syndromes decide, result or exception
         flagged = set()
-        scaled = rows * _pole_products(field, code)[listed, None] % field.q
-        for col in range(scaled.shape[1]):
-            _, positions = rs_error_correct(field, alphas, scaled[:, col].tolist(),
-                                            degree_bound=r - 2 * b, max_errors=b)
-            flagged.update(positions)
+        for column in syndromes.T.tolist():
+            located = _error_locator(field, alphas, column)
+            if located is None:
+                raise DecodingFailureError("more errors than the correction budget")
+            flagged.update(located[0])
         if len(flagged) > b:
             raise DecodingFailureError("corruptions exceed the Byzantine budget")
     # without the B budget the threshold is width: the CSA decode of the
@@ -420,22 +401,16 @@ def xsb_decode(field: PrimeField, answers, params: CSAParams):
 
 
 @_plan_cache
-def _pole_products(field: PrimeField, params: CSAParams) -> np.ndarray:
-    """``xsb_decode``'s plan: every server's full pole product prod_f (f - alpha_s)."""
-    return _read_only(np.array([math.prod(f - a for f in params.poles) % field.q
-                                for a in params.samples], dtype=np.int64))
-
-
-@_plan_cache
 def _parity_checks(field: PrimeField, params: CSAParams, listed: tuple) -> np.ndarray:
     """``xsb_decode``'s plan, (2B x listed) for the ``listed`` servers in answer
     order, 2B their count past the B = 0 threshold: entry (j, i) is the dual
-    multiplier v_i times the pole product P(alpha_i) times alpha_i^j."""
+    multiplier v_i times the full pole product P(alpha_i) = prod_f (f - alpha_i)
+    times alpha_i^j."""
     alphas = [params.samples[s] for s in listed]
     duals = field.batch_inv([math.prod(a - x for x in alphas if x != a) for a in alphas])
-    scale = np.array(duals, dtype=np.int64) * _pole_products(field, params)[list(listed)]
+    scale = [v * math.prod(f - a for f in params.poles) % field.q for v, a in zip(duals, alphas)]
     powers = _powers(field, alphas, len(listed) - params.threshold)
-    return _read_only(np.ascontiguousarray(powers.T * (scale % field.q) % field.q))
+    return _read_only(np.ascontiguousarray(powers.T * np.array(scale, dtype=np.int64) % field.q))
 
 
 @_plan_cache

@@ -6,7 +6,9 @@ which no decoder uses any more; ``_powers`` builds every table of point
 powers.  One exact row reduction over GF(q) with first-nonzero pivoting
 serves every solver here (batch solves, rectangular systems, rank);
 ``_determinants`` eliminates a whole stack of square matrices at once for
-``ncsa``'s determinant map; Berlekamp-Welch handles forged answers.
+``ncsa``'s determinant map.  Berlekamp-Welch (``rs_error_correct``, with
+``solve_any``) decodes no answers: the tests' reference decoder and
+perfbench's tracer keep it.
 """
 
 from __future__ import annotations

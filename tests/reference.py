@@ -19,6 +19,9 @@ library code calls them:
   GCSA is compared against;
 - ``ep_threshold``: EP's recovery threshold pmn + p - 1, which
   ``csa.gcsa_threshold`` must equal at ell = kc = 1;
+- ``ncsa_threshold``, ``lcc_threshold`` and ``xsb_threshold``: the paper's
+  N-CSA, LCC and X-secure B-Byzantine thresholds, family by family, which
+  the one formula ``CSAParams.threshold`` must equal;
 - ``min_max_cost``: the least max(U, D) of a family's enumerated costs;
 - ``lagrange_matrix``: the Lagrange basis of some nodes at some points,
   behind ``lcc_encode`` / ``lcc_decode``;
@@ -64,8 +67,24 @@ from csacode.analysis import _witness_key, enumerate_costs
 from csacode.ep import EPParams, a_exponent, b_exponent, desired_coeff_index
 from csacode.errors import InsufficientAnswersError, ParameterError
 from csacode.ffield import PrimeField, poly_divmod, poly_eval, poly_trim
-from csacode.ncsa import NLinearMap, lcc_threshold
+from csacode.ncsa import NLinearMap
 from csacode.structmat import CVSpec
+
+# ---- the paper's N-CSA thresholds, family by family ----
+
+
+def ncsa_threshold(arity: int, ell: int, kc: int) -> int:
+    return kc * (arity + ell - 1) - arity + 1
+
+
+def lcc_threshold(arity: int, batch: int) -> int:
+    """N(L - 1) + 1: Lagrange coded computing is N-CSA with ell = 1, kc = L."""
+    return ncsa_threshold(arity, 1, batch)
+
+
+def xsb_threshold(arity: int, ell: int, kc: int, x_secure: int, byzantine: int) -> int:
+    return kc * (arity + ell - 1) + arity * (x_secure - 1) + 2 * byzantine + 1
+
 
 # ---- Lagrange coded computing ----
 

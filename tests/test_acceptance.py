@@ -139,7 +139,7 @@ def test_04_lcc_equivalence():
     rng = np.random.default_rng(404)
     for kc in (1, 2, 3, 4):
         r = csa.csa_threshold(1, kc)
-        assert r == 2 * kc - 1 == ncsa.lcc_threshold(2, kc)
+        assert r == 2 * kc - 1 == reference.lcc_threshold(2, kc)
         servers = r + 2
         params = csa.csa_params(FIELD, 1, kc, servers)
         betas = list(params.poles)
@@ -271,7 +271,7 @@ def test_06_cost_accounting_50_random_tuples_per_scheme():
         arity = int(rng.integers(1, 4))
         ell = int(rng.integers(1, 4))
         kc = int(rng.integers(1, 4))
-        r = ncsa.ncsa_threshold(arity, ell, kc)
+        r = reference.ncsa_threshold(arity, ell, kc)
         params = ncsa.ncsa_params(FIELD, arity, ell, kc,
                                   r + int(rng.integers(0, 3)))
         omega = ncsa.matrix_chain_map(tuple([2] * (arity + 1)))

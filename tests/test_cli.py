@@ -2,7 +2,10 @@ import contextlib
 import csv
 import json
 import math
+import os
 import signal
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -10,7 +13,7 @@ import pytest
 
 from csacode import cli, matfile
 from csacode.ffield import PrimeField
-from csacode.ncsa import lcc_threshold
+from reference import lcc_threshold
 
 DATA = Path(__file__).parent / "data"
 
@@ -455,6 +458,26 @@ def test_verify_failure_outranks_error(capsys, monkeypatch):
 
 
 _HUGE = 99999999999999999999  # servers: far more evaluation points than GF(q) holds
+_BILLIONS = f"--field-modulus 2147483629 costs csa --servers {2 * 10**9}"
+# Rows that allocate without bound run in a subprocess under this cap on its
+# address space, so they end in a MemoryError instead of exhausting the host.
+# The costs row builds points until it reaches the cap: about 1 s at 256 MiB.
+_ADDRESS_SPACE = {"run {tmp}/huge-dims.json": 2 << 30, _BILLIONS: 256 << 20}
+
+
+def _capped_main(argv: list, limit: int) -> tuple[int, str]:
+    """``cli.main(argv)`` in a subprocess with ``limit`` bytes of address
+    space and one BLAS thread: its exit code, and its stdout and stderr."""
+    script = ("import resource, sys\n"
+              f"resource.setrlimit(resource.RLIMIT_AS, ({limit}, {limit}))\n"
+              "from csacode import cli\n"
+              "sys.exit(cli.main(sys.argv[1:]))")
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-c", script, *argv], env=env,
+                          capture_output=True, text=True, timeout=60)
+    return done.returncode, done.stdout + done.stderr
 
 
 @pytest.mark.parametrize("argv, code", [
@@ -464,6 +487,9 @@ _HUGE = 99999999999999999999  # servers: far more evaluation points than GF(q) h
     ("run {tmp}/huge-csa.json", cli.EXIT_CONFIG),
     ("run {tmp}/huge-ncsa.json", cli.EXIT_CONFIG),
     ("run {tmp}/missing.json", cli.EXIT_IO),
+    # numpy once raised its MemoryError from rng.integers, with exit 1
+    ("run {tmp}/huge-dims.json", cli.EXIT_CONFIG),
+    (_BILLIONS, cli.EXIT_CONFIG),  # builds every point until memory runs out
     ("--field-modulus 65536 costs csa --servers 8", cli.EXIT_CONFIG),  # not a prime
     ("costs csa --servers 0", cli.EXIT_CONFIG),
     ("costs csa --servers 8 --ell 2 --kc 2", cli.EXIT_OK),
@@ -488,13 +514,20 @@ _HUGE = 99999999999999999999  # servers: far more evaluation points than GF(q) h
 def test_every_command_line_ends_with_its_documented_exit_code(capsys, tmp_path, argv, code):
     # the exit codes of the cli module docstring, argparse's usage errors
     # (exit 2) included, within 10 s and without a traceback
-    for name, cfg in (("huge-csa", {**_CSA_CFG, "dims": [2, 2, 2]}),
-                      ("huge-ncsa", {**_BYZANTINE_CFG, "byzantine": {"servers": [3]}})):
-        (tmp_path / f"{name}.json").write_text(json.dumps({**cfg, "servers": _HUGE}))
+    for name, cfg in (("huge-csa", {**_CSA_CFG, "dims": [2, 2, 2], "servers": _HUGE}),
+                      ("huge-ncsa", {**_BYZANTINE_CFG, "byzantine": {"servers": [3]},
+                                     "servers": _HUGE}),
+                      ("huge-dims", {**_CSA_CFG, "dims": [10**6, 10**6, 1]})):
+        (tmp_path / f"{name}.json").write_text(json.dumps(cfg))
+    words = [word.format(tmp=tmp_path) for word in argv.split()]
     with _within_10_s():
-        try:
-            got = cli.main([word.format(tmp=tmp_path) for word in argv.split()])
-        except SystemExit as exc:  # argparse refused the command line
-            got = exc.code
+        if argv in _ADDRESS_SPACE:
+            got, out = _capped_main(words, _ADDRESS_SPACE[argv])
+        else:
+            try:
+                got = cli.main(words)
+            except SystemExit as exc:  # argparse refused the command line
+                got = exc.code
+            out = "".join(capsys.readouterr())
     assert got == code
-    assert "Traceback" not in "".join(capsys.readouterr())
+    assert "Traceback" not in out

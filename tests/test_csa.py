@@ -12,7 +12,7 @@ from csacode.errors import InsufficientAnswersError, ParameterError
 from csacode.ffield import PrimeField
 from csacode.structmat import CVSpec, solve_batch
 from reference import (confluent_decode_matrix, gcsa_paper_matrix, scaled_cv_matrix,
-                       scaling_constants)
+                       scaling_constants, xsb_threshold)
 
 FIELD = PrimeField(65537)
 
@@ -588,7 +588,7 @@ def _decoder_cases(field):
              for ell, kc in [(1, 1), (1, 3), (2, 2)]]
     cases += [(ncsa.xsb_decode if x else ncsa.ncsa_decode,
                lambda arity=arity, x=x: ncsa.ncsa_params(
-                   field, arity, 2, 2, ncsa.xsb_threshold(arity, 2, 2, x, 0) + 1, x), None)
+                   field, arity, 2, 2, xsb_threshold(arity, 2, 2, x, 0) + 1, x), None)
               for arity, x in itertools.product((2, 3), (0, 1, 2))]
     cases += [(csa_decode, lambda dims=dims: gcsa.gcsa_params(
                    field, *dims, gcsa.gcsa_threshold(*dims) + 1), None)

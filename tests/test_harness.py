@@ -20,6 +20,7 @@ import pytest
 from csacode import csa, ffield, gcsa, harness, ncsa, structmat
 from csacode.errors import InsufficientAnswersError, ParameterError
 from csacode.ffield import PrimeField
+from reference import xsb_threshold
 
 FIELD = PrimeField(65537)
 
@@ -264,7 +265,7 @@ def test_an_n_csa_setup_with_n_2_is_the_csa_setup(q):
         setup = csa.csa_params(field, ell, kc, servers)
         assert ncsa.ncsa_params(field, 2, ell, kc, servers) == setup
         assert setup.threshold == gcsa.gcsa_threshold(ell, kc, 1, 1, 1)
-        assert setup.threshold == ncsa.xsb_threshold(2, ell, kc, 0, 0)
+        assert setup.threshold == xsb_threshold(2, ell, kc, 0, 0)
         aa = [field.rand_matrix(rng, 2, 3) for _ in range(ell * kc)]
         bb = [field.rand_matrix(rng, 3, 2) for _ in range(ell * kc)]
         straggler = harness.StragglerModel(count=int(rng.integers(setup.threshold, servers + 1)),
@@ -279,7 +280,7 @@ def test_an_n_csa_setup_with_n_2_is_the_csa_setup(q):
         r = gcsa.gcsa_threshold(ell, kc, p, m, n)
         assert csa.csa_params(PrimeField(2147483629), ell, kc, r, p=p, m=m, n=n).threshold == r
     for arity, ell, kc, x, b in itertools.product((2, 3, 4), (1, 2), (1, 3), (0, 2), (0, 1)):
-        r = ncsa.xsb_threshold(arity, ell, kc, x, b)
+        r = xsb_threshold(arity, ell, kc, x, b)
         assert ncsa.ncsa_params(PrimeField(2147483629), arity, ell, kc, r, x, b).threshold == r
 
 
@@ -859,7 +860,7 @@ def _arena_round(field, scheme, dims, seed, first=False):
         return products, harness.direct_products(field, aa, bb)
     x, b = {"ncsa": (0, 0), "ncsa-xb": (1, 1)}[scheme]
     omega = ncsa.matmul_map(rows, inner, cols)
-    params = ncsa.ncsa_params(field, 2, 2, 2, ncsa.xsb_threshold(2, 2, 2, x, b) + 1, x, b)
+    params = ncsa.ncsa_params(field, 2, 2, 2, xsb_threshold(2, 2, 2, x, b) + 1, x, b)
     batches = [[field.rand_matrix(rng, *shape) for _ in range(4)]
                for shape in omega.var_shapes]
     straggler = _responders("ncsa", params, first)
@@ -1035,7 +1036,7 @@ def test_a_round_inside_a_map_leaves_the_outer_rounds_arena_alone():
         return products[0]
 
     omega = dataclasses.replace(ncsa.matmul_map(64, 32, 64), fn=product)
-    params = ncsa.ncsa_params(FIELD, 2, 2, 2, ncsa.xsb_threshold(2, 2, 2, 0, 0))
+    params = ncsa.ncsa_params(FIELD, 2, 2, 2, xsb_threshold(2, 2, 2, 0, 0))
     rng = np.random.default_rng(23)
     batches = [[FIELD.rand_matrix(rng, *shape) for _ in range(4)]
                for shape in omega.var_shapes]
@@ -1051,7 +1052,7 @@ def test_a_round_inside_a_map_leaves_the_outer_rounds_arena_alone():
                                        harness.StragglerModel(count=2))
         return (doubled[0] + 1) % FIELD.q
 
-    params = ncsa.ncsa_params(FIELD, 2, 2, 2, ncsa.xsb_threshold(2, 2, 2, 0, 1), 0, 1)
+    params = ncsa.ncsa_params(FIELD, 2, 2, 2, xsb_threshold(2, 2, 2, 0, 1), 0, 1)
     got, report = harness.run_nlinear(FIELD, params, ncsa.matmul_map(64, 32, 64), batches,
                                       harness.StragglerModel(count=params.servers),
                                       harness.ByzantineModel((3,), forge))

@@ -11,15 +11,14 @@ from csacode import cli, csa, harness, ncsa
 from csacode.errors import DecodingFailureError, ParameterError
 from csacode.ffield import PrimeField
 from csacode.ncsa import (PolynomialSpec, PolyTerm, determinant_map,
-                          elementwise_product_map,
-                          lcc_threshold, matmul_map, matrix_chain_map,
-                          ncsa_answer, ncsa_decode, ncsa_params, ncsa_threshold,
-                          noise_block, poly_batch_eval_answer,
-                          xs_encode, xsb_decode, xsb_threshold)
+                          elementwise_product_map, matmul_map, matrix_chain_map,
+                          ncsa_answer, ncsa_decode, ncsa_params, noise_block,
+                          poly_batch_eval_answer, xs_encode, xsb_decode)
 from csacode import structmat
 from csacode.structmat import CVSpec, matrix_rank, rs_error_correct, solve_batch
-from reference import (check_multilinear, lcc_decode, lcc_encode, leibniz_det, noise_reference,
-                       scaled_cv_matrix, scaling_constants, shake_words, xs_shares_each)
+from reference import (check_multilinear, lcc_decode, lcc_encode, lcc_threshold, leibniz_det,
+                       ncsa_threshold, noise_reference, scaled_cv_matrix, scaling_constants,
+                       shake_words, xs_shares_each, xsb_threshold)
 
 FIELD = PrimeField(65537)
 
@@ -813,10 +812,11 @@ def test_xsb_over_budget_detected():
 
 
 def _xsb_round(field, params, seed):
-    """Honest answers of every server to an X-secure matmul batch, and the
-    true evaluations."""
+    """Honest answers of every server to an X-secure batch of matrix
+    products (a (2 x 2)(2 x 3) product, then more factors of width 2 up to
+    the arity), and the true evaluations."""
     rng = np.random.default_rng(seed)
-    omega = matmul_map(2, 2, 3)
+    omega = matrix_chain_map((2, 2, 3) + (2,) * (params.arity - 2))
     batches = [[field.rand_matrix(rng, *shape) for _ in range(params.batch_size)]
                for shape in omega.var_shapes]
     shares = xs_encode(field, batches, params, range(params.servers))
@@ -865,16 +865,23 @@ def _outcome(decode, *args):
 
 @pytest.fixture
 def locator_calls(monkeypatch):
-    """Calls of ncsa's rs_error_correct: none on the syndrome fast path, one
-    per answer entry when the per-entry loop decides (up to the entry where
-    it raises)."""
-    calls = []
+    """Calls of ncsa's _error_locator: exactly one on the projection path,
+    then one more per answer entry when each entry's own syndromes decide
+    (up to the entry where it raises).  Berlekamp-Welch is refused in
+    ``src/``: only ``_per_entry_decode`` runs it, through this module's
+    own binding."""
+    calls, locate = [], ncsa._error_locator
 
-    def counted(*args, **kwargs):
+    def counted(*args):
         calls.append(1)
-        return rs_error_correct(*args, **kwargs)
+        return locate(*args)
 
-    monkeypatch.setattr(ncsa, "rs_error_correct", counted)
+    def refused(*args, **kwargs):
+        raise AssertionError("xsb_decode reached Berlekamp-Welch")
+
+    monkeypatch.setattr(ncsa, "_error_locator", counted)
+    monkeypatch.setattr(ncsa, "rs_error_correct", refused)
+    monkeypatch.setattr(structmat, "rs_error_correct", refused)
     return calls
 
 
@@ -896,7 +903,7 @@ def test_xsb_locator_one_forged_entry(locator_calls):
     used = [answers[s] for s in (1, 2, 3, 5, 6, 8, 9)]
     tampered = _forge(used, 3, [4], [1], FIELD.q)
     evals, flagged = xsb_decode(FIELD, tampered, params)
-    assert len(locator_calls) == 0
+    assert len(locator_calls) == 1
     assert flagged == [3]
     assert all(np.array_equal(e, t) for e, t in zip(evals, truth))
     assert _outcome(xsb_decode, FIELD, tampered, params) == \
@@ -909,7 +916,7 @@ def test_xsb_locator_one_forged_entry_on_each_of_two_servers(locator_calls):
     used = [answers[s] for s in range(1, 10)]
     tampered = _forge(_forge(used, 2, [0], [5], FIELD.q), 6, [5], [65536], FIELD.q)
     evals, flagged = xsb_decode(FIELD, tampered, params)
-    assert len(locator_calls) == 0
+    assert len(locator_calls) == 1
     assert flagged == [2, 6]
     assert all(np.array_equal(e, t) for e, t in zip(evals, truth))
     assert _outcome(xsb_decode, FIELD, tampered, params) == \
@@ -927,7 +934,7 @@ def test_xsb_forgery_cancelling_under_the_projection_takes_the_fallback(
     tampered = _forge(used, 4, [1, 3], [int(w[3]), FIELD.q - int(w[1])], FIELD.q)
     assert (int(w[1]) * int(w[3]) - int(w[3]) * int(w[1])) % FIELD.q == 0
     evals, flagged = xsb_decode(FIELD, tampered, params)
-    assert len(locator_calls) == entries
+    assert len(locator_calls) == 1 + entries
     assert flagged == [4]
     assert all(np.array_equal(e, t) for e, t in zip(evals, truth))
     assert _outcome(xsb_decode, FIELD, tampered, params) == \
@@ -941,46 +948,51 @@ def test_xsb_locator_over_budget_still_raises(locator_calls):
                       [1, 2], FIELD.q)
     with pytest.raises(DecodingFailureError):
         xsb_decode(FIELD, tampered, params)
-    assert len(locator_calls) >= 1  # the per-entry loop raised
+    assert len(locator_calls) >= 2  # an entry's own syndromes raised
     with pytest.raises(DecodingFailureError):
         _per_entry_decode(FIELD, tampered, params)
 
 
-@pytest.mark.parametrize("q", [13, 65537, 2147483629])
-def test_xsb_locator_matches_per_entry_decoding_sweep(q, monkeypatch):
+@pytest.mark.parametrize("q", [13, 257, 65537, 2147483629])
+def test_xsb_locator_matches_per_entry_decoding_sweep(q, locator_calls):
+    # xsb_decode against Berlekamp-Welch on every entry: 0 to B + 2 forgers
+    # on random entries, and every fifth round one forger whose offsets the
+    # projection cancels, which only the per-entry path can locate
     field = PrimeField(q)
-    calls = []
-
-    def counted(*args, **kwargs):
-        calls.append(1)
-        return rs_error_correct(*args, **kwargs)
-
-    monkeypatch.setattr(ncsa, "rs_error_correct", counted)
     rng = np.random.default_rng(q)
-    paths = {"fast": 0, "fallback": 0}
-    # (ell, kc, X, B, S): every layout fits the 13 points of GF(13)
-    layouts = [(1, 1, 1, 1, 8), (1, 2, 1, 1, 9), (1, 1, 1, 2, 9), (2, 1, 2, 1, 10)]
-    for trial in range(40):
-        ell, kc, x, b, servers = layouts[trial % len(layouts)]
-        params = ncsa_params(field, 2, ell, kc, servers, x_secure=x, byzantine=b,
+    paths = {"projection": 0, "per entry": 0}
+    # (N, ell, kc, X, B, S): every layout fits the 13 points of GF(13)
+    layouts = [(2, 1, 1, 1, 1, 8), (2, 1, 2, 1, 1, 9), (2, 1, 1, 1, 2, 9), (2, 2, 1, 2, 1, 10),
+               (3, 1, 1, 1, 1, 8), (2, 1, 1, 1, 3, 10)]
+    for trial in range(200):
+        arity, ell, kc, x, b, servers = layouts[trial % len(layouts)]
+        params = ncsa_params(field, arity, ell, kc, servers, x_secure=x, byzantine=b,
                              noise_seed=trial)
         answers, truth = _xsb_round(field, params, int(rng.integers(2**31)))
         picked = sorted(rng.choice(servers, size=params.threshold, replace=False))
         used = [answers[s] for s in picked]
         size = used[0][1].size
-        forgers = rng.choice(picked, size=int(rng.integers(0, b + 2)), replace=False)
-        for s in forgers:
-            entries = rng.choice(size, size=int(rng.integers(1, size + 1)),
-                                 replace=False)
-            used = _forge(used, s, entries, rng.integers(1, q, size=len(entries)), q)
-        del calls[:]
+        cancel = trial % 5 == 4
+        if cancel:  # one forger, w . d = 0 on its entries 0 and 1
+            w = ncsa._projection_weights(field, size)
+            forgers = rng.choice(picked, size=1)
+            used = _forge(used, forgers[0], [0, 1], [int(w[1]), q - int(w[0])], q)
+        else:
+            forgers = rng.choice(picked, size=int(rng.integers(0, b + 3)), replace=False)
+            for s in forgers:
+                entries = rng.choice(size, size=int(rng.integers(1, size + 1)),
+                                     replace=False)
+                used = _forge(used, s, entries, rng.integers(1, q, size=len(entries)), q)
+        del locator_calls[:]
         got = _outcome(xsb_decode, field, used, params)
-        paths["fallback" if calls else "fast"] += 1
+        path = "projection" if len(locator_calls) == 1 else "per entry"
+        paths[path] += 1
+        assert not cancel or path == "per entry"
         assert got == _outcome(_per_entry_decode, field, used, params)
         if len(forgers) <= b:
             assert got[1] == sorted(int(s) for s in forgers)
             assert got[0] == [t.tobytes() for t in truth]
-    assert paths["fast"] and paths["fallback"]
+    assert paths["projection"] and paths["per entry"]
 
 
 def _locator_case(field, rng, b, forged, entries, cancel=False):

@@ -22,6 +22,7 @@ import csacode
 from csacode import csa, gcsa, harness, ncsa, structmat
 from csacode.errors import SingularMatrixError
 from csacode.ffield import PrimeField
+from reference import xsb_threshold
 
 MODULI = (13, 65537, 2147483629)
 _DIMS = (4, 4, 2)  # rows, inner, cols of every entry: divisible by each grid
@@ -39,7 +40,7 @@ def _cases():
               lambda f: gcsa.gcsa_params(f, 1, 2, 2, 1, 1, 8), None, ())]
     for x in (0, 1, 2):
         for b in (0, 1):
-            r = ncsa.xsb_threshold(2, 1, 2, x, b)
+            r = xsb_threshold(2, 1, 2, x, b)
             cases.append((f"ncsa-x{x}-b{b}", "xsb_decode",
                           lambda f, x=x, b=b, r=r: ncsa.ncsa_params(f, 2, 1, 2, r + 1, x, b),
                           None, (1,) * b))
@@ -193,7 +194,7 @@ def _encoders():
 
     def ncsa_maker(x):
         def maker(field):
-            params = ncsa.ncsa_params(field, 2, 2, 1, ncsa.xsb_threshold(2, 2, 1, x, 0) + 1, x)
+            params = ncsa.ncsa_params(field, 2, 2, 1, xsb_threshold(2, 2, 1, x, 0) + 1, x)
             aa, bb = batches(field, params.batch_size)
             return lambda: [ncsa.xs_encode(field, [aa, bb], params, range(params.servers)),
                             ncsa.xs_encode(field, [aa], params, 2)]
@@ -247,7 +248,7 @@ def test_plans_are_keyed_on_the_code_not_the_noise_seed(monkeypatch):
     monkeypatch.setattr(csa, "solve_batch", lambda *args, **kw: solves.append(
         args[1].shape) or structmat.solve_batch(*args, **kw))
     tables = _recorded_tables(monkeypatch)
-    servers = ncsa.xsb_threshold(2, 2, 1, 1, 1) + 1
+    servers = xsb_threshold(2, 2, 1, 1, 1) + 1
     shares = []
     for seed in (1, 2):
         params = ncsa.ncsa_params(field, 2, 2, 1, servers, 1, 1, noise_seed=seed)
@@ -266,7 +267,7 @@ def test_plans_are_keyed_on_the_code_not_the_noise_seed(monkeypatch):
     assert any(not np.array_equal(a, b) for a, b in zip(*shares))  # the noise differs
     assert {name for name, _, _ in tables} == {
         "csa._plan", "ncsa._weights", "ncsa._inverse_deltas",
-        "ncsa._parity_checks", "ncsa._pole_products", "ncsa._projection_weights"}
+        "ncsa._parity_checks", "ncsa._projection_weights"}
     _assert_read_only(tables)
 
 
@@ -316,5 +317,4 @@ def test_every_plan_cache_is_registered():
     assert {plan.__wrapped__.__module__.split(".")[-1] + "." + plan.__wrapped__.__name__
             for plan in csa._PLANS} == {
         "csa._weights", "csa._plan", "ncsa._weights", "ncsa._inverse_deltas",
-        "ncsa._parity_checks", "ncsa._pole_products", "ncsa._projection_weights",
-        "harness._costs"}
+        "ncsa._parity_checks", "ncsa._projection_weights", "harness._costs"}

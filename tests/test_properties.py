@@ -15,6 +15,7 @@ from hypothesis.extra import numpy as hnp  # noqa: E402
 from csacode import csa, gcsa, harness, ncsa  # noqa: E402
 from csacode.errors import DecodingFailureError, ParameterError  # noqa: E402
 from csacode.ffield import PrimeField  # noqa: E402
+from reference import xsb_threshold  # noqa: E402
 
 DTYPES = [np.int8, np.int16, np.int32, np.int64,
           np.uint8, np.uint16, np.uint32, np.uint64]
@@ -97,7 +98,7 @@ def nlinear_rounds(draw, moduli=(13, 257, 65537, 2147483629), over_budget=False)
     field = PrimeField(q)
     try:
         params = ncsa.ncsa_params(
-            field, arity, ell, kc, ncsa.xsb_threshold(arity, ell, kc, x, b)
+            field, arity, ell, kc, xsb_threshold(arity, ell, kc, x, b)
             + draw(st.integers(0, 2)), x, b, noise_seed=draw(st.integers(0, 9)),
             systematic=systematic)
     except ParameterError:  # GF(13) holds too few distinct points
