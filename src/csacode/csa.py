@@ -59,8 +59,8 @@ class CSAParams:
     ell: int
     kc: int
     servers: int
-    poles: tuple[int, ...]    # f values, group-major, length ell * kc
-    samples: tuple[int, ...]  # alpha values, one per server
+    poles: tuple[int, ...] | range    # f values, group-major, length ell * kc
+    samples: tuple[int, ...] | range  # alpha values, one per server
     systematic: bool = False  # servers 0..L-1 hold their own entry, uncoded
     p: int = 1  # GCSA's partition (``gcsa.gcsa_params``), EP's with ell = kc = 1
     m: int = 1
@@ -115,12 +115,15 @@ def cauchy_points(field: PrimeField, batch: int, servers: int, threshold: int, p
     """Poles and samples of a Cauchy code, reduced mod q and validated (R <= S first).
 
     A missing side takes the canonical layout: poles 1..L, samples
-    L+1..L+S (mod q).  More points than GF(q) holds are refused unbuilt.
+    L+1..L+S (mod q), as unbuilt ranges when both are missing and L + S < q.
+    More points than GF(q) holds are refused unbuilt.
     """
     if threshold > servers:
         raise ParameterError(f"R <= S violated: threshold {threshold} exceeds {servers} servers")
     if (servers if systematic else batch + servers) > field.q:
         raise ParameterError("evaluation points must be pairwise distinct")
+    if poles is None and samples is None and batch + servers < field.q:  # distinct residues
+        return range(1, batch + 1), range(batch + 1, batch + servers + 1)
     if poles is None:
         poles = range(1, batch + 1)
     if samples is None:

@@ -24,26 +24,28 @@ several fields can coexist in one process.
 
 A stack (``a`` and ``b`` with one leading shape) picks its path by the
 multiply-adds of all its slices; a float chunk is then one batched ``dgemm``
-below a column block wide.  18 stacked 16^3 products at q = 65537 took 126 us
-on the int64 path, 54 us on the float path and 250 us as 18 calls.
+below a column block wide.  18 stacked 16^3 products at q = 65537 took 67 us
+on the int64 path, 24 us on the float path and 125 us as 18 calls.
 ``harness._round`` stacks its responsive servers' answers, but answers a
 server whose shares reach ``_ARENA_MIN_BYTES`` alone, so no buffer grows
 with the server count: 12 CSA answers (ell = 2) took 103 vs 553 us stacked
 vs alone at 8 KiB of shares a server, 272 vs 723 us at 32 KiB and 2,294 vs
 1,367 us at 128 KiB (cdbmm-q31's; q = 65537, best of 7 timeit repeats).
 
-Workspaces: the float path writes its float64 operands, each ``dgemm``
-block and each reduction quotient into scratch arrays that belong to the
-calling thread (``threading.local``), grow on demand and are reused by every
-later product in that thread, whatever its field.  A float-path product
-allocates only the array it returns (nothing when the caller passes
-``out``), and that array never views or aliases a workspace, so later
-products cannot change an earlier result.  Why: every large fresh numpy
-temporary is memory that glibc has handed back to the OS, and each
-re-touched 4 KB page then costs a minor fault (about 2 us on a 2-core
-x86-64 VM): counted with ``resource.getrusage`` (one BLAS thread), a 192^3
-product at q = 65537 took 328 faults and 830 us with fresh temporaries and
-none and 530 us with workspaces.
+Workspaces: the float path writes its float64 operands, each ``dgemm`` block
+and each reduction quotient into scratch arrays that belong to the calling
+thread (``threading.local``), grow on demand and are reused by every later
+product in that thread, whatever its field.  It allocates only the array it
+returns (none given ``out``), never a view of a workspace, so later products
+cannot change an earlier result.  Why: each page of a large fresh temporary
+costs a minor fault once glibc has returned it to the OS: a 192^3 product at
+q = 65537 took 328 faults and 830 us on fresh temporaries, none and 530 us
+on workspaces.  But one plain chunk of under ``_SMALL_TEMPS`` = 2^15 float64
+entries (``a``, ``b`` and the product) multiplies fresh copies:
+(4x9)@(9x256) took 20 against 32 us and 36 stacked 16^3 products 39 against
+45, while (11x11)@(11x2048), 45,177 entries, took 202 us and 100 faults
+against 75 us in a fresh process (q = 65537, one BLAS thread, 2-core x86-64
+VM, medians of 9 alternating timeit runs).
 
 The round arena extends the same store (``_workspace``) to a round's large
 intermediates, under names of their own: ``shares-<i>`` (the shares of the
@@ -67,9 +69,9 @@ round and of its oracle.
 
 Crossover, q = 65537, square products, ``_matmul_int64`` vs
 ``_matmul_float`` (best of 25 timeit repeats, OpenBLAS 0.3.31 with one
-thread, numpy 2.4, 2-core x86-64 VM): 2.3 vs 5.7 us at 8^3, 5.1 vs 6.5 us at
-16^3, 7.0 vs 7.3 us at 18^3, 8.0 vs 7.4 us at 20^3, 13.9 vs 10.1 us at
-24^3, 142 vs 23 us at 64^3 and 7.8 vs 0.79 ms at 192^3; hence
+thread, numpy 2.4, 2-core x86-64 VM): 2.1 vs 4.1 us at 8^3, 5.1 vs 5.5 us at
+16^3, 6.1 vs 5.8 us at 18^3, 7.2 vs 6.1 us at 20^3, 10.8 vs 7.3 us at
+24^3, 140 vs 23 us at 64^3 and 7.8 vs 0.79 ms at 192^3; hence
 ``FLOAT_MIN_MACS = 20**3``.
 """
 
@@ -112,6 +114,8 @@ _WORKSPACES = threading.local()
 # memory without fresh-page faults (small-mixed and secure-byzantine take
 # none), and there an arena lookup (about 0.6 us) costs more than it saves.
 _ARENA_MIN_BYTES = 1 << 15
+# A one-chunk product's small-path bound and _reduce's crossover (docstrings).
+_SMALL_TEMPS, _REDUCE_MIN = 2**15, 1024
 
 
 def _integer(value, what: str) -> int:
@@ -264,11 +268,14 @@ class PrimeField:
         into the ``y`` workspace, and each chunk's ``dgemm`` writes into the
         ``part`` workspace, which is added into ``out`` while it is still in
         cache, reduced once a block and after every ``_CHUNK_SUMS`` added
-        chunks.  ``out`` is allocated when not given, and nothing else is."""
+        chunks; a small one-chunk product multiplies fresh float64 copies."""
         q = self.q
-        x, chunk = self._float_a(a)
         if out is None:
             out = np.empty(a.shape[:-1] + b.shape[-1:], dtype=np.int64)
+        if a.shape[-1] * (q - 1) ** 2 < _FLOAT_EXACT and a.size + b.size + out.size < _SMALL_TEMPS:
+            out[...] = np.matmul(a.astype(np.float64), b.astype(np.float64))
+            return _reduce(out, q)
+        x, chunk = self._float_a(a)
         rows = range(len(out)) if out.ndim == 3 and out.shape[-1] >= _COLUMN_BLOCK else [...]
         for row, col in ((r, c) for r in rows for c in range(0, out.shape[-1], _COLUMN_BLOCK)):
             cols = slice(col, col + _COLUMN_BLOCK)
@@ -327,13 +334,15 @@ class PrimeField:
 
 
 def _reduce(x: np.ndarray, q: int) -> np.ndarray:
-    """``x %= q`` for an int64 array, in place, the quotient in this thread's
-    ``quot`` workspace.  numpy vectorises integer floor division by a scalar
-    but not the remainder, so this form is faster than ``x % q`` from about
-    4,096 entries up (13.6 against 16.9 us there).  Below, the workspace
-    lookup costs more than it saves: 8.1 against 2.9 us at 10 entries, the
-    crossover lying between 1,024 and 4,096 entries (q = 65537, best of 7
-    timeit repeats)."""
+    """``x %= q`` for an int64 array, in place: numpy's remainder below
+    ``_REDUCE_MIN`` entries, else the quotient in this thread's ``quot``
+    workspace.  numpy vectorises integer floor division by a scalar but not
+    the remainder, so the quotient wins on large arrays (8.1 against 16.5 us
+    at 4,096 entries), but its lookup costs about 2 us: 3.6 against 2.8 us at
+    512 entries, 4.4 against 4.8 at 1,024 (q = 65537, best of 7 timeit
+    repeats, net of a copy)."""
+    if x.size < _REDUCE_MIN:
+        return np.remainder(x, q, out=x)
     quot = np.floor_divide(x, q, out=_workspace("quot", x.shape, np.int64))
     quot *= q
     x -= quot

@@ -264,8 +264,9 @@ def ncsa_answer(field: PrimeField, shares, omega: NLinearMap, params: CSAParams,
     if counter is not None and omega.mults is not None:
         counter.mults += len(listed) * params.ell * (omega.mults + math.prod(omega.out_shape))
     w = _inverse_deltas(field, params.code)[np.subtract(s, raw)]  # (n, ell) or (ell,)
-    ys = _reduce(w.reshape(w.shape + (1,) * (ys.ndim - w.ndim)) * ys, field.q)
-    return _reduce(ys.sum(axis=w.ndim - 1), field.q)  # Delta^-1 each group, then the sum
+    ys = w.reshape(w.shape + (1,) * (ys.ndim - w.ndim)) * ys  # Delta^-1 each group
+    ys = ys if params.ell * (field.q - 1) ** 2 < 2**63 else _reduce(ys, field.q)  # int64 sum
+    return _reduce(ys.sum(axis=w.ndim - 1), field.q)
 
 
 @_plan_cache

@@ -461,7 +461,7 @@ _HUGE = 99999999999999999999  # servers: far more evaluation points than GF(q) h
 _BILLIONS = f"--field-modulus 2147483629 costs csa --servers {2 * 10**9}"
 # Rows that allocate without bound run in a subprocess under this cap on its
 # address space, so they end in a MemoryError instead of exhausting the host.
-# The costs row builds points until it reaches the cap: about 1 s at 256 MiB.
+# The costs row keeps its canonical points as ranges, so it fits the cap.
 _ADDRESS_SPACE = {"run {tmp}/huge-dims.json": 2 << 30, _BILLIONS: 256 << 20}
 
 
@@ -489,7 +489,7 @@ def _capped_main(argv: list, limit: int) -> tuple[int, str]:
     ("run {tmp}/missing.json", cli.EXIT_IO),
     # numpy once raised its MemoryError from rng.integers, with exit 1
     ("run {tmp}/huge-dims.json", cli.EXIT_CONFIG),
-    (_BILLIONS, cli.EXIT_CONFIG),  # builds every point until memory runs out
+    (_BILLIONS, cli.EXIT_OK),  # once built every point until memory ran out
     ("--field-modulus 65536 costs csa --servers 8", cli.EXIT_CONFIG),  # not a prime
     ("costs csa --servers 0", cli.EXIT_CONFIG),
     ("costs csa --servers 8 --ell 2 --kc 2", cli.EXIT_OK),
@@ -531,3 +531,10 @@ def test_every_command_line_ends_with_its_documented_exit_code(capsys, tmp_path,
             out = "".join(capsys.readouterr())
     assert got == code
     assert "Traceback" not in out
+
+
+def test_costs_row_at_two_billion_servers_builds_no_points():
+    # the canonical points stay ranges (distinct when L + S < q), so the
+    # closed form prints its row under the 256 MiB address-space cap
+    code, out = _capped_main(_BILLIONS.split(), _ADDRESS_SPACE[_BILLIONS])
+    assert (code, out) == (cli.EXIT_OK, "csa R=1 U=2000000000/1 2000000000/1 D=1/1\n")

@@ -415,11 +415,18 @@ def test_poly_divmod_roundtrip():
 
 def float_path_products(rng, field):
     """Products of several sizes, all on the float path (at least
-    FLOAT_MIN_MACS multiply-adds), with their schoolbook answers."""
+    FLOAT_MIN_MACS multiply-adds), with their schoolbook answers.  Below
+    q = 2^26.5 the 2-D ones but (2, 65, 8193) and (16, 16, 1016) and the
+    (36, 16, 16, 16) stack take its small branch."""
     out = []
-    for m, n, p in ((24, 40, 24), (64, 96, 80), (2, 65, 8193), (30, 20, 30)):
-        a, b = field.rand_matrix(rng, m, n), field.rand_matrix(rng, n, p)
-        out.append((a, b, reference_matmul(a, b, field.q).astype(np.int64)))
+    for shape in ((24, 40, 24), (64, 96, 80), (2, 65, 8193), (30, 20, 30),
+                  (16, 16, 1015), (16, 16, 1016), (36, 16, 16, 16)):
+        *lead, m, n, p = shape
+        a = rng.integers(0, field.q, size=(*lead, m, n), dtype=np.int64)
+        b = rng.integers(0, field.q, size=(*lead, n, p), dtype=np.int64)
+        want = np.stack([reference_matmul(x, y, field.q) for x, y in
+                         zip(a.reshape(-1, m, n), b.reshape(-1, n, p))]).reshape(*lead, m, p)
+        out.append((a, b, want.astype(np.int64)))
     return out
 
 
@@ -488,3 +495,112 @@ def test_matmul_writes_into_out():
                 np.empty((4, 2), dtype=np.int64).T):
         with pytest.raises(ValueError):
             field.matmul(a, b, out=bad)
+
+
+# ---- the float path's small branch, and _reduce's crossover ----
+
+QFEW = 53999989  # (q-1)^2 just below 2^53 / 3: one plain chunk holds 3 inner terms
+
+
+def _workspaces_taken(monkeypatch) -> list:
+    """The names of the workspaces every later product asks for."""
+    taken, workspace = [], ffield._workspace
+    monkeypatch.setattr(ffield, "_workspace",
+                        lambda name, *args: taken.append(name) or workspace(name, *args))
+    return taken
+
+
+@pytest.mark.parametrize("q, lead, rows, inner, cols, small", [
+    (13, (), 16, 16, 1015, True),       # a, b and the product: 32,736 float64 entries
+    (13, (), 16, 16, 1016, False),      # 32,768 = _SMALL_TEMPS
+    (65537, (), 16, 16, 1015, True),
+    (65537, (), 16, 16, 1016, False),
+    (65537, (2,), 8, 16, 677, True),    # a stack: 32,752 entries
+    (65537, (2,), 8, 16, 678, False),   # 32,800
+    (65537, (36,), 16, 16, 16, True),   # an N-CSA round's stacked answers
+    (QFEW, (), 40, 3, 100, True),       # the inner terms fill one plain chunk
+    (QFEW, (), 40, 4, 100, False),      # and one more takes 16-bit limbs
+    (QFEW, (3,), 10, 3, 100, True),
+    (QFEW, (3,), 10, 4, 100, False),
+    (Q31, (), 40, 2, 400, False),       # not one plain term fits below 2^53
+])
+def test_small_float_products_straddle_their_bounds(monkeypatch, q, lead, rows, inner, cols,
+                                                    small):
+    # below both bounds a float product multiplies fresh float64 copies (no
+    # operand workspace); at either it keeps the workspaces; both are exact
+    assert ffield._SMALL_TEMPS == 2**15
+    assert (2**53 - 1) // (QFEW - 1) ** 2 == 3
+    field, rng = PrimeField(q), np.random.default_rng(rows * inner + cols)
+    size_a, size_b = lead + (rows, inner), lead + (inner, cols)
+    assert math.prod(lead) * rows * inner * cols >= FLOAT_MIN_MACS
+    operands = [(rng.integers(0, q, size=size_a, dtype=np.int64),
+                 rng.integers(0, q, size=size_b, dtype=np.int64)),
+                (np.full(size_a, q - 1, dtype=np.int64), np.full(size_b, q - 1, dtype=np.int64))]
+    for a, b in operands:
+        want = np.stack([reference_matmul(x, y, q) for x, y in
+                         zip(a.reshape(-1, rows, inner), b.reshape(-1, inner, cols))])
+        want = want.reshape(lead + (rows, cols)).astype(np.int64)
+        for out in (None, np.full(want.shape, -1, dtype=np.int64)):
+            taken = _workspaces_taken(monkeypatch)
+            got = field.matmul(a, b, out=out)
+            assert got is out or out is None
+            assert np.array_equal(got, want)
+            assert ("x" not in taken) == small
+            monkeypatch.undo()
+    assert (field.matmul(*operands[1]) == inner % q).all()  # (q-1)^2 = 1 mod q
+
+
+@pytest.mark.parametrize("q", (13, 65537, QFEW))
+@pytest.mark.parametrize("shape_a, shape_b", [
+    ((0, 3), (3, 4)), ((2, 3), (3, 0)), ((2, 0), (0, 4)),
+    ((2, 0, 3), (2, 3, 4)), ((0, 2, 3), (0, 3, 4)),
+])
+def test_small_float_branch_keeps_zero_size_shapes(q, shape_a, shape_b):
+    # matmul sends zero-size products below q = 2^31 to the int64 path;
+    # called on them, the float path's small branch still returns the
+    # product's shape, all zero where there are no inner terms
+    field = PrimeField(q)
+    a, b = np.ones(shape_a, dtype=np.int64), np.ones(shape_b, dtype=np.int64)
+    want = np.zeros(shape_a[:-1] + shape_b[-1:], dtype=np.int64)
+    for out in (None, np.full(want.shape, -1, dtype=np.int64)):
+        got = field._matmul_float(a, b, out)
+        assert got is out or out is None
+        assert (got.dtype, got.shape) == (np.dtype(np.int64), want.shape)
+        assert np.array_equal(got, want)
+
+
+def test_small_float_products_leave_a_fresh_thread_without_workspaces():
+    # a float-path product of fewer than _REDUCE_MIN entries takes no
+    # workspace at all, not even the reduction's
+    field, rng, seen = PrimeField(65537), np.random.default_rng(15), []
+    a, b = field.rand_matrix(rng, 24, 40), field.rand_matrix(rng, 40, 24)
+    assert a.size * b.shape[1] >= FLOAT_MIN_MACS and 24 * 24 < ffield._REDUCE_MIN
+
+    def work():
+        got = field.matmul(a, b)
+        seen.append((np.array_equal(got, reference_matmul(a, b, field.q).astype(np.int64)),
+                     dict(ffield._WORKSPACES.__dict__)))
+
+    thread = threading.Thread(target=work)
+    thread.start()
+    thread.join(timeout=60)
+    assert seen == [(True, {})]
+
+
+@pytest.mark.parametrize("q", MODULI)
+@pytest.mark.parametrize("size", [1, 1023, 1024, 4096])
+def test_reduce_works_in_place_on_both_sides_of_its_crossover(monkeypatch, q, size):
+    # below _REDUCE_MIN entries numpy's remainder, from it the workspace
+    # quotient: either way x % q, written into x, for in-range, negative
+    # and near-2^62 entries
+    assert ffield._REDUCE_MIN == 1024
+    rng = np.random.default_rng(size)
+    for lo, hi in ((0, q), (-2**62, 0), (2**62 - 2**40, 2**62 + 2**40)):
+        x = rng.integers(lo, hi, size=size, dtype=np.int64)
+        x[0] = hi - 1
+        want = [int(v) % q for v in x]
+        taken = _workspaces_taken(monkeypatch)
+        assert ffield._reduce(x, q) is x
+        assert x.tolist() == want
+        assert taken == ([] if size < ffield._REDUCE_MIN else ["quot"])
+        monkeypatch.undo()

@@ -267,6 +267,27 @@ def test_answer_matches_rational_expansion():
         assert np.array_equal(y, acc)
 
 
+@pytest.mark.parametrize("q, ell", [(2147483629, 2), (2147483629, 3), (65537, 3)])
+def test_answer_sums_its_groups_exactly_at_the_int64_bound(q, ell):
+    # Delta^-1-weighted group answers are summed before one reduction while
+    # ell (q-1)^2 < 2^63 (q = 65537, and ell = 2 at q = 2^31 - 19); past it
+    # (ell = 3 there) some server's sum of all-(q-1) answers passes int64,
+    # and each group is reduced first
+    field, servers = PrimeField(q), 24
+    params = ncsa_params(field, 1, ell, 2, servers)
+    omega = matrix_chain_map((2, 2))  # one variable: each group answers its share
+    stacked = ncsa_answer(field, [np.full((servers, ell, 2, 2), q - 1, dtype=np.int64)],
+                          omega, params, range(servers))
+    sums = []
+    for s in range(servers):
+        weights = [pow(math.prod(params.pole(l, k) - params.samples[s] for k in range(2)), -1, q)
+                   for l in range(ell)]
+        sums.append(sum(weights) * (q - 1))
+        y = ncsa_answer(field, [np.full((ell, 2, 2), q - 1, dtype=np.int64)], omega, params, s)
+        assert (y == sums[-1] % q).all() and (stacked[s] == sums[-1] % q).all()
+    assert (max(sums) >= 2**63) == (ell * (q - 1) ** 2 >= 2**63)
+
+
 def _one_axis_matmul(rows, cols):
     """A (rows x 1) @ (1 x cols) map whose fn takes exactly one leading axis,
     as the NLinearMap contract allows: only a server sequence can call it.

@@ -299,6 +299,31 @@ def test_constant_one_shares_share_the_round_plan(monkeypatch):
     _assert_read_only(tables)
 
 
+def test_canonical_points_stay_ranges_and_their_plans_hit():
+    # Canonical points are distinct residues when L + S < q, so they stay
+    # range objects, unbuilt (costs at 2 * 10^9 servers take no memory); a
+    # second build of the setup is the same plan key, and a layout whose
+    # last sample wraps to q = 0 is built out as before
+    field = PrimeField(65537)
+    params, again = csa.csa_params(field, 2, 2, 7), csa.csa_params(field, 2, 2, 7)
+    assert (params.poles, params.samples) == (range(1, 5), range(5, 12))
+    assert params == again and hash(params) == hash(again)
+    rng = np.random.default_rng(6)
+    rows, inner, cols = _DIMS
+    batches = [[field.rand_matrix(rng, *shape) for _ in range(4)]
+               for shape in ((rows, inner), (inner, cols))]
+    truth = harness.direct_products(field, *batches)
+    for setup in (params, again):
+        got, _ = harness.run_cdbmm(field, "csa", setup, *batches, harness.StragglerModel(count=7))
+        assert all(np.array_equal(g, t) for g, t in zip(got, truth))
+    assert (csa._plan.cache_info().misses, csa._plan.cache_info().hits) == (1, 1)
+    spelled = csa.csa_params(field, 2, 2, 7, poles=(1, 2, 3, 4), samples=tuple(range(5, 12)))
+    assert np.array_equal(csa._plan(field, spelled, tuple(range(5)))[0],
+                          csa._plan(field, params, tuple(range(5)))[0])
+    wrapped = csa.csa_params(PrimeField(13), 2, 2, 9)  # L + S = q
+    assert wrapped.samples == (5, 6, 7, 8, 9, 10, 11, 12, 0)
+
+
 def test_every_plan_cache_is_registered():
     # the registry is what conftest clears: a cache missing from it would
     # carry plans from one test into the next.  Every Cauchy code (CSA, its
