@@ -352,89 +352,65 @@ def csa_decode(field: PrimeField, answers, params: CSAParams) -> list[np.ndarray
     or of an N-CSA code without Byzantine servers (X-security's noise lies
     in the Vandermonde tail).
 
-    ``answers`` is an iterable of (0-based int index, integer array) pairs.
-    In a systematic layout a raw server's answer is its own result: it is
-    read off and removed from the coded answers through its own Cauchy
-    column of ``_decode_matrix``, the exact coefficient it carries there.
-    The reduced system keeps the unknown results' Cauchy columns plus the
-    (kc-1)(N-1) tail columns; ``_results`` solves it.  At L = 1 an answer
-    and the one result may hold every entry, (entries, ...).  Returned raw
-    results are copies, never the answers themselves.
+    ``answers``: (0-based int index, integer array) pairs, whose first R of
+    distinct servers are stacked once, or a round's ``_Answers``, whose
+    first R rows are read in place.  In a systematic layout a raw server's
+    answer is its own result, which ``_plan`` removes from the coded answers
+    through its own Cauchy column of ``_decode_matrix``.  The reduced system
+    keeps the unknown results' Cauchy columns plus the (kc-1)(N-1) tail
+    columns.  At L = 1 an answer and the one result may hold every entry,
+    (entries, ...).  Returned raw results are copies, never the answers.
     """
-    batch, raw = params.batch_size, _raw(params)
-    answers = _take_answers(answers, params.threshold, params.servers)
-    known = {s: y for s, y in answers if s < raw}
-    if len(known) == batch:
-        return [np.array(known[i]) for i in range(batch)]
-    rhs = field.residues(_answer_rows([y for s, y in answers if s not in known]))
-    return _results(field, params, tuple(s for s, _ in answers), rhs, answers[0][1].shape, known)
+    return _results(field, params, *_take_answers(field, answers, params.threshold,
+                                                  params.servers))
 
 
-def _results(field: PrimeField, params, listed: tuple, rhs: np.ndarray, shape,
-             known=()) -> list[np.ndarray]:
+def _results(field: PrimeField, params, listed: tuple, rows: np.ndarray,
+             shape) -> list[np.ndarray]:
     """The L results from the taken answers of the ``listed`` servers, in
-    answer order: ``rhs`` stacks the coded ones as residues, one row each of
-    ``shape``, and ``known`` maps a raw server to its own result.  One
-    product with ``_plan`` gives each unknown entry's desired blocks,
-    entry-major, once the known answers' columns are removed (GCSA's blocks
-    ``ep._extract_products`` reassembles)."""
-    rows, known_cols = _plan(field, params, listed)
-    if known:
-        rhs = (rhs - field.matmul(known_cols, _answer_rows(list(known.values())))) % field.q
-    solved, inner = field.matmul(rows, rhs), params.ep
-    if (inner.m, inner.n) == (1, 1):
-        solved = solved.reshape((-1,) + shape)
-    else:  # rows entry-major, mn desired blocks each, beside the block axes
-        solved = _extract_products(inner, solved.reshape(
-            (-1, inner.m * inner.n) + shape).swapaxes(1, -3))
+    answer order: ``rows`` holds them as residues, one row each of
+    ``shape``.  A raw server's row is its own result, copied; one product of
+    ``_plan`` and every row gives each unknown entry's desired blocks,
+    entry-major (GCSA's blocks ``ep._extract_products`` reassembles)."""
+    known = {s: i for i, s in enumerate(listed) if s < _raw(params)}
+    solved, inner = (), params.ep
+    if len(known) < params.batch_size:
+        solved = field.matmul(_plan(field, params, listed), rows)
+        if (inner.m, inner.n) == (1, 1):
+            solved = solved.reshape((-1,) + shape)
+        else:  # rows entry-major, mn desired blocks each, beside the block axes
+            solved = _extract_products(inner, solved.reshape(
+                (-1, inner.m * inner.n) + shape).swapaxes(1, -3))
     solved = iter(solved)
-    return [np.array(known[i]) if i in known else next(solved)
+    return [rows[known[i]].reshape(shape).copy() if i in known else next(solved)
             for i in range(params.batch_size)]
 
 
 @_plan_cache
-def _plan(field: PrimeField, params, listed: tuple) -> tuple:
+def _plan(field: PrimeField, params, listed: tuple) -> np.ndarray:
     """Every Cauchy decoder's plan for the ``listed`` servers in answer order:
     the reduced inverse's rows of each unknown entry's desired blocks (power
-    (N - 1) R', order R'), and the known results' columns (or None)."""
+    (N - 1) R', order R'), and in a raw server's column minus those rows
+    times its known result's Cauchy column, which removes that result."""
     raw, rp = _raw(params), params.inner_order
-    known = [s for s in listed if s < raw]
-    mat = _decode_matrix(field, params, [s for s in listed if s >= raw],
+    coded = [i for i, s in enumerate(listed) if s >= raw]
+    known = [s for s in listed if s < raw]  # entry s's Cauchy column (R' = 1)
+    mat = _decode_matrix(field, params, [listed[i] for i in coded],
                          (params.arity - 1) * rp, params.threshold, rp)
-    cols = _read_only(mat[:, known]) if known else None
     desired = [j * rp + i for j in range(params.batch_size - len(known))
                for i in _desired_indices(params.ep)]
-    rows = solve_batch(field, np.delete(mat, known, axis=1) if known else mat,
-                       np.eye(len(mat), dtype=np.int64), rows=desired)
-    return _read_only(rows), cols
+    plan = np.empty((len(desired), len(listed)), dtype=np.int64)
+    plan[:, coded] = solve_batch(field, np.delete(mat, known, axis=1),
+                                 np.eye(len(mat), dtype=np.int64), rows=desired)
+    if known:
+        plan[:, [i for i, s in enumerate(listed) if s < raw]] = (
+            -field.matmul(plan[:, coded], mat[:, known]) % field.q)
+    return _read_only(plan)
 
 
 def _read_only(plan: np.ndarray) -> np.ndarray:
     plan.setflags(write=False)  # every later decode of its key shares it
     return plan
-
-
-def _answer_rows(ys) -> np.ndarray:
-    """The answers ``ys`` as the rows of one (R, entries) array.  Where they
-    are consecutive rows of one int64 buffer, as a harness round writes
-    them, that memory is read in place (each answer covers its own bytes, so
-    the view covers exactly the answers); else they are stacked into a fresh
-    array.  Answers below ``ffield._ARENA_MIN_BYTES`` are always stacked:
-    checking an address costs about 3 us an answer, more than copying a
-    small one (11 answers of 32 KiB: 29.7 us to check, 22.8 to stack; of
-    64 KiB: 30.8 and 41.8; best of 7, 2-core x86-64 VM)."""
-    first = ys[0]
-    if (isinstance(first, np.ndarray) and first.dtype == np.int64
-            and first.nbytes >= _ARENA_MIN_BYTES):
-        start = first.__array_interface__["data"][0]
-        if all(isinstance(y, np.ndarray) and y.dtype == np.int64
-               and y.shape == first.shape and y.flags.c_contiguous
-               and y.__array_interface__["data"][0] == start + i * first.nbytes
-               for i, y in enumerate(ys)):
-            return np.lib.stride_tricks.as_strided(
-                first, (len(ys), first.size), (first.nbytes, first.itemsize),
-                writeable=False)
-    return np.stack([np.asarray(y).reshape(-1) for y in ys])
 
 
 def _decode_matrix(field: PrimeField, params, listed, power: int, width: int,
@@ -518,9 +494,27 @@ def _batch_entries(field: PrimeField, batch, size=None, matrices=False, stack_la
     return field.residues(arrays if len(dtypes) == 1 else [field.residues(x) for x in arrays])
 
 
-def _take_answers(answers, r: int, servers: int):
-    """The first ``r`` (server, answer) pairs of distinct servers: an index by
-    ``ffield._integer``'s rule, an answer an integer numpy array."""
+@dataclass(frozen=True, eq=False)
+class _Answers:
+    """A round's answers (``harness._round``): ``rows[i]``, int64 residues,
+    answers ``servers[i]``, R or more distinct servers; iterates as pairs."""
+
+    servers: list
+    rows: np.ndarray
+
+    def __iter__(self):
+        return zip(self.servers, self.rows)
+
+
+def _take_answers(field: PrimeField, answers, r: int, servers: int) -> tuple:
+    """The first ``r`` answers of distinct servers as (their servers, an
+    (r, entries) residue array of their rows, an answer's shape): an
+    ``_Answers``' first r rows in place, else the first r (server, answer)
+    pairs of distinct servers (an index by ``ffield._integer``'s rule, an
+    answer an integer numpy array) stacked into a fresh array."""
+    if isinstance(answers, _Answers):
+        rows = answers.rows
+        return tuple(answers.servers[:r]), rows.reshape(len(rows), -1)[:r], rows.shape[1:]
     taken = {}  # server -> answer, in answer order
     for s, y in answers:
         if type(s) is not int:  # the common case skips the full rule
@@ -533,5 +527,6 @@ def _take_answers(answers, r: int, servers: int):
             raise ParameterError(f"duplicate answer from server {s}")
         taken[s] = y
         if len(taken) == r:
-            return list(taken.items())
+            rows = [y.reshape(-1) for y in taken.values()]
+            return tuple(taken), field.residues(np.stack(rows)), next(iter(taken.values())).shape
     raise InsufficientAnswersError(f"need {r} answers, got {len(taken)}")

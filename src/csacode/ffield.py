@@ -50,14 +50,16 @@ VM, medians of 9 alternating timeit runs).
 The round arena extends the same store (``_workspace``) to a round's large
 intermediates, under names of their own: ``shares-<i>`` (the shares of the
 i-th encode of a round, written by ``csa._generator_encode``), ``answers``
-(one row per responsive server, which the decoders read in place),
+(a CDBMM round's stack of answers, one row per responsive server),
 ``concat-a`` and ``concat-b`` (``csa.csa_answer``'s joined share groups),
-each once it reaches ``_ARENA_MIN_BYTES``.  Which buffers a round uses
-follows from this thread's round state, ``_ROUND``, which
-``harness._round`` opens: only the encode step of a top-level round takes
-``shares-<i>`` buffers and only that round an ``answers`` buffer; encodes
-outside a round, after the encode step or in a round nested in another (by
-a map or a forger) return fresh arrays.  A large CDBMM round
+each once it reaches ``_ARENA_MIN_BYTES``.  Every round's answers stay one
+stack up to the public decoders, which read its first R rows in place
+(``harness._round``).  Which buffers a round uses follows from this
+thread's round state, ``_ROUND``, which ``harness._round`` opens: only the
+encode step of a top-level round takes ``shares-<i>`` buffers and only that
+round an ``answers`` buffer; encodes outside a round, after the encode step
+or in a round nested in another (by a map or a forger) return fresh
+arrays.  A large CDBMM round
 (``harness.run_cdbmm``) then allocates only the products it returns, as
 each decoder's plan holds just their rows; N-CSA answers come fresh from the
 map.  Measured in the benchmark's own loop (its reference kernel, then one
@@ -69,10 +71,10 @@ round and of its oracle.
 
 Crossover, q = 65537, square products, ``_matmul_int64`` vs
 ``_matmul_float`` (best of 25 timeit repeats, OpenBLAS 0.3.31 with one
-thread, numpy 2.4, 2-core x86-64 VM): 2.1 vs 4.1 us at 8^3, 5.1 vs 5.5 us at
-16^3, 6.1 vs 5.8 us at 18^3, 7.2 vs 6.1 us at 20^3, 10.8 vs 7.3 us at
-24^3, 140 vs 23 us at 64^3 and 7.8 vs 0.79 ms at 192^3; hence
-``FLOAT_MIN_MACS = 20**3``.
+thread, numpy 2.4, 2-core x86-64 VM): 2.0 vs 3.7 us at 8^3, 4.6 vs 4.9 us at
+16^3, 5.2 vs 5.3 us at 17^3, 5.8 vs 5.6 us at 18^3, 7.0 vs 5.8 us at 20^3,
+10.6 vs 7.3 us at 24^3, 246 vs 35 us at 64^3 and 8.2 vs 0.53 ms at 192^3;
+hence ``FLOAT_MIN_MACS = 18**3``.
 """
 
 from __future__ import annotations
@@ -90,7 +92,7 @@ _INT64 = np.dtype(np.int64)  # numpy's one native int64 dtype object
 
 # Fewest multiply-adds for which a float64 BLAS product beats numpy's int64
 # matmul; the measurement behind it is in the module docstring.
-FLOAT_MIN_MACS = 20**3
+FLOAT_MIN_MACS = 18**3
 # float64 represents every integer below 2^53 exactly.
 _FLOAT_EXACT = 2**53
 _LIMB_BITS = 16

@@ -13,6 +13,7 @@ encoders, answer and decoder; N-CSA and LCC rounds run ncsa's.
 
 from __future__ import annotations
 
+import bisect
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, NamedTuple, Optional
@@ -203,7 +204,7 @@ def run_cdbmm(field: PrimeField, scheme: str, setup, batch_a, batch_b,
         results = csa.csa_decode(field, answers, setup)
         return (list(results[0]) if entries else results), ()
 
-    return _round(scheme, setup, [batch_a, batch_b], straggler, None, encode, respond,
+    return _round(field, scheme, setup, [batch_a, batch_b], straggler, None, encode, respond,
                   decode, shape)
 
 
@@ -262,10 +263,10 @@ def run_nlinear(field: PrimeField, params: csa.CSAParams, job, batches,
     def decode(answers):  # with B = 0 it flags nothing: the plain decode
         return ncsa.xsb_decode(field, answers, params)
 
-    return _round("ncsa", params, batches, straggler, byzantine, encode, answer, decode)
+    return _round(field, "ncsa", params, batches, straggler, byzantine, encode, answer, decode)
 
 
-def _round(scheme: str, setup, operands, straggler: StragglerModel,
+def _round(field: PrimeField, scheme: str, setup, operands, straggler: StragglerModel,
            byzantine: Optional[ByzantineModel], encode, answer, decode,
            answer_shape: Optional[tuple] = None):
     """One round of any code family: pick the responsive servers, encode,
@@ -281,24 +282,28 @@ def _round(scheme: str, setup, operands, straggler: StragglerModel,
     (responsive or not), row s for server s: one encoder call per side of a
     matrix product, one ``xs_encode`` for all of an N-CSA round's variables.
     ``answer(s, shares, counter, out)`` answers server s from its rows, or a
-    list of servers from theirs with a leading server axis, stacking their
-    answers; ``counter`` counts the call's multiplications (``server_mults``
-    is the largest per server).  The responsive servers answer in one call,
-    each alone once its shares reach ``ffield._ARENA_MIN_BYTES``.  Forgeries
-    then replace answers, and ``decode(answers)`` returns (results, flagged
-    servers).
+    list of servers from theirs with a leading server axis (a list of rows
+    in a systematic layout), stacking their answers; ``counter`` counts the
+    call's multiplications (``server_mults`` is the largest per server).
+    The responsive servers answer in one call (a systematic layout's raw
+    and coded servers in one each), each alone once its shares reach
+    ``ffield._ARENA_MIN_BYTES``.  The answers stay one (responsive x answer)
+    int64 stack up to the decoder: a call's own output, the ``answers`` rows
+    below, or the outputs joined once; raw answers (a map's own), others not
+    int64 and forgeries enter it by ``_entered``.  ``decode`` takes it as
+    ``csa._Answers``, whose first R rows the public decoders read in place,
+    and returns (results, flagged servers).
 
     Large intermediates live in this thread's round arena
     (``ffield._arena``), reused by every round instead of faulting in fresh
     pages.  The round opens this thread's round state (``ffield._ROUND``),
     so during its encode step the i-th encode writes its shares into the
     buffer "shares-<i>", and with an ``answer_shape`` the answers are
-    written into ``out``, their rows of the buffer ``answers``, whose first
-    R rows the decoder reads in place.  Without one, or when the answers
-    are too small for the arena, ``out`` is None.  A round run inside
-    another round in this thread (by a map or a forger) uses no arena, so
-    it leaves the outer round's buffers alone.  The decoders return fresh
-    results, so no result views the arena.
+    written into ``out``, their rows of the buffer ``answers``.  Without
+    one, or when the answers are too small for the arena, ``out`` is None.
+    A round run inside another round in this thread (by a map or a forger)
+    uses no arena, so it leaves the outer round's buffers alone.  The
+    decoders return fresh results, so no result views the arena.
     """
     theory = theoretical_costs(scheme, setup)
     r = theory.threshold
@@ -321,23 +326,30 @@ def _round(scheme: str, setup, operands, straggler: StragglerModel,
                     else sum(share.size for share in stack) for stack in shares]
         rows = (_arena("answers", (len(responsive),) + answer_shape)
                 if answer_shape and not nested else None)
-        one = sum(stack[responsive[-1]].nbytes for stack in shares)
-        alone = one >= _ARENA_MIN_BYTES or isinstance(shares[0], list)  # raw rows hold one group
-        answers, server_mults = [], 0
-        for pick in range(len(responsive)) if alone else [slice(None)]:
-            servers = responsive[pick]  # one server, or all of them
+        alone = sum(stack[responsive[-1]].nbytes for stack in shares) >= _ARENA_MIN_BYTES
+        raw = bisect.bisect_left(responsive, csa._raw(setup))  # the raw servers lead
+        picks = range(len(responsive)) if alone else [
+            pick for pick in (slice(0, raw), slice(raw, None)) if responsive[pick]]
+        ys, server_mults = [], 0
+        for pick in picks:
+            servers, out = responsive[pick], None if rows is None else rows[pick]
             counter = OpCounter()
-            y = answer(servers, [stack[servers] for stack in shares], counter,
-                       None if rows is None else rows[pick])
+            y = answer(servers, [x[servers] if alone or isinstance(x, np.ndarray)
+                                 else [x[s] for s in servers] for x in shares], counter, out)
             server_mults = max(server_mults, counter.mults // (1 if alone else len(servers)))
-            answers += [(servers, y)] if alone else zip(servers, y)
-        answers = [(s, byzantine.forge(s, y) if s in bad else y) for s, y in answers]
-        results, flagged = decode(answers)
+            if (pick if alone else pick.start) < raw or y.dtype != np.int64:  # raw: a map's own
+                y = _entered(field, servers, y, y.shape)
+            ys.append(y[None] if alone else y)
+        stack = rows if rows is not None else ys[0] if len(ys) == 1 else np.concatenate(ys)
+        for i, s in enumerate(responsive):
+            if s in bad:
+                stack[i] = _entered(field, s, byzantine.forge(s, stack[i]), stack.shape[1:])
+        results, flagged = decode(csa._Answers(responsive, stack))
     finally:
         _ROUND.running, _ROUND.shares = nested, None
 
     batch = len(operands[0])
-    downloaded = sum(y.size for _, y in answers[:r])  # the decoders read the first R
+    downloaded = r * stack[0].size  # the decoders read the first R
     measured = CostSummary(
         r, tuple(Fraction(u, batch * x[0].size) for u, x in zip(uploaded, operands)),
         Fraction(downloaded, batch * results[0].size))
@@ -346,6 +358,13 @@ def _round(scheme: str, setup, operands, straggler: StragglerModel,
         uploaded_elements=tuple(uploaded), downloaded_elements=downloaded,
         server_mults=server_mults, normalized_server_mults=Fraction(server_mults, batch),
         flagged_servers=tuple(flagged))
+
+
+def _entered(field: PrimeField, s, y, shape: tuple) -> np.ndarray:
+    """Server(s) ``s``'s answer ``y`` as it enters a round's answer stack."""
+    if not isinstance(y, np.ndarray) or y.dtype.kind not in "iu" or y.shape != shape:
+        raise ParameterError(f"the answer of server {s} must be an integer array of shape {shape}")
+    return field.residues(y)
 
 
 def direct_products(field: PrimeField, batch_a, batch_b) -> list[np.ndarray]:

@@ -27,9 +27,9 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .csa import (CSAParams, _answer_rows, _batch_entries, _cauchy_weights, _generator_encode,
-                  _plan_cache, _raw, _read_only, _results, _server_list, _take_answers,
-                  csa_decode, csa_params)
+from .csa import (CSAParams, _batch_entries, _cauchy_weights, _generator_encode, _plan_cache,
+                  _raw, _read_only, _results, _server_list, _take_answers, csa_decode,
+                  csa_params)
 from .errors import DecodingFailureError, ParameterError
 from .ffield import PrimeField, _reduce, poly_eval
 # perfbench/tracer.py requires ncsa.solve_batch and ncsa.rs_error_correct, so
@@ -344,13 +344,15 @@ def ncsa_decode(field: PrimeField, answers, params: CSAParams) -> list[np.ndarra
 def xsb_decode(field: PrimeField, answers, params: CSAParams):
     """Decode under X-security and up to B forged answers.
 
-    Returns (evaluations, flagged server indices).  Scaled by the full pole
-    product P(alpha) = prod_f (f - alpha), the R taken answers (the first R
-    given) are one interleaved Reed-Solomon codeword of dimension width =
-    R - 2B, whose entries share their error positions (Bleichenbacher,
-    Kiayias and Yung, ICALP 2003): the forgers are located once, then the
-    CSA decoder's solve runs on the first width clean rows of the answers
-    stacked for the syndromes.  At B = 0 there is nothing to locate: it is
+    Returns (evaluations, flagged server indices).  ``answers`` are taken as
+    by ``csa_decode``: the first R pairs of distinct servers, stacked once,
+    or a round's ``csa._Answers``, whose first R rows are read in place.
+    Scaled by the full pole product P(alpha) = prod_f (f - alpha), the R
+    taken answers are one interleaved Reed-Solomon codeword of dimension
+    width = R - 2B, whose entries share their error positions
+    (Bleichenbacher, Kiayias and Yung, ICALP 2003): the forgers are located
+    once, then the CSA decoder's solve runs on the first width clean rows of
+    those taken rows.  At B = 0 there is nothing to locate: it is
     ``csa_decode``.
 
     Syndromes: as sum_i v_i g(alpha_i) = 0 for every g of degree <= R - 2,
@@ -375,11 +377,9 @@ def xsb_decode(field: PrimeField, answers, params: CSAParams):
     r, b, code = params.threshold, params.byzantine, params.code
     if not b:  # nothing to locate: the CSA decode
         return csa_decode(field, answers, code), []
-    answers = _take_answers(answers, r, params.servers)
-    listed = [s for s, _ in answers]
+    listed, rows, shape = _take_answers(field, answers, r, params.servers)
     alphas = [params.samples[s] for s in listed]
-    rows = field.residues(_answer_rows([y for _, y in answers]))
-    syndromes = field.matmul(_parity_checks(field, code, tuple(listed)), rows)
+    syndromes = field.matmul(_parity_checks(field, code, listed), rows)
     located = _error_locator(field, alphas, field.matmul(
         syndromes, _projection_weights(field, rows.shape[1])).tolist())
     if located is not None and not field.matmul(located[1], syndromes).any():
@@ -396,8 +396,7 @@ def xsb_decode(field: PrimeField, answers, params: CSAParams):
     # without the B budget the threshold is width: the CSA decode of the
     # first width clean rows, already stacked
     clean = [i for i in range(r) if i not in flagged][:code.threshold]
-    evals = _results(field, code, tuple(listed[i] for i in clean), rows[clean],
-                     answers[0][1].shape)
+    evals = _results(field, code, tuple(listed[i] for i in clean), rows[clean], shape)
     return evals, sorted(listed[i] for i in flagged)
 
 

@@ -452,10 +452,12 @@ def test_systematic_decode_inverts_known_poles_in_one_batch(monkeypatch):
 
 @pytest.mark.parametrize("q", [65537, 2147483629])
 def test_systematic_decode_removes_known_results_in_one_product(monkeypatch, q):
-    # the known results' Cauchy contributions leave the coded answers through
-    # one matmul and the reduced system takes one more, the plan's product;
-    # a cold decode first builds the plan with one solve (which row-reduces
-    # its identity right-hand side, no matmul), a warm one runs no solve
+    # the plan holds a column for every taken answer, a known result's minus
+    # the reduced inverse's rows times its Cauchy column, so one product
+    # removes the known results and solves the reduced system; a cold decode
+    # first builds the plan with one solve (which row-reduces its identity
+    # right-hand side, no matmul) and one product for the known columns, a
+    # warm one runs no solve
     field = PrimeField(q)
     rng = np.random.default_rng(14)
     params = csa_params(field, 2, 3, 14, systematic=True)
@@ -476,8 +478,9 @@ def test_systematic_decode_removes_known_results_in_one_product(monkeypatch, q):
         solves.clear()
         got = csa_decode(field, answers, params)
         assert solves == built
-        # 2 unknown results: the plan holds their rows of the reduced inverse
-        assert calls == [((coded, 4), (4, 20)), ((2, coded), (coded, 20))]
+        # 2 unknown results: the plan holds their rows over all R answers
+        known = [((2, coded), (coded, 4))] if built else []
+        assert calls == known + [((2, params.threshold), (params.threshold, 20))]
         assert all(np.array_equal(g, t) for g, t in zip(got, truth))
 
 

@@ -258,6 +258,8 @@ def test_small_products_route_by_int64_chunk_count(monkeypatch, q, rows, inner, 
     ((5,), 3, 4, 5, True),
     ((3,), 2, 1, 3, True),          # one inner term: int64 at every q
     ((1,), 24, 24, 24, True),       # one slice past FLOAT_MIN_MACS: float
+    ((1,), 17, 18, 19, False),      # 5,814 multiply-adds, just below 18^3: int64
+    ((1,), 18, 18, 18, True),       # at FLOAT_MIN_MACS = 18^3: float
     ((18,), 16, 16, 16, False),     # the slices together pass it: float
     ((18,), 16, 16, 16, True),
     ((2, 3), 4, 70, 9, False),      # two stack axes; 3 limb chunks at q near 2^31

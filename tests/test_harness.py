@@ -181,6 +181,79 @@ def test_nlinear_byzantine_localization():
     assert report.flagged_servers == (5,)
 
 
+def _forged_round(field):
+    """(params, omega, batches, straggler) of an X = B = 1 round whose
+    server 5 answers among the first R = 5."""
+    rng = np.random.default_rng(19)
+    params = ncsa.ncsa_params(field, 2, 1, 1, 7, x_secure=1, byzantine=1, noise_seed=2)
+    batches = [[field.rand_matrix(rng, 2, 2)], [field.rand_matrix(rng, 2, 2)]]
+    return (params, ncsa.matmul_map(2, 2, 2), batches,
+            harness.StragglerModel(responsive=(0, 2, 3, 5, 6)))
+
+
+@pytest.mark.parametrize("forgery", [
+    lambda y: y.astype(float), lambda y: y.tolist(), lambda y: y[:1], lambda y: y.reshape(-1),
+], ids=["float", "nested-list", "fewer-rows", "flattened"])
+def test_a_forged_answer_is_checked_as_it_enters_the_stack(forgery):
+    # A forgery is written into its server's int64 row of the round's answer
+    # stack: one that is not an integer array of the answer's shape is
+    # refused, not cast or broadcast into that row
+    params, omega, batches, straggler = _forged_round(FIELD)
+    byzantine = harness.ByzantineModel((5,), lambda s, y: forgery((y + 1) % FIELD.q))
+    with pytest.raises(ParameterError, match="server 5 must be an integer array of shape"):
+        harness.run_nlinear(FIELD, params, omega, batches, straggler, byzantine)
+
+
+@pytest.mark.parametrize("q", [13, 65537, 2147483629])
+def test_an_unreduced_forgery_decodes_as_its_residues(q):
+    # A forged answer outside [0, q) is reduced as it enters the stack, so
+    # it decodes, and its server is flagged, exactly as its residues are
+    field = PrimeField(q)
+    params, omega, batches, straggler = _forged_round(field)
+    truth = harness.direct_evaluations(field, omega, batches)
+    outcomes = []
+    for forge in (lambda y: (y + 1) % q, lambda y: y + 1 + q, lambda y: y + 1 - q,
+                  lambda y: (y + 1 + 3 * q).astype(np.uint64), lambda y: y + 1 - 2**20 * q):
+        evals, report = harness.run_nlinear(field, params, omega, batches, straggler,
+                                            harness.ByzantineModel((5,), lambda s, y: forge(y)))
+        assert all(np.array_equal(e, t) for e, t in zip(evals, truth))
+        outcomes.append(([e.tobytes() for e in evals], report))
+    assert all(outcome == outcomes[0] for outcome in outcomes)
+    assert outcomes[0][1].flagged_servers == (5,)
+
+
+def test_a_systematic_round_answers_in_two_calls(monkeypatch):
+    # A systematic layout's responsive servers answer in one call for the
+    # raw servers and one for the coded servers, never one call a server
+    calls = []
+    for module, name in ((csa, "csa_answer"), (ncsa, "ncsa_answer")):
+        def counted(*args, fn=getattr(module, name), name=name, **kw):
+            y = fn(*args, **kw)
+            calls.append((name, len(y)))
+            return y
+
+        monkeypatch.setattr(module, name, counted)
+    rng = np.random.default_rng(20)
+    aa = [FIELD.rand_matrix(rng, 4, 2) for _ in range(4)]
+    bb = [FIELD.rand_matrix(rng, 2, 4) for _ in range(4)]
+    setup = csa.csa_params(FIELD, 2, 2, 8, systematic=True)  # raw servers 0..3
+    params = ncsa.ncsa_params(FIELD, 2, 2, 2, 8, systematic=True)
+    for responsive, want in (((0, 2, 4, 5, 6, 7), [2, 4]), ((1, 3, 4, 5, 6), [2, 3]),
+                             ((3, 4, 5, 6, 7), [1, 4]), ((2, 4, 5, 6, 7), [1, 4])):
+        straggler = harness.StragglerModel(responsive=responsive)
+        for name, run, truth in (
+                ("csa_answer", lambda: harness.run_cdbmm(
+                    FIELD, "csa-systematic", setup, aa, bb, straggler),
+                 harness.direct_products(FIELD, aa, bb)),
+                ("ncsa_answer", lambda: harness.run_nlinear(
+                    FIELD, params, ncsa.matmul_map(4, 2, 4), [aa, bb], straggler),
+                 harness.direct_products(FIELD, aa, bb))):
+            calls.clear()
+            got, _ = run()
+            assert all(np.array_equal(g, t) for g, t in zip(got, truth))
+            assert calls == [(name, n) for n in want], (name, responsive)
+
+
 def _cdbmm(scheme, setup):
     rng = np.random.default_rng(17)
     batch = [[FIELD.rand_matrix(rng, 2, 2) for _ in range(2)] for _ in range(2)]
@@ -703,14 +776,20 @@ def test_blas_thread_count_does_not_change_results():
     assert single["round"] == single["oracle"]
 
 
-def test_benchmark_gate_smoke(monkeypatch):
-    # One operation of every benchmark workload, in process: a kernel or
-    # encode change that breaks the gate fails here, not in the benchmark.
+def _perfbench_workloads(monkeypatch):
+    """perfbench/workloads.py, imported from this checkout for one test."""
     path = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
     spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
     workloads = importlib.util.module_from_spec(spec)
     monkeypatch.setitem(sys.modules, spec.name, workloads)
     spec.loader.exec_module(workloads)
+    return workloads
+
+
+def test_benchmark_gate_smoke(monkeypatch):
+    # One operation of every benchmark workload, in process: a kernel or
+    # encode change that breaks the gate fails here, not in the benchmark.
+    workloads = _perfbench_workloads(monkeypatch)
     for workload in workloads.WORKLOADS.values():
         rounds = workloads.build(workload)
         inputs = workloads.draw_op(rounds, 1, 0)
@@ -971,26 +1050,141 @@ def test_same_shape_rounds_reuse_the_arena(monkeypatch):
     assert all(ffield._WORKSPACES.__dict__[name] is buf for name, buf in buffers.items())
 
 
-def test_decoders_read_answer_rows_in_place_only_when_consecutive():
-    # csa_decode reads the answers in place only when they are consecutive
-    # rows of one buffer; rows out of order, with a gap, or copied decode
-    # the same products from a stacked copy.
+def _large_answers(decoder):
+    """(decode, params, (S, 64, 64) answers of every server, truth) of a CSA
+    code or of an N-CSA code with X = B = 1: answers of 32 KiB each."""
     rng = np.random.default_rng(22)
-    params = csa.csa_params(FIELD, 2, 2, 7)
-    aa = [FIELD.rand_matrix(rng, 64, 8) for _ in range(4)]
-    bb = [FIELD.rand_matrix(rng, 8, 64) for _ in range(4)]
-    truth = harness.direct_products(FIELD, aa, bb)
-    rows = np.empty((7, 64, 64), dtype=np.int64)  # 32 KiB answers
-    for s, (sa, sb) in enumerate(zip(csa.csa_encode_a(FIELD, aa, params, range(7)),
-                                     csa.csa_encode_b(FIELD, bb, params, range(7)))):
-        csa.csa_answer(FIELD, sa, sb, out=rows[s])
-    for order in ([0, 1, 2, 3, 4], [1, 2, 3, 4, 5], [4, 3, 2, 1, 0], [0, 2, 1, 3, 4],
-                  [0, 1, 2, 4, 5], [0, 2, 4, 6, 1]):
-        answers = [(s, rows[s]) for s in order]
-        got = csa.csa_decode(FIELD, answers, params)
-        assert all(np.array_equal(g, t) for g, t in zip(got, truth)), order
-        got = csa.csa_decode(FIELD, [(s, y.copy()) for s, y in answers], params)
-        assert all(np.array_equal(g, t) for g, t in zip(got, truth)), order
+    if decoder == "csa":
+        params = csa.csa_params(FIELD, 2, 2, 7)
+        aa = [FIELD.rand_matrix(rng, 64, 8) for _ in range(4)]
+        bb = [FIELD.rand_matrix(rng, 8, 64) for _ in range(4)]
+        rows = csa.csa_answer(FIELD, csa.csa_encode_a(FIELD, aa, params, range(7)),
+                              csa.csa_encode_b(FIELD, bb, params, range(7)))
+        return csa.csa_decode, params, rows, harness.direct_products(FIELD, aa, bb)
+    params = ncsa.ncsa_params(FIELD, 2, 1, 2, 8, x_secure=1, byzantine=1)
+    omega = ncsa.matmul_map(64, 8, 64)
+    batches = [[FIELD.rand_matrix(rng, *shape) for _ in range(2)] for shape in omega.var_shapes]
+    rows = ncsa.ncsa_answer(FIELD, ncsa.xs_encode(FIELD, batches, params, range(8)), omega,
+                            params, range(8))
+    return ((lambda *args: ncsa.xsb_decode(*args)[0]), params, rows,
+            harness.direct_evaluations(FIELD, omega, batches))
+
+
+@pytest.mark.parametrize("decoder", ["csa", "xsb"])
+def test_public_decoders_stack_plain_answer_pairs_once(monkeypatch, decoder):
+    # Outside a round the public decoders take (server, answer) pairs: a
+    # generator, any order, more than R answers (the first R of distinct
+    # servers are read) and large answers, which are copied once into one
+    # stack of R rows; a duplicate server among them raises.
+    decode, params, rows, truth = _large_answers(decoder)
+    r, stack, stacked = params.threshold, np.stack, []
+
+    def counted(arrays, *args, **kw):
+        stacked.append([np.shape(y) for y in arrays])
+        return stack(arrays, *args, **kw)
+
+    monkeypatch.setattr(np, "stack", counted)
+    servers = range(len(rows))
+    for order in (list(servers), servers[::-1], np.random.default_rng(1).permutation(servers),
+                  (list(servers[1::2]) + list(servers[::2]))[:r]):
+        for answers in ([(s, rows[s]) for s in order], ((s, rows[s].copy()) for s in order)):
+            stacked.clear()
+            got = decode(FIELD, answers, params)
+            assert all(np.array_equal(g, t) for g, t in zip(got, truth)), order
+            assert stacked == [[(64 * 64,)] * r], order
+    with pytest.raises(ParameterError, match="duplicate"):
+        decode(FIELD, [(s, rows[s]) for s in [0, 1, 1] + list(servers[2:])], params)
+    with pytest.raises(InsufficientAnswersError):
+        decode(FIELD, [(s, rows[s]) for s in range(r - 1)], params)
+
+
+def _stacked_round_cases(field):
+    """One round of every family: (name, run), where run() runs it."""
+    rng = np.random.default_rng(field.q % 1000)
+
+    def mats(n, rows, cols):
+        return [field.rand_matrix(rng, rows, cols) for _ in range(n)]
+
+    def cdbmm(scheme, setup, batch, responsive):
+        aa, bb = mats(batch, 4, 2), mats(batch, 2, 4)
+        return lambda: harness.run_cdbmm(field, scheme, setup, aa, bb,
+                                         harness.StragglerModel(responsive=responsive))
+
+    def nlinear(params, responsive, forged=()):
+        omega = ncsa.matmul_map(2, 2, 2)
+        batches = [mats(params.batch_size, 2, 2) for _ in range(2)]
+        forger = harness.ByzantineModel.seeded(field, forged, seed=5) if forged else None
+        return lambda: harness.run_nlinear(field, params, omega, batches,
+                                           harness.StragglerModel(responsive=responsive), forger)
+
+    return [
+        ("ep-entries", cdbmm("ep", harness.ep_setup(field, 1, 2, 1, 5), 3, (0, 2, 3))),
+        ("gcsa", cdbmm("gcsa", gcsa.gcsa_params(field, 2, 1, 1, 2, 1, 6), 2, (0, 1, 3, 4, 5))),
+        ("csa", cdbmm("csa", csa.csa_params(field, 2, 2, 8), 4, (1, 2, 4, 5, 6, 7))),
+        # known results among the first R: servers 0 and 2 hold entries 0 and 2
+        ("csa-systematic", cdbmm("csa-systematic", csa.csa_params(field, 2, 2, 8, systematic=True),
+                                 4, (0, 2, 4, 5, 6, 7))),
+        ("ncsa-x1", nlinear(ncsa.ncsa_params(field, 2, 1, 2, 7, x_secure=1), (0, 1, 3, 4, 5, 6))),
+        # the forger, server 2, answers among the first R = 5
+        ("ncsa-x1-b1", nlinear(ncsa.ncsa_params(field, 2, 1, 1, 7, x_secure=1, byzantine=1),
+                               (0, 2, 3, 5, 6), forged=(2,))),
+    ]
+
+
+def _same(a, b) -> bool:
+    """Byte-for-byte equality of decoder outputs: arrays by dtype, shape and
+    bytes, sequences item by item."""
+    if isinstance(a, np.ndarray) or isinstance(b, np.ndarray):
+        return (isinstance(a, np.ndarray) and isinstance(b, np.ndarray) and a.dtype == b.dtype
+                and a.shape == b.shape and a.tobytes() == b.tobytes())
+    if isinstance(a, (list, tuple)):
+        return type(a) is type(b) and len(a) == len(b) and all(map(_same, a, b))
+    return a == b
+
+
+@pytest.mark.parametrize("q", [13, 65537, 2147483629])
+def test_a_rounds_stacked_answers_decode_as_the_same_pairs(monkeypatch, q):
+    # A round hands the public decoders its answers as one stack
+    # (csa._Answers); each decodes it byte for byte as it decodes the same
+    # answers given as plain (server, answer) pairs, flagged forgers included.
+    field = PrimeField(q)
+    decoded = []
+    for module, name in ((csa, "csa_decode"), (ncsa, "xsb_decode")):
+        def checked(field, answers, params, decode=getattr(module, name), name=name):
+            got = decode(field, answers, params)
+            if isinstance(answers, csa._Answers):
+                pairs = [(s, y.copy()) for s, y in answers]
+                decoded.append((name, _same(got, decode(field, pairs, params))))
+            return got
+
+        monkeypatch.setattr(module, name, checked)
+    for case, run in _stacked_round_cases(field):
+        decoded.clear()
+        run()
+        want = "xsb_decode" if case.startswith("ncsa") else "csa_decode"
+        assert (want, True) in decoded and all(same for _, same in decoded), case
+
+
+def test_benchmark_rounds_decode_their_answer_stack_in_place(monkeypatch):
+    # Every round of the four benchmark workloads hands its decoder one
+    # stack of answers, whose first R rows the decoder reads without a copy.
+    workloads = _perfbench_workloads(monkeypatch)
+    take, taken = csa._take_answers, []
+
+    def in_place(field, answers, r, servers):
+        took = take(field, answers, r, servers)  # (servers, rows, shape)
+        taken.append(isinstance(answers, csa._Answers) and len(took[1]) == r
+                     and np.shares_memory(took[1], answers.rows))
+        return took
+
+    monkeypatch.setattr(csa, "_take_answers", in_place)
+    monkeypatch.setattr(ncsa, "_take_answers", in_place)
+    for workload in workloads.WORKLOADS.values():
+        rounds = workloads.build(workload)
+        taken.clear()
+        outcomes = workloads.run_op(rounds, workloads.draw_op(rounds, 1, 0), time.perf_counter)
+        assert [o.problems for o in outcomes] == [[] for _ in outcomes], workload.name
+        assert len(taken) >= len(rounds) and all(taken), (workload.name, taken)
 
 
 def test_rounds_are_exact_in_two_concurrent_threads():
