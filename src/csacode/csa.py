@@ -200,6 +200,7 @@ def _cauchy_encode(field: PrimeField, batch, params, servers, side: str) -> np.n
     grid = (inner.m, inner.p) if side == "a" else (inner.p, inner.n)
     one = params.batch_size == 1
     arr = _batch_entries(field, batch, None if one else params.batch_size, grid != (1, 1))
+    arr = np.stack(arr) if isinstance(arr, list) else arr
     weights = _weights(field, params, tuple(_server_list(servers)), side)
     return _generator_encode(field, arr, weights[:, 0] if one and len(arr) > 1 else weights,
                              servers, grid, _raw(params))
@@ -372,8 +373,8 @@ def _results(field: PrimeField, params, listed: tuple, rows: np.ndarray,
     ``shape``.  A raw server's row is its own result, copied; one product of
     ``_plan`` and every row gives each unknown entry's desired blocks,
     entry-major (GCSA's blocks ``ep._extract_products`` reassembles)."""
-    known = {s: i for i, s in enumerate(listed) if s < _raw(params)}
-    solved, inner = (), params.ep
+    raw, solved, inner = _raw(params), (), params.ep
+    known = {s: i for i, s in enumerate(listed) if s < raw}
     if len(known) < params.batch_size:
         solved = field.matmul(_plan(field, params, listed), rows)
         if (inner.m, inner.n) == (1, 1):
@@ -461,24 +462,29 @@ def interference_rank(field: PrimeField, params: CSAParams) -> int:
 # ---- shared helpers ----
 
 
-def _batch_entries(field: PrimeField, batch, size=None, matrices=False, stack_large=True):
-    """One input batch, checked for every encoder and the harness
-    (rectangular, ``size`` entries if given (L), integer, one shape), as one
-    int64 residue stack, which passes again without a copy.  Without
-    ``stack_large`` (a round), a list of ``_ARENA_MIN_BYTES`` or more stays
-    a list of residues, for its encoder to stack: one such stack at a time."""
-    if isinstance(batch, np.ndarray) and batch.ndim:  # one shape and one dtype already
+def _batch_entries(field: PrimeField, batch, size=None, matrices=False):
+    """One input batch, checked for every encoder and the harness (a sequence,
+    rectangular, ``size`` entries if given (L), integer, one shape) as int64
+    residues: one stack, which passes again without a copy, or from
+    ``_ARENA_MIN_BYTES`` on a list of entries, which its encoder stacks or
+    copies: one stack at a time.  A round's ``_Batch`` is checked already,
+    but for its L."""
+    if isinstance(batch, _Batch):
+        arrays = batch.entries
+    elif isinstance(batch, np.ndarray) and batch.ndim:  # one shape and one dtype already
         arrays, dtypes, shapes = batch, {batch.dtype}, {batch.shape[1:]}
     else:
         try:
             arrays = [np.asarray(x) for x in batch]
-        except ValueError as exc:  # a ragged nested list
-            raise ParameterError(f"batch entries must be rectangular arrays: {exc}") from None
+        except (TypeError, ValueError) as exc:  # not a sequence (None, 5), or ragged
+            raise ParameterError(f"batch must be a sequence of rectangular arrays: {exc}") from None
         dtypes, shapes = {x.dtype for x in arrays}, {x.shape for x in arrays}
     if not len(arrays):
         raise ParameterError("batch is empty")
     if size is not None and len(arrays) != size:
         raise ParameterError(f"batch of {len(arrays)} entries does not match L = {size}")
+    if isinstance(batch, _Batch):
+        return arrays
     if any(d.kind not in "iu" for d in dtypes):
         raise ParameterError("batch entries must hold integers")
     if len(shapes) != 1:
@@ -487,11 +493,18 @@ def _batch_entries(field: PrimeField, batch, size=None, matrices=False, stack_la
         raise ParameterError("batch entries must be matrices")
     if not arrays[0].size:  # no cost of a round could be normalized
         raise ParameterError(f"batch entries of shape {arrays[0].shape} have no elements")
-    if not (stack_large or isinstance(arrays, np.ndarray)
-            or 8 * len(arrays) * arrays[0].size < _ARENA_MIN_BYTES):
+    if isinstance(arrays, list) and 8 * len(arrays) * arrays[0].size >= _ARENA_MIN_BYTES:
         return [field.residues(x) for x in arrays]
     # entries of mixed dtypes come as residues, so that they stack as int64
     return field.residues(arrays if len(dtypes) == 1 else [field.residues(x) for x in arrays])
+
+
+class _Batch:
+    """A batch a round (``harness``) checked, ``_batch_entries``' return; a
+    plain class, as a dataclass's set-up adds 0.4 ms to every import."""
+
+    def __init__(self, entries):
+        self.entries = entries
 
 
 @dataclass(frozen=True, eq=False)

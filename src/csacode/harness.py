@@ -38,8 +38,9 @@ class StragglerModel:
     seed: int = 0
 
     def pick(self, servers: int) -> list[int]:
-        if self.responsive is not None:
-            picked = sorted({_integer(s, "a responsive index") for s in self.responsive})
+        if (ids := self.responsive) is not None:  # a tuple of ints skips the full rule
+            picked = sorted(set(ids) if type(ids) is tuple and all(type(s) is int for s in ids)
+                            else {_integer(s, "a responsive index") for s in ids})
             if picked and (picked[0] < 0 or picked[-1] >= servers):
                 raise ParameterError("responsive indices out of range")
             return picked
@@ -174,8 +175,7 @@ def run_cdbmm(field: PrimeField, scheme: str, setup, batch_a, batch_b,
     _check_setup(scheme, setup)
     if byzantine is not None:
         raise ParameterError("the CDBMM decoders assume honest answers (B = 0)")
-    batch_a, batch_b = (csa._batch_entries(field, b, matrices=True, stack_large=False)
-                        for b in (batch_a, batch_b))
+    batch_a, batch_b = (csa._batch_entries(field, b, matrices=True) for b in (batch_a, batch_b))
     if len(batch_a) != len(batch_b):
         raise ParameterError("A and B batches must have equal length")
     if batch_a[0].shape[1] != batch_b[0].shape[0]:
@@ -187,8 +187,8 @@ def run_cdbmm(field: PrimeField, scheme: str, setup, batch_a, batch_b,
 
     def encode():
         servers = range(setup.servers)
-        return [csa.csa_encode_a(field, batch_a, setup, servers),
-                csa.csa_encode_b(field, batch_b, setup, servers)]
+        return [csa.csa_encode_a(field, csa._Batch(batch_a), setup, servers),
+                csa.csa_encode_b(field, csa._Batch(batch_b), setup, servers)]
 
     def respond(s, shares, counter, out):
         if not (entries and isinstance(s, int)):
@@ -230,7 +230,7 @@ def run_nlinear(field: PrimeField, params: csa.CSAParams, job, batches,
         raise ParameterError(
             f"need one variable batch per slot: got {len(batches)}, "
             f"expected {want_batches}")
-    batches = [csa._batch_entries(field, b, stack_large=False) for b in batches]
+    batches = [csa._batch_entries(field, b) for b in batches]
     uses = ([(slot, t.omega.var_shapes[i]) for t in job.terms
              for i, slot in enumerate(t.slots)] if is_spec
             else enumerate(job.var_shapes))
@@ -248,7 +248,8 @@ def run_nlinear(field: PrimeField, params: csa.CSAParams, job, batches,
     const = []  # a spec's constant-one shares, every server's rows
 
     def encode():  # the constant-one batch, if any, as the last variable
-        shares = ncsa.xs_encode(field, batches + ones, params, range(params.servers))
+        shares = ncsa.xs_encode(field, [csa._Batch(b) for b in batches + ones], params,
+                                range(params.servers))
         const[:] = shares[len(batches):]
         return shares[:len(batches)]
 
@@ -276,8 +277,8 @@ def _round(field: PrimeField, scheme: str, setup, operands, straggler: Straggler
     S samples, so EP needs S <= q - 1; a share and an answer of a code of
     batch size 1 hold every batch entry.
 
-    ``operands`` holds the checked residue batches (``csa._batch_entries``),
-    one per variable, which the encoders take again: a stack without a copy.
+    ``operands`` holds the caller's batches, checked once (``csa._batch_entries``),
+    one per variable, which ``encode`` hands the encoders as ``csa._Batch``.
     ``encode()`` returns per variable the encoder's shares of every server
     (responsive or not), row s for server s: one encoder call per side of a
     matrix product, one ``xs_encode`` for all of an N-CSA round's variables.
@@ -305,7 +306,7 @@ def _round(field: PrimeField, scheme: str, setup, operands, straggler: Straggler
     uses no arena, so it leaves the outer round's buffers alone.  The
     decoders return fresh results, so no result views the arena.
     """
-    theory = theoretical_costs(scheme, setup)
+    theory = _costs(setup)  # the caller ran _check_setup
     r = theory.threshold
     responsive = straggler.pick(setup.servers)
     if len(responsive) < r:
@@ -348,16 +349,23 @@ def _round(field: PrimeField, scheme: str, setup, operands, straggler: Straggler
     finally:
         _ROUND.running, _ROUND.shares = nested, None
 
-    batch = len(operands[0])
     downloaded = r * stack[0].size  # the decoders read the first R
-    measured = CostSummary(
-        r, tuple(Fraction(u, batch * x[0].size) for u, x in zip(uploaded, operands)),
-        Fraction(downloaded, batch * results[0].size))
+    # a map may count in numpy ints, whose Fractions a plain-int key would share
+    build = _measured if type(server_mults) is int else _measured.__wrapped__
+    measured, normalized = build(r, tuple(uploaded), tuple(x[0].size for x in operands),
+                                 len(operands[0]), downloaded, results[0].size, server_mults)
     return results, CostReport(
         scheme=scheme, theory=theory, measured=measured,
         uploaded_elements=tuple(uploaded), downloaded_elements=downloaded,
-        server_mults=server_mults, normalized_server_mults=Fraction(server_mults, batch),
+        server_mults=server_mults, normalized_server_mults=normalized,
         flagged_servers=tuple(flagged))
+
+
+@csa._plan_cache
+def _measured(r, uploaded, sizes, batch, downloaded, result, mults) -> tuple:
+    """A round's measured ``CostSummary`` and normalized server mults, from element counts."""
+    return (CostSummary(r, tuple(Fraction(u, batch * n) for u, n in zip(uploaded, sizes)),
+                        Fraction(downloaded, batch * result)), Fraction(mults, batch))
 
 
 def _entered(field: PrimeField, s, y, shape: tuple) -> np.ndarray:

@@ -175,17 +175,17 @@ def xs_encode(field: PrimeField, batches, params: CSAParams, servers,
     adds Delta_s(l) * alpha_s^(x-1) * Z_{l,x} to its group-l share, where
     Delta_s(l) = prod_k (f_{l,k} - alpha_s), and Z_{l,x} is row (l, x - 1)
     of one ``noise_block`` (ell, X, entry size) keyed (v, 0, 0, 0).  Group
-    l's kc entries and X noise blocks of every variable, flattened side by
-    side, times the plan ``_weights`` of ``params.code`` and the listed
-    servers, are one generator product for all groups
-    (``csa._generator_encode``).  Returns per variable views of it in that
-    variable's entry shape: for one server index its ell shares, for a
-    sequence their shares row by row (a list of rows in a systematic
-    layout).  The noise depends on ``params.noise_seed`` and v alone: every
-    round of one ``CSAParams`` adds the same masks, so X-security across
-    rounds needs a fresh ``noise_seed`` per round (plans are keyed on
-    ``params.code``, so no new plan).  ``noise`` may override the seeded
-    blocks: a mapping (v, l, x) -> array (1-based x).
+    l's kc entries and X noise blocks of every variable, side by side (a
+    large batch's entries copied in one by one, never stacked), times the
+    plan ``_weights`` of ``params.code`` and the listed servers, are one
+    generator product for all groups (``csa._generator_encode``).  Returns
+    per variable views of it in that variable's entry shape: for one server
+    index its ell shares, for a sequence their shares row by row (a list of
+    rows in a systematic layout).  The noise depends on ``params.noise_seed``
+    and v alone: every round of one ``CSAParams`` adds the same masks, so
+    X-security across rounds needs a fresh ``noise_seed`` per round (plans
+    are keyed on ``params.code``, so no new plan).  ``noise`` may override
+    the seeded blocks: a mapping (v, l, x) -> array (1-based x).
     """
     kc, ell, x_secure = params.kc, params.ell, params.x_secure
     arrays = [_batch_entries(field, b, params.batch_size) for b in batches]  # before any noise
@@ -193,7 +193,11 @@ def xs_encode(field: PrimeField, batches, params: CSAParams, servers,
     spans = [slice(end - n, end) for n, end in zip(sizes, itertools.accumulate(sizes))]
     groups = np.empty((ell, kc + x_secure, sum(sizes)), dtype=np.int64)
     for v, (a, n, span) in enumerate(zip(arrays, sizes, spans)):
-        groups[:, :kc, span] = a.reshape(ell, kc, n)
+        if isinstance(a, np.ndarray):
+            groups[:, :kc, span] = a.reshape(ell, kc, n)
+        else:  # a large batch's entries, each copied once, unstacked
+            for i, x in enumerate(a):
+                groups[i // kc, i % kc, span] = x.reshape(-1)
         if x_secure:
             groups[:, kc:, span] = (noise_block(
                 field, params.noise_seed, v, 0, 0, 0, (ell, x_secure, n)) if noise is None
@@ -204,7 +208,7 @@ def xs_encode(field: PrimeField, batches, params: CSAParams, servers,
                                servers, raw=_raw(params))
 
     def split(rows):  # (..., every variable's entries) -> a view per variable
-        return [rows[..., span].reshape(rows.shape[:-1] + a.shape[1:])
+        return [rows[..., span].reshape(rows.shape[:-1] + a[0].shape)
                 for a, span in zip(arrays, spans)]
 
     if isinstance(shares, list):  # a systematic layout's rows, raw or coded

@@ -11,6 +11,7 @@ import subprocess
 import sys
 import threading
 import time
+import weakref
 from fractions import Fraction
 from pathlib import Path
 
@@ -577,6 +578,126 @@ def test_models_refuse_non_integer_servers(model):
         model()
 
 
+@pytest.mark.parametrize("valid, invalid", [
+    (dict(responsive=(1, 2)), dict(responsive=(0.5, 1, 2))),
+    (dict(responsive=(1, 2)), dict(responsive=(True, 2))),
+    (dict(responsive=(1, 2)), dict(responsive=(1.0, 2))),
+    (dict(count=2), dict(count=2.0)),
+], ids=["float-index", "bool-index", "float-equal-index", "float-count"])
+def test_pick_refuses_non_integers_right_after_a_valid_round(valid, invalid):
+    # A tuple of ints skips the full rule, and nothing is cached: (True, 2)
+    # and (1.0, 2) equal (1, 2), so a cache would hand them its answer
+    setup = csa.csa_params(FIELD, 1, 1, 3)  # R = 1
+    batches = [_matrices(3, count=1), _matrices(5, count=1)]
+    got, _ = harness.run_cdbmm(FIELD, "csa", setup, *batches, harness.StragglerModel(**valid))
+    assert np.array_equal(got[0], harness.direct_products(FIELD, *batches)[0])
+    with pytest.raises(ParameterError, match="integer"):
+        harness.run_cdbmm(FIELD, "csa", setup, *batches, harness.StragglerModel(**invalid))
+
+
+@pytest.mark.parametrize("form", [list, np.array, lambda s: tuple(np.int64(x) for x in s)],
+                         ids=["list", "ndarray", "numpy-ints"])
+def test_a_responsive_set_in_another_form_runs_as_the_tuple(form):
+    setup = csa.csa_params(FIELD, 2, 1, 5)  # R = 3
+    rng = np.random.default_rng(9)
+    batches = [[FIELD.rand_matrix(rng, 2, 2) for _ in range(2)] for _ in range(2)]
+    want, report = harness.run_cdbmm(FIELD, "csa", setup, *batches,
+                                     harness.StragglerModel(responsive=(4, 0, 2, 0)))
+    got, other = harness.run_cdbmm(FIELD, "csa", setup, *batches,
+                                   harness.StragglerModel(responsive=form([4, 0, 2, 0])))
+    assert all(np.array_equal(g, w) for g, w in zip(got, want))
+    assert repr(other) == repr(report)
+
+
+def _cost_rounds(field: PrimeField) -> list:
+    """(scheme, setup, run(dims)) of every scheme, one setup each, where
+    run(dims) runs one round on (rows, inner, cols) entries and returns (the
+    batches, the results, the report)."""
+    rng = np.random.default_rng(17)
+
+    def cdbmm(scheme, setup, size):
+        def run(dims):
+            rows, inner, cols = dims
+            batches = [[field.rand_matrix(rng, rows, inner) for _ in range(size)],
+                       [field.rand_matrix(rng, inner, cols) for _ in range(size)]]
+            return (batches, *harness.run_cdbmm(field, scheme, setup, *batches,
+                                                harness.StragglerModel(count=setup.servers)))
+        return scheme, setup, run
+
+    def nlinear(scheme, params):
+        def run(dims):
+            omega = ncsa.matmul_map(*dims)
+            batches = [[field.rand_matrix(rng, *shape) for _ in range(params.batch_size)]
+                       for shape in omega.var_shapes]
+            return (batches, *harness.run_nlinear(field, params, omega, batches,
+                                                  harness.StragglerModel(count=params.servers)))
+        return scheme, params, run
+
+    return [cdbmm("ep", harness.ep_setup(field, 2, 1, 1, 4), 3),
+            cdbmm("csa", csa.csa_params(field, 2, 2, 8), 4),
+            cdbmm("csa-systematic", csa.csa_params(field, 2, 2, 8, systematic=True), 4),
+            cdbmm("gcsa", gcsa.gcsa_params(field, 1, 2, 2, 1, 1, 8), 2),
+            nlinear("ncsa", ncsa.ncsa_params(field, 2, 2, 1, 6, x_secure=1)),
+            nlinear("lcc", ncsa.ncsa_params(field, 2, 1, 2, 4))]
+
+
+@pytest.mark.parametrize("case", _cost_rounds(FIELD), ids=lambda case: case[0])
+def test_cached_measured_costs_equal_a_fresh_build(case):
+    # A round's measured CostSummary and normalized server mults come from a
+    # plan cache keyed by plain ints; two shapes under one setup each get
+    # their own, equal to a fresh build, types included, on a hit too
+    scheme, setup, run = case
+    CostSummary = harness.CostSummary
+
+    def fresh(batches, results, report):
+        batch = len(batches[0])
+        return CostSummary(setup.threshold, tuple(
+            Fraction(u, batch * b[0].size) for u, b in zip(report.uploaded_elements, batches)),
+            Fraction(report.downloaded_elements, batch * results[0].size)), Fraction(
+                report.server_mults, batch)
+
+    for dims in ((2, 2, 2), (4, 2, 6), (2, 2, 2)):  # the last hits the first's entry
+        batches, results, report = run(dims)
+        want = fresh(batches, results, report)
+        got = (report.measured, report.normalized_server_mults)
+        assert got == want and type(got[0]) is CostSummary
+        fractions = [*got[0].uploads, got[0].download, got[1]]
+        assert all(type(f) is Fraction and type(f.numerator) is int
+                   and type(f.denominator) is int for f in fractions)
+        assert type(got[0].threshold) is int and report.theory == harness.theoretical_costs(
+            scheme, setup)
+    assert harness._measured.cache_info().currsize == 2
+
+
+def test_a_map_counting_in_numpy_ints_gets_its_own_fractions():
+    # np.int64(8) keys like 8, but its Fraction holds a numpy numerator, so
+    # a count that is not a plain int is built afresh, never cached
+    params = ncsa.ncsa_params(FIELD, 2, 1, 2, 5)
+    batches = [_matrices(2), _matrices(3)]
+    omega = ncsa.matmul_map(2, 2, 2)
+    plain = harness.run_nlinear(FIELD, params, omega, batches, harness.StragglerModel(count=5))
+    numpy = harness.run_nlinear(FIELD, params, dataclasses.replace(omega, mults=np.int64(
+        omega.mults)), batches, harness.StragglerModel(count=5))
+    counts = [report.normalized_server_mults for _, report in (plain, numpy)]
+    assert counts[0] == counts[1] == Fraction(plain[1].server_mults, 2)
+    assert [type(c.numerator) for c in counts] == [int, type(Fraction(np.int64(1), 2).numerator)]
+
+
+def test_importing_the_harness_does_no_set_up_work():
+    # perfbench's setup_s times a fresh import; the harness loads neither the
+    # command line, the analysis nor .mat files, and builds no plan
+    probe = ("import sys; from csacode import csa, harness; "
+             "print(sorted(m for m in ('cli', 'analysis', 'matfile') "
+             "if 'csacode.' + m in sys.modules)); "
+             "print([plan.cache_info().currsize for plan in csa._PLANS])")
+    env = dict(os.environ, PYTHONPATH=str(Path(csa.__file__).parents[1]))
+    done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=env,
+                          timeout=60)
+    assert done.returncode == 0, done.stderr
+    loaded, sizes = done.stdout.splitlines()
+    assert loaded == "[]" and json.loads(sizes) == [0] * len(csa._PLANS)
+
+
 def _matrices(value, shape=(2, 2), dtype=np.int64, count=2):
     return [np.full(shape, value, dtype=dtype) for _ in range(count)]
 
@@ -591,6 +712,12 @@ _MALFORMED_BATCHES = [
     ("csa", _matrices(1, shape=(0, 2)), "no elements"),  # once a ZeroDivisionError
     ("csa", _matrices(1, shape=(2, 0)), "no elements"),
     ("ep", _matrices(1, shape=(0, 4)), "no elements"),
+    # not a sequence: once a bare TypeError
+    ("csa", 5, "sequence"),
+    ("csa", np.array(5), "sequence"),
+    ("csa", None, "sequence"),
+    # a bool entry beside int64 ones, which one np.asarray would stack as int64
+    ("csa", [np.ones((2, 2), dtype=np.int64), np.ones((2, 2), dtype=bool)], "integers"),
 ]
 
 
@@ -682,6 +809,10 @@ def test_encoders_reject_what_the_harness_rejects(name, scheme, batch, why):
 
 def test_run_nlinear_rejects_non_integer_batches():
     params = ncsa.ncsa_params(FIELD, 2, 1, 2, 5)
+    for batch in (5, np.array(5), None):  # not a sequence: once a bare TypeError
+        with pytest.raises(ParameterError, match="sequence"):
+            harness.run_nlinear(FIELD, params, ncsa.matmul_map(2, 2, 2),
+                                [_matrices(1), batch], harness.StragglerModel(count=5))
     floats = _matrices(1.5, dtype=np.float64)
     with pytest.raises(ParameterError, match="integers"):
         harness.run_nlinear(FIELD, params, ncsa.matmul_map(2, 2, 2),
@@ -1438,33 +1569,57 @@ def test_a_round_never_writes_into_the_callers_batches(as_array):
 
 @pytest.mark.parametrize("entry", [(4, 4), (64, 64)])
 def test_a_round_checks_each_batch_once(monkeypatch, entry):
-    # A round checks each caller list once and hands the residue stack on,
-    # which the encoders take again as it is.  A list of _ARENA_MIN_BYTES or
-    # more stays a list of checked entries that its encoder stacks, so the
-    # round never holds two such stacks at once.
-    calls, check = [], csa._batch_entries
+    # A round checks each caller list once, in full, and hands its encoder
+    # the result as a csa._Batch, which the encoder takes as it is: no second
+    # check, not one residues pass.  A list of _ARENA_MIN_BYTES or more stays
+    # a list of the caller's checked entries: a CDBMM encoder stacks its own
+    # side, so the round holds one large stack at a time, and xs_encode
+    # copies the entries into its groups without any stack.
+    calls, check, reduce = [], csa._batch_entries, PrimeField.residues
+    reduced = []
 
     def recorded(field, batch, *args, **kw):
-        calls.append((batch, check(field, batch, *args, **kw)))
+        before = len(reduced)
+        calls.append((batch, check(field, batch, *args, **kw), len(reduced) - before))
         return calls[-1][1]
+
+    stacks, generator_encode = [], csa._generator_encode  # weak references
+
+    def encode(field, arr, *args, **kw):  # a CDBMM encoder's one product
+        if large:  # a stack of its own, the other side's gone
+            assert all(ref() is None for ref in stacks)
+        else:  # the door's stack
+            assert arr is calls[len(stacks)][1]
+        stacks.append(weakref.ref(arr))
+        return generator_encode(field, arr, *args, **kw)
 
     monkeypatch.setattr(csa, "_batch_entries", recorded)
     monkeypatch.setattr(ncsa, "_batch_entries", recorded)
+    monkeypatch.setattr(csa, "_generator_encode", encode)
+    monkeypatch.setattr(PrimeField, "residues",
+                        lambda self, x: reduced.append(1) or reduce(self, x))
     rng = np.random.default_rng(62)
     draw = lambda: [rng.integers(0, FIELD.q, size=entry, dtype=np.int64) for _ in range(4)]
     large = 8 * 4 * math.prod(entry) >= ffield._ARENA_MIN_BYTES
     params = ncsa.ncsa_params(FIELD, 2, 2, 2, 12, x_secure=1)
-    for run in (lambda a, b: harness.run_cdbmm(FIELD, "csa", csa.csa_params(FIELD, 2, 2, 8), a, b,
-                                               harness.StragglerModel(count=7, seed=3)),
-                lambda a, b: harness.run_nlinear(FIELD, params, ncsa.matmul_map(*entry, entry[1]),
-                                                 [a, b], harness.StragglerModel(count=11))):
+    for run, products in (
+            (lambda a, b: harness.run_cdbmm(FIELD, "csa", csa.csa_params(FIELD, 2, 2, 8), a, b,
+                                            harness.StragglerModel(count=7, seed=3)), 2),
+            (lambda a, b: harness.run_nlinear(FIELD, params, ncsa.matmul_map(*entry, entry[1]),
+                                              [a, b], harness.StragglerModel(count=11)), 0)):
         calls.clear()
-        run(draw(), draw())
-        (given_a, held_a), (given_b, held_b), (took_a, out_a), (took_b, out_b) = calls
-        assert isinstance(given_a, list) and isinstance(given_b, list)
-        assert took_a is held_a and took_b is held_b  # handed on
-        assert isinstance(held_a, list) == large and isinstance(held_b, list) == large
-        assert isinstance(out_a, np.ndarray) and (large or out_a is took_a)
+        stacks.clear()
+        given = [draw(), draw()]
+        run(*given)
+        assert len(stacks) == products  # xs_encode's product takes its groups, no stack
+        doors, encoders = calls[:2], calls[2:]
+        assert [batch for batch, _, _ in doors] == given and len(encoders) == 2
+        for (_, held, checks), (took, out, rechecks) in zip(doors, encoders):
+            assert checks >= 1 and rechecks == 0
+            assert isinstance(took, csa._Batch) and took.entries is held and out is held
+            assert isinstance(held, list) == large
+        if large:  # the caller's residue entries themselves, not copies
+            assert all(x is y for (batch, held, _) in doors for x, y in zip(batch, held))
 
 
 def test_a_large_ep_server_multiplies_entry_by_entry(monkeypatch):

@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import math
+import tracemalloc
 import types
 from fractions import Fraction
 
@@ -629,7 +630,9 @@ def test_xs_encode_systematic_and_constant_slot_match_reference(q, monkeypatch):
                         harness.StragglerModel(responsive=(0, 2, 3, 5, 6, 7)))
     (args, shares), = seen
     ones = [np.ones((2, 2), dtype=np.int64)] * 2
-    assert [len(b) for b in args[1]] == [2, 2, 2] and list(args[3]) == list(range(8))
+    # the round hands every batch on checked, as csa._Batch: no second check
+    assert all(isinstance(b, csa._Batch) for b in args[1])
+    assert [len(b.entries) for b in args[1]] == [2, 2, 2] and list(args[3]) == list(range(8))
     _assert_shares_equal(shares, xs_shares_each(q, params, batches + [ones], range(8)))
 
 
@@ -652,6 +655,28 @@ def test_every_x_servers_see_full_rank_noise(q):
         for colluders in itertools.combinations(range(params.servers), x_secure):
             for l in range(ell):
                 assert matrix_rank(field, weights[list(colluders), l, kc:]) == x_secure
+
+
+@pytest.mark.parametrize("servers", [3, range(8)], ids=["one", "all"])
+def test_xs_encode_holds_one_copy_of_a_large_round(servers):
+    # A large batch's checked entries go straight into the encoder's groups,
+    # so beside its shares xs_encode holds the groups alone; it once stacked
+    # each variable first, another 1 MiB here.  The shares do not move.
+    field = PrimeField(65537)
+    params = ncsa_params(field, 2, 1, 4, 8)
+    rng = np.random.default_rng(8)
+    batches = [[field.rand_matrix(rng, 128, 128) for _ in range(4)] for _ in range(2)]
+    want = [np.array(x) for x in xs_encode(field, [np.stack(b) for b in batches], params,
+                                           servers)]
+    tracemalloc.start()
+    try:
+        shares = xs_encode(field, batches, params, servers)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    groups = 8 * params.batch_size * sum(b[0].size for b in batches)  # 1 MiB
+    assert peak < held + groups + 2**17
+    assert [x.tobytes() for x in shares] == [x.tobytes() for x in want]
 
 
 @pytest.mark.parametrize("spec", [False, True])

@@ -285,9 +285,10 @@ def test_constant_one_shares_share_the_round_plan(monkeypatch):
     truth = [(omega(field, a, b) + 3 * omega(field, a, ones)) % field.q for a, b in zip(*batches)]
     tables = _recorded_tables(monkeypatch)
     # the first round builds the weights of all servers, the answers'
-    # inverse deltas, a decode plan and the cost summary; a repeat builds
-    # nothing; a new responsive set only its decode plan
-    for responsive, builds in (((0, 2, 3, 5, 6, 7), 4), ((0, 2, 3, 5, 6, 7), 0),
+    # inverse deltas, a decode plan, the cost summary and the measured costs
+    # of its shapes; a repeat builds nothing; a new responsive set only its
+    # decode plan
+    for responsive, builds in (((0, 2, 3, 5, 6, 7), 5), ((0, 2, 3, 5, 6, 7), 0),
                                ((1, 2, 3, 4, 5, 6), 1)):
         misses, seen = _misses(), len(tables)
         got, _ = harness.run_nlinear(field, params, spec, batches,
@@ -342,4 +343,5 @@ def test_every_plan_cache_is_registered():
     assert {plan.__wrapped__.__module__.split(".")[-1] + "." + plan.__wrapped__.__name__
             for plan in csa._PLANS} == {
         "csa._weights", "csa._plan", "ncsa._weights", "ncsa._inverse_deltas",
-        "ncsa._parity_checks", "ncsa._projection_weights", "harness._costs"}
+        "ncsa._parity_checks", "ncsa._projection_weights", "harness._costs",
+        "harness._measured"}
